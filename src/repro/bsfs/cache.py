@@ -37,7 +37,7 @@ class CacheStats:
         self.misses = 0
         self.prefetched_blocks = 0
         #: Blocks deposited by the engine-side next-block read-ahead
-        #: (:meth:`BlockReadCache.populate`) — kept separate from
+        #: (:meth:`BlockReadCache.prefetch`) — kept separate from
         #: ``prefetched_blocks``, which counts ordinary miss fetches.
         self.read_ahead_blocks = 0
         self.flushed_blocks = 0
@@ -62,6 +62,17 @@ class CacheStats:
         }
 
 
+class _Flight:
+    """One executing block fetch; waiters take ``data`` once ``done`` is set."""
+
+    __slots__ = ("done", "data")
+
+    def __init__(self) -> None:
+        self.done = threading.Event()
+        #: The fetched block, or still ``None`` at ``done`` if the fetch raised.
+        self.data: bytes | None = None
+
+
 class VersionedBlockCache:
     """Shared LRU store of whole blocks keyed by ``(blob, version, block)``.
 
@@ -71,7 +82,9 @@ class VersionedBlockCache:
     stream reading the latest version of the same file: the two streams use
     different version components and therefore different keys.  One store is
     shared by every stream of a BSFS instance, so two readers of the *same*
-    snapshot share each other's fetches.
+    snapshot share each other's fetches — also the ones still executing:
+    :meth:`load` lets one thread fetch a block while the others that want
+    it wait for those bytes.
     """
 
     def __init__(self, capacity_blocks: int = 32) -> None:
@@ -80,6 +93,8 @@ class VersionedBlockCache:
         self._capacity = capacity_blocks
         self._blocks: OrderedDict[tuple, bytes] = OrderedDict()
         self._lock = threading.Lock()
+        #: Fetches executing right now, by block key (see :meth:`load`).
+        self._inflight: dict[tuple, _Flight] = {}
         self.insertions = 0
         self.evictions = 0
 
@@ -106,6 +121,44 @@ class VersionedBlockCache:
                 self._blocks.popitem(last=False)
                 self.evictions += 1
         return True
+
+    def load(
+        self, key: tuple, fetch: Callable[[], bytes], *, wait: bool = True
+    ) -> tuple[bytes | None, bool]:
+        """The block under ``key``, fetched by at most one thread at a time.
+
+        Returns ``(data, fetched)``.  If the block is cached it is returned
+        as is.  Otherwise the first asker runs ``fetch()`` (outside the
+        lock), inserts the block and reports ``fetched=True``; whoever asks
+        while that fetch executes waits for it and takes its bytes — or,
+        with ``wait=False`` (read-ahead wants the block cached, not its
+        bytes), returns ``(None, False)`` at once.  If the fetch raises, the
+        error goes to its caller and the waiters try again themselves.
+        """
+        while True:
+            with self._lock:
+                data = self._blocks.get(key)
+                if data is not None:
+                    self._blocks.move_to_end(key)
+                    return data, False
+                flight = self._inflight.get(key)
+                if flight is None:
+                    flight = self._inflight[key] = _Flight()
+                    break
+            if not wait:
+                return None, False
+            flight.done.wait()
+            if flight.data is not None:
+                return flight.data, False
+        try:
+            flight.data = data = fetch()
+            # Cached before the flight ends: an asker finds one or the other.
+            self.put(key, data)
+            return data, True
+        finally:
+            with self._lock:
+                del self._inflight[key]
+            flight.done.set()
 
     def contains(self, key: tuple) -> bool:
         with self._lock:
@@ -207,14 +260,15 @@ class BlockReadCache:
             else:
                 self.stats.misses += 1
         if data is None:
-            # Fetch outside any lock: the fetch may be slow (a real
-            # BlobSeer read).  A concurrent fetch of the same immutable
-            # block produces identical bytes, so losing the put race is
-            # harmless.
-            data = self._fetch_block(block_index)
-            self._store.put(self._full_key(block_index), data)
-            with self._lock:
-                self.stats.prefetched_blocks += 1
+            # The fetch may be slow (a real BlobSeer read): if the
+            # read-ahead or another stream is already fetching this block,
+            # wait for those bytes instead of asking the providers twice.
+            data, fetched = self._store.load(
+                self._full_key(block_index), lambda: self._fetch_block(block_index)
+            )
+            if fetched:
+                with self._lock:
+                    self.stats.prefetched_blocks += 1
         if self._on_access is not None:
             self._on_access(block_index)
         return data
@@ -244,20 +298,24 @@ class BlockReadCache:
         """Whether a block is currently cached (no LRU touch, no stats)."""
         return self._store.contains(self._full_key(block_index))
 
-    def populate(self, block_index: int, data: bytes) -> bool:
-        """Insert an externally fetched block if it is not cached yet.
+    def prefetch(self, block_index: int) -> bool:
+        """Fetch a block into the cache unless it is cached or being fetched.
 
-        The read-ahead hook: the BSFS input stream fetches the *next*
-        block on the transfer engine during a miss and deposits it here,
-        so a sequential scan finds it already local.  Returns whether the
-        block was inserted (``False`` when it raced an ordinary fetch —
-        both fetched identical bytes, so dropping one copy is harmless).
+        The read-ahead hook: the BSFS input stream runs this for the *next*
+        block on the transfer engine, so a sequential scan finds it already
+        local — or, if it arrives early, waits for this very fetch.  The
+        access hook does not fire, so read-ahead cannot cascade.  Returns
+        whether this call fetched the block.
         """
-        inserted = self._store.put(self._full_key(block_index), data)
-        if inserted:
+        _, fetched = self._store.load(
+            self._full_key(block_index),
+            lambda: self._fetch_block(block_index),
+            wait=False,
+        )
+        if fetched:
             with self._lock:
                 self.stats.read_ahead_blocks += 1
-        return inserted
+        return fetched
 
     def invalidate(self, block_index: int | None = None) -> None:
         """Drop one block (or this stream's whole namespace on ``None``)."""

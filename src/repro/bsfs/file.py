@@ -67,7 +67,7 @@ class BSFSInputStream(InputStream):
         """The published snapshot this stream reads (fixed at open time)."""
         return self._version
 
-    def _read_raw(self, block_index: int) -> bytes:
+    def _fetch_block(self, block_index: int) -> bytes:
         """Fetch one block's bytes from the blob (no cache interaction)."""
         block_size = self._cache.block_size
         start = block_index * block_size
@@ -81,9 +81,7 @@ class BSFSInputStream(InputStream):
     def _prefetch(self, block_index: int) -> None:
         """Engine-side body of the one-block read-ahead (never raises)."""
         try:
-            if self._cache.contains(block_index):
-                return
-            self._cache.populate(block_index, self._read_raw(block_index))
+            self._cache.prefetch(block_index)
         except Exception:
             # Read-ahead is opportunistic; the foreground read will
             # surface any real storage error itself.
@@ -94,17 +92,17 @@ class BSFSInputStream(InputStream):
         miss — firing on hits too is what sustains the pipeline across a
         sequential scan instead of stalling on every other block.
 
-        Fire-and-forget: the prefetch populates the cache directly (never
-        through the fetch callback, so read-ahead cannot cascade), and it
-        is safe on the shared engine because the nested page fetches use
-        caller-participating map, never a blocking wait on pool capacity.
+        Fire-and-forget: the prefetch fills the cache without firing this
+        hook (so read-ahead cannot cascade), and it is safe on the shared
+        engine because the nested page fetches use caller-participating
+        map, never a blocking wait on pool capacity.  A fetch counts as in
+        flight only once it executes, so a demand read never waits on a
+        task that is still queued: whichever of the two starts first
+        fetches, the other takes its result.
         """
         nxt = block_index + 1
         if nxt * self._cache.block_size < self._size and not self._cache.contains(nxt):
             self._blobseer.transfer.submit(self._prefetch, nxt)
-
-    def _fetch_block(self, block_index: int) -> bytes:
-        return self._read_raw(block_index)
 
     def _pread(self, offset: int, size: int) -> bytes:
         return self._cache.read(offset, size)

@@ -39,7 +39,7 @@ import os
 import random
 import threading
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .config import BlobSeerConfig
 from .dht import MetadataDHT, MetadataProvider
@@ -64,6 +64,10 @@ from ..versions.pins import PinRegistry, SnapshotHandle
 from ..versions.retention import RetentionPolicy
 
 __all__ = ["PageLocation", "BlobWriteSink", "BlobSeer"]
+
+#: Pages whose descriptors :meth:`BlobSeer.open_read` looks up at a time,
+#: ahead of the page fetches.
+LOOKUP_WINDOW_PAGES = 32
 
 
 @dataclass(frozen=True, slots=True)
@@ -236,6 +240,7 @@ class BlobSeer:
             ).values():
                 keys.add(descriptor.key)
         self.version_manager.delete_blob(blob_id)
+        self.metadata_manager.forget_blob(blob_id)
         for key in keys:
             for provider in self.provider_manager.providers:
                 try:
@@ -729,7 +734,11 @@ class BlobSeer:
         ever materialising the whole range: up to ``read_ahead`` pages
         (default ``config.read_ahead_pages``) are fetched through the
         transfer engine ahead of the consumer, overlapping provider latency
-        with downstream processing.  Holes left by aborted writers read as
+        with downstream processing.  Page descriptors are looked up one
+        aligned window of ``LOOKUP_WINDOW_PAGES`` at a time, as the page
+        fetches reach it, so a consumer that stops early (a record reader
+        opened to the end of the file but reading one split) never pays for
+        the metadata of the rest.  Holes left by aborted writers read as
         zero bytes, exactly like :meth:`read`.
         """
         info = self.version_manager.version_info(blob_id, version)
@@ -746,15 +755,11 @@ class BlobSeer:
             return iter(())
         page_size = self.blob_info(blob_id).page_size
         page_range = page_range_for_bytes(offset, size, page_size)
-        descriptors = self.metadata_manager.lookup(
-            info.root, page_range.first, page_range.last
-        )
         rng = self._op_rng()
         end = offset + size
 
-        def make_fetch(page_index: int):
+        def make_fetch(page_index: int, descriptor: PageDescriptor | None):
             def fetch() -> memoryview:
-                descriptor = descriptors.get(page_index)
                 page_start = page_index * page_size
                 page_len = min(page_size, info.size - page_start)
                 if descriptor is None:
@@ -774,9 +779,23 @@ class BlobSeer:
 
             return fetch
 
+        def fetches() -> Iterator[Callable[[], memoryview]]:
+            first = page_range.first
+            while first < page_range.last:
+                # Windows end on multiples of the window size, so each is
+                # one subtree and shares its spine with its neighbours.
+                last = min(
+                    (first // LOOKUP_WINDOW_PAGES + 1) * LOOKUP_WINDOW_PAGES,
+                    page_range.last,
+                )
+                descriptors = self.metadata_manager.lookup(info.root, first, last)
+                for page_index in range(first, last):
+                    yield make_fetch(page_index, descriptors.get(page_index))
+                first = last
+
         depth = read_ahead if read_ahead is not None else self.config.read_ahead_pages
         return pipelined(
-            (make_fetch(p) for p in page_range),
+            fetches(),
             self.transfer,
             depth=depth,
             budget=self.transfer.budget,

@@ -21,11 +21,28 @@ from __future__ import annotations
 import bisect
 import hashlib
 import threading
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 from .errors import NoProvidersError, ProviderUnavailableError
 
-__all__ = ["MetadataProvider", "ConsistentHashRing", "MetadataDHT"]
+__all__ = ["MISSING", "MetadataProvider", "ConsistentHashRing", "MetadataDHT"]
+
+
+class _Missing:
+    """Type of :data:`MISSING`; pickles by name so identity survives the wire."""
+
+    __slots__ = ()
+
+    def __reduce__(self) -> str:
+        return "MISSING"
+
+    def __repr__(self) -> str:
+        return "MISSING"
+
+
+#: What :meth:`MetadataProvider.get_many` returns in place of an absent key
+#: (any stored value, ``None`` included, is distinguishable from it).
+MISSING = _Missing()
 
 
 def _hash_key(key: str) -> int:
@@ -75,6 +92,25 @@ class MetadataProvider:
             self._check()
             self._gets += 1
             return self._data[key]
+
+    def put_many(self, items: Sequence[tuple[str, Any]]) -> None:
+        """Store every ``(key, value)`` pair under one lock hold."""
+        with self._lock:
+            self._check()
+            self._data.update(items)
+            self._puts += len(items)
+
+    def get_many(self, keys: Sequence[str]) -> list[Any]:
+        """Values of ``keys``, in order, under one lock hold.
+
+        An absent key yields :data:`MISSING` in its slot instead of failing
+        the whole call, so one bulk read can be partly served by another
+        replica.
+        """
+        with self._lock:
+            self._check()
+            self._gets += len(keys)
+            return [self._data.get(key, MISSING) for key in keys]
 
     def contains(self, key: str) -> bool:
         """Return whether ``key`` is present."""
@@ -225,7 +261,7 @@ class MetadataDHT:
             try:
                 provider.put(key, value)
                 stored += 1
-            except ProviderUnavailableError as exc:  # pragma: no cover - failover
+            except ProviderUnavailableError as exc:
                 last_error = exc
         if stored == 0:
             raise last_error if last_error else NoProvidersError(
@@ -245,6 +281,74 @@ class MetadataDHT:
         if isinstance(last_error, KeyError):
             raise last_error
         raise last_error if last_error else KeyError(key)
+
+    def put_many(self, items: Iterable[tuple[str, Any]]) -> None:
+        """Store every ``(key, value)`` pair with one call per provider.
+
+        Per key this is :meth:`put`: the pair goes to every replica of its
+        key, best effort, and the call fails only if some pair was stored
+        on no replica at all.
+        """
+        items = list(items)
+        groups: dict[int, list[int]] = {}
+        for index, (key, _value) in enumerate(items):
+            for provider_id in self._ring.owners(key, self._replication):
+                groups.setdefault(provider_id, []).append(index)
+        stored = [False] * len(items)
+        last_error: Exception | None = None
+        for provider_id, indices in groups.items():
+            try:
+                self._providers[provider_id].put_many([items[i] for i in indices])
+            except ProviderUnavailableError as exc:
+                last_error = exc
+                continue
+            for index in indices:
+                stored[index] = True
+        if not all(stored):
+            raise last_error if last_error else NoProvidersError(
+                "no metadata provider accepted the put"
+            )
+
+    def get_many(self, keys: Iterable[str]) -> list[Any]:
+        """Fetch ``keys``, in order, with one call per provider and attempt.
+
+        Per key this is :meth:`get`: keys are grouped by their first
+        replica; a key whose replica is unavailable or lacks it moves on to
+        its next replica, regrouped with the other stragglers.  Raises the
+        last error of the first key no live replica has (``KeyError(key)``
+        when a replica answered without it).
+        """
+        keys = list(keys)
+        if not keys:
+            return []
+        values: list[Any] = [MISSING] * len(keys)
+        # Every key has the same number of replicas: min(replication, members).
+        owners = [self._ring.owners(key, self._replication) for key in keys]
+        errors: dict[int, Exception] = {}
+        pending = list(range(len(keys)))
+        for attempt in range(len(owners[0])):
+            groups: dict[int, list[int]] = {}
+            for index in pending:
+                groups.setdefault(owners[index][attempt], []).append(index)
+            pending = []
+            for provider_id, indices in groups.items():
+                try:
+                    found = self._providers[provider_id].get_many(
+                        [keys[i] for i in indices]
+                    )
+                except ProviderUnavailableError as exc:
+                    errors.update(dict.fromkeys(indices, exc))
+                    pending.extend(indices)
+                    continue
+                for index, value in zip(indices, found):
+                    if value is MISSING:
+                        errors[index] = KeyError(keys[index])
+                        pending.append(index)
+                    else:
+                        values[index] = value
+            if not pending:
+                return values
+        raise errors[min(pending)]
 
     def contains(self, key: str) -> bool:
         """Whether any live replica stores ``key``."""

@@ -21,18 +21,34 @@ The public entry point is :class:`MetadataManager` with two operations:
   new version's tree and return its root key.
 * :meth:`MetadataManager.lookup` — given a version's root key and a page
   range, return the page descriptors covering it.
+
+Both cost round trips per tree *level*, not per node: a walk resolves all
+the nodes it needs of one level together — from the manager's node cache,
+the rest with one :meth:`MetadataDHT.get_many` — and a build stores its new
+nodes with one :meth:`MetadataDHT.put_many`.  Because a node never changes
+once stored, the cache needs no invalidation: a re-walk costs no round trip
+at all.
 """
 
 from __future__ import annotations
 
+import bisect
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .dht import MetadataDHT
 from .errors import MetadataCorruptionError
 from .pages import PageDescriptor
 
 __all__ = ["NodeKey", "TreeNode", "MetadataManager", "next_power_of_two"]
+
+#: Tree nodes one :class:`MetadataManager` keeps cached (LRU beyond that).
+#: A blob of ``n`` pages has ``2n - 1`` nodes per full tree, so this holds
+#: the whole tree of a 16384-page blob (4 GiB at 256 KiB pages); full, it
+#: measures about 13 MB.
+NODE_CACHE_CAPACITY = 32768
 
 
 def next_power_of_two(n: int) -> int:
@@ -86,20 +102,65 @@ class TreeNode:
         return self.key.span == 1
 
 
+class _NodeCache:
+    """Bounded, thread-safe LRU of immutable tree nodes."""
+
+    def __init__(self, capacity: int) -> None:
+        self._capacity = capacity
+        self._nodes: OrderedDict[NodeKey, TreeNode] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get_many(self, keys: Iterable[NodeKey]) -> dict[NodeKey, TreeNode]:
+        """The cached nodes among ``keys`` (LRU touch), under one lock hold."""
+        found: dict[NodeKey, TreeNode] = {}
+        with self._lock:
+            for key in keys:
+                node = self._nodes.get(key)
+                if node is not None:
+                    self._nodes.move_to_end(key)
+                    found[key] = node
+        return found
+
+    def put_many(self, nodes: Iterable[TreeNode]) -> None:
+        with self._lock:
+            for node in nodes:
+                self._nodes[node.key] = node
+                self._nodes.move_to_end(node.key)
+            while len(self._nodes) > self._capacity:
+                self._nodes.popitem(last=False)
+
+    def drop_blob(self, blob_id: int) -> None:
+        with self._lock:
+            for key in [k for k in self._nodes if k.blob_id == blob_id]:
+                del self._nodes[key]
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._nodes)
+
+
 class MetadataManager:
     """Builds and traverses the versioned metadata trees of one deployment.
 
-    The manager is stateless apart from the DHT handle, so a single instance
-    can be shared by any number of concurrent writers and readers.
+    Apart from the DHT handle the manager holds one cache of tree nodes,
+    shared by every reader and writer that uses the instance.  A node is
+    immutable and keyed by the version that created it, so a cached node is
+    correct for as long as it is referenced; nodes of collected versions are
+    never asked for again and age out.
     """
 
     def __init__(self, dht: MetadataDHT) -> None:
         self._dht = dht
+        self._cache = _NodeCache(NODE_CACHE_CAPACITY)
 
     # -- storage helpers ----------------------------------------------------------
-    def _store(self, node: TreeNode) -> NodeKey:
-        self._dht.put(node.key.dht_key(), node)
-        return node.key
+    @staticmethod
+    def _checked(key: NodeKey, node: object) -> TreeNode:
+        if not isinstance(node, TreeNode):
+            raise MetadataCorruptionError(
+                f"DHT entry for {key!r} is not a TreeNode"
+            )
+        return node
 
     def fetch(self, key: NodeKey) -> TreeNode:
         """Fetch a node from the DHT, raising on dangling references."""
@@ -109,11 +170,32 @@ class MetadataManager:
             raise MetadataCorruptionError(
                 f"metadata node {key!r} is referenced but missing from the DHT"
             ) from None
-        if not isinstance(node, TreeNode):
-            raise MetadataCorruptionError(
-                f"DHT entry for {key!r} is not a TreeNode"
-            )
-        return node
+        return self._checked(key, node)
+
+    def _resolve(self, keys: Sequence[NodeKey]) -> list[TreeNode]:
+        """The nodes under ``keys``, in order, in at most one round trip.
+
+        Cached nodes cost nothing; the others are fetched together with one
+        ``get_many`` (one call per metadata provider) and cached.
+        """
+        found = self._cache.get_many(keys)
+        missing = [key for key in keys if key not in found]
+        if missing:
+            try:
+                fetched = self._dht.get_many([key.dht_key() for key in missing])
+            except KeyError as exc:
+                raise MetadataCorruptionError(
+                    f"metadata node {exc.args[0]} is referenced but missing "
+                    "from the DHT"
+                ) from None
+            nodes = [self._checked(key, node) for key, node in zip(missing, fetched)]
+            self._cache.put_many(nodes)
+            found.update(zip(missing, nodes))
+        return [found[key] for key in keys]
+
+    def forget_blob(self, blob_id: int) -> None:
+        """Drop a deleted blob's nodes from the cache."""
+        self._cache.drop_blob(blob_id)
 
     # -- version construction -----------------------------------------------------
     def build_version(
@@ -162,7 +244,7 @@ class MetadataManager:
                 f"written page indices {indices[0]}..{indices[-1]} fall outside "
                 f"capacity {capacity}"
             )
-        node_cache: dict[str, TreeNode] = {}
+        created: list[TreeNode] = []
         root = self._build_range(
             blob_id,
             version,
@@ -172,14 +254,18 @@ class MetadataManager:
             indices,
             base_root,
             base_capacity,
-            node_cache,
+            created,
         )
+        # One store per version, finished before the root is handed back:
+        # whoever learns the root (through publication) can fetch every
+        # node under it.  The cache is written through only afterwards, so
+        # it never holds a node the DHT does not.
+        self._dht.put_many([(node.key.dht_key(), node) for node in created])
+        self._cache.put_many(created)
         return root
 
     def _range_touched(self, indices: list[int], lo: int, hi: int) -> bool:
         """Whether any written page index falls inside ``[lo, hi)``."""
-        import bisect
-
         pos = bisect.bisect_left(indices, lo)
         return pos < len(indices) and indices[pos] < hi
 
@@ -189,12 +275,14 @@ class MetadataManager:
         base_capacity: int,
         lo: int,
         hi: int,
-        cache: dict[str, TreeNode],
     ) -> NodeKey | None:
         """Key of the base-version node covering exactly ``[lo, hi)``, if any.
 
-        Walks down from the base root; returns ``None`` when the range is a
-        hole in the base version (never written) or lies beyond its capacity.
+        Walks down from the base root (through the node cache: the spine is
+        shared by every call of one build, and free when the base version
+        was built or read by this manager); returns ``None`` when the range
+        is a hole in the base version (never written) or lies beyond its
+        capacity.
         """
         if base_root is None or lo >= base_capacity:
             return None
@@ -205,7 +293,7 @@ class MetadataManager:
         current = base_root
         cur_lo, cur_hi = 0, base_capacity
         while (cur_lo, cur_hi) != (lo, hi):
-            node = self._fetch_cached(current, cache)
+            (node,) = self._resolve([current])
             mid = (cur_lo + cur_hi) // 2
             if hi <= mid:
                 child = node.left
@@ -222,12 +310,6 @@ class MetadataManager:
             current = child
         return current
 
-    def _fetch_cached(self, key: NodeKey, cache: dict[str, TreeNode]) -> TreeNode:
-        dht_key = key.dht_key()
-        if dht_key not in cache:
-            cache[dht_key] = self.fetch(key)
-        return cache[dht_key]
-
     def _build_range(
         self,
         blob_id: int,
@@ -238,17 +320,16 @@ class MetadataManager:
         indices: list[int],
         base_root: NodeKey | None,
         base_capacity: int,
-        cache: dict[str, TreeNode],
+        created: list[TreeNode],
     ) -> NodeKey | None:
+        """Build the subtree over ``[lo, hi)``; new nodes go to ``created``."""
         touched = self._range_touched(indices, lo, hi)
         if not touched:
             if lo >= base_capacity or base_root is None:
                 return None  # hole
             if hi <= base_capacity:
                 # Untouched range entirely inside the base tree: share it.
-                return self._find_base_node_key(
-                    base_root, base_capacity, lo, hi, cache
-                )
+                return self._find_base_node_key(base_root, base_capacity, lo, hi)
             # Untouched range straddling the base capacity (only possible for
             # prefixes of an expanded tree): recurse so the left part can be
             # shared and the right part becomes a hole.
@@ -258,22 +339,19 @@ class MetadataManager:
                 # Reached only if a touched ancestor narrowed to an untouched
                 # leaf inside the base capacity, which the sharing branch
                 # should have handled.
-                return self._find_base_node_key(
-                    base_root, base_capacity, lo, hi, cache
-                )
-            node = TreeNode(
-                key=NodeKey(blob_id, version, lo, hi), page=descriptor
+                return self._find_base_node_key(base_root, base_capacity, lo, hi)
+            node = TreeNode(key=NodeKey(blob_id, version, lo, hi), page=descriptor)
+        else:
+            mid = (lo + hi) // 2
+            left = self._build_range(
+                blob_id, version, lo, mid, written, indices, base_root, base_capacity, created
             )
-            return self._store(node)
-        mid = (lo + hi) // 2
-        left = self._build_range(
-            blob_id, version, lo, mid, written, indices, base_root, base_capacity, cache
-        )
-        right = self._build_range(
-            blob_id, version, mid, hi, written, indices, base_root, base_capacity, cache
-        )
-        node = TreeNode(key=NodeKey(blob_id, version, lo, hi), left=left, right=right)
-        return self._store(node)
+            right = self._build_range(
+                blob_id, version, mid, hi, written, indices, base_root, base_capacity, created
+            )
+            node = TreeNode(key=NodeKey(blob_id, version, lo, hi), left=left, right=right)
+        created.append(node)
+        return node.key
 
     # -- lookups ------------------------------------------------------------------
     def lookup(
@@ -295,47 +373,43 @@ class MetadataManager:
         result: dict[int, PageDescriptor] = {}
         if root is None or first_page == last_page:
             return result
-        self._collect(root, first_page, last_page, result)
+        # Level order: the nodes of one level that intersect the range are
+        # resolved together, then their children form the next frontier.
+        frontier = [root] if root.lo < last_page and root.hi > first_page else []
+        while frontier:
+            children: list[NodeKey] = []
+            for node in self._resolve(frontier):
+                if node.is_leaf:
+                    if node.page is None:
+                        raise MetadataCorruptionError(
+                            f"leaf {node.key!r} carries no page"
+                        )
+                    result[node.key.lo] = node.page
+                    continue
+                for child in (node.left, node.right):
+                    if (
+                        child is not None
+                        and child.lo < last_page
+                        and child.hi > first_page
+                    ):
+                        children.append(child)
+            frontier = children
         return result
-
-    def _collect(
-        self,
-        key: NodeKey,
-        first: int,
-        last: int,
-        out: dict[int, PageDescriptor],
-    ) -> None:
-        if key.hi <= first or key.lo >= last:
-            return
-        node = self.fetch(key)
-        if node.is_leaf:
-            if node.page is None:
-                raise MetadataCorruptionError(f"leaf {key!r} carries no page")
-            out[key.lo] = node.page
-            return
-        if node.left is not None:
-            self._collect(node.left, first, last, out)
-        if node.right is not None:
-            self._collect(node.right, first, last, out)
 
     # -- introspection ------------------------------------------------------------
     def count_nodes(self, root: NodeKey | None) -> int:
         """Number of reachable nodes from ``root`` (shared nodes counted once)."""
-        if root is None:
-            return 0
-        seen: set[str] = set()
-        stack = [root]
-        while stack:
-            key = stack.pop()
-            dht_key = key.dht_key()
-            if dht_key in seen:
-                continue
-            seen.add(dht_key)
-            node = self.fetch(key)
-            if node.left is not None:
-                stack.append(node.left)
-            if node.right is not None:
-                stack.append(node.right)
+        seen: set[NodeKey] = set()
+        frontier = [root] if root is not None else []
+        while frontier:
+            seen.update(frontier)
+            children = {
+                child
+                for node in self._resolve(frontier)
+                for child in (node.left, node.right)
+                if child is not None and child not in seen
+            }
+            frontier = list(children)
         return len(seen)
 
     def nodes_created_by(self, blob_id: int, version: int) -> int:

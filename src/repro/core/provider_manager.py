@@ -27,7 +27,7 @@ import threading
 from abc import ABC, abstractmethod
 from typing import Sequence
 
-from .errors import AllocationError, NoProvidersError
+from .errors import AllocationError, NoProvidersError, ProviderUnavailableError
 from .provider import DataProvider, ProviderStats
 
 __all__ = [
@@ -355,8 +355,21 @@ class ProviderManager:
             return list(self._providers.keys())
 
     def available_stats(self) -> list[ProviderStats]:
-        """Statistics snapshots of the providers currently accepting requests."""
-        return [p.stats() for p in self.providers if p.available]
+        """Statistics snapshots of the providers currently accepting requests.
+
+        One ``stats()`` call per provider (an RPC for a remote one): the
+        snapshot itself says whether the provider is available, and an
+        unreachable one raises instead of answering.
+        """
+        snapshots = []
+        for provider in self.providers:
+            try:
+                snapshot = provider.stats()
+            except ProviderUnavailableError:
+                continue
+            if snapshot.available:
+                snapshots.append(snapshot)
+        return snapshots
 
     # -- allocation ---------------------------------------------------------------
     def allocate(
@@ -411,16 +424,14 @@ class ProviderManager:
             max_range = self._range_pages
         if max_range < 1:
             raise AllocationError("max_range must be at least 1")
-        with self._lock:
-            available = [p for p in self._providers.values() if p.available]
-        if not available:
+        stats = self.available_stats()
+        if not stats:
             raise NoProvidersError("no data providers are available")
-        if replication > len(available):
+        if replication > len(stats):
             raise AllocationError(
                 f"replication {replication} exceeds available providers "
-                f"({len(available)})"
+                f"({len(stats)})"
             )
-        stats = [p.stats() for p in available]
         with self._lock:
             runs = self._strategy.select_range(
                 stats,
@@ -465,9 +476,7 @@ class ProviderManager:
         A perfectly balanced pool has imbalance 1.0; the metric is used by
         ablation benchmarks to compare allocation strategies.
         """
-        counts = [
-            p.stats().pages_stored for p in self.providers if p.available
-        ]
+        counts = [snapshot.pages_stored for snapshot in self.available_stats()]
         if not counts or sum(counts) == 0:
             return 1.0
         mean = sum(counts) / len(counts)

@@ -29,7 +29,7 @@ strategies read them in tight loops.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Sequence
 
 from ..core.errors import ProviderUnavailableError
 from ..core.pages import PageKey
@@ -209,6 +209,12 @@ class RemoteMetadataProvider(_Stub):
 
     def get(self, key: str) -> Any:
         return self._call("get", key)
+
+    def put_many(self, items: Sequence[tuple[str, Any]]) -> None:
+        self._call("put_many", list(items))
+
+    def get_many(self, keys: Sequence[str]) -> list[Any]:
+        return self._call("get_many", list(keys))
 
     def contains(self, key: str) -> bool:
         return bool(self._call("contains", key))

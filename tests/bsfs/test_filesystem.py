@@ -280,12 +280,68 @@ class TestSequentialReadAhead:
         assert stream.cache.cached_blocks() == [0]
         assert stream.cache.stats.read_ahead_blocks == 0
 
-    def test_populate_races_are_harmless(self, bsfs: BSFS):
+    def test_prefetch_of_a_cached_block_fetches_nothing(self, bsfs: BSFS):
         bsfs.write_file("/ra3.bin", b"p" * (2 * BLOCK))
-        stream = bsfs.open("/ra3.bin")
+        stream = bsfs.open("/ra3.bin", read_ahead=False)
         data = stream.read(BLOCK)  # caches block 0
-        assert not stream.cache.populate(0, b"ignored")  # already present
+        assert not stream.cache.prefetch(0)  # already present
+        assert stream.cache.prefetch(1)
+        assert stream.cache.stats.read_ahead_blocks == 1
         assert stream.pread(0, BLOCK) == data
+
+
+class TestSingleFlightBlockFetch:
+    """Each block of a scan is read from the blob once, however the demand
+    reads, the read-ahead and a second reader interleave."""
+
+    BLOCKS = 8
+
+    @staticmethod
+    def count_blob_reads(bsfs: BSFS, monkeypatch) -> list[int]:
+        import time
+
+        offsets: list[int] = []
+        read = bsfs.blobseer.read
+
+        def counted(blob_id, offset, size, **kwargs):
+            offsets.append(offset)
+            time.sleep(0.002)  # long enough for demand and read-ahead to overlap
+            return read(blob_id, offset, size, **kwargs)
+
+        monkeypatch.setattr(bsfs.blobseer, "read", counted)
+        return offsets
+
+    def scan(self, bsfs: BSFS, path: str) -> bytes:
+        with bsfs.open(path) as stream:
+            return b"".join(stream.read(BLOCK) for _ in range(self.BLOCKS))
+
+    def test_sequential_scan_reads_each_block_once(self, bsfs: BSFS, monkeypatch):
+        content = bytes(range(256)) * (self.BLOCKS * BLOCK // 256)
+        bsfs.write_file("/scan.bin", content)
+        offsets = self.count_blob_reads(bsfs, monkeypatch)
+        assert self.scan(bsfs, "/scan.bin") == content
+        bsfs.blobseer.transfer.close()  # joins any read-ahead still running
+        assert sorted(offsets) == [i * BLOCK for i in range(self.BLOCKS)]
+
+    def test_two_racing_readers_read_each_block_once(self, bsfs: BSFS, monkeypatch):
+        import threading
+
+        content = bytes(range(256)) * (self.BLOCKS * BLOCK // 256)
+        bsfs.write_file("/race.bin", content)
+        offsets = self.count_blob_reads(bsfs, monkeypatch)
+        scans: list[bytes] = []
+        readers = [
+            threading.Thread(target=lambda: scans.append(self.scan(bsfs, "/race.bin")))
+            for _ in range(2)
+        ]
+        for reader in readers:
+            reader.start()
+        for reader in readers:
+            reader.join(30)
+        assert not any(reader.is_alive() for reader in readers)
+        bsfs.blobseer.transfer.close()
+        assert scans == [content, content]
+        assert sorted(offsets) == [i * BLOCK for i in range(self.BLOCKS)]
 
 
 class TestSharedBlobSeerDeployment:

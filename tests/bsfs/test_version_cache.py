@@ -10,6 +10,8 @@ file.  These tests pin that property down.
 
 from __future__ import annotations
 
+import threading
+
 from repro.bsfs import BSFS
 from repro.bsfs.cache import VersionedBlockCache
 from repro.core import KB, BlobSeerConfig
@@ -106,3 +108,77 @@ class TestStoreConfiguration:
         assert store.evictions == 1
         assert store.get((1, 1, 0)) is None  # oldest evicted
         assert store.get((1, 2, 0)) == b"c"
+
+
+class TestSingleFlightLoad:
+    KEY = (1, 1, 0)
+
+    def test_asker_during_a_fetch_takes_its_bytes(self):
+        store = VersionedBlockCache()
+        started, release = threading.Event(), threading.Event()
+        fetches = []
+
+        def slow_fetch() -> bytes:
+            fetches.append("leader")
+            started.set()
+            assert release.wait(5)
+            return b"block"
+
+        results = []
+        leader = threading.Thread(target=lambda: results.append(store.load(self.KEY, slow_fetch)))
+        leader.start()
+        assert started.wait(5)
+        # Read-ahead does not wait for a fetch that is already executing...
+        assert store.load(self.KEY, lambda: fetches.append("prefetch"), wait=False) == (None, False)
+        # ...a demand read does, and fetches nothing itself.
+        waiter = threading.Thread(
+            target=lambda: results.append(store.load(self.KEY, lambda: fetches.append("waiter")))
+        )
+        waiter.start()
+        waiter.join(0.05)
+        assert waiter.is_alive()
+        release.set()
+        leader.join(5)
+        waiter.join(5)
+        assert not leader.is_alive() and not waiter.is_alive()
+        assert sorted(results) == [(b"block", False), (b"block", True)]
+        assert fetches == ["leader"]
+        # Afterwards the block is simply cached.
+        assert store.load(self.KEY, lambda: fetches.append("late")) == (b"block", False)
+        assert fetches == ["leader"]
+
+    def test_failed_fetch_wakes_waiters_which_fetch_themselves(self):
+        store = VersionedBlockCache()
+        started, release = threading.Event(), threading.Event()
+
+        def failing_fetch() -> bytes:
+            started.set()
+            assert release.wait(5)
+            raise OSError("provider gone")
+
+        outcomes = []
+
+        def lead() -> None:
+            try:
+                store.load(self.KEY, failing_fetch)
+            except OSError as exc:
+                outcomes.append(str(exc))
+
+        leader = threading.Thread(target=lead)
+        leader.start()
+        assert started.wait(5)
+        waiter = threading.Thread(
+            target=lambda: outcomes.append(store.load(self.KEY, lambda: b"retry"))
+        )
+        waiter.start()
+        release.set()
+        leader.join(5)
+        waiter.join(5)
+        assert not leader.is_alive() and not waiter.is_alive()
+        assert sorted(outcomes, key=str) == [(b"retry", True), "provider gone"]
+        assert store.get(self.KEY) == b"retry"
+
+    def test_empty_block_is_a_block(self):
+        store = VersionedBlockCache()
+        assert store.load(self.KEY, lambda: b"") == (b"", True)
+        assert store.load(self.KEY, lambda: b"again") == (b"", False)

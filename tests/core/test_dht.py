@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import pickle
+from collections import Counter
+
 import pytest
 
-from repro.core.dht import ConsistentHashRing, MetadataDHT, MetadataProvider
+from repro.core.dht import MISSING, ConsistentHashRing, MetadataDHT, MetadataProvider
 from repro.core.errors import NoProvidersError, ProviderUnavailableError
 
 
@@ -167,3 +170,128 @@ class TestMetadataDHT:
         assert removed.provider_id == 10
         with pytest.raises(ValueError):
             dht.add_provider(MetadataProvider(0))
+
+
+class CountingProvider(MetadataProvider):
+    """A provider that counts the calls (round trips) it serves, by method."""
+
+    def __init__(self, provider_id: int) -> None:
+        super().__init__(provider_id)
+        self.calls: Counter[str] = Counter()
+
+    def put(self, key, value):
+        self.calls["put"] += 1
+        return super().put(key, value)
+
+    def get(self, key):
+        self.calls["get"] += 1
+        return super().get(key)
+
+    def put_many(self, items):
+        self.calls["put_many"] += 1
+        return super().put_many(items)
+
+    def get_many(self, keys):
+        self.calls["get_many"] += 1
+        return super().get_many(keys)
+
+
+class TestProviderBulkOps:
+    def test_get_many_keeps_order_and_marks_missing_keys(self):
+        provider = MetadataProvider(0)
+        provider.put_many([("a", 1), ("b", None), ("c", 3)])
+        assert provider.get_many(["c", "absent", "b", "a"]) == [3, MISSING, None, 1]
+        assert provider.get_many([]) == []
+
+    def test_missing_survives_pickling_as_the_same_object(self):
+        assert pickle.loads(pickle.dumps([MISSING, 1]))[0] is MISSING
+
+    def test_stats_count_bulk_ops_per_key(self):
+        provider = MetadataProvider(0)
+        provider.put_many([("a", 1), ("b", 2), ("c", 3)])
+        provider.get_many(["a", "b", "absent"])
+        provider.get("a")
+        assert provider.stats == {"puts": 3, "gets": 4, "entries": 3}
+
+    def test_failed_provider_refuses_bulk_ops(self):
+        provider = MetadataProvider(0)
+        provider.fail()
+        with pytest.raises(ProviderUnavailableError):
+            provider.put_many([("a", 1)])
+        with pytest.raises(ProviderUnavailableError):
+            provider.get_many(["a"])
+
+
+class TestDhtBulkOps:
+    def make_dht(self, count: int = 4, replication: int = 1):
+        providers = [CountingProvider(i) for i in range(count)]
+        return providers, MetadataDHT(providers, virtual_nodes=32, replication=replication)
+
+    def test_round_trip_keeps_order_with_one_call_per_provider(self):
+        providers, dht = self.make_dht()
+        items = [(f"key-{i}", i) for i in range(100)]
+        dht.put_many(items)
+        assert all(p.calls["put_many"] == 1 and p.calls["put"] == 0 for p in providers)
+        keys = [key for key, _ in reversed(items)]
+        assert dht.get_many(keys) == list(reversed(range(100)))
+        assert all(p.calls["get_many"] == 1 and p.calls["get"] == 0 for p in providers)
+        # Every pair landed where a single-key get looks for it.
+        assert all(dht.get(key) == value for key, value in items)
+
+    def test_empty_bulk_ops_call_nobody(self):
+        providers, dht = self.make_dht()
+        dht.put_many([])
+        assert dht.get_many([]) == []
+        assert all(not p.calls for p in providers)
+
+    def test_missing_key_raises_keyerror_naming_it(self):
+        _, dht = self.make_dht()
+        dht.put_many([("a", 1), ("b", 2)])
+        with pytest.raises(KeyError) as caught:
+            dht.get_many(["a", "absent", "b"])
+        assert caught.value.args == ("absent",)
+
+    def test_get_many_fails_over_per_key(self):
+        providers, dht = self.make_dht(count=4, replication=2)
+        items = [(f"key-{i}", i) for i in range(60)]
+        dht.put_many(items)
+        # One replica is down, and another lost a key it should hold: both
+        # kinds of straggler are served by their second replica.
+        lost = next(
+            key
+            for key, _ in items
+            if dht.owner_of(key) == 1 and not providers[0].contains(key)
+        )
+        providers[1].delete(lost)
+        providers[0].fail()
+        assert dht.get_many([key for key, _ in items]) == list(range(60))
+        # Stragglers are regrouped: at most two calls per live provider.
+        assert all(p.calls["get_many"] <= 2 for p in providers[1:])
+
+    def test_get_many_with_all_replicas_down_raises_unavailable(self):
+        providers, dht = self.make_dht(count=2, replication=2)
+        dht.put_many([("a", 1)])
+        for provider in providers:
+            provider.fail()
+        with pytest.raises(ProviderUnavailableError):
+            dht.get_many(["a"])
+
+    def test_put_many_needs_one_live_replica_per_key(self):
+        providers, dht = self.make_dht(count=3, replication=2)
+        items = [(f"key-{i}", i) for i in range(30)]
+        providers[0].fail()
+        dht.put_many(items)  # every key still has a live replica
+        assert dht.get_many([key for key, _ in items]) == list(range(30))
+        providers[1].fail()
+        # Keys replicated on {0, 1} now have nowhere to go.
+        with pytest.raises(ProviderUnavailableError):
+            dht.put_many(items)
+
+    def test_put_fails_over_like_put_many(self):
+        providers, dht = self.make_dht(count=2, replication=2)
+        providers[0].fail()
+        dht.put("k", "v")
+        assert dht.get("k") == "v"
+        providers[1].fail()
+        with pytest.raises(ProviderUnavailableError):
+            dht.put("k", "v2")

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.core import BlobSeer, BlobSeerConfig
 from repro.core.dht import MetadataDHT, MetadataProvider
 from repro.core.errors import MetadataCorruptionError
 from repro.core.metadata import MetadataManager, NodeKey, next_power_of_two
 from repro.core.pages import PageDescriptor, PageKey
+
+from .test_dht import CountingProvider
 
 
 @pytest.fixture
@@ -145,3 +150,219 @@ class TestBuildAndLookup:
         # Page i was written by version i+1 and never rewritten.
         for index, descriptor in found.items():
             assert descriptor.key.version == index + 1
+
+
+def counted_manager(providers: int = 1):
+    """A manager over call-counting providers, plus those providers."""
+    nodes = [CountingProvider(i) for i in range(providers)]
+    return MetadataManager(MetadataDHT(nodes, virtual_nodes=16)), nodes
+
+
+def cold(manager: MetadataManager) -> MetadataManager:
+    """A second client of the same DHT: same nodes, empty cache."""
+    return MetadataManager(manager._dht)
+
+
+def reference_lookup(manager, key, first, last, out):
+    """The recursive one-node-at-a-time walk ``lookup`` replaced."""
+    if key is None or key.hi <= first or key.lo >= last:
+        return out
+    node = manager.fetch(key)
+    if node.is_leaf:
+        out[key.lo] = node.page
+        return out
+    reference_lookup(manager, node.left, first, last, out)
+    reference_lookup(manager, node.right, first, last, out)
+    return out
+
+
+class TestRoundTrips:
+    def test_cold_lookup_costs_a_round_trip_per_level_and_a_rewalk_none(self):
+        writer, (provider,) = counted_manager()
+        written = descriptors_for(1, 1, range(256))
+        root = writer.build_version(1, 1, written, 256, base_root=None, base_capacity=1)
+        reader = cold(writer)
+        provider.calls.clear()
+        found = reader.lookup(root, 32, 48)
+        assert found == {index: written[index] for index in range(32, 48)}
+        depth = (256).bit_length()  # 9 levels: spans 256, 128, ..., 1
+        assert provider.calls == {"get_many": depth}
+        assert reader.lookup(root, 32, 48) == found
+        assert reader.lookup(root, 40, 44) == {i: written[i] for i in range(40, 44)}
+        assert provider.calls == {"get_many": depth}
+        # A neighbouring range shares the spine: only its own subtree is new.
+        reader.lookup(root, 48, 64)
+        assert provider.calls["get_many"] <= depth + 5
+
+    def test_cold_lookup_calls_each_provider_at_most_once_per_level(self):
+        writer, providers = counted_manager(3)
+        written = descriptors_for(1, 1, range(64))
+        root = writer.build_version(1, 1, written, 64, base_root=None, base_capacity=1)
+        reader = cold(writer)
+        for provider in providers:
+            provider.calls.clear()
+        assert reader.lookup(root, 0, 64) == written
+        assert reader.count_nodes(root) == 127  # cached by now
+        for provider in providers:
+            assert provider.calls["get"] == 0
+            assert provider.calls["get_many"] <= (64).bit_length()
+
+    def test_build_stores_once_per_provider_and_reads_its_own_base_for_free(self):
+        manager, providers = counted_manager(3)
+        v1 = descriptors_for(1, 1, range(40))
+        root1 = manager.build_version(1, 1, v1, 40, base_root=None, base_capacity=1)
+        for provider in providers:
+            assert provider.calls["put_many"] <= 1 and provider.calls["put"] == 0
+            provider.calls.clear()
+        # An appender whose predecessor was built by this manager shares the
+        # base spine straight from the cache.
+        v2 = descriptors_for(1, 2, range(40, 45))
+        root2 = manager.build_version(1, 2, v2, 45, base_root=root1, base_capacity=64)
+        for provider in providers:
+            assert provider.calls["put_many"] <= 1
+            assert provider.calls["get_many"] == provider.calls["get"] == 0
+        assert manager.lookup(root2, 0, 45) == {**v1, **v2}
+
+    def test_cold_appender_fetches_only_the_base_spine(self):
+        writer, (provider,) = counted_manager()
+        v1 = descriptors_for(1, 1, range(256))
+        root1 = writer.build_version(1, 1, v1, 256, base_root=None, base_capacity=1)
+        appender = cold(writer)
+        provider.calls.clear()
+        v2 = descriptors_for(1, 2, [255])
+        root2 = appender.build_version(1, 2, v2, 256, base_root=root1, base_capacity=256)
+        assert provider.calls["get_many"] <= (256).bit_length()
+        assert provider.calls["put_many"] == 1
+        assert cold(writer).lookup(root2, 250, 256) == {
+            **{i: v1[i] for i in range(250, 255)}, 255: v2[255]
+        }
+
+    def test_empty_build_stores_nothing(self):
+        manager, (provider,) = counted_manager()
+        assert manager.build_version(1, 1, {}, 0, base_root=None, base_capacity=1) is None
+        assert not provider.calls
+
+
+class TestNodeCache:
+    def test_cache_is_bounded_and_lookups_stay_correct_beyond_it(self, monkeypatch):
+        import repro.core.metadata as metadata
+
+        monkeypatch.setattr(metadata, "NODE_CACHE_CAPACITY", 8)
+        manager, (provider,) = counted_manager()
+        written = descriptors_for(1, 1, range(32))
+        root = manager.build_version(1, 1, written, 32, base_root=None, base_capacity=1)
+        assert len(manager._cache) == 8
+        for _ in range(2):
+            assert manager.lookup(root, 0, 32) == written
+            assert len(manager._cache) == 8
+        assert provider.calls["get_many"] > 0  # evicted nodes were fetched again
+
+    def test_the_bound_holds_the_benchmark_file_many_times_over(self):
+        from repro.core.metadata import NODE_CACHE_CAPACITY
+
+        assert NODE_CACHE_CAPACITY >= 16 * 511
+
+    def test_forget_blob_drops_only_that_blob(self):
+        manager, _ = counted_manager()
+        for blob in (1, 2):
+            manager.build_version(
+                blob, 1, descriptors_for(blob, 1, range(4)), 4, base_root=None, base_capacity=1
+            )
+        assert len(manager._cache) == 14
+        manager.forget_blob(1)
+        assert len(manager._cache) == 7
+
+    def test_bulk_walk_reports_dangling_and_foreign_entries(self):
+        writer, _ = counted_manager()
+        written = descriptors_for(1, 1, range(8))
+        root = writer.build_version(1, 1, written, 8, base_root=None, base_capacity=1)
+        leaf = NodeKey(1, 1, 5, 6).dht_key()
+        writer._dht.put(leaf, "not a node")
+        with pytest.raises(MetadataCorruptionError, match="not a TreeNode"):
+            cold(writer).lookup(root, 0, 8)
+        writer._dht.delete(leaf)
+        with pytest.raises(MetadataCorruptionError, match="missing"):
+            cold(writer).lookup(root, 0, 8)
+        with pytest.raises(MetadataCorruptionError, match="missing"):
+            cold(writer).count_nodes(root)
+        # Ranges that avoid the broken leaf are unaffected.
+        assert cold(writer).lookup(root, 0, 5) == {i: written[i] for i in range(5)}
+
+
+PAGE = 64
+
+history_strategy = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), st.integers(1, 5 * PAGE)),
+        st.tuples(st.just("write"), st.integers(0, 20), st.integers(1, 5 * PAGE)),
+        st.tuples(
+            st.just("append_batch"),
+            st.lists(st.integers(1, 3 * PAGE), min_size=1, max_size=4),
+        ),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+class TestLookupMatchesReferenceWalk:
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(history=history_strategy, data=st.data())
+    def test_level_order_lookup_equals_recursive_walk(self, history, data):
+        with BlobSeer(
+            BlobSeerConfig(
+                page_size=PAGE, num_providers=3, num_metadata_providers=2, rng_seed=5
+            )
+        ) as service:
+            self.check_history(service, history, data)
+
+    @staticmethod
+    def check_history(service, history, data):
+        blob = service.create_blob()
+        published: list[tuple[int, NodeKey | None]] = []
+        publish, publish_batch = (
+            service.version_manager.publish,
+            service.version_manager.publish_batch,
+        )
+
+        def visible(ticket, root):
+            # Store-before-publish: when a root is about to become visible,
+            # a client with an empty cache can already fetch its whole tree.
+            cold(service.metadata_manager).count_nodes(root)
+            published.append((ticket.version, root))
+
+        def checked_publish(ticket, root):
+            visible(ticket, root)
+            return publish(ticket, root)
+
+        def checked_publish_batch(publications):
+            for ticket, root in publications:
+                visible(ticket, root)
+            return publish_batch(publications)
+
+        service.version_manager.publish = checked_publish
+        service.version_manager.publish_batch = checked_publish_batch
+
+        for op in history:
+            if op[0] == "append":
+                service.append(blob, b"a" * op[1])
+            elif op[0] == "write":
+                service.write(blob, op[1] * PAGE, b"w" * op[2])
+            else:
+                service.append_batch(blob, [b"b" * size for size in op[1]])
+        assert [v for v, _ in published] == service.versions(blob)[1:]
+
+        warm, fresh = service.metadata_manager, cold(service.metadata_manager)
+        for _ in range(6):
+            version, root = data.draw(st.sampled_from(published))
+            assert service.version_manager.version_info(blob, version).root == root
+            pages = -(-service.get_size(blob, version) // PAGE)
+            first = data.draw(st.integers(0, pages))
+            last = data.draw(st.integers(first, pages + 2))
+            expected = reference_lookup(warm, root, first, last, {})
+            assert warm.lookup(root, first, last) == expected
+            assert fresh.lookup(root, first, last) == expected

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.errors import AllocationError, NoProvidersError
+from repro.core.errors import (
+    AllocationError,
+    NoProvidersError,
+    ProviderUnavailableError,
+)
 from repro.core.pages import PageKey
 from repro.core.provider import DataProvider
 from repro.core.provider_manager import (
@@ -127,6 +131,48 @@ class TestAllocation:
     def test_zero_pages_allocation(self):
         manager = ProviderManager(make_providers(2))
         assert manager.allocate(0, replication=1) == []
+
+
+class ProbedProvider(DataProvider):
+    """Counts the probes an allocation costs (each is an RPC when remote)."""
+
+    def __init__(self, provider_id: int, *, unreachable: bool = False) -> None:
+        super().__init__(provider_id)
+        self.probes: list[str] = []
+        self.unreachable = unreachable
+
+    @property
+    def available(self) -> bool:
+        self.probes.append("available")
+        return super().available
+
+    def stats(self):
+        self.probes.append("stats")
+        if self.unreachable:
+            raise ProviderUnavailableError(self.provider_id)
+        return super().stats()
+
+
+class TestAllocationProbes:
+    def test_allocation_probes_each_provider_once(self):
+        providers = [ProbedProvider(i) for i in range(3)]
+        manager = ProviderManager(providers)
+        manager.allocate(6, 2)
+        assert [p.probes for p in providers] == [["stats"]] * 3
+
+    def test_failed_and_unreachable_providers_are_skipped_by_their_answer(self):
+        providers = [
+            ProbedProvider(0),
+            ProbedProvider(1),
+            ProbedProvider(2, unreachable=True),
+        ]
+        providers[1].fail()
+        manager = ProviderManager(providers)
+        assert {ids for ids in manager.allocate(4, 1)} == {(0,)}
+        assert [s.provider_id for s in manager.available_stats()] == [0]
+        assert all("available" not in p.probes for p in providers)
+        with pytest.raises(AllocationError):
+            manager.allocate(1, 2)
 
 
 class TestStrategies:

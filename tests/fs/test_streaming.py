@@ -232,6 +232,39 @@ class TestClientStreaming:
         assert _drain(client.open_read(blob, version=v1)) == b"1" * (2 * PAGE)
         assert _drain(client.open_read(blob)) == b"1" * (2 * PAGE) + b"2" * PAGE
 
+    def test_stream_looks_up_only_the_windows_it_reaches(self, client, monkeypatch):
+        from repro.core.client import LOOKUP_WINDOW_PAGES as WINDOW
+
+        blob = client.create_blob()
+        data = _payload(5 * WINDOW * PAGE, seed=11)
+        client.append(blob, data)
+        ranges: list[tuple[int, int]] = []
+        lookup = client.metadata_manager.lookup
+
+        def recorded(root, first, last):
+            ranges.append((first, last))
+            return lookup(root, first, last)
+
+        monkeypatch.setattr(client.metadata_manager, "lookup", recorded)
+        # Opened to the end of the blob (as a record reader opens a split),
+        # mid-window, but abandoned after three pages.
+        offset = (WINDOW + 5) * PAGE + 7
+        stream = client.open_read(blob, offset, read_ahead=2)
+        assert ranges == []  # nothing is looked up before the first chunk
+        head = b"".join(bytes(next(stream)) for _ in range(3))
+        stream.close()
+        assert head == data[offset : (WINDOW + 8) * PAGE]
+        assert ranges == [(WINDOW + 5, 2 * WINDOW)]
+        # Read to the end, the windows are aligned and cover the rest once.
+        del ranges[:]
+        assert _drain(client.open_read(blob, offset)) == data[offset:]
+        assert ranges == [
+            (WINDOW + 5, 2 * WINDOW),
+            (2 * WINDOW, 3 * WINDOW),
+            (3 * WINDOW, 4 * WINDOW),
+            (4 * WINDOW, 5 * WINDOW),
+        ]
+
     def test_open_write_matches_append_semantics(self, client):
         data = _payload(5 * PAGE + 321, seed=3)
         reference = client.create_blob()

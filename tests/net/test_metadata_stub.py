@@ -12,8 +12,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core import KB, BlobSeer, BlobSeerConfig
-from repro.core.dht import MetadataDHT, MetadataProvider
+from repro.core.dht import MISSING, MetadataDHT, MetadataProvider
 from repro.core.errors import ProviderUnavailableError
+from repro.core.provider import DataProvider
 from repro.net import (
     NetworkFaultPlan,
     NodeServer,
@@ -51,6 +52,14 @@ class TestMetadataStub:
         assert stub.keys() == ["k"]
         assert len(stub) == 1
         assert stub.stats["puts"] == 1
+        # Bulk ops are one plain RPC each; the missing-key marker keeps its
+        # identity across the wire.
+        stub.put_many([("a", 1), ("b", None)])
+        assert stub.get_many(["b", "absent", "a"]) == [None, MISSING, 1]
+        assert stub.get_many(["absent"])[0] is MISSING
+        assert stub.stats == {"puts": 3, "gets": 5, "entries": 3}
+        stub.delete("a")
+        stub.delete("b")
         stub.delete("k")
         assert not stub.contains("k")
 
@@ -126,6 +135,57 @@ class TestBlobSeerOverRemoteMetadata:
         versions = bs.append_batch(blob_id, chunks)
         assert versions == [1, 2, 3, 4]
         assert bs.read(blob_id, 0, 16 * KB, version=4) == b"".join(chunks)
+
+
+class TestTwoClientsOverOneMetadataProvider:
+    """Each client caches tree nodes and never invalidates them; what the
+    other client publishes must still reach it, over either transport."""
+
+    @staticmethod
+    def check(first_stub, second_stub, backend):
+        config = BlobSeerConfig(
+            page_size=4 * KB, num_providers=3, num_metadata_providers=1, rng_seed=7
+        )
+        data_providers = [DataProvider(i) for i in range(config.num_providers)]
+        first = BlobSeer(config, providers=data_providers, metadata_providers=[first_stub])
+        second = BlobSeer(config, providers=data_providers, metadata_providers=[second_stub])
+        # One deployment, two client processes: the version manager is shared.
+        second.version_manager = first.version_manager
+        blob = first.create_blob()
+        a, b, c = (bytes([x]) * (8 * KB) for x in (1, 2, 3))
+
+        first.append(blob, a)
+        gets = backend.stats["gets"]
+        assert second.read_all(blob) == a
+        assert backend.stats["gets"] > gets  # a cold client asks the provider
+        second.append(blob, b)  # built on a base the other client stored
+        assert first.read_all(blob) == a + b
+        first.write(blob, 0, c)
+        assert second.read_all(blob) == c + b
+        # Old snapshots stay readable beside the new one, from either side.
+        assert second.read_all(blob, version=1) == a
+        assert first.read_all(blob, version=2) == a + b
+        gets = backend.stats["gets"]
+        assert second.read_all(blob) == c + b
+        assert backend.stats["gets"] == gets  # a re-read asks nobody
+
+    def test_over_loopback(self, faults):
+        backend = MetadataProvider(0)
+        self.check(
+            loopback_metadata_stub(backend, faults=faults),
+            loopback_metadata_stub(backend, faults=faults),
+            backend,
+        )
+
+    def test_over_tcp(self):
+        backend = MetadataProvider(0)
+        with NodeServer(backend) as server:
+            stubs = [connect_metadata(*server.rpc.address) for _ in range(2)]
+            try:
+                self.check(*stubs, backend)
+            finally:
+                for stub in stubs:
+                    stub.close()
 
 
 class TestNodeServerMetadataKind:

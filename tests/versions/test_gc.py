@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import (
+    BlobNotFoundError,
     BlobPinnedError,
     BlobSeer,
     BlobSeerConfig,
@@ -260,6 +261,50 @@ class TestDeleteGuard:
             client.pin_version(blob, 1)
         # The failed pin left no residue in the registry.
         assert client.pins.pin_count(blob) == 0
+
+
+class TestNodeCacheSafety:
+    """The client caches tree nodes and never invalidates them; a dead
+    version must still fail the way it did without the cache."""
+
+    def test_retired_versions_fail_the_same_with_their_nodes_cached(self):
+        client = make_client(max_versions_kept=1)
+        blob = client.create_blob()
+        client.append(blob, b"a" * (4 * PAGE))
+        churn(client, blob, 2)  # versions 2 and 3 rewrite page 0
+        snapshots = {v: client.read_all(blob, version=v) for v in (1, 2, 3)}
+        cached = len(client.metadata_manager._cache)
+        assert cached > 0  # every version's tree is in the node cache
+        report = client.gc.collect(blob)
+        assert report.versions_retired == 2 and report.nodes_reclaimed > 0
+        for version in (1, 2):
+            with pytest.raises(VersionRetiredError):
+                client.read(blob, 0, PAGE, version=version)
+            with pytest.raises(VersionRetiredError):
+                client.open_read(blob, version=version)
+        # The survivor reads through trees that share the swept versions'
+        # nodes; a client with an empty cache (the DHT's truth) agrees.
+        assert client.read_all(blob) == snapshots[3]
+        fresh = type(client.metadata_manager)(client.dht)
+        root = client.version_manager.version_info(blob, 3).root
+        assert fresh.lookup(root, 0, 4) == client.metadata_manager.lookup(root, 0, 4)
+        # Sweeping is not the cache's business: dead nodes just age out.
+        assert len(client.metadata_manager._cache) == cached
+
+    def test_deleted_blob_fails_the_same_and_leaves_no_cached_node(self):
+        client = make_client()
+        gone, kept = client.create_blob(), client.create_blob()
+        churn(client, gone, 3)
+        client.append(kept, b"k" * PAGE)
+        client.read_all(gone)
+        client.delete_blob(gone)
+        with pytest.raises(BlobNotFoundError):
+            client.read(gone, 0, PAGE)
+        with pytest.raises(BlobNotFoundError):
+            client.open_read(gone)
+        cache = client.metadata_manager._cache
+        assert len(cache) == 1  # the kept blob's single leaf
+        assert client.read_all(kept) == b"k" * PAGE
 
 
 class TestRetireSemantics:
