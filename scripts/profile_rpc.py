@@ -7,12 +7,11 @@ the hottest functions, so codec and transport changes can be judged by
 where the time actually goes rather than end-to-end numbers alone.
 
 Examples:
-    # 2000 small echo calls over TCP, protocol v2
+    # 2000 small echo calls over TCP
     python scripts/profile_rpc.py --calls 2000
 
-    # bulk payloads over v1 vs v2 (run twice and diff the reports)
-    python scripts/profile_rpc.py --payload 1048576 --calls 200 --protocol 1
-    python scripts/profile_rpc.py --payload 1048576 --calls 200 --protocol 2
+    # 1 MiB bulk payloads over TCP
+    python scripts/profile_rpc.py --payload 1048576 --calls 200
 
     # the loopback codec path only (no sockets)
     python scripts/profile_rpc.py --transport loopback --calls 5000
@@ -51,13 +50,6 @@ def main(argv: list[str] | None = None) -> int:
         help="which client transport to profile",
     )
     parser.add_argument(
-        "--protocol",
-        type=int,
-        choices=(1, 2),
-        default=2,
-        help="wire protocol version",
-    )
-    parser.add_argument(
         "--calls", type=int, default=2000, help="number of round trips"
     )
     parser.add_argument(
@@ -91,18 +83,17 @@ def main(argv: list[str] | None = None) -> int:
 
     profiler = cProfile.Profile()
     if args.transport == "loopback":
-        transport = LoopbackTransport(registry, protocol=args.protocol)
+        transport = LoopbackTransport(registry)
         # Warm once (lazy imports, first-call setup), then measure.
         transport.call("echo", "echo", payload)
         profiler.runcall(run, transport)
         transport.close()
     else:
-        with RpcServer(registry, protocol=args.protocol) as server:
+        with RpcServer(registry) as server:
             host, port = server.address
             transport = TcpTransport(
                 host,
                 port,
-                protocol=args.protocol,
                 batching=args.batching,
                 retry=RetryPolicy.no_retry(),
             )
@@ -114,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
     stats.strip_dirs().sort_stats(args.sort).print_stats(args.limit)
     mb = args.calls * args.payload / 1e6
     print(
-        f"# {args.transport} protocol={args.protocol} calls={args.calls} "
+        f"# {args.transport} calls={args.calls} "
         f"payload={args.payload}B (~{mb:.1f} MB total one-way)"
     )
     return 0

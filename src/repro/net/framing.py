@@ -1,20 +1,12 @@
-"""Frame codecs: the wire formats of the service layer.
+"""Frame codec: the wire format of the service layer.
 
-Two frame layouts share one stream, distinguished by the version byte of
-a common fixed header::
+Every frame is a fixed header followed by a *segment table* and the
+segments themselves::
 
     +-------+---------+------------------+-----------------+
     | magic | version | payload length   | payload bytes   |
     | 1 B   | 1 B     | 4 B big-endian   | <length> bytes  |
     +-------+---------+------------------+-----------------+
-
-**Protocol v1** (:data:`PROTOCOL_V1`) is the original format: the whole
-payload is one opaque blob (a pickled message).  It follows the shuffle
-segment framing idiom but adds the magic byte and version so a stream
-that is not an RPC stream at all is rejected at the first frame.
-
-**Protocol v2** (:data:`PROTOCOL_V2`) structures the payload as a
-*segment table* followed by the segments themselves::
 
     payload := flags(1B)  nseg(2B BE)
                nseg x [ stored_length(4B BE)  seg_flags(1B) ]
@@ -23,24 +15,27 @@ that is not an RPC stream at all is rejected at the first frame.
     frame flags:   bit 0 = FLAG_BATCH — every segment is one complete
                    encoded message (small-op coalescing envelope)
     segment flags: bits 0-3 = codec id of a compressed segment
-                   (0 = raw, 1 = zlib; see register_segment_codec)
+                   (0 = raw, 1 = zlib)
 
-v2 exists for the data path: a message's bulk payloads (pages, blocks)
-travel as their *own* segments, so the sender can hand the original
-buffers to a scatter-gather write (``sendmsg`` / ``writelines``) without
-ever concatenating them into one heap-allocated frame, and the receiver
-can place each bulk segment into an exactly-sized buffer instead of
+The magic byte and the version byte (:data:`WIRE_VERSION`) let a stream
+that is not an RPC stream of this layout be rejected at its first frame.
+
+A message's bulk payloads (pages, blocks) travel as their *own*
+segments, so the sender can hand the original buffers to a
+scatter-gather write (``sendmsg`` / ``writelines``) without ever
+concatenating them into one heap-allocated frame, and the receiver can
+place each bulk segment into an exactly-sized buffer instead of
 re-slicing a grow-and-compact accumulation buffer.
 
-:class:`ScatterParser` is the incremental decoder both transports share.
-It accepts arbitrary chunk boundaries via :meth:`ScatterParser.feed`
-(small data is absorbed into an offset-drained buffer — amortized O(1)
-per byte, no per-frame prefix deletion) and, while a bulk segment is
-pending, exposes the exact remaining region of that segment's buffer via
-:meth:`ScatterParser.wants_direct` so the caller can ``recv_into`` it
-with no intermediate copy.  :class:`FrameDecoder` is the thin historical
-wrapper over it (feed chunks, get payloads) that tests and the loopback
-transport use.
+Two decoders share the validation rules: :func:`recv_frame` reads whole
+frames from a blocking socket (the threaded client), and
+:class:`ScatterParser` decodes incrementally (the asyncio server and the
+loopback transport).  The parser accepts arbitrary chunk boundaries via
+:meth:`ScatterParser.feed` (small data is absorbed into an offset-drained
+buffer — amortized O(1) per byte, no per-frame prefix deletion) and,
+while a bulk segment is pending, exposes the exact remaining region of
+that segment's buffer via :meth:`ScatterParser.wants_direct` so the
+caller can ``recv_into`` it with no intermediate copy.
 """
 
 from __future__ import annotations
@@ -48,71 +43,155 @@ from __future__ import annotations
 import socket
 import struct
 import zlib
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import FrameError, FrameTooLargeError, TruncatedFrameError
 
 __all__ = [
     "MAGIC",
-    "PROTOCOL_VERSION",
-    "PROTOCOL_V1",
-    "PROTOCOL_V2",
+    "WIRE_VERSION",
     "HEADER",
-    "V2_META",
-    "V2_SEGMENT",
+    "META",
+    "TABLE_ENTRY",
     "FLAG_BATCH",
     "DEFAULT_MAX_FRAME",
     "encode_frame",
-    "encode_frame_v2",
-    "register_segment_codec",
     "recv_frame",
     "Frame",
     "ScatterParser",
-    "FrameDecoder",
 ]
 
 #: First byte of every frame; anything else on the stream is garbage.
 MAGIC = 0xB5
-#: The original, single-blob wire protocol.
-PROTOCOL_V1 = 1
-#: The scatter-gather wire protocol (segment table + out-of-band bulk).
-PROTOCOL_V2 = 2
-#: Historical alias — the protocol every peer is guaranteed to speak.
-PROTOCOL_VERSION = PROTOCOL_V1
+#: The header's version byte; any other value is a framing violation.
+WIRE_VERSION = 2
 #: Frame header: magic byte, protocol version, payload length.
 HEADER = struct.Struct(">BBI")
-#: v2 payload prelude: frame flags, segment count.
-V2_META = struct.Struct(">BH")
-#: One v2 segment-table entry: stored length, segment flags.
-V2_SEGMENT = struct.Struct(">IB")
-#: v2 frame flag: every segment is one complete encoded message.
+#: Payload prelude: frame flags, segment count.
+META = struct.Struct(">BH")
+#: One segment-table entry: stored length, segment flags.
+TABLE_ENTRY = struct.Struct(">IB")
+#: Frame flag: every segment is one complete encoded message.
 FLAG_BATCH = 0x01
 #: Low nibble of a segment's flags: codec id (0 = uncompressed).
 SEG_CODEC_MASK = 0x0F
+#: Codec id of a zlib-compressed segment, the only codec.
+CODEC_ZLIB = 1
 #: Default ceiling on a frame's payload (pages are <= a few MiB; 64 MiB
 #: leaves room for whole-block transfers plus pickling overhead).
 DEFAULT_MAX_FRAME = 64 * 1024 * 1024
-#: Ceiling on a v2 frame's segment count (sanity bound on the table).
+#: Ceiling on a frame's segment count (sanity bound on the table).
 MAX_SEGMENTS = 4096
 #: Segments at least this large are received straight into an
 #: exactly-sized buffer instead of through the chunk accumulation path.
 DIRECT_CUTOFF = 64 * 1024
 
 
-# -- segment codecs --------------------------------------------------------------------
+# -- encoding --------------------------------------------------------------------------
 
 
-def _zlib_compress(data) -> bytes:
-    # Level 1: the wire codec trades ratio for speed — threshold
-    # compression exists to win on fat, compressible payloads, not to
-    # stall the event loop grinding incompressible pages.
-    return zlib.compress(data, 1)
+def _nbytes(segment) -> int:
+    return segment.nbytes if isinstance(segment, memoryview) else len(segment)
 
 
-def _zlib_decompress(data, limit: int) -> bytes:
+def encode_frame(
+    segments: Sequence,
+    *,
+    flags: int = 0,
+    max_frame: int = DEFAULT_MAX_FRAME,
+    compress_threshold: int | None = None,
+) -> list:
+    """Encode one frame as a scatter-gather list, copy-free.
+
+    Returns ``[head, seg0, seg1, ...]`` where ``head`` is the fixed
+    header plus the segment table and every other element is the
+    caller's buffer itself (bytes or memoryview) — hand the list to
+    ``socket.sendmsg`` / ``writer.writelines`` and the bulk payloads are
+    never concatenated or copied by this layer.
+
+    Segments of at least ``compress_threshold`` bytes are compressed
+    with zlib and flagged, but only when that actually shrinks them —
+    incompressible pages travel raw.
+    """
+    if not segments:
+        raise ValueError("a frame needs at least one segment")
+    if len(segments) > MAX_SEGMENTS:
+        raise ValueError(f"too many segments ({len(segments)} > {MAX_SEGMENTS})")
+    out: list = []
+    entries: list[tuple[int, int]] = []
+    total = META.size + len(segments) * TABLE_ENTRY.size
+    for segment in segments:
+        size = _nbytes(segment)
+        seg_flags = 0
+        if compress_threshold is not None and size >= compress_threshold:
+            # Level 1: the wire codec trades ratio for speed — threshold
+            # compression exists to win on fat, compressible payloads, not
+            # to stall the event loop grinding incompressible pages.
+            packed = zlib.compress(segment, 1)
+            if len(packed) < size:
+                segment, size, seg_flags = packed, len(packed), CODEC_ZLIB
+        entries.append((size, seg_flags))
+        out.append(segment)
+        total += size
+    if total > max_frame:
+        raise FrameTooLargeError(total, max_frame)
+    head = bytearray(HEADER.pack(MAGIC, WIRE_VERSION, total))
+    head += META.pack(flags, len(entries))
+    for size, seg_flags in entries:
+        head += TABLE_ENTRY.pack(size, seg_flags)
+    out.insert(0, bytes(head))
+    return out
+
+
+# -- validation ------------------------------------------------------------------------
+
+
+def _check_header(magic: int, version: int, length: int, max_frame: int) -> None:
+    if magic != MAGIC:
+        raise FrameError(
+            f"bad frame magic 0x{magic:02X} (expected "
+            f"0x{MAGIC:02X}): not an RPC stream"
+        )
+    if version != WIRE_VERSION:
+        raise FrameError(
+            f"unsupported protocol version {version} (expected {WIRE_VERSION})"
+        )
+    if length > max_frame:
+        raise FrameTooLargeError(length, max_frame)
+    if length < META.size:
+        raise FrameError(f"frame of {length} bytes has no segment table")
+
+
+def _check_meta(nseg: int, length: int) -> None:
+    if not 1 <= nseg <= MAX_SEGMENTS:
+        raise FrameError(f"frame announces {nseg} segments")
+    if META.size + nseg * TABLE_ENTRY.size > length:
+        raise FrameError("segment table exceeds the frame length")
+
+
+def _check_table(entries: list[tuple[int, int]], length: int) -> None:
+    declared = (
+        META.size
+        + len(entries) * TABLE_ENTRY.size
+        + sum(size for size, _ in entries)
+    )
+    if declared != length:
+        raise FrameError(
+            f"segment table sums to {declared} bytes but the "
+            f"frame announces {length}"
+        )
+
+
+def _decode_stored(segment: bytes, seg_flags: int, limit: int) -> bytes:
+    """Undo a segment's codec flag (bomb-guarded by ``limit``)."""
+    code = seg_flags & SEG_CODEC_MASK
+    if not code:
+        return segment
+    if code != CODEC_ZLIB:
+        raise FrameError(f"unknown segment codec id {code}")
     decomp = zlib.decompressobj()
     try:
-        out = decomp.decompress(data, limit + 1)
+        out = decomp.decompress(segment, limit + 1)
     except zlib.error as exc:
         raise FrameError(f"corrupt compressed segment: {exc!r}") from exc
     if len(out) > limit or not decomp.eof:
@@ -122,120 +201,17 @@ def _zlib_decompress(data, limit: int) -> bytes:
     return out
 
 
-#: codec id -> (name, compress(data) -> bytes, decompress(data, limit) -> bytes)
-_SEGMENT_CODECS: dict[int, tuple[str, Callable, Callable]] = {
-    1: ("zlib", _zlib_compress, _zlib_decompress),
-}
-_CODEC_IDS: dict[str, int] = {"zlib": 1}
-
-
-def register_segment_codec(
-    code: int,
-    name: str,
-    compress: Callable[[bytes], bytes],
-    decompress: Callable[[bytes, int], bytes],
-) -> None:
-    """Register a pluggable segment codec under ``code`` (1..15).
-
-    ``decompress(data, limit)`` must reject output above ``limit`` bytes
-    (decompression-bomb guard) by raising :class:`FrameError`.
-    """
-    if not 1 <= code <= SEG_CODEC_MASK:
-        raise ValueError(f"codec id must be 1..{SEG_CODEC_MASK}, got {code}")
-    _SEGMENT_CODECS[code] = (name, compress, decompress)
-    _CODEC_IDS[name] = code
-
-
-def codec_names() -> tuple[str, ...]:
-    """Names of every registered segment codec (negotiation payload)."""
-    return tuple(sorted(_CODEC_IDS))
-
-
-# -- encoding --------------------------------------------------------------------------
-
-
-def encode_frame(payload: bytes, *, max_frame: int = DEFAULT_MAX_FRAME) -> bytes:
-    """Wrap ``payload`` into one v1 wire frame."""
-    if len(payload) > max_frame:
-        raise FrameTooLargeError(len(payload), max_frame)
-    return HEADER.pack(MAGIC, PROTOCOL_V1, len(payload)) + payload
-
-
-def _nbytes(segment) -> int:
-    return segment.nbytes if isinstance(segment, memoryview) else len(segment)
-
-
-def encode_frame_v2(
-    segments: Sequence,
-    *,
-    flags: int = 0,
-    max_frame: int = DEFAULT_MAX_FRAME,
-    compress_threshold: int | None = None,
-    codec: str = "zlib",
-) -> list:
-    """Encode one v2 frame as a scatter-gather list, copy-free.
-
-    Returns ``[head, seg0, seg1, ...]`` where ``head`` is the fixed
-    header plus the segment table and every other element is the
-    caller's buffer itself (bytes or memoryview) — hand the list to
-    ``socket.sendmsg`` / ``writer.writelines`` and the bulk payloads are
-    never concatenated or copied by this layer.
-
-    Segments of at least ``compress_threshold`` bytes are compressed
-    with ``codec`` and flagged, but only when that actually shrinks them
-    — incompressible pages travel raw.
-    """
-    if not segments:
-        raise ValueError("a v2 frame needs at least one segment")
-    if len(segments) > MAX_SEGMENTS:
-        raise ValueError(f"too many segments ({len(segments)} > {MAX_SEGMENTS})")
-    out: list = []
-    entries: list[tuple[int, int]] = []
-    total = V2_META.size + len(segments) * V2_SEGMENT.size
-    for segment in segments:
-        size = _nbytes(segment)
-        seg_flags = 0
-        if (
-            compress_threshold is not None
-            and codec
-            and size >= compress_threshold
-        ):
-            code = _CODEC_IDS.get(codec)
-            if code is None:
-                raise ValueError(f"unknown segment codec {codec!r}")
-            packed = _SEGMENT_CODECS[code][1](segment)
-            if len(packed) < size:
-                segment, size, seg_flags = packed, len(packed), code
-        entries.append((size, seg_flags))
-        out.append(segment)
-        total += size
-    if total > max_frame:
-        raise FrameTooLargeError(total, max_frame)
-    head = bytearray(HEADER.pack(MAGIC, PROTOCOL_V2, total))
-    head += V2_META.pack(flags, len(entries))
-    for size, seg_flags in entries:
-        head += V2_SEGMENT.pack(size, seg_flags)
-    out.insert(0, bytes(head))
-    return out
-
-
 # -- decoding --------------------------------------------------------------------------
 
 
 class Frame:
-    """One decoded frame: its protocol version, flags and segments."""
+    """One decoded frame: its flags and segments."""
 
-    __slots__ = ("version", "flags", "segments")
+    __slots__ = ("flags", "segments")
 
-    def __init__(self, version: int, flags: int, segments: list[bytes]) -> None:
-        self.version = version
+    def __init__(self, flags: int, segments: list[bytes]) -> None:
         self.flags = flags
         self.segments = segments
-
-    @property
-    def payload(self) -> bytes:
-        """The single payload of a v1 frame (first segment otherwise)."""
-        return self.segments[0]
 
     @property
     def is_batch(self) -> bool:
@@ -244,7 +220,7 @@ class Frame:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         sizes = [len(s) for s in self.segments]
-        return f"Frame(v{self.version}, flags=0x{self.flags:02X}, segments={sizes})"
+        return f"Frame(flags=0x{self.flags:02X}, segments={sizes})"
 
 
 #: Parser stages, in stream order.
@@ -254,7 +230,7 @@ _COMPACT_AT = 64 * 1024
 
 
 class ScatterParser:
-    """Incremental scatter-gather frame parser for both protocols.
+    """Incremental scatter-gather frame parser.
 
     Not thread-safe: each connection owns exactly one parser (frames of
     one stream are sequential by construction).  Two input paths exist:
@@ -279,11 +255,9 @@ class ScatterParser:
     __slots__ = (
         "max_frame",
         "direct_cutoff",
-        "_accept_v2",
         "_buf",
         "_off",
         "_stage",
-        "_version",
         "_length",
         "_flags",
         "_table",
@@ -302,7 +276,6 @@ class ScatterParser:
         self,
         *,
         max_frame: int = DEFAULT_MAX_FRAME,
-        accept_v2: bool = True,
         direct_cutoff: int = DIRECT_CUTOFF,
     ) -> None:
         if max_frame < 1:
@@ -311,11 +284,9 @@ class ScatterParser:
             raise ValueError("direct_cutoff must be positive")
         self.max_frame = max_frame
         self.direct_cutoff = direct_cutoff
-        self._accept_v2 = accept_v2
         self._buf = bytearray()
         self._off = 0
         self._stage = _HEADER
-        self._version = 0
         self._length = 0
         self._flags = 0
         self._table: list[tuple[int, int]] = []
@@ -430,62 +401,30 @@ class ScatterParser:
                 if self._available() < HEADER.size:
                     return
                 magic, version, length = HEADER.unpack_from(self._buf, self._off)
-                if magic != MAGIC:
-                    raise FrameError(
-                        f"bad frame magic 0x{magic:02X} (expected "
-                        f"0x{MAGIC:02X}): not an RPC stream"
-                    )
-                if version != PROTOCOL_V1 and not (
-                    version == PROTOCOL_V2 and self._accept_v2
-                ):
-                    raise FrameError(
-                        f"unsupported protocol version {version} "
-                        f"(expected {PROTOCOL_V1}"
-                        + (f" or {PROTOCOL_V2}" if self._accept_v2 else "")
-                        + ")"
-                    )
-                if length > self.max_frame:
-                    raise FrameTooLargeError(length, self.max_frame)
+                _check_header(magic, version, length, self.max_frame)
                 self._off += HEADER.size
-                self._version, self._length = version, length
+                self._length = length
                 self._segments = []
-                self._seg_index = 0
-                if version == PROTOCOL_V1:
-                    self._flags = 0
-                    self._table = [(length, 0)]
-                    self._stage = _SEGMENT
-                else:
-                    self._stage = _META
+                self._stage = _META
             elif self._stage == _META:
-                if self._available() < V2_META.size:
+                if self._available() < META.size:
                     return
-                flags, nseg = V2_META.unpack_from(self._buf, self._off)
-                if not 1 <= nseg <= MAX_SEGMENTS:
-                    raise FrameError(f"v2 frame announces {nseg} segments")
-                if V2_META.size + nseg * V2_SEGMENT.size > self._length:
-                    raise FrameError("v2 segment table exceeds the frame length")
-                self._off += V2_META.size
+                flags, nseg = META.unpack_from(self._buf, self._off)
+                _check_meta(nseg, self._length)
+                self._off += META.size
                 self._flags = flags
                 self._table = []
                 self._stage = _TABLE
                 self._seg_index = nseg  # reuse as "entries still to read"
             elif self._stage == _TABLE:
-                need = self._seg_index * V2_SEGMENT.size
+                need = self._seg_index * TABLE_ENTRY.size
                 if self._available() < need:
                     return
                 for _ in range(self._seg_index):
-                    entry = V2_SEGMENT.unpack_from(self._buf, self._off)
+                    entry = TABLE_ENTRY.unpack_from(self._buf, self._off)
                     self._table.append(entry)
-                    self._off += V2_SEGMENT.size
-                body = sum(size for size, _ in self._table)
-                declared = (
-                    V2_META.size + len(self._table) * V2_SEGMENT.size + body
-                )
-                if declared != self._length:
-                    raise FrameError(
-                        f"v2 segment table sums to {declared} bytes but the "
-                        f"frame announces {self._length}"
-                    )
+                    self._off += TABLE_ENTRY.size
+                _check_table(self._table, self._length)
                 self._seg_index = 0
                 self._stage = _SEGMENT
             else:  # _SEGMENT
@@ -533,7 +472,7 @@ class ScatterParser:
         self._seg_index += 1
 
     def _emit(self, frames: list[Frame]) -> None:
-        frames.append(Frame(self._version, self._flags, self._segments))
+        frames.append(Frame(self._flags, self._segments))
         self._pending -= HEADER.size + self._length
         self._segments = []
         self._stage = _HEADER
@@ -548,18 +487,6 @@ class ScatterParser:
             self.bytes_compacted += len(self._buf) - self._off
             del self._buf[: self._off]
             self._off = 0
-
-
-def _decode_stored(segment: bytes, seg_flags: int, limit: int) -> bytes:
-    """Undo a segment's codec flag (bomb-guarded by ``limit``)."""
-    code = seg_flags & SEG_CODEC_MASK
-    if not code:
-        return segment
-    try:
-        decompress = _SEGMENT_CODECS[code][2]
-    except KeyError:
-        raise FrameError(f"unknown segment codec id {code}") from None
-    return decompress(segment, limit)
 
 
 # -- exact-framed socket reads ---------------------------------------------------------
@@ -595,53 +522,18 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes:
     return b"".join(parts)
 
 
-def _check_header(magic: int, version: int, length: int, max_frame: int, accept_v2: bool) -> None:
-    if magic != MAGIC:
-        raise FrameError(
-            f"bad frame magic 0x{magic:02X} (expected "
-            f"0x{MAGIC:02X}): not an RPC stream"
-        )
-    if version != PROTOCOL_V1 and not (version == PROTOCOL_V2 and accept_v2):
-        raise FrameError(
-            f"unsupported protocol version {version} "
-            f"(expected {PROTOCOL_V1}"
-            + (f" or {PROTOCOL_V2}" if accept_v2 else "")
-            + ")"
-        )
-    if length > max_frame:
-        raise FrameTooLargeError(length, max_frame)
-
-
-def _check_table(
-    entries: list[tuple[int, int]], nseg: int, length: int
-) -> None:
-    if not 1 <= nseg <= MAX_SEGMENTS:
-        raise FrameError(f"v2 frame announces {nseg} segments")
-    declared = V2_META.size + nseg * V2_SEGMENT.size + sum(
-        size for size, _ in entries
-    )
-    if declared != length:
-        raise FrameError(
-            f"v2 segment table sums to {declared} bytes but the "
-            f"frame announces {length}"
-        )
-
-
 def recv_frame(
-    sock: socket.socket,
-    *,
-    max_frame: int = DEFAULT_MAX_FRAME,
-    accept_v2: bool = True,
+    sock: socket.socket, *, max_frame: int = DEFAULT_MAX_FRAME
 ) -> Frame | None:
     """Read one whole frame from a blocking socket, minimally copied.
 
     The stream's self-describing layout makes exact reads possible: the
-    fixed header announces the frame length, the v2 segment table
-    announces every segment's size.  Small frames arrive in one gulp;
-    each bulk segment of a large v2 frame is read with ``MSG_WAITALL``
-    straight into its own immutable ``bytes`` — no accumulation buffer,
-    no re-slicing, no materialization copy.  This is the receive path of
-    the threaded client; the asyncio server uses :class:`ScatterParser`.
+    fixed header announces the frame length, the segment table announces
+    every segment's size.  Small frames arrive in one gulp; each bulk
+    segment of a large frame is read with ``MSG_WAITALL`` straight into
+    its own immutable ``bytes`` — no accumulation buffer, no re-slicing,
+    no materialization copy.  This is the receive path of the threaded
+    client; the asyncio server uses :class:`ScatterParser`.
 
     Returns ``None`` on a clean end-of-stream at a frame boundary.
     Raises :class:`FrameError` (stream corrupt) or
@@ -653,24 +545,15 @@ def recv_frame(
     if len(header) < HEADER.size:
         header += _recv_exact(sock, HEADER.size - len(header))
     magic, version, length = HEADER.unpack(header)
-    _check_header(magic, version, length, max_frame, accept_v2)
-    if version == PROTOCOL_V1:
-        payload = _recv_exact(sock, length) if length else b""
-        return Frame(PROTOCOL_V1, 0, [payload])
-    if length < V2_META.size:
-        raise FrameError("v2 segment table exceeds the frame length")
+    _check_header(magic, version, length, max_frame)
     if length <= _GULP_CUTOFF:
         body = memoryview(_recv_exact(sock, length))
-        flags, nseg = V2_META.unpack_from(body, 0)
-        if V2_META.size + nseg * V2_SEGMENT.size > length:
-            raise FrameError("v2 segment table exceeds the frame length")
-        entries = [
-            V2_SEGMENT.unpack_from(body, V2_META.size + i * V2_SEGMENT.size)
-            for i in range(nseg)
-        ]
-        _check_table(entries, nseg, length)
+        flags, nseg = META.unpack_from(body, 0)
+        _check_meta(nseg, length)
+        offset = META.size + nseg * TABLE_ENTRY.size
+        entries = list(TABLE_ENTRY.iter_unpack(body[META.size : offset]))
+        _check_table(entries, length)
         segments: list[bytes] = []
-        offset = V2_META.size + nseg * V2_SEGMENT.size
         for size, seg_flags in entries:
             segments.append(
                 _decode_stored(
@@ -678,69 +561,14 @@ def recv_frame(
                 )
             )
             offset += size
-        return Frame(PROTOCOL_V2, flags, segments)
-    flags, nseg = V2_META.unpack(_recv_exact(sock, V2_META.size))
-    if not 1 <= nseg <= MAX_SEGMENTS:
-        raise FrameError(f"v2 frame announces {nseg} segments")
-    if V2_META.size + nseg * V2_SEGMENT.size > length:
-        raise FrameError("v2 segment table exceeds the frame length")
-    table = _recv_exact(sock, nseg * V2_SEGMENT.size)
-    entries = list(V2_SEGMENT.iter_unpack(table))
-    _check_table(entries, nseg, length)
+        return Frame(flags, segments)
+    flags, nseg = META.unpack(_recv_exact(sock, META.size))
+    _check_meta(nseg, length)
+    table = _recv_exact(sock, nseg * TABLE_ENTRY.size)
+    entries = list(TABLE_ENTRY.iter_unpack(table))
+    _check_table(entries, length)
     segments = []
     for size, seg_flags in entries:
         data = _recv_exact(sock, size) if size else b""
         segments.append(_decode_stored(data, seg_flags, max_frame))
-    return Frame(PROTOCOL_V2, flags, segments)
-
-
-class FrameDecoder:
-    """Chunk-fed frame decoder: the historical feed/payload surface.
-
-    A thin wrapper over :class:`ScatterParser` for consumers that hold
-    complete chunks in hand (the loopback transport, tests).  With the
-    default ``accept_v2=False`` it is a strict v1 decoder — a v2 frame
-    raises :class:`FrameError` exactly like any other unknown version,
-    which is the behaviour protocol negotiation relies on.
-    """
-
-    def __init__(
-        self,
-        *,
-        max_frame: int = DEFAULT_MAX_FRAME,
-        accept_v2: bool = False,
-    ) -> None:
-        self._parser = ScatterParser(max_frame=max_frame, accept_v2=accept_v2)
-        self.max_frame = max_frame
-
-    @property
-    def frames_decoded(self) -> int:
-        """Total frames decoded (monitoring/tests)."""
-        return self._parser.frames_decoded
-
-    @property
-    def bytes_compacted(self) -> int:
-        """Bytes moved by buffer compaction (linearity metric)."""
-        return self._parser.bytes_compacted
-
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered towards the next, still-incomplete frame."""
-        return self._parser.pending_bytes
-
-    @property
-    def at_boundary(self) -> bool:
-        """True when the stream may end here without truncating a frame."""
-        return self._parser.at_boundary
-
-    def feed(self, data) -> list[bytes]:
-        """Absorb ``data`` and return every v1 payload it completes."""
-        return [frame.payload for frame in self._parser.feed(data)]
-
-    def feed_frames(self, data) -> list[Frame]:
-        """Absorb ``data`` and return every frame (v1 or v2) it completes."""
-        return self._parser.feed(data)
-
-    def eof(self) -> None:
-        """Signal end of stream; raises if it ends inside a frame."""
-        self._parser.eof()
+    return Frame(flags, segments)

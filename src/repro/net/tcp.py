@@ -14,20 +14,17 @@ correlation id, not arrival order, pairs them up.
 
 The client (:class:`TcpTransport`) keeps a small per-peer connection
 pool.  Each pooled connection multiplexes any number of in-flight calls:
-a writer lock serialises frame writes (v2 frames leave through one
+a writer lock serialises frame writes (each frame leaves through one
 scatter-gather ``sendmsg``, bulk payloads uncopied), a background reader
 thread demultiplexes responses to per-call events by ``msg_id``.
 Connection failures fail all in-flight calls with
 :class:`~repro.net.errors.PeerUnavailableError` and the next call
 reconnects (the base class's retry policy provides the backoff).
 
-Protocol negotiation is per connection: a fresh connection that wants v2
-sends a v1-framed probe to the reserved ``__wire__`` pseudo-service.  A
-v2 server intercepts it and answers with its capabilities; a v1 server
-routes it through its registry, which answers with an
-``UnknownServiceError`` *error response* — the connection survives and
-the client simply stays on v1.  Downgrade is therefore free and
-automatic in both directions.
+Peers need no handshake: the frame layout is fixed (a stream with
+another version byte is a framing violation), and every peer decodes
+zlib segments, so each side compresses what it sends above its own
+``compress_threshold``.
 
 Small-op batching is opt-in per transport (``batching=True``): queued
 sub-threshold requests coalesce into one ``FLAG_BATCH`` frame.  The
@@ -64,35 +61,25 @@ from .faults import NetworkFaultPlan
 from .framing import (
     DEFAULT_MAX_FRAME,
     FLAG_BATCH,
-    PROTOCOL_V1,
-    PROTOCOL_V2,
     ScatterParser,
-    codec_names,
     encode_frame,
-    encode_frame_v2,
     recv_frame,
 )
-from .messages import (
-    Request,
-    Response,
-    decode_message,
-    decode_message_v2,
-    encode_message,
-    encode_message_v2,
-)
+from .messages import Request, Response, decode_message, encode_message
 from .service import ServiceRegistry
 from .transport import RetryPolicy, Transport, WireConfig
 
-__all__ = ["RpcServer", "TcpTransport", "WIRE_SERVICE"]
+__all__ = ["RpcServer", "TcpTransport"]
+
+# benchmarks/e2e/tracing.py still binds these names on this module.
+encode_message_v2 = encode_message
+encode_frame_v2 = encode_frame
+decode_message_v2 = decode_message
 
 _READ_CHUNK = 256 * 1024
 #: Socket buffer size: holds a whole bulk payload so one send hands the
 #: entire scatter list to the kernel without blocking or staging copies.
 _SOCK_BUF = 1024 * 1024
-#: Reserved pseudo-service name used by the protocol negotiation probe.
-WIRE_SERVICE = "__wire__"
-#: How long a fresh connection waits for the negotiation probe's answer.
-_HELLO_TIMEOUT = 5.0
 #: Upper bound on how long the flusher lets a batch accumulate behind an
 #: outstanding one.  Normally the previous batch's responses clock the
 #: next flush well before this; the cap only matters when a response is
@@ -102,11 +89,8 @@ _GROUP_COMMIT_CAP = 0.02
 
 
 def _tune_socket(sock: socket.socket) -> None:
-    """Part of the v2 wire path: NODELAY for request/response latency,
-    buffers deep enough that a whole bulk payload enters the kernel in
-    one scatter-gather send.  Legacy (protocol 1) endpoints keep the OS
-    defaults so v1 mode stays faithful to the original wire behaviour.
-    """
+    """NODELAY for request/response latency, buffers deep enough that a
+    whole bulk payload enters the kernel in one scatter-gather send."""
     try:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, _SOCK_BUF)
@@ -126,18 +110,12 @@ class RpcServer:
         port: int = 0,
         max_frame: int = DEFAULT_MAX_FRAME,
         wire: WireConfig | None = None,
-        protocol: int | None = None,
     ) -> None:
         self._registry = registry
         self._host = host
         self._port = port
         self._max_frame = max_frame
-        self._wire = wire if wire is not None else WireConfig.from_env()
-        #: Highest protocol this server speaks.  ``protocol=1`` is the
-        #: legacy mode: v2 frames are rejected as framing violations and
-        #: the ``__wire__`` probe falls through to the registry (which
-        #: answers "unknown service"), exactly like a pre-v2 build.
-        self._protocol = protocol if protocol is not None else self._wire.protocol
+        self._wire = wire if wire is not None else WireConfig()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._server: asyncio.AbstractServer | None = None
         self._thread: threading.Thread | None = None
@@ -223,35 +201,13 @@ class RpcServer:
     def __exit__(self, *exc_info: object) -> None:
         self.stop()
 
-    # -- request handling --------------------------------------------------------------
-    def _wire_hello(self, request: Request) -> Response:
-        """Answer the negotiation probe with this server's capabilities."""
-        return Response(
-            msg_id=request.msg_id,
-            ok=True,
-            value={
-                "versions": (PROTOCOL_V1, PROTOCOL_V2),
-                "max_frame": self._max_frame,
-                "codecs": codec_names(),
-                "batch": True,
-            },
-        )
-
-    def _dispatch(self, request: Request) -> Response:
-        if request.service == WIRE_SERVICE and self._protocol >= PROTOCOL_V2:
-            return self._wire_hello(request)
-        return self._registry.dispatch(request)
-
 
 class _ServerConnection(asyncio.BufferedProtocol):
     """One server-side connection: scatter receive, per-request tasks."""
 
     def __init__(self, server: RpcServer) -> None:
         self._server = server
-        self._parser = ScatterParser(
-            max_frame=server._max_frame,
-            accept_v2=server._protocol >= PROTOCOL_V2,
-        )
+        self._parser = ScatterParser(max_frame=server._max_frame)
         self._scratch = memoryview(bytearray(_READ_CHUNK))
         self._direct = False
         self._transport: asyncio.Transport | None = None
@@ -261,10 +217,9 @@ class _ServerConnection(asyncio.BufferedProtocol):
     # -- asyncio protocol hooks --------------------------------------------------------
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
         self._transport = transport  # type: ignore[assignment]
-        if self._server._protocol >= PROTOCOL_V2:
-            sock = transport.get_extra_info("socket")
-            if sock is not None:
-                _tune_socket(sock)
+        sock = transport.get_extra_info("socket")
+        if sock is not None:
+            _tune_socket(sock)
         self._loop = asyncio.get_running_loop()
         self._writable = asyncio.Event()
         self._writable.set()
@@ -309,42 +264,33 @@ class _ServerConnection(asyncio.BufferedProtocol):
             self._transport.close()
             return
         for frame in frames:
-            if frame.version == PROTOCOL_V2 and frame.is_batch:
+            if frame.is_batch:
                 self._loop.create_task(self._serve_batch(frame.segments))
                 continue
             try:
-                if frame.version == PROTOCOL_V1:
-                    message = decode_message(frame.payload)
-                else:
-                    message = decode_message_v2(
-                        frame.segments[0], list(frame.segments[1:])
-                    )
+                message = decode_message(frame.segments[0], frame.segments[1:])
             except MessageDecodeError:
                 self._server.protocol_errors += 1
                 continue
             if not isinstance(message, Request):
                 self._server.protocol_errors += 1
                 continue
-            self._loop.create_task(self._serve_one(message, frame.version))
+            self._loop.create_task(self._serve_one(message))
 
     def abort(self) -> None:
         if self._transport is not None:
             self._transport.abort()
 
     # -- serving -----------------------------------------------------------------------
-    async def _serve_one(self, request: Request, version: int) -> None:
+    async def _serve_one(self, request: Request) -> None:
         # Services are synchronous objects; running dispatch on the
         # executor keeps slow handlers from stalling the event loop, and
-        # gives one connection real request concurrency.  The wire hello
-        # is answered inline — it must not queue behind slow handlers.
-        if request.service == WIRE_SERVICE:
-            response = self._server._dispatch(request)
-        else:
-            response = await self._loop.run_in_executor(
-                None, self._server._dispatch, request
-            )
+        # gives one connection real request concurrency.
+        response = await self._loop.run_in_executor(
+            None, self._server._registry.dispatch, request
+        )
         try:
-            await self._write(self._encode_response(response, version))
+            await self._write(self._encode_response(response))
             self._server.requests_served += 1
         except (ConnectionError, RuntimeError):
             pass  # client went away mid-response
@@ -369,7 +315,7 @@ class _ServerConnection(asyncio.BufferedProtocol):
             # One executor round for the whole batch: the client opted
             # into trading per-request concurrency for per-op overhead
             # on this channel (uniformly short metadata calls).
-            return [server._dispatch(request) for request in requests]
+            return [server._registry.dispatch(request) for request in requests]
 
         responses = await self._loop.run_in_executor(None, run)
         server.batched_requests += len(requests)
@@ -377,16 +323,15 @@ class _ServerConnection(asyncio.BufferedProtocol):
         small: list[bytes] = []
         bulky: list[list] = []
         for response in responses:
-            head, buffers = encode_message_v2(
+            head, buffers = encode_message(
                 response, oob_threshold=wire_cfg.oob_threshold
             )
             if buffers or len(head) >= wire_cfg.batch_threshold:
                 bulky.append(
-                    encode_frame_v2(
+                    encode_frame(
                         [head, *buffers],
                         max_frame=server._max_frame,
                         compress_threshold=wire_cfg.compress_threshold,
-                        codec=wire_cfg.compress_codec,
                     )
                 )
             else:
@@ -395,7 +340,7 @@ class _ServerConnection(asyncio.BufferedProtocol):
             for start in range(0, len(small), wire_cfg.batch_max_ops):
                 group = small[start : start + wire_cfg.batch_max_ops]
                 await self._write(
-                    encode_frame_v2(
+                    encode_frame(
                         group, flags=FLAG_BATCH, max_frame=server._max_frame
                     )
                 )
@@ -405,23 +350,16 @@ class _ServerConnection(asyncio.BufferedProtocol):
         except (ConnectionError, RuntimeError):
             pass  # client went away mid-response
 
-    def _encode_response(self, response: Response, version: int) -> list:
+    def _encode_response(self, response: Response) -> list:
         try:
-            if version >= PROTOCOL_V2:
-                head, buffers = encode_message_v2(
-                    response, oob_threshold=self._server._wire.oob_threshold
-                )
-                return encode_frame_v2(
-                    [head, *buffers],
-                    max_frame=self._server._max_frame,
-                    compress_threshold=self._server._wire.compress_threshold,
-                    codec=self._server._wire.compress_codec,
-                )
-            return [
-                encode_frame(
-                    encode_message(response), max_frame=self._server._max_frame
-                )
-            ]
+            head, buffers = encode_message(
+                response, oob_threshold=self._server._wire.oob_threshold
+            )
+            return encode_frame(
+                [head, *buffers],
+                max_frame=self._server._max_frame,
+                compress_threshold=self._server._wire.compress_threshold,
+            )
         except FrameTooLargeError as exc:
             # An oversize response must not silently strand the caller
             # until timeout: degrade to an error response it can raise.
@@ -430,7 +368,7 @@ class _ServerConnection(asyncio.BufferedProtocol):
                 ok=False,
                 error=RemoteCallError(f"response exceeds frame limit: {exc}"),
             )
-            return self._encode_response(fallback, version)
+            return self._encode_response(fallback)
 
     async def _write(self, parts: list) -> None:
         await self._writable.wait()
@@ -465,31 +403,24 @@ class _Connection:
         *,
         peer: str,
         max_frame: int,
-        wire: WireConfig | None = None,
-        want_protocol: int | None = None,
+        wire: WireConfig,
         batching: bool = False,
         owner: "TcpTransport | None" = None,
     ) -> None:
         self._peer = peer
         self._max_frame = max_frame
-        self._wire = wire if wire is not None else WireConfig.from_env()
+        self._wire = wire
         self._owner = owner
-        #: Protocol in force on this connection (negotiation may raise it).
-        self.protocol = PROTOCOL_V1
-        self._peer_codecs: tuple[str, ...] = ()
         try:
             self._sock = socket.create_connection((host, port), timeout=10.0)
         except OSError as exc:
             raise PeerUnavailableError(peer, repr(exc)) from exc
         self._sock.settimeout(None)
-        want = want_protocol if want_protocol is not None else self._wire.protocol
-        if want >= PROTOCOL_V2:
-            _tune_socket(self._sock)
+        _tune_socket(self._sock)
         self._send_lock = threading.Lock()
         self._pending_lock = threading.Lock()
         self._pending: dict[int, _PendingCall] = {}
         self._dead = False
-        self._batching = False
         self._batch_cond = threading.Condition()
         self._batch_queue: deque[tuple[int, bytes]] = deque()
         self._batched_ids: set[int] = set()
@@ -499,10 +430,7 @@ class _Connection:
             target=self._read_loop, name=f"rpc-client-{peer}", daemon=True
         )
         self._reader.start()
-        if want >= PROTOCOL_V2:
-            self._negotiate()
-        if batching and self.protocol >= PROTOCOL_V2:
-            self._batching = True
+        if batching:
             self._flusher = threading.Thread(
                 target=self._flush_loop, name=f"rpc-batch-{peer}", daemon=True
             )
@@ -516,37 +444,6 @@ class _Connection:
     def in_flight(self) -> int:
         with self._pending_lock:
             return len(self._pending)
-
-    # -- negotiation -------------------------------------------------------------------
-    def _negotiate(self) -> None:
-        """Probe the peer for v2; any non-fatal failure means v1.
-
-        The probe is a *v1-framed* request to the reserved ``__wire__``
-        service, so a v1 server treats it as an ordinary unknown-service
-        call and answers with an error response — the connection
-        survives and this client simply stays on protocol v1.
-        """
-        probe = Request(msg_id=0, service=WIRE_SERVICE, method="describe")
-        try:
-            response = self.request(probe, _HELLO_TIMEOUT, no_batch=True)
-        except PeerUnavailableError:
-            raise  # the connection itself died: surface as a dial failure
-        except RpcTimeoutError:
-            return  # silent peer: assume v1, the stream is still clean
-        if not response.ok or not isinstance(response.value, dict):
-            return
-        versions = tuple(response.value.get("versions", ()))
-        if PROTOCOL_V2 in versions:
-            self.protocol = PROTOCOL_V2
-            self._peer_codecs = tuple(response.value.get("codecs", ()))
-
-    def _compress_threshold(self) -> int | None:
-        """The effective threshold: only codecs the peer declared count."""
-        if self._wire.compress_threshold is None:
-            return None
-        if self._wire.compress_codec not in self._peer_codecs:
-            return None
-        return self._wire.compress_threshold
 
     # -- calling -----------------------------------------------------------------------
     def request(
@@ -579,38 +476,30 @@ class _Connection:
     def _send_request(
         self, request: Request, *, no_batch: bool, in_flight: int
     ) -> None:
-        if self.protocol >= PROTOCOL_V2:
-            head, buffers = encode_message_v2(
-                request, oob_threshold=self._wire.oob_threshold
+        head, buffers = encode_message(
+            request, oob_threshold=self._wire.oob_threshold
+        )
+        if (
+            self._flusher is not None
+            and not no_batch
+            and not buffers
+            and len(head) < self._wire.batch_threshold
+            and in_flight > 1
+        ):
+            # Another call is already in flight, so the channel's
+            # latency is bounded by it anyway: queue this head for
+            # the flusher and let it coalesce with its neighbours.
+            with self._batch_cond:
+                self._batch_queue.append((request.msg_id, head))
+                self._batch_cond.notify()
+            return
+        self._sendmsg(
+            encode_frame(
+                [head, *buffers],
+                max_frame=self._max_frame,
+                compress_threshold=self._wire.compress_threshold,
             )
-            if (
-                self._batching
-                and not no_batch
-                and not buffers
-                and len(head) < self._wire.batch_threshold
-                and in_flight > 1
-            ):
-                # Another call is already in flight, so the channel's
-                # latency is bounded by it anyway: queue this head for
-                # the flusher and let it coalesce with its neighbours.
-                with self._batch_cond:
-                    self._batch_queue.append((request.msg_id, head))
-                    self._batch_cond.notify()
-                return
-            self._sendmsg(
-                encode_frame_v2(
-                    [head, *buffers],
-                    max_frame=self._max_frame,
-                    compress_threshold=self._compress_threshold(),
-                    codec=self._wire.compress_codec,
-                )
-            )
-        else:
-            wire = encode_frame(
-                encode_message(request), max_frame=self._max_frame
-            )
-            with self._send_lock:
-                self._sock.sendall(wire)
+        )
 
     def _sendmsg(self, parts: list) -> None:
         """Scatter-gather send: the bulk buffers go to the kernel as-is."""
@@ -683,7 +572,7 @@ class _Connection:
                 self._batched_in_flight += len(batch)
             try:
                 self._sendmsg(
-                    encode_frame_v2(
+                    encode_frame(
                         batch, flags=FLAG_BATCH, max_frame=self._max_frame
                     )
                 )
@@ -704,18 +593,14 @@ class _Connection:
                 frame = recv_frame(self._sock, max_frame=self._max_frame)
                 if frame is None:
                     raise ConnectionError("peer closed the connection")
-                if frame.version == PROTOCOL_V2 and frame.is_batch:
+                if frame.is_batch:
                     self._deliver_batch(
                         [decode_message(segment) for segment in frame.segments]
                     )
-                elif frame.version == PROTOCOL_V2:
-                    self._deliver(
-                        decode_message_v2(
-                            frame.segments[0], list(frame.segments[1:])
-                        )
-                    )
                 else:
-                    self._deliver(decode_message(frame.payload))
+                    self._deliver(
+                        decode_message(frame.segments[0], frame.segments[1:])
+                    )
         except Exception as exc:
             self._fail_all(PeerUnavailableError(self._peer, repr(exc)))
 
@@ -800,7 +685,6 @@ class TcpTransport(Transport):
         pool_size: int = 2,
         max_frame: int = DEFAULT_MAX_FRAME,
         wire: WireConfig | None = None,
-        protocol: int | None = None,
         batching: bool = False,
     ) -> None:
         if pool_size < 1:
@@ -816,8 +700,7 @@ class TcpTransport(Transport):
         self._port = port
         self._pool_size = pool_size
         self._max_frame = max_frame
-        self._wire = wire if wire is not None else WireConfig.from_env()
-        self._protocol = protocol if protocol is not None else self._wire.protocol
+        self._wire = wire if wire is not None else WireConfig()
         self._batching = batching
         self._pool_lock = threading.Lock()
         self._pool: list[_Connection] = []
@@ -825,12 +708,6 @@ class TcpTransport(Transport):
         self.batches_sent = 0
         #: Requests that travelled inside batch frames (monitoring/tests).
         self.requests_batched = 0
-
-    @property
-    def negotiated_protocols(self) -> list[int]:
-        """Per-pooled-connection protocol versions (monitoring/tests)."""
-        with self._pool_lock:
-            return [connection.protocol for connection in self._pool]
 
     def _checkout(self) -> _Connection:
         """Pick the least-loaded live connection, dialling up to the cap."""
@@ -849,7 +726,6 @@ class TcpTransport(Transport):
                 peer=self.peer,
                 max_frame=self._max_frame,
                 wire=self._wire,
-                want_protocol=self._protocol,
                 batching=self._batching,
                 owner=self,
             )

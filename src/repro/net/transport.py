@@ -24,7 +24,6 @@ Two implementations exist:
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 import time
 from abc import ABC, abstractmethod
@@ -33,22 +32,13 @@ from typing import Any, Iterator
 
 from .errors import TransportError
 from .faults import NetworkFaultPlan
-from .framing import (
-    DEFAULT_MAX_FRAME,
-    PROTOCOL_V1,
-    PROTOCOL_V2,
-    FrameDecoder,
-    encode_frame,
-    encode_frame_v2,
-)
+from .framing import DEFAULT_MAX_FRAME, ScatterParser, encode_frame
 from .messages import (
     DEFAULT_OOB_THRESHOLD,
     Request,
     Response,
     decode_message,
-    decode_message_v2,
     encode_message,
-    encode_message_v2,
 )
 from .service import ServiceRegistry
 
@@ -57,16 +47,9 @@ __all__ = ["RetryPolicy", "WireConfig", "Transport", "LoopbackTransport"]
 
 @dataclass(frozen=True, slots=True)
 class WireConfig:
-    """Wire-protocol knobs shared by both transports and the server.
+    """Wire-protocol knobs shared by both transports and the server."""
 
-    The default protocol comes from ``REPRO_WIRE_PROTOCOL`` (``1`` or
-    ``2``, default ``2``) so the whole test matrix can be flipped from
-    the environment without touching call sites.
-    """
-
-    #: Preferred protocol version (negotiation may still settle on v1).
-    protocol: int = PROTOCOL_V2
-    #: Bytes payloads at least this large travel out-of-band under v2.
+    #: Bytes payloads at least this large travel out-of-band.
     oob_threshold: int = DEFAULT_OOB_THRESHOLD
     #: Extra seconds a lone queued request may wait for company before
     #: its batch frame is flushed (0 = flush immediately; batching still
@@ -78,14 +61,10 @@ class WireConfig:
     batch_max_bytes: int = 128 * 1024
     #: Only messages encoding below this many bytes are batched.
     batch_threshold: int = 2048
-    #: Compress segments of at least this many bytes (None = never).
+    #: Zlib-compress segments of at least this many bytes (None = never).
     compress_threshold: int | None = None
-    #: Segment codec used when compression triggers.
-    compress_codec: str = "zlib"
 
     def __post_init__(self) -> None:
-        if self.protocol not in (PROTOCOL_V1, PROTOCOL_V2):
-            raise ValueError(f"unknown wire protocol {self.protocol}")
         if self.oob_threshold < 1:
             raise ValueError("oob_threshold must be positive")
         if self.batch_window < 0:
@@ -96,20 +75,6 @@ class WireConfig:
             raise ValueError("batch_threshold must be positive")
         if self.compress_threshold is not None and self.compress_threshold < 1:
             raise ValueError("compress_threshold must be positive")
-
-    @classmethod
-    def from_env(cls, **overrides: Any) -> "WireConfig":
-        """Build a config honouring ``REPRO_WIRE_PROTOCOL``."""
-        if "protocol" not in overrides:
-            raw = os.environ.get("REPRO_WIRE_PROTOCOL", "").strip()
-            if raw:
-                try:
-                    overrides["protocol"] = int(raw)
-                except ValueError:
-                    raise ValueError(
-                        f"REPRO_WIRE_PROTOCOL must be 1 or 2, got {raw!r}"
-                    ) from None
-        return cls(**overrides)
 
 
 @dataclass(frozen=True, slots=True)
@@ -270,49 +235,39 @@ class LoopbackTransport(Transport):
         faults: NetworkFaultPlan | None = None,
         max_frame: int = DEFAULT_MAX_FRAME,
         wire: WireConfig | None = None,
-        protocol: int | None = None,
     ) -> None:
         super().__init__(
             peer=peer, local=local, timeout=timeout, retry=retry, faults=faults
         )
         self._registry = registry
         self._max_frame = max_frame
-        self._wire = wire if wire is not None else WireConfig.from_env()
-        self._protocol = protocol if protocol is not None else self._wire.protocol
+        self._wire = wire if wire is not None else WireConfig()
         self._lock = threading.Lock()
-        # One decoder for the transport's lifetime (its state is always
+        # One parser for the transport's lifetime (its state is always
         # at a frame boundary between calls); serialized by ``_lock``.
-        self._decoder = FrameDecoder(max_frame=max_frame, accept_v2=True)
+        self._parser = ScatterParser(max_frame=max_frame)
         #: Round-trips served (monitoring/tests).
         self.calls_served = 0
 
     def _codec_round_trip(self, message: Request | Response):
         """Encode ``message`` to wire bytes and decode them back.
 
-        The same codec path as TCP, minus the socket: v2 messages go
-        through out-of-band extraction, scatter-gather framing (the
-        parts are joined here — that join *is* the simulated wire) and
-        segment-table decode on the shared decoder.
+        The same codec path as TCP, minus the socket: out-of-band
+        extraction, scatter-gather framing (the parts are joined here —
+        that join *is* the simulated wire) and segment-table decode on
+        the shared parser.
         """
-        if self._protocol >= PROTOCOL_V2:
-            head, buffers = encode_message_v2(
-                message, oob_threshold=self._wire.oob_threshold
-            )
-            parts = encode_frame_v2(
-                [head, *buffers],
-                max_frame=self._max_frame,
-                compress_threshold=self._wire.compress_threshold,
-                codec=self._wire.compress_codec,
-            )
-            with self._lock:
-                (frame,) = self._decoder.feed_frames(b"".join(parts))
-            return decode_message_v2(
-                frame.segments[0], list(frame.segments[1:])
-            )
-        wire = encode_frame(encode_message(message), max_frame=self._max_frame)
+        head, buffers = encode_message(
+            message, oob_threshold=self._wire.oob_threshold
+        )
+        parts = encode_frame(
+            [head, *buffers],
+            max_frame=self._max_frame,
+            compress_threshold=self._wire.compress_threshold,
+        )
         with self._lock:
-            (frame,) = self._decoder.feed_frames(wire)
-        return decode_message(frame.payload)
+            (frame,) = self._parser.feed(b"".join(parts))
+        return decode_message(frame.segments[0], frame.segments[1:])
 
     def _call_once(
         self,

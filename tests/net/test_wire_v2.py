@@ -1,16 +1,18 @@
-"""Protocol v2 end-to-end: negotiation, batching, compression, identity.
+"""The wire protocol end-to-end: no handshake, batching, compression, identity.
 
-The v2 wire path must be invisible to everything above the transport:
-whatever mix of protocol versions two peers negotiate, the filesystems
-and the metadata plane read back exactly the bytes they wrote.  These
-tests cover the interop matrix over real sockets, the out-of-band
-threshold, small-op batching semantics, and cross-backend differential
-byte-identity over both protocols — including mid-read replica failover
-and wire faults, where the degraded path must stay byte-identical too.
+The wire path must be invisible to everything above the transport: the
+filesystems and the metadata plane read back exactly the bytes they
+wrote.  These tests cover the handshake-free connection over real
+sockets, the out-of-band threshold, small-op batching semantics,
+compression chosen by each sender alone, and cross-backend differential
+byte-identity over raw and compressed segments — including mid-read
+replica failover and wire faults, where the degraded path must stay
+byte-identical too.
 """
 
 from __future__ import annotations
 
+import socket
 import threading
 import time
 
@@ -23,26 +25,30 @@ from repro.hdfs import HDFS, DataNode
 from repro.net import (
     NetworkFaultPlan,
     NodeServer,
-    PROTOCOL_V1,
-    PROTOCOL_V2,
     RetryPolicy,
     RpcServer,
     ServiceRegistry,
     TcpTransport,
+    UnknownServiceError,
     WireConfig,
     connect_datanode,
     connect_metadata,
     connect_provider,
-    loopback_datanode_stub,
-    loopback_metadata_stub,
-    loopback_provider_stub,
 )
 from repro.net.cluster import ClusterConfig
-from repro.net.messages import Request, encode_message_v2
+from repro.net.framing import HEADER, MAGIC
+from repro.net.messages import Request, encode_message
+from repro.net.stubs import (
+    DATANODE_SERVICE,
+    METADATA_SERVICE,
+    PROVIDER_SERVICE,
+    RemoteDataNode,
+    RemoteDataProvider,
+    RemoteMetadataProvider,
+)
 from repro.net.transport import LoopbackTransport
 
 BLOCK = 16 * KB
-BOTH_PROTOCOLS = pytest.mark.parametrize("protocol", [PROTOCOL_V1, PROTOCOL_V2])
 
 
 class EchoService:
@@ -64,127 +70,138 @@ def faults():
     return NetworkFaultPlan(sleep=lambda _s: None)
 
 
+#: The two ways a segment may travel: raw, or zlib-compressed above a
+#: threshold (low enough here that metadata heads compress too).
+CODECS = pytest.mark.parametrize(
+    "wire",
+    [WireConfig(), WireConfig(compress_threshold=64)],
+    ids=["raw", "zlib"],
+)
+
+
+def loopback_stub(stub_cls, service, backend, *, peer, faults, wire, retry=None):
+    """A loopback stub like ``loopback_*_stub``, on a chosen wire config."""
+    registry = ServiceRegistry()
+    registry.register(service, backend)
+    transport = LoopbackTransport(
+        registry, peer=peer, faults=faults, retry=retry, wire=wire
+    )
+    return stub_cls.connect(transport)
+
+
 class TestWireConfig:
-    def test_env_selects_protocol(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WIRE_PROTOCOL", "1")
-        assert WireConfig.from_env().protocol == PROTOCOL_V1
-        monkeypatch.setenv("REPRO_WIRE_PROTOCOL", "2")
-        assert WireConfig.from_env().protocol == PROTOCOL_V2
-        monkeypatch.delenv("REPRO_WIRE_PROTOCOL")
-        assert WireConfig.from_env().protocol == PROTOCOL_V2
-
-    def test_explicit_protocol_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WIRE_PROTOCOL", "1")
-        assert WireConfig.from_env(protocol=PROTOCOL_V2).protocol == PROTOCOL_V2
-
-    def test_invalid_values_rejected(self, monkeypatch):
-        with pytest.raises(ValueError):
-            WireConfig(protocol=3)
+    def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
             WireConfig(batch_window=-0.1)
         with pytest.raises(ValueError):
             WireConfig(compress_threshold=0)
-        monkeypatch.setenv("REPRO_WIRE_PROTOCOL", "two")
+
+    def test_cluster_config_maps_onto_wire_config(self):
+        wire = ClusterConfig(batch_window=0.01, compress_threshold=KB).wire_config()
+        assert wire.batch_window == 0.01
+        assert wire.compress_threshold == KB
+        assert ClusterConfig().wire_config() == WireConfig()
         with pytest.raises(ValueError):
-            WireConfig.from_env()
+            ClusterConfig(compress_threshold=0)
 
 
 class TestOutOfBandThreshold:
     def test_small_payloads_stay_in_band(self):
         request = Request(1, "s", "m", (b"x" * 100,), {})
-        head, buffers = encode_message_v2(request, oob_threshold=KB)
+        head, buffers = encode_message(request, oob_threshold=KB)
         assert buffers == []
         assert b"x" * 100 in head
 
     def test_large_payloads_leave_the_pickle_stream(self):
         bulk = b"y" * (64 * KB)
         request = Request(1, "s", "m", (bulk,), {"page": b"z" * (32 * KB)})
-        head, buffers = encode_message_v2(request, oob_threshold=KB)
+        head, buffers = encode_message(request, oob_threshold=KB)
         assert len(buffers) == 2
         assert len(head) < KB  # the head holds structure, not payload
         assert sorted(len(memoryview(b)) for b in buffers) == [32 * KB, 64 * KB]
 
     def test_memoryview_arguments_always_travel_out_of_band(self):
         view = memoryview(b"view-payload")
-        head, buffers = encode_message_v2(
+        head, buffers = encode_message(
             Request(1, "s", "m", (view,), {}), oob_threshold=KB
         )
-        assert len(buffers) == 1  # even below threshold: v1 can't pickle views
+        assert len(buffers) == 1  # even below threshold: views never pickle in-band
 
     def test_nested_containers_are_walked(self):
         bulk = b"n" * (64 * KB)
-        head, buffers = encode_message_v2(
+        head, buffers = encode_message(
             Request(1, "s", "m", ([{"chunk": bulk}],), {}), oob_threshold=KB
         )
         assert len(buffers) == 1
 
 
-class TestNegotiationMatrix:
-    @pytest.mark.parametrize("server_protocol", [PROTOCOL_V1, PROTOCOL_V2])
-    @pytest.mark.parametrize("client_protocol", [PROTOCOL_V1, PROTOCOL_V2])
-    def test_every_pairing_round_trips_bulk_bytes(
-        self, server_protocol, client_protocol
-    ):
-        # The connection settles on min(client, server) and the payload
-        # is byte-identical either way; no pairing produces a single
-        # protocol error.
-        payload = bytes(range(256)) * (8 * KB)  # 2 MiB
-        with RpcServer(echo_registry(), protocol=server_protocol) as server:
+class TestNoHandshake:
+    def test_first_call_is_the_only_request_served(self):
+        # A fresh connection carries the caller's request and nothing
+        # else: no probe round trip precedes it.
+        with RpcServer(echo_registry()) as server:
             host, port = server.address
-            transport = TcpTransport(host, port, protocol=client_protocol)
-            try:
-                assert transport.call("echo", "echo", payload) == payload
-                assert transport.call("echo", "pair", 1, b"two") == (1, b"two")
-                expected = min(server_protocol, client_protocol)
-                assert transport.negotiated_protocols == [expected]
-            finally:
-                transport.close()
+            with TcpTransport(host, port) as transport:
+                assert transport.call("echo", "echo", "first") == "first"
+        # stop() joined the loop thread: every counter update is in.
+        assert server.requests_served == 1
+
+    def test_wire_service_name_is_not_reserved(self):
+        with RpcServer(echo_registry()) as server:
+            host, port = server.address
+            with TcpTransport(host, port) as transport:
+                with pytest.raises(UnknownServiceError):
+                    transport.call("__wire__", "describe")
+                assert transport.call("echo", "echo", 1) == 1
             assert server.protocol_errors == 0
 
-    def test_v2_client_downgrades_without_breaking_the_connection(self):
-        # The probe travels as a v1 frame, so the v1 server answers it
-        # as an ordinary unknown-service call on the *same* connection
-        # the client then keeps using.
-        with RpcServer(echo_registry(), protocol=PROTOCOL_V1) as server:
+    def test_each_pooled_connection_serves_without_probe(self):
+        # Concurrent callers open every pooled connection; each one
+        # carries only its callers' requests.
+        with RpcServer(echo_registry()) as server:
             host, port = server.address
-            transport = TcpTransport(host, port, protocol=PROTOCOL_V2)
-            try:
-                for i in range(10):
-                    assert transport.call("echo", "echo", i) == i
-                assert transport.negotiated_protocols == [PROTOCOL_V1]
-            finally:
-                transport.close()
-
-    def test_each_pooled_connection_negotiates(self):
-        with RpcServer(echo_registry(), protocol=PROTOCOL_V2) as server:
-            host, port = server.address
-            transport = TcpTransport(host, port, protocol=PROTOCOL_V2, pool_size=2)
+            transport = TcpTransport(host, port, pool_size=2)
             try:
                 barrier = threading.Barrier(4)
+                results: dict[int, object] = {}
 
-                def call():
+                def call(i):
                     barrier.wait()
-                    transport.call("echo", "echo", "x")
+                    results[i] = transport.call("echo", "echo", i)
 
-                threads = [threading.Thread(target=call) for _ in range(4)]
+                threads = [
+                    threading.Thread(target=call, args=(i,)) for i in range(4)
+                ]
                 for thread in threads:
                     thread.start()
                 for thread in threads:
                     thread.join()
-                assert all(
-                    p == PROTOCOL_V2 for p in transport.negotiated_protocols
-                )
+                assert results == {i: i for i in range(4)}
+                assert 1 <= len(transport._pool) <= 2
             finally:
                 transport.close()
+        assert server.requests_served == 4
+        assert server.protocol_errors == 0
+
+    def test_server_drops_a_version_1_connection(self):
+        # A peer speaking the retired single-blob layout is a framing
+        # violation: its connection is closed, the server keeps serving.
+        with RpcServer(echo_registry()) as server:
+            host, port = server.address
+            with socket.create_connection((host, port), timeout=5.0) as raw:
+                raw.sendall(HEADER.pack(MAGIC, 1, 5) + b"hello")
+                assert raw.recv(1) == b""  # closed, nothing answered
+            with TcpTransport(host, port) as transport:
+                assert transport.call("echo", "echo", "after") == "after"
+        assert server.protocol_errors == 1
+        assert server.requests_served == 1
 
 
 class TestBatching:
     def test_concurrent_small_ops_coalesce_and_stay_correct(self):
-        with RpcServer(echo_registry(), protocol=PROTOCOL_V2) as server:
+        with RpcServer(echo_registry()) as server:
             host, port = server.address
-            transport = TcpTransport(
-                host, port, protocol=PROTOCOL_V2, batching=True, pool_size=1
-            )
+            transport = TcpTransport(host, port, batching=True, pool_size=1)
             try:
                 results: list = []
                 lock = threading.Lock()
@@ -227,11 +244,9 @@ class TestBatching:
                 transport.close()
 
     def test_lone_caller_is_never_batched(self):
-        with RpcServer(echo_registry(), protocol=PROTOCOL_V2) as server:
+        with RpcServer(echo_registry()) as server:
             host, port = server.address
-            transport = TcpTransport(
-                host, port, protocol=PROTOCOL_V2, batching=True, pool_size=1
-            )
+            transport = TcpTransport(host, port, batching=True, pool_size=1)
             try:
                 for i in range(20):
                     assert transport.call("echo", "echo", i) == i
@@ -242,11 +257,9 @@ class TestBatching:
                 transport.close()
 
     def test_no_batch_calls_bypass_the_queue(self):
-        with RpcServer(echo_registry(), protocol=PROTOCOL_V2) as server:
+        with RpcServer(echo_registry()) as server:
             host, port = server.address
-            transport = TcpTransport(
-                host, port, protocol=PROTOCOL_V2, batching=True, pool_size=1
-            )
+            transport = TcpTransport(host, port, batching=True, pool_size=1)
             try:
                 hold = threading.Event()
 
@@ -279,11 +292,9 @@ class TestBatching:
 
         registry = ServiceRegistry()
         registry.register("mixed", Mixed())
-        with RpcServer(registry, protocol=PROTOCOL_V2) as server:
+        with RpcServer(registry) as server:
             host, port = server.address
-            transport = TcpTransport(
-                host, port, protocol=PROTOCOL_V2, batching=True, pool_size=1
-            )
+            transport = TcpTransport(host, port, batching=True, pool_size=1)
             try:
                 results: dict[int, bytes] = {}
 
@@ -320,42 +331,48 @@ class TestCompression:
             finally:
                 transport.close()
 
-    def test_compression_only_applies_when_peer_advertises_codec(self):
-        # A v1 peer never negotiated codecs, so the client must not send
-        # compressed segments at it — it stays on plain v1 frames.
-        wire = WireConfig(compress_threshold=KB)
-        with RpcServer(echo_registry(), protocol=PROTOCOL_V1) as server:
+    @pytest.mark.parametrize("server_compresses", [False, True])
+    @pytest.mark.parametrize("client_compresses", [False, True])
+    def test_every_pairing_round_trips_bulk_bytes(
+        self, client_compresses, server_compresses
+    ):
+        # Each side compresses what it sends by its own config alone; the
+        # receiver decodes whatever codec the segment table names.
+        def wire(on: bool) -> WireConfig:
+            return WireConfig(compress_threshold=KB if on else None)
+
+        payload = b"p" * (2048 * KB)
+        with RpcServer(echo_registry(), wire=wire(server_compresses)) as server:
             host, port = server.address
-            transport = TcpTransport(host, port, wire=wire)
+            transport = TcpTransport(host, port, wire=wire(client_compresses))
             try:
-                payload = b"c" * (256 * KB)
                 assert transport.call("echo", "echo", payload) == payload
-                assert transport.negotiated_protocols == [PROTOCOL_V1]
+                assert transport.call("echo", "pair", 1, b"two") == (1, b"two")
             finally:
                 transport.close()
-            assert server.protocol_errors == 0
+        assert server.requests_served == 2
+        assert server.protocol_errors == 0
 
 
-class TestLoopbackProtocols:
-    @BOTH_PROTOCOLS
-    def test_loopback_round_trips_bulk_on_both_protocols(self, protocol):
-        transport = LoopbackTransport(echo_registry(), protocol=protocol)
+class TestLoopback:
+    def test_loopback_round_trips_bulk(self):
+        transport = LoopbackTransport(echo_registry())
         payload = bytes(range(256)) * (4 * KB)
         assert transport.call("echo", "echo", payload) == payload
         assert transport.call("echo", "pair", "a", 1) == ("a", 1)
 
     def test_loopback_reuses_one_decoder_across_calls(self):
-        # The per-call throwaway decoder is gone: the same decoder
-        # instance drains every frame of the transport's lifetime.
+        # The same parser instance drains every frame of the
+        # transport's lifetime.
         transport = LoopbackTransport(echo_registry())
-        decoder = transport._decoder
+        parser = transport._parser
         for i in range(5):
             transport.call("echo", "echo", i)
-        assert transport._decoder is decoder
-        assert decoder.frames_decoded == 10  # request + response per call
+        assert transport._parser is parser
+        assert parser.frames_decoded == 10  # request + response per call
 
 
-def make_blobseer(faults, *, replication=2):
+def make_blobseer(faults, wire, *, replication=2):
     config = BlobSeerConfig(
         page_size=4 * KB,
         num_providers=4,
@@ -368,42 +385,56 @@ def make_blobseer(faults, *, replication=2):
         for i in range(config.num_providers)
     ]
     stubs = [
-        loopback_provider_stub(p, faults=faults, retry=RetryPolicy.no_retry())
+        loopback_stub(
+            RemoteDataProvider,
+            PROVIDER_SERVICE,
+            p,
+            peer=p.host,
+            faults=faults,
+            wire=wire,
+            retry=RetryPolicy.no_retry(),
+        )
         for p in backends
     ]
     return BlobSeer(config, providers=stubs)
 
 
 class TestDifferentialByteIdentity:
-    """The same workload over v1 and v2 stubs must yield the same bytes."""
+    """The same workload over wire stubs must yield the same bytes,
+    whether its segments travel raw or compressed."""
 
-    @BOTH_PROTOCOLS
-    def test_bsfs_write_read_identical(self, faults, protocol, monkeypatch):
-        monkeypatch.setenv("REPRO_WIRE_PROTOCOL", str(protocol))
-        fs = BSFS(blobseer=make_blobseer(faults), default_block_size=BLOCK)
+    @CODECS
+    def test_bsfs_write_read_identical(self, faults, wire):
+        fs = BSFS(blobseer=make_blobseer(faults, wire), default_block_size=BLOCK)
         payload = bytes(range(256)) * 128  # 32 KiB, multi-page
         fs.write_file("/wire.bin", payload)
         assert fs.read_file("/wire.bin") == payload
 
-    @BOTH_PROTOCOLS
-    def test_bsfs_read_failover_identical(self, faults, protocol, monkeypatch):
+    @CODECS
+    def test_bsfs_read_failover_identical(self, faults, wire):
         # Mid-read replica failover: kill a node after the write; the
         # degraded read must still return the exact original bytes.
-        monkeypatch.setenv("REPRO_WIRE_PROTOCOL", str(protocol))
-        fs = BSFS(blobseer=make_blobseer(faults), default_block_size=BLOCK)
+        fs = BSFS(blobseer=make_blobseer(faults, wire), default_block_size=BLOCK)
         payload = b"f" * (2 * BLOCK)
         fs.write_file("/failover.bin", payload)
         faults.kill("node-1")
         assert fs.read_file("/failover.bin") == payload
 
-    @BOTH_PROTOCOLS
-    def test_hdfs_failover_identical(self, faults, protocol, monkeypatch):
-        monkeypatch.setenv("REPRO_WIRE_PROTOCOL", str(protocol))
+    @CODECS
+    def test_hdfs_failover_identical(self, faults, wire):
         backends = [
             DataNode(i, host=f"node-{i}", rack=f"rack-{i % 3}") for i in range(4)
         ]
         stubs = [
-            loopback_datanode_stub(d, faults=faults, retry=RetryPolicy.no_retry())
+            loopback_stub(
+                RemoteDataNode,
+                DATANODE_SERVICE,
+                d,
+                peer=d.host,
+                faults=faults,
+                wire=wire,
+                retry=RetryPolicy.no_retry(),
+            )
             for d in backends
         ]
         fs = HDFS(datanodes=stubs, default_block_size=BLOCK, default_replication=2)
@@ -414,13 +445,19 @@ class TestDifferentialByteIdentity:
         faults.kill(victim.host)
         assert fs.read_file("/wire.bin") == payload
 
-    @BOTH_PROTOCOLS
-    def test_wire_faults_identical(self, faults, protocol, monkeypatch):
+    @CODECS
+    def test_wire_faults_identical(self, faults, wire):
         # Dropped messages burn the transport retry, not the data: the
-        # payload survives lossy delivery identically on both protocols.
-        monkeypatch.setenv("REPRO_WIRE_PROTOCOL", str(protocol))
+        # payload survives lossy delivery byte-identically.
         backend = DataProvider(0, host="node-0")
-        stub = loopback_provider_stub(backend, faults=faults)
+        stub = loopback_stub(
+            RemoteDataProvider,
+            PROVIDER_SERVICE,
+            backend,
+            peer=backend.host,
+            faults=faults,
+            wire=wire,
+        )
         from repro.core.pages import PageKey
 
         payload = bytes(range(256)) * (2 * KB)
@@ -429,12 +466,19 @@ class TestDifferentialByteIdentity:
         faults.drop(src="node-0", dst="client", count=1)
         assert stub.get_page(PageKey(1, 1, 0)) == payload
 
-    @BOTH_PROTOCOLS
-    def test_metadata_dht_matches_in_process(self, faults, protocol, monkeypatch):
-        monkeypatch.setenv("REPRO_WIRE_PROTOCOL", str(protocol))
+    @CODECS
+    def test_metadata_dht_matches_in_process(self, faults, wire):
         backends = [MetadataProvider(i) for i in range(3)]
         stubs = [
-            loopback_metadata_stub(p, faults=faults, retry=RetryPolicy.no_retry())
+            loopback_stub(
+                RemoteMetadataProvider,
+                METADATA_SERVICE,
+                p,
+                peer=f"metadata-{p.provider_id}",
+                faults=faults,
+                wire=wire,
+                retry=RetryPolicy.no_retry(),
+            )
             for p in backends
         ]
         local_backends = [MetadataProvider(i) for i in range(3)]
@@ -448,12 +492,12 @@ class TestDifferentialByteIdentity:
 
 
 class TestTcpDifferential:
-    @pytest.mark.parametrize("server_protocol", [PROTOCOL_V1, PROTOCOL_V2])
-    def test_hdfs_over_tcp_identical_on_both_server_protocols(
-        self, server_protocol
-    ):
+    @pytest.mark.parametrize(
+        "compress_threshold", [None, 64], ids=["raw", "zlib"]
+    )
+    def test_hdfs_over_tcp_identical(self, compress_threshold):
         config = ClusterConfig(
-            wire_protocol=server_protocol, metadata_batching=False
+            metadata_batching=False, compress_threshold=compress_threshold
         )
         backends = [DataNode(i, host=f"node-{i}", rack="r0") for i in range(3)]
         servers = [
@@ -464,8 +508,7 @@ class TestTcpDifferential:
         try:
             for server in servers:
                 host, port = server.start()
-                # The client always prefers v2; negotiation settles it.
-                stubs.append(connect_datanode(host, port))
+                stubs.append(connect_datanode(host, port, config=config))
             fs = HDFS(
                 datanodes=stubs, default_block_size=BLOCK, default_replication=2
             )
@@ -485,9 +528,7 @@ class TestTcpDifferential:
         server = NodeServer(provider, host="127.0.0.1", port=0)
         host, port = server.start()
         try:
-            stub = connect_provider(
-                host, port, config=ClusterConfig(wire_protocol=PROTOCOL_V2)
-            )
+            stub = connect_provider(host, port)
             payload = bytes(range(256)) * (4 * KB)  # 1 MiB page
             stub.put_page(PageKey(9, 1, 0), payload)
             assert stub.get_page(PageKey(9, 1, 0)) == payload
@@ -497,9 +538,7 @@ class TestTcpDifferential:
             server.stop()
 
     def test_metadata_stub_with_batching_over_tcp(self):
-        # Pin v2 explicitly so the test holds even when the suite runs
-        # under REPRO_WIRE_PROTOCOL=1.
-        config = ClusterConfig(wire_protocol=PROTOCOL_V2)
+        config = ClusterConfig()
         backend = MetadataProvider(2)
         server = NodeServer(backend, host="127.0.0.1", port=0, config=config)
         host, port = server.start()
