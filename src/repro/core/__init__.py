@@ -46,7 +46,7 @@ from .provider_manager import (
     RandomStrategy,
     make_strategy,
 )
-from .replication import ReplicationManager, ScrubReport, read_page, write_replicas
+from .replication import ReplicationManager, ScrubReport, read_page, read_pages, write_pages
 from .transfer import ChunkBuffer, InflightBudget, TransferEngine, pipelined
 from .version_manager import BlobInfo, VersionInfo, VersionManager, WriteTicket
 
@@ -96,7 +96,8 @@ __all__ = [
     "ReplicationManager",
     "ScrubReport",
     "read_page",
-    "write_replicas",
+    "read_pages",
+    "write_pages",
     "PageStore",
     "MemoryStore",
     "LogStructuredStore",

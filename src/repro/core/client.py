@@ -53,7 +53,7 @@ from .pages import PageDescriptor, PageKey, page_range_for_bytes
 from .persistence import LogStructuredStore, MemoryStore
 from .provider import DataProvider
 from .provider_manager import ProviderManager
-from .replication import ReplicationManager, read_page, write_replicas
+from .replication import ReplicationManager, read_page, read_pages, write_pages
 from .transfer import InflightBudget, TransferEngine, pipelined
 from .version_manager import BlobInfo, VersionManager, WriteTicket
 
@@ -171,8 +171,8 @@ class BlobSeer:
         """Derive one deterministic RNG for a whole client operation.
 
         The shared seed stream is locked exactly once per operation; the
-        returned generator is then threaded through every ``read_page``
-        call of the operation instead of re-entering the lock per page.
+        returned generator is then threaded through every page read of
+        the operation instead of re-entering the lock per page.
         """
         with self._rng_lock:
             return random.Random(self._rng.random())
@@ -241,13 +241,11 @@ class BlobSeer:
                 keys.add(descriptor.key)
         self.version_manager.delete_blob(blob_id)
         self.metadata_manager.forget_blob(blob_id)
-        for key in keys:
-            for provider in self.provider_manager.providers:
-                try:
-                    if provider.has_page(key):
-                        provider.remove_page(key)
-                except Exception:
-                    continue
+        for provider in self.provider_manager.providers if keys else ():
+            try:
+                provider.remove_pages(list(keys))
+            except Exception:
+                continue
 
     def close(self) -> None:
         """Stop the GC daemon and transfer engine, close provider stores."""
@@ -450,35 +448,11 @@ class BlobSeer:
             allocation = self.provider_manager.allocate(
                 len(page_range), info.replication, client_hint=client_hint
             )
-            data_view = memoryview(data)
-
-            def push_page(page_index: int, chunk: bytes) -> tuple[int, PageDescriptor]:
-                key = PageKey(
-                    blob_id=ticket.blob_id,
-                    version=ticket.version,
-                    index=page_index,
-                )
-                stored = write_replicas(
-                    self.provider_manager,
-                    key,
-                    chunk,
-                    allocation[page_index - first_page],
-                    engine=self.transfer,
-                )
-                return page_index, PageDescriptor(
-                    key=key, providers=stored, size=len(chunk)
-                )
-
-            def push_interior(page_index: int) -> tuple[int, PageDescriptor]:
-                page_start = page_index * page_size
-                page_end = min(page_start + page_size, ticket.new_size)
-                chunk = bytes(data_view[page_start - offset : page_end - offset])
-                return push_page(page_index, chunk)
-
-            interior = [p for p in page_range if p != first_page]
-            written = dict(self.transfer.map(push_interior, interior))
-            index, descriptor = push_page(first_page, merged_head)
-            written[index] = descriptor
+            pages = self._page_views(
+                ticket, data, [p for p in page_range if p != first_page], page_size
+            )
+            pages[first_page] = merged_head
+            written = self._push_pages(ticket, pages, allocation, first_page)
 
         new_carry: tuple[int, bytes] | None = None
         if end % page_size != 0:
@@ -518,10 +492,10 @@ class BlobSeer:
     ) -> dict[int, PageDescriptor]:
         """Push the write's pages to providers; returns index -> descriptor.
 
-        Interior pages — and the replicas of each page — are fanned out in
-        parallel through the deployment's transfer engine, so one large
-        write stripes across the provider pool concurrently instead of
-        trickling one page (and one replica) at a time.
+        Interior pages go out first, as one bulk call per provider running
+        concurrently on the deployment's transfer engine, so one large
+        write stripes across the provider pool; boundary pages follow the
+        same way once the base version they merge with is published.
         """
         offset = ticket.offset
         end = offset + len(data)
@@ -539,34 +513,14 @@ class BlobSeer:
         if tail_unaligned and (last_page - 1) not in boundary_indices:
             boundary_indices.append(last_page - 1)
 
-        data_view = memoryview(data)
-
-        def push_page(page_index: int, chunk: bytes) -> tuple[int, PageDescriptor]:
-            key = PageKey(
-                blob_id=ticket.blob_id, version=ticket.version, index=page_index
-            )
-            stored = write_replicas(
-                self.provider_manager,
-                key,
-                chunk,
-                allocation[page_index - first_page],
-                engine=self.transfer,
-            )
-            return page_index, PageDescriptor(
-                key=key, providers=stored, size=len(chunk)
-            )
-
-        def push_interior(page_index: int) -> tuple[int, PageDescriptor]:
-            page_start = page_index * page_size
-            page_end = min(page_start + page_size, ticket.new_size)
-            chunk = bytes(data_view[page_start - offset : page_end - offset])
-            return push_page(page_index, chunk)
-
         # Interior (fully covered) pages can be transferred immediately,
-        # concurrently with other writers — and with each other.
+        # concurrently with other writers.
         interior = [p for p in page_range if p not in boundary_indices]
-        written: dict[int, PageDescriptor] = dict(
-            self.transfer.map(push_interior, interior)
+        written = self._push_pages(
+            ticket,
+            self._page_views(ticket, data, interior, page_size),
+            allocation,
+            first_page,
         )
 
         if boundary_indices:
@@ -576,8 +530,8 @@ class BlobSeer:
                 ticket.blob_id, ticket.base_version
             )
             rng = self._op_rng()
-            for page_index in boundary_indices:
-                chunk = self._merge_boundary_page(
+            boundary = {
+                page_index: self._merge_boundary_page(
                     ticket,
                     data,
                     page_index,
@@ -586,9 +540,46 @@ class BlobSeer:
                     base_info.size,
                     rng=rng,
                 )
-                index, descriptor = push_page(page_index, chunk)
-                written[index] = descriptor
+                for page_index in boundary_indices
+            }
+            written.update(
+                self._push_pages(ticket, boundary, allocation, first_page)
+            )
         return written
+
+    @staticmethod
+    def _page_views(
+        ticket: WriteTicket, data: bytes, indices: list[int], page_size: int
+    ) -> dict[int, memoryview]:
+        """Copy-free views of the fully covered pages ``indices`` of a write."""
+        view, start = memoryview(data), ticket.offset
+        pages = {}
+        for index in indices:
+            end = min((index + 1) * page_size, ticket.new_size)
+            pages[index] = view[index * page_size - start : end - start]
+        return pages
+
+    def _push_pages(
+        self,
+        ticket: WriteTicket,
+        pages: dict[int, bytes | memoryview],
+        allocation: Sequence[Sequence[int]],
+        first_page: int,
+    ) -> dict[int, PageDescriptor]:
+        """Store ``{page index: bytes}`` with one bulk call per provider."""
+        keys = {index: PageKey(ticket.blob_id, ticket.version, index) for index in pages}
+        stored = write_pages(
+            self.provider_manager,
+            [
+                (keys[index], page, allocation[index - first_page])
+                for index, page in pages.items()
+            ],
+            engine=self.transfer,
+        )
+        return {
+            index: PageDescriptor(key=keys[index], providers=ids, size=len(pages[index]))
+            for index, ids in zip(pages, stored)
+        }
 
     def _wait_for_base(self, ticket: WriteTicket) -> None:
         if ticket.base_version > 0:
@@ -690,28 +681,26 @@ class BlobSeer:
         descriptors = self.metadata_manager.lookup(
             info.root, page_range.first, page_range.last
         )
-        buffer = bytearray((len(page_range)) * page_size)
-        rng = self._op_rng()
-
-        def fetch(page_index: int) -> None:
-            descriptor = descriptors.get(page_index)
-            if descriptor is None:
-                return  # hole: keep zero bytes
-            data = read_page(
-                self.provider_manager,
-                descriptor,
-                policy=self.config.read_replica_policy,
-                rng=rng,
-            )
-            start = (page_index - page_range.first) * page_size
-            buffer[start : start + len(data)] = data
-
-        # Pages of one read are fetched concurrently: each worker fills a
-        # disjoint slice of the shared buffer, so no further coordination
-        # is needed beyond the engine's bounded pool.
-        self.transfer.map(fetch, page_range)
-        skip = offset - page_range.first * page_size
-        return bytes(buffer[skip : skip + size])
+        found = read_pages(
+            self.provider_manager,
+            descriptors.values(),
+            policy=self.config.read_replica_policy,
+            rng=self._op_rng(),
+            engine=self.transfer,
+        )
+        pages = dict(zip(descriptors, found))
+        # One copy: every page adds a view of the bytes the range covers
+        # (zeros for holes and short pages) to a single join.
+        end = offset + size
+        parts: list[bytes | memoryview] = []
+        for page_index in page_range:
+            page_start = page_index * page_size
+            lo, hi = max(offset - page_start, 0), min(end - page_start, page_size)
+            data = pages.get(page_index, b"")
+            parts.append(memoryview(data)[lo:hi])
+            if len(data) < hi:
+                parts.append(bytes(hi - max(lo, len(data))))
+        return b"".join(parts)
 
     def read_all(self, blob_id: int, *, version: int | None = None) -> bytes:
         """Read the entire content of a published version."""

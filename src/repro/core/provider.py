@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
+from .dht import MISSING
 from .errors import ProviderUnavailableError
 from .pages import PageKey
 from .persistence import MemoryStore, PageStore
@@ -96,28 +97,55 @@ class DataProvider:
     # -- page operations ----------------------------------------------------------
     def put_page(self, key: PageKey, data: bytes) -> None:
         """Store one page replica."""
+        self.put_pages([(key, data)])
+
+    def put_pages(self, items: Sequence[tuple[PageKey, bytes]]) -> None:
+        """Store every ``(key, data)`` page replica under one lock hold.
+
+        Page bytes are materialised before the lock is taken, so a caller
+        handing in ``memoryview`` slices never makes other callers wait on
+        the copy.
+        """
+        items = [(key.to_bytes(), bytes(data)) for key, data in items]
         with self._lock:
             self._check_available()
-            raw = key.to_bytes()
-            existed = self._store.contains(raw)
-            if existed:
-                old = self._store.get(raw)
-                self._bytes_stored -= len(old)
-            self._store.put(raw, data)
-            if not existed:
-                self._pages_stored += 1
-            self._bytes_stored += len(data)
-            self._pages_written += 1
-            self._bytes_written += len(data)
+            for raw, data in items:
+                if self._store.contains(raw):
+                    self._bytes_stored -= len(self._store.get(raw))
+                else:
+                    self._pages_stored += 1
+                self._store.put(raw, data)
+                self._bytes_stored += len(data)
+                self._pages_written += 1
+                self._bytes_written += len(data)
 
     def get_page(self, key: PageKey) -> bytes:
         """Fetch one page replica; raises :class:`KeyError` when absent."""
+        data = self.get_pages([key])[0]
+        if data is MISSING:
+            raise KeyError(key)
+        return data
+
+    def get_pages(self, keys: Sequence[PageKey]) -> list[bytes]:
+        """Page replicas of ``keys``, in order, under one lock hold.
+
+        An absent key yields :data:`~repro.core.dht.MISSING` in its slot,
+        so one bulk read can be partly served by another replica.
+        """
+        raws = [key.to_bytes() for key in keys]
+        pages: list = []
         with self._lock:
             self._check_available()
-            data = self._store.get(key.to_bytes())
-            self._pages_read += 1
-            self._bytes_read += len(data)
-            return data
+            for raw in raws:
+                try:
+                    data = self._store.get(raw)
+                except KeyError:
+                    pages.append(MISSING)
+                    continue
+                self._pages_read += 1
+                self._bytes_read += len(data)
+                pages.append(data)
+        return pages
 
     def has_page(self, key: PageKey) -> bool:
         """Return whether this provider holds a replica of ``key``."""
@@ -127,14 +155,33 @@ class DataProvider:
             return self._store.contains(key.to_bytes())
 
     def remove_page(self, key: PageKey) -> None:
-        """Drop a page replica (used by garbage collection and tests)."""
+        """Drop one page replica; raises :class:`KeyError` when absent."""
+        if not self.remove_pages([key])[0]:
+            raise KeyError(key)
+
+    def remove_pages(self, keys: Sequence[PageKey]) -> list[int]:
+        """Drop the replicas of ``keys`` under one lock hold.
+
+        Returns the bytes freed per key, in order: 0 for a key this
+        provider does not hold (garbage collection and blob deletion
+        sweep every provider without probing first; stored pages are
+        never empty).
+        """
+        raws = [key.to_bytes() for key in keys]
+        freed: list[int] = []
         with self._lock:
             self._check_available()
-            raw = key.to_bytes()
-            data = self._store.get(raw)
-            self._store.delete(raw)
-            self._pages_stored -= 1
-            self._bytes_stored -= len(data)
+            for raw in raws:
+                try:
+                    size = len(self._store.get(raw))
+                except KeyError:
+                    freed.append(0)
+                    continue
+                self._store.delete(raw)
+                self._pages_stored -= 1
+                self._bytes_stored -= size
+                freed.append(size)
+        return freed
 
     def page_keys(self) -> list[PageKey]:
         """Return the keys of every page currently stored (unordered)."""

@@ -3,12 +3,11 @@
 BlobSeer tolerates data-provider failures through page-level replication.
 This module concentrates the replica-handling logic used by the client:
 
-* :func:`write_replicas` — push one page to each provider of its replica
-  set, tolerating individual provider failures as long as at least one
-  replica lands.
-* :func:`read_page` — fetch a page from one of its replicas, choosing the
-  replica according to the configured policy and failing over to the next
-  one on provider failure.
+* :func:`write_pages` — push pages to their replica sets with one bulk
+  call per provider, as long as every page lands at least once.
+* :func:`read_pages` (and its one-page form :func:`read_page`) — fetch
+  pages with one bulk call per provider, failing each key a provider
+  could not serve over to its next replica in policy order.
 * :class:`ReplicationManager` — scrubbing (detecting under-replicated
   pages) and healing (copying surviving replicas onto additional providers)
   so that a blob can be brought back to its target replication level after
@@ -19,82 +18,185 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
+from .dht import MISSING
 from .errors import PageNotFoundError, ProviderUnavailableError
 from .pages import PageDescriptor, PageKey
 from .provider_manager import ProviderManager
 from .transfer import TransferEngine
 
 __all__ = [
-    "write_replicas",
+    "BULK_CALL_BYTES",
+    "write_pages",
+    "read_pages",
     "read_page",
     "ScrubReport",
     "ReplicationManager",
 ]
 
 
-def write_replicas(
+#: Most page bytes one bulk provider call carries.  A provider's share of
+#: a transfer is split into calls of at most this size, so even a 64 MiB
+#: block placed on one provider stays far inside a frame's size and
+#: segment-count limits.
+BULK_CALL_BYTES = 8 * 1024 * 1024
+
+
+def _call_providers(
+    groups: dict[int, list[int]],
+    sizes: Sequence[int],
+    fn: Callable[[tuple[int, list[int]]], Any],
+    engine: TransferEngine | None,
+) -> list[tuple[tuple[int, list[int]], Any]]:
+    """Run ``fn`` on every ``(provider_id, indices)`` call; returns ``(call, result)``.
+
+    Each provider's group of item indices is cut into calls carrying at
+    most :data:`BULK_CALL_BYTES`; the calls run concurrently on ``engine``.
+    """
+    calls: list[tuple[int, list[int]]] = []
+    for provider_id, indices in groups.items():
+        batch: list[int] = []
+        nbytes = 0
+        for index in indices:
+            if batch and nbytes + sizes[index] > BULK_CALL_BYTES:
+                calls.append((provider_id, batch))
+                batch, nbytes = [], 0
+            batch.append(index)
+            nbytes += sizes[index]
+        calls.append((provider_id, batch))
+    if engine is not None and len(calls) > 1:
+        return list(zip(calls, engine.map(fn, calls)))
+    return [(call, fn(call)) for call in calls]
+
+
+def write_pages(
     provider_manager: ProviderManager,
-    key: PageKey,
-    data: bytes,
-    provider_ids: Sequence[int],
+    items: Sequence[tuple[PageKey, bytes, Sequence[int]]],
     *,
     engine: TransferEngine | None = None,
-) -> tuple[int, ...]:
-    """Write ``data`` under ``key`` on every provider in ``provider_ids``.
+) -> list[tuple[int, ...]]:
+    """Store each ``(key, data, provider_ids)`` page on every listed provider.
 
-    With an ``engine``, the replicas of one page are pushed to their
-    providers *concurrently* (the striped transfer the paper's throughput
-    figures rely on) instead of one after the other; without one, the
-    sequential order is preserved.  Returns the ids of the providers that
-    actually stored a replica, in ``provider_ids`` order.  At least one
-    replica must succeed, otherwise the page would be lost and a
-    :class:`~repro.core.errors.ProviderUnavailableError` is raised.
+    Pages are grouped by provider and pushed with one ``put_pages`` call
+    per provider (per :data:`BULK_CALL_BYTES`), the calls running
+    concurrently on ``engine``.  Returns, per item, the ids of the
+    providers that stored a replica, in ``provider_ids`` order.  Every
+    page needs at least one stored replica, otherwise it would be lost
+    and a :class:`~repro.core.errors.ProviderUnavailableError` is raised.
     """
+    groups: dict[int, list[int]] = {}
+    for index, (_key, _data, provider_ids) in enumerate(items):
+        for provider_id in provider_ids:
+            groups.setdefault(provider_id, []).append(index)
 
-    def put_one(provider_id: int) -> tuple[int, Exception | None]:
+    def put(call: tuple[int, list[int]]) -> ProviderUnavailableError | None:
+        provider_id, indices = call
         provider = provider_manager.get(provider_id)
         try:
-            provider.put_page(key, data)
+            provider.put_pages([items[i][:2] for i in indices])
         except ProviderUnavailableError as exc:
-            return provider_id, exc
-        return provider_id, None
+            return exc
+        return None
 
-    if engine is not None and len(provider_ids) > 1:
-        outcomes = engine.map(put_one, provider_ids)
-    else:
-        outcomes = [put_one(provider_id) for provider_id in provider_ids]
-    stored = tuple(pid for pid, error in outcomes if error is None)
-    if not stored:
-        errors = [error for _pid, error in outcomes if error is not None]
-        raise errors[-1] if errors else ProviderUnavailableError(provider_ids)
+    sizes = [len(data) for _key, data, _ids in items]
+    failed: set[tuple[int, int]] = set()
+    error: ProviderUnavailableError | None = None
+    for (provider_id, indices), outcome in _call_providers(groups, sizes, put, engine):
+        if outcome is not None:
+            error = outcome
+            failed.update((index, provider_id) for index in indices)
+    stored = [
+        tuple(pid for pid in provider_ids if (index, pid) not in failed)
+        for index, (_key, _data, provider_ids) in enumerate(items)
+    ]
+    if not all(stored):
+        raise error or ProviderUnavailableError("a page has no replica target")
     return stored
 
 
 def _order_replicas(
     provider_manager: ProviderManager,
-    descriptor: PageDescriptor,
+    descriptors: Sequence[PageDescriptor],
     policy: str,
-    rng: random.Random,
-) -> list[int]:
-    """Return the descriptor's providers ordered by the replica-selection policy."""
-    providers = list(descriptor.providers)
-    if policy == "first" or len(providers) == 1:
-        return providers
+    rng: random.Random | None,
+) -> list[Sequence[int]]:
+    """Each descriptor's providers in replica-selection policy order.
+
+    ``least_loaded`` ranks every provider involved once for the whole
+    call (over the wire each ``stats()`` probe is a round trip).
+    """
+    orders: list[Sequence[int]] = [d.providers for d in descriptors]
+    if policy == "first" or max(map(len, orders)) == 1:
+        return orders
     if policy == "random":
-        rng.shuffle(providers)
-        return providers
+        rng = rng or random.Random(descriptors[0].key.index)
+        orders = [list(order) for order in orders]
+        for order in orders:
+            rng.shuffle(order)
+        return orders
     if policy == "least_loaded":
-        def load(provider_id: int) -> tuple[int, int]:
+        loads: dict[int, tuple[int, int]] = {}
+        for provider_id in {pid for order in orders for pid in order}:
             try:
                 stats = provider_manager.get(provider_id).stats()
+                loads[provider_id] = (stats.pages_read, stats.bytes_read)
             except Exception:  # unregistered provider: try it last
-                return (1 << 62, 1 << 62)
-            return (stats.pages_read, stats.bytes_read)
-
-        return sorted(providers, key=load)
+                loads[provider_id] = (1 << 62, 1 << 62)
+        return [sorted(order, key=loads.__getitem__) for order in orders]
     raise ValueError(f"unknown read replica policy {policy!r}")
+
+
+def read_pages(
+    provider_manager: ProviderManager,
+    descriptors: Iterable[PageDescriptor],
+    *,
+    policy: str = "least_loaded",
+    rng: random.Random | None = None,
+    engine: TransferEngine | None = None,
+) -> list[bytes]:
+    """Fetch the pages of ``descriptors``, in order, with one call per provider and attempt.
+
+    Keys are grouped by their first replica in policy order and the
+    per-provider ``get_pages`` calls run concurrently on ``engine``.  Only
+    the keys that failed move on, to their next replica: a provider that
+    raises fails over all the keys of its call, a :data:`MISSING` slot
+    just that key.  Raises :class:`~repro.core.errors.PageNotFoundError`
+    for a key no replica served.
+    """
+    descriptors = list(descriptors)
+    if not descriptors:
+        return []
+    orders = _order_replicas(provider_manager, descriptors, policy, rng)
+    keys = [d.key for d in descriptors]
+    sizes = [d.size for d in descriptors]
+
+    def get(call: tuple[int, list[int]]) -> list:
+        provider_id, indices = call
+        try:
+            provider = provider_manager.get(provider_id)
+            return provider.get_pages([keys[i] for i in indices])
+        except Exception:
+            return [MISSING] * len(indices)
+
+    pages: list = [MISSING] * len(descriptors)
+    pending = range(len(descriptors))
+    attempt = 0
+    while pending:
+        groups: dict[int, list[int]] = {}
+        for index in pending:
+            if attempt == len(orders[index]):
+                raise PageNotFoundError(keys[index])
+            groups.setdefault(orders[index][attempt], []).append(index)
+        pending = []
+        for (_pid, indices), found in _call_providers(groups, sizes, get, engine):
+            for index, data in zip(indices, found):
+                if data is MISSING:
+                    pending.append(index)
+                else:
+                    pages[index] = data
+        attempt += 1
+    return pages
 
 
 def read_page(
@@ -104,22 +206,8 @@ def read_page(
     policy: str = "least_loaded",
     rng: random.Random | None = None,
 ) -> bytes:
-    """Fetch the page described by ``descriptor`` from one of its replicas.
-
-    Replicas are tried in policy order; provider failures and missing
-    replicas trigger failover to the next replica.  If every replica is
-    unreachable a :class:`~repro.core.errors.PageNotFoundError` is raised.
-    """
-    rng = rng or random.Random(descriptor.key.index)
-    for provider_id in _order_replicas(provider_manager, descriptor, policy, rng):
-        try:
-            provider = provider_manager.get(provider_id)
-            return provider.get_page(descriptor.key)
-        except (ProviderUnavailableError, KeyError):
-            continue
-        except Exception:
-            continue
-    raise PageNotFoundError(descriptor.key)
+    """Fetch one page from one of its replicas; see :func:`read_pages`."""
+    return read_pages(provider_manager, [descriptor], policy=policy, rng=rng)[0]
 
 
 @dataclass(frozen=True, slots=True)

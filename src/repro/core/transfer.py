@@ -12,9 +12,9 @@ concurrency:
   participation*: :meth:`TransferEngine.map` drains its work queue on the
   calling thread too, so the engine can be used re-entrantly (a page task
   fanning out replica writes, a map task reading its split) without ever
-  deadlocking on pool capacity.  Only *leaf* transfer work (one page, one
-  replica, one block chunk) is ever submitted, so pool threads never wait
-  on each other.
+  deadlocking on pool capacity.  Only *leaf* transfer work (one bulk
+  provider call, one block chunk) is ever submitted, so pool threads
+  never wait on each other.
 * :class:`InflightBudget` — a pluggable byte budget bounding the data in
   flight (read-ahead pages, prefetched segments); an oversized single
   transfer is admitted when nothing else is in flight so progress is

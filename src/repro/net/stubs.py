@@ -133,11 +133,22 @@ class RemoteDataProvider(_Stub):
     def get_page(self, key: PageKey) -> bytes:
         return self._call("get_page", key)
 
+    # One plain RPC per bulk call: the pages travel as out-of-band frame
+    # segments in both directions, never through the pickle stream.
+    def put_pages(self, items: Sequence[tuple[PageKey, bytes]]) -> None:
+        self._call("put_pages", list(items))
+
+    def get_pages(self, keys: Sequence[PageKey]) -> list[bytes]:
+        return self._call("get_pages", list(keys))
+
     def has_page(self, key: PageKey) -> bool:
         return bool(self._probe("has_page", key))
 
     def remove_page(self, key: PageKey) -> None:
         self._call("remove_page", key)
+
+    def remove_pages(self, keys: Sequence[PageKey]) -> list[int]:
+        return self._call("remove_pages", list(keys))
 
     def page_keys(self) -> list[PageKey]:
         return self._call("page_keys")

@@ -277,17 +277,19 @@ class VersionGC:
                 report.nodes_reclaimed += 1
             except Exception:
                 report.errors += 1
-        for key in plan.dead_pages:
-            for provider in self._client.provider_manager.providers:
-                try:
-                    if not provider.has_page(key):
-                        continue
-                    size = len(provider.get_page(key))
-                    provider.remove_page(key)
-                    report.pages_reclaimed += 1
-                    report.bytes_reclaimed += size
-                except Exception:
-                    report.errors += 1
+        from ..core.errors import ProviderUnavailableError
+
+        dead_pages = list(plan.dead_pages)
+        for provider in self._client.provider_manager.providers if dead_pages else ():
+            try:
+                freed = provider.remove_pages(dead_pages)
+            except ProviderUnavailableError:
+                continue  # unreachable provider: skipped, as a probe would
+            except Exception:
+                report.errors += 1
+                continue
+            report.pages_reclaimed += sum(1 for size in freed if size)
+            report.bytes_reclaimed += sum(freed)
         with self._totals.lock:
             self._totals.versions_retired += report.versions_retired
             self._totals.pages_reclaimed += report.pages_reclaimed

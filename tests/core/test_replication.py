@@ -8,7 +8,7 @@ from repro.core.errors import PageNotFoundError, ProviderUnavailableError
 from repro.core.pages import PageDescriptor, PageKey
 from repro.core.provider import DataProvider
 from repro.core.provider_manager import ProviderManager
-from repro.core.replication import ReplicationManager, read_page, write_replicas
+from repro.core.replication import ReplicationManager, read_page, write_pages
 
 
 @pytest.fixture
@@ -21,7 +21,7 @@ KEY = PageKey(1, 1, 0)
 
 class TestWriteReplicas:
     def test_writes_to_all_targets(self, manager):
-        stored = write_replicas(manager, KEY, b"data", (0, 2))
+        stored = write_pages(manager, [(KEY, b"data", (0, 2))])[0]
         assert stored == (0, 2)
         assert manager.get(0).has_page(KEY)
         assert manager.get(2).has_page(KEY)
@@ -29,24 +29,24 @@ class TestWriteReplicas:
 
     def test_partial_failure_tolerated(self, manager):
         manager.get(0).fail()
-        stored = write_replicas(manager, KEY, b"data", (0, 1))
+        stored = write_pages(manager, [(KEY, b"data", (0, 1))])[0]
         assert stored == (1,)
 
     def test_total_failure_raises(self, manager):
         manager.get(0).fail()
         manager.get(1).fail()
         with pytest.raises(ProviderUnavailableError):
-            write_replicas(manager, KEY, b"data", (0, 1))
+            write_pages(manager, [(KEY, b"data", (0, 1))])
 
 
 class TestReadPage:
     def test_reads_from_replica(self, manager):
-        write_replicas(manager, KEY, b"payload", (1, 3))
+        write_pages(manager, [(KEY, b"payload", (1, 3))])
         descriptor = PageDescriptor(KEY, (1, 3), size=7)
         assert read_page(manager, descriptor) == b"payload"
 
     def test_failover_to_second_replica(self, manager):
-        write_replicas(manager, KEY, b"payload", (1, 3))
+        write_pages(manager, [(KEY, b"payload", (1, 3))])
         manager.get(1).fail()
         descriptor = PageDescriptor(KEY, (1, 3), size=7)
         assert read_page(manager, descriptor, policy="first") == b"payload"
@@ -58,12 +58,12 @@ class TestReadPage:
 
     @pytest.mark.parametrize("policy", ["least_loaded", "random", "first"])
     def test_policies_return_correct_data(self, manager, policy):
-        write_replicas(manager, KEY, b"abc", (0, 1, 2))
+        write_pages(manager, [(KEY, b"abc", (0, 1, 2))])
         descriptor = PageDescriptor(KEY, (0, 1, 2), size=3)
         assert read_page(manager, descriptor, policy=policy) == b"abc"
 
     def test_least_loaded_spreads_reads(self, manager):
-        write_replicas(manager, KEY, b"abc", (0, 1))
+        write_pages(manager, [(KEY, b"abc", (0, 1))])
         descriptor = PageDescriptor(KEY, (0, 1), size=3)
         for _ in range(10):
             read_page(manager, descriptor, policy="least_loaded")
@@ -74,7 +74,7 @@ class TestReadPage:
 
 class TestReplicationManager:
     def test_scrub_healthy(self, manager):
-        write_replicas(manager, KEY, b"x", (0, 1))
+        write_pages(manager, [(KEY, b"x", (0, 1))])
         replication = ReplicationManager(manager)
         report = replication.scrub(
             [PageDescriptor(KEY, (0, 1), size=1)], target_replication=2
@@ -84,8 +84,8 @@ class TestReplicationManager:
 
     def test_scrub_detects_under_replication_and_loss(self, manager):
         key2 = PageKey(1, 1, 1)
-        write_replicas(manager, KEY, b"x", (0, 1))
-        write_replicas(manager, key2, b"y", (2,))
+        write_pages(manager, [(KEY, b"x", (0, 1))])
+        write_pages(manager, [(key2, b"y", (2,))])
         manager.get(1).fail()
         manager.get(2).fail()
         replication = ReplicationManager(manager)
@@ -101,7 +101,7 @@ class TestReplicationManager:
         assert not report.is_healthy
 
     def test_heal_restores_target_replication(self, manager):
-        write_replicas(manager, KEY, b"heal-me", (0, 1))
+        write_pages(manager, [(KEY, b"heal-me", (0, 1))])
         manager.get(1).fail()
         replication = ReplicationManager(manager)
         healed = replication.heal(
@@ -120,7 +120,7 @@ class TestReplicationManager:
 
     def test_heal_all_skips_lost_pages(self, manager):
         key2 = PageKey(1, 1, 1)
-        write_replicas(manager, KEY, b"x", (0, 1))
+        write_pages(manager, [(KEY, b"x", (0, 1))])
         manager.get(1).fail()
         replication = ReplicationManager(manager)
         healed = replication.heal_all(

@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import KB, BlobSeer, BlobSeerConfig
+from repro.core.errors import ProviderUnavailableError
 from repro.bsfs import BSFS
 from repro.net import (
     CONTROL_SERVICE,
@@ -136,6 +137,58 @@ class TestMultiProcessCluster:
                 for stub in stubs:
                     stub.close()
                 reap(processes)
+
+    def test_reads_fail_over_per_key_before_the_death_is_declared(self):
+        # No control plane: nothing declares the killed node dead, so the
+        # read itself must route around it.  Its bulk call fails as a
+        # whole and every key of that call comes from its second replica.
+        processes, stubs = [], []
+        try:
+            for node_id in range(3):
+                process, host, port = spawn_node("provider", node_id)
+                processes.append(process)
+                stubs.append(connect_provider(host, port, config=FAST))
+            config = BlobSeerConfig(
+                page_size=4 * KB,
+                num_providers=3,
+                num_metadata_providers=1,
+                replication=2,
+                read_replica_policy="first",
+                rng_seed=11,
+            )
+            bs = BlobSeer(config, providers=stubs)
+            blob = bs.create_blob()
+            payload = bytes(range(251)) * 256  # ~63 KiB: 16 pages
+            bs.append(blob, payload)
+            descriptors = bs.metadata_manager.lookup(
+                bs.version_manager.version_info(blob).root, 0, 16
+            ).values()
+            failing_over = sum(d.providers[0] == 1 for d in descriptors)
+            assert failing_over > 0
+
+            failed_calls: list[int] = []
+            get_pages = stubs[1].get_pages
+
+            def watched(keys):
+                try:
+                    return get_pages(keys)
+                except ProviderUnavailableError:
+                    failed_calls.append(len(keys))
+                    raise
+
+            stubs[1].get_pages = watched
+            served_before = sum(stubs[i].stats().pages_read for i in (0, 2))
+            os.kill(processes[1].pid, signal.SIGKILL)
+            processes[1].wait(timeout=10)
+
+            assert bs.read(blob, 0, len(payload)) == payload
+            assert failed_calls == [failing_over]
+            served = sum(stubs[i].stats().pages_read for i in (0, 2)) - served_before
+            assert served == 16  # each page exactly once, by a live replica
+        finally:
+            for stub in stubs:
+                stub.close()
+            reap(processes)
 
     def test_block_reports_reach_the_control_plane(self):
         registry = FAST.make_registry()
