@@ -154,11 +154,6 @@ class DataProvider:
                 return False
             return self._store.contains(key.to_bytes())
 
-    def remove_page(self, key: PageKey) -> None:
-        """Drop one page replica; raises :class:`KeyError` when absent."""
-        if not self.remove_pages([key])[0]:
-            raise KeyError(key)
-
     def remove_pages(self, keys: Sequence[PageKey]) -> list[int]:
         """Drop the replicas of ``keys`` under one lock hold.
 

@@ -123,8 +123,10 @@ def _order_replicas(
 ) -> list[Sequence[int]]:
     """Each descriptor's providers in replica-selection policy order.
 
-    ``least_loaded`` ranks every provider involved once for the whole
-    call (over the wire each ``stats()`` probe is a round trip).
+    ``least_loaded`` probes every provider involved once for the whole
+    call (over the wire each ``stats()`` probe is a round trip), then
+    charges each page to the provider it picks, so the next page's
+    ranking sees that load and one call's pages spread over the replicas.
     """
     orders: list[Sequence[int]] = [d.providers for d in descriptors]
     if policy == "first" or max(map(len, orders)) == 1:
@@ -143,7 +145,13 @@ def _order_replicas(
                 loads[provider_id] = (stats.pages_read, stats.bytes_read)
             except Exception:  # unregistered provider: try it last
                 loads[provider_id] = (1 << 62, 1 << 62)
-        return [sorted(order, key=loads.__getitem__) for order in orders]
+        ranked: list[Sequence[int]] = []
+        for descriptor, order in zip(descriptors, orders):
+            order = sorted(order, key=loads.__getitem__)
+            pages, nbytes = loads[order[0]]
+            loads[order[0]] = (pages + 1, nbytes + descriptor.size)
+            ranked.append(order)
+        return ranked
     raise ValueError(f"unknown read replica policy {policy!r}")
 
 

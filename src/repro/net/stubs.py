@@ -144,9 +144,6 @@ class RemoteDataProvider(_Stub):
     def has_page(self, key: PageKey) -> bool:
         return bool(self._probe("has_page", key))
 
-    def remove_page(self, key: PageKey) -> None:
-        self._call("remove_page", key)
-
     def remove_pages(self, keys: Sequence[PageKey]) -> list[int]:
         return self._call("remove_pages", list(keys))
 

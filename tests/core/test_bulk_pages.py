@@ -46,7 +46,6 @@ for _name in (
     "get_page",
     "put_page",
     "has_page",
-    "remove_page",
     "get_pages",
     "put_pages",
     "remove_pages",
@@ -163,6 +162,20 @@ class TestRoundTrips:
         assert bs.read(blob, 0, len(data)) == data
         assert all(provider.calls["stats"] <= 1 for provider in providers)
 
+    def test_least_loaded_spreads_one_read_over_the_replicas(self):
+        bs = make_blobseer(replication=2)
+        blob = bs.create_blob()
+        data = payload(16 * PAGE)
+        bs.append(blob, data)
+        providers = reset(bs)
+        assert bs.read(blob, 0, len(data)) == data
+        # Every provider holds replicas here; each serves a share of the
+        # read, none more than an even share rounded up.
+        served = [provider.stats().pages_read for provider in providers]
+        assert sum(served) == 16
+        assert min(served) > 0
+        assert max(served) <= -(-16 // len(providers))
+
 
 class TestFailover:
     def test_replicated_block_survives_a_failed_provider(self):
@@ -177,7 +190,7 @@ class TestFailover:
         manager = ProviderManager([CountingDataProvider(i) for i in range(3)])
         keys = [PageKey(1, 1, i) for i in range(4)]
         write_pages(manager, [(key, b"page-%d" % key.index, (0, 1)) for key in keys])
-        manager.get(0).remove_page(keys[2])
+        manager.get(0).remove_pages([keys[2]])
         descriptors = [PageDescriptor(key, (0, 1), size=6) for key in keys]
         found = read_pages(manager, descriptors, policy="first")
         assert found == [b"page-0", b"page-1", b"page-2", b"page-3"]
@@ -189,7 +202,7 @@ class TestFailover:
         key = PageKey(1, 1, 0)
         write_pages(manager, [(key, b"x", (0, 1))])
         manager.get(0).fail()
-        manager.get(1).remove_page(key)
+        manager.get(1).remove_pages([key])
         with pytest.raises(PageNotFoundError):
             read_pages(manager, [PageDescriptor(key, (0, 1), size=1)])
 
@@ -243,7 +256,7 @@ class TestBulkDelete:
         assert report.pages_reclaimed == 12
         assert report.bytes_reclaimed == 12 * PAGE
         assert [provider.calls["remove_pages"] for provider in providers] == [1, 1, 1]
-        for name in ("has_page", "get_page", "get_pages", "remove_page"):
+        for name in ("has_page", "get_page", "get_pages"):
             assert total(providers, name) == 0
 
     def test_gc_sweep_skips_an_unreachable_provider(self):

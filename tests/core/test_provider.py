@@ -33,7 +33,7 @@ class TestDataProviderBasics:
     def test_remove_page_updates_counters(self, provider):
         key = PageKey(1, 1, 0)
         provider.put_page(key, b"12345")
-        provider.remove_page(key)
+        assert provider.remove_pages([key]) == [5]
         stats = provider.stats()
         assert stats.pages_stored == 0
         assert stats.bytes_stored == 0
