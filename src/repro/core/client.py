@@ -48,7 +48,7 @@ from .errors import (
     InvalidRangeError,
     PageNotFoundError,
 )
-from .metadata import MetadataManager, NodeKey, next_power_of_two
+from .metadata import BlobLRU, MetadataManager, NodeKey, next_power_of_two
 from .pages import PageDescriptor, PageKey, page_range_for_bytes
 from .persistence import LogStructuredStore, MemoryStore
 from .provider import DataProvider
@@ -68,6 +68,11 @@ __all__ = ["PageLocation", "BlobWriteSink", "BlobSeer"]
 #: Pages whose descriptors :meth:`BlobSeer.open_read` looks up at a time,
 #: ahead of the page fetches.
 LOOKUP_WINDOW_PAGES = 32
+
+#: Bytes of partial pages — blob tails — one :class:`BlobSeer` keeps after
+#: pushing them, so the next append merges its boundary page without
+#: reading it back: 16 tails at the default 256 KiB page.
+TAIL_CACHE_BYTES = 4 * 1024 * 1024
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,6 +158,9 @@ class BlobSeer:
         )
         self._rng = random.Random(self.config.rng_seed)
         self._rng_lock = threading.Lock()
+        #: Partial pages this client pushed, by key; a key is written once,
+        #: so an entry never goes stale.
+        self._tail_pages = BlobLRU(TAIL_CACHE_BYTES, weight=len)
         #: Snapshot lifecycle: pins protect published versions from the
         #: collector (and the blob from deletion); the retention policy and
         #: collector turn `max_versions_kept` / `version_ttl_seconds` into
@@ -241,11 +249,15 @@ class BlobSeer:
                 keys.add(descriptor.key)
         self.version_manager.delete_blob(blob_id)
         self.metadata_manager.forget_blob(blob_id)
+        self._tail_pages.drop_blob(blob_id)
         for provider in self.provider_manager.providers if keys else ():
             try:
                 provider.remove_pages(list(keys))
             except Exception:
                 continue
+            finally:
+                # The freed space shows at the next allocation's probe.
+                self.provider_manager.forget(provider.provider_id)
 
     def close(self) -> None:
         """Stop the GC daemon and transfer engine, close provider stores."""
@@ -422,7 +434,7 @@ class BlobSeer:
         if not head_unaligned:
             # Aligned chunk: the generic path is all interior pages (an
             # append's tail never waits on anything).
-            written = self._transfer_pages(ticket, data, page_size, info, client_hint)
+            written = self._transfer_pages(ticket, data, page_size, info, client_hint)[0]
         else:
             if carry is not None and carry[0] == first_page:
                 prefix = carry[1]
@@ -452,7 +464,9 @@ class BlobSeer:
                 ticket, data, [p for p in page_range if p != first_page], page_size
             )
             pages[first_page] = merged_head
-            written = self._push_pages(ticket, pages, allocation, first_page)
+            written = self._push_pages(
+                ticket, pages, dict(zip(page_range, allocation)), page_size
+            )
 
         new_carry: tuple[int, bytes] | None = None
         if end % page_size != 0:
@@ -474,13 +488,50 @@ class BlobSeer:
         info = self.blob_info(blob_id)
         page_size = info.page_size
         try:
-            written = self._transfer_pages(ticket, data, page_size, info, client_hint)
-            root = self._build_metadata(ticket, written, page_size)
+            written, boundary, targets = self._transfer_pages(
+                ticket, data, page_size, info, client_hint
+            )
+            if boundary:
+                root = self._store_beside_push(ticket, written, boundary, targets, page_size)
+            else:
+                root = self._build_metadata(ticket, written, page_size)
         except Exception:
             self.version_manager.abort(ticket)
             raise
         self.version_manager.publish(ticket, root)
         return ticket.version
+
+    def _store_beside_push(
+        self,
+        ticket: WriteTicket,
+        written: dict[int, PageDescriptor],
+        boundary: dict[int, bytes],
+        targets: dict[int, tuple[int, ...]],
+        page_size: int,
+    ) -> NodeKey | None:
+        """Push the boundary pages while the new version's nodes are stored.
+
+        The store runs on the descriptors the allocation predicts.  If a
+        replica failed or a page was re-placed, the nodes are built and
+        stored again over the first ones before the caller publishes: the
+        version is unpublished, so nobody has read them.  The engine's
+        ``map`` returns, or raises, only once neither thunk is running, so
+        an aborting caller never races its own push.
+        """
+        predicted = dict(written)
+        for index, page in boundary.items():
+            key = PageKey(ticket.blob_id, ticket.version, index)
+            predicted[index] = PageDescriptor(key, targets[index], len(page))
+        root, pushed = self.transfer.map(
+            lambda thunk: thunk(),
+            [
+                lambda: self._build_metadata(ticket, predicted, page_size),
+                lambda: self._push_pages(ticket, boundary, targets, page_size),
+            ],
+        )
+        if any(predicted[index] != descriptor for index, descriptor in pushed.items()):
+            root = self._build_metadata(ticket, {**written, **pushed}, page_size)
+        return root
 
     def _transfer_pages(
         self,
@@ -489,13 +540,15 @@ class BlobSeer:
         page_size: int,
         info: BlobInfo,
         client_hint: int | None,
-    ) -> dict[int, PageDescriptor]:
-        """Push the write's pages to providers; returns index -> descriptor.
+    ) -> tuple[dict[int, PageDescriptor], dict[int, bytes], dict[int, tuple[int, ...]]]:
+        """Push the write's interior pages and merge its boundary pages.
 
         Interior pages go out first, as one bulk call per provider running
         concurrently on the deployment's transfer engine, so one large
-        write stripes across the provider pool; boundary pages follow the
-        same way once the base version they merge with is published.
+        write stripes across the provider pool.  Boundary pages are merged
+        once the base version is published and returned unpushed.  Returns
+        ``(written, boundary, targets)``: the interior descriptors, the
+        boundary pages by index, and every page's allocated providers.
         """
         offset = ticket.offset
         end = offset + len(data)
@@ -507,6 +560,7 @@ class BlobSeer:
         allocation = self.provider_manager.allocate(
             len(page_range), info.replication, client_hint=client_hint
         )
+        targets = dict(zip(page_range, allocation))
         boundary_indices: list[int] = []
         if head_unaligned:
             boundary_indices.append(first_page)
@@ -517,12 +571,10 @@ class BlobSeer:
         # concurrently with other writers.
         interior = [p for p in page_range if p not in boundary_indices]
         written = self._push_pages(
-            ticket,
-            self._page_views(ticket, data, interior, page_size),
-            allocation,
-            first_page,
+            ticket, self._page_views(ticket, data, interior, page_size), targets, page_size
         )
 
+        boundary: dict[int, bytes] = {}
         if boundary_indices:
             # Boundary pages need the base version's bytes: wait for it.
             self._wait_for_base(ticket)
@@ -542,10 +594,7 @@ class BlobSeer:
                 )
                 for page_index in boundary_indices
             }
-            written.update(
-                self._push_pages(ticket, boundary, allocation, first_page)
-            )
-        return written
+        return written, boundary, targets
 
     @staticmethod
     def _page_views(
@@ -563,18 +612,22 @@ class BlobSeer:
         self,
         ticket: WriteTicket,
         pages: dict[int, bytes | memoryview],
-        allocation: Sequence[Sequence[int]],
-        first_page: int,
+        targets: dict[int, tuple[int, ...]],
+        page_size: int,
     ) -> dict[int, PageDescriptor]:
-        """Store ``{page index: bytes}`` with one bulk call per provider."""
+        """Store ``{page index: bytes}`` with one bulk call per provider.
+
+        A stored partial page — the blob's tail — is kept in the tail
+        cache, for the next append's boundary merge.
+        """
         keys = {index: PageKey(ticket.blob_id, ticket.version, index) for index in pages}
         stored = write_pages(
             self.provider_manager,
-            [
-                (keys[index], page, allocation[index - first_page])
-                for index, page in pages.items()
-            ],
+            [(keys[index], page, targets[index]) for index, page in pages.items()],
             engine=self.transfer,
+        )
+        self._tail_pages.put_many(
+            (keys[index], bytes(page)) for index, page in pages.items() if len(page) < page_size
         )
         return {
             index: PageDescriptor(key=keys[index], providers=ids, size=len(pages[index]))
@@ -611,12 +664,15 @@ class BlobSeer:
             )
             descriptor = base_descriptors.get(page_index)
             if descriptor is not None:
-                old = read_page(
-                    self.provider_manager,
-                    descriptor,
-                    policy=self.config.read_replica_policy,
-                    rng=rng,
-                )
+                # A tail this client pushed needs no read-back.
+                old = self._tail_pages.get_many([descriptor.key]).get(descriptor.key)
+                if old is None:
+                    old = read_page(
+                        self.provider_manager,
+                        descriptor,
+                        policy=self.config.read_replica_policy,
+                        rng=rng,
+                    )
                 existing[: len(old)] = old
         # Overlay the new bytes.
         new_lo = max(offset, page_start)

@@ -36,7 +36,7 @@ import bisect
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .dht import MetadataDHT
 from .errors import MetadataCorruptionError
@@ -102,41 +102,49 @@ class TreeNode:
         return self.key.span == 1
 
 
-class _NodeCache:
-    """Bounded, thread-safe LRU of immutable tree nodes."""
+class BlobLRU:
+    """Bounded, thread-safe LRU of immutable values under per-blob keys.
 
-    def __init__(self, capacity: int) -> None:
+    Keys carry a ``blob_id`` (:class:`NodeKey`, :class:`PageKey`);
+    ``weight`` measures a value against ``capacity`` (default: one per
+    entry).
+    """
+
+    def __init__(self, capacity: int, weight: Callable[[Any], int] = lambda _value: 1) -> None:
         self._capacity = capacity
-        self._nodes: OrderedDict[NodeKey, TreeNode] = OrderedDict()
+        self._weight = weight
+        self._entries: OrderedDict[Any, Any] = OrderedDict()
+        self._total = 0
         self._lock = threading.Lock()
 
-    def get_many(self, keys: Iterable[NodeKey]) -> dict[NodeKey, TreeNode]:
-        """The cached nodes among ``keys`` (LRU touch), under one lock hold."""
-        found: dict[NodeKey, TreeNode] = {}
+    def get_many(self, keys: Iterable[Any]) -> dict[Any, Any]:
+        """The cached values among ``keys`` (LRU touch), under one lock hold."""
+        found: dict[Any, Any] = {}
         with self._lock:
             for key in keys:
-                node = self._nodes.get(key)
-                if node is not None:
-                    self._nodes.move_to_end(key)
-                    found[key] = node
+                value = self._entries.get(key)
+                if value is not None:
+                    self._entries.move_to_end(key)
+                    found[key] = value
         return found
 
-    def put_many(self, nodes: Iterable[TreeNode]) -> None:
+    def put_many(self, items: Iterable[tuple[Any, Any]]) -> None:
         with self._lock:
-            for node in nodes:
-                self._nodes[node.key] = node
-                self._nodes.move_to_end(node.key)
-            while len(self._nodes) > self._capacity:
-                self._nodes.popitem(last=False)
+            for key, value in items:
+                old = self._entries.pop(key, None)
+                self._total += self._weight(value) - (0 if old is None else self._weight(old))
+                self._entries[key] = value
+            while self._total > self._capacity:
+                self._total -= self._weight(self._entries.popitem(last=False)[1])
 
     def drop_blob(self, blob_id: int) -> None:
         with self._lock:
-            for key in [k for k in self._nodes if k.blob_id == blob_id]:
-                del self._nodes[key]
+            for key in [k for k in self._entries if k.blob_id == blob_id]:
+                self._total -= self._weight(self._entries.pop(key))
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._nodes)
+            return len(self._entries)
 
 
 class MetadataManager:
@@ -151,7 +159,7 @@ class MetadataManager:
 
     def __init__(self, dht: MetadataDHT) -> None:
         self._dht = dht
-        self._cache = _NodeCache(NODE_CACHE_CAPACITY)
+        self._cache = BlobLRU(NODE_CACHE_CAPACITY)
 
     # -- storage helpers ----------------------------------------------------------
     @staticmethod
@@ -189,7 +197,7 @@ class MetadataManager:
                     "from the DHT"
                 ) from None
             nodes = [self._checked(key, node) for key, node in zip(missing, fetched)]
-            self._cache.put_many(nodes)
+            self._cache.put_many(zip(missing, nodes))
             found.update(zip(missing, nodes))
         return [found[key] for key in keys]
 
@@ -261,7 +269,7 @@ class MetadataManager:
         # node under it.  The cache is written through only afterwards, so
         # it never holds a node the DHT does not.
         self._dht.put_many([(node.key.dht_key(), node) for node in created])
-        self._cache.put_many(created)
+        self._cache.put_many((node.key, node) for node in created)
         return root
 
     def _range_touched(self, indices: list[int], lo: int, hi: int) -> bool:

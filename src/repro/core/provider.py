@@ -99,12 +99,14 @@ class DataProvider:
         """Store one page replica."""
         self.put_pages([(key, data)])
 
-    def put_pages(self, items: Sequence[tuple[PageKey, bytes]]) -> None:
+    def put_pages(self, items: Sequence[tuple[PageKey, bytes]]) -> ProviderStats:
         """Store every ``(key, data)`` page replica under one lock hold.
 
         Page bytes are materialised before the lock is taken, so a caller
         handing in ``memoryview`` slices never makes other callers wait on
-        the copy.
+        the copy.  Returns the post-write :meth:`stats` snapshot, taken
+        under the same lock hold, so every reply refreshes the provider
+        manager's load view without a probe.
         """
         items = [(key.to_bytes(), bytes(data)) for key, data in items]
         with self._lock:
@@ -118,6 +120,7 @@ class DataProvider:
                 self._bytes_stored += len(data)
                 self._pages_written += 1
                 self._bytes_written += len(data)
+            return self._snapshot()
 
     def get_page(self, key: PageKey) -> bytes:
         """Fetch one page replica; raises :class:`KeyError` when absent."""
@@ -191,16 +194,19 @@ class DataProvider:
     def stats(self) -> ProviderStats:
         """Return a consistent snapshot of the provider's counters."""
         with self._lock:
-            return ProviderStats(
-                provider_id=self.provider_id,
-                pages_stored=self._pages_stored,
-                bytes_stored=self._bytes_stored,
-                pages_written=self._pages_written,
-                pages_read=self._pages_read,
-                bytes_written=self._bytes_written,
-                bytes_read=self._bytes_read,
-                available=self._available,
-            )
+            return self._snapshot()
+
+    def _snapshot(self) -> ProviderStats:
+        return ProviderStats(
+            provider_id=self.provider_id,
+            pages_stored=self._pages_stored,
+            bytes_stored=self._bytes_stored,
+            pages_written=self._pages_written,
+            pages_read=self._pages_read,
+            bytes_written=self._bytes_written,
+            bytes_read=self._bytes_read,
+            available=self._available,
+        )
 
     def sync(self) -> None:
         """Flush the backing store to stable storage."""

@@ -272,7 +272,17 @@ def make_strategy(name: str, *, seed: int = 0) -> AllocationStrategy:
 
 
 class ProviderManager:
-    """Registry of data providers plus the page allocation service."""
+    """Registry of data providers plus the page allocation service.
+
+    Placement reads a *load view*: the last :class:`ProviderStats` seen
+    from each provider while it was available.  Every ``put_pages`` reply
+    carries a fresh snapshot (:meth:`observe`), so a writing client keeps
+    the view current without probing; a provider is probed only when it
+    has no entry — never seen, last seen unavailable or unreachable, just
+    (re)registered, or :meth:`forget`-ten after a failed put or a page
+    removal.  Like the probe it replaces, the view can lag other clients'
+    writes by one reply.
+    """
 
     def __init__(
         self,
@@ -283,6 +293,7 @@ class ProviderManager:
         range_pages: int = 1,
     ) -> None:
         self._providers: dict[int, DataProvider] = {}
+        self._view: dict[int, ProviderStats] = {}
         self._lock = threading.Lock()
         if isinstance(strategy, str):
             strategy = make_strategy(strategy, seed=seed)
@@ -310,10 +321,12 @@ class ProviderManager:
                     f"provider id {provider.provider_id} already registered"
                 )
             self._providers[provider.provider_id] = provider
+            self._view.pop(provider.provider_id, None)
 
     def unregister(self, provider_id: int) -> DataProvider:
         """Remove and return a provider from the pool."""
         with self._lock:
+            self._view.pop(provider_id, None)
             try:
                 return self._providers.pop(provider_id)
             except KeyError:
@@ -330,6 +343,7 @@ class ProviderManager:
         provider, or ``None`` if the id was not registered.
         """
         with self._lock:
+            self._view.pop(provider_id, None)
             return self._providers.pop(provider_id, None)
 
     def get(self, provider_id: int) -> DataProvider:
@@ -354,22 +368,42 @@ class ProviderManager:
         with self._lock:
             return list(self._providers.keys())
 
+    # -- load view ----------------------------------------------------------------
+    def observe(self, snapshot: ProviderStats) -> ProviderStats:
+        """Record a provider's snapshot in the load view; returns it.
+
+        An unavailable snapshot drops the entry instead.
+        """
+        with self._lock:
+            if snapshot.available:
+                self._view[snapshot.provider_id] = snapshot
+            else:
+                self._view.pop(snapshot.provider_id, None)
+        return snapshot
+
+    def forget(self, provider_id: int) -> None:
+        """Drop a provider's view entry, so the next allocation probes it."""
+        with self._lock:
+            self._view.pop(provider_id, None)
+
+    def _probe(self, provider: DataProvider) -> ProviderStats | None:
+        """Fresh snapshot of ``provider`` if it is available (refreshes the view)."""
+        try:
+            snapshot = self.observe(provider.stats())
+        except ProviderUnavailableError:
+            self.forget(provider.provider_id)
+            return None
+        return snapshot if snapshot.available else None
+
     def available_stats(self) -> list[ProviderStats]:
-        """Statistics snapshots of the providers currently accepting requests.
+        """Fresh statistics snapshots of the providers accepting requests.
 
         One ``stats()`` call per provider (an RPC for a remote one): the
         snapshot itself says whether the provider is available, and an
-        unreachable one raises instead of answering.
+        unreachable one raises instead of answering.  Refreshes the view.
         """
-        snapshots = []
-        for provider in self.providers:
-            try:
-                snapshot = provider.stats()
-            except ProviderUnavailableError:
-                continue
-            if snapshot.available:
-                snapshots.append(snapshot)
-        return snapshots
+        snapshots = [self._probe(provider) for provider in self.providers]
+        return [snapshot for snapshot in snapshots if snapshot is not None]
 
     # -- allocation ---------------------------------------------------------------
     def allocate(
@@ -412,9 +446,10 @@ class ProviderManager:
         of one per page.  ``max_range`` defaults to the manager's
         ``range_pages``.
 
-        Provider statistics are gathered *outside* the allocator lock
-        (``stats()`` may be an RPC for remote providers); only the strategy
-        run itself — the true serial section — holds it.
+        Provider loads come from the view; only providers without an entry
+        are probed, *outside* the allocator lock (``stats()`` may be an RPC
+        for remote providers).  Only the strategy run itself — the true
+        serial section — holds it.
         """
         if num_pages < 0:
             raise AllocationError("cannot allocate a negative number of pages")
@@ -424,7 +459,13 @@ class ProviderManager:
             max_range = self._range_pages
         if max_range < 1:
             raise AllocationError("max_range must be at least 1")
-        stats = self.available_stats()
+        with self._lock:
+            known = [(p, self._view.get(p.provider_id)) for p in self._providers.values()]
+        stats = [
+            snapshot
+            for provider, seen in known
+            if (snapshot := seen or self._probe(provider)) is not None
+        ]
         if not stats:
             raise NoProvidersError("no data providers are available")
         if replication > len(stats):
@@ -460,15 +501,14 @@ class ProviderManager:
 
         The registry lock is held only to snapshot provider *references*;
         the per-provider ``stats()`` calls (RPCs for remote providers) run
-        outside it, so a slow or dead node never stalls allocation.
+        outside it, so a slow or dead node never stalls allocation.  The
+        fresh snapshots refresh the view.
         """
-        with self._lock:
-            providers = list(self._providers.values())
-        return {p.provider_id: p.stats() for p in providers}
+        return {p.provider_id: self.observe(p.stats()) for p in self.providers}
 
     def distribution(self) -> dict[int, int]:
         """Map provider id -> number of pages stored (load-balance metric)."""
-        return {p.provider_id: p.stats().pages_stored for p in self.providers}
+        return {pid: s.pages_stored for pid, s in self.stats().items()}
 
     def imbalance(self) -> float:
         """Max/mean ratio of pages stored across available providers.

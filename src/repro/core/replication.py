@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 from .dht import MISSING
-from .errors import PageNotFoundError, ProviderUnavailableError
+from .errors import NoProvidersError, PageNotFoundError, ProviderUnavailableError
 from .pages import PageDescriptor, PageKey
 from .provider_manager import ProviderManager
 from .transfer import TransferEngine
@@ -80,38 +80,54 @@ def write_pages(
 
     Pages are grouped by provider and pushed with one ``put_pages`` call
     per provider (per :data:`BULK_CALL_BYTES`), the calls running
-    concurrently on ``engine``.  Returns, per item, the ids of the
-    providers that stored a replica, in ``provider_ids`` order.  Every
-    page needs at least one stored replica, otherwise it would be lost
-    and a :class:`~repro.core.errors.ProviderUnavailableError` is raised.
+    concurrently on ``engine``; each reply refreshes the provider
+    manager's load view, each failed call drops its provider from it.
+    Returns, per item, the ids of the providers that stored a replica, in
+    ``provider_ids`` order.  Nobody declares a provider dead when a put
+    to it fails, so a page whose every target failed is placed once more
+    on a provider the manager still sees, and its ids say where it
+    landed.  A page that still has no replica raises
+    :class:`~repro.core.errors.ProviderUnavailableError`.
     """
-    groups: dict[int, list[int]] = {}
-    for index, (_key, _data, provider_ids) in enumerate(items):
-        for provider_id in provider_ids:
-            groups.setdefault(provider_id, []).append(index)
+    sizes = [len(data) for _key, data, _ids in items]
 
     def put(call: tuple[int, list[int]]) -> ProviderUnavailableError | None:
         provider_id, indices = call
         provider = provider_manager.get(provider_id)
         try:
-            provider.put_pages([items[i][:2] for i in indices])
+            snapshot = provider.put_pages([items[i][:2] for i in indices])
         except ProviderUnavailableError as exc:
+            provider_manager.forget(provider_id)
             return exc
+        provider_manager.observe(snapshot)
         return None
 
-    sizes = [len(data) for _key, data, _ids in items]
-    failed: set[tuple[int, int]] = set()
-    error: ProviderUnavailableError | None = None
-    for (provider_id, indices), outcome in _call_providers(groups, sizes, put, engine):
-        if outcome is not None:
-            error = outcome
-            failed.update((index, provider_id) for index in indices)
-    stored = [
-        tuple(pid for pid in provider_ids if (index, pid) not in failed)
-        for index, (_key, _data, provider_ids) in enumerate(items)
-    ]
-    if not all(stored):
-        raise error or ProviderUnavailableError("a page has no replica target")
+    def push(targets: dict[int, Sequence[int]]) -> ProviderUnavailableError | None:
+        groups: dict[int, list[int]] = {}
+        for index, provider_ids in targets.items():
+            for provider_id in provider_ids:
+                groups.setdefault(provider_id, []).append(index)
+        failed: set[tuple[int, int]] = set()
+        error = None
+        for (provider_id, indices), outcome in _call_providers(groups, sizes, put, engine):
+            if outcome is not None:
+                error = outcome
+                failed.update((index, provider_id) for index in indices)
+        for index, provider_ids in targets.items():
+            stored[index] = tuple(pid for pid in provider_ids if (index, pid) not in failed)
+        return error
+
+    stored: list[tuple[int, ...]] = [()] * len(items)
+    error = push({index: ids for index, (_key, _data, ids) in enumerate(items)})
+    lost = [index for index, ids in enumerate(stored) if not ids]
+    if lost:
+        try:
+            spares = provider_manager.allocate(len(lost), 1)
+        except NoProvidersError:
+            raise error or ProviderUnavailableError("a page has no replica target") from None
+        error = push(dict(zip(lost, spares))) or error
+        if not all(stored):
+            raise error
     return stored
 
 
@@ -241,14 +257,18 @@ class ReplicationManager:
         self._rng = random.Random(seed)
 
     def live_replicas(self, descriptor: PageDescriptor) -> list[int]:
-        """Provider ids of the descriptor's replicas that are currently readable."""
+        """Provider ids of the descriptor's replicas that are currently readable.
+
+        One ``has_page`` probe per replica: a failed or unreachable
+        provider answers ``False``.
+        """
         live: list[int] = []
         for provider_id in descriptor.providers:
             try:
                 provider = self._pm.get(provider_id)
             except Exception:
                 continue
-            if provider.available and provider.has_page(descriptor.key):
+            if provider.has_page(descriptor.key):
                 live.append(provider_id)
         return live
 
@@ -289,6 +309,12 @@ class ReplicationManager:
         :class:`~repro.core.errors.PageNotFoundError` when no replica
         survives.
         """
+        available = [snapshot.provider_id for snapshot in self._pm.available_stats()]
+        return self._heal(descriptor, target_replication, available)
+
+    def _heal(
+        self, descriptor: PageDescriptor, target_replication: int, available: list[int]
+    ) -> PageDescriptor:
         live = self.live_replicas(descriptor)
         if not live:
             raise PageNotFoundError(descriptor.key)
@@ -301,11 +327,7 @@ class ReplicationManager:
             PageDescriptor(descriptor.key, tuple(live), descriptor.size),
             policy="first",
         )
-        candidates = [
-            p.provider_id
-            for p in self._pm.providers
-            if p.available and p.provider_id not in live
-        ]
+        candidates = [provider_id for provider_id in available if provider_id not in live]
         self._rng.shuffle(candidates)
         needed = target_replication - len(live)
         new_homes = candidates[:needed]
@@ -329,13 +351,15 @@ class ReplicationManager:
         """Heal every under-replicated page; returns ``{page index: new descriptor}``.
 
         Pages whose replicas all vanished are skipped (they cannot be
-        healed); callers can detect them through :meth:`scrub`.
+        healed); callers can detect them through :meth:`scrub`.  The
+        providers that may take new replicas are probed once per call.
         """
+        available = [snapshot.provider_id for snapshot in self._pm.available_stats()]
         healed: dict[int, PageDescriptor] = {}
         for descriptor in descriptors:
             try:
-                healed[descriptor.index] = self.heal(
-                    descriptor, target_replication=target_replication
+                healed[descriptor.index] = self._heal(
+                    descriptor, target_replication, available
                 )
             except PageNotFoundError:
                 continue

@@ -135,8 +135,8 @@ class RemoteDataProvider(_Stub):
 
     # One plain RPC per bulk call: the pages travel as out-of-band frame
     # segments in both directions, never through the pickle stream.
-    def put_pages(self, items: Sequence[tuple[PageKey, bytes]]) -> None:
-        self._call("put_pages", list(items))
+    def put_pages(self, items: Sequence[tuple[PageKey, bytes]]) -> ProviderStats:
+        return self._call("put_pages", list(items))
 
     def get_pages(self, keys: Sequence[PageKey]) -> list[bytes]:
         return self._call("get_pages", list(keys))

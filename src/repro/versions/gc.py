@@ -280,7 +280,8 @@ class VersionGC:
         from ..core.errors import ProviderUnavailableError
 
         dead_pages = list(plan.dead_pages)
-        for provider in self._client.provider_manager.providers if dead_pages else ():
+        manager = self._client.provider_manager
+        for provider in manager.providers if dead_pages else ():
             try:
                 freed = provider.remove_pages(dead_pages)
             except ProviderUnavailableError:
@@ -288,6 +289,9 @@ class VersionGC:
             except Exception:
                 report.errors += 1
                 continue
+            finally:
+                # The freed space shows at the next allocation's probe.
+                manager.forget(provider.provider_id)
             report.pages_reclaimed += sum(1 for size in freed if size)
             report.bytes_reclaimed += sum(freed)
         with self._totals.lock:

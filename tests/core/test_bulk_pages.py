@@ -16,10 +16,13 @@ from repro.core import KB, BlobSeer, BlobSeerConfig
 from repro.core import replication
 from repro.core.dht import MISSING
 from repro.core.errors import PageNotFoundError, ProviderUnavailableError
+from repro.core.metadata import BlobLRU, MetadataManager
 from repro.core.pages import PageDescriptor, PageKey
 from repro.core.provider import DataProvider
 from repro.core.provider_manager import ProviderManager
 from repro.core.replication import read_pages, write_pages
+
+from .test_dht import CountingProvider
 
 PAGE = 1 * KB
 
@@ -30,6 +33,11 @@ class CountingDataProvider(DataProvider):
     def __init__(self, provider_id: int) -> None:
         super().__init__(provider_id)
         self.calls: Counter[str] = Counter()
+
+    @property
+    def available(self) -> bool:
+        self.calls["available"] += 1
+        return super().available
 
 
 def _counted(name: str):
@@ -54,9 +62,11 @@ for _name in (
     setattr(CountingDataProvider, _name, _counted(_name))
 
 
-def make_blobseer(*, providers: int = 3, replication: int = 1, **options) -> BlobSeer:
+def make_blobseer(
+    *, providers: int = 3, replication: int = 1, page_size: int = PAGE, **options
+) -> BlobSeer:
     config = BlobSeerConfig(
-        page_size=PAGE,
+        page_size=page_size,
         num_providers=providers,
         num_metadata_providers=1,
         replication=replication,
@@ -64,7 +74,9 @@ def make_blobseer(*, providers: int = 3, replication: int = 1, **options) -> Blo
         **options,
     )
     return BlobSeer(
-        config, providers=[CountingDataProvider(i) for i in range(providers)]
+        config,
+        providers=[CountingDataProvider(i) for i in range(providers)],
+        metadata_providers=[CountingProvider(0)],
     )
 
 
@@ -74,7 +86,7 @@ def payload(size: int) -> bytes:
 
 def reset(bs: BlobSeer) -> list[CountingDataProvider]:
     providers = bs.provider_manager.providers
-    for provider in providers:
+    for provider in providers + bs.dht.providers:
         provider.calls.clear()
     return providers
 
@@ -177,6 +189,67 @@ class TestRoundTrips:
         assert max(served) <= -(-16 // len(providers))
 
 
+class TestAppendRoundTrips:
+    def test_second_append_is_one_page_call_and_one_store(self):
+        bs = make_blobseer(page_size=256 * KB)
+        blob = bs.create_blob()
+        first, second = payload(64 * KB), payload(64 * KB)[::-1]
+        bs.append(blob, first)
+        providers = reset(bs)
+        (metadata,) = bs.dht.providers
+        bs.append(blob, second)
+        # Placement from the load view, the boundary page from the tail
+        # cache, the tree spine from the node cache.
+        assert total(providers, "stats") == 0
+        assert total(providers, "get_pages") == 0
+        assert total(providers, "put_pages") == 1
+        assert (metadata.calls["put_many"], metadata.calls["get_many"]) == (1, 0)
+        assert bs.read_all(blob) == first + second
+
+    def test_tail_cache_keeps_to_its_byte_bound(self):
+        tails = BlobLRU(1000, weight=len)
+        keys = [PageKey(1, version, 0) for version in range(4)]
+        tails.put_many((key, bytes(400)) for key in keys[:3])
+        assert list(tails.get_many(keys)) == keys[1:3]  # 1200 bytes: the oldest went
+        tails.get_many([keys[1]])  # keys[1] is now the freshest
+        tails.put_many([(keys[3], bytes(400))])
+        assert list(tails.get_many(keys)) == [keys[1], keys[3]]
+
+    def test_delete_blob_drops_its_tail_pages(self):
+        bs = make_blobseer()
+        kept, deleted = bs.create_blob(), bs.create_blob()
+        bs.append(kept, b"k" * 10)
+        bs.append(deleted, b"d" * 10)
+        tails = [PageKey(kept, 1, 0), PageKey(deleted, 1, 0)]
+        assert len(bs._tail_pages.get_many(tails)) == 2
+        bs.delete_blob(deleted)
+        assert bs._tail_pages.get_many(tails) == {tails[0]: b"k" * 10}
+
+
+class TestScrubAndHealProbes:
+    def test_scrub_asks_each_replica_has_page_only(self):
+        bs = make_blobseer(replication=2)
+        blob = bs.create_blob()
+        bs.append(blob, payload(8 * PAGE))
+        providers = reset(bs)
+        assert bs.scrub(blob).is_healthy
+        assert total(providers, "available") == 0
+        assert total(providers, "has_page") == 16
+
+    def test_heal_all_probes_each_provider_once_per_call(self):
+        bs = make_blobseer(providers=4, replication=2)
+        blob = bs.create_blob()
+        data = payload(8 * PAGE)
+        bs.append(blob, data)
+        bs.provider_manager.get(0).fail()
+        providers = reset(bs)
+        bs.repair(blob)
+        assert total(providers, "available") == 0
+        assert [provider.calls["stats"] for provider in providers] == [1] * 4
+        assert bs.scrub(blob).is_healthy
+        assert bs.read_all(blob) == data
+
+
 class TestFailover:
     def test_replicated_block_survives_a_failed_provider(self):
         bs = make_blobseer(replication=2)
@@ -225,6 +298,30 @@ class TestFailover:
             del provider.put_pages
         assert bs.append(blob, b"after") == 2
         assert bs.read(blob, 4 * PAGE, 5) == b"after"
+
+    def test_page_whose_every_target_failed_lands_on_a_spare(self):
+        manager = ProviderManager([DataProvider(i) for i in range(3)])
+        manager.get(0).fail()
+        key_a, key_b = PageKey(1, 1, 0), PageKey(1, 1, 1)
+        stored = write_pages(manager, [(key_a, b"a", (0,)), (key_b, b"b", (2,))])
+        assert stored[1] == (2,)
+        (spare,) = stored[0]
+        assert spare in (1, 2)
+        assert manager.get(spare).get_page(key_a) == b"a"
+
+    def test_replica_failing_mid_append_is_left_out_of_the_descriptor(self):
+        bs = make_blobseer(providers=2, replication=2)
+        blob = bs.create_blob()
+        data = payload(PAGE + 500)
+        bs.append(blob, data)  # warms the load view with both providers
+        bs.provider_manager.get(1).fail()
+        # Its boundary page is pushed beside the store of the predicted
+        # descriptors, which name both providers: the store is redone.
+        bs.append(blob, b"tail")
+        info = bs.version_manager.version_info(blob)
+        for manager in (bs.metadata_manager, MetadataManager(bs.dht)):
+            assert manager.lookup(info.root, 1, 2)[1].providers == (0,)
+        assert bs.read_all(blob) == data + b"tail"
 
     def test_partial_write_keeps_allocation_order_of_survivors(self):
         manager = ProviderManager([DataProvider(i) for i in range(4)])
@@ -279,3 +376,18 @@ class TestBulkDelete:
         assert [provider.calls["remove_pages"] for provider in providers] == [1, 1, 1]
         assert total(providers, "has_page") == 0
         assert bs.stats()["pages_stored"] == 0
+
+    def test_page_removal_resets_the_load_view(self):
+        bs = make_blobseer(max_versions_kept=1)
+        blob = bs.create_blob()
+        bs.write(blob, 0, payload(12 * PAGE))
+        bs.write(blob, 0, payload(12 * PAGE)[::-1])
+        for drop in (lambda: bs.gc.collect(blob), lambda: bs.delete_blob(blob)):
+            drop()
+            blob = bs.create_blob()
+            providers = reset(bs)
+            bs.append(blob, payload(3 * PAGE))
+            # The freed space is probed once, then the view serves again.
+            assert [provider.calls["stats"] for provider in providers] == [1, 1, 1]
+            bs.append(blob, payload(3 * PAGE))
+            assert [provider.calls["stats"] for provider in providers] == [1, 1, 1]

@@ -8,6 +8,7 @@ implementation.
 
 from __future__ import annotations
 
+import sys
 import threading
 from collections import Counter
 
@@ -69,6 +70,35 @@ class TestConcurrentAppends:
         for index in range(clients):
             assert counts[65 + index] == appends_per_client * chunk
         assert service.latest_version(blob) == clients * appends_per_client
+
+    @pytest.mark.timeout(60)
+    def test_boundary_merges_keep_every_append_in_place(self, service):
+        # Unaligned appends merge their boundary page from the shared tail
+        # cache and store their nodes beside its push; a stale or lost
+        # merge would overwrite a neighbour's bytes.
+        blob = service.create_blob()
+        placed: list[tuple[int, bytes]] = []
+        lock = threading.Lock()
+
+        def worker(index: int) -> None:
+            for i in range(8):
+                chunk = bytes([index * 8 + i + 1]) * (700 + 97 * index)
+                version = service.append(blob, chunk)
+                with lock:
+                    placed.append((version, chunk))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            errors = run_threads(worker, 8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        data = service.read_all(blob)
+        assert len(data) == sum(len(chunk) for _version, chunk in placed)
+        for version, chunk in placed:
+            offset = service.version_manager.version_info(blob, version).write_offset
+            assert data[offset : offset + len(chunk)] == chunk
 
     def test_appends_to_distinct_blobs(self, service):
         blobs = [service.create_blob() for _ in range(6)]

@@ -18,6 +18,7 @@ from repro.core.provider_manager import (
     RandomStrategy,
     make_strategy,
 )
+from repro.core.replication import write_pages
 
 
 def make_providers(count: int) -> list[DataProvider]:
@@ -153,12 +154,60 @@ class ProbedProvider(DataProvider):
         return super().stats()
 
 
+def push(manager: ProviderManager, allocation, version: int = 1) -> None:
+    """Store one page per allocated replica set, as a writing client does."""
+    write_pages(
+        manager,
+        [(PageKey(1, version, i), b"x", ids) for i, ids in enumerate(allocation)],
+    )
+
+
 class TestAllocationProbes:
     def test_allocation_probes_each_provider_once(self):
         providers = [ProbedProvider(i) for i in range(3)]
         manager = ProviderManager(providers)
         manager.allocate(6, 2)
         assert [p.probes for p in providers] == [["stats"]] * 3
+
+    def test_second_allocation_reads_the_view(self):
+        providers = [ProbedProvider(i) for i in range(3)]
+        manager = ProviderManager(providers)
+        push(manager, manager.allocate(6, 1))
+        for provider in providers:
+            provider.probes.clear()
+        second = manager.allocate(3, 1)
+        assert [p.probes for p in providers] == [[]] * 3
+        # The put replies carried the load, so the next pages still stripe.
+        assert sorted(ids for (ids,) in second) == [0, 1, 2]
+        assert {s.pages_stored for s in manager.available_stats()} == {2}
+
+    def test_provider_whose_put_raised_is_reprobed_until_it_recovers(self):
+        providers = [ProbedProvider(i) for i in range(3)]
+        manager = ProviderManager(providers)
+        manager.allocate(3, 1)
+        providers[1].fail()
+        push(manager, [(0,), (1,), (2,)])  # the page on 1 is placed again
+        for provider in providers:
+            provider.probes.clear()
+        assert all(ids != (1,) for ids in manager.allocate(6, 1))
+        assert [p.probes for p in providers] == [[], ["stats"], []]
+        manager.allocate(1, 1)
+        assert providers[1].probes == ["stats"] * 2  # every allocation asks again
+        providers[1].recover()
+        assert (1,) in manager.allocate(6, 1)
+        assert providers[1].probes == ["stats"] * 3
+
+    def test_reregistration_and_monitoring_reset_the_view(self):
+        providers = [ProbedProvider(i) for i in range(2)]
+        manager = ProviderManager(providers)
+        manager.allocate(1, 1)
+        restarted = ProbedProvider(1)
+        manager.register(restarted, replace=True)
+        manager.allocate(1, 1)
+        assert restarted.probes == ["stats"] and providers[0].probes == ["stats"]
+        providers[0].fail()
+        assert [s.provider_id for s in manager.available_stats()] == [1]
+        assert {ids for ids in manager.allocate(4, 1)} == {(1,)}
 
     def test_failed_and_unreachable_providers_are_skipped_by_their_answer(self):
         providers = [

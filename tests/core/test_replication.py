@@ -33,8 +33,10 @@ class TestWriteReplicas:
         assert stored == (1,)
 
     def test_total_failure_raises(self, manager):
-        manager.get(0).fail()
-        manager.get(1).fail()
+        # Every target failed and no spare is left to place the page on
+        # (with a spare it lands there: test_bulk_pages.py).
+        for provider in manager.providers:
+            provider.fail()
         with pytest.raises(ProviderUnavailableError):
             write_pages(manager, [(KEY, b"data", (0, 1))])
 

@@ -81,6 +81,8 @@ def reap(processes):
         except subprocess.TimeoutExpired:
             process.kill()
             process.wait(timeout=10)
+        process.stdout.close()
+        process.stderr.close()
 
 
 @pytest.mark.timeout(120)
@@ -185,6 +187,63 @@ class TestMultiProcessCluster:
             assert failed_calls == [failing_over]
             served = sum(stubs[i].stats().pages_read for i in (0, 2)) - served_before
             assert served == 16  # each page exactly once, by a live replica
+        finally:
+            for stub in stubs:
+                stub.close()
+            reap(processes)
+
+    def test_writes_place_around_a_killed_provider_the_load_view_still_lists(self):
+        # No control plane, and the load view (warmed by a first write)
+        # still lists the killed node: the next write's put to it fails,
+        # its pages are placed again on the survivors, and every later
+        # allocation re-probes the dead node instead of trusting it.
+        processes, stubs = [], []
+        try:
+            for node_id in range(3):
+                process, host, port = spawn_node("provider", node_id)
+                processes.append(process)
+                stubs.append(connect_provider(host, port, config=FAST))
+            page = 4 * KB
+            config = BlobSeerConfig(
+                page_size=page,
+                num_providers=3,
+                num_metadata_providers=1,
+                replication=1,
+                rng_seed=13,
+            )
+            bs = BlobSeer(config, providers=stubs)
+            bs.append(bs.create_blob(), bytes(6 * page))  # warms the view
+
+            failed_puts: list[int] = []
+            put_pages = stubs[1].put_pages
+
+            def watched(items):
+                try:
+                    return put_pages(items)
+                except ProviderUnavailableError:
+                    failed_puts.append(len(items))
+                    raise
+
+            stubs[1].put_pages = watched
+            os.kill(processes[1].pid, signal.SIGKILL)
+            processes[1].wait(timeout=10)
+
+            blob = bs.create_blob()
+            expected = bytearray()
+            versions = []
+            for i in range(10):
+                chunk = bytes([i + 1]) * (2 * page + 300 * (i + 1))
+                if i % 2 == 0 or len(expected) < 4 * page:
+                    versions.append(bs.append(blob, chunk))
+                    expected += chunk
+                else:
+                    offset = (i * page) % (len(expected) - 3 * page)
+                    offset -= offset % page
+                    versions.append(bs.write(blob, offset, chunk))
+                    expected[offset : offset + len(chunk)] = chunk
+            assert versions == list(range(1, 11))
+            assert failed_puts  # the stale entry was used, and survived
+            assert bs.read_all(blob) == bytes(expected)
         finally:
             for stub in stubs:
                 stub.close()

@@ -173,15 +173,10 @@ class TestInflightWriters:
         assert report.versions_retired == 3
         assert client.version_manager.published_versions(blob) == [0, 4]
         # The writer completes normally against its preserved base.
-        root = client._build_metadata(
-            ticket,
-            dict(
-                client._transfer_pages(
-                    ticket, b"\x99" * PAGE, PAGE, client.blob_info(blob), None
-                )
-            ),
-            PAGE,
+        written, _boundary, _targets = client._transfer_pages(
+            ticket, b"\x99" * PAGE, PAGE, client.blob_info(blob), None
         )
+        root = client._build_metadata(ticket, written, PAGE)
         client.version_manager.publish(ticket, root)
         assert client.read_all(blob)[-PAGE:] == b"\x99" * PAGE
 
@@ -192,10 +187,8 @@ class TestInflightWriters:
         ticket = client.version_manager.assign_ticket(
             blob, offset=None, size=PAGE, append=True
         )
-        written = dict(
-            client._transfer_pages(
-                ticket, b"\x42" * PAGE, PAGE, client.blob_info(blob), None
-            )
+        written, _boundary, _targets = client._transfer_pages(
+            ticket, b"\x42" * PAGE, PAGE, client.blob_info(blob), None
         )
         # The new page sits on a provider but belongs to an unpublished
         # version (newer than the head): the sweep must leave it alone.
