@@ -1,4 +1,4 @@
-"""A3 (ablation) — cost, distribution and concurrency of the metadata plane.
+"""A3 (ablation) — cost and distribution of the metadata plane.
 
 Measures the metadata side of BlobSeer's design: how many segment-tree
 nodes a write creates as the blob grows (logarithmic in the blob size for a
@@ -6,164 +6,22 @@ fixed-size write, thanks to structural sharing), how long building and
 traversing the tree takes, and how evenly the metadata spreads over the
 DHT's metadata providers — the decentralisation the paper credits for
 avoiding a metadata bottleneck under heavy concurrency.
-
-The concurrent scenario measures that claim directly on the control plane:
-N writer threads each running a create → publish → lookup loop against the
-hash-partitioned namespace + striped version manager with group-commit
-publish (``sharded``), versus the single-lock ablation (``single``).  Every
-namespace mutation carries a fixed simulated metadata service time *inside
-the critical section* (the same modelling device as F2's per-page transfer
-latency), so a serialised lock shows up as serialised service time exactly
-like a centralised metadata server would.  The committed baseline
-``benchmarks/baselines/BENCH_metadata.json`` gates ``ops_per_s`` per
-scenario in CI.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 
 from conftest import run_once
 
 from repro.analysis import ExperimentReport, coefficient_of_variation
 from repro.core import KB, MB, BlobSeer, BlobSeerConfig
-from repro.core.version_manager import VersionManager
-from repro.fs.sharded import make_namespace_tree
 
 EXPERIMENT = "A3"
 
 BLOB_SIZES = (1 * MB, 4 * MB, 16 * MB, 64 * MB)
 PAGE_SIZE = 64 * KB
 WRITE_SIZE = 256 * KB
-
-#: Concurrent-scenario knobs.  The service time models the metadata
-#: server's per-mutation work (journaling, indexing) and is spent while the
-#: namespace lock is held — partitioned locks overlap it, one lock cannot.
-WRITER_COUNTS = (1, 2, 4, 8)
-OPS_PER_WRITER = 250
-METADATA_SERVICE_TIME_S = 0.0002  # 0.2 ms per namespace mutation
-NAMESPACE_SHARDS = 8
-VERSION_STRIPES = 16
-GROUP_COMMIT = 8
-
-
-def _make_plane(sharded: bool):
-    """One metadata/control plane: namespace tree + version manager."""
-    tree = make_namespace_tree(NAMESPACE_SHARDS if sharded else 1)
-    manager = VersionManager(
-        BlobSeerConfig(
-            page_size=PAGE_SIZE,
-            num_providers=8,
-            version_lock_stripes=VERSION_STRIPES if sharded else 1,
-            rng_seed=11,
-        )
-    )
-    return tree, manager
-
-
-def _run_writers(tree, manager, writers: int, *, group_commit: bool) -> float:
-    """Drive ``writers`` concurrent create/publish/lookup loops; return ops/s."""
-    for w in range(writers):
-        tree.mkdirs(f"/bench/w{w}")
-    blobs = [manager.create_blob().blob_id for _ in range(writers)]
-    barrier = threading.Barrier(writers + 1)
-    counts = [0] * writers
-
-    def payload() -> int:
-        time.sleep(METADATA_SERVICE_TIME_S)
-        return 0
-
-    def worker(w: int) -> None:
-        blob = blobs[w]
-        pending = []
-        done = 0
-        barrier.wait()
-        for i in range(OPS_PER_WRITER):
-            path = f"/bench/w{w}/f{i}"
-            tree.create_file(
-                path, payload_factory=payload, block_size=PAGE_SIZE, replication=1
-            )
-            if group_commit:
-                (ticket,) = manager.assign_append_tickets(blob, [64])
-                pending.append((ticket, None))
-                if len(pending) >= GROUP_COMMIT:
-                    manager.publish_batch(pending)
-                    pending.clear()
-            else:
-                ticket = manager.assign_ticket(blob, offset=None, size=64, append=True)
-                manager.publish(ticket, None)
-            tree.get_file(path)
-            manager.latest_version(blob)
-            done += 4  # create + publish + two lookups
-        if pending:
-            manager.publish_batch(pending)
-        counts[w] = done
-
-    threads = [threading.Thread(target=worker, args=(w,)) for w in range(writers)]
-    for thread in threads:
-        thread.start()
-    barrier.wait()
-    started = time.perf_counter()
-    for thread in threads:
-        thread.join()
-    elapsed = time.perf_counter() - started
-    return sum(counts) / elapsed
-
-
-def _run_concurrent():
-    report = ExperimentReport(
-        EXPERIMENT,
-        "Concurrent metadata ops: sharded namespace + striped versioning + "
-        f"group-commit vs single-lock ablation "
-        f"({METADATA_SERVICE_TIME_S * 1000:.1f} ms simulated service time "
-        "per mutation)",
-    )
-    results: dict[str, float] = {}
-    for writers in WRITER_COUNTS:
-        for sharded in (True, False):
-            tree, manager = _make_plane(sharded)
-            ops_per_s = _run_writers(tree, manager, writers, group_commit=sharded)
-            mode = "sharded" if sharded else "single"
-            scenario = f"{mode}-{writers}w"
-            results[scenario] = ops_per_s
-            row = {
-                "scenario": scenario,
-                "writers": writers,
-                "namespace_shards": NAMESPACE_SHARDS if sharded else 1,
-                "version_stripes": VERSION_STRIPES if sharded else 1,
-                "group_commit": GROUP_COMMIT if sharded else 1,
-                "ops_per_s": round(ops_per_s, 1),
-            }
-            if sharded:
-                # The decentralisation claim, measured against the new shard
-                # map: file homes must spread evenly over the shards.
-                shard_counts = tree.shard_file_counts()
-                row["shard_balance_cv"] = round(
-                    coefficient_of_variation(
-                        list(map(float, shard_counts.values()))
-                    ),
-                    3,
-                )
-            report.add_row(row)
-    report.note(
-        "sharded-Nw overlaps the per-mutation service time across shard "
-        "locks and publishes in group commits; single-Nw serialises every "
-        "mutation behind one namespace lock, like a centralised metadata "
-        "server."
-    )
-    return report, results
-
-
-def test_bench_metadata_concurrent(benchmark):
-    report, results = run_once(benchmark, _run_concurrent)
-    report.print()
-    # One writer pays the sharding overhead without reaping parallelism:
-    # parity within noise is all we ask.
-    assert results["sharded-1w"] >= 0.5 * results["single-1w"]
-    # The tentpole claim: with 8 writers the partitioned plane must at
-    # least double the single-lock ablation's throughput.
-    assert results["sharded-8w"] >= 2.0 * results["single-8w"]
 
 
 def _run():

@@ -82,10 +82,7 @@ class BSFS(FileSystem):
             enforcing file/byte budgets on namespace writes.
         """
         self.blobseer = blobseer if blobseer is not None else BlobSeer(config)
-        self.namespace = NamespaceManager(
-            namespace_shards=self.blobseer.config.namespace_shards,
-            quotas=quotas,
-        )
+        self.namespace = NamespaceManager(quotas=quotas)
         self.quotas = quotas
         self._default_block_size = default_block_size
         self._cache_blocks = cache_blocks

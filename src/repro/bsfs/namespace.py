@@ -15,7 +15,6 @@ from ..fs import path as fspath
 from ..fs.interface import FileStatus
 from ..fs.namespace import DirectoryEntry, FileEntry, NamespaceTree
 from ..fs.quota import QuotaManager
-from ..fs.sharded import ShardedNamespaceTree, make_namespace_tree
 
 __all__ = ["BSFSFileRecord", "NamespaceManager"]
 
@@ -34,20 +33,13 @@ class BSFSFileRecord:
 class NamespaceManager:
     """Centralized file-to-BLOB namespace service of BSFS."""
 
-    def __init__(
-        self,
-        *,
-        namespace_shards: int = 1,
-        quotas: QuotaManager | None = None,
-    ) -> None:
-        self._tree: NamespaceTree[int] | ShardedNamespaceTree[int] = make_namespace_tree(
-            namespace_shards
-        )
+    def __init__(self, *, quotas: QuotaManager | None = None) -> None:
+        self._tree: NamespaceTree[int] = NamespaceTree()
         self._tree.set_quota_manager(quotas)
         self.quotas = quotas
 
     @property
-    def tree(self) -> NamespaceTree[int] | ShardedNamespaceTree[int]:
+    def tree(self) -> NamespaceTree[int]:
         """The underlying namespace tree (exposed for the file system layer)."""
         return self._tree
 

@@ -87,15 +87,6 @@ class BlobSeerConfig:
         Seed for the deterministic pseudo-random choices made by the
         service (random allocation strategy, replica selection).  Keeping
         this fixed makes experiments reproducible.
-    namespace_shards:
-        Number of hash partitions of the BSFS namespace
-        (:mod:`repro.fs.sharded`); each shard has its own lock.  ``1``
-        keeps the single-lock :class:`~repro.fs.namespace.NamespaceTree`
-        (the ablation baseline of BENCH_metadata).
-    version_lock_stripes:
-        Lock stripes of the version manager's blob registry; blob
-        registration/lookup contend per stripe instead of on one global
-        lock.
     allocation_range_pages:
         Largest contiguous page range the load-balanced allocation
         strategy hands a single provider per allocation call; longer
@@ -118,8 +109,6 @@ class BlobSeerConfig:
     read_ahead_pages: int = 4
     max_inflight_bytes: int | None = None
     rng_seed: int = 0xB10B5EE
-    namespace_shards: int = 8
-    version_lock_stripes: int = 16
     allocation_range_pages: int = 8
 
     def __post_init__(self) -> None:
@@ -167,10 +156,6 @@ class BlobSeerConfig:
             and self.pin_default_ttl_seconds <= 0
         ):
             raise ValueError("pin_default_ttl_seconds must be None or positive")
-        if self.namespace_shards < 1:
-            raise ValueError("namespace_shards must be at least 1")
-        if self.version_lock_stripes < 1:
-            raise ValueError("version_lock_stripes must be at least 1")
         if self.allocation_range_pages < 1:
             raise ValueError("allocation_range_pages must be at least 1")
 
@@ -204,7 +189,5 @@ class BlobSeerConfig:
             "read_ahead_pages": self.read_ahead_pages,
             "max_inflight_bytes": self.max_inflight_bytes,
             "rng_seed": self.rng_seed,
-            "namespace_shards": self.namespace_shards,
-            "version_lock_stripes": self.version_lock_stripes,
             "allocation_range_pages": self.allocation_range_pages,
         }

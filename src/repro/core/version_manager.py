@@ -131,14 +131,12 @@ class VersionManager:
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self._config = config or BlobSeerConfig()
-        # The blob registry is striped: registration/removal of blob id B
-        # contends only on stripe B % version_lock_stripes, and lookups are
-        # lock-free (a GIL-atomic dict read), so the registry never
-        # serialises writers of unrelated blobs the way the old global
-        # lock did.  Per-blob ordering still lives in _BlobState.lock.
-        stripes = max(1, self._config.version_lock_stripes)
-        self._stripes: list[dict[int, _BlobState]] = [{} for _ in range(stripes)]
-        self._stripe_locks = [threading.Lock() for _ in range(stripes)]
+        # Blob registry: registration and removal take _blobs_lock, lookups
+        # are lock-free (a GIL-atomic dict read).  Per-blob ordering lives
+        # in _BlobState.lock, so writers of unrelated blobs never contend
+        # beyond the registry's short critical sections.
+        self._blobs: dict[int, _BlobState] = {}
+        self._blobs_lock = threading.Lock()
         self._blob_ids = itertools.count(1)
         #: Clock used to stamp publication times (injectable so retention
         #: TTL tests can run on a virtual clock).
@@ -169,16 +167,16 @@ class VersionManager:
         state.published_sizes[0] = 0
         state.published_roots[0] = None
         state.published_times[0] = self._clock()
-        stripe = blob_id % len(self._stripes)
-        with self._stripe_locks[stripe]:
-            self._stripes[stripe][blob_id] = state
+        with self._blobs_lock:
+            self._blobs[blob_id] = state
         return info
 
     def _state(self, blob_id: int) -> _BlobState:
-        # Lock-free lookup: stripe dicts only ever gain/lose whole entries
-        # under their stripe lock, and a single dict read is atomic.
+        # Lock-free lookup: the registry only ever gains/loses whole entries
+        # under _blobs_lock, and a single dict read is atomic.  TypeError
+        # covers unhashable ids arriving over the wire.
         try:
-            return self._stripes[blob_id % len(self._stripes)][blob_id]
+            return self._blobs[blob_id]
         except (KeyError, TypeError):
             raise BlobNotFoundError(blob_id) from None
 
@@ -188,11 +186,8 @@ class VersionManager:
 
     def blob_ids(self) -> list[int]:
         """Ids of every blob ever created (sorted)."""
-        ids: list[int] = []
-        for stripe, stripe_lock in zip(self._stripes, self._stripe_locks):
-            with stripe_lock:
-                ids.extend(stripe.keys())
-        return sorted(ids)
+        with self._blobs_lock:
+            return sorted(self._blobs)
 
     def add_delete_guard(self, guard: Callable[[int], None]) -> None:
         """Register a veto hook consulted before every :meth:`delete_blob`.
@@ -215,11 +210,9 @@ class VersionManager:
         self._state(blob_id)  # surface BlobNotFoundError first
         for guard in self._delete_guards:
             guard(blob_id)
-        stripe = blob_id % len(self._stripes)
-        with self._stripe_locks[stripe]:
-            if blob_id not in self._stripes[stripe]:
+        with self._blobs_lock:
+            if self._blobs.pop(blob_id, None) is None:
                 raise BlobNotFoundError(blob_id)
-            del self._stripes[stripe][blob_id]
 
     # -- ticket assignment --------------------------------------------------------
     def assign_ticket(

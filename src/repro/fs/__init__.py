@@ -32,7 +32,6 @@ from .quota import (
     current_tenant,
     tenant_scope,
 )
-from .sharded import ShardedNamespaceTree, make_namespace_tree
 from .registry import (
     UnknownSchemeError,
     clear_instance_cache,
@@ -54,8 +53,6 @@ __all__ = [
     "FsUri",
     "FileSystem",
     "LocalFS",
-    "ShardedNamespaceTree",
-    "make_namespace_tree",
     "InputStream",
     "OutputStream",
     "BlockLocation",

@@ -33,7 +33,6 @@ from .errors import InvalidRangeError, IsADirectoryError
 from .interface import BlockLocation, FileStatus, FileSystem, InputStream, OutputStream
 from .namespace import DirectoryEntry, FileEntry, NamespaceTree
 from .quota import QuotaManager
-from .sharded import ShardedNamespaceTree, make_namespace_tree
 
 __all__ = ["LocalFS", "DEFAULT_BLOCK_SIZE", "LocalFSInputStream", "LocalFSOutputStream"]
 
@@ -92,7 +91,6 @@ class LocalFS(FileSystem):
         *,
         default_block_size: int = DEFAULT_BLOCK_SIZE,
         default_replication: int = 1,
-        namespace_shards: int = 4,
         quotas: QuotaManager | None = None,
     ) -> None:
         """Create a LocalFS over a sandboxed root directory.
@@ -108,9 +106,6 @@ class LocalFS(FileSystem):
         default_replication:
             Replication factor reported in statuses (local disk stores one
             copy; the knob only affects reported metadata).
-        namespace_shards:
-            Namespace partitions (see :mod:`repro.fs.sharded`); ``1`` keeps
-            the single-lock tree.
         quotas:
             Optional per-tenant :class:`~repro.fs.quota.QuotaManager`
             enforcing file/byte budgets on namespace writes.
@@ -127,9 +122,7 @@ class LocalFS(FileSystem):
         self._root = os.path.abspath(root)
         self._default_block_size = default_block_size
         self._default_replication = default_replication
-        self._tree: NamespaceTree[str] | ShardedNamespaceTree[str] = make_namespace_tree(
-            namespace_shards
-        )
+        self._tree: NamespaceTree[str] = NamespaceTree()
         self._tree.set_quota_manager(quotas)
         self.quotas = quotas
         self._lock = threading.Lock()

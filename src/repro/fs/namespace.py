@@ -46,8 +46,8 @@ class FileEntry(Generic[PayloadT]):
     modification_time: float = field(default_factory=time.time)
     lease_holder: str | None = None
     #: Tenant whose quota this file counts against (the creator's tenant
-    #: scope at creation time).  Travels with the entry through renames and
-    #: cross-shard moves, so ownership never needs re-deriving.
+    #: scope at creation time).  Travels with the entry through renames, so
+    #: ownership never needs re-deriving.
     owner_tenant: str | None = None
 
     @property
@@ -81,23 +81,13 @@ class NamespaceTree(Generic[PayloadT]):
     def __init__(self) -> None:
         self._root = DirectoryEntry(name="")
         self._lock = threading.RLock()
-        #: Optional per-tenant quota accounting (shared across shards and,
-        #: when desired, across file systems).  ``None`` disables it.
+        #: Optional per-tenant quota accounting (shared across file systems
+        #: when desired).  ``None`` disables it.
         self.quotas: QuotaManager | None = None
 
     def set_quota_manager(self, quotas: QuotaManager | None) -> None:
         """Attach (or detach) the quota manager charging this tree's writes."""
         self.quotas = quotas
-
-    @property
-    def lock(self) -> threading.RLock:
-        """The tree's re-entrant lock.
-
-        Exposed so :class:`~repro.fs.sharded.ShardedNamespaceTree` can pin a
-        whole shard across a multi-step operation: holding it and then
-        calling the public methods is safe (they re-acquire re-entrantly).
-        """
-        return self._lock
 
     # -- resolution helpers ---------------------------------------------------------
     def _resolve(self, path: str) -> DirectoryEntry | FileEntry[PayloadT]:
@@ -161,14 +151,15 @@ class NamespaceTree(Generic[PayloadT]):
             ]
 
     def walk_files(self, path: str = fspath.ROOT) -> Iterator[tuple[str, FileEntry[PayloadT]]]:
-        """Yield every file under ``path`` (depth-first, sorted)."""
+        """Yield every file under ``path`` (depth-first, sorted).
+
+        The files are collected under one lock hold and yielded afterwards,
+        so the walk is a snapshot: a concurrent delete cannot make it fail
+        partway through.
+        """
         with self._lock:
-            entries = self.list_dir(path)
-        for child_path, entry in entries:
-            if isinstance(entry, DirectoryEntry):
-                yield from self.walk_files(child_path)
-            else:
-                yield child_path, entry
+            files = self._collect_files(fspath.normalize(path), self._resolve_dir(path))
+        yield from files
 
     # -- mutations --------------------------------------------------------------------
     def mkdirs(self, path: str) -> None:
@@ -271,9 +262,10 @@ class NamespaceTree(Generic[PayloadT]):
                     raise DirectoryNotEmptyError(norm)
                 removed_files.extend(self._collect_files(norm, entry))
             else:
-                if entry.lease_holder is not None:
-                    raise LeaseConflictError(norm, entry.lease_holder)
                 removed_files.append((norm, entry))
+            for file_path, file_entry in removed_files:
+                if file_entry.lease_holder is not None:
+                    raise LeaseConflictError(file_path, file_entry.lease_holder)
             del parent_dir.children[name]
             parent_dir.modification_time = time.time()
         if self.quotas is not None:
@@ -288,14 +280,13 @@ class NamespaceTree(Generic[PayloadT]):
     def _collect_files(
         self, base: str, directory: DirectoryEntry
     ) -> list[tuple[str, FileEntry[PayloadT]]]:
+        """Files under ``directory``, depth-first and sorted; call under the lock."""
         collected: list[tuple[str, FileEntry[PayloadT]]] = []
-        for name, child in directory.children.items():
+        for name, child in sorted(directory.children.items()):
             child_path = fspath.join(base, name)
             if isinstance(child, DirectoryEntry):
                 collected.extend(self._collect_files(child_path, child))
             else:
-                if child.lease_holder is not None:
-                    raise LeaseConflictError(child_path, child.lease_holder)
                 collected.append((child_path, child))
         return collected
 
@@ -330,46 +321,6 @@ class NamespaceTree(Generic[PayloadT]):
             dst_parent.children[new_name] = entry
             src_parent.modification_time = time.time()
             dst_parent.modification_time = time.time()
-
-    # -- entry transplantation --------------------------------------------------------
-    def detach_entry(self, path: str) -> DirectoryEntry | FileEntry[PayloadT]:
-        """Remove and return the entry at ``path`` without lease/emptiness checks.
-
-        Building block for cross-tree moves (the sharded namespace relocates
-        entries between shard trees under its own locking); not part of the
-        application-facing API, which goes through :meth:`rename`.
-        """
-        norm = fspath.normalize(path)
-        if norm == fspath.ROOT:
-            raise NoSuchPathError(norm)
-        with self._lock:
-            parent_dir = self._resolve_dir(fspath.parent(norm))
-            name = fspath.basename(norm)
-            if name not in parent_dir.children:
-                raise NoSuchPathError(norm)
-            entry = parent_dir.children.pop(name)
-            parent_dir.modification_time = time.time()
-            return entry  # type: ignore[return-value]
-
-    def attach_entry(
-        self, path: str, entry: DirectoryEntry | FileEntry[PayloadT]
-    ) -> None:
-        """Insert ``entry`` at ``path`` (renaming it to the path's basename).
-
-        The parent must already exist as a directory and the name must be
-        free; the counterpart of :meth:`detach_entry` for cross-tree moves.
-        """
-        norm = fspath.normalize(path)
-        if norm == fspath.ROOT:
-            raise PathExistsError(norm)
-        with self._lock:
-            parent_dir = self._resolve_dir(fspath.parent(norm))
-            name = fspath.basename(norm)
-            if name in parent_dir.children:
-                raise PathExistsError(norm)
-            entry.name = name
-            parent_dir.children[name] = entry
-            parent_dir.modification_time = time.time()
 
     # -- leases ---------------------------------------------------------------------
     def acquire_lease(self, path: str, holder: str) -> None:

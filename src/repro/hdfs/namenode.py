@@ -19,7 +19,6 @@ from ..fs.errors import InvalidRangeError, NoSuchPathError, UnsupportedOperation
 from ..fs.interface import BlockLocation, FileStatus
 from ..fs.namespace import DirectoryEntry, FileEntry, NamespaceTree
 from ..fs.quota import QuotaManager
-from ..fs.sharded import ShardedNamespaceTree, make_namespace_tree
 from .block_placement import BlockPlacementPolicy, DefaultPlacementPolicy
 from .datanode import DataNode
 
@@ -53,12 +52,9 @@ class NameNode:
         placement_policy: BlockPlacementPolicy | None = None,
         default_block_size: int = 64 * 1024 * 1024,
         default_replication: int = 1,
-        namespace_shards: int = 4,
         quotas: QuotaManager | None = None,
     ) -> None:
-        self._tree: NamespaceTree[HDFSFilePayload] | ShardedNamespaceTree[
-            HDFSFilePayload
-        ] = make_namespace_tree(namespace_shards)
+        self._tree: NamespaceTree[HDFSFilePayload] = NamespaceTree()
         self._tree.set_quota_manager(quotas)
         self.quotas = quotas
         self._datanodes: dict[int, DataNode] = {d.node_id: d for d in datanodes}
@@ -181,7 +177,7 @@ class NameNode:
 
     # -- namespace --------------------------------------------------------------------
     @property
-    def tree(self) -> NamespaceTree[HDFSFilePayload] | ShardedNamespaceTree[HDFSFilePayload]:
+    def tree(self) -> NamespaceTree[HDFSFilePayload]:
         """The namespace tree (shared semantics with BSFS)."""
         return self._tree
 

@@ -171,8 +171,8 @@ class RemoteMetadataProvider(_Stub):
     """A :class:`~repro.core.dht.MetadataProvider` in another process.
 
     Mirrors the metadata node's key-value surface closely enough that a
-    :class:`~repro.core.dht.MetadataDHT` (and therefore the sharded
-    metadata plane built on it) runs over remote nodes unchanged.
+    :class:`~repro.core.dht.MetadataDHT` (and therefore the segment-tree
+    metadata stored in it) runs over remote nodes unchanged.
     ``stats`` stays a property to match the in-process class, and
     ``len(stub)`` reads the remote entry count through it — the DHT's
     ``distribution()`` relies on ``__len__``, and dunder names are not

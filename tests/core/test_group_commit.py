@@ -1,6 +1,6 @@
 """Group-commit and range allocation: the batched control-plane paths.
 
-Covers the APIs added for the sharded metadata plane:
+Covers the batched version-manager, allocation and client APIs:
 
 * ``VersionManager.assign_append_tickets`` / ``publish_batch`` /
   ``retire_batch`` — one critical section per blob instead of one per
@@ -15,11 +15,15 @@ Covers the APIs added for the sharded metadata plane:
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.core import KB, BlobSeer, BlobSeerConfig, DataProvider
 from repro.core.config import BlobSeerConfig as Config
 from repro.core.errors import (
+    BlobNotFoundError,
     InvalidRangeError,
     TicketError,
     VersionNotPublishedError,
@@ -147,24 +151,42 @@ class TestRetireBatch:
         assert manager.retire_versions(blob, [1, 2]) == [1, 2]
 
 
-class TestStriping:
-    def test_blobs_spread_across_stripes(self):
-        manager = VersionManager(
-            Config(page_size=1024, num_providers=4, version_lock_stripes=4)
-        )
-        blobs = [manager.create_blob().blob_id for _ in range(8)]
-        assert sorted(manager.blob_ids()) == sorted(blobs)
-        assert len({b % 4 for b in blobs}) == 4  # every stripe populated
-        for blob in blobs:
-            manager.delete_blob(blob)
+class TestBlobRegistry:
+    def test_concurrent_create_then_delete(self, manager):
+        created: list[list[int]] = [[] for _ in range(8)]
+
+        def run(action) -> None:
+            threads = [threading.Thread(target=action, args=(w,)) for w in range(8)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+
+        def create(w: int) -> None:
+            created[w] = [manager.create_blob().blob_id for _ in range(25)]
+
+        def delete(w: int) -> None:
+            for blob in created[w]:
+                manager.delete_blob(blob)
+
+        run(create)
+        all_ids = sorted(b for ids in created for b in ids)
+        assert len(set(all_ids)) == 8 * 25
+        assert manager.blob_ids() == all_ids
+        run(delete)
         assert manager.blob_ids() == []
 
-    def test_single_stripe_still_works(self):
-        manager = VersionManager(
-            Config(page_size=1024, num_providers=4, version_lock_stripes=1)
-        )
-        blob = manager.create_blob().blob_id
-        assert manager.latest_version(blob) == 0
+    def test_non_int_id_is_not_found(self, manager):
+        with pytest.raises(BlobNotFoundError):
+            manager.blob_info("x")
+        with pytest.raises(BlobNotFoundError):
+            manager.delete_blob("x")
 
 
 def make_providers(count: int) -> list[DataProvider]:

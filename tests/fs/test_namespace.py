@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
+from repro.fs import path as fspath
 from repro.fs.errors import (
     DirectoryNotEmptyError,
     IsADirectoryError,
@@ -103,6 +107,19 @@ class TestFiles:
         assert entry.size == 100
         assert entry.payload == 9
 
+    def test_create_through_file_raises_not_a_directory(self, tree):
+        create(tree, "/a/file")
+        with pytest.raises(NotADirectoryError):
+            create(tree, "/a/file/sub")
+
+    def test_update_file_size_monotonic(self, tree):
+        create(tree, "/size/f")
+        assert tree.update_file_size_monotonic("/size/f", 100) == 100
+        assert tree.update_file_size_monotonic("/size/f", 50) == 100
+        assert tree.get_file("/size/f").size == 100
+        tree.update_file(path="/size/f", payload=77)
+        assert tree.get_file("/size/f").payload == 77
+
     def test_walk_and_count(self, tree):
         create(tree, "/a/1")
         create(tree, "/a/b/2")
@@ -110,6 +127,57 @@ class TestFiles:
         files = [path for path, _ in tree.walk_files()]
         assert sorted(files) == ["/a/1", "/a/b/2", "/c/3"]
         assert tree.count_files() == 3
+
+    def test_walk_files_is_depth_first_and_sorted(self, tree):
+        expected = sorted(
+            [f"/w/sub-{i % 3}/file-{i}" for i in range(12)] + ["/w/top"],
+            key=fspath.components,
+        )
+        for p in reversed(expected):
+            create(tree, p)
+        assert [p for p, _ in tree.walk_files("/w")] == expected
+
+    def test_walk_files_survives_a_concurrent_delete(self, tree):
+        # The walk is a snapshot: deleting a directory it has not reached
+        # yet must not make it fail partway through.
+        create(tree, "/a/f1")
+        create(tree, "/b/c/f2")
+        create(tree, "/b/f3")
+        walk = tree.walk_files("/")
+        first = next(walk)
+        tree.delete("/b", recursive=True)
+        rest = [p for p, _ in walk]
+        assert [first[0], *rest] == ["/a/f1", "/b/c/f2", "/b/f3"]
+        assert tree.count_files() == 1
+
+    def test_walk_missing_dir_raises(self, tree):
+        with pytest.raises(NoSuchPathError):
+            list(tree.walk_files("/nope"))
+
+    def test_concurrent_creates_converge(self, tree):
+        tree.mkdirs("/load")
+        errors: list[Exception] = []
+
+        def writer(worker: int):
+            try:
+                for i in range(25):
+                    create(tree, f"/load/w{worker}-f{i}", payload=worker)
+            except Exception as exc:  # pragma: no cover - failure diagnostics
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(w,)) for w in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert tree.count_files() == 8 * 25
 
 
 class TestDelete:
@@ -142,6 +210,19 @@ class TestDelete:
         with pytest.raises(LeaseConflictError):
             tree.delete("/locked")
 
+    def test_recursive_delete_with_leased_file_leaves_tree_intact(self, tree):
+        create(tree, "/keep/a")
+        create(tree, "/keep/sub/b")
+        create(tree, "/keep/z")
+        tree.acquire_lease("/keep/sub/b", "writer-1")
+        with pytest.raises(LeaseConflictError):
+            tree.delete("/keep", recursive=True)
+        assert [p for p, _ in tree.walk_files("/keep")] == [
+            "/keep/a",
+            "/keep/sub/b",
+            "/keep/z",
+        ]
+
 
 class TestRename:
     def test_rename_file(self, tree):
@@ -149,6 +230,12 @@ class TestRename:
         tree.rename("/src", "/dst/inner")
         assert not tree.exists("/src")
         assert tree.get_file("/dst/inner").payload == 5
+
+    def test_rename_file_creates_destination_parents(self, tree):
+        create(tree, "/from/f", payload=3)
+        tree.rename("/from/f", "/to/deep/f")
+        assert tree.get_file("/to/deep/f").payload == 3
+        assert tree.is_dir("/to/deep")
 
     def test_rename_directory_moves_subtree(self, tree):
         create(tree, "/old/a")

@@ -1,4 +1,4 @@
-"""The sharded metadata plane over the wire: remote metadata providers.
+"""The metadata DHT over the wire: remote metadata providers.
 
 A :class:`~repro.core.dht.MetadataDHT` built over
 :class:`~repro.net.stubs.RemoteMetadataProvider` stubs must behave like
