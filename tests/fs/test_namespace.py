@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import sys
 import threading
+from typing import Callable
 
 import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, rule
 
 from repro.fs import path as fspath
 from repro.fs.errors import (
@@ -278,3 +282,333 @@ class TestLeases:
         create(tree, "/f", lease_holder="owner")
         tree.release_lease("/f", "somebody-else")
         assert tree.lease_holder("/f") == "owner"
+
+
+# -- error contract -------------------------------------------------------------------
+
+#: Every public operation that resolves an existing path, as ``op(tree, path)``.
+RESOLVING_OPS = {
+    "get_file": lambda t, p: t.get_file(p),
+    "get_entry": lambda t, p: t.get_entry(p),
+    "list_dir": lambda t, p: t.list_dir(p),
+    "walk_files": lambda t, p: list(t.walk_files(p)),
+    "delete": lambda t, p: t.delete(p),
+    "acquire_lease": lambda t, p: t.acquire_lease(p, "w"),
+    "release_lease": lambda t, p: t.release_lease(p, "w"),
+    "lease_holder": lambda t, p: t.lease_holder(p),
+    "update_file": lambda t, p: t.update_file(p, size=1),
+    "update_file_size_monotonic": lambda t, p: t.update_file_size_monotonic(p, 1),
+}
+
+#: The subset that only accepts regular files.
+FILE_ONLY_OPS = [
+    "get_file",
+    "acquire_lease",
+    "release_lease",
+    "lease_holder",
+    "update_file",
+    "update_file_size_monotonic",
+]
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize("op", sorted(RESOLVING_OPS))
+    def test_missing_path_raises_no_such_path(self, tree, op):
+        tree.mkdirs("/d")
+        with pytest.raises(NoSuchPathError):
+            RESOLVING_OPS[op](tree, "/d/missing")
+
+    @pytest.mark.parametrize("op", FILE_ONLY_OPS)
+    def test_file_op_on_directory_raises_is_a_directory(self, tree, op):
+        tree.mkdirs("/d")
+        with pytest.raises(IsADirectoryError):
+            RESOLVING_OPS[op](tree, "/d")
+
+    @pytest.mark.parametrize("op", ["get_file", "get_entry", "list_dir", "delete"])
+    def test_path_through_a_file_raises_not_a_directory(self, tree, op):
+        create(tree, "/f")
+        with pytest.raises(NotADirectoryError):
+            RESOLVING_OPS[op](tree, "/f/child")
+
+    def test_list_dir_of_file_raises_not_a_directory(self, tree):
+        create(tree, "/f")
+        with pytest.raises(NotADirectoryError):
+            tree.list_dir("/f")
+
+    def test_queries_through_a_file_are_false(self, tree):
+        create(tree, "/f")
+        assert not tree.exists("/f/child")
+        assert not tree.is_dir("/f/child")
+        assert not tree.is_dir("/f")
+
+
+class TestCreateSideEffects:
+    def test_create_makes_missing_parents(self, tree):
+        create(tree, "/a/b/c/file")
+        assert tree.is_dir("/a") and tree.is_dir("/a/b") and tree.is_dir("/a/b/c")
+        assert [p for p, _ in tree.list_dir("/a/b/c")] == ["/a/b/c/file"]
+
+    @pytest.mark.parametrize(
+        "setup, error",
+        [
+            (lambda t: create(t, "/x"), PathExistsError),
+            (lambda t: t.mkdirs("/x"), IsADirectoryError),
+            (lambda t: create(t, "/x", lease_holder="w"), LeaseConflictError),
+        ],
+        ids=["existing-file", "existing-dir", "leased-overwrite"],
+    )
+    def test_rejected_create_never_builds_a_payload(self, tree, setup, error):
+        setup(tree)
+        built, released = [], []
+
+        def factory() -> int:
+            built.append(1)
+            return 99
+
+        with pytest.raises(error):
+            tree.create_file(
+                "/x",
+                payload_factory=factory,
+                block_size=1,
+                replication=1,
+                overwrite=error is not PathExistsError,
+                on_overwrite=released.append,
+            )
+        assert built == [] and released == []
+
+    def test_delete_empty_directory_without_recursive(self, tree):
+        tree.mkdirs("/empty")
+        tree.delete("/empty")
+        assert not tree.exists("/empty")
+
+
+class TestRenameSideEffects:
+    def test_rename_root_rejected(self, tree):
+        with pytest.raises(NoSuchPathError):
+            tree.rename("/", "/elsewhere")
+
+    def test_rename_keeps_entry_and_updates_its_name(self, tree):
+        create(tree, "/src/f", payload=4, lease_holder="w")
+        before = tree.get_file("/src/f")
+        tree.rename("/src/f", "/dst/g")
+        after = tree.get_file("/dst/g")
+        assert after is before
+        assert after.name == "g"
+        assert (after.payload, after.lease_holder) == (4, "w")
+
+
+# -- model-based check ----------------------------------------------------------------
+
+
+class FlatNamespace:
+    """Reference model: a flat ``path -> entry`` dict with no tree structure.
+
+    Directories map to ``None``; files map to ``[payload, size, lease]``.
+    The model re-derives every rule of :class:`NamespaceTree` from path
+    prefixes alone, so a tree bug (a stale child link, a lost subtree, a
+    wrong error) shows up as a divergence.
+    """
+
+    def __init__(self) -> None:
+        self.entries: dict[str, list | None] = {fspath.ROOT: None}
+
+    @staticmethod
+    def prefixes(path: str) -> list[str]:
+        parts = fspath.components(path)
+        return ["/" + "/".join(parts[: i + 1]) for i in range(len(parts))]
+
+    def is_file(self, path: str) -> bool:
+        return self.entries.get(path) is not None
+
+    def resolve(self, path: str) -> str:
+        node = fspath.ROOT
+        for prefix in self.prefixes(path):
+            if self.is_file(node):
+                raise NotADirectoryError(path)
+            if prefix not in self.entries:
+                raise NoSuchPathError(path)
+            node = prefix
+        return node
+
+    def resolve_file(self, path: str) -> list:
+        node = self.resolve(path)
+        if not self.is_file(node):
+            raise IsADirectoryError(path)
+        return self.entries[node]
+
+    def exists(self, path: str) -> bool:
+        try:
+            self.resolve(path)
+            return True
+        except (NoSuchPathError, NotADirectoryError):
+            return False
+
+    def subtree(self, path: str) -> list[str]:
+        return [p for p in self.entries if p == path or p.startswith(path + "/")]
+
+    def mkdirs(self, path: str) -> None:
+        for prefix in self.prefixes(path):
+            self.entries.setdefault(prefix, None)
+            if self.is_file(prefix):
+                raise NotADirectoryError(path)
+
+    def create(self, path: str, payload: int) -> None:
+        norm = fspath.normalize(path)
+        if norm == fspath.ROOT:
+            raise PathExistsError(norm)
+        self.mkdirs(fspath.parent(norm))
+        if norm in self.entries:
+            raise PathExistsError(norm) if self.is_file(norm) else IsADirectoryError(norm)
+        self.entries[norm] = [payload, 0, None]
+
+    def delete(self, path: str, recursive: bool) -> None:
+        norm = fspath.normalize(path)
+        if norm == fspath.ROOT:
+            raise DirectoryNotEmptyError(norm)
+        if self.is_file(self.resolve(fspath.parent(norm))):
+            raise NotADirectoryError(norm)
+        if norm not in self.entries:
+            raise NoSuchPathError(norm)
+        doomed = self.subtree(norm)
+        if len(doomed) > 1 and not recursive:
+            raise DirectoryNotEmptyError(norm)
+        if any(self.is_file(p) and self.entries[p][2] is not None for p in doomed):
+            raise LeaseConflictError(norm, "holder")
+        for p in doomed:
+            del self.entries[p]
+
+    def rename(self, src: str, dst: str) -> None:
+        if src == fspath.ROOT:
+            raise NoSuchPathError(src)
+        if fspath.is_ancestor(src, dst):
+            raise PathExistsError(dst)
+        if self.is_file(self.resolve(fspath.parent(src))):
+            raise NotADirectoryError(src)
+        if src not in self.entries:
+            raise NoSuchPathError(src)
+        if self.exists(dst):
+            raise PathExistsError(dst)
+        self.mkdirs(fspath.parent(dst))
+        for p in self.subtree(src):
+            self.entries[dst + p[len(src):]] = self.entries.pop(p)
+
+    def acquire_lease(self, path: str, holder: str) -> None:
+        entry = self.resolve_file(path)
+        if entry[2] is not None and entry[2] != holder:
+            raise LeaseConflictError(path, entry[2])
+        entry[2] = holder
+
+    def release_lease(self, path: str, holder: str) -> None:
+        entry = self.resolve_file(path)
+        if entry[2] == holder:
+            entry[2] = None
+
+    def grow(self, path: str, size: int) -> None:
+        entry = self.resolve_file(path)
+        entry[1] = max(entry[1], size)
+
+    def snapshot(self) -> tuple:
+        files = {p: (e[1], e[0], e[2]) for p, e in self.entries.items() if e is not None}
+        dirs = sorted(p for p, e in self.entries.items() if e is None and p != fspath.ROOT)
+        return files, dirs
+
+
+def tree_snapshot(tree: NamespaceTree[int]) -> tuple:
+    files = {p: (e.size, e.payload, e.lease_holder) for p, e in tree.walk_files("/")}
+    dirs: list[str] = []
+
+    def walk_dirs(base: str) -> None:
+        for child_path, entry in tree.list_dir(base):
+            if entry.is_dir:
+                dirs.append(child_path)
+                walk_dirs(child_path)
+
+    walk_dirs("/")
+    return files, sorted(dirs)
+
+
+def outcome(action: Callable[[], object]) -> str | None:
+    """Run ``action``; return the name of the error it raised, if any."""
+    try:
+        action()
+        return None
+    except Exception as exc:
+        return type(exc).__name__
+
+
+# A handful of overlapping paths, so random sequences often hit the same
+# entries, their ancestors and their descendants.
+paths = st.sampled_from(["/a", "/b", "/a/a", "/a/b", "/b/a", "/a/a/b"])
+holders = st.sampled_from(["w1", "w2"])
+#: Paths of earlier creates, so lease and size rules mostly hit real files.
+created = Bundle("created")
+
+
+class NamespaceMachine(RuleBasedStateMachine):
+    """Drives a :class:`NamespaceTree` and a :class:`FlatNamespace` in step."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.tree: NamespaceTree[int] = NamespaceTree()
+        self.model = FlatNamespace()
+
+    def same_outcome(self, on_tree: Callable[[], object], on_model: Callable[[], object]):
+        actual, expected = outcome(on_tree), outcome(on_model)
+        assert actual == expected, f"tree raised {actual}, model raised {expected}"
+
+    @rule(path=paths)
+    def mkdirs(self, path):
+        self.same_outcome(lambda: self.tree.mkdirs(path), lambda: self.model.mkdirs(path))
+
+    @rule(target=created, path=paths, payload=st.integers(0, 99))
+    def create(self, path, payload):
+        self.same_outcome(
+            lambda: create(self.tree, path, payload=payload),
+            lambda: self.model.create(path, payload),
+        )
+        return path
+
+    @rule(path=paths, recursive=st.booleans())
+    def delete(self, path, recursive):
+        self.same_outcome(
+            lambda: self.tree.delete(path, recursive=recursive),
+            lambda: self.model.delete(path, recursive),
+        )
+
+    @rule(src=paths, dst=paths)
+    def rename(self, src, dst):
+        self.same_outcome(lambda: self.tree.rename(src, dst), lambda: self.model.rename(src, dst))
+
+    @rule(path=created | paths, holder=holders)
+    def acquire_lease(self, path, holder):
+        self.same_outcome(
+            lambda: self.tree.acquire_lease(path, holder),
+            lambda: self.model.acquire_lease(path, holder),
+        )
+
+    @rule(path=created | paths, holder=holders)
+    def release_lease(self, path, holder):
+        self.same_outcome(
+            lambda: self.tree.release_lease(path, holder),
+            lambda: self.model.release_lease(path, holder),
+        )
+
+    @rule(path=created | paths, size=st.sampled_from([0, 1, 512, 4096]))
+    def grow(self, path, size):
+        self.same_outcome(
+            lambda: self.tree.update_file_size_monotonic(path, size),
+            lambda: self.model.grow(path, size),
+        )
+
+    @invariant()
+    def same_state(self):
+        assert tree_snapshot(self.tree) == self.model.snapshot()
+
+
+TestTreeMatchesFlatModel = NamespaceMachine.TestCase
+TestTreeMatchesFlatModel.settings = settings(
+    max_examples=100,
+    stateful_step_count=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
