@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Perf regression gate over BENCH_*.json benchmark artifacts.
 
-Compares a freshly produced ``BENCH_shuffle.json`` (written by
+Compares a freshly produced ``BENCH_*.json`` (written by
 ``pytest benchmarks --bench-json=DIR``) against the committed baseline in
 ``benchmarks/baselines/``.  The tolerance is deliberately generous — CI
 runners are noisy and heterogeneous — so only a *catastrophic* slowdown
@@ -9,9 +9,9 @@ runners are noisy and heterogeneous — so only a *catastrophic* slowdown
 
 Usage:
     python scripts/check_bench.py \
-        --fresh bench-artifacts/BENCH_shuffle.json \
-        --baseline benchmarks/baselines/BENCH_shuffle.json \
-        --metric shuffle_MBps --key system --tolerance 3.0
+        --fresh bench-artifacts/BENCH_rpc.json \
+        --baseline benchmarks/baselines/BENCH_rpc.json \
+        --metric ops_per_s --key scenario --tolerance 3.0
 """
 
 from __future__ import annotations
@@ -45,10 +45,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--metric",
-        default="shuffle_MBps",
+        required=True,
         help="row column holding the higher-is-better throughput value",
     )
-    parser.add_argument("--key", default="system", help="row column identifying a series")
+    parser.add_argument("--key", required=True, help="row column identifying a series")
     parser.add_argument(
         "--tolerance",
         type=float,

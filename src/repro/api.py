@@ -49,7 +49,7 @@ def connect(
     *,
     tenant: str | None = None,
     service: JobService | None = None,
-    num_trackers: int = 4,
+    num_trackers: int | None = None,
     slots_per_tracker: int = 2,
     max_concurrent_jobs: int | None = 4,
     **fs_options: Any,

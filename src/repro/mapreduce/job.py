@@ -53,7 +53,7 @@ class JobConf:
     spill_to_fs: bool = False
     #: Spill threshold, in encoded bytes: a map's partition is cut into a
     #: new segment file once the buffered records reach this size (a
-    #: segment may exceed it by up to one record).
+    #: segment may exceed it by up to one frame of records).
     shuffle_segment_size: int = 1024 * 1024
     #: Write all reduce output into one shared file via concurrent appends
     #: (the paper's §V scenario).  Falls back to per-reducer ``part-r-*``
@@ -236,12 +236,10 @@ class TaskContext:
     ) -> None:
         self.job_conf = job_conf
         self.task_id = task_id
-        self._emit = emit
+        #: ``emit(key, value)`` produces one output pair.  Bound straight to
+        #: the task's collector: no forwarding frame per pair.
+        self.emit = emit
         self.counters = counters
-
-    def emit(self, key: Any, value: Any) -> None:
-        """Emit one output key-value pair."""
-        self._emit(key, value)
 
 
 def identity_mapper(key: Any, value: Any, context: TaskContext) -> None:

@@ -46,7 +46,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from ..core.transfer import TransferEngine
 from ..fs import path as fspath
@@ -207,19 +207,6 @@ def _failed_result(
         attempt=attempt,
         speculative=speculative,
     )
-
-
-def _counted(
-    pairs: Iterator[tuple[Any, Any]], counters: Counters
-) -> Iterator[tuple[Any, Any]]:
-    """Pass pairs through, folding their count into ``reduce_shuffle_records``."""
-    count = 0
-    try:
-        for pair in pairs:
-            count += 1
-            yield pair
-    finally:
-        counters.increment("reduce_shuffle_records", count)
 
 
 class _TaskEntry:
@@ -982,13 +969,10 @@ class JobTracker:
             scheduler.task_started()
             try:
                 if shuffle_service is not None:
-                    pairs: Any = _counted(
-                        shuffle_service.merged_pairs(index), attempt_counters
-                    )
+                    pairs: Any = shuffle_service.merged_pairs(index)
                     presorted = True
                 else:
                     pairs = merge_map_outputs(map_outputs, index)
-                    attempt_counters.increment("reduce_shuffle_records", len(pairs))
                     presorted = False
                 with tenant_scope(job.conf.tenant):
                     result = tracker.run_reduce_task(
@@ -1205,7 +1189,7 @@ def make_cluster(
     fs: FileSystem | str,
     *,
     hosts: list[str] | None = None,
-    num_trackers: int = 4,
+    num_trackers: int | None = None,
     slots_per_tracker: int = 2,
     parallel: bool = True,
 ) -> JobTracker:
@@ -1217,7 +1201,10 @@ def make_cluster(
     the tracker hosts are derived from the file system's storage nodes
     (BlobSeer providers for BSFS, datanodes for HDFS) so that data-local
     scheduling is possible, mirroring the paper's co-deployment of Hadoop
-    tasktrackers and storage daemons.
+    tasktrackers and storage daemons.  ``num_trackers=None`` builds one
+    tracker per storage node; an explicit count builds exactly that many,
+    placed on the storage hosts round-robin.  Without storage nodes the
+    trackers are ``tracker-0`` … (four by default).
     """
     if isinstance(fs, str):
         fs = get_filesystem(fs)
@@ -1230,6 +1217,9 @@ def make_cluster(
         if namenode is not None and not hosts:
             hosts = [d.host for d in namenode.datanodes]
         if not hosts:
-            hosts = [f"tracker-{i}" for i in range(num_trackers)]
+            count = 4 if num_trackers is None else num_trackers
+            hosts = [f"tracker-{i}" for i in range(count)]
+        elif num_trackers is not None:
+            hosts = [hosts[i % len(hosts)] for i in range(num_trackers)]
     trackers = [TaskTracker(host, slots=slots_per_tracker) for host in hosts]
     return JobTracker(fs, trackers, parallel=parallel, _from_factory=True)

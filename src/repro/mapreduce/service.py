@@ -326,7 +326,7 @@ class JobService:
         fs: "FileSystem | str",
         *,
         hosts: list[str] | None = None,
-        num_trackers: int = 4,
+        num_trackers: int | None = None,
         slots_per_tracker: int = 2,
         parallel: bool = True,
         max_concurrent_jobs: int | None = 4,

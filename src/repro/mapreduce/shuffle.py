@@ -13,13 +13,12 @@ creating several output files, as it is currently done in Hadoop").
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import operator
+import zlib
 from collections import defaultdict
 from typing import Any, Callable, Iterable, Iterator
 
-from ..core.transfer import ChunkBuffer
 from ..fs.interface import FileSystem
 from ..fs import path as fspath
 
@@ -31,15 +30,19 @@ __all__ = [
     "group_sorted_pairs",
     "TextOutputFormat",
     "SingleFileOutputFormat",
+    "OUTPUT_BATCH_BYTES",
 ]
+
+#: Encoded output lines are handed to the stream in batches of at least
+#: this many bytes (a batch ends at the first line boundary past it).
+OUTPUT_BATCH_BYTES = 1024 * 1024
 
 
 def hash_partitioner(key: Any, num_partitions: int) -> int:
     """Deterministic hash partitioner (stable across processes and runs)."""
     if num_partitions <= 1:
         return 0
-    digest = hashlib.blake2b(repr(key).encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big") % num_partitions
+    return zlib.crc32(repr(key).encode("utf-8")) % num_partitions
 
 
 class MapOutputCollector:
@@ -64,13 +67,16 @@ class MapOutputCollector:
         self._partitions: list[list[tuple[Any, Any]]] = [
             [] for _ in range(num_partitions)
         ]
-        self.records_collected = 0
 
     def collect(self, key: Any, value: Any) -> None:
         """Add one intermediate pair."""
         partition = self._partitioner(key, self._num_partitions)
         self._partitions[partition].append((key, value))
-        self.records_collected += 1
+
+    @property
+    def records_collected(self) -> int:
+        """Pairs collected so far (before the combiner)."""
+        return sum(map(len, self._partitions))
 
     def _apply_combiner(
         self, pairs: list[tuple[Any, Any]]
@@ -163,18 +169,36 @@ class TextOutputFormat:
     ) -> str:
         """Write one task's output pairs; returns the part file path.
 
-        Pairs are encoded and written line by line through the streaming
-        sink, so a task's output never has to fit in memory at once.
+        Pairs are encoded lazily and reach the streaming sink in batches
+        of :data:`OUTPUT_BATCH_BYTES`, so a task's output never has to fit
+        in memory at once.
         """
         fs.mkdirs(output_dir)
         path = self.output_path(output_dir, task_index, map_only=map_only)
         with fs.open_write(
             path, overwrite=True, replication=replication, client_host=client_host
         ) as stream:
-            for key, value in pairs:
-                line = self._encode(key) + self._separator + self._encode(value) + b"\n"
-                stream.write(line)
+            for batch in self._batches(pairs, OUTPUT_BATCH_BYTES):
+                stream.write(batch)
         return path
+
+    def _batches(
+        self, pairs: Iterable[tuple[Any, Any]], limit: int
+    ) -> Iterator[bytes]:
+        """Encoded lines joined into batches that end at the first line
+        boundary at or past ``limit`` bytes."""
+        encode, separator = self._encode, self._separator
+        lines: list[bytes] = []
+        size = 0
+        for key, value in pairs:
+            line = encode(key) + separator + encode(value) + b"\n"
+            lines.append(line)
+            size += len(line)
+            if size >= limit:
+                yield b"".join(lines)
+                lines, size = [], 0
+        if lines:
+            yield b"".join(lines)
 
     @staticmethod
     def _encode(value: Any) -> bytes:
@@ -259,13 +283,6 @@ class SingleFileOutputFormat(TextOutputFormat):
             except Exception:
                 # Another reducer created it concurrently; that is fine.
                 pass
-        payload = ChunkBuffer()
-        for key, value in pairs:
-            payload.append(
-                self._encode(key) + self._separator + self._encode(value) + b"\n"
-            )
-            if len(payload) >= self._append_chunk_bytes:
-                concurrent_append(path, payload.take_all())
-        if len(payload):
-            concurrent_append(path, payload.take_all())
+        for batch in self._batches(pairs, self._append_chunk_bytes):
+            concurrent_append(path, batch)
         return path

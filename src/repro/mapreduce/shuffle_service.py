@@ -17,8 +17,9 @@ actually need:
   (:func:`heapq.merge` over streaming segment readers), so a reduce
   partition larger than memory still reduces.
 
-Segments use a simple length-prefixed pickle framing: each record is
-``4-byte big-endian length + pickle((key, value))``.  A map's partition is
+Segments are sequences of length-prefixed frames: each frame is
+``4-byte big-endian length + pickle([(key, value), ...])``, one pickle for a
+batch of records of about :data:`FRAME_BYTES`.  A map's partition is
 already sorted by ``repr(key)`` when it is spilled; cutting it into
 consecutive size-bounded segments preserves that order, and the k-way merge
 over segments ordered by ``(map_index, sequence)`` reproduces exactly the
@@ -40,7 +41,8 @@ import struct
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Iterator
+from itertools import islice
+from typing import Any, Iterable, Iterator
 
 from ..core.transfer import TransferEngine, default_engine
 from ..fs import path as fspath
@@ -56,9 +58,13 @@ __all__ = [
 ]
 
 #: Default spill threshold for one segment file (1 MiB): a segment is cut
-#: once its encoded records reach this size, so it may exceed the value by
-#: up to one record.
+#: once its encoded frames reach this size, so it may exceed the value by
+#: up to one frame.
 DEFAULT_SEGMENT_SIZE = 1024 * 1024
+
+#: Target size of one frame (capped by the segment size): the records of a
+#: frame are pickled, and unpickled, with one call.
+FRAME_BYTES = 64 * 1024
 
 #: Maximum sorted runs merged in one pass (Hadoop's ``io.sort.factor``
 #: idea): more runs cascade through intermediate on-storage merges, keeping
@@ -70,8 +76,22 @@ DEFAULT_MERGE_FACTOR = 32
 #: bounds live memory, not the job's total prefetch volume.
 DEFAULT_PREFETCH_BUDGET = 8 * 1024 * 1024
 
-#: Big-endian 4-byte record length prefix.
+#: Big-endian 4-byte frame length prefix.
 _LENGTH = struct.Struct(">I")
+
+
+def _frames(pairs: Iterable[Any], budget: int) -> Iterator[tuple[int, bytes]]:
+    """Encode ``pairs`` as ``(records, length-prefixed frame)`` items.
+
+    The first frame holds one record; every later one holds as many as fit
+    ``budget`` bytes at its predecessor's bytes per record.
+    """
+    pairs = iter(pairs)
+    count = 1
+    while batch := list(islice(pairs, count)):
+        payload = pickle.dumps(batch, protocol=pickle.HIGHEST_PROTOCOL)
+        yield len(batch), _LENGTH.pack(len(payload)) + payload
+        count = max(1, budget * len(batch) // len(payload))
 
 
 class ShuffleAbortedError(RuntimeError):
@@ -106,7 +126,7 @@ class SegmentReader:
       parallel while the merge is still consuming earlier ones
       (:meth:`attach_prefetch` hands the reader the in-flight future);
     * during iteration at most ``chunk_size`` bytes of undecoded data (plus
-      one record) are held via the backend's streaming ``open_read``, and
+      one frame) are held via the backend's streaming ``open_read``, and
       the stream is closed when exhausted.
     """
 
@@ -222,14 +242,15 @@ class SegmentReader:
                             f"truncated shuffle segment {self.segment.path!r}"
                         )
                     return
-                (length,) = _LENGTH.unpack(self._buffer[: _LENGTH.size])
-                if not self._fill(_LENGTH.size + length):
+                end = _LENGTH.size + _LENGTH.unpack_from(self._buffer)[0]
+                if not self._fill(end):
                     raise ValueError(
                         f"truncated shuffle segment {self.segment.path!r}"
                     )
-                payload = bytes(self._buffer[_LENGTH.size : _LENGTH.size + length])
-                del self._buffer[: _LENGTH.size + length]
-                yield pickle.loads(payload)
+                with memoryview(self._buffer)[_LENGTH.size : end] as payload:
+                    frame = pickle.loads(payload)
+                del self._buffer[:end]
+                yield from frame
         finally:
             self.close()
 
@@ -280,6 +301,7 @@ class ShuffleService:
         self._num_partitions = num_partitions
         self._dir = fspath.normalize(shuffle_dir)
         self._segment_size = segment_size
+        self._frame_budget = min(segment_size, FRAME_BYTES)
         self._fetch_chunk_size = fetch_chunk_size
         self._merge_factor = merge_factor
         self._prefetch_remaining = max(prefetch_budget, 0)
@@ -318,11 +340,12 @@ class ShuffleService:
         map_index: int,
         partition: int,
         sequence: int,
-        payload: bytes,
+        frames: list[bytes],
         records: int,
         attempt: int,
     ) -> SpilledSegment:
         path = self._segment_path(map_index, partition, sequence, attempt)
+        payload = b"".join(frames)
         # Intermediate data is transient; replication 1 matches Hadoop's
         # unreplicated map-output spills.
         with self._fs.open_write(path, overwrite=True, replication=1) as stream:
@@ -352,52 +375,25 @@ class ShuffleService:
         speculative attempts).
 
         Each partition is cut into a new segment whenever the buffered
-        records reach ``segment_size`` encoded bytes (so a big partition
-        yields several sorted runs for the external merge; one oversized
-        record makes one oversized segment), then the map is marked
-        complete and waiting reducers are woken.
+        frames reach ``segment_size`` encoded bytes (so a big partition
+        yields several sorted runs for the external merge; a segment
+        exceeds the size by at most its last frame), then the map is
+        marked complete and waiting reducers are woken.
         """
         if len(partitions) != self._num_partitions:
             raise ValueError(
                 f"map {map_index} spilled {len(partitions)} partitions, "
                 f"expected {self._num_partitions}"
             )
-        spilled: list[SpilledSegment] = []
-        total_bytes = 0
-        total_records = 0
-        for partition, pairs in enumerate(partitions):
-            sequence = 0
-            buffer = bytearray()
-            records = 0
-            for pair in pairs:
-                payload = pickle.dumps(tuple(pair), protocol=pickle.HIGHEST_PROTOCOL)
-                buffer += _LENGTH.pack(len(payload))
-                buffer += payload
-                records += 1
-                if len(buffer) >= self._segment_size:
-                    spilled.append(
-                        self._write_segment(
-                            map_index,
-                            partition,
-                            sequence,
-                            bytes(buffer),
-                            records,
-                            attempt,
-                        )
-                    )
-                    total_bytes += len(buffer)
-                    total_records += records
-                    buffer = bytearray()
-                    records = 0
-                    sequence += 1
-            if records:
-                spilled.append(
-                    self._write_segment(
-                        map_index, partition, sequence, bytes(buffer), records, attempt
-                    )
-                )
-                total_bytes += len(buffer)
-                total_records += records
+        spilled = [
+            self._write_segment(
+                map_index, partition, sequence, frames, records, attempt
+            )
+            for partition, pairs in enumerate(partitions)
+            for sequence, (frames, records) in enumerate(self._cut_segments(pairs))
+        ]
+        total_bytes = sum(segment.bytes for segment in spilled)
+        total_records = sum(segment.records for segment in spilled)
         with self._cond:
             if map_index in self._completed_maps:
                 won = False
@@ -421,6 +417,22 @@ class ShuffleService:
                 except FileSystemError:
                     pass
         return total_bytes, won
+
+    def _cut_segments(
+        self, pairs: Iterable[tuple[Any, Any]]
+    ) -> Iterator[tuple[list[bytes], int]]:
+        """Group a partition's frames into ``(frames, records)`` segments."""
+        frames: list[bytes] = []
+        size = records = 0
+        for count, frame in _frames(pairs, self._frame_budget):
+            frames.append(frame)
+            size += len(frame)
+            records += count
+            if size >= self._segment_size:
+                yield frames, records
+                frames, size, records = [], 0, 0
+        if records:
+            yield frames, records
 
     def _refund_prefetch(self, amount: int) -> None:
         """Credit consumed prefetch bytes back to the budget."""
@@ -560,20 +572,12 @@ class ShuffleService:
         path = fspath.join(self._dir, f"merge-part-{partition:05d}-run-{run_id:04d}")
         records = 0
         total = 0
-        buffer = bytearray()
+        merged = heapq.merge(*readers, key=lambda kv: repr(kv[0]))
         with self._fs.open_write(path, overwrite=True, replication=1) as stream:
-            for pair in heapq.merge(*readers, key=lambda kv: repr(kv[0])):
-                payload = pickle.dumps(tuple(pair), protocol=pickle.HIGHEST_PROTOCOL)
-                buffer += _LENGTH.pack(len(payload))
-                buffer += payload
-                records += 1
-                if len(buffer) >= self._fetch_chunk_size:
-                    stream.write(buffer)
-                    total += len(buffer)
-                    buffer = bytearray()
-            if buffer:
-                stream.write(buffer)
-                total += len(buffer)
+            for count, frame in _frames(merged, self._frame_budget):
+                stream.write(frame)
+                records += count
+                total += len(frame)
         with self._cond:
             self.merge_passes += 1
         return SpilledSegment(

@@ -59,9 +59,9 @@ class LineRecordReader:
     file system's ``open_read`` API: chunks arrive with backend read-ahead
     (BSFS fetches pages concurrently, HDFS prefetches block chunks), so
     record decoding overlaps with actual byte movement instead of issuing
-    one blocking positional read per chunk.  The bytes consumed while
-    skipping the leading partial line seed the record buffer — the old
-    two-phase implementation read them twice.
+    one blocking positional read per chunk.  Each chunk is cut into its
+    complete lines with one ``bytes.split``; only a line that spans chunks
+    is carried over and joined.
     """
 
     def __init__(
@@ -98,65 +98,51 @@ class LineRecordReader:
             chunk_size=self._read_chunk,
             version=split.version,
         )
-        buffer = bytearray()
-        base = start  # absolute file offset of buffer[0]
-
-        def fill() -> bool:
-            chunk = next(chunks, None)
-            if chunk is None:
-                return False
-            buffer.extend(chunk)
-            return True
-
+        record_start = start  # absolute file offset of the next record
+        skipping = split.offset > 0
+        # Bytes of a line that spans chunks, waiting for its newline; a
+        # list of parts, so a line many chunks long is joined once.
+        partial: list[bytes] = []
         try:
-            if split.offset > 0:
-                # Skip the first (partial) line: it belongs to the previous
-                # split, which always reads past its end to finish it.
-                while True:
-                    newline = buffer.find(b"\n")
-                    if newline >= 0:
-                        del buffer[: newline + 1]
-                        base += newline + 1
-                        break
-                    # No newline yet: the scanned bytes can be dropped
-                    # wholesale (a one-byte delimiter cannot straddle
-                    # chunks), so skipping never buffers more than one
-                    # chunk however far away the next newline is.
-                    base += len(buffer)
-                    buffer.clear()
-                    if not fill():
-                        return  # no newline between the offset and EOF
-            record_start = base
-            pos = 0  # offset of the current record within the buffer
-            search_from = 0
-            # Hadoop's convention: a split also owns the record that *starts*
-            # exactly at its end offset, because the next split always skips
-            # its first (possibly complete) line.  Hence ``<=`` below.
-            while True:
-                newline = buffer.find(b"\n", search_from)
-                if newline < 0:
-                    # No complete line buffered: compact and fetch more.
-                    if pos:
-                        del buffer[:pos]
-                        base += pos
-                        pos = 0
-                    search_from = len(buffer)
-                    if fill():
+            for chunk in chunks:
+                data = bytes(chunk)
+                if skipping:
+                    # Skip the first (partial) line: it belongs to the
+                    # previous split, which always reads past its end to
+                    # finish it.  A one-byte delimiter cannot straddle
+                    # chunks, so skipping never buffers anything.
+                    newline = data.find(b"\n")
+                    if newline < 0:
+                        record_start += len(data)
                         continue
-                    # End of file: the remaining buffer is a final line
-                    # without a trailing newline.
-                    if buffer and record_start <= end:
-                        yield record_start, bytes(buffer)
-                    return
+                    skipping = False
+                    record_start += newline + 1
+                    data = data[newline + 1 :]
+                # One split per chunk: every element but the last is a
+                # complete line; the last is the start of the next one.
+                lines = data.split(b"\n")
+                if len(lines) == 1:
+                    partial.append(data)
+                    continue
+                if partial:
+                    partial.append(lines[0])
+                    lines[0] = b"".join(partial)
+                partial = [lines.pop()]
+                # Hadoop's convention: a split also owns the record that
+                # *starts* exactly at its end offset, because the next split
+                # always skips its first (possibly complete) line.  Hence
+                # ``<=``.
+                for line in lines:
+                    if record_start > end:
+                        return
+                    yield record_start, line
+                    record_start += len(line) + 1
                 if record_start > end:
                     return
-                line = bytes(buffer[pos:newline])
-                yield record_start, line
-                record_start += len(line) + 1
-                pos = newline + 1
-                search_from = pos
-                if record_start > end:
-                    return
+            # End of file: what is left is a final line without a newline.
+            last = b"".join(partial)
+            if last and record_start <= end:
+                yield record_start, last
         finally:
             close = getattr(chunks, "close", None)
             if close is not None:

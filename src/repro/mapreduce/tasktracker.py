@@ -149,11 +149,13 @@ class TaskTracker:
                 emit=collector.collect,
                 counters=counters,
             )
+            mapper = job.mapper
             for key, value in reader_factory(fs, split):
-                job.mapper(key, value, context)
+                mapper(key, value, context)
                 records_in += 1
-                counters.increment("map_input_records")
-            counters.increment("map_output_records", collector.records_collected)
+            counters.increment("map_input_records", records_in)
+            records_out = collector.records_collected
+            counters.increment("map_output_records", records_out)
             output_path: str | None = None
             discarded = False
             partitions = collector.partitions()
@@ -189,7 +191,7 @@ class TaskTracker:
                 kind="map",
                 duration=duration,
                 records_in=records_in,
-                records_out=collector.records_collected,
+                records_out=records_out,
                 locality=locality,
                 output_path=output_path,
                 map_output=partitions_out,
@@ -243,18 +245,22 @@ class TaskTracker:
                     fs=fs,
                 )
             emitted: list[tuple[Any, Any]] = []
+            append = emitted.append
             context = TaskContext(
                 job_conf=job.conf,
                 task_id=task_id,
-                emit=lambda key, value: emitted.append((key, value)),
+                emit=lambda key, value: append((key, value)),
                 counters=counters,
             )
             records_in = 0
+            reducer = job.reducer
             groups = group_sorted_pairs(pairs) if presorted else group_by_key(pairs)
             for key, values in groups:
-                job.reducer(key, values, context)
+                reducer(key, values, context)
                 records_in += len(values)
-                counters.increment("reduce_input_records", len(values))
+            # Every shuffled pair reaches the reducer exactly once.
+            counters.increment("reduce_shuffle_records", records_in)
+            counters.increment("reduce_input_records", records_in)
             counters.increment("reduce_output_records", len(emitted))
             output_path: str | None = None
             discarded = False

@@ -135,6 +135,47 @@ class TestTaskTracker:
             TaskTracker("bad", slots=0)
 
 
+class TestMakeCluster:
+    @staticmethod
+    def three_provider_bsfs():
+        from repro.bsfs import BSFS
+        from repro.core import BlobSeerConfig
+
+        return BSFS(
+            config=BlobSeerConfig(
+                page_size=4 * KB, num_providers=3, num_metadata_providers=1
+            )
+        )
+
+    def test_default_is_one_tracker_per_storage_node(self):
+        fs = self.three_provider_bsfs()
+        providers = [p.host for p in fs.blobseer.provider_manager.providers]
+        assert [t.host for t in make_cluster(fs).trackers] == providers
+
+    @pytest.mark.parametrize("count", [2, 5])
+    def test_explicit_count_is_exact_and_round_robin(self, count):
+        fs = self.three_provider_bsfs()
+        providers = [p.host for p in fs.blobseer.provider_manager.providers]
+        trackers = make_cluster(fs, num_trackers=count).trackers
+        assert [t.host for t in trackers] == [
+            providers[i % len(providers)] for i in range(count)
+        ]
+
+    def test_job_service_honours_the_count(self):
+        from repro.mapreduce import JobService
+
+        service = JobService.local(self.three_provider_bsfs(), num_trackers=2)
+        assert len(service.tracker.trackers) == 2
+
+    def test_without_storage_nodes_trackers_are_named(self, local_fs):
+        assert [t.host for t in make_cluster(local_fs).trackers] == [
+            f"tracker-{i}" for i in range(4)
+        ]
+        assert [
+            t.host for t in make_cluster(local_fs, num_trackers=2).trackers
+        ] == ["tracker-0", "tracker-1"]
+
+
 class TestEndToEndJobs:
     def prepare_input(self, fs) -> str:
         write_text_file(fs, "/input/data.txt", num_lines=3000, seed=3)

@@ -12,6 +12,7 @@ from repro.mapreduce.shuffle_service import (
     ShuffleAbortedError,
     ShuffleService,
     SpilledSegment,
+    _LENGTH,
 )
 
 
@@ -231,6 +232,99 @@ class TestSegmentReader:
         assert sorted(decoded, key=lambda kv: repr(kv[0])) == sorted(
             pairs, key=lambda kv: repr(kv[0])
         )
+
+
+def read_frames(fs, path: str) -> list[bytes]:
+    """The raw frames (length prefix included) of one segment file."""
+    data, frames, pos = fs.read_file(path), [], 0
+    while pos < len(data):
+        end = pos + _LENGTH.size + _LENGTH.unpack_from(data, pos)[0]
+        frames.append(data[pos:end])
+        pos = end
+    assert pos == len(data)
+    return frames
+
+
+def spilled_segments(service, partition: int = 0) -> list[SpilledSegment]:
+    with service._cond:
+        return list(service._segments[partition])
+
+
+class TestFrameCodec:
+    def test_round_trip_of_mixed_key_types(self, bsfs):
+        service = make_service(bsfs, num_maps=1, num_partitions=1, segment_size=200)
+        pairs = sorted(
+            [("text", 1), (b"raw", b"\x00\xff"), (7, 7.5), (("t", 2), [1, 2])]
+            * 30,
+            key=lambda kv: repr(kv[0]),
+        )
+        service.spill_map_output(0, [pairs])
+        assert service.records_spilled == len(pairs)
+        decoded = []
+        for segment in spilled_segments(service):
+            decoded.extend(SegmentReader(bsfs, segment, chunk_size=5))
+        assert decoded == pairs
+        assert list(service.merged_pairs(0)) == pairs
+
+    @pytest.mark.parametrize("merge_factor", [2, 32])
+    def test_equal_keys_across_frames_and_segments_keep_map_order(
+        self, bsfs, merge_factor
+    ):
+        service = make_service(
+            bsfs,
+            num_maps=3,
+            num_partitions=1,
+            segment_size=300,
+            merge_factor=merge_factor,
+        )
+        for map_index in (2, 0, 1):  # published out of map order
+            pairs = [("k", (map_index, i)) for i in range(150)]
+            pairs.append(("z", (map_index, 0)))
+            service.spill_map_output(map_index, [pairs])
+        # Every map's run spans several segments of several frames.
+        segments = spilled_segments(service)
+        assert len(segments) > 3 * 2
+        assert any(len(read_frames(bsfs, s.path)) > 1 for s in segments)
+        merged = list(service.merged_pairs(0))
+        assert merged == [
+            ("k", (m, i)) for m in range(3) for i in range(150)
+        ] + [("z", (m, 0)) for m in range(3)]
+        assert (service.merge_passes > 0) == (merge_factor == 2)
+
+    def test_segment_truncated_mid_frame_raises(self, bsfs):
+        service = make_service(bsfs, num_maps=1, num_partitions=1, segment_size=10**6)
+        pairs = [(f"key-{i:04d}", "v" * 20) for i in range(200)]
+        service.spill_map_output(0, [pairs])
+        [segment] = spilled_segments(service)
+        frames = read_frames(bsfs, segment.path)
+        assert len(frames) >= 2
+        cut = len(frames[0]) + len(frames[1]) // 2
+        bsfs.write_file("/job/_shuffle/cut", bsfs.read_file(segment.path)[:cut])
+        reader = SegmentReader(
+            bsfs, SpilledSegment(0, 0, 0, "/job/_shuffle/cut", cut, len(pairs))
+        )
+        decoded = []
+        with pytest.raises(ValueError, match="truncated"):
+            for pair in reader:
+                decoded.append(pair)
+        assert decoded == pairs[: len(decoded)]  # the whole first frame
+
+    @pytest.mark.parametrize("segment_size", [1, 100, 4096, 64 * 1024])
+    def test_segments_exceed_the_size_by_at_most_one_frame(self, bsfs, segment_size):
+        service = make_service(
+            bsfs, num_maps=1, num_partitions=1, segment_size=segment_size
+        )
+        # Record sizes vary, so frame sizing keeps adapting.
+        pairs = [(f"key-{i:05d}", "v" * (i % 97)) for i in range(3000)]
+        service.spill_map_output(0, [pairs])
+        segments = spilled_segments(service)
+        for index, segment in enumerate(segments):
+            frames = read_frames(bsfs, segment.path)
+            assert sum(map(len, frames)) == segment.bytes
+            assert segment.bytes - len(frames[-1]) < segment_size
+            if index < len(segments) - 1:
+                assert segment.bytes >= segment_size
+        assert list(service.merged_pairs(0)) == pairs
 
 
 class TestGroupSortedPairs:

@@ -139,6 +139,56 @@ class TestLineRecordReader:
         assert collected == expected
 
 
+def reference_records(data: bytes) -> list[tuple[int, bytes]]:
+    """Every ``(offset, line)`` of ``data``, computed without the reader."""
+    lines = data.split(b"\n")
+    if lines[-1] == b"":
+        lines.pop()  # a final newline ends the last line; it starts none
+    records, offset = [], 0
+    for line in lines:
+        records.append((offset, line))
+        offset += len(line) + 1
+    return records
+
+
+class TestLineRecordReaderMatchesReference:
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        # Empty lines, lines longer than the read chunk, and files with or
+        # without a final newline.
+        lines=st.lists(
+            st.binary(min_size=0, max_size=40).filter(lambda b: b"\n" not in b),
+            min_size=0,
+            max_size=40,
+        ),
+        trailing=st.booleans(),
+        read_chunk=st.integers(min_value=1, max_value=16),
+        data=st.data(),
+    )
+    def test_splits_together_yield_every_line_once(
+        self, lines, trailing, read_chunk, data, local_fs
+    ):
+        body = b"\n".join(lines) + (b"\n" if trailing and lines else b"")
+        path = f"/ref-{abs(hash((body, read_chunk))) % 10**9}.txt"
+        local_fs.write_file(path, body, overwrite=True)
+        # Random split boundaries, not just a uniform split size.
+        drawn = data.draw(st.lists(st.integers(1, max(len(body), 1)), max_size=8))
+        cuts = sorted({cut for cut in drawn if cut < len(body)})
+        bounds = [0, *cuts, len(body)]
+        records = []
+        for index, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            split = InputSplit(index, path, lo, hi - lo)
+            records.extend(LineRecordReader(local_fs, split, read_chunk=read_chunk))
+        expected = reference_records(body)
+        assert records == expected
+        offsets = [offset for offset, _line in records]
+        assert len(offsets) == len(set(offsets))
+
+
 class TestReaderSizeBoundary:
     def test_reader_respects_a_clamped_status_size(self, bsfs):
         # Regression: the streaming reader must bound its byte stream by
