@@ -2,20 +2,20 @@
 
 The paper's deployment pays a real RPC for every page transfer and
 heartbeat; this benchmark prices that layer.  Three RPC scenarios measure
-round-trip rate (loopback codec path, TCP, and TCP with pipelined
-concurrent callers on one connection); one bulk scenario prices the
-page-sized scatter-gather zero-copy wire path (MB/s); two metadata
-scenarios price the small-op hot path with and without the coalescing
-envelope (batched must clear 1.5x unbatched); and a final scenario
-measures the availability story end to end: how quickly a killed
-provider is detected by missed heartbeats and its pages are
+round-trip rate (loopback codec path, TCP, and TCP with concurrent
+callers, each on a connection of its own); one bulk scenario prices the
+page-sized scatter-gather zero-copy wire path (MB/s); and a final
+scenario measures the availability story end to end: how quickly a
+killed provider is detected by missed heartbeats and its pages are
 re-replicated until a read returns byte-identical data.
 
-The bulk row and the metadata pair are best of three passes, and the
-metadata pair is measured interleaved: alternating the two sides
-cancels the slow drift of a shared host, and best-of filters scheduling
-hiccups, so the asserted ratio compares the two configurations rather
-than two moments in time.
+``tcp-rpc`` prices one small round trip, so it predicts the end-to-end
+cell ``append-shared`` ``op_p50_ms`` of ``benchmarks/e2e``: each append
+is two small RPCs (a metadata ``put_many`` beside a boundary-page
+``put_pages``), and their per-call cost sets that latency.
+
+The bulk row is best of three passes: best-of filters scheduling
+hiccups of a shared host.
 
 Every row reports ``ops_per_s`` (higher is better) so the perf gate can
 compare scenarios uniformly; for the detect-recover row the "op" is one
@@ -34,20 +34,17 @@ from conftest import run_once
 from repro.analysis import ExperimentReport
 from repro.bsfs import BSFS
 from repro.core import KB, BlobSeer, BlobSeerConfig, DataProvider
-from repro.core.dht import MetadataProvider
 from repro.net import (
     ClusterConfig,
     ControlService,
     HeartbeatPump,
     LoopbackTransport,
     NetworkFaultPlan,
-    NodeServer,
     RecoveryCoordinator,
     RetryPolicy,
     RpcServer,
     ServiceRegistry,
     TcpTransport,
-    connect_metadata,
     loopback_provider_stub,
 )
 from repro.net.framing import encode_frame, recv_frame
@@ -94,12 +91,12 @@ def _bench_tcp(calls: int) -> float:
             )
 
 
-def _bench_tcp_pipelined(calls: int, workers: int = 8) -> float:
-    """Concurrent callers multiplexed on one pooled connection."""
+def _bench_tcp_concurrent(calls: int, workers: int = 8) -> float:
+    """Concurrent callers, each on a pooled connection of its own."""
     with RpcServer(_echo_registry()) as server:
         host, port = server.address
         with TcpTransport(
-            host, port, pool_size=1, retry=RetryPolicy.no_retry()
+            host, port, pool_size=workers, retry=RetryPolicy.no_retry()
         ) as transport:
             per_worker = calls // workers
 
@@ -161,41 +158,6 @@ def _bench_wire_flood(calls: int) -> float:
     finally:
         out.close()
         inbound.close()
-
-
-def _bench_tcp_metadata(ops: int, *, batching: bool, workers: int = 32) -> float:
-    """Concurrent small metadata puts against one remote provider.
-
-    This is the shape the coalescing envelope exists for: many tiny
-    requests from many callers multiplexed on one shared connection
-    (``pool_size=1``), where the group-commit flusher can collapse a
-    whole wave of puts into a single frame.
-    """
-    config = ClusterConfig(metadata_batching=batching, pool_size=1)
-    backend = MetadataProvider(0)
-    server = NodeServer(backend, host="127.0.0.1", port=0, config=config)
-    host, port = server.start()
-    try:
-        stub = connect_metadata(host, port, config=config)
-        per_worker = ops // workers
-
-        def worker(worker_id):
-            for i in range(per_worker):
-                stub.put(f"w{worker_id}-k{i}", i)
-
-        threads = [
-            threading.Thread(target=worker, args=(w,)) for w in range(workers)
-        ]
-        started = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        elapsed = time.perf_counter() - started
-        stub.close()
-        return elapsed
-    finally:
-        server.stop()
 
 
 def _bench_detect_recover() -> float:
@@ -263,7 +225,7 @@ def _run(scale):
     for scenario, elapsed in (
         ("loopback-rpc", _bench_loopback(calls)),
         ("tcp-rpc", _bench_tcp(calls)),
-        ("tcp-rpc-pipelined", _bench_tcp_pipelined(calls)),
+        ("tcp-rpc-concurrent-callers", _bench_tcp_concurrent(calls)),
     ):
         rates[scenario] = calls / elapsed
         report.add_row(
@@ -287,30 +249,6 @@ def _run(scale):
             "mb_per_s": round(bulk_calls * len(BULK_PAYLOAD) / 1e6 / elapsed, 1),
         }
     )
-    metadata_ops = 4000 if scale.paper else 1600
-    metadata_elapsed = {
-        "tcp-metadata-unbatched": float("inf"),
-        "tcp-batched-metadata": float("inf"),
-    }
-    for _ in range(3):  # interleaved best-of-3, as above
-        for scenario, batching in (
-            ("tcp-metadata-unbatched", False),
-            ("tcp-batched-metadata", True),
-        ):
-            metadata_elapsed[scenario] = min(
-                metadata_elapsed[scenario],
-                _bench_tcp_metadata(metadata_ops, batching=batching),
-            )
-    for scenario, elapsed in metadata_elapsed.items():
-        rates[scenario] = metadata_ops / elapsed
-        report.add_row(
-            {
-                "scenario": scenario,
-                "calls": metadata_ops,
-                "ops_per_s": round(metadata_ops / elapsed, 1),
-                "mean_latency_us": round(elapsed / metadata_ops * 1e6, 1),
-            }
-        )
     recovery_seconds = _bench_detect_recover()
     rates["detect-recover"] = 1.0 / recovery_seconds
     report.add_row(
@@ -334,7 +272,5 @@ def test_bench_rpc(benchmark, scale):
     report.print()
     # The loopback path skips sockets entirely: it must beat real TCP.
     assert rates["loopback-rpc"] > rates["tcp-rpc"]
-    # Coalescing small metadata ops must clear 1.5x the unbatched rate.
-    assert rates["tcp-batched-metadata"] >= 1.5 * rates["tcp-metadata-unbatched"]
     # Detection plus recovery completes in seconds, not minutes.
     assert rates["detect-recover"] > 1 / 60

@@ -5,6 +5,9 @@ Profiles the client side of a tight call loop against an in-process
 :class:`~repro.net.tcp.RpcServer` (or the loopback transport) and prints
 the hottest functions, so codec and transport changes can be judged by
 where the time actually goes rather than end-to-end numbers alone.
+With ``--threads N`` the calls are split over N concurrent callers
+sharing one transport; the profile then covers the first caller (each
+caller owns its own connection, so the others run the same path).
 
 Examples:
     # 2000 small echo calls over TCP
@@ -12,6 +15,9 @@ Examples:
 
     # 1 MiB bulk payloads over TCP
     python scripts/profile_rpc.py --payload 1048576 --calls 200
+
+    # 8 concurrent callers sharing one TCP transport
+    python scripts/profile_rpc.py --threads 8 --calls 2000
 
     # the loopback codec path only (no sockets)
     python scripts/profile_rpc.py --transport loopback --calls 5000
@@ -24,6 +30,7 @@ import cProfile
 import os
 import pstats
 import sys
+import threading
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
@@ -59,9 +66,10 @@ def main(argv: list[str] | None = None) -> int:
         help="bytes payload per call (0 = a small tuple)",
     )
     parser.add_argument(
-        "--batching",
-        action="store_true",
-        help="enable small-op batching on the TCP transport",
+        "--threads",
+        type=int,
+        default=1,
+        help="concurrent callers splitting the calls (default: 1)",
     )
     parser.add_argument(
         "--sort",
@@ -72,14 +80,30 @@ def main(argv: list[str] | None = None) -> int:
         "--limit", type=int, default=25, help="rows of the report to print"
     )
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error("--threads must be at least 1")
 
     registry = ServiceRegistry()
     registry.register("echo", EchoService())
     payload = os.urandom(args.payload) if args.payload else ("ping", 42)
 
+    def calls(transport, count: int) -> None:
+        for _ in range(count):
+            assert transport.call("echo", "echo", payload) == payload
+
     def run(transport) -> None:
-        for _ in range(args.calls):
-            transport.call("echo", "echo", payload)
+        # The profiled thread makes its share of the calls while the
+        # other callers make theirs beside it.
+        share = args.calls // args.threads
+        others = [
+            threading.Thread(target=calls, args=(transport, share))
+            for _ in range(args.threads - 1)
+        ]
+        for thread in others:
+            thread.start()
+        calls(transport, args.calls - share * len(others))
+        for thread in others:
+            thread.join()
 
     profiler = cProfile.Profile()
     if args.transport == "loopback":
@@ -94,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
             transport = TcpTransport(
                 host,
                 port,
-                batching=args.batching,
+                pool_size=args.threads,
                 retry=RetryPolicy.no_retry(),
             )
             transport.call("echo", "echo", payload)
@@ -105,7 +129,7 @@ def main(argv: list[str] | None = None) -> int:
     stats.strip_dirs().sort_stats(args.sort).print_stats(args.limit)
     mb = args.calls * args.payload / 1e6
     print(
-        f"# {args.transport} calls={args.calls} "
+        f"# {args.transport} calls={args.calls} threads={args.threads} "
         f"payload={args.payload}B (~{mb:.1f} MB total one-way)"
     )
     return 0

@@ -7,12 +7,12 @@ deployment can span processes without changing any caller:
 * :mod:`~repro.net.framing` / :mod:`~repro.net.messages` — the wire
   format: pickled request/response messages with correlation ids in
   scatter-gather frames whose segment table lets bulk payloads travel
-  out-of-band, small ops coalesce into batch frames, and fat segments
-  compress above a threshold.
+  out-of-band and fat segments compress above a threshold.
 * :mod:`~repro.net.transport` / :mod:`~repro.net.tcp` — client channels:
   an in-process loopback (full codec fidelity, deterministic) and a real
-  TCP transport with connection pooling and multiplexing, both with
-  retry/backoff for transient failures.
+  TCP transport that gives each call a pooled connection of its own,
+  both with retry/backoff for transient failures; the TCP server answers
+  each connection on a thread of its own.
 * :mod:`~repro.net.service` — the server side: named services and
   dispatch.
 * :mod:`~repro.net.stubs` — duck-typed remote providers/datanodes the
@@ -53,13 +53,7 @@ from .errors import (
     UnknownServiceError,
 )
 from .faults import NetworkFaultPlan
-from .framing import (
-    DEFAULT_MAX_FRAME,
-    FLAG_BATCH,
-    Frame,
-    ScatterParser,
-    encode_frame,
-)
+from .framing import DEFAULT_MAX_FRAME, Frame, decode_frame, encode_frame
 from .liveness import HeartbeatPump, LivenessMonitor, LivenessRegistry
 from .messages import Request, Response, decode_message, encode_message
 from .service import ServiceRegistry
@@ -86,9 +80,8 @@ __all__ = [
     "UnknownServiceError",
     # wire format
     "encode_frame",
-    "ScatterParser",
+    "decode_frame",
     "Frame",
-    "FLAG_BATCH",
     "DEFAULT_MAX_FRAME",
     "Request",
     "Response",

@@ -82,12 +82,11 @@ class ClusterConfig:
     rpc_timeout: float = 5.0
     #: Transport-level retries per RPC (transient failures only).
     rpc_retries: int = 2
-    #: TCP connections pooled per peer.
-    pool_size: int = 2
-    #: Coalesce sub-threshold metadata ops into batch frames.
-    metadata_batching: bool = True
-    #: Extra seconds a lone queued request waits for batch company.
-    batch_window: float = 0.0
+    #: Idle TCP connections kept per peer.  A connection carries one call
+    #: at a time, so this covers the calls a client has in flight to one
+    #: peer at once (at most the 8 threads of its transfer pool); beyond
+    #: it, connections close as they come back.
+    pool_size: int = 8
     #: Compress wire segments of at least this many bytes (None = never).
     compress_threshold: int | None = None
 
@@ -104,8 +103,6 @@ class ClusterConfig:
             raise ValueError("rpc_retries must be non-negative")
         if self.pool_size < 1:
             raise ValueError("pool_size must be at least 1")
-        if self.batch_window < 0:
-            raise ValueError("batch_window must be non-negative")
         if self.compress_threshold is not None and self.compress_threshold < 1:
             raise ValueError("compress_threshold must be positive")
 
@@ -115,10 +112,7 @@ class ClusterConfig:
 
     def wire_config(self) -> WireConfig:
         """The wire-protocol knobs of this deployment."""
-        return WireConfig(
-            batch_window=self.batch_window,
-            compress_threshold=self.compress_threshold,
-        )
+        return WireConfig(compress_threshold=self.compress_threshold)
 
     def make_registry(
         self, *, clock: Callable[[], float] | None = None
@@ -539,12 +533,7 @@ def connect_metadata(
     config: ClusterConfig | None = None,
     faults: NetworkFaultPlan | None = None,
 ) -> RemoteMetadataProvider:
-    """Connect a metadata-provider stub to a :class:`NodeServer` over TCP.
-
-    The metadata channel carries uniformly tiny, high-rate ops (lookup,
-    publish, ticket assignment), so it is where small-op batching pays:
-    ``config.metadata_batching`` turns coalescing on for this transport.
-    """
+    """Connect a metadata-provider stub to a :class:`NodeServer` over TCP."""
     config = config if config is not None else ClusterConfig()
     transport = TcpTransport(
         host,
@@ -554,7 +543,6 @@ def connect_metadata(
         faults=faults,
         pool_size=config.pool_size,
         wire=config.wire_config(),
-        batching=config.metadata_batching,
     )
     return RemoteMetadataProvider.connect(transport)
 

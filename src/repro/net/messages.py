@@ -3,9 +3,9 @@
 Two message kinds flow over the framed stream:
 
 * :class:`Request` — ``(msg_id, service, method, args, kwargs)``.  The
-  ``msg_id`` is the *correlation id*: responses may come back in any
-  order (the server handles requests of one connection concurrently), so
-  the client matches them by id, never by position.
+  ``msg_id`` is the *correlation id*: a caller accepts only the reply
+  that carries its request's id, so a stream that falls out of step is
+  caught instead of handing one caller another's reply.
 * :class:`Response` — ``(msg_id, ok, value | error)``.  Application
   errors travel as the pickled exception *object* so the caller re-raises
   the original type (replica failover relies on catching
@@ -166,10 +166,10 @@ def encode_message(
 def decode_message(head: bytes, buffers: Sequence = ()) -> Request | Response:
     """Reassemble a message from its head and out-of-band segments.
 
-    ``buffers`` must be the frame's bulk segments in wire order (none
-    for a batch entry).  When a segment is an immutable ``bytes`` object
-    the unpickler adopts it directly — the payload the service sees *is*
-    the receive buffer.  Anything that does not unpickle to a
+    ``buffers`` must be the frame's bulk segments in wire order.  When a
+    segment is an immutable ``bytes`` object the unpickler adopts it
+    directly — the payload the service sees *is* the receive buffer.
+    Anything that does not unpickle to a
     :class:`Request` or :class:`Response` raises
     :class:`MessageDecodeError` — garbage frames are a protocol
     violation, handled by dropping the connection.

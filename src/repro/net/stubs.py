@@ -51,6 +51,10 @@ DATANODE_SERVICE = "datanode"
 METADATA_SERVICE = "metadata"
 JOBSERVICE_SERVICE = "jobservice"
 
+#: Seconds a timed ``wait_job`` RPC outlives its remote wait, so the
+#: remote ``TimeoutError`` arrives before the transport gives up.
+WAIT_GRACE = 1.0
+
 
 class _Stub:
     """Shared forwarding machinery for both stub kinds."""
@@ -282,10 +286,17 @@ class RemoteJobService(_Stub):
         return self._call("job_status", job_id)
 
     def wait_job(self, job_id: int, timeout: float | None = None) -> dict:
-        # Long poll: must never wait in (or hold up) a batch flush on a
-        # transport that coalesces small ops (no_batch is consumed by
-        # Transport.call, never forwarded to the remote method).
-        return self._call("wait_job", job_id, timeout, no_batch=True)
+        """Block until the job finishes; its result summary.
+
+        With a ``timeout`` the RPC may take ``timeout`` plus
+        :data:`WAIT_GRACE` seconds, so the remote ``TimeoutError`` reaches
+        the caller instead of the transport's own timeout.  Without one
+        the call is bounded by the transport's default RPC timeout.
+        """
+        if timeout is None:
+            return self._call("wait_job", job_id, None)
+        # ``timeout=`` is consumed by Transport.call as this RPC's bound.
+        return self._call("wait_job", job_id, timeout, timeout=timeout + WAIT_GRACE)
 
     def cancel_job(self, job_id: int) -> bool:
         return bool(self._call("cancel_job", job_id))

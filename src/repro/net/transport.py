@@ -32,7 +32,7 @@ from typing import Any, Iterator
 
 from .errors import TransportError
 from .faults import NetworkFaultPlan
-from .framing import DEFAULT_MAX_FRAME, ScatterParser, encode_frame
+from .framing import DEFAULT_MAX_FRAME, decode_frame, encode_frame
 from .messages import (
     DEFAULT_OOB_THRESHOLD,
     Request,
@@ -51,28 +51,12 @@ class WireConfig:
 
     #: Bytes payloads at least this large travel out-of-band.
     oob_threshold: int = DEFAULT_OOB_THRESHOLD
-    #: Extra seconds a lone queued request may wait for company before
-    #: its batch frame is flushed (0 = flush immediately; batching still
-    #: coalesces naturally while a previous flush is in flight).
-    batch_window: float = 0.0
-    #: Ceiling on requests coalesced into one batch frame.
-    batch_max_ops: int = 64
-    #: Ceiling on a batch frame's summed payload bytes.
-    batch_max_bytes: int = 128 * 1024
-    #: Only messages encoding below this many bytes are batched.
-    batch_threshold: int = 2048
     #: Zlib-compress segments of at least this many bytes (None = never).
     compress_threshold: int | None = None
 
     def __post_init__(self) -> None:
         if self.oob_threshold < 1:
             raise ValueError("oob_threshold must be positive")
-        if self.batch_window < 0:
-            raise ValueError("batch_window must be non-negative")
-        if self.batch_max_ops < 1 or self.batch_max_bytes < 1:
-            raise ValueError("batch limits must be positive")
-        if self.batch_threshold < 1:
-            raise ValueError("batch_threshold must be positive")
         if self.compress_threshold is not None and self.compress_threshold < 1:
             raise ValueError("compress_threshold must be positive")
 
@@ -145,16 +129,14 @@ class Transport(ABC):
         method: str,
         *args: Any,
         timeout: float | None = None,
-        no_batch: bool = False,
         **kwargs: Any,
     ) -> Any:
         """Invoke ``service.method(*args, **kwargs)`` on the peer.
 
         Transient transport failures are retried per the policy; remote
         application exceptions are re-raised unchanged and never retried.
-        ``no_batch`` exempts this call from small-op coalescing on
-        transports that batch (long-poll calls must not delay a batch
-        flush, nor wait in one) — it is consumed here, never forwarded.
+        ``timeout`` bounds each attempt (default: the transport's own);
+        it is consumed here, never forwarded.
         """
         timeout = timeout if timeout is not None else self.timeout
         last: TransportError | None = None
@@ -165,9 +147,7 @@ class Transport(ABC):
                 self.calls_retried += attempt == 1
                 time.sleep(delay)
             try:
-                return self._call_once(
-                    service, method, args, kwargs, timeout, no_batch=no_batch
-                )
+                return self._call_once(service, method, args, kwargs, timeout)
             except TransportError as exc:
                 last = exc
         assert last is not None
@@ -192,8 +172,6 @@ class Transport(ABC):
         args: tuple,
         kwargs: dict,
         timeout: float,
-        *,
-        no_batch: bool = False,
     ) -> Any:
         """One request/response exchange; raises
         :class:`TransportError` on delivery failure."""
@@ -243,9 +221,6 @@ class LoopbackTransport(Transport):
         self._max_frame = max_frame
         self._wire = wire if wire is not None else WireConfig()
         self._lock = threading.Lock()
-        # One parser for the transport's lifetime (its state is always
-        # at a frame boundary between calls); serialized by ``_lock``.
-        self._parser = ScatterParser(max_frame=max_frame)
         #: Round-trips served (monitoring/tests).
         self.calls_served = 0
 
@@ -254,8 +229,7 @@ class LoopbackTransport(Transport):
 
         The same codec path as TCP, minus the socket: out-of-band
         extraction, scatter-gather framing (the parts are joined here —
-        that join *is* the simulated wire) and segment-table decode on
-        the shared parser.
+        that join *is* the simulated wire) and segment-table decode.
         """
         head, buffers = encode_message(
             message, oob_threshold=self._wire.oob_threshold
@@ -265,8 +239,7 @@ class LoopbackTransport(Transport):
             max_frame=self._max_frame,
             compress_threshold=self._wire.compress_threshold,
         )
-        with self._lock:
-            (frame,) = self._parser.feed(b"".join(parts))
+        frame = decode_frame(b"".join(parts), max_frame=self._max_frame)
         return decode_message(frame.segments[0], frame.segments[1:])
 
     def _call_once(
@@ -276,8 +249,6 @@ class LoopbackTransport(Transport):
         args: tuple,
         kwargs: dict,
         timeout: float,
-        *,
-        no_batch: bool = False,
     ) -> Any:
         with self._lock:
             msg_id = next(self._msg_ids)

@@ -1,11 +1,10 @@
-"""Frame codec: round-trips, incremental decoding, protocol violations."""
+"""Frame codec: round-trips, whole-frame decoding, protocol violations."""
 
 from __future__ import annotations
 
 import random
 import socket
 import threading
-import tracemalloc
 import zlib
 
 import pytest
@@ -14,15 +13,13 @@ from hypothesis import strategies as st
 
 from repro.net.errors import FrameError, FrameTooLargeError, TruncatedFrameError
 from repro.net.framing import (
-    CODEC_ZLIB,
-    DIRECT_CUTOFF,
-    FLAG_BATCH,
+    DEFAULT_MAX_FRAME,
     HEADER,
     MAGIC,
     META,
     TABLE_ENTRY,
     WIRE_VERSION,
-    ScatterParser,
+    decode_frame,
     encode_frame,
     recv_frame,
 )
@@ -45,184 +42,72 @@ def half_random_bulk() -> bytes:
     return random.Random(7).randbytes(128 * KB) + b"\0" * (128 * KB)
 
 
-class TestRoundTrip:
-    def test_single_frame(self):
-        parser = ScatterParser()
-        (frame,) = parser.feed(wire([b"hello"]))
-        assert frame.segments == [b"hello"]
-        assert parser.at_boundary
-        assert parser.pending_bytes == 0
+def recv_one(data: bytes, *, max_frame: int = DEFAULT_MAX_FRAME):
+    """``recv_frame`` over a socketpair whose sender writes ``data``, then closes."""
+    left, right = socket.socketpair()
+    right.settimeout(5.0)
 
-    def test_empty_payload(self):
-        (frame,) = ScatterParser().feed(wire([b""]))
-        assert frame.segments == [b""]
-
-    def test_back_to_back_frames_in_one_feed(self):
-        stream = wire([b"one"]) + wire([b"two"]) + wire([b"three"])
-        frames = ScatterParser().feed(stream)
-        assert [f.segments for f in frames] == [[b"one"], [b"two"], [b"three"]]
-
-    @given(payloads=st.lists(st.binary(max_size=2048), max_size=10))
-    @settings(max_examples=50, deadline=None)
-    def test_many_payloads_round_trip(self, payloads):
-        stream = b"".join(wire([p]) for p in payloads)
-        parser = ScatterParser()
-        assert [f.segments[0] for f in parser.feed(stream)] == payloads
-        parser.eof()  # stream ends exactly on a frame boundary
-
-    @given(
-        payloads=st.lists(st.binary(max_size=512), min_size=1, max_size=6),
-        chunk=st.integers(min_value=1, max_value=17),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_byte_dribble_reassembles(self, payloads, chunk):
-        # However the stream is fragmented, the parser reassembles the
-        # exact payload sequence — the property TCP delivery depends on.
-        stream = b"".join(wire([p]) for p in payloads)
-        parser = ScatterParser()
-        out = []
-        for start in range(0, len(stream), chunk):
-            out.extend(f.segments[0] for f in parser.feed(stream[start : start + chunk]))
-        assert out == payloads
-        assert parser.frames_decoded == len(payloads)
-
-
-class TestRejection:
-    def test_bad_magic_rejected(self):
-        stream = bytearray(wire([b"x"]))
-        stream[0] ^= 0xFF
-        with pytest.raises(FrameError, match="magic"):
-            ScatterParser().feed(bytes(stream))
-
-    def test_bad_version_rejected(self):
-        stream = bytearray(wire([b"x"]))
-        stream[1] = WIRE_VERSION + 1
-        with pytest.raises(FrameError, match="version"):
-            ScatterParser().feed(bytes(stream))
-
-    def test_v1_frame_rejected(self):
-        with pytest.raises(FrameError, match="version"):
-            ScatterParser().feed(v1_frame(b"hello"))
-
-    def test_garbage_rejected(self):
-        with pytest.raises(FrameError):
-            ScatterParser().feed(b"GET / HTTP/1.1\r\n\r\n")
-
-    def test_oversized_announcement_rejected_before_buffering(self):
-        # The length field announces more than the cap: rejected from the
-        # header alone, without waiting for (or buffering) the body.
-        stream = HEADER.pack(MAGIC, WIRE_VERSION, 1024 * 1024)
-        parser = ScatterParser(max_frame=1024)
-        with pytest.raises(FrameTooLargeError) as excinfo:
-            parser.feed(stream)
-        assert excinfo.value.announced == 1024 * 1024
-        assert excinfo.value.limit == 1024
-
-    def test_encode_refuses_oversized_payload(self):
-        with pytest.raises(FrameTooLargeError):
-            encode_frame([b"x" * 2048], max_frame=1024)
-
-    def test_truncated_stream_detected_at_eof(self):
-        stream = wire([b"hello world"])
-        parser = ScatterParser()
-        parser.feed(stream[:-3])
-        assert parser.pending_bytes > 0
-        assert not parser.at_boundary
-        with pytest.raises(TruncatedFrameError):
-            parser.eof()
-
-    def test_truncated_header_detected_at_eof(self):
-        parser = ScatterParser()
-        parser.feed(wire([b"payload"])[:3])
-        with pytest.raises(TruncatedFrameError):
-            parser.eof()
-
-    def test_unknown_segment_codec_rejected(self):
-        stream = bytearray(wire([b"abc"]))
-        stream[HEADER.size + META.size + TABLE_ENTRY.size - 1] = 2
-        with pytest.raises(FrameError, match="codec"):
-            ScatterParser().feed(bytes(stream))
-
-    @given(junk=st.binary(min_size=HEADER.size, max_size=128))
-    @settings(max_examples=50, deadline=None)
-    def test_random_junk_never_decodes_silently(self, junk):
-        # Random bytes either raise FrameError or stay pending; any frame
-        # that does come out is exactly the decode of a validly-headed
-        # region of the input — junk never invents payloads.
-        parser = ScatterParser(max_frame=1 << 16)
+    def send() -> None:
         try:
-            frames = parser.feed(junk)
-        except FrameError:
-            return
-        position = 0
-        for frame in frames:
-            magic, version, length = HEADER.unpack_from(junk, position)
-            assert magic == MAGIC and version == WIRE_VERSION
-            end = position + HEADER.size + length
-            (again,) = ScatterParser().feed(junk[position:end])
-            assert again.segments == frame.segments
-            position = end
+            left.sendall(data)
+            left.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass  # the reader gave up early on a bad frame
+
+    sender = threading.Thread(target=send)
+    sender.start()
+    try:
+        return recv_frame(right, max_frame=max_frame)
+    finally:
+        right.close()
+        sender.join()
+        left.close()
+
+
+@pytest.fixture(params=["decode_frame", "recv_frame"])
+def decode(request):
+    """Both whole-frame decoders, one stream-free, one over a socket."""
+    if request.param == "decode_frame":
+        return decode_frame
+    return recv_one
+
+
+class TestRoundTrip:
+    def test_single_frame(self, decode):
+        assert decode(wire([b"hello"])).segments == [b"hello"]
+
+    def test_empty_payload(self, decode):
+        assert decode(wire([b""])).segments == [b""]
+
+    @given(payload=st.binary(max_size=2048))
+    @settings(max_examples=50, deadline=None)
+    def test_many_payloads_round_trip(self, payload):
+        assert decode_frame(wire([payload])).segments == [payload]
 
 
 class TestV2RoundTrip:
-    def test_multi_segment_frame(self):
+    def test_multi_segment_frame(self, decode):
         segments = [b"head", b"x" * 100, b"", b"tail"]
-        parser = ScatterParser()
-        (frame,) = parser.feed(wire(segments))
-        assert frame.segments == segments
-        assert not frame.is_batch
-        assert parser.at_boundary and parser.pending_bytes == 0
+        assert decode(wire(segments)).segments == segments
 
-    def test_batch_flag_round_trips(self):
-        (frame,) = ScatterParser().feed(
-            wire([b"msg-1", b"msg-2"], flags=FLAG_BATCH)
-        )
-        assert frame.is_batch
-        assert frame.segments == [b"msg-1", b"msg-2"]
+    @given(
+        segments=st.lists(st.binary(max_size=4 * KB), min_size=1, max_size=6),
+        compress_threshold=st.one_of(
+            st.none(), st.integers(min_value=1, max_value=8 * KB)
+        ),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_compression_flag_round_trips(self, segments, compress_threshold):
+        # Whatever subset of segments the threshold compresses, the
+        # receiver reconstructs the originals bit-for-bit.
+        stream = wire(segments, compress_threshold=compress_threshold)
+        assert decode_frame(stream).segments == segments
 
     def test_encode_scatter_list_is_copy_free_for_bulk(self):
         bulk = b"z" * (256 * KB)
         parts = encode_frame([b"head", bulk])
         # The caller's buffer object itself rides in the scatter list.
         assert any(part is bulk for part in parts)
-
-    @given(
-        segments=st.lists(
-            st.binary(max_size=2 * KB), min_size=1, max_size=8
-        ),
-        chunk=st.integers(min_value=1, max_value=23),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_dribble_reassembles_exact_segments(self, segments, chunk):
-        stream = wire(segments)
-        parser = ScatterParser()
-        frames = []
-        for start in range(0, len(stream), chunk):
-            frames.extend(parser.feed(stream[start : start + chunk]))
-        assert [f.segments for f in frames] == [segments]
-        parser.eof()
-
-    @given(
-        segments=st.lists(
-            st.binary(max_size=4 * KB), min_size=1, max_size=6
-        ),
-        compress_threshold=st.one_of(
-            st.none(), st.integers(min_value=1, max_value=8 * KB)
-        ),
-        chunk=st.integers(min_value=1, max_value=4 * KB),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_compression_flag_round_trips(
-        self, segments, compress_threshold, chunk
-    ):
-        # Whatever subset of segments the threshold compresses, the
-        # receiver reconstructs the originals bit-for-bit.
-        stream = wire(segments, compress_threshold=compress_threshold)
-        parser = ScatterParser()
-        frames = []
-        for start in range(0, len(stream), chunk):
-            frames.extend(parser.feed(stream[start : start + chunk]))
-        assert [f.segments for f in frames] == [segments]
 
     def test_compression_shrinks_compressible_wire(self):
         bulk = b"a" * (512 * KB)
@@ -235,120 +120,124 @@ class TestV2RoundTrip:
         # must keep them raw rather than flag a larger segment.
         bulk = zlib.compress(b"b" * (64 * KB), 9)
         stream = wire([bulk], compress_threshold=16)
-        (frame,) = ScatterParser().feed(stream)
-        assert frame.segments == [bulk]
+        assert decode_frame(stream).segments == [bulk]
         assert len(stream) < len(bulk) + 64  # header + table only
 
-    def test_direct_receive_path_matches_feed_path(self):
-        bulk = bytes(range(256)) * (4 * KB)  # 1 MiB, above direct cutoff
-        stream = wire([b"head", bulk, b"tail"])
-        parser = ScatterParser()
-        frames = list(parser.feed(stream[: 4 * KB]))
-        position = 4 * KB
-        while position < len(stream):
-            target = parser.wants_direct()
-            if target is not None:
-                take = min(len(target), 100 * KB, len(stream) - position)
-                target[:take] = stream[position : position + take]
-                frames.extend(parser.advance_direct(take))
-            else:
-                take = min(KB, len(stream) - position)
-                frames.extend(parser.feed(stream[position : position + take]))
-            position += take
-        assert [f.segments for f in frames] == [[b"head", bulk, b"tail"]]
-        assert parser.at_boundary
-
-    def test_corrupt_compressed_segment_raises(self):
+    def test_corrupt_compressed_segment_raises(self, decode):
         stream = bytearray(wire([b"c" * (8 * KB)], compress_threshold=16))
         stream[-1] ^= 0xFF  # flip a bit inside the zlib stream
         with pytest.raises(FrameError):
-            ScatterParser().feed(bytes(stream))
+            decode(bytes(stream))
 
-    def test_plain_batch_and_compressed_frames_interleave_on_one_stream(self):
-        bulk = b"z" * (4 * KB)
-        stream = (
-            wire([b"plain"])
-            + wire([b"msg-1", b"msg-2"], flags=FLAG_BATCH)
-            + wire([b"head", bulk], compress_threshold=KB)
-            + wire([b"last"])
-        )
-        parser = ScatterParser()
-        frames = []
-        for start in range(0, len(stream), 7):
-            frames.extend(parser.feed(stream[start : start + 7]))
-        assert [f.segments for f in frames] == [
-            [b"plain"],
-            [b"msg-1", b"msg-2"],
-            [b"head", bulk],
-            [b"last"],
-        ]
-        assert [f.is_batch for f in frames] == [False, True, False, False]
-        parser.eof()
-
-    def test_compressed_bulk_segment_on_the_direct_path(self):
-        # A compressed segment still large enough for the direct receive
-        # path is inflated when its preallocated buffer fills.
-        stream = wire([b"head", half_random_bulk()], compress_threshold=KB)
-        size, seg_flags = TABLE_ENTRY.unpack_from(
-            stream, HEADER.size + META.size + TABLE_ENTRY.size
-        )
-        assert seg_flags == CODEC_ZLIB and size >= DIRECT_CUTOFF
-        parser = ScatterParser()
-        frames = []
-        for start in range(0, len(stream), 4 * KB):
-            frames.extend(parser.feed(stream[start : start + 4 * KB]))
-        assert [f.segments for f in frames] == [[b"head", half_random_bulk()]]
-        assert parser.at_boundary
-
-    def test_segment_table_must_sum_to_frame_length(self):
+    def test_segment_table_must_sum_to_frame_length(self, decode):
         stream = bytearray(wire([b"abc", b"defg"]))
         stream[HEADER.size + 3 + 3] += 1  # inflate segment 0's table entry
         with pytest.raises(FrameError, match="table"):
-            ScatterParser().feed(bytes(stream))
+            decode(bytes(stream))
+
+    def test_retired_batch_flag_rejected(self, decode):
+        stream = bytearray(wire([b"msg-1", b"msg-2"]))
+        stream[HEADER.size] = 0x01  # bit 0: the retired batch envelope
+        with pytest.raises(FrameError, match="flags"):
+            decode(bytes(stream))
 
 
-class TestDecoderLinearity:
-    def test_small_frame_burst_compaction_is_linear(self):
-        # The old decoder deleted the buffer prefix per decoded frame, so
-        # a burst of n frames arriving in one read cost O(n^2) bytes of
-        # memmove.  Offset draining must keep total compaction work below
-        # the bytes that actually flowed through the buffer.
-        frames = 20_000
-        stream = b"".join(wire([b"ping-%d" % i]) for i in range(frames))
-        parser = ScatterParser()
-        out = parser.feed(stream)  # the whole burst in one feed
-        assert len(out) == frames
-        assert parser.bytes_compacted <= len(stream)
+class TestRejection:
+    """Every violation, through both decoders."""
 
-    def test_chunked_burst_stays_linear_too(self):
-        frames = 20_000
-        stream = b"".join(wire([b"op-%d" % i]) for i in range(frames))
-        parser = ScatterParser()
-        count = 0
-        for start in range(0, len(stream), 4 * KB):
-            count += len(parser.feed(stream[start : start + 4 * KB]))
-        assert count == frames
-        assert parser.bytes_compacted <= len(stream)
+    def test_bad_magic_rejected(self, decode):
+        stream = bytearray(wire([b"x"]))
+        stream[0] ^= 0xFF
+        with pytest.raises(FrameError, match="magic"):
+            decode(bytes(stream))
 
-    def test_peak_memory_bounded_while_draining(self):
-        # Like the WriteAggregator linearity test: dribbling many small
-        # frames through one parser must not accumulate memory beyond
-        # the frames in flight.
-        stream = b"".join(wire([b"x" * 32]) for _ in range(20_000))
-        parser = ScatterParser()
-        tracemalloc.start()
+    def test_bad_version_rejected(self, decode):
+        stream = bytearray(wire([b"x"]))
+        stream[1] = WIRE_VERSION + 1
+        with pytest.raises(FrameError, match="version"):
+            decode(bytes(stream))
+
+    def test_v1_frame_rejected(self, decode):
+        with pytest.raises(FrameError, match="version"):
+            decode(v1_frame(b"hello"))
+
+    def test_garbage_rejected(self, decode):
+        with pytest.raises(FrameError, match="magic"):
+            decode(b"GET / HTTP/1.1\r\n\r\n")
+
+    def test_oversized_announcement_rejected_before_buffering(self, decode):
+        # The length field announces more than the cap: rejected from the
+        # header alone, without waiting for (or buffering) the body.
+        stream = HEADER.pack(MAGIC, WIRE_VERSION, 1024 * 1024)
+        with pytest.raises(FrameTooLargeError) as excinfo:
+            decode(stream, max_frame=1024)
+        assert excinfo.value.announced == 1024 * 1024
+        assert excinfo.value.limit == 1024
+
+    def test_oversized_frame_rejected(self, decode):
+        with pytest.raises(FrameTooLargeError):
+            decode(wire([b"y" * 2048]), max_frame=KB)
+
+    def test_encode_refuses_oversized_payload(self):
+        with pytest.raises(FrameTooLargeError):
+            encode_frame([b"x" * 2048], max_frame=1024)
+
+    def test_truncated_stream_detected_at_eof(self, decode):
+        with pytest.raises(TruncatedFrameError):
+            decode(wire([b"hello world"])[:-3])
+
+    def test_truncated_header_detected_at_eof(self, decode):
+        with pytest.raises(TruncatedFrameError):
+            decode(wire([b"payload"])[:3])
+
+    def test_truncated_bulk_frame_rejected(self, decode):
+        # Above the one-gulp cutoff recv_frame reads per segment; a
+        # stream that ends inside a bulk segment is still caught.
+        with pytest.raises(TruncatedFrameError):
+            decode(wire([b"head", b"b" * (256 * KB)])[:-1])
+
+    def test_unknown_segment_codec_rejected(self, decode):
+        stream = bytearray(wire([b"abc"]))
+        stream[HEADER.size + META.size + TABLE_ENTRY.size - 1] = 2
+        with pytest.raises(FrameError, match="codec"):
+            decode(bytes(stream))
+
+    def test_trailing_bytes_rejected(self):
+        with pytest.raises(FrameError, match="trail"):
+            decode_frame(wire([b"one"]) + b"\x00")
+
+    @given(junk=st.binary(min_size=HEADER.size, max_size=128))
+    @settings(max_examples=50, deadline=None)
+    def test_random_junk_never_decodes_silently(self, junk):
+        # Random bytes raise FrameError unless they are exactly one
+        # validly-headed frame: junk never invents payloads.
         try:
-            for start in range(0, len(stream), 4 * KB):
-                parser.feed(stream[start : start + 4 * KB])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert parser.frames_decoded == 20_000
-        assert peak < 2 * KB * KB, f"peak {peak} bytes suggests buffer pile-up"
+            frame = decode_frame(junk, max_frame=1 << 16)
+        except FrameError:
+            return
+        magic, version, length = HEADER.unpack_from(junk, 0)
+        assert magic == MAGIC and version == WIRE_VERSION
+        assert HEADER.size + length == len(junk)
+        flags, nseg = META.unpack_from(junk, HEADER.size)
+        assert flags == 0 and len(frame.segments) == nseg
+
+    @given(junk=st.binary(min_size=HEADER.size, max_size=128))
+    @settings(max_examples=30, deadline=None)
+    def test_random_junk_never_decodes_silently_over_a_socket(self, junk):
+        # A frame read off the stream is exactly the decode of its
+        # validly-headed prefix; anything else raises FrameError.
+        try:
+            frame = recv_one(junk, max_frame=1 << 16)
+        except FrameError:
+            return
+        magic, version, length = HEADER.unpack_from(junk, 0)
+        assert magic == MAGIC and version == WIRE_VERSION
+        prefix = junk[: HEADER.size + length]
+        assert decode_frame(prefix).segments == frame.segments
 
 
 class TestRecvFrame:
-    """Exact-framed socket reads: the threaded client's receive path."""
+    """Exact-framed socket reads: the receive path of both TCP ends."""
 
     @staticmethod
     def _pair():
@@ -371,6 +260,24 @@ class TestRecvFrame:
             assert recv_frame(right).segments == [b"world"]
         finally:
             left.close()
+            right.close()
+
+    def test_plain_and_compressed_frames_interleave_on_one_stream(self):
+        bulk = b"z" * (4 * KB)
+        stream = (
+            wire([b"plain"])
+            + wire([b"head", bulk], compress_threshold=KB)
+            + wire([b"last"])
+        )
+        left, right = self._pair()
+        try:
+            left.sendall(stream)
+            left.close()
+            assert recv_frame(right).segments == [b"plain"]
+            assert recv_frame(right).segments == [b"head", bulk]
+            assert recv_frame(right).segments == [b"last"]
+            assert recv_frame(right) is None
+        finally:
             right.close()
 
     def test_v2_small_frame_one_gulp(self):
@@ -427,29 +334,6 @@ class TestRecvFrame:
             left.close()
             right.close()
 
-    def test_batch_flag_survives(self):
-        left, right = self._pair()
-        try:
-            left.sendall(wire([b"msg-1", b"msg-2"], flags=FLAG_BATCH))
-            frame = recv_frame(right)
-            assert frame.is_batch
-            assert frame.segments == [b"msg-1", b"msg-2"]
-        finally:
-            left.close()
-            right.close()
-
-    def test_unknown_segment_codec_rejected(self):
-        stream = bytearray(wire([b"abc"]))
-        stream[HEADER.size + META.size + TABLE_ENTRY.size - 1] = 2
-        left, right = self._pair()
-        try:
-            left.sendall(bytes(stream))
-            with pytest.raises(FrameError, match="codec"):
-                recv_frame(right)
-        finally:
-            left.close()
-            right.close()
-
     def test_clean_eof_at_boundary_returns_none(self):
         left, right = self._pair()
         try:
@@ -458,44 +342,4 @@ class TestRecvFrame:
             assert recv_frame(right).segments == [b"last"]
             assert recv_frame(right) is None
         finally:
-            right.close()
-
-    def test_eof_mid_frame_raises_truncated(self):
-        left, right = self._pair()
-        try:
-            left.sendall(wire([b"x" * 1000])[:40])
-            left.close()
-            with pytest.raises(TruncatedFrameError):
-                recv_frame(right)
-        finally:
-            right.close()
-
-    def test_junk_stream_raises_frame_error(self):
-        left, right = self._pair()
-        try:
-            left.sendall(b"GET / HTTP/1.1\r\n")
-            with pytest.raises(FrameError, match="magic"):
-                recv_frame(right)
-        finally:
-            left.close()
-            right.close()
-
-    def test_v1_frame_rejected(self):
-        left, right = self._pair()
-        try:
-            left.sendall(v1_frame(b"hello"))
-            with pytest.raises(FrameError, match="version"):
-                recv_frame(right)
-        finally:
-            left.close()
-            right.close()
-
-    def test_oversized_frame_rejected(self):
-        left, right = self._pair()
-        try:
-            left.sendall(wire([b"y" * 2048]))
-            with pytest.raises(FrameTooLargeError):
-                recv_frame(right, max_frame=KB)
-        finally:
-            left.close()
             right.close()

@@ -7,7 +7,12 @@ import pytest
 from repro.fs import LocalFS
 from repro.mapreduce import AdmissionError, JobService, JobServiceEndpoint
 from repro.mapreduce.applications import make_wordcount_job
-from repro.net import NodeServer, connect_jobservice, loopback_jobservice_stub
+from repro.net import (
+    ClusterConfig,
+    NodeServer,
+    connect_jobservice,
+    loopback_jobservice_stub,
+)
 from repro.workloads import write_text_file
 
 
@@ -110,3 +115,26 @@ class TestTcpJobService:
         finally:
             server.stop()
         assert fs.exists("/out/part-r-00000")
+
+    def test_wait_longer_than_the_rpc_timeout_gets_the_remote_timeout(
+        self, tmp_path
+    ):
+        # A queued job never starts for a zero-concurrency tenant, so the
+        # remote wait runs out: the caller must see that TimeoutError,
+        # not the transport giving up first on a shorter RPC timeout.
+        fs, service = make_service(tmp_path)
+        service.register_tenant("alice", max_concurrent_jobs=0)
+        write_text_file(fs, "/in/words.txt", 5, seed=1)
+        server = NodeServer(JobServiceEndpoint(service), host="127.0.0.1", port=0)
+        host, port = server.start()
+        try:
+            stub = connect_jobservice(
+                host, port, config=ClusterConfig(rpc_timeout=0.5), timeout=0.5
+            )
+            job_id = stub.submit_job(make_wordcount_job(["/in/words.txt"]), "alice")
+            with pytest.raises(TimeoutError):
+                stub.wait_job(job_id, 1.5)
+            assert stub.job_status(job_id) == "QUEUED"
+            stub.close()
+        finally:
+            server.stop()

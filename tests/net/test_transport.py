@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+import sys
 import threading
 import time
 
@@ -182,10 +184,10 @@ class TestTcpSpecifics:
             transport.call("echo", "echo", 2)
         transport.close()
 
-    def test_concurrent_requests_interleave_on_one_connection(self, registry):
-        # One pooled connection, many threads: a slow call must not block
-        # fast calls behind it — responses come back by correlation id,
-        # not arrival order.
+    def test_slow_call_never_blocks_other_callers(self, registry):
+        # A pool of one idle connection, many threads: a slow call must
+        # not block fast calls behind it — each caller gets a connection
+        # of its own.
         with RpcServer(registry) as server:
             host, port = server.address
             with TcpTransport(
@@ -238,3 +240,148 @@ class TestTcpSpecifics:
             with TcpTransport(host, port) as transport:
                 assert transport.call("echo", "echo", "still alive") == "still alive"
             assert server.protocol_errors >= 1
+
+
+def run_threads(target, count: int, *, timeout: float = 30.0) -> None:
+    """Run ``target(i)`` on ``count`` threads and wait for all of them."""
+    threads = [threading.Thread(target=target, args=(i,)) for i in range(count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout)
+        assert not thread.is_alive()
+
+
+class TestTcpConnectionContract:
+    """One call per connection: what the caller may rely on."""
+
+    def test_late_reply_never_reaches_the_next_call(self, registry):
+        with RpcServer(registry) as server:
+            host, port = server.address
+            with TcpTransport(
+                host, port, timeout=0.2, retry=RetryPolicy.no_retry()
+            ) as transport:
+                with pytest.raises(RpcTimeoutError):
+                    transport.call("echo", "slow", 0.5)
+                # The timed-out call closed its connection: the slow
+                # handler's "done" can only land on a dead socket.
+                assert transport.call("echo", "echo", "next") == "next"
+                time.sleep(0.4)  # let the late reply be written
+                assert transport.call("echo", "echo", "later") == "later"
+                assert transport.connections_opened == 2
+
+    def test_long_poll_blocks_nobody(self, registry):
+        with RpcServer(registry) as server:
+            host, port = server.address
+            with TcpTransport(
+                host, port, pool_size=1, retry=RetryPolicy.no_retry()
+            ) as transport:
+                poll = threading.Thread(
+                    target=transport.call, args=("echo", "slow", 2.0)
+                )
+                poll.start()
+                keys = [(i % 8, i) for i in range(50)]
+                results: dict[tuple[int, int], object] = {}
+
+                def caller(worker):
+                    for key in keys[worker::8]:
+                        results[key] = transport.call("echo", "echo", key)
+
+                run_threads(caller, 8)
+                assert poll.is_alive()  # all 50 finished inside the long poll
+                assert results == {key: key for key in keys}
+                poll.join(10.0)
+                assert not poll.is_alive()
+
+    def test_idle_connection_to_a_restarted_server_is_replaced(self, registry):
+        first = RpcServer(registry)
+        host, port = first.start()
+        with TcpTransport(host, port, retry=RetryPolicy.no_retry()) as transport:
+            assert transport.call("echo", "echo", 1) == 1
+            first.stop()  # the pooled idle connection now reads EOF
+            with RpcServer(registry, host=host, port=port):
+                assert transport.call("echo", "echo", 2) == 2
+            assert transport.connections_opened == 2
+
+    def test_concurrent_bulk_and_small_calls_stay_correct(self, registry):
+        # Bulk replies travel as out-of-band segments while small calls
+        # run beside them on the same transport.
+        with RpcServer(registry) as server:
+            host, port = server.address
+            with TcpTransport(host, port, pool_size=4) as transport:
+                bulk: dict[int, bytes] = {}
+
+                def fetch(i):
+                    payload = bytes([i]) * (100_000 + i)
+                    bulk[i] = transport.call("echo", "echo", payload)
+
+                sums: list[int] = []
+
+                def add_up():
+                    sums.extend(transport.call("echo", "add", i, 1) for i in range(30))
+
+                small = threading.Thread(target=add_up)
+                small.start()
+                run_threads(fetch, 6)
+                small.join(30.0)
+                assert not small.is_alive()
+                assert bulk == {i: bytes([i]) * (100_000 + i) for i in range(6)}
+                assert sums == list(range(1, 31))
+
+    def test_sequential_calls_dial_one_connection(self, registry):
+        with RpcServer(registry) as server:
+            host, port = server.address
+            with TcpTransport(host, port) as transport:
+                for i in range(40):
+                    assert transport.call("echo", "echo", i) == i
+                assert transport.connections_opened == 1
+
+    def test_k_concurrent_callers_dial_at_most_k(self, registry):
+        # More callers than cores and a short switch interval: a lost
+        # update in the pool or in the server's counters shows up here.
+        callers, calls = 8, 25
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with RpcServer(registry) as server:
+                host, port = server.address
+                with TcpTransport(host, port, pool_size=callers) as transport:
+                    barrier = threading.Barrier(callers)
+                    results: dict[tuple[int, int], object] = {}
+
+                    def caller(worker):
+                        barrier.wait()
+                        for i in range(calls):
+                            key = (worker, i)
+                            results[key] = transport.call("echo", "echo", key)
+
+                    run_threads(caller, callers)
+                    assert results == {key: key for key in results}
+                    assert len(results) == callers * calls
+                    assert 1 <= transport.connections_opened <= callers
+            assert server.requests_served == callers * calls
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_stop_and_close_leave_no_thread_and_no_fd(self, registry):
+        threads_before = set(threading.enumerate())
+        fds_before = len(os.listdir("/proc/self/fd"))
+        server = RpcServer(registry)
+        host, port = server.start()
+        transport = TcpTransport(host, port, pool_size=4)
+        barrier = threading.Barrier(4)
+
+        def caller(_worker):
+            barrier.wait()
+            for i in range(10):
+                transport.call("echo", "echo", i)
+
+        run_threads(caller, 4)
+        assert transport.connections_opened >= 1
+        transport.close()
+        server.stop()
+        assert set(threading.enumerate()) - threads_before == set()
+        assert len(os.listdir("/proc/self/fd")) == fds_before

@@ -1,9 +1,9 @@
-"""The wire protocol end-to-end: no handshake, batching, compression, identity.
+"""The wire protocol end-to-end: no handshake, compression, identity.
 
 The wire path must be invisible to everything above the transport: the
 filesystems and the metadata plane read back exactly the bytes they
 wrote.  These tests cover the handshake-free connection over real
-sockets, the out-of-band threshold, small-op batching semantics,
+sockets, the out-of-band threshold, the retired batch flag,
 compression chosen by each sender alone, and cross-backend differential
 byte-identity over raw and compressed segments — including mid-read
 replica failover and wire faults, where the degraded path must stay
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import socket
 import threading
-import time
 
 import pytest
 
@@ -36,7 +35,7 @@ from repro.net import (
     connect_provider,
 )
 from repro.net.cluster import ClusterConfig
-from repro.net.framing import HEADER, MAGIC
+from repro.net.framing import HEADER, MAGIC, encode_frame
 from repro.net.messages import Request, encode_message
 from repro.net.stubs import (
     DATANODE_SERVICE,
@@ -92,13 +91,12 @@ def loopback_stub(stub_cls, service, backend, *, peer, faults, wire, retry=None)
 class TestWireConfig:
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
-            WireConfig(batch_window=-0.1)
+            WireConfig(oob_threshold=0)
         with pytest.raises(ValueError):
             WireConfig(compress_threshold=0)
 
     def test_cluster_config_maps_onto_wire_config(self):
-        wire = ClusterConfig(batch_window=0.01, compress_threshold=KB).wire_config()
-        assert wire.batch_window == 0.01
+        wire = ClusterConfig(compress_threshold=KB).wire_config()
         assert wire.compress_threshold == KB
         assert ClusterConfig().wire_config() == WireConfig()
         with pytest.raises(ValueError):
@@ -156,7 +154,7 @@ class TestNoHandshake:
             assert server.protocol_errors == 0
 
     def test_each_pooled_connection_serves_without_probe(self):
-        # Concurrent callers open every pooled connection; each one
+        # Concurrent callers dial connections of their own; each one
         # carries only its callers' requests.
         with RpcServer(echo_registry()) as server:
             host, port = server.address
@@ -177,7 +175,7 @@ class TestNoHandshake:
                 for thread in threads:
                     thread.join()
                 assert results == {i: i for i in range(4)}
-                assert 1 <= len(transport._pool) <= 2
+                assert 1 <= transport.connections_opened <= 4
             finally:
                 transport.close()
         assert server.requests_served == 4
@@ -197,124 +195,22 @@ class TestNoHandshake:
         assert server.requests_served == 1
 
 
-class TestBatching:
-    def test_concurrent_small_ops_coalesce_and_stay_correct(self):
+class TestRetiredBatchFlag:
+    def test_server_drops_a_batch_frame(self):
+        # Bit 0 of the frame flags was the small-op batch envelope; a
+        # frame that sets it is a framing violation like any other.
+        head, _ = encode_message(Request(1, "echo", "echo", ("x",), {}))
+        frame = bytearray(b"".join(encode_frame([head])))
+        frame[HEADER.size] = 0x01
         with RpcServer(echo_registry()) as server:
             host, port = server.address
-            transport = TcpTransport(host, port, batching=True, pool_size=1)
-            try:
-                results: list = []
-                lock = threading.Lock()
-
-                def worker(worker_id):
-                    for i in range(40):
-                        value = transport.call("echo", "echo", (worker_id, i))
-                        with lock:
-                            results.append(value)
-
-                threads = [
-                    threading.Thread(target=worker, args=(w,)) for w in range(8)
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join()
-                assert sorted(results) == sorted(
-                    (w, i) for w in range(8) for i in range(40)
-                )
-                # Coalescing actually happened, on both sides.
-                assert transport.batches_sent > 0
-                assert transport.requests_batched > transport.batches_sent
-                assert server.batched_requests == transport.requests_batched
-                # Group-commit bookkeeping drains once every response is
-                # in: nothing left outstanding to clock the next flush.
-                deadline = time.monotonic() + 2.0
-                while time.monotonic() < deadline:
-                    if all(
-                        connection._batched_in_flight == 0
-                        and not connection._batched_ids
-                        for connection in transport._pool
-                    ):
-                        break
-                    time.sleep(0.01)
-                for connection in transport._pool:
-                    assert connection._batched_in_flight == 0
-                    assert not connection._batched_ids
-            finally:
-                transport.close()
-
-    def test_lone_caller_is_never_batched(self):
-        with RpcServer(echo_registry()) as server:
-            host, port = server.address
-            transport = TcpTransport(host, port, batching=True, pool_size=1)
-            try:
-                for i in range(20):
-                    assert transport.call("echo", "echo", i) == i
-                # Sequential calls: no concurrency, so the fast path
-                # (direct send) must be taken every time.
-                assert transport.batches_sent == 0
-            finally:
-                transport.close()
-
-    def test_no_batch_calls_bypass_the_queue(self):
-        with RpcServer(echo_registry()) as server:
-            host, port = server.address
-            transport = TcpTransport(host, port, batching=True, pool_size=1)
-            try:
-                hold = threading.Event()
-
-                def background():
-                    hold.wait()
-                    for _ in range(10):
-                        transport.call("echo", "echo", "bg")
-
-                thread = threading.Thread(target=background)
-                thread.start()
-                hold.set()
-                for i in range(10):
-                    value = transport.call(
-                        "echo", "echo", ("fg", i), no_batch=True
-                    )
-                    assert value == ("fg", i)
-                thread.join()
-            finally:
-                transport.close()
-
-    def test_bulk_responses_escape_the_batch_envelope(self):
-        # Small requests may coalesce, but a response with a bulk
-        # payload must come back in its own scatter-gather frame.
-        class Mixed:
-            def small(self, i):
-                return i
-
-            def bulk(self, n):
-                return b"B" * n
-
-        registry = ServiceRegistry()
-        registry.register("mixed", Mixed())
-        with RpcServer(registry) as server:
-            host, port = server.address
-            transport = TcpTransport(host, port, batching=True, pool_size=1)
-            try:
-                results: dict[int, bytes] = {}
-
-                def worker(i):
-                    results[i] = transport.call("mixed", "bulk", 100_000 + i)
-
-                threads = [
-                    threading.Thread(target=worker, args=(i,)) for i in range(6)
-                ]
-                for thread in threads:
-                    thread.start()
-                # Interleave small calls so batching engages around them.
-                for i in range(30):
-                    assert transport.call("mixed", "small", i) == i
-                for thread in threads:
-                    thread.join()
-                for i in range(6):
-                    assert results[i] == b"B" * (100_000 + i)
-            finally:
-                transport.close()
+            with socket.create_connection((host, port), timeout=5.0) as raw:
+                raw.sendall(bytes(frame))
+                assert raw.recv(1) == b""  # closed, nothing answered
+            with TcpTransport(host, port) as transport:
+                assert transport.call("echo", "echo", "after") == "after"
+        assert server.protocol_errors == 1
+        assert server.requests_served == 1
 
 
 class TestCompression:
@@ -360,16 +256,6 @@ class TestLoopback:
         payload = bytes(range(256)) * (4 * KB)
         assert transport.call("echo", "echo", payload) == payload
         assert transport.call("echo", "pair", "a", 1) == ("a", 1)
-
-    def test_loopback_reuses_one_decoder_across_calls(self):
-        # The same parser instance drains every frame of the
-        # transport's lifetime.
-        transport = LoopbackTransport(echo_registry())
-        parser = transport._parser
-        for i in range(5):
-            transport.call("echo", "echo", i)
-        assert transport._parser is parser
-        assert parser.frames_decoded == 10  # request + response per call
 
 
 def make_blobseer(faults, wire, *, replication=2):
@@ -496,9 +382,7 @@ class TestTcpDifferential:
         "compress_threshold", [None, 64], ids=["raw", "zlib"]
     )
     def test_hdfs_over_tcp_identical(self, compress_threshold):
-        config = ClusterConfig(
-            metadata_batching=False, compress_threshold=compress_threshold
-        )
+        config = ClusterConfig(compress_threshold=compress_threshold)
         backends = [DataNode(i, host=f"node-{i}", rack="r0") for i in range(3)]
         servers = [
             NodeServer(d, host="127.0.0.1", port=0, config=config)
@@ -537,7 +421,7 @@ class TestTcpDifferential:
         finally:
             server.stop()
 
-    def test_metadata_stub_with_batching_over_tcp(self):
+    def test_metadata_stub_with_concurrent_callers_over_tcp(self):
         config = ClusterConfig()
         backend = MetadataProvider(2)
         server = NodeServer(backend, host="127.0.0.1", port=0, config=config)
@@ -565,8 +449,9 @@ class TestTcpDifferential:
                 thread.join()
             assert not errors
             assert len(backend.keys()) == 150
-            # The hot metadata path actually used the coalescing channel.
-            assert stub.transport.requests_batched > 0
+            # One connection per concurrent caller at most (the first one
+            # was dialled by connect_metadata's identity call).
+            assert stub.transport.connections_opened <= 6
             stub.close()
         finally:
             server.stop()
