@@ -23,7 +23,7 @@ from conftest import run_once
 from repro.analysis import ExperimentReport
 from repro.bsfs import BSFS
 from repro.core import KB, BlobSeerConfig
-from repro.mapreduce import make_cluster
+from repro.mapreduce import JobService
 from repro.mapreduce.applications import make_distributed_grep_job, make_wordcount_job
 from repro.workloads import write_text_file
 
@@ -95,7 +95,7 @@ def _run():
     producer_thread = threading.Thread(target=producer)
     producer_thread.start()
 
-    jobtracker = make_cluster(bsfs, slots_per_tracker=2)
+    service = JobService.local(bsfs, slots_per_tracker=2)
     grep_job = make_distributed_grep_job(
         "status=new", [DATASET], output_dir="/jobs/grep-snap", split_size=64 * KB
     )
@@ -109,7 +109,7 @@ def _run():
     started = time.perf_counter()
 
     def run_job(name, job):
-        results[name] = jobtracker.run(job)
+        results[name] = service.submit(job).wait()
 
     threads = [
         threading.Thread(target=run_job, args=("grep", grep_job)),

@@ -27,7 +27,7 @@ from __future__ import annotations
 from repro.analysis import format_table
 from repro.core import KB, MB, BlobSeerConfig
 from repro.fs import get_filesystem
-from repro.mapreduce import make_cluster
+from repro.mapreduce import JobService
 from repro.mapreduce.applications import (
     make_distributed_grep_job,
     make_random_text_writer_job,
@@ -53,14 +53,14 @@ BACKEND_OPTIONS = {
 
 
 def run_random_text_writer(uri: str, rows) -> None:
-    jobtracker = make_cluster(uri, slots_per_tracker=2)
+    service = JobService.local(uri, slots_per_tracker=2)
     job = make_random_text_writer_job(
         output_dir=f"{uri}/jobs/random-text",
         num_map_tasks=8,
         bytes_per_map=256 * KB,
     )
-    result = jobtracker.run(job)
-    fs = jobtracker.fs
+    result = service.submit(job).wait()
+    fs = service.fs
     written = sum(s.size for s in fs.list_files("/jobs/random-text"))
     rows.append(
         {
@@ -79,19 +79,19 @@ def run_distributed_grep(uri: str, rows) -> None:
     write_text_file(
         get_filesystem(uri), "/jobs/grep-input.txt", num_lines=20000, seed=42
     )
-    jobtracker = make_cluster(uri, slots_per_tracker=2)
+    service = JobService.local(uri, slots_per_tracker=2)
     job = make_distributed_grep_job(
         "hellbender|lithograph",
         [f"{uri}/jobs/grep-input.txt"],
         output_dir=f"{uri}/jobs/grep-out",
         split_size=256 * KB,
     )
-    result = jobtracker.run(job)
+    result = service.submit(job).wait()
     matches = result.counter("grep.matches")
     rows.append(
         {
             "job": "distributed-grep",
-            "system": jobtracker.fs.scheme,
+            "system": service.fs.scheme,
             "elapsed_s": round(result.elapsed, 3),
             "maps": result.map_tasks,
             "reduces": result.reduce_tasks,
@@ -102,18 +102,18 @@ def run_distributed_grep(uri: str, rows) -> None:
 
 
 def run_wordcount(uri: str, rows) -> None:
-    jobtracker = make_cluster(uri, slots_per_tracker=2)
+    service = JobService.local(uri, slots_per_tracker=2)
     job = make_wordcount_job(
         [f"{uri}/jobs/grep-input.txt"],
         output_dir=f"{uri}/jobs/wc-out",
         num_reduce_tasks=2,
         split_size=256 * KB,
     )
-    result = jobtracker.run(job)
+    result = service.submit(job).wait()
     rows.append(
         {
             "job": "wordcount",
-            "system": jobtracker.fs.scheme,
+            "system": service.fs.scheme,
             "elapsed_s": round(result.elapsed, 3),
             "maps": result.map_tasks,
             "reduces": result.reduce_tasks,

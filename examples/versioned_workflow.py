@@ -26,7 +26,7 @@ import threading
 from repro.bsfs import BSFS
 from repro.core import KB, BlobSeerConfig
 from repro.fs import copy_uri, get_filesystem
-from repro.mapreduce import make_cluster
+from repro.mapreduce import JobService
 from repro.mapreduce.applications import make_distributed_grep_job, make_wordcount_job
 from repro.mapreduce.splitter import TextInputFormat
 
@@ -112,7 +112,7 @@ def main() -> None:
     producer_thread = threading.Thread(target=producer)
     producer_thread.start()
 
-    jobtracker = make_cluster(bsfs, slots_per_tracker=2)
+    service = JobService.local(bsfs, slots_per_tracker=2)
     input_format = SnapshotInputFormat(bsfs, snapshot, snapshot_size, split_size=128 * KB)
 
     grep_job = make_distributed_grep_job(
@@ -127,7 +127,7 @@ def main() -> None:
     results = {}
 
     def run_job(name, job):
-        results[name] = jobtracker.run(job)
+        results[name] = service.submit(job).wait()
 
     threads = [
         threading.Thread(target=run_job, args=("grep", grep_job)),
@@ -159,7 +159,7 @@ def main() -> None:
         output_dir=f"{STORAGE}/jobs/grep-live",
         split_size=128 * KB,
     )
-    final_result = jobtracker.run(final_grep)
+    final_result = service.submit(final_grep).wait()
     print(
         f"grep over latest version: {final_result.counter('grep.matches')} new records visible"
     )

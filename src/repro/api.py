@@ -1,9 +1,10 @@
 """The session facade: one connect call, one object, the whole stack.
 
-Applications previously assembled the pieces by hand — resolve a file
-system from the registry, build a cluster, construct a jobtracker, manage
-snapshot pins — and nothing tied the resulting writes and jobs to a
-tenant.  :func:`connect` replaces that boilerplate::
+Without it an application assembles the pieces by hand — resolve a file
+system from the registry, build a
+:class:`~repro.mapreduce.service.JobService` over it, manage snapshot
+pins — and nothing ties the resulting writes and jobs to a tenant.
+:func:`connect` replaces that boilerplate::
 
     from repro.api import connect
 

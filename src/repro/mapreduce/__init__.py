@@ -34,7 +34,7 @@ from .job import (
     identity_mapper,
     identity_reducer,
 )
-from .jobtracker import JobResult, JobTracker, make_cluster
+from .jobtracker import JobResult, JobTracker
 from .scheduler import (
     Assignment,
     LocalityAwareScheduler,
@@ -73,7 +73,6 @@ __all__ = [
     "JobConf",
     "JobResult",
     "JobTracker",
-    "make_cluster",
     "JobService",
     "JobHandle",
     "JobServiceEndpoint",

@@ -64,8 +64,7 @@ class JobConf:
     #: on a *different* tracker when the cluster has one.
     max_task_attempts: int = 4
     #: Launch backup attempts for stragglers near the end of each phase and
-    #: take the first completion (Hadoop's speculative execution).  Only
-    #: effective with ``parallel=True`` job trackers.
+    #: take the first completion (Hadoop's speculative execution).
     speculative_execution: bool = False
     #: A running attempt is a straggler once its runtime exceeds this
     #: multiple of the median successful attempt duration of its phase.

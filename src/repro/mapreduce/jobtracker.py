@@ -7,11 +7,13 @@ across the cluster.  First, the map tasks are run, each processing a chunk
 of the input file ...  After all the maps have finished, the tasktrackers
 execute the reduce function on the map outputs."
 
-:class:`JobTracker.run` follows exactly that structure: compute splits,
-schedule map tasks (locality-aware), execute them (optionally in parallel
-threads, one slot per tracker slot), shuffle, execute reduce tasks, and
-return a :class:`JobResult` with timings, counters and locality statistics.
-The engine is storage-agnostic: pass a BSFS or an HDFS instance.
+:meth:`JobTracker.execute` follows exactly that structure: compute splits,
+schedule map tasks (locality-aware), execute them in parallel threads (one
+per tracker slot), shuffle, execute reduce tasks, and return a
+:class:`JobResult` with timings, counters and locality statistics.  The
+engine is storage-agnostic: pass a BSFS or an HDFS instance.  Its one
+caller is :class:`~repro.mapreduce.service.JobService`, which hands every
+execution a :class:`JobContext` of runtime controls.
 
 Two shuffle paths exist.  The default keeps intermediate pairs in memory
 and runs reduce after a global map barrier.  With
@@ -42,17 +44,15 @@ from __future__ import annotations
 import threading
 import time
 import traceback
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Any, Callable
 
-from ..core.transfer import TransferEngine
+from ..core.transfer import InflightBudget, TransferEngine
 from ..fs import path as fspath
 from ..fs.interface import FileSystem
 from ..fs.quota import tenant_scope
-from ..fs.registry import get_filesystem
 from ..net.liveness import HeartbeatPump, LivenessMonitor, LivenessRegistry
 from .faults import FaultPlan, TrackerDeadError
 from .job import Counters, Job
@@ -67,29 +67,32 @@ from .shuffle_service import ShuffleAbortedError, ShuffleService
 from .splitter import SyntheticInputFormat, TextInputFormat
 from .tasktracker import TaskResult, TaskTracker
 
-#: Job-conf property keys the :class:`~repro.mapreduce.service.JobService`
-#: uses to thread runtime controls into an execution without widening the
-#: ``JobConf`` schema (they are implementation detail, not user API).
-CANCEL_EVENT_PROPERTY = "__cancel_event"
-SPECULATION_GATE_PROPERTY = "__speculation_gate"
-INFLIGHT_BUDGET_PROPERTY = "__inflight_budget"
-PROGRESS_PROPERTY = "__progress"
-
-__all__ = [
-    "JobResult",
-    "JobTracker",
-    "make_cluster",
-    "CANCEL_EVENT_PROPERTY",
-    "SPECULATION_GATE_PROPERTY",
-    "INFLIGHT_BUDGET_PROPERTY",
-    "PROGRESS_PROPERTY",
-]
+__all__ = ["JobContext", "JobResult", "JobTracker"]
 
 #: How often the phase orchestrator wakes to look for stragglers.
 _SPECULATION_POLL_SECONDS = 0.02
 #: An attempt younger than this is never considered a straggler, however
 #: fast the rest of the phase was (guards against sub-millisecond medians).
 _MIN_STRAGGLER_RUNTIME = 0.05
+
+
+@dataclass(frozen=True)
+class JobContext:
+    """Runtime controls the job service hands the engine for one execution.
+
+    They live beside the job, never in its :class:`~repro.mapreduce.job.JobConf`,
+    so the conf a task sees holds only what the user submitted.
+    """
+
+    #: Set by ``JobHandle.cancel``: attempts not yet started fail at once.
+    cancel_event: threading.Event
+    #: Whether speculative backups may launch now (closed while a tenant
+    #: is starved; see ``JobService._speculation_open``).
+    speculation_gate: Callable[[], bool]
+    #: The tenant's shared byte budget for shuffle transfers, if any.
+    inflight_budget: InflightBudget | None
+    #: ``progress(phase, completed, total)``, fired as task winners commit.
+    progress: Callable[[str, int, int], None]
 
 
 @dataclass
@@ -276,14 +279,14 @@ class _RetryingPhase:
             [int, int, TaskTracker, bool], tuple[TaskResult, bool, bool]
         ],
         pick_tracker: Callable[[int, int, set[str]], TaskTracker],
+        make_failure: Callable[[int, int, BaseException], TaskResult],
+        speculation_gate: Callable[[], bool],
         speculative: bool = False,
         slow_task_threshold: float = 2.0,
         speculative_fraction: float = 0.5,
         on_winner: Callable[[TaskResult], None] | None = None,
         on_attempt_failed: Callable[[str, bool], None] | None = None,
         on_permanent_failure: Callable[[int, TaskResult], None] | None = None,
-        make_failure: Callable[[int, int, BaseException], TaskResult] | None = None,
-        speculation_gate: Callable[[], bool] | None = None,
     ) -> None:
         self._max_attempts = max_attempts
         self._execute = execute
@@ -335,17 +338,15 @@ class _RetryingPhase:
             entry.commit_attempt = attempt
             return True
 
-    # -- parallel orchestration --------------------------------------------------------
+    # -- orchestration -----------------------------------------------------------------
     def _fail_no_tracker(
         self, entry: _TaskEntry, attempt: int, exc: NoHealthyTrackerError
     ) -> None:
         """Record a permanent failure for a task that cannot be placed.
 
         Every tracker host is dead/blacklisted, so the attempt fails without
-        ever launching; re-raised instead when no failure factory was given.
+        ever launching.
         """
-        if self._make_failure is None:
-            raise exc
         result = self._make_failure(entry.index, attempt, exc)
         permanent: TaskResult | None = None
         with self._cond:
@@ -497,10 +498,6 @@ class _RetryingPhase:
                 tracker = self._pick_tracker(entry.index, next_attempt, banned)
             except NoHealthyTrackerError as exc:
                 self._fail_no_tracker(entry, next_attempt, exc)
-                if entry.permanent_failure is not None:
-                    return
-                tracker = None
-            if tracker is None:
                 return
             with self._cond:
                 if entry.winner is None and self._fatal is None:
@@ -523,7 +520,7 @@ class _RetryingPhase:
         """
         if not self._speculative or not self._entries or self._pool is None:
             return
-        if self._speculation_gate is not None and not self._speculation_gate():
+        if not self._speculation_gate():
             # Cooperative preemption: the service closes the gate while a
             # starved tenant waits, so backup attempts stop competing for
             # slots the waiting tenant needs.
@@ -561,176 +558,52 @@ class _RetryingPhase:
             entry.speculated = True
             self._launch(entry, tracker, speculative=True)
 
-    # -- serial orchestration ----------------------------------------------------------
-    def run_serial(self) -> list[TaskResult]:
-        """Sequential execution with retries (no speculation — there is no
-        concurrency for a backup attempt to exploit)."""
-        for entry in self._entries:
-            while not entry.done:
-                attempt = entry.attempts_started
-                entry.attempts_started += 1
-                try:
-                    tracker = self._pick_tracker(
-                        entry.index, attempt, set(entry.banned_hosts)
-                    )
-                except NoHealthyTrackerError as exc:
-                    self._fail_no_tracker(entry, attempt, exc)
-                    if not entry.done:
-                        entry.done = True
-                    break
-                entry.last_start = time.perf_counter()
-                result, retryable, fatal_host = self._execute(
-                    entry.index, attempt, tracker, False
-                )
-                self._results.append(result)
-                if result.succeeded and not result.discarded:
-                    entry.winner = result
-                    entry.committed = True
-                    entry.done = True
-                    if self._on_winner is not None:
-                        self._on_winner(result)
-                    break
-                if result.succeeded:
-                    entry.done = True
-                    break
-                entry.banned_hosts.add(result.tracker_host)
-                if self._on_attempt_failed is not None:
-                    self._on_attempt_failed(result.tracker_host, fatal_host)
-                if entry.commit_attempt == result.attempt:
-                    entry.committed = False
-                    entry.commit_attempt = None
-                if not retryable or entry.attempts_started >= self._max_attempts:
-                    entry.permanent_failure = result
-                    entry.done = True
-                    if self._on_permanent_failure is not None:
-                        self._on_permanent_failure(entry.index, result)
-        return self.results
-
 
 class JobTracker:
-    """Master node of the MapReduce engine."""
+    """Master node of the MapReduce engine, driven by a job service."""
 
-    def __init__(
-        self,
-        fs: FileSystem | str,
-        trackers: list[TaskTracker],
-        *,
-        parallel: bool = True,
-        slot_ledger: SlotLedger | None = None,
-        _from_factory: bool = False,
-    ) -> None:
-        """Create a job tracker.
+    def __init__(self, fs: FileSystem, trackers: list[TaskTracker]) -> None:
+        """Create the engine over ``fs`` (job input and output: BSFS, HDFS,
+        LocalFS) and its worker ``trackers`` (typically one per storage
+        node, so locality is possible).
 
-        .. deprecated::
-            Direct construction is deprecated in favour of
-            :meth:`repro.mapreduce.service.JobService.local` (or
-            :func:`make_cluster` for a bare cluster): the service fronts
-            the same engine with concurrent submission, fair-share
-            scheduling and admission control.  Construction keeps working
-            — it only warns.
-
-        Parameters
-        ----------
-        fs:
-            File system used for job input and output: a concrete
-            instance (BSFS, HDFS, LocalFS) or a URI string such as
-            ``"bsfs://demo"`` resolved through the scheme registry.
-        trackers:
-            Worker task trackers (typically one per storage node so
-            locality is possible).
-        parallel:
-            Execute tasks concurrently with one thread per tracker slot
-            (default).  Sequential execution is available for debugging
-            and deterministic tests.
-        slot_ledger:
-            Shared per-tenant slot accounting, injected by the
-            :class:`~repro.mapreduce.service.JobService` so concurrent
-            jobs report their slot usage to one ledger.
+        Build one through
+        :meth:`repro.mapreduce.service.JobService.local`; the service owns
+        submission, and its per-job schedulers share :attr:`slot_ledger`.
         """
-        if not _from_factory:
-            warnings.warn(
-                "constructing JobTracker(...) directly is deprecated; use "
-                "JobService.local(...) (multi-tenant submission) or "
-                "make_cluster(...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         if not trackers:
             raise ValueError("a job tracker needs at least one task tracker")
-        if isinstance(fs, str):
-            fs = get_filesystem(fs)
         self.fs = fs
         self.trackers = list(trackers)
-        self.parallel = parallel
-        self.slot_ledger = slot_ledger
-        # Re-entrant: JobService.__init__ registers itself under this lock
-        # while _embedded_service holds it during lazy construction.
-        self._service_lock = threading.RLock()
-        self._service = None
+        self.slot_ledger = SlotLedger()
 
-    # -- public API -----------------------------------------------------------------
-    def run(self, job: Job, *, fault_plan: FaultPlan | None = None) -> JobResult:
-        """Execute ``job`` to completion and return its result.
-
-        This is now a thin submit-and-wait wrapper over an embedded
-        single-tenant :class:`~repro.mapreduce.service.JobService` — the
-        blocking call every pre-service caller knows, with identical
-        semantics (exceptions included), while concurrent submitters go
-        through :meth:`~repro.mapreduce.service.JobService.submit`.
+    def execute(
+        self, job: Job, context: JobContext, fault_plan: FaultPlan | None = None
+    ) -> JobResult:
+        """Run ``job`` to completion on the calling thread.
 
         Input paths and the output directory of the job configuration may
         be URIs; they are validated against this tracker's file system and
         reduced to plain paths before splitting.
 
-        A raising map or reduce task attempt no longer aborts the run: the
+        A raising map or reduce task attempt does not abort the run: the
         failure is recorded as a :class:`TaskResult` with
         ``succeeded=False`` and the task is re-executed on a different
         tracker up to ``JobConf.max_task_attempts`` times; only a task with
         no surviving attempt fails the job
         (``JobResult(succeeded=False, ...)``).
 
-        ``fault_plan`` (or a ``"fault_plan"`` entry in the job conf's free
-        -form properties) injects deterministic failures, stragglers,
-        tracker deaths and storage-node crashes — see
-        :mod:`repro.mapreduce.faults`.
+        ``fault_plan`` injects deterministic failures, stragglers, tracker
+        deaths and storage-node crashes — see :mod:`repro.mapreduce.faults`.
         """
-        handle = self._embedded_service().submit(job, fault_plan=fault_plan)
-        return handle.wait()
-
-    def _embedded_service(self):
-        """The lazily built single-tenant service backing :meth:`run`.
-
-        Unbounded concurrency and no admission limits: each blocking
-        ``run`` call occupies its own submitter thread, exactly as before
-        the service existed.
-        """
-        with self._service_lock:
-            if self._service is None:
-                from .service import JobService
-
-                self._service = JobService(self, max_concurrent_jobs=None)
-            return self._service
-
-    def _execute(self, job: Job, fault_plan: FaultPlan | None = None) -> JobResult:
-        """Run one job to completion on the calling thread (service internal)."""
         resolved_conf = job.conf.resolve_for(self.fs)
         if resolved_conf is not job.conf:
             job = replace(job, conf=resolved_conf)
-        if fault_plan is None:
-            fault_plan = job.conf.get("fault_plan")
         started = time.perf_counter()
         counters = Counters()
         scheduler = LocalityAwareScheduler(
             self.trackers, tenant=job.conf.tenant, slot_ledger=self.slot_ledger
         )
-        # Runtime controls threaded in by the JobService (absent for a
-        # direct blocking run): cooperative cancellation, the speculation
-        # gate, the tenant's inflight-byte budget and progress reporting.
-        cancel_event: threading.Event | None = job.conf.get(CANCEL_EVENT_PROPERTY)
-        speculation_gate = job.conf.get(SPECULATION_GATE_PROPERTY)
-        inflight_budget = job.conf.get(INFLIGHT_BUDGET_PROPERTY)
-        progress_callback = job.conf.get(PROGRESS_PROPERTY)
-
         # Tracker failure detection.  With tracker faults in play, a
         # killed tracker is no longer blacklisted synchronously from the
         # TrackerDeadError its attempts raise: every tracker heartbeats a
@@ -789,7 +662,7 @@ class JobTracker:
             # the benchmarks) share; it is shut down with the job.
             shuffle_transfer = TransferEngine(
                 max(2, min(2 * max(num_partitions, 1), 16)),
-                budget=inflight_budget,
+                budget=context.inflight_budget,
                 name=f"shuffle-{job.name[:16]}",
             )
             shuffle_service = ShuffleService(
@@ -859,7 +732,7 @@ class JobTracker:
                 locality = (
                     "node-local" if tracker.host in split.hosts else "remote"
                 )
-            if cancel_event is not None and cancel_event.is_set():
+            if context.cancel_event.is_set():
                 return cancelled_result(task_id, "map", attempt, speculative)
             commit_check = None
             if map_only:
@@ -925,14 +798,13 @@ class JobTracker:
         def merge_winner_counters(result: TaskResult) -> None:
             if result.attempt_counters is not None:
                 counters.merge(result.attempt_counters)
-            if progress_callback is not None:
-                with progress_lock:
-                    completed_tasks[result.kind] += 1
-                    done = completed_tasks[result.kind]
-                try:
-                    progress_callback(result.kind, done, phase_totals[result.kind])
-                except Exception:
-                    pass  # a broken observer must not fail the job
+            with progress_lock:
+                completed_tasks[result.kind] += 1
+                done = completed_tasks[result.kind]
+            try:
+                context.progress(result.kind, done, phase_totals[result.kind])
+            except Exception:
+                pass  # a broken observer must not fail the job
 
         map_phase = _RetryingPhase(
             total=len(assignments),
@@ -946,7 +818,7 @@ class JobTracker:
             on_attempt_failed=report_host_failure,
             on_permanent_failure=on_map_permanent_failure,
             make_failure=make_map_placement_failure,
-            speculation_gate=speculation_gate,
+            speculation_gate=context.speculation_gate,
         )
 
         # -- reduce phase ---------------------------------------------------------
@@ -963,7 +835,7 @@ class JobTracker:
             index: int, attempt: int, tracker: TaskTracker, speculative: bool
         ) -> tuple[TaskResult, bool, bool]:
             task_id = f"reduce-{index:05d}"
-            if cancel_event is not None and cancel_event.is_set():
+            if context.cancel_event.is_set():
                 return cancelled_result(task_id, "reduce", attempt, speculative)
             attempt_counters = Counters()
             scheduler.task_started()
@@ -1026,7 +898,7 @@ class JobTracker:
             on_winner=merge_winner_counters,
             on_attempt_failed=report_host_failure,
             make_failure=make_reduce_placement_failure,
-            speculation_gate=speculation_gate,
+            speculation_gate=context.speculation_gate,
         )
 
         # -- execution ------------------------------------------------------------
@@ -1039,7 +911,7 @@ class JobTracker:
         reduce_ran = False
         max_workers = max(sum(t.slots for t in self.trackers), 1)
         try:
-            if shuffle_service is not None and self.parallel:
+            if shuffle_service is not None:
                 # Overlapped shuffle: reduce workers start alongside the map
                 # phase and fetch segments as individual maps complete; the
                 # separate pools keep blocked reducers from starving maps.
@@ -1062,7 +934,7 @@ class JobTracker:
                         shuffle_service.abort(exc)
                         raise
                     reduce_phase.finish()
-            elif self.parallel:
+            else:
                 with ThreadPoolExecutor(max_workers=max_workers) as map_pool:
                     map_phase.run(map_pool)
                 if not map_only and map_phase.succeeded:
@@ -1070,14 +942,6 @@ class JobTracker:
                     map_outputs.extend(map_phase.winner_map_outputs())
                     with ThreadPoolExecutor(max_workers=max_workers) as reduce_pool:
                         reduce_phase.run(reduce_pool)
-            else:
-                # Serial mode: the whole map phase completes before reduce,
-                # with retries but no speculation.
-                map_phase.run_serial()
-                if not map_only and map_phase.succeeded:
-                    reduce_ran = True
-                    map_outputs.extend(map_phase.winner_map_outputs())
-                    reduce_phase.run_serial()
         finally:
             for pin in snapshot_pins:
                 try:
@@ -1184,42 +1048,3 @@ class JobTracker:
             reduce_fmt = SingleFileOutputFormat()
         return fmt, reduce_fmt
 
-
-def make_cluster(
-    fs: FileSystem | str,
-    *,
-    hosts: list[str] | None = None,
-    num_trackers: int | None = None,
-    slots_per_tracker: int = 2,
-    parallel: bool = True,
-) -> JobTracker:
-    """Convenience factory building a jobtracker with one tracker per host.
-
-    ``fs`` may be a file-system instance or a URI string (``"hdfs://demo"``)
-    resolved through the scheme registry, making the storage backend of a
-    whole MapReduce cluster a one-string choice.  When ``hosts`` is omitted
-    the tracker hosts are derived from the file system's storage nodes
-    (BlobSeer providers for BSFS, datanodes for HDFS) so that data-local
-    scheduling is possible, mirroring the paper's co-deployment of Hadoop
-    tasktrackers and storage daemons.  ``num_trackers=None`` builds one
-    tracker per storage node; an explicit count builds exactly that many,
-    placed on the storage hosts round-robin.  Without storage nodes the
-    trackers are ``tracker-0`` … (four by default).
-    """
-    if isinstance(fs, str):
-        fs = get_filesystem(fs)
-    if hosts is None:
-        hosts = []
-        blobseer = getattr(fs, "blobseer", None)
-        if blobseer is not None:
-            hosts = [p.host for p in blobseer.provider_manager.providers]
-        namenode = getattr(fs, "namenode", None)
-        if namenode is not None and not hosts:
-            hosts = [d.host for d in namenode.datanodes]
-        if not hosts:
-            count = 4 if num_trackers is None else num_trackers
-            hosts = [f"tracker-{i}" for i in range(count)]
-        elif num_trackers is not None:
-            hosts = [hosts[i % len(hosts)] for i in range(num_trackers)]
-    trackers = [TaskTracker(host, slots=slots_per_tracker) for host in hosts]
-    return JobTracker(fs, trackers, parallel=parallel, _from_factory=True)

@@ -1,16 +1,14 @@
 """Multi-tenant job service: concurrent submission over one MapReduce engine.
 
-The original API was one blocking call — ``JobTracker.run(job)`` — which
-serves exactly one caller at a time.  A shared cluster serves *tenants*:
-many clients submitting concurrently, each entitled to a slice of the
-cluster and bounded in what it may consume.  :class:`JobService` is that
-front door:
+A shared cluster serves *tenants*: many clients submitting concurrently,
+each entitled to a slice of the cluster and bounded in what it may
+consume.  :class:`JobService` is that front door, and the only way to run
+a job: it drives the :class:`~repro.mapreduce.jobtracker.JobTracker`
+engine.
 
 * **submission** — :meth:`JobService.submit` returns a :class:`JobHandle`
   immediately; ``status()``/``wait()``/``cancel()`` and progress callbacks
-  replace run-to-completion blocking.  ``JobTracker.run`` survives as a
-  thin submit-and-wait wrapper over an embedded service, so every
-  pre-service caller keeps working unchanged.
+  replace run-to-completion blocking (``submit(job).wait()`` blocks).
 * **fair-share scheduling** — queued jobs are drained per tenant by a
   stride scheduler: the tenant with the smallest ``served / weight`` runs
   next, so a tenant submitting 100 jobs cannot starve one submitting 2,
@@ -40,17 +38,10 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from ..core.transfer import InflightBudget
 from ..fs.quota import QuotaManager, attach_quota_manager
+from ..fs.registry import get_filesystem
 from .job import Job
-from .jobtracker import (
-    CANCEL_EVENT_PROPERTY,
-    INFLIGHT_BUDGET_PROPERTY,
-    PROGRESS_PROPERTY,
-    SPECULATION_GATE_PROPERTY,
-    JobResult,
-    JobTracker,
-    make_cluster,
-)
-from .scheduler import SlotLedger
+from .jobtracker import JobContext, JobResult, JobTracker
+from .tasktracker import TaskTracker
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..fs.interface import FileSystem
@@ -140,8 +131,7 @@ class JobHandle:
 
     Returned by :meth:`JobService.submit`; thread-safe.  ``wait()``
     re-raises whatever the execution raised, so a blocking
-    ``submit(...).wait()`` is observably identical to the old
-    ``JobTracker.run``.
+    ``submit(...).wait()`` fails exactly as the job did.
     """
 
     def __init__(
@@ -275,8 +265,7 @@ class JobService:
     control and resource limits — see the module docstring for the model.
 
     ``max_concurrent_jobs`` bounds jobs running at once across all tenants
-    (``None`` = unbounded, used by the embedded service behind
-    ``JobTracker.run``).  There is no dispatcher thread: submissions and
+    (``None`` = unbounded).  There is no dispatcher thread: submissions and
     job completions pump the queue, starting one worker thread per running
     job.
     """
@@ -304,21 +293,11 @@ class JobService:
         self._next_job_id = itertools.count(1)
         self._next_seq = itertools.count()
         self._total_running = 0
-        # One ledger shared by every per-job scheduler: live per-tenant
-        # slot occupancy.  Adopt the tracker's if a service already
-        # installed one (a tracker may back several services).
-        if tracker.slot_ledger is None:
-            tracker.slot_ledger = SlotLedger()
+        # Live per-tenant slot occupancy, shared by every per-job scheduler.
         self.slot_ledger = tracker.slot_ledger
         self.quotas = quotas
         if quotas is not None:
             attach_quota_manager(self.fs, quotas)
-        # Make this service the one JobTracker.run delegates to, so a
-        # blocking run() on a service-fronted tracker shares the same
-        # queues instead of spawning a parallel unbounded service.
-        with tracker._service_lock:
-            if tracker._service is None:
-                tracker._service = self
 
     @classmethod
     def local(
@@ -328,25 +307,44 @@ class JobService:
         hosts: list[str] | None = None,
         num_trackers: int | None = None,
         slots_per_tracker: int = 2,
-        parallel: bool = True,
         max_concurrent_jobs: int | None = 4,
         quotas: QuotaManager | None = None,
     ) -> "JobService":
         """Build a service over a fresh in-process cluster.
 
-        The replacement for direct ``JobTracker(...)`` construction:
-        identical cluster topology defaults (via
-        :func:`~repro.mapreduce.jobtracker.make_cluster`), fronted by the
-        multi-tenant submission API.
+        ``fs`` may be a file-system instance or a URI string
+        (``"hdfs://demo"``) resolved through the scheme registry, making the
+        storage backend of a whole MapReduce cluster a one-string choice.
+        When ``hosts`` is omitted the tracker hosts are derived from the
+        file system's storage nodes (BlobSeer providers for BSFS, datanodes
+        for HDFS) so that data-local scheduling is possible, mirroring the
+        paper's co-deployment of Hadoop tasktrackers and storage daemons.
+        ``num_trackers=None`` builds one tracker per storage node; an
+        explicit count builds exactly that many, placed on the storage
+        hosts round-robin.  Without storage nodes the trackers are
+        ``tracker-0`` … (four by default).
         """
-        tracker = make_cluster(
-            fs,
-            hosts=hosts,
-            num_trackers=num_trackers,
-            slots_per_tracker=slots_per_tracker,
-            parallel=parallel,
+        if isinstance(fs, str):
+            fs = get_filesystem(fs)
+        if hosts is None:
+            hosts = []
+            blobseer = getattr(fs, "blobseer", None)
+            if blobseer is not None:
+                hosts = [p.host for p in blobseer.provider_manager.providers]
+            namenode = getattr(fs, "namenode", None)
+            if namenode is not None and not hosts:
+                hosts = [d.host for d in namenode.datanodes]
+            if not hosts:
+                count = 4 if num_trackers is None else num_trackers
+                hosts = [f"tracker-{i}" for i in range(count)]
+            elif num_trackers is not None:
+                hosts = [hosts[i % len(hosts)] for i in range(num_trackers)]
+        trackers = [TaskTracker(host, slots=slots_per_tracker) for host in hosts]
+        return cls(
+            JobTracker(fs, trackers),
+            max_concurrent_jobs=max_concurrent_jobs,
+            quotas=quotas,
         )
-        return cls(tracker, max_concurrent_jobs=max_concurrent_jobs, quotas=quotas)
 
     # -- tenant management -------------------------------------------------------------
     def register_tenant(
@@ -520,40 +518,31 @@ class JobService:
 
     def _run_job(self, item: _QueuedJob, budget: InflightBudget | None) -> None:
         handle = item.handle
+        conf = replace(item.job.conf, tenant=handle.tenant, priority=handle.priority)
+        context = JobContext(
+            cancel_event=handle._cancel_event,
+            speculation_gate=self._speculation_open,
+            inflight_budget=budget,
+            progress=handle._report_progress,
+        )
         result: JobResult | None = None
         error: BaseException | None = None
         try:
-            result = self.tracker._execute(
-                self._instrument(item.job, handle, budget), item.fault_plan
+            result = self.tracker.execute(
+                replace(item.job, conf=conf), context, item.fault_plan
             )
         except BaseException as exc:  # re-raised from handle.wait()
             error = exc
         finally:
+            # Finish the handle before releasing the slot, so join() never
+            # sees an idle service while a handle still reads RUNNING.
+            handle._finish(result, error)
             key = handle.tenant or ""
             with self._lock:
                 self._running[key] = max(self._running.get(key, 0) - 1, 0)
                 self._total_running -= 1
                 self._idle.notify_all()
-            handle._finish(result, error)
             self._pump()
-
-    def _instrument(
-        self, job: Job, handle: JobHandle, budget: InflightBudget | None
-    ) -> Job:
-        """Thread the service's runtime controls into the job's conf."""
-        properties = dict(job.conf.properties)
-        properties[CANCEL_EVENT_PROPERTY] = handle._cancel_event
-        properties[SPECULATION_GATE_PROPERTY] = self._speculation_open
-        properties[PROGRESS_PROPERTY] = handle._report_progress
-        if budget is not None:
-            properties[INFLIGHT_BUDGET_PROPERTY] = budget
-        conf = replace(
-            job.conf,
-            tenant=handle.tenant,
-            priority=handle.priority,
-            properties=properties,
-        )
-        return replace(job, conf=conf)
 
     def _speculation_open(self) -> bool:
         """Whether running jobs may launch speculative backup attempts.

@@ -13,7 +13,7 @@ from repro.hdfs.block_placement import (
 from repro.hdfs.datanode import DataNode
 
 
-def make_cluster(num_nodes: int = 9, racks: int = 3) -> list[DataNode]:
+def make_datanodes(num_nodes: int = 9, racks: int = 3) -> list[DataNode]:
     return [
         DataNode(i, host=f"node-{i}", rack=f"rack-{i % racks}")
         for i in range(num_nodes)
@@ -22,14 +22,14 @@ def make_cluster(num_nodes: int = 9, racks: int = 3) -> list[DataNode]:
 
 class TestDefaultPlacementPolicy:
     def test_first_replica_is_local_when_writer_is_a_datanode(self):
-        nodes = make_cluster()
+        nodes = make_datanodes()
         policy = DefaultPlacementPolicy(seed=1)
         for writer in ("node-0", "node-4", "node-8"):
             targets = policy.choose_targets(nodes, 3, writer_host=writer)
             assert targets[0].host == writer
 
     def test_second_replica_same_rack_third_remote_rack(self):
-        nodes = make_cluster()
+        nodes = make_datanodes()
         policy = DefaultPlacementPolicy(seed=2)
         for _ in range(20):
             targets = policy.choose_targets(nodes, 3, writer_host="node-0")
@@ -39,45 +39,45 @@ class TestDefaultPlacementPolicy:
             assert third.rack != first.rack
 
     def test_targets_are_distinct(self):
-        nodes = make_cluster()
+        nodes = make_datanodes()
         policy = DefaultPlacementPolicy(seed=3)
         for _ in range(20):
             targets = policy.choose_targets(nodes, 3, writer_host="node-5")
             assert len({t.node_id for t in targets}) == 3
 
     def test_unknown_writer_host_falls_back_to_random(self):
-        nodes = make_cluster()
+        nodes = make_datanodes()
         policy = DefaultPlacementPolicy(seed=4)
         targets = policy.choose_targets(nodes, 2, writer_host="not-a-datanode")
         assert len(targets) == 2
 
     def test_replication_one_only_places_locally(self):
-        nodes = make_cluster()
+        nodes = make_datanodes()
         policy = DefaultPlacementPolicy(seed=5)
         targets = policy.choose_targets(nodes, 1, writer_host="node-7")
         assert [t.host for t in targets] == ["node-7"]
 
     def test_replication_beyond_three_uses_remaining_nodes(self):
-        nodes = make_cluster()
+        nodes = make_datanodes()
         policy = DefaultPlacementPolicy(seed=6)
         targets = policy.choose_targets(nodes, 5, writer_host="node-1")
         assert len({t.node_id for t in targets}) == 5
 
     def test_failed_nodes_excluded(self):
-        nodes = make_cluster(num_nodes=4, racks=2)
+        nodes = make_datanodes(num_nodes=4, racks=2)
         nodes[0].fail()
         policy = DefaultPlacementPolicy(seed=7)
         targets = policy.choose_targets(nodes, 3, writer_host="node-0")
         assert all(t.node_id != 0 for t in targets)
 
     def test_single_rack_cluster_still_satisfies_replication(self):
-        nodes = make_cluster(num_nodes=4, racks=1)
+        nodes = make_datanodes(num_nodes=4, racks=1)
         policy = DefaultPlacementPolicy(seed=8)
         targets = policy.choose_targets(nodes, 3, writer_host="node-0")
         assert len({t.node_id for t in targets}) == 3
 
     def test_over_replication_rejected(self):
-        nodes = make_cluster(num_nodes=2)
+        nodes = make_datanodes(num_nodes=2)
         policy = DefaultPlacementPolicy()
         with pytest.raises(AllocationError):
             policy.choose_targets(nodes, 3, writer_host="node-0")
@@ -87,7 +87,7 @@ class TestDefaultPlacementPolicy:
 
 class TestRandomPlacementPolicy:
     def test_targets_distinct_and_live(self):
-        nodes = make_cluster()
+        nodes = make_datanodes()
         nodes[2].fail()
         policy = RandomPlacementPolicy(seed=9)
         for _ in range(10):
@@ -96,7 +96,7 @@ class TestRandomPlacementPolicy:
             assert all(t.node_id != 2 for t in targets)
 
     def test_spreads_over_cluster(self):
-        nodes = make_cluster()
+        nodes = make_datanodes()
         policy = RandomPlacementPolicy(seed=10)
         used = set()
         for _ in range(50):

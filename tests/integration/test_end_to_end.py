@@ -12,7 +12,7 @@ import threading
 from repro.bsfs import BSFS
 from repro.core import KB, BlobSeer, BlobSeerConfig
 from repro.hdfs import HDFS
-from repro.mapreduce import make_cluster
+from repro.mapreduce import JobService
 from repro.mapreduce.applications import (
     make_distributed_grep_job,
     make_random_text_writer_job,
@@ -24,17 +24,17 @@ from repro.workloads import write_text_file
 
 class TestChainedJobs:
     def test_random_text_writer_output_feeds_wordcount(self, any_fs):
-        jobtracker = make_cluster(any_fs, slots_per_tracker=2)
+        service = JobService.local(any_fs, slots_per_tracker=2)
         generate = make_random_text_writer_job(
             output_dir="/pipeline/text", num_map_tasks=3, bytes_per_map=16 * KB
         )
-        first = jobtracker.run(generate)
+        first = service.submit(generate).wait()
         assert first.succeeded
         count = make_wordcount_job(
             ["/pipeline/text"], output_dir="/pipeline/wc", num_reduce_tasks=2,
             split_size=8 * KB,
         )
-        second = jobtracker.run(count)
+        second = service.submit(count).wait()
         total_words = second.counter("wordcount.words")
         # Every word generated by the first job is counted by the second.
         reference = sum(
@@ -47,15 +47,15 @@ class TestChainedJobs:
 
     def test_grep_then_wordcount_over_same_input(self, any_fs):
         write_text_file(any_fs, "/shared/input.txt", num_lines=2000, seed=11)
-        jobtracker = make_cluster(any_fs, slots_per_tracker=2)
+        service = JobService.local(any_fs, slots_per_tracker=2)
         grep = make_distributed_grep_job(
             "unaccessible", ["/shared/input.txt"], output_dir="/shared/grep", split_size=8 * KB
         )
         wordcount = make_wordcount_job(
             ["/shared/input.txt"], output_dir="/shared/wc", split_size=8 * KB
         )
-        grep_result = jobtracker.run(grep)
-        wc_result = jobtracker.run(wordcount)
+        grep_result = service.submit(grep).wait()
+        wc_result = service.submit(wordcount).wait()
         text = any_fs.read_file("/shared/input.txt").decode()
         assert grep_result.counter("grep.matches") == text.count("unaccessible")
         assert wc_result.counter("wordcount.words") == len(text.split())
@@ -64,12 +64,12 @@ class TestChainedJobs:
 class TestSingleSharedOutputFile:
     def test_reducers_share_one_output_file_on_bsfs(self, bsfs):
         write_text_file(bsfs, "/in.txt", num_lines=1500, seed=2)
-        jobtracker = make_cluster(bsfs, slots_per_tracker=2)
+        service = JobService.local(bsfs, slots_per_tracker=2)
         job = make_wordcount_job(
             ["/in.txt"], output_dir="/wc-single", num_reduce_tasks=4, split_size=8 * KB
         )
         job.output_format = SingleFileOutputFormat(filename="all-reducers.txt")
-        result = jobtracker.run(job)
+        result = service.submit(job).wait()
         assert result.succeeded
         merged = bsfs.read_file("/wc-single/all-reducers.txt").decode()
         reference = {}
@@ -126,9 +126,9 @@ class TestFailureInjection:
         write_text_file(bsfs, "/critical.txt", num_lines=2000, seed=13)
         # Kill one data provider after the data was written.
         bsfs.blobseer.provider_manager.providers[2].fail()
-        jobtracker = make_cluster(bsfs, slots_per_tracker=2)
+        service = JobService.local(bsfs, slots_per_tracker=2)
         job = make_wordcount_job(["/critical.txt"], output_dir="/wc-ft", split_size=8 * KB)
-        result = jobtracker.run(job)
+        result = service.submit(job).wait()
         assert result.succeeded
         assert result.counter("map_input_records") == 2000
 
@@ -159,10 +159,10 @@ class TestCrossFileSystemStaging:
 
         write_text_file(hdfs, "/dataset.txt", num_lines=1000, seed=21)
         copy_path(hdfs, "/dataset.txt", bsfs, "/dataset.txt")
-        jobtracker = make_cluster(bsfs, slots_per_tracker=2)
+        service = JobService.local(bsfs, slots_per_tracker=2)
         job = make_distributed_grep_job(
             "roughcast", ["/dataset.txt"], output_dir="/grep-out", split_size=8 * KB
         )
-        result = jobtracker.run(job)
+        result = service.submit(job).wait()
         expected = hdfs.read_file("/dataset.txt").decode().count("roughcast")
         assert result.counter("grep.matches") == expected

@@ -15,7 +15,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core import KB
-from repro.mapreduce import FaultPlan, make_cluster
+from repro.mapreduce import FaultPlan, JobService
 from repro.mapreduce.applications import (
     make_distributed_grep_job,
     make_sort_job,
@@ -58,10 +58,11 @@ def read_output(fs, result):
 @pytest.mark.parametrize("app", ["wordcount", "grep", "sort"])
 def test_chaos_run_matches_fault_free_output(any_fs, app, spill):
     write_text_file(any_fs, INPUT, num_lines=700, seed=77)
-    reference = make_cluster(any_fs).run(make_job(app, "/chaos-ref", spill=spill))
+    service = JobService.local(any_fs)
+    reference = service.submit(make_job(app, "/chaos-ref", spill=spill)).wait()
     assert reference.succeeded
     plan = FaultPlan.random(seed=101, failure_rate=CHAOS_RATE, delay_rate=CHAOS_RATE, delay=0.02)
-    result = make_cluster(any_fs).run(make_job(app, "/chaos-out", spill=spill), fault_plan=plan)
+    result = service.submit(make_job(app, "/chaos-out", spill=spill), fault_plan=plan).wait()
     assert result.succeeded, result.summary()
     assert read_output(any_fs, result) == read_output(any_fs, reference)
     # The plan interfered for real: this seed injects faults into the run.
@@ -74,10 +75,10 @@ def test_chaos_schedule_is_deterministic_across_runs(bsfs):
     outcomes = []
     for attempt in range(2):
         plan = FaultPlan.random(seed=55, failure_rate=CHAOS_RATE)
-        result = make_cluster(bsfs, parallel=False).run(
+        result = JobService.local(bsfs).submit(
             make_job("wordcount", f"/chaos-det-{attempt}", spill=False),
             fault_plan=plan,
-        )
+        ).wait()
         assert result.succeeded
         failed = sorted((r.task_id, r.attempt) for r in result.failed_tasks)
         outcomes.append((failed, plan.injected_failures))

@@ -11,10 +11,10 @@ from repro.core import KB
 from repro.mapreduce import (
     Job,
     JobConf,
+    JobService,
     JobTracker,
     LocalityAwareScheduler,
     TaskTracker,
-    make_cluster,
 )
 from repro.mapreduce.applications import (
     make_distributed_grep_job,
@@ -135,7 +135,7 @@ class TestTaskTracker:
             TaskTracker("bad", slots=0)
 
 
-class TestMakeCluster:
+class TestLocalClusterTopology:
     @staticmethod
     def three_provider_bsfs():
         from repro.bsfs import BSFS
@@ -150,29 +150,27 @@ class TestMakeCluster:
     def test_default_is_one_tracker_per_storage_node(self):
         fs = self.three_provider_bsfs()
         providers = [p.host for p in fs.blobseer.provider_manager.providers]
-        assert [t.host for t in make_cluster(fs).trackers] == providers
+        assert [t.host for t in JobService.local(fs).tracker.trackers] == providers
 
     @pytest.mark.parametrize("count", [2, 5])
     def test_explicit_count_is_exact_and_round_robin(self, count):
         fs = self.three_provider_bsfs()
         providers = [p.host for p in fs.blobseer.provider_manager.providers]
-        trackers = make_cluster(fs, num_trackers=count).trackers
+        trackers = JobService.local(fs, num_trackers=count).tracker.trackers
         assert [t.host for t in trackers] == [
             providers[i % len(providers)] for i in range(count)
         ]
 
     def test_job_service_honours_the_count(self):
-        from repro.mapreduce import JobService
-
         service = JobService.local(self.three_provider_bsfs(), num_trackers=2)
         assert len(service.tracker.trackers) == 2
 
     def test_without_storage_nodes_trackers_are_named(self, local_fs):
-        assert [t.host for t in make_cluster(local_fs).trackers] == [
+        assert [t.host for t in JobService.local(local_fs).tracker.trackers] == [
             f"tracker-{i}" for i in range(4)
         ]
         assert [
-            t.host for t in make_cluster(local_fs, num_trackers=2).trackers
+            t.host for t in JobService.local(local_fs, num_trackers=2).tracker.trackers
         ] == ["tracker-0", "tracker-1"]
 
 
@@ -181,16 +179,18 @@ class TestEndToEndJobs:
         write_text_file(fs, "/input/data.txt", num_lines=3000, seed=3)
         return "/input/data.txt"
 
-    @pytest.mark.parametrize("parallel", [True, False])
-    def test_wordcount_matches_reference(self, any_fs, parallel):
+    @pytest.mark.parametrize(
+        "num_trackers, slots", [(None, 2), (1, 1)], ids=["many-slots", "one-slot"]
+    )
+    def test_wordcount_matches_reference(self, any_fs, num_trackers, slots):
         path = self.prepare_input(any_fs)
         reference: dict[str, int] = {}
         for line in any_fs.read_file(path).decode().splitlines():
             for word in line.split():
                 reference[word] = reference.get(word, 0) + 1
-        jobtracker = make_cluster(any_fs, slots_per_tracker=2, parallel=parallel)
+        service = JobService.local(any_fs, num_trackers=num_trackers, slots_per_tracker=slots)
         job = make_wordcount_job([path], output_dir="/wc", num_reduce_tasks=3, split_size=8 * KB)
-        result = jobtracker.run(job)
+        result = service.submit(job).wait()
         assert result.succeeded
         assert result.map_tasks > 1
         assert result.reduce_tasks == 3
@@ -206,20 +206,20 @@ class TestEndToEndJobs:
         path = self.prepare_input(any_fs)
         text = any_fs.read_file(path).decode()
         expected = text.count("hellbender")
-        jobtracker = make_cluster(any_fs, slots_per_tracker=2)
+        service = JobService.local(any_fs, slots_per_tracker=2)
         job = make_distributed_grep_job("hellbender", [path], output_dir="/grep", split_size=8 * KB)
-        result = jobtracker.run(job)
+        result = service.submit(job).wait()
         assert result.counter("grep.matches") == expected
         output = b"".join(any_fs.read_file(p) for p in result.output_paths).decode()
         if expected:
             assert f"hellbender\t{expected}" in output
 
     def test_random_text_writer_is_map_only_and_writes_files(self, any_fs):
-        jobtracker = make_cluster(any_fs, slots_per_tracker=2)
+        service = JobService.local(any_fs, slots_per_tracker=2)
         job = make_random_text_writer_job(
             output_dir="/rtw", num_map_tasks=3, bytes_per_map=20 * KB, seed=9
         )
-        result = jobtracker.run(job)
+        result = service.submit(job).wait()
         assert result.reduce_tasks == 0
         assert result.map_tasks == 3
         files = any_fs.list_files("/rtw")
@@ -231,9 +231,9 @@ class TestEndToEndJobs:
     def test_sort_job_produces_sorted_output(self, bsfs):
         records = [f"{key:04d}\tvalue-{key}" for key in range(200, 0, -1)]
         bsfs.write_file("/sort-in.txt", ("\n".join(records) + "\n").encode())
-        jobtracker = make_cluster(bsfs, slots_per_tracker=2)
+        service = JobService.local(bsfs, slots_per_tracker=2)
         job = make_sort_job(["/sort-in.txt"], output_dir="/sorted", num_reduce_tasks=1, split_size=2 * KB)
-        result = jobtracker.run(job)
+        result = service.submit(job).wait()
         output = bsfs.read_file(result.output_paths[0]).decode().splitlines()
         keys = [line.split("\t")[0] for line in output]
         assert keys == sorted(keys)
@@ -241,21 +241,21 @@ class TestEndToEndJobs:
 
     def test_locality_is_achieved_on_bsfs(self, bsfs):
         path = self.prepare_input(bsfs)
-        jobtracker = make_cluster(bsfs, slots_per_tracker=2)
+        service = JobService.local(bsfs, slots_per_tracker=2)
         job = make_wordcount_job([path], output_dir="/wc-loc", split_size=8 * KB)
-        result = jobtracker.run(job)
+        result = service.submit(job).wait()
         assert result.locality.total == result.map_tasks
         assert result.locality.locality_ratio > 0.5
 
     def test_identity_job_round_trips_records(self, bsfs):
         bsfs.write_file("/id.txt", b"a\nb\nc\n")
-        jobtracker = make_cluster(bsfs, parallel=False)
+        service = JobService.local(bsfs)
         job = Job(
             conf=JobConf(name="identity", input_paths=("/id.txt",), output_dir="/id-out"),
             mapper=identity_mapper,
             reducer=identity_reducer,
         )
-        result = jobtracker.run(job)
+        result = service.submit(job).wait()
         output = bsfs.read_file(result.output_paths[0])
         assert output.count(b"\n") == 3
 

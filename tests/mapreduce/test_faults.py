@@ -21,12 +21,12 @@ from repro.core.errors import ProviderUnavailableError
 from repro.mapreduce import (
     FaultPlan,
     InjectedTaskFailure,
+    JobService,
     TrackerDeadError,
     delay_task,
     fail_storage,
     fail_task,
     kill_tracker,
-    make_cluster,
 )
 from repro.mapreduce.applications import make_wordcount_job
 from repro.workloads import write_text_file
@@ -51,7 +51,7 @@ def read_output(fs, result):
 
 def run_reference(fs, input_path, output_dir, **conf_overrides):
     """Run the fault-free job the faulty runs must be byte-identical to."""
-    result = make_cluster(fs).run(wordcount(input_path, output_dir, **conf_overrides))
+    result = JobService.local(fs).submit(wordcount(input_path, output_dir, **conf_overrides)).wait()
     assert result.succeeded
     return read_output(fs, result)
 
@@ -105,10 +105,10 @@ class TestTaskRetries:
         write_text_file(any_fs, "/in/retry.txt", num_lines=900, seed=5)
         reference = run_reference(any_fs, "/in/retry.txt", "/retry-ref", spill_to_fs=spill)
         plan = FaultPlan([fail_task("map", 1)])
-        result = make_cluster(any_fs).run(
+        result = JobService.local(any_fs).submit(
             wordcount("/in/retry.txt", "/retry-out", spill_to_fs=spill),
             fault_plan=plan,
-        )
+        ).wait()
         assert result.succeeded
         assert read_output(any_fs, result) == reference
         assert result.retries >= 1
@@ -129,10 +129,10 @@ class TestTaskRetries:
         write_text_file(any_fs, "/in/retry.txt", num_lines=900, seed=5)
         reference = run_reference(any_fs, "/in/retry.txt", "/rretry-ref", spill_to_fs=spill)
         plan = FaultPlan([fail_task("reduce", 0)])
-        result = make_cluster(any_fs).run(
+        result = JobService.local(any_fs).submit(
             wordcount("/in/retry.txt", "/rretry-out", spill_to_fs=spill),
             fault_plan=plan,
-        )
+        ).wait()
         assert result.succeeded
         assert read_output(any_fs, result) == reference
         attempts = [r for r in result.task_results if r.task_id == "reduce-00000"]
@@ -142,23 +142,24 @@ class TestTaskRetries:
     def test_retries_are_bounded_by_max_task_attempts(self, bsfs):
         write_text_file(bsfs, "/in/retry.txt", num_lines=300, seed=5)
         plan = FaultPlan([fail_task("map", 0, attempts=range(10))])
-        result = make_cluster(bsfs).run(
+        result = JobService.local(bsfs).submit(
             wordcount("/in/retry.txt", "/bounded-out", max_task_attempts=2),
             fault_plan=plan,
-        )
+        ).wait()
         assert not result.succeeded
         failures = [r for r in result.task_results if r.task_id == "map-00000"]
         assert len(failures) == 2
         assert all(not r.succeeded for r in failures)
         assert "map-00000" in result.summary()["failed_tasks"]
 
-    def test_serial_mode_retries_too(self, bsfs):
+    def test_one_slot_cluster_retries_too(self, bsfs):
+        """With a single slot, tasks and their retries run one at a time."""
         write_text_file(bsfs, "/in/retry.txt", num_lines=300, seed=5)
-        reference = run_reference(bsfs, "/in/retry.txt", "/serial-ref")
+        reference = run_reference(bsfs, "/in/retry.txt", "/one-slot-ref")
         plan = FaultPlan([fail_task("map", 0), fail_task("reduce", 1)])
-        result = make_cluster(bsfs, parallel=False).run(
-            wordcount("/in/retry.txt", "/serial-out"), fault_plan=plan
-        )
+        result = JobService.local(bsfs, num_trackers=1, slots_per_tracker=1).submit(
+            wordcount("/in/retry.txt", "/one-slot-out"), fault_plan=plan
+        ).wait()
         assert result.succeeded
         assert result.retries >= 2
         assert read_output(bsfs, result) == reference
@@ -195,12 +196,12 @@ class TestTrackerFailure:
     def test_killed_tracker_is_blacklisted_and_job_recovers(self, bsfs):
         write_text_file(bsfs, "/in/tracker.txt", num_lines=900, seed=9)
         reference = run_reference(bsfs, "/in/tracker.txt", "/tk-ref")
-        jobtracker = make_cluster(bsfs)
-        victim = jobtracker.trackers[0].host
+        service = JobService.local(bsfs)
+        victim = service.tracker.trackers[0].host
         plan = FaultPlan([kill_tracker(victim, after_tasks=1)])
-        result = jobtracker.run(
+        result = service.submit(
             wordcount("/in/tracker.txt", "/tk-out"), fault_plan=plan
-        )
+        ).wait()
         assert result.succeeded
         assert read_output(bsfs, result) == reference
         assert victim in result.blacklisted_hosts
@@ -305,7 +306,7 @@ class TestSpeculativeExecution:
         write_text_file(bsfs, "/in/slow.txt", num_lines=900, seed=13)
         reference = run_reference(bsfs, "/in/slow.txt", "/spec-ref", spill_to_fs=spill)
         plan = FaultPlan([delay_task("map", 0, 1.0)])
-        result = make_cluster(bsfs).run(
+        result = JobService.local(bsfs).submit(
             wordcount(
                 "/in/slow.txt",
                 "/spec-out",
@@ -314,7 +315,7 @@ class TestSpeculativeExecution:
                 slow_task_threshold=2.0,
             ),
             fault_plan=plan,
-        )
+        ).wait()
         assert result.succeeded
         assert read_output(bsfs, result) == reference
         assert result.speculative_attempts >= 1
@@ -333,10 +334,10 @@ class TestSpeculativeExecution:
         # counters must not inflate the job totals (Hadoop semantics:
         # failed/killed attempts do not contribute counters).
         write_text_file(bsfs, "/in/slow.txt", num_lines=900, seed=13)
-        reference = make_cluster(bsfs).run(wordcount("/in/slow.txt", "/cnt-ref"))
+        reference = JobService.local(bsfs).submit(wordcount("/in/slow.txt", "/cnt-ref")).wait()
         assert reference.succeeded
         plan = FaultPlan([delay_task("map", 0, 1.0)])
-        result = make_cluster(bsfs).run(
+        result = JobService.local(bsfs).submit(
             wordcount(
                 "/in/slow.txt",
                 "/cnt-out",
@@ -344,7 +345,7 @@ class TestSpeculativeExecution:
                 slow_task_threshold=2.0,
             ),
             fault_plan=plan,
-        )
+        ).wait()
         assert result.succeeded and result.speculative_wins >= 1
         for counter in (
             "map_input_records",
@@ -357,9 +358,9 @@ class TestSpeculativeExecution:
     def test_no_speculation_without_the_flag(self, bsfs):
         write_text_file(bsfs, "/in/slow.txt", num_lines=600, seed=13)
         plan = FaultPlan([delay_task("map", 0, 0.2)])
-        result = make_cluster(bsfs).run(
+        result = JobService.local(bsfs).submit(
             wordcount("/in/slow.txt", "/nospec-out"), fault_plan=plan
-        )
+        ).wait()
         assert result.succeeded
         assert result.speculative_attempts == 0
 
@@ -411,9 +412,9 @@ class TestStorageFailure:
         locations = hdfs.block_locations("/in/storage.txt", 0, 1)
         victim = locations[0].hosts[0]
         plan = FaultPlan([fail_storage(victim, after_task_starts=2)])
-        result = make_cluster(hdfs).run(
+        result = JobService.local(hdfs).submit(
             wordcount("/in/storage.txt", "/st-out"), fault_plan=plan
-        )
+        ).wait()
         assert result.succeeded
         assert read_output(hdfs, result) == reference
         victims = [d for d in hdfs.datanodes if d.host == victim]
@@ -435,7 +436,7 @@ class TestAcceptanceScenario:
         reference = run_reference(
             any_fs, "/in/accept.txt", "/accept-ref", spill_to_fs=spill
         )
-        result = make_cluster(any_fs).run(
+        result = JobService.local(any_fs).submit(
             wordcount(
                 "/in/accept.txt",
                 "/accept-out",
@@ -444,19 +445,19 @@ class TestAcceptanceScenario:
                 slow_task_threshold=2.0,
             ),
             fault_plan=FaultPlan(self.FAULTS),
-        )
+        ).wait()
         assert result.succeeded
         assert read_output(any_fs, result) == reference
         assert result.retries >= 2
 
     def test_single_output_file_never_duplicates_under_faults(self, bsfs):
         write_text_file(bsfs, "/in/accept.txt", num_lines=900, seed=29)
-        ref = make_cluster(bsfs).run(
+        ref = JobService.local(bsfs).submit(
             wordcount("/in/accept.txt", "/sref", single_output_file=True)
-        )
+        ).wait()
         assert ref.succeeded
         reference = sorted(bsfs.read_file("/sref/output.txt").splitlines())
-        result = make_cluster(bsfs).run(
+        result = JobService.local(bsfs).submit(
             wordcount(
                 "/in/accept.txt",
                 "/sout",
@@ -465,7 +466,7 @@ class TestAcceptanceScenario:
                 slow_task_threshold=2.0,
             ),
             fault_plan=FaultPlan(self.FAULTS),
-        )
+        ).wait()
         assert result.succeeded
         assert result.output_paths == ["/sout/output.txt"]
         produced = sorted(bsfs.read_file("/sout/output.txt").splitlines())

@@ -9,7 +9,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core import KB
-from repro.mapreduce import make_cluster
+from repro.mapreduce import JobService
 from repro.mapreduce.applications import (
     make_distributed_grep_job,
     make_sort_job,
@@ -214,7 +214,7 @@ class TestJobCounters:
         job = replace(
             job, conf=replace(job.conf, spill_to_fs=spill, shuffle_segment_size=2 * KB)
         )
-        result = make_cluster(bsfs, num_trackers=2).run(job)
+        result = JobService.local(bsfs, num_trackers=2).submit(job).wait()
         assert result.succeeded
         assert result.map_tasks == -(-len(text) // SPLIT) > 3
         expected = expected_counters(name, text)

@@ -4,6 +4,7 @@ no-healthy-tracker failure."""
 
 from __future__ import annotations
 
+import pickle
 import threading
 from dataclasses import replace
 
@@ -18,12 +19,11 @@ from repro.mapreduce import (
     Job,
     JobCancelledError,
     JobConf,
+    JobHandle,
     JobService,
-    JobTracker,
     NoHealthyTrackerError,
     SlotLedger,
     TaskTracker,
-    make_cluster,
 )
 from repro.mapreduce.applications import make_wordcount_job
 from repro.mapreduce.scheduler import LocalityAwareScheduler
@@ -134,9 +134,9 @@ class TestConcurrentVsSequentialParity:
         for handle in handles:
             assert handle.wait(timeout=120).succeeded
 
-        sequential_tracker = make_cluster(sequential_fs, num_trackers=2)
+        sequential = JobService.local(sequential_fs, num_trackers=2)
         for tenant, i in specs:
-            assert sequential_tracker.run(tenant_job(tenant, i)).succeeded
+            assert sequential.submit(tenant_job(tenant, i)).wait().succeeded
 
         for tenant, i in specs:
             out_dir = f"/out/{tenant}/{i}"
@@ -349,36 +349,87 @@ class TestCooperativePreemption:
         assert service._speculation_open() is True
 
 
-class TestRunWrapperCompatibility:
-    def test_run_is_submit_and_wait(self, tmp_path):
+class TestSubmitAndWait:
+    def test_wait_reraises_configuration_errors(self, tmp_path):
         fs = make_fs("file", tmp_path)
-        tracker = make_cluster(fs, num_trackers=2)
-        write_text_file(fs, "/in/alice-0.txt", 20, seed=1)
-        result = tracker.run(tenant_job("alice", 0))
-        assert result.succeeded
-        # The embedded service is reused across runs and tracked the job.
-        assert tracker._service is not None
-        assert tracker._service.job_ids()
-
-    def test_run_reraises_configuration_errors(self, tmp_path):
-        fs = make_fs("file", tmp_path)
-        tracker = make_cluster(fs, num_trackers=1)
+        service = JobService.local(fs, num_trackers=1)
         bad = make_wordcount_job(["bsfs://other/in.txt"], output_dir="/out")
         with pytest.raises(ValueError, match="scheme"):
-            tracker.run(bad)
+            service.submit(bad).wait()
 
-    def test_direct_construction_warns(self, tmp_path):
+    def test_join_returns_only_after_every_handle_finished(self, tmp_path, monkeypatch):
+        """The service counts a job as running until its handle is final:
+        join() never returns while a handle still reads RUNNING."""
         fs = make_fs("file", tmp_path)
-        with pytest.warns(DeprecationWarning, match="JobService.local"):
-            JobTracker(fs, [TaskTracker("h0", slots=1)])
+        service = JobService.local(fs, num_trackers=2)
+        write_text_file(fs, "/in/alice-0.txt", 20, seed=1)
+        finish = JobHandle._finish
+        idle_during_finish: list[bool] = []
 
-    def test_factories_do_not_warn(self, tmp_path, recwarn):
+        def observed_finish(handle, result, error):
+            idle_during_finish.append(service.join(timeout=0))
+            finish(handle, result, error)
+
+        monkeypatch.setattr(JobHandle, "_finish", observed_finish)
+        handle = service.submit(tenant_job("alice", 0))
+        assert service.join(timeout=10)
+        assert handle.status() == JOB_SUCCEEDED
+        assert handle.result is not None
+        assert idle_during_finish == [False]
+
+    def test_task_conf_is_the_submitted_conf(self, tmp_path):
+        """Runtime controls travel beside the job, not in its conf: a
+        mapper sees the user's properties unchanged, and the conf pickles."""
         fs = make_fs("file", tmp_path)
-        make_cluster(fs, num_trackers=1)
-        JobService.local(fs, num_trackers=1)
-        assert not [
-            w for w in recwarn if issubclass(w.category, DeprecationWarning)
-        ]
+        service = JobService.local(fs, num_trackers=1)
+        write_text_file(fs, "/in/conf.txt", 5, seed=1)
+        seen = []
+
+        def mapper(key, value, ctx):
+            seen.append(ctx.job_conf)
+            ctx.emit("k", 1)
+
+        conf = JobConf(
+            name="conf",
+            input_paths=("/in/conf.txt",),
+            output_dir="/out/conf",
+            num_reduce_tasks=0,
+            properties={"app.flag": "on"},
+        )
+        handle = service.submit(Job(conf=conf, mapper=mapper), tenant="alice")
+        assert handle.wait(timeout=60).succeeded
+        assert seen
+        for job_conf in seen:
+            assert not [key for key in job_conf.properties if key.startswith("__")]
+            assert job_conf.properties == {"app.flag": "on"}
+            assert job_conf.tenant == "alice"
+            assert pickle.loads(pickle.dumps(job_conf)) == job_conf
+
+    def test_dunder_properties_are_plain_user_data(self, tmp_path):
+        """No conf key is reserved for the engine: properties named like the
+        old runtime controls reach the tasks untouched and steer nothing."""
+        fs = make_fs("file", tmp_path)
+        service = JobService.local(fs, num_trackers=1)
+        write_text_file(fs, "/in/dunder.txt", 5, seed=1)
+        properties = {"__cancel_event": "set", "__progress": 0, "__speculation_gate": None}
+        seen = []
+
+        def mapper(key, value, ctx):
+            seen.append(dict(ctx.job_conf.properties))
+            ctx.emit("k", 1)
+
+        conf = JobConf(
+            name="dunder",
+            input_paths=("/in/dunder.txt",),
+            output_dir="/out/dunder",
+            num_reduce_tasks=0,
+            properties=properties,
+        )
+        handle = service.submit(Job(conf=conf, mapper=mapper))
+        result = handle.wait(timeout=60)
+        assert result.succeeded
+        assert handle.status() == JOB_SUCCEEDED
+        assert seen and all(props == properties for props in seen)
 
 
 class TestQuotaMidJob:
@@ -454,7 +505,7 @@ class TestNoHealthyTracker:
         from repro.mapreduce import FaultPlan, kill_tracker
 
         fs = make_fs("file", tmp_path)
-        tracker = make_cluster(fs, num_trackers=2, slots_per_tracker=1)
+        service = JobService.local(fs, num_trackers=2, slots_per_tracker=1)
         write_text_file(fs, "/in/doom.txt", 60, seed=1)
         # Retries against a dead host fail in microseconds while the
         # liveness registry needs a few missed 20ms heartbeats to declare
@@ -471,9 +522,9 @@ class TestNoHealthyTracker:
             max_task_attempts=10_000,
         )
         plan = FaultPlan(
-            [kill_tracker(t.host, after_tasks=2) for t in tracker.trackers]
+            [kill_tracker(t.host, after_tasks=2) for t in service.tracker.trackers]
         )
-        result = tracker.run(Job(conf=conf), fault_plan=plan)
+        result = service.submit(Job(conf=conf), fault_plan=plan).wait()
         assert not result.succeeded
         assert any(
             "no healthy task tracker" in (r.error or "")

@@ -13,7 +13,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core import KB
-from repro.mapreduce import Job, JobConf, make_cluster
+from repro.mapreduce import Job, JobConf, JobService
 from repro.mapreduce.applications import make_wordcount_job
 from repro.workloads import write_text_file
 
@@ -29,15 +29,17 @@ def read_parts(fs, paths) -> dict[str, bytes]:
 
 
 class TestSpillShuffleEquivalence:
-    @pytest.mark.parametrize("parallel", [True, False])
-    def test_wordcount_byte_identical_to_in_memory(self, any_fs, parallel):
+    @pytest.mark.parametrize(
+        "num_trackers, slots", [(None, 2), (1, 1)], ids=["many-slots", "one-slot"]
+    )
+    def test_wordcount_byte_identical_to_in_memory(self, any_fs, num_trackers, slots):
         write_text_file(any_fs, "/in/data.txt", num_lines=2000, seed=11)
-        jobtracker = make_cluster(any_fs, slots_per_tracker=2, parallel=parallel)
+        service = JobService.local(any_fs, num_trackers=num_trackers, slots_per_tracker=slots)
         memory_job = make_wordcount_job(
             ["/in/data.txt"], output_dir="/wc-mem", num_reduce_tasks=3,
             split_size=8 * KB,
         )
-        memory_result = jobtracker.run(memory_job)
+        memory_result = service.submit(memory_job).wait()
         spill_job = spill_conf(
             make_wordcount_job(
                 ["/in/data.txt"], output_dir="/wc-spill", num_reduce_tasks=3,
@@ -45,7 +47,7 @@ class TestSpillShuffleEquivalence:
             ),
             shuffle_segment_size=2 * KB,
         )
-        spill_result = jobtracker.run(spill_job)
+        spill_result = service.submit(spill_job).wait()
         assert memory_result.succeeded and spill_result.succeeded
         assert read_parts(any_fs, memory_result.output_paths) == read_parts(
             any_fs, spill_result.output_paths
@@ -65,7 +67,7 @@ class TestSpillShuffleEquivalence:
 
     def test_partition_larger_than_segment_size_merges_externally(self, any_fs):
         write_text_file(any_fs, "/in/big.txt", num_lines=1500, seed=23)
-        jobtracker = make_cluster(any_fs, slots_per_tracker=2)
+        service = JobService.local(any_fs, slots_per_tracker=2)
         job = spill_conf(
             make_wordcount_job(
                 ["/in/big.txt"], output_dir="/wc-ext", num_reduce_tasks=1,
@@ -75,7 +77,7 @@ class TestSpillShuffleEquivalence:
             # runs and must be reassembled by the external k-way merge.
             shuffle_segment_size=512,
         )
-        result = jobtracker.run(job)
+        result = service.submit(job).wait()
         assert result.succeeded
         assert result.shuffle["segments_spilled"] > result.map_tasks
         reference: dict[str, int] = {}
@@ -97,7 +99,7 @@ class TestSpillShuffleEquivalence:
                 output_dir="/rtw-spill", num_map_tasks=2, bytes_per_map=4 * KB, seed=3
             )
         )
-        result = make_cluster(bsfs).run(job)
+        result = JobService.local(bsfs).submit(job).wait()
         assert result.succeeded
         assert result.shuffle is None
 
@@ -111,7 +113,7 @@ class TestSingleOutputFile:
             split_size=8 * KB,
         )
         conf = replace(job.conf, single_output_file=True, spill_to_fs=spill)
-        return make_cluster(fs).run(replace(job, conf=conf))
+        return JobService.local(fs).submit(replace(job, conf=conf)).wait()
 
     @pytest.mark.parametrize("spill", [False, True])
     def test_all_reducers_share_one_file_on_bsfs(self, bsfs, spill):
@@ -157,7 +159,7 @@ class TestSingleOutputFile:
             bad_job, conf=replace(bad_job.conf, single_output_file=True)
         )
         with pytest.raises(Exception):
-            make_cluster(bsfs).run(bad_job)
+            JobService.local(bsfs).submit(bad_job).wait()
         assert bsfs.read_file("/wc-keep/output.txt") == before
 
     def test_local_fs_supports_the_shared_file_too(self, local_fs):
@@ -199,7 +201,7 @@ class TestTaskFailureHandling:
     def test_crashing_mapper_fails_job_without_raising(self, any_fs, spill):
         write_text_file(any_fs, "/in/crash.txt", num_lines=400, seed=41)
         job = self.make_crashing_job("/crash-out", crash_in="map", spill_to_fs=spill)
-        result = make_cluster(any_fs).run(job)
+        result = JobService.local(any_fs).submit(job).wait()
         assert not result.succeeded
         failed_maps = [t for t in result.failed_tasks if t.kind == "map"]
         assert failed_maps
@@ -218,7 +220,7 @@ class TestTaskFailureHandling:
     def test_crashing_reducer_records_the_reduce_task(self, bsfs):
         write_text_file(bsfs, "/in/crash.txt", num_lines=400, seed=41)
         job = self.make_crashing_job("/crash-red", crash_in="reduce")
-        result = make_cluster(bsfs).run(job)
+        result = JobService.local(bsfs).submit(job).wait()
         assert not result.succeeded
         assert {task.kind for task in result.failed_tasks} == {"reduce"}
         assert "deliberate reducer crash" in result.failed_tasks[0].error
@@ -236,24 +238,24 @@ class TestTaskFailureHandling:
 
         job = self.make_crashing_job("/crash-exit", spill_to_fs=True)
         job = replace(job, mapper=exiting_mapper)
-        jobtracker = make_cluster(bsfs)
+        service = JobService.local(bsfs)
         outcome: list[BaseException] = []
 
         def run() -> None:
             try:
-                jobtracker.run(job)
+                service.submit(job).wait()
             except BaseException as exc:
                 outcome.append(exc)
 
         runner = threading.Thread(target=run, daemon=True)
         runner.start()
         runner.join(timeout=30.0)
-        assert not runner.is_alive(), "jobtracker.run hung on a BaseException"
+        assert not runner.is_alive(), "submit().wait() hung on a BaseException"
         assert outcome and isinstance(outcome[0], SystemExit)
 
     def test_spill_mode_failure_cleans_shuffle_dir(self, bsfs):
         write_text_file(bsfs, "/in/crash.txt", num_lines=400, seed=41)
         job = self.make_crashing_job("/crash-spill", crash_in="map", spill_to_fs=True)
-        result = make_cluster(bsfs).run(job)
+        result = JobService.local(bsfs).submit(job).wait()
         assert not result.succeeded
         assert not bsfs.exists("/crash-spill/_shuffle")

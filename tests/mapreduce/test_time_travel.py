@@ -18,7 +18,7 @@ import pytest
 from repro.bsfs import BSFS
 from repro.core import KB, BlobSeerConfig, VersionRetiredError
 from repro.fs.errors import UnsupportedOperationError
-from repro.mapreduce import JobConf, make_cluster
+from repro.mapreduce import JobConf, JobService
 from repro.mapreduce.applications import make_wordcount_job
 from repro.workloads import write_text_file
 
@@ -55,7 +55,7 @@ class TestAsOfJobs:
         thread = threading.Thread(target=appender)
         thread.start()
         try:
-            live = make_cluster(fs, slots_per_tracker=2).run(
+            live = JobService.local(fs, slots_per_tracker=2).submit(
                 as_of(
                     make_wordcount_job(
                         ["/input/live.txt"],
@@ -65,17 +65,17 @@ class TestAsOfJobs:
                     ),
                     token,
                 )
-            )
+            ).wait()
         finally:
             thread.join()
-        frozen = make_cluster(fs, slots_per_tracker=2).run(
+        frozen = JobService.local(fs, slots_per_tracker=2).submit(
             make_wordcount_job(
                 ["/input/frozen.txt"],
                 output_dir="/wc-frozen",
                 num_reduce_tasks=2,
                 split_size=8 * KB,
             )
-        )
+        ).wait()
         assert live.succeeded and frozen.succeeded
         assert output_bytes(fs, live) == output_bytes(fs, frozen)
         assert live.counter("map_input_records") == 2000
@@ -86,11 +86,11 @@ class TestAsOfJobs:
         before = bsfs.read_file("/in.txt")
         with bsfs.append("/in.txt") as stream:
             stream.write(b"extra line\n" * 200)
-        result = make_cluster(bsfs, slots_per_tracker=2).run(
+        result = JobService.local(bsfs, slots_per_tracker=2).submit(
             make_wordcount_job(
                 [f"/in.txt@v{token}"], output_dir="/wc-suffix", split_size=8 * KB
             )
-        )
+        ).wait()
         assert result.succeeded
         words = sum(len(line.split()) for line in before.decode().splitlines())
         produced = 0
@@ -119,7 +119,7 @@ class TestAsOfJobs:
             ),
             {"/a.txt": token},
         )
-        result = make_cluster(bsfs, slots_per_tracker=2).run(job)
+        result = JobService.local(bsfs, slots_per_tracker=2).submit(job).wait()
         assert result.succeeded
         # 100 lines of /a.txt (AS OF) + 100 of /b.txt (current): the 100
         # appended lines on /a.txt are invisible to the job.
@@ -131,14 +131,14 @@ class TestJobtrackerLeases:
         write_text_file(bsfs, "/leased.txt", num_lines=300, seed=7)
         token = bsfs.snapshot("/leased.txt")
         taken_before = bsfs.blobseer.pins.describe()["pins_taken"]
-        result = make_cluster(bsfs, slots_per_tracker=2).run(
+        result = JobService.local(bsfs, slots_per_tracker=2).submit(
             as_of(
                 make_wordcount_job(
                     ["/leased.txt"], output_dir="/wc-leased", split_size=8 * KB
                 ),
                 token,
             )
-        )
+        ).wait()
         assert result.succeeded
         info = bsfs.blobseer.pins.describe()
         assert info["pins_taken"] > taken_before
@@ -170,4 +170,4 @@ class TestJobtrackerLeases:
             token,
         )
         with pytest.raises(VersionRetiredError):
-            make_cluster(fs, slots_per_tracker=2).run(job)
+            JobService.local(fs, slots_per_tracker=2).submit(job).wait()

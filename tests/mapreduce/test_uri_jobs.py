@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.fs.registry import clear_instance_cache, get_filesystem, registered_schemes
-from repro.mapreduce import JobConf, make_cluster
+from repro.mapreduce import JobConf, JobService
 from repro.mapreduce.applications import make_wordcount_job
 
 
@@ -25,11 +25,11 @@ def _write_input(uri: str) -> None:
 def test_wordcount_runs_on_every_scheme(scheme):
     uri = f"{scheme}://wc"
     _write_input(uri)
-    jobtracker = make_cluster(uri, num_trackers=2, parallel=False)
+    service = JobService.local(uri, num_trackers=2)
     job = make_wordcount_job(
         [f"{uri}/in/words.txt"], output_dir=f"{uri}/out", num_reduce_tasks=1
     )
-    result = jobtracker.run(job)
+    result = service.submit(job).wait()
     assert result.succeeded
     assert result.counter("wordcount.words") == 6
     fs = get_filesystem(uri)
@@ -44,27 +44,27 @@ def test_wordcount_runs_on_every_scheme(scheme):
 def test_plain_paths_keep_working():
     fs = get_filesystem("file://plain")
     fs.write_file("/in/words.txt", b"one two one\n")
-    jobtracker = make_cluster(fs, num_trackers=2, parallel=False)
+    service = JobService.local(fs, num_trackers=2)
     job = make_wordcount_job(["/in/words.txt"], output_dir="/out", num_reduce_tasks=1)
-    result = jobtracker.run(job)
+    result = service.submit(job).wait()
     assert result.succeeded
     assert result.counter("wordcount.words") == 3
 
 
 def test_mixed_scheme_job_paths_are_rejected():
     _write_input("file://mixed")
-    jobtracker = make_cluster("file://mixed", num_trackers=1, parallel=False)
+    service = JobService.local("file://mixed", num_trackers=1)
     job = make_wordcount_job(["bsfs://mixed/in/words.txt"], output_dir="/out")
     with pytest.raises(ValueError, match="scheme"):
-        jobtracker.run(job)
+        service.submit(job).wait()
 
 
 def test_mismatched_authority_is_rejected():
     _write_input("file://here")
-    jobtracker = make_cluster("file://here", num_trackers=1, parallel=False)
+    service = JobService.local("file://here", num_trackers=1)
     job = make_wordcount_job(["file://elsewhere/in/words.txt"], output_dir="/out")
     with pytest.raises(ValueError, match="deployment"):
-        jobtracker.run(job)
+        service.submit(job).wait()
 
 
 def test_authority_uri_rejected_on_constructor_built_fs():
@@ -74,10 +74,10 @@ def test_authority_uri_rejected_on_constructor_built_fs():
     fs = LocalFS()
     try:
         fs.write_file("/in/words.txt", b"a b\n")
-        jobtracker = make_cluster(fs, num_trackers=1, parallel=False)
+        service = JobService.local(fs, num_trackers=1)
         job = make_wordcount_job(["file://prod/in/words.txt"], output_dir="/out")
         with pytest.raises(ValueError, match="deployment"):
-            jobtracker.run(job)
+            service.submit(job).wait()
     finally:
         fs.close()
 
