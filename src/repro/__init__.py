@@ -25,7 +25,7 @@ Quickstart::
     print(blobseer.read(blob, 0, 5, version=v1))  # still b"hello"
 """
 
-from .core import GB, KB, MB, BlobHandle, BlobSeer, BlobSeerConfig
+from .core import GB, KB, MB, BlobSeer, BlobSeerConfig
 
 __version__ = "1.0.0"
 
@@ -33,7 +33,6 @@ __all__ = [
     "__version__",
     "BlobSeer",
     "BlobSeerConfig",
-    "BlobHandle",
     "KB",
     "MB",
     "GB",

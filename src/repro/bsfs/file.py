@@ -146,7 +146,7 @@ class BSFSOutputStream(OutputStream):
     def _write(self, data: bytes) -> None:
         self._aggregator.write(data)
 
-    def flush(self) -> None:
+    def _flush(self) -> None:
         """Force buffered bytes into the blob (ends the current block early)."""
         self._aggregator.flush()
 
@@ -156,6 +156,11 @@ class BSFSOutputStream(OutputStream):
         return self._initial_size + self._committed + self._aggregator.pending_bytes
 
     def _close(self) -> None:
-        self._aggregator.close()
-        if self._on_close is not None:
-            self._on_close(self._initial_size + self._committed)
+        try:
+            if self._failure is None:
+                self._aggregator.close()
+        finally:
+            # Seal what was committed, releasing the lease, even when the
+            # last block fails.
+            if self._on_close is not None:
+                self._on_close(self._initial_size + self._committed)

@@ -165,7 +165,10 @@ class BSFS(FileSystem):
     def append(
         self, path: str, *, client_host: str | None = None
     ) -> BSFSOutputStream:
-        """Re-open an existing file for appending (supported, unlike HDFS)."""
+        """Re-open an existing file for appending (supported, unlike HDFS).
+
+        Appends start at the blob's end, past any range a failed block
+        reserved; such a range reads as zeros."""
         norm = fspath.normalize(path)
         record = self.namespace.record(norm)
         holder = self._next_client(client_host)

@@ -7,8 +7,7 @@ replication and the persistence layer.  The main entry point is
 :class:`repro.core.BlobSeer`.
 """
 
-from .blob import BlobHandle
-from .client import BlobSeer, BlobWriteSink, PageLocation
+from .client import BlobSeer, PageLocation
 from .config import GB, KB, MB, BlobSeerConfig
 from .dht import ConsistentHashRing, MetadataDHT, MetadataProvider
 from .errors import (
@@ -52,9 +51,7 @@ from .version_manager import BlobInfo, VersionInfo, VersionManager, WriteTicket
 
 __all__ = [
     "BlobSeer",
-    "BlobHandle",
     "BlobSeerConfig",
-    "BlobWriteSink",
     "PageLocation",
     # transfer engine
     "TransferEngine",

@@ -63,7 +63,7 @@ from ..versions.gc import VersionGC
 from ..versions.pins import PinRegistry, SnapshotHandle
 from ..versions.retention import RetentionPolicy
 
-__all__ = ["PageLocation", "BlobWriteSink", "BlobSeer"]
+__all__ = ["PageLocation", "BlobSeer"]
 
 #: Pages whose descriptors :meth:`BlobSeer.open_read` looks up at a time,
 #: ahead of the page fetches.
@@ -332,151 +332,6 @@ class BlobSeer:
             blob_id, offset=None, size=len(data), append=True
         )
         return self._complete_write(ticket, data, client_hint)
-
-    def append_batch(
-        self,
-        blob_id: int,
-        chunks: Sequence[bytes],
-        *,
-        client_hint: int | None = None,
-    ) -> list[int]:
-        """Append several chunks as consecutive versions with group-commit.
-
-        Semantically identical to calling :meth:`append` once per chunk, but
-        the control-plane cost is batched three ways:
-
-        * one ticket-assignment lock hold reserves contiguous tickets for
-          the whole batch (:meth:`VersionManager.assign_append_tickets`);
-        * each chunk's metadata tree derives from the *locally built* root
-          of its predecessor instead of waiting for that version's
-          publication, and any page shared between consecutive chunks is
-          merged from an in-memory carry of its bytes — no read-back;
-        * all versions publish in one critical section
-          (:meth:`VersionManager.publish_batch`).
-
-        Returns the version numbers, in order.  If a chunk fails, the
-        completed prefix is still published, the remaining tickets are
-        aborted, and the error propagates.
-        """
-        chunks = list(chunks)
-        if not chunks:
-            return []
-        if any(not chunk for chunk in chunks):
-            raise InvalidRangeError("appends must carry at least one byte")
-        info = self.blob_info(blob_id)
-        page_size = info.page_size
-        tickets = self.version_manager.assign_append_tickets(
-            blob_id, [len(chunk) for chunk in chunks]
-        )
-        publications: list[tuple[WriteTicket, NodeKey | None]] = []
-        prev_root: NodeKey | None = None
-        carry: tuple[int, bytes] | None = None  # (page index, bytes so far)
-        try:
-            for position, (ticket, data) in enumerate(zip(tickets, chunks)):
-                written, carry = self._transfer_batch_chunk(
-                    ticket, data, page_size, info, client_hint, carry
-                )
-                if position == 0:
-                    # The batch's base is an *external* version: wait for
-                    # its publication as a lone append would.
-                    root = self._build_metadata(ticket, written, page_size)
-                else:
-                    # Intra-batch base: chain through the root built in the
-                    # previous iteration; it is unpublished but complete.
-                    base_pages = (
-                        ticket.base_size + page_size - 1
-                    ) // page_size
-                    total_pages = (ticket.new_size + page_size - 1) // page_size
-                    root = self.metadata_manager.build_version(
-                        blob_id,
-                        ticket.version,
-                        written,
-                        total_pages,
-                        base_root=prev_root,
-                        base_capacity=next_power_of_two(base_pages)
-                        if base_pages
-                        else 1,
-                    )
-                publications.append((ticket, root))
-                prev_root = root
-        except Exception:
-            self.version_manager.publish_batch(publications)
-            for ticket in tickets[len(publications) :]:
-                self.version_manager.abort(ticket)
-            raise
-        self.version_manager.publish_batch(publications)
-        return [ticket.version for ticket in tickets]
-
-    def _transfer_batch_chunk(
-        self,
-        ticket: WriteTicket,
-        data: bytes,
-        page_size: int,
-        info: BlobInfo,
-        client_hint: int | None,
-        carry: tuple[int, bytes] | None,
-    ) -> tuple[dict[int, PageDescriptor], tuple[int, bytes] | None]:
-        """Push one batched chunk's pages; returns (descriptors, new carry).
-
-        The carry holds the bytes of the previous chunk's partial tail
-        page.  When this chunk starts mid-page, its head page is rebuilt as
-        ``carry + head bytes`` in memory — the page the predecessor wrote
-        stays referenced by *its* version only (structural sharing keeps
-        versions immutable), and this version maps the merged page.
-        """
-        offset = ticket.offset
-        end = offset + len(data)
-        page_range = page_range_for_bytes(offset, len(data), page_size)
-        first_page, last_page = page_range.first, page_range.last
-        head_unaligned = offset % page_size != 0
-        merged_head: bytes | None = None
-
-        if not head_unaligned:
-            # Aligned chunk: the generic path is all interior pages (an
-            # append's tail never waits on anything).
-            written = self._transfer_pages(ticket, data, page_size, info, client_hint)[0]
-        else:
-            if carry is not None and carry[0] == first_page:
-                prefix = carry[1]
-            else:
-                # First chunk of the batch starting mid-page: the prefix
-                # bytes live in the (external) base version.
-                self._wait_for_base(ticket)
-                base_info = self.version_manager.version_info(
-                    ticket.blob_id, ticket.base_version
-                )
-                page_bytes = self._merge_boundary_page(
-                    ticket,
-                    data,
-                    first_page,
-                    page_size,
-                    base_info.root,
-                    base_info.size,
-                    rng=self._op_rng(),
-                )
-                prefix = page_bytes[: offset - first_page * page_size]
-            head_take = min(page_size - len(prefix), len(data))
-            merged_head = bytes(prefix) + bytes(data[:head_take])
-            allocation = self.provider_manager.allocate(
-                len(page_range), info.replication, client_hint=client_hint
-            )
-            pages = self._page_views(
-                ticket, data, [p for p in page_range if p != first_page], page_size
-            )
-            pages[first_page] = merged_head
-            written = self._push_pages(
-                ticket, pages, dict(zip(page_range, allocation)), page_size
-            )
-
-        new_carry: tuple[int, bytes] | None = None
-        if end % page_size != 0:
-            tail_page = last_page - 1
-            if merged_head is not None and tail_page == first_page:
-                tail_bytes = merged_head
-            else:
-                tail_bytes = bytes(data[tail_page * page_size - offset :])
-            new_carry = (tail_page, tail_bytes)
-        return written, new_carry
 
     def _complete_write(
         self,
@@ -847,33 +702,6 @@ class BlobSeer:
             cost_hint=page_size,
         )
 
-    def open_write(
-        self,
-        blob_id: int,
-        *,
-        flush_pages: int | None = None,
-        client_hint: int | None = None,
-    ) -> "BlobWriteSink":
-        """Open a streaming append sink for ``blob_id``.
-
-        The sink buffers incoming chunks (a chunk list, never a growing
-        byte string) and commits them as page-aligned appends every
-        ``flush_pages`` pages, so arbitrarily large content flows through
-        bounded memory.  Each flush publishes one new version — the same
-        contract as calling :meth:`append` per block, which is exactly what
-        the BSFS block writer does.
-        """
-        info = self.blob_info(blob_id)
-        if flush_pages is None:
-            flush_pages = max(self.config.transfer_workers, 1) * 4
-        return BlobWriteSink(
-            self,
-            blob_id,
-            page_size=info.page_size,
-            flush_pages=flush_pages,
-            client_hint=client_hint,
-        )
-
     # ------------------------------------------------------------------ locality
     def page_locations(
         self,
@@ -984,93 +812,3 @@ class BlobSeer:
             "pins": self.pins.describe(),
         }
 
-
-class BlobWriteSink:
-    """Streaming append sink returned by :meth:`BlobSeer.open_write`.
-
-    Chunks handed to :meth:`write` are kept in a chunk list (amortised
-    O(1) appends, no quadratic re-concatenation) and committed as
-    page-aligned appends once ``flush_pages`` pages have accumulated; the
-    transfer engine then pushes the pages of each flush concurrently.  The
-    final partial page is committed by :meth:`close`.
-    """
-
-    def __init__(
-        self,
-        client: BlobSeer,
-        blob_id: int,
-        *,
-        page_size: int,
-        flush_pages: int,
-        client_hint: int | None = None,
-    ) -> None:
-        if flush_pages < 1:
-            raise ValueError("flush_pages must be at least 1")
-        # Imported here to keep the module import graph acyclic-looking in
-        # reading order; transfer has no dependency back on the client.
-        from .transfer import ChunkBuffer
-
-        self._client = client
-        self._blob_id = blob_id
-        self._page_size = page_size
-        self._flush_bytes = flush_pages * page_size
-        self._client_hint = client_hint
-        self._buffer = ChunkBuffer()
-        self._closed = False
-        #: Versions published by this sink's flushes, in commit order.
-        self.versions: list[int] = []
-        #: Total bytes accepted by :meth:`write` so far.
-        self.bytes_written = 0
-
-    def _flush(self, nbytes: int) -> None:
-        if nbytes <= 0:
-            return
-        version = self._client.append(
-            self._blob_id, self._buffer.take(nbytes), client_hint=self._client_hint
-        )
-        self.versions.append(version)
-
-    def write(self, data: bytes) -> int:
-        """Buffer ``data``; page-aligned multiples flush once full."""
-        if self._closed:
-            raise InvalidRangeError("write on a closed blob sink")
-        if not isinstance(data, (bytes, bytearray, memoryview)):
-            raise TypeError("blob sinks accept bytes-like objects only")
-        self._buffer.append(bytes(data))
-        self.bytes_written += len(data)
-        full_units = len(self._buffer) // self._flush_bytes
-        if full_units == 1:
-            # _flush_bytes is a whole number of pages, so every flush is
-            # page-aligned and consecutive appends of this sink hit the
-            # interior fast path as long as no other appender interleaves.
-            self._flush(self._flush_bytes)
-        elif full_units > 1:
-            # A large write() delivers several flush units at once: commit
-            # them as one group (one ticket-assignment lock hold, one
-            # publish critical section) instead of one publish per unit.
-            chunks = [
-                self._buffer.take(self._flush_bytes) for _ in range(full_units)
-            ]
-            self.versions.extend(
-                self._client.append_batch(
-                    self._blob_id, chunks, client_hint=self._client_hint
-                )
-            )
-        return len(data)
-
-    def flush(self) -> None:
-        """Commit everything buffered immediately (may end a page early)."""
-        self._flush(len(self._buffer))
-
-    def close(self) -> None:
-        """Flush the remainder and refuse further writes (idempotent)."""
-        if self._closed:
-            return
-        self.flush()
-        self._closed = True
-
-    def __enter__(self) -> "BlobWriteSink":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

@@ -263,40 +263,6 @@ class VersionManager:
             state.assigned_size = new_size
             return ticket
 
-    def assign_append_tickets(self, blob_id: int, sizes: Iterable[int]) -> list[WriteTicket]:
-        """Assign one append ticket per entry of ``sizes`` under one lock hold.
-
-        The tickets are contiguous in version *and* offset — exactly what a
-        batched writer needs: the whole batch reserves one contiguous byte
-        range, and group-commit can later publish it in one critical
-        section (:meth:`publish_batch`).
-        """
-        sizes = list(sizes)
-        if any(size < 0 for size in sizes):
-            raise ValueError("write size cannot be negative")
-        state = self._state(blob_id)
-        tickets: list[WriteTicket] = []
-        with state.lock:
-            for size in sizes:
-                offset = state.assigned_size
-                version = state.next_version
-                state.next_version += 1
-                ticket = WriteTicket(
-                    blob_id=blob_id,
-                    version=version,
-                    offset=offset,
-                    size=size,
-                    base_version=state.assigned_version,
-                    base_size=state.assigned_size,
-                    new_size=offset + size,
-                    is_append=True,
-                )
-                state.versions[version] = _VersionSlot(ticket=ticket)
-                state.assigned_version = version
-                state.assigned_size = ticket.new_size
-                tickets.append(ticket)
-        return tickets
-
     # -- publication --------------------------------------------------------------
     def publish(self, ticket: WriteTicket, root: NodeKey | None) -> int:
         """Mark ``ticket``'s version as complete and publish it when its turn comes.
@@ -324,60 +290,13 @@ class VersionManager:
             state.lock.notify_all()
             return state.published_version
 
-    def publish_batch(
-        self, publications: Iterable[tuple[WriteTicket, NodeKey | None]]
-    ) -> dict[int, int]:
-        """Group-commit: publish many completed writes in one critical section per blob.
-
-        Tickets are grouped by blob; each blob's group is validated, marked
-        ready, advanced and its waiters notified under a *single* lock
-        acquisition — N publishes cost one lock round-trip and one
-        ``notify_all`` instead of N.  Validation runs before any slot in
-        the group is touched, so a bad ticket (never assigned, already
-        published, duplicated in the batch) raises :class:`TicketError`
-        and leaves that blob's whole group unpublished.
-
-        Returns a map of blob id to its highest published version after
-        the flush.
-        """
-        by_blob: dict[int, list[tuple[WriteTicket, NodeKey | None]]] = {}
-        for ticket, root in publications:
-            by_blob.setdefault(ticket.blob_id, []).append((ticket, root))
-        heads: dict[int, int] = {}
-        for blob_id, group in by_blob.items():
-            state = self._state(blob_id)
-            with state.lock:
-                seen: set[int] = set()
-                for ticket, _root in group:
-                    slot = state.versions.get(ticket.version)
-                    if slot is None or slot.ticket != ticket:
-                        raise TicketError(
-                            f"ticket for version {ticket.version} of blob "
-                            f"{blob_id} was never assigned"
-                        )
-                    if slot.ready or ticket.version in seen:
-                        raise TicketError(
-                            f"version {ticket.version} of blob {blob_id} "
-                            "was already published"
-                        )
-                    seen.add(ticket.version)
-                for ticket, root in group:
-                    slot = state.versions[ticket.version]
-                    slot.root = root
-                    slot.ready = True
-                self._advance(state)
-                state.lock.notify_all()
-                heads[blob_id] = state.published_version
-        return heads
-
     def abort(self, ticket: WriteTicket) -> None:
         """Abandon a ticket so later versions are not blocked forever.
 
-        The aborted version becomes an empty snapshot identical to the one
-        before it (same root, same size *as assigned at ticket time for its
-        base*), except that its nominal size still accounts for the range
-        the ticket reserved — holes a future read of that range will surface
-        as missing pages.
+        The aborted version publishes as a copy of its predecessor: same
+        root, same size.  The range the ticket reserved is not handed back,
+        so a later append's ticket starts past it, and once such a version
+        publishes, the skipped range reads as zeros.
         """
         state = self._state(ticket.blob_id)
         with state.lock:
@@ -521,7 +440,7 @@ class VersionManager:
     ) -> dict[int, list[int]]:
         """Retire versions of many blobs, one critical section per blob.
 
-        The group-commit counterpart of :meth:`retire_versions` for the GC
+        The batched counterpart of :meth:`retire_versions` for the GC
         sweep phase: all of a blob's retirements (requests for the same
         blob are merged) apply under a single lock hold.  Returns a map of
         blob id to the versions actually retired there.

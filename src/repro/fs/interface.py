@@ -20,9 +20,9 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
-from .errors import StreamClosedError
+from .errors import FileSystemError, StreamClosedError
 
 __all__ = [
     "BlockLocation",
@@ -66,11 +66,21 @@ class FileStatus:
 
 
 class OutputStream(ABC):
-    """Sequential writer for one file."""
+    """Sequential writer for one file.
+
+    A write or flush that fails may have lost bytes the stream had already
+    taken from its buffer, so the stream remembers its first failure: later
+    writes and flushes raise, and :meth:`close` seals the file with only
+    the bytes committed before the failure, so the sealed file has no gap
+    where the lost bytes were.  The promise covers the seal only: on BSFS
+    a failed block keeps the range it reserved in the blob, so a later
+    append to the file starts past that range, which reads as zeros.
+    """
 
     def __init__(self) -> None:
         self._closed = False
         self._written = 0
+        self._failure: BaseException | None = None
 
     @property
     def closed(self) -> bool:
@@ -88,9 +98,10 @@ class OutputStream(ABC):
             raise StreamClosedError("write on a closed output stream")
         if not isinstance(data, (bytes, bytearray, memoryview)):
             raise TypeError("output streams accept bytes-like objects only")
+        self._raise_if_failed()
         data = bytes(data)
         if data:
-            self._write(data)
+            self._run(self._write, data)
             self._written += len(data)
         return len(data)
 
@@ -100,17 +111,43 @@ class OutputStream(ABC):
 
     def flush(self) -> None:
         """Push buffered data towards storage (best effort; may be a no-op)."""
+        if not self._closed:
+            self._raise_if_failed()
+            self._run(self._flush)
+
+    def _flush(self) -> None:
+        """Implementation hook for :meth:`flush`; nothing to push by default."""
+
+    def _raise_if_failed(self) -> None:
+        if self._failure is not None:
+            raise FileSystemError(
+                "an earlier write on this stream failed; close it and write the file again"
+            ) from self._failure
+
+    def _run(self, step: Callable[..., None], *args: object) -> None:
+        """Run a buffer-draining step, remembering the first failure."""
+        try:
+            step(*args)
+        except BaseException as exc:
+            self._failure = exc
+            raise
 
     def close(self) -> None:
-        """Flush outstanding data and seal the file."""
+        """Flush outstanding data and seal the file.
+
+        After a failed write or flush the buffer is dropped, not flushed.
+        The stream counts as closed even when sealing raises.
+        """
         if self._closed:
             return
-        self._close()
-        self._closed = True
+        try:
+            self._close()
+        finally:
+            self._closed = True
 
     @abstractmethod
     def _close(self) -> None:
-        """Implementation hook performing the final flush/commit."""
+        """Implementation hook: flush the buffer unless a write failed, then seal."""
 
     def __enter__(self) -> "OutputStream":
         return self

@@ -51,14 +51,20 @@ class LocalFSOutputStream(OutputStream):
     def _write(self, data: bytes) -> None:
         self._file.write(data)
 
-    def flush(self) -> None:
-        if not self.closed:
-            self._file.flush()
+    def _flush(self) -> None:
+        self._file.flush()
 
     def _close(self) -> None:
-        self._file.flush()
-        self._file.close()
-        self._on_close()
+        try:
+            if self._failure is None:
+                self._file.flush()
+        finally:
+            # Close the descriptor and release the lease even when the
+            # flush fails (a full disk): the file must stay deletable.
+            try:
+                self._file.close()
+            finally:
+                self._on_close()
 
 
 class LocalFSInputStream(InputStream):

@@ -39,7 +39,11 @@ DEFAULT_BLOCK_SIZE = 64 * 1024 * 1024
 
 
 class HDFSOutputStream(OutputStream):
-    """Single-writer output stream writing full blocks through a replication pipeline."""
+    """Single-writer output stream writing full blocks through a replication pipeline.
+
+    HDFS only makes data visible per completed block, so :meth:`flush` is
+    a no-op.
+    """
 
     def __init__(
         self,
@@ -67,15 +71,14 @@ class HDFSOutputStream(OutputStream):
             block = self._buffer.take(self._block_size)
             self._fs._write_block(self._path, block, self._client_host)
 
-    def flush(self) -> None:
-        """HDFS only makes data visible per completed block; flush is a no-op."""
-
     def _close(self) -> None:
-        if len(self._buffer):
-            self._fs._write_block(
-                self._path, self._buffer.take_all(), self._client_host
-            )
-        self._fs.namenode.complete_file(self._path, self._lease_holder)
+        try:
+            if len(self._buffer) and self._failure is None:
+                self._fs._write_block(
+                    self._path, self._buffer.take_all(), self._client_host
+                )
+        finally:
+            self._fs.namenode.complete_file(self._path, self._lease_holder)
 
 
 class HDFSInputStream(InputStream):
@@ -243,6 +246,7 @@ class HDFS(FileSystem):
             outcomes = [push(datanode) for datanode in targets]
         written = [node_id for node_id in outcomes if node_id is not None]
         if not written:
+            self.namenode.abandon_block(path, meta.block_id)
             raise ProviderUnavailableError(
                 f"no datanode accepted block {meta.block_id} of {path!r}"
             )

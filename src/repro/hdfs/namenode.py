@@ -246,15 +246,17 @@ class NameNode:
                 raise UnsupportedOperationError(
                     f"file {path!r} is closed; HDFS files cannot be reopened for writing"
                 )
-            block_id = next(self._block_ids)
-            meta = BlockMeta(block_id=block_id)
-            self._blocks[block_id] = meta
-            entry.payload.block_ids.append(block_id)
+            # Choose targets first: a placement failure must not leave an
+            # empty block in the file.
             targets = self._policy.choose_targets(
                 list(self._datanodes.values()),
                 entry.replication,
                 writer_host=writer_host,
             )
+            block_id = next(self._block_ids)
+            meta = BlockMeta(block_id=block_id)
+            self._blocks[block_id] = meta
+            entry.payload.block_ids.append(block_id)
             return meta, targets
 
     def commit_block(
@@ -274,6 +276,16 @@ class NameNode:
             if self.quotas is not None and new_size > entry.size:
                 self.quotas.charge_bytes(entry.owner_tenant, new_size - entry.size)
             entry.size = new_size
+
+    def abandon_block(self, path: str, block_id: int) -> None:
+        """Drop a block no datanode stored (``ClientProtocol.abandonBlock``).
+
+        The writer calls this when its pipeline failed on every target, so
+        the file does not keep an empty block with no replicas.
+        """
+        with self._lock:
+            self._tree.get_file(path).payload.block_ids.remove(block_id)
+            del self._blocks[block_id]
 
     def complete_file(self, path: str, lease_holder: str) -> None:
         """Seal a file: release the lease; the file becomes immutable."""

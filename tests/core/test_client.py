@@ -108,6 +108,23 @@ class TestWriteRead:
         expected = b"a" * (PAGE + 100) + b"b" * 50 + b"c" * PAGE
         assert blobseer.read_all(blob) == expected
 
+    def test_unaligned_appends_read_back_at_every_version(self, blobseer: BlobSeer):
+        chunks = [
+            b"a" * 1000,          # unaligned tail
+            b"b" * (3 * PAGE),    # page-sized run
+            b"c" * 700,           # fully inside a shared page
+            b"d" * (2 * PAGE + 1),  # crosses pages, unaligned both ends
+        ]
+        blob = blobseer.create_blob()
+        versions = [blobseer.append(blob, chunk) for chunk in chunks]
+        assert versions == [1, 2, 3, 4]
+        assert blobseer.versions(blob) == [0, 1, 2, 3, 4]
+        expected = b""
+        for version, chunk in zip(versions, chunks):
+            expected += chunk
+            assert blobseer.get_size(blob, version) == len(expected)
+            assert blobseer.read_all(blob, version=version) == expected
+
     def test_partial_overwrite_inside_blob_merges_tail(self, blobseer: BlobSeer):
         blob = blobseer.create_blob()
         blobseer.append(blob, b"x" * (4 * PAGE))

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -296,8 +299,8 @@ history_strategy = st.lists(
         st.tuples(st.just("append"), st.integers(1, 5 * PAGE)),
         st.tuples(st.just("write"), st.integers(0, 20), st.integers(1, 5 * PAGE)),
         st.tuples(
-            st.just("append_batch"),
-            st.lists(st.integers(1, 3 * PAGE), min_size=1, max_size=4),
+            st.just("concurrent_appends"),
+            st.lists(st.integers(1, 3 * PAGE), min_size=2, max_size=4),
         ),
     ),
     min_size=1,
@@ -324,10 +327,7 @@ class TestLookupMatchesReferenceWalk:
     def check_history(service, history, data):
         blob = service.create_blob()
         published: list[tuple[int, NodeKey | None]] = []
-        publish, publish_batch = (
-            service.version_manager.publish,
-            service.version_manager.publish_batch,
-        )
+        publish = service.version_manager.publish
 
         def visible(ticket, root):
             # Store-before-publish: when a root is about to become visible,
@@ -339,13 +339,7 @@ class TestLookupMatchesReferenceWalk:
             visible(ticket, root)
             return publish(ticket, root)
 
-        def checked_publish_batch(publications):
-            for ticket, root in publications:
-                visible(ticket, root)
-            return publish_batch(publications)
-
         service.version_manager.publish = checked_publish
-        service.version_manager.publish_batch = checked_publish_batch
 
         for op in history:
             if op[0] == "append":
@@ -353,14 +347,26 @@ class TestLookupMatchesReferenceWalk:
             elif op[0] == "write":
                 service.write(blob, op[1] * PAGE, b"w" * op[2])
             else:
-                service.append_batch(blob, [b"b" * size for size in op[1]])
+                # Each appender waits for its predecessor's version before
+                # building its tree, so visible() must still see every
+                # version in order, each stored before it publishes.
+                start = threading.Barrier(len(op[1]))
+
+                def append_after_start(size):
+                    start.wait()
+                    return service.append(blob, b"b" * size)
+
+                with ThreadPoolExecutor(len(op[1])) as pool:
+                    list(pool.map(append_after_start, op[1]))
         assert [v for v, _ in published] == service.versions(blob)[1:]
 
         warm, fresh = service.metadata_manager, cold(service.metadata_manager)
+        # Which concurrent appender got which version depends on the thread
+        # schedule, so draw ranges over the latest size, which does not.
+        pages = -(-service.get_size(blob) // PAGE)
         for _ in range(6):
             version, root = data.draw(st.sampled_from(published))
             assert service.version_manager.version_info(blob, version).root == root
-            pages = -(-service.get_size(blob, version) // PAGE)
             first = data.draw(st.integers(0, pages))
             last = data.draw(st.integers(first, pages + 2))
             expected = reference_lookup(warm, root, first, last, {})

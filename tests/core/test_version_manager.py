@@ -79,6 +79,25 @@ class TestTickets:
         assert t2.offset == 100  # based on the assigned (not published) size
         assert t2.base_version == t1.version
 
+    def test_append_run_is_contiguous_in_version_and_offset(self, manager):
+        blob = manager.create_blob().blob_id
+        tickets = [
+            manager.assign_ticket(blob, offset=None, size=size, append=True)
+            for size in (100, 50, 25)
+        ]
+        assert [t.version for t in tickets] == [1, 2, 3]
+        assert [t.offset for t in tickets] == [0, 100, 150]
+        assert [t.base_version for t in tickets] == [0, 1, 2]
+        assert tickets[-1].new_size == 175
+
+    def test_append_after_write_ticket_starts_at_its_end(self, manager):
+        blob = manager.create_blob().blob_id
+        manager.assign_ticket(blob, offset=0, size=10, append=False)
+        ticket = manager.assign_ticket(blob, offset=None, size=20, append=True)
+        assert ticket.version == 2
+        assert ticket.offset == 10
+        assert ticket.new_size == 30
+
     def test_append_with_offset_rejected(self, manager):
         blob = manager.create_blob().blob_id
         with pytest.raises(TicketError):
@@ -119,6 +138,41 @@ class TestPublication:
         assert manager.latest_version(blob) == 2
         assert manager.size(blob) == 200
 
+    def test_gap_holds_the_head_back_until_filled(self, manager):
+        blob = manager.create_blob().blob_id
+        t1, t2, t3 = (
+            manager.assign_ticket(blob, offset=None, size=10, append=True)
+            for _ in range(3)
+        )
+        assert manager.publish(t3, root_for(blob, 3)) == 0
+        assert manager.publish(t1, root_for(blob, 1)) == 1
+        assert manager.pending_versions(blob) == [2]
+        assert manager.publish(t2, root_for(blob, 2)) == 3
+        assert manager.published_versions(blob) == [0, 1, 2, 3]
+        assert manager.size(blob) == 30
+
+    def test_heads_advance_independently_per_blob(self, manager):
+        a = manager.create_blob().blob_id
+        b = manager.create_blob().blob_id
+        ta = manager.assign_ticket(a, offset=None, size=10, append=True)
+        tb = manager.assign_ticket(b, offset=None, size=10, append=True)
+        # Blob a's unpublished version 1 does not hold blob b back.
+        assert manager.publish(tb, root_for(b, 1)) == 1
+        assert manager.latest_version(a) == 0
+        assert manager.publish(ta, root_for(a, 1)) == 1
+        assert manager.latest_version(b) == 1
+
+    def test_duplicate_publish_behind_a_gap_is_rejected(self, manager):
+        blob = manager.create_blob().blob_id
+        t1 = manager.assign_ticket(blob, offset=None, size=10, append=True)
+        t2 = manager.assign_ticket(blob, offset=None, size=10, append=True)
+        manager.publish(t2, root_for(blob, 2))
+        with pytest.raises(TicketError):
+            manager.publish(t2, root_for(blob, 2))
+        # The rejected call left version 2 ready: filling the gap publishes it.
+        assert manager.publish(t1, root_for(blob, 1)) == 2
+        assert manager.version_info(blob, 2).root == root_for(blob, 2)
+
     def test_double_publish_rejected(self, manager):
         blob = manager.create_blob().blob_id
         ticket = manager.assign_ticket(blob, offset=0, size=10)
@@ -147,6 +201,20 @@ class TestPublication:
         info = manager.version_info(blob, 1)
         assert info.root is None
         assert info.size == 0
+
+    def test_aborted_version_keeps_its_predecessors_size(self, manager):
+        blob = manager.create_blob().blob_id
+        t1 = manager.assign_ticket(blob, offset=None, size=100, append=True)
+        manager.publish(t1, root_for(blob, 1))
+        t2 = manager.assign_ticket(blob, offset=None, size=50, append=True)
+        manager.abort(t2)
+        assert manager.latest_version(blob) == 2
+        info = manager.version_info(blob, 2)
+        assert info.size == 100
+        assert info.root == root_for(blob, 1)
+        # The aborted range is not handed back to later appends.
+        t3 = manager.assign_ticket(blob, offset=None, size=10, append=True)
+        assert t3.offset == 150
 
     def test_abort_after_publish_rejected(self, manager):
         blob = manager.create_blob().blob_id

@@ -130,6 +130,52 @@ class TestCommonFileSystemSemantics:
         assert any_fs.read_file("/empty.bin") == b""
 
 
+class TestInputStreamCursor:
+    """Sequential reads move one cursor; positional reads leave it alone."""
+
+    PAYLOAD = bytes(range(200))
+
+    @pytest.fixture
+    def stream(self, any_fs):
+        any_fs.write_file("/cursor.bin", self.PAYLOAD)
+        with any_fs.open("/cursor.bin") as stream:
+            yield stream
+
+    def test_new_stream_starts_at_zero(self, stream):
+        assert stream.tell() == 0
+        assert stream.size == len(self.PAYLOAD)
+        assert not stream.closed
+
+    def test_sequential_reads_advance_the_cursor(self, stream):
+        assert stream.read(50) == self.PAYLOAD[:50]
+        assert stream.read(50) == self.PAYLOAD[50:100]
+        assert stream.tell() == 100
+        assert stream.read() == self.PAYLOAD[100:]
+        assert stream.tell() == len(self.PAYLOAD)
+
+    def test_seek_clamps_to_size_and_rejects_negative(self, stream):
+        assert stream.seek(40) == 40
+        assert stream.read(3) == self.PAYLOAD[40:43]
+        assert stream.seek(10 * len(self.PAYLOAD)) == len(self.PAYLOAD)
+        with pytest.raises(ValueError):
+            stream.seek(-1)
+        assert stream.tell() == len(self.PAYLOAD)
+
+    def test_read_at_end_returns_empty(self, stream):
+        stream.seek(len(self.PAYLOAD))
+        assert stream.read(5) == b""
+        assert stream.read() == b""
+        assert stream.tell() == len(self.PAYLOAD)
+
+    def test_pread_does_not_move_cursor(self, stream):
+        stream.seek(2)
+        assert stream.pread(4, 3) == self.PAYLOAD[4:7]
+        assert stream.tell() == 2
+        assert stream.read(2) == self.PAYLOAD[2:4]
+        with pytest.raises(ValueError):
+            stream.pread(-1, 1)
+
+
 class TestCopyPath:
     def test_copy_between_filesystems(self, bsfs, hdfs):
         payload = b"copy-me" * 10000

@@ -10,11 +10,14 @@ writers, and replica failover happening mid-stream.
 
 from __future__ import annotations
 
+import errno
 import random
 
 import pytest
 
 from repro.core import BlobSeer, BlobSeerConfig
+from repro.core.errors import AllocationError, ProviderUnavailableError
+from repro.fs.errors import FileSystemError
 
 PAGE = 4 * 1024  # matches tests/conftest.TEST_PAGE_SIZE
 BLOCK = 16 * 1024  # matches tests/conftest.TEST_BLOCK_SIZE
@@ -128,6 +131,151 @@ class TestOpenWriteDifferential:
         copy_path(bsfs, "/dst.bin", hdfs, "/dst2.bin", chunk_size=501)
         assert bsfs.read_file("/dst.bin") == data
         assert hdfs.read_file("/dst2.bin") == data
+
+
+def fail_second_block_write(fs, monkeypatch) -> list:
+    """Make the stream's second block write raise before it reserves storage."""
+    owner, name = (fs.blobseer, "append") if fs.scheme == "bsfs" else (fs, "_write_block")
+    original = getattr(owner, name)
+    calls = []
+
+    def write_block(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise ProviderUnavailableError("injected block write failure")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, write_block)
+    return []
+
+
+def fail_storage_after_second_reservation(fs, monkeypatch) -> list:
+    """Take every provider or datanode down once the second block reserved
+    its range: a version ticket on BSFS, a block id on HDFS."""
+    if fs.scheme == "bsfs":
+        owner, name = fs.blobseer.version_manager, "assign_ticket"
+        nodes = fs.blobseer.provider_manager.providers
+    else:
+        owner, name, nodes = fs.namenode, "add_block", fs.datanodes
+    original = getattr(owner, name)
+    calls = []
+
+    def reserve(*args, **kwargs):
+        reservation = original(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == 2:
+            for node in nodes:
+                node.fail()
+        return reservation
+
+    monkeypatch.setattr(owner, name, reserve)
+    return nodes
+
+
+class TestFailedBlockWrite:
+    """A block write that fails must not leave a file with a gap in it."""
+
+    @staticmethod
+    def write_torn(fs, monkeypatch, inject, payload: bytes) -> None:
+        """Stream ``payload`` in 4 KiB blocks while ``inject`` fails block 1,
+        then undo the injection."""
+        nodes = inject(fs, monkeypatch)
+        with pytest.raises(ProviderUnavailableError):
+            with fs.create("/f", block_size=PAGE) as stream:
+                stream.write(payload)
+        monkeypatch.undo()
+        for node in nodes:
+            node.recover()
+
+    @pytest.mark.parametrize(
+        "inject", [fail_second_block_write, fail_storage_after_second_reservation]
+    )
+    @pytest.mark.parametrize("backend", ["bsfs", "hdfs"])
+    def test_close_seals_only_the_blocks_before_the_failure(
+        self, backend, inject, request, monkeypatch
+    ):
+        fs = request.getfixturevalue(backend)
+        payload = _payload(10 * 1024, seed=41)
+        self.write_torn(fs, monkeypatch, inject, payload)
+        assert fs.size("/f") == PAGE
+        assert fs.read_file("/f") == payload[:PAGE]
+        # The lease is released: another writer may replace the file.
+        with fs.create("/f", overwrite=True) as stream:
+            stream.write(b"again")
+        assert fs.read_file("/f") == b"again"
+
+    @pytest.mark.parametrize("backend", ["bsfs", "hdfs"])
+    def test_write_and_flush_after_a_failure_raise(self, backend, request, monkeypatch):
+        fs = request.getfixturevalue(backend)
+        fail_second_block_write(fs, monkeypatch)
+        stream = fs.create("/f", block_size=PAGE)
+        with pytest.raises(ProviderUnavailableError):
+            stream.write(bytes(3 * PAGE))
+        with pytest.raises(FileSystemError):
+            stream.write(b"x")
+        with pytest.raises(FileSystemError):
+            stream.flush()
+        stream.close()
+        assert stream.closed
+        assert fs.size("/f") == PAGE
+
+    def test_hdfs_keeps_no_block_without_replicas(self, hdfs, monkeypatch):
+        self.write_torn(
+            hdfs, monkeypatch, fail_storage_after_second_reservation, bytes(10 * 1024)
+        )
+        blocks = hdfs.namenode.file_blocks("/f")
+        assert [block.length for block in blocks] == [PAGE]
+        assert all(block.locations for block in blocks)
+
+    def test_hdfs_placement_failure_adds_no_block(self, hdfs):
+        stream = hdfs.create("/f", block_size=PAGE)
+        stream.write(bytes(PAGE))
+        for node in hdfs.datanodes:
+            node.fail()
+        with pytest.raises(AllocationError):
+            stream.write(bytes(PAGE))
+        stream.close()
+        assert [block.length for block in hdfs.namenode.file_blocks("/f")] == [PAGE]
+
+    def test_bsfs_reopened_append_skips_the_aborted_range(self, bsfs, monkeypatch):
+        payload = _payload(10 * 1024, seed=45)
+        self.write_torn(bsfs, monkeypatch, fail_storage_after_second_reservation, payload)
+        # The aborted block keeps its range in the blob, so a later append
+        # lands past it and the skipped range reads as zeros.
+        with bsfs.append("/f") as stream:
+            stream.write(b"tail")
+        assert bsfs.read_file("/f") == payload[:PAGE] + bytes(PAGE) + b"tail"
+
+
+class TestLocalFailedFlush:
+    """A LocalFS stream whose final flush fails still closes and unleases."""
+
+    class FullDisk:
+        """File wrapper whose flush fails the way a full disk does."""
+
+        def __init__(self, file) -> None:
+            self.file = file
+
+        def write(self, data: bytes) -> int:
+            return self.file.write(data)
+
+        def flush(self) -> None:
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        def close(self) -> None:
+            self.file.close()
+
+    def test_close_releases_the_lease_and_the_descriptor(self, local_fs):
+        stream = local_fs.create("/f")
+        real = stream._file
+        stream._file = self.FullDisk(real)
+        stream.write(b"data")
+        with pytest.raises(OSError):
+            stream.close()
+        assert stream.closed
+        assert real.closed
+        local_fs.delete("/f")
+        assert not local_fs.exists("/f")
 
 
 class TestParallelTransfers:
@@ -264,17 +412,6 @@ class TestClientStreaming:
             (3 * WINDOW, 4 * WINDOW),
             (4 * WINDOW, 5 * WINDOW),
         ]
-
-    def test_open_write_matches_append_semantics(self, client):
-        data = _payload(5 * PAGE + 321, seed=3)
-        reference = client.create_blob()
-        client.append(reference, data)
-        streamed = client.create_blob()
-        with client.open_write(streamed, flush_pages=2) as sink:
-            for start in range(0, len(data), 997):
-                sink.write(data[start : start + 997])
-        assert sink.bytes_written == len(data)
-        assert client.read_all(streamed) == client.read_all(reference) == data
 
     def test_interleaved_streams_with_tight_inflight_budget(self):
         # Regression (review finding): with max_inflight_bytes smaller

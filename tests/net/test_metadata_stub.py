@@ -132,7 +132,7 @@ class TestBlobSeerOverRemoteMetadata:
         bs = BlobSeer(config, metadata_providers=stubs)
         blob_id = bs.create_blob()
         chunks = [bytes([i]) * (4 * KB) for i in range(4)]
-        versions = bs.append_batch(blob_id, chunks)
+        versions = [bs.append(blob_id, chunk) for chunk in chunks]
         assert versions == [1, 2, 3, 4]
         assert bs.read(blob_id, 0, 16 * KB, version=4) == b"".join(chunks)
 
