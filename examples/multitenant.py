@@ -42,7 +42,6 @@ def build_service() -> tuple[LocalFS, JobService]:
             weight=weight,
             max_queued_jobs=16,
             max_bytes=512 * KB,
-            inflight_bytes=256 * KB,
         )
         write_text_file(fs, f"/in/{tenant}.txt", 80, seed=len(tenant))
         print(f"  registered {tenant!r} with weight {weight}")

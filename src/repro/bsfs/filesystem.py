@@ -271,14 +271,14 @@ class BSFS(FileSystem):
         client_host: str | None = None,
         version: int | None = None,
     ):
-        """Stream a file's bytes page by page with concurrent read-ahead.
+        """Stream a file's bytes in chunks with concurrent read-ahead.
 
         Bypasses the whole-block read cache (useless for a single forward
-        pass) and streams straight from the blob through the client's
-        transfer engine: pages are fetched in parallel, bounded by
-        ``BlobSeerConfig.read_ahead_pages``, so provider latency overlaps
-        with the consumer.  ``chunk_size`` is advisory here — chunks arrive
-        page-sized, the natural transfer unit.
+        pass) and streams straight from the blob through
+        :meth:`BlobSeer.open_read`: each chunk is a page-aligned window of
+        ``chunk_size`` bytes (at least one page) whose pages are fetched in
+        parallel, and the next window is fetched while the consumer works
+        on the current one.
 
         Like :meth:`open`, the snapshot is resolved *before* streaming
         starts (``version=None`` captures the latest published version), so
@@ -297,7 +297,7 @@ class BSFS(FileSystem):
         if span == 0:
             return iter(())
         return self.blobseer.open_read(
-            record.blob_id, offset, span, version=version
+            record.blob_id, offset, span, version=version, chunk_size=chunk_size
         )
 
     @property

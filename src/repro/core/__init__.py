@@ -45,8 +45,8 @@ from .provider_manager import (
     RandomStrategy,
     make_strategy,
 )
-from .replication import ReplicationManager, ScrubReport, read_page, read_pages, write_pages
-from .transfer import ChunkBuffer, InflightBudget, TransferEngine, pipelined
+from .replication import ReplicationManager, ScrubReport, read_pages, write_pages
+from .transfer import ChunkBuffer, TransferEngine, pipelined
 from .version_manager import BlobInfo, VersionInfo, VersionManager, WriteTicket
 
 __all__ = [
@@ -55,7 +55,6 @@ __all__ = [
     "PageLocation",
     # transfer engine
     "TransferEngine",
-    "InflightBudget",
     "ChunkBuffer",
     "pipelined",
     "KB",
@@ -92,7 +91,6 @@ __all__ = [
     # replication & persistence
     "ReplicationManager",
     "ScrubReport",
-    "read_page",
     "read_pages",
     "write_pages",
     "PageStore",

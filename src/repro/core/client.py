@@ -39,6 +39,7 @@ import os
 import random
 import threading
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, Sequence
 
 from .config import BlobSeerConfig
@@ -53,9 +54,9 @@ from .pages import PageDescriptor, PageKey, page_range_for_bytes
 from .persistence import LogStructuredStore, MemoryStore
 from .provider import DataProvider
 from .provider_manager import ProviderManager
-from .replication import ReplicationManager, read_page, read_pages, write_pages
-from .transfer import InflightBudget, TransferEngine, pipelined
-from .version_manager import BlobInfo, VersionManager, WriteTicket
+from .replication import ReplicationManager, read_pages, write_pages
+from .transfer import TransferEngine, pipelined
+from .version_manager import BlobInfo, VersionInfo, VersionManager, WriteTicket
 
 # The snapshot lifecycle subsystem only depends back on repro.core through
 # TYPE_CHECKING imports, so this import is acyclic.
@@ -64,10 +65,6 @@ from ..versions.pins import PinRegistry, SnapshotHandle
 from ..versions.retention import RetentionPolicy
 
 __all__ = ["PageLocation", "BlobSeer"]
-
-#: Pages whose descriptors :meth:`BlobSeer.open_read` looks up at a time,
-#: ahead of the page fetches.
-LOOKUP_WINDOW_PAGES = 32
 
 #: Bytes of partial pages — blob tails — one :class:`BlobSeer` keeps after
 #: pushing them, so the next append merges its boundary page without
@@ -145,17 +142,10 @@ class BlobSeer:
         self.replication_manager = ReplicationManager(
             self.provider_manager, seed=self.config.rng_seed
         )
-        budget = (
-            InflightBudget(self.config.max_inflight_bytes)
-            if self.config.max_inflight_bytes is not None
-            else None
-        )
         #: Shared transfer engine: every page/replica transfer of this
         #: deployment (writes, reads, streaming) runs through its bounded
         #: worker pool.
-        self.transfer = TransferEngine(
-            self.config.transfer_workers, budget=budget, name="blobseer-io"
-        )
+        self.transfer = TransferEngine(self.config.transfer_workers, name="blobseer-io")
         self._rng = random.Random(self.config.rng_seed)
         self._rng_lock = threading.Lock()
         #: Partial pages this client pushed, by key; a key is written once,
@@ -522,9 +512,9 @@ class BlobSeer:
                 # A tail this client pushed needs no read-back.
                 old = self._tail_pages.get_many([descriptor.key]).get(descriptor.key)
                 if old is None:
-                    old = read_page(
+                    [old] = read_pages(
                         self.provider_manager,
-                        descriptor,
+                        [descriptor],
                         policy=self.config.read_replica_policy,
                         rng=rng,
                     )
@@ -578,6 +568,14 @@ class BlobSeer:
         aborted writer (holes) read as zero bytes.
         """
         info = self.version_manager.version_info(blob_id, version)
+        self._check_range(info, offset, size)
+        if size == 0:
+            return b""
+        return self._read_range(info, self.blob_info(blob_id).page_size, offset, size)
+
+    @staticmethod
+    def _check_range(info: VersionInfo, offset: int, size: int) -> None:
+        """Reject a byte range that does not lie within the version ``info``."""
         if offset < 0 or size < 0:
             raise InvalidRangeError("offset and size must be non-negative")
         if offset + size > info.size:
@@ -585,9 +583,15 @@ class BlobSeer:
                 f"range [{offset}, {offset + size}) exceeds version "
                 f"{info.version} size {info.size}"
             )
-        if size == 0:
-            return b""
-        page_size = self.blob_info(blob_id).page_size
+
+    def _read_range(
+        self, info: VersionInfo, page_size: int, offset: int, size: int
+    ) -> bytes:
+        """The bytes of a non-empty, validated range of the version ``info``.
+
+        One metadata lookup for the range's pages, one bulk ``get_pages``
+        call per provider, then one join.
+        """
         page_range = page_range_for_bytes(offset, size, page_size)
         descriptors = self.metadata_manager.lookup(
             info.root, page_range.first, page_range.last
@@ -626,81 +630,41 @@ class BlobSeer:
         size: int | None = None,
         *,
         version: int | None = None,
-        read_ahead: int | None = None,
+        chunk_size: int = 1024 * 1024,
     ) -> Iterator[memoryview]:
         """Stream a byte range as an iterator of ``memoryview`` chunks.
 
-        Yields one chunk per page (trimmed at the range boundaries) without
-        ever materialising the whole range: up to ``read_ahead`` pages
-        (default ``config.read_ahead_pages``) are fetched through the
-        transfer engine ahead of the consumer, overlapping provider latency
-        with downstream processing.  Page descriptors are looked up one
-        aligned window of ``LOOKUP_WINDOW_PAGES`` at a time, as the page
-        fetches reach it, so a consumer that stops early (a record reader
-        opened to the end of the file but reading one split) never pays for
-        the metadata of the rest.  Holes left by aborted writers read as
-        zero bytes, exactly like :meth:`read`.
+        The range is cut into windows of ``max(chunk_size // page_size, 1)``
+        pages that end on multiples of the window size, and each window is
+        fetched exactly as :meth:`read` fetches a range: one lookup, one
+        bulk call per provider, one join.  The next window is fetched
+        through the transfer engine while the consumer processes the
+        current one, so a consumer that stops early (a record reader
+        opened to the end of the file but reading one split) pays for at
+        most one window it never reads.  Holes left by aborted writers
+        read as zero bytes, exactly like :meth:`read`.
         """
         info = self.version_manager.version_info(blob_id, version)
         if size is None:
             size = max(info.size - offset, 0)
-        if offset < 0 or size < 0:
-            raise InvalidRangeError("offset and size must be non-negative")
-        if offset + size > info.size:
-            raise InvalidRangeError(
-                f"range [{offset}, {offset + size}) exceeds version "
-                f"{info.version} size {info.size}"
-            )
+        self._check_range(info, offset, size)
         if size == 0:
             return iter(())
         page_size = self.blob_info(blob_id).page_size
-        page_range = page_range_for_bytes(offset, size, page_size)
-        rng = self._op_rng()
+        window = max(chunk_size // page_size, 1) * page_size
         end = offset + size
 
-        def make_fetch(page_index: int, descriptor: PageDescriptor | None):
-            def fetch() -> memoryview:
-                page_start = page_index * page_size
-                page_len = min(page_size, info.size - page_start)
-                if descriptor is None:
-                    data = bytes(page_len)  # hole: zero bytes
-                else:
-                    data = read_page(
-                        self.provider_manager,
-                        descriptor,
-                        policy=self.config.read_replica_policy,
-                        rng=rng,
-                    )
-                    if len(data) < page_len:
-                        data = data + bytes(page_len - len(data))
-                lo = max(offset - page_start, 0)
-                hi = min(end - page_start, page_len)
-                return memoryview(data)[lo:hi]
+        def fetch(start: int, stop: int) -> memoryview:
+            return memoryview(self._read_range(info, page_size, start, stop - start))
 
-            return fetch
+        def windows() -> Iterator[Callable[[], memoryview]]:
+            start = offset
+            while start < end:
+                stop = min((start // window + 1) * window, end)
+                yield partial(fetch, start, stop)
+                start = stop
 
-        def fetches() -> Iterator[Callable[[], memoryview]]:
-            first = page_range.first
-            while first < page_range.last:
-                # Windows end on multiples of the window size, so each is
-                # one subtree and shares its spine with its neighbours.
-                last = min(
-                    (first // LOOKUP_WINDOW_PAGES + 1) * LOOKUP_WINDOW_PAGES,
-                    page_range.last,
-                )
-                descriptors = self.metadata_manager.lookup(info.root, first, last)
-                for page_index in range(first, last):
-                    yield make_fetch(page_index, descriptors.get(page_index))
-                first = last
-
-        depth = read_ahead if read_ahead is not None else self.config.read_ahead_pages
-        return pipelined(
-            fetches(),
-            self.transfer,
-            depth=depth,
-            budget=self.transfer.budget,
-            cost_hint=page_size,
-        )
+        return pipelined(windows(), self.transfer, depth=2)
 
     # ------------------------------------------------------------------ locality
     def page_locations(

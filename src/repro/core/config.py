@@ -73,16 +73,6 @@ class BlobSeerConfig:
         the client keeps in flight concurrently.  ``1`` degrades every
         byte path to the old sequential behaviour (useful as an ablation
         baseline).
-    read_ahead_pages:
-        Streaming-read depth: how many pages ``open_read`` fetches ahead
-        of the consumer.
-    max_inflight_bytes:
-        Optional cap on the *extra* read-ahead bytes streaming reads keep
-        in flight beyond the one page each stream needs to make progress
-        (``None`` = unbounded).  The charge is non-blocking by design:
-        when the budget is exhausted, streams degrade to a read-ahead of
-        one instead of waiting on each other, so any number of concurrent
-        streams sharing the budget stay deadlock-free.
     rng_seed:
         Seed for the deterministic pseudo-random choices made by the
         service (random allocation strategy, replica selection).  Keeping
@@ -106,8 +96,6 @@ class BlobSeerConfig:
     pin_default_ttl_seconds: float | None = None
     read_replica_policy: str = "least_loaded"
     transfer_workers: int = 8
-    read_ahead_pages: int = 4
-    max_inflight_bytes: int | None = None
     rng_seed: int = 0xB10B5EE
     allocation_range_pages: int = 8
 
@@ -141,10 +129,6 @@ class BlobSeerConfig:
             raise ValueError("virtual_nodes_per_metadata_provider must be >= 1")
         if self.transfer_workers < 1:
             raise ValueError("transfer_workers must be at least 1")
-        if self.read_ahead_pages < 1:
-            raise ValueError("read_ahead_pages must be at least 1")
-        if self.max_inflight_bytes is not None and self.max_inflight_bytes < 1:
-            raise ValueError("max_inflight_bytes must be None or positive")
         if self.max_versions_kept is not None and self.max_versions_kept < 1:
             raise ValueError("max_versions_kept must be None or >= 1")
         if self.version_ttl_seconds is not None and self.version_ttl_seconds < 0:
@@ -186,8 +170,6 @@ class BlobSeerConfig:
             "pin_default_ttl_seconds": self.pin_default_ttl_seconds,
             "read_replica_policy": self.read_replica_policy,
             "transfer_workers": self.transfer_workers,
-            "read_ahead_pages": self.read_ahead_pages,
-            "max_inflight_bytes": self.max_inflight_bytes,
             "rng_seed": self.rng_seed,
             "allocation_range_pages": self.allocation_range_pages,
         }

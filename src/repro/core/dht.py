@@ -254,33 +254,11 @@ class MetadataDHT:
 
     def put(self, key: str, value: Any) -> None:
         """Store ``value`` on the key's replica set (all replicas, best effort)."""
-        replicas = self._replicas_for(key)
-        stored = 0
-        last_error: Exception | None = None
-        for provider in replicas:
-            try:
-                provider.put(key, value)
-                stored += 1
-            except ProviderUnavailableError as exc:
-                last_error = exc
-        if stored == 0:
-            raise last_error if last_error else NoProvidersError(
-                "no metadata provider accepted the put"
-            )
+        self.put_many([(key, value)])
 
     def get(self, key: str) -> Any:
         """Fetch ``key`` from the first live replica."""
-        last_error: Exception | None = None
-        for provider in self._replicas_for(key):
-            try:
-                return provider.get(key)
-            except ProviderUnavailableError as exc:
-                last_error = exc
-            except KeyError as exc:
-                last_error = exc
-        if isinstance(last_error, KeyError):
-            raise last_error
-        raise last_error if last_error else KeyError(key)
+        return self.get_many([key])[0]
 
     def put_many(self, items: Iterable[tuple[str, Any]]) -> None:
         """Store every ``(key, value)`` pair with one call per provider.

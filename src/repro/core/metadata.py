@@ -170,17 +170,7 @@ class MetadataManager:
             )
         return node
 
-    def fetch(self, key: NodeKey) -> TreeNode:
-        """Fetch a node from the DHT, raising on dangling references."""
-        try:
-            node = self._dht.get(key.dht_key())
-        except KeyError:
-            raise MetadataCorruptionError(
-                f"metadata node {key!r} is referenced but missing from the DHT"
-            ) from None
-        return self._checked(key, node)
-
-    def _resolve(self, keys: Sequence[NodeKey]) -> list[TreeNode]:
+    def resolve(self, keys: Sequence[NodeKey]) -> list[TreeNode]:
         """The nodes under ``keys``, in order, in at most one round trip.
 
         Cached nodes cost nothing; the others are fetched together with one
@@ -301,7 +291,7 @@ class MetadataManager:
         current = base_root
         cur_lo, cur_hi = 0, base_capacity
         while (cur_lo, cur_hi) != (lo, hi):
-            (node,) = self._resolve([current])
+            (node,) = self.resolve([current])
             mid = (cur_lo + cur_hi) // 2
             if hi <= mid:
                 child = node.left
@@ -386,7 +376,7 @@ class MetadataManager:
         frontier = [root] if root.lo < last_page and root.hi > first_page else []
         while frontier:
             children: list[NodeKey] = []
-            for node in self._resolve(frontier):
+            for node in self.resolve(frontier):
                 if node.is_leaf:
                     if node.page is None:
                         raise MetadataCorruptionError(
@@ -413,7 +403,7 @@ class MetadataManager:
             seen.update(frontier)
             children = {
                 child
-                for node in self._resolve(frontier)
+                for node in self.resolve(frontier)
                 for child in (node.left, node.right)
                 if child is not None and child not in seen
             }

@@ -5,9 +5,9 @@ This module concentrates the replica-handling logic used by the client:
 
 * :func:`write_pages` — push pages to their replica sets with one bulk
   call per provider, as long as every page lands at least once.
-* :func:`read_pages` (and its one-page form :func:`read_page`) — fetch
-  pages with one bulk call per provider, failing each key a provider
-  could not serve over to its next replica in policy order.
+* :func:`read_pages` — fetch pages with one bulk call per provider,
+  failing each key a provider could not serve over to its next replica
+  in policy order.
 * :class:`ReplicationManager` — scrubbing (detecting under-replicated
   pages) and healing (copying surviving replicas onto additional providers)
   so that a blob can be brought back to its target replication level after
@@ -30,7 +30,6 @@ __all__ = [
     "BULK_CALL_BYTES",
     "write_pages",
     "read_pages",
-    "read_page",
     "ScrubReport",
     "ReplicationManager",
 ]
@@ -223,17 +222,6 @@ def read_pages(
     return pages
 
 
-def read_page(
-    provider_manager: ProviderManager,
-    descriptor: PageDescriptor,
-    *,
-    policy: str = "least_loaded",
-    rng: random.Random | None = None,
-) -> bytes:
-    """Fetch one page from one of its replicas; see :func:`read_pages`."""
-    return read_pages(provider_manager, [descriptor], policy=policy, rng=rng)[0]
-
-
 @dataclass(frozen=True, slots=True)
 class ScrubReport:
     """Result of scrubbing a set of page descriptors."""
@@ -322,9 +310,9 @@ class ReplicationManager:
             return PageDescriptor(
                 key=descriptor.key, providers=tuple(live), size=descriptor.size
             )
-        data = read_page(
+        [data] = read_pages(
             self._pm,
-            PageDescriptor(descriptor.key, tuple(live), descriptor.size),
+            [PageDescriptor(descriptor.key, tuple(live), descriptor.size)],
             policy="first",
         )
         candidates = [provider_id for provider_id in available if provider_id not in live]

@@ -12,13 +12,9 @@ concurrency:
   participation*: :meth:`TransferEngine.map` drains its work queue on the
   calling thread too, so the engine can be used re-entrantly (a page task
   fanning out replica writes, a map task reading its split) without ever
-  deadlocking on pool capacity.  Only *leaf* transfer work (one bulk
-  provider call, one block chunk) is ever submitted, so pool threads
-  never wait on each other.
-* :class:`InflightBudget` — a pluggable byte budget bounding the data in
-  flight (read-ahead pages, prefetched segments); an oversized single
-  transfer is admitted when nothing else is in flight so progress is
-  always possible.
+  deadlocking on pool capacity.  Submitted work may itself call
+  :meth:`~TransferEngine.map` but never waits on a submitted future, so
+  a pool thread only ever waits for items already running.
 * :class:`ChunkBuffer` — an amortised O(1) append buffer (chunk list plus
   running length) replacing the quadratic ``buffer += data`` /
   ``del buffer[:n]`` pattern in the block writers.
@@ -32,11 +28,10 @@ from __future__ import annotations
 import threading
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 __all__ = [
     "TransferEngine",
-    "InflightBudget",
     "ChunkBuffer",
     "pipelined",
     "default_engine",
@@ -49,88 +44,26 @@ R = TypeVar("R")
 DEFAULT_TRANSFER_WORKERS = 8
 
 
-class InflightBudget:
-    """Bounds the number of bytes a transfer pipeline keeps in flight.
-
-    ``acquire(n)`` blocks until admitting ``n`` more bytes keeps the total
-    within ``limit`` — except when nothing is in flight, where any request
-    is admitted so a single transfer larger than the whole budget cannot
-    deadlock the pipeline.  Budgets are shared freely between threads.
-    """
-
-    def __init__(self, limit: int) -> None:
-        if limit < 1:
-            raise ValueError("budget limit must be positive")
-        self.limit = limit
-        self._inflight = 0
-        self._cond = threading.Condition()
-
-    @property
-    def inflight(self) -> int:
-        """Bytes currently admitted and not yet released."""
-        with self._cond:
-            return self._inflight
-
-    def acquire(self, nbytes: int) -> None:
-        """Block until ``nbytes`` more bytes fit in the budget.
-
-        Only safe for holders that are guaranteed to release promptly
-        (engine workers finishing leaf transfers).  Anything that may hold
-        budget indefinitely — a paused read-ahead stream — must use
-        :meth:`try_acquire` instead, or independent holders sharing one
-        budget could starve each other.
-        """
-        if nbytes < 0:
-            raise ValueError("cannot acquire a negative byte count")
-        with self._cond:
-            while self._inflight > 0 and self._inflight + nbytes > self.limit:
-                self._cond.wait()
-            self._inflight += nbytes
-
-    def try_acquire(self, nbytes: int) -> bool:
-        """Non-blocking :meth:`acquire`: charge and return True, or False."""
-        if nbytes < 0:
-            raise ValueError("cannot acquire a negative byte count")
-        with self._cond:
-            if self._inflight > 0 and self._inflight + nbytes > self.limit:
-                return False
-            self._inflight += nbytes
-            return True
-
-    def release(self, nbytes: int) -> None:
-        """Return ``nbytes`` to the budget, waking blocked acquirers."""
-        if nbytes < 0:
-            raise ValueError("cannot release a negative byte count")
-        with self._cond:
-            self._inflight = max(self._inflight - nbytes, 0)
-            self._cond.notify_all()
-
-
 class TransferEngine:
     """Bounded worker pool shared by every transfer path of one deployment.
 
     The pool is created lazily (a deployment that never transfers a byte
-    never starts a thread) and sized by ``workers``.  ``budget`` optionally
-    bounds the bytes in flight across every :meth:`map` call that passes
-    per-item costs.
+    never starts a thread) and sized by ``workers``.
     """
 
     def __init__(
         self,
         workers: int = DEFAULT_TRANSFER_WORKERS,
         *,
-        budget: InflightBudget | None = None,
         name: str = "transfer",
     ) -> None:
         if workers < 1:
             raise ValueError("a transfer engine needs at least one worker")
         self.workers = workers
-        self.budget = budget
         self._name = name
         self._pool: ThreadPoolExecutor | None = None
         self._lock = threading.Lock()
         self.tasks_executed = 0
-        self.bytes_transferred = 0
 
     # -- lifecycle ---------------------------------------------------------------
     def _ensure_pool(self) -> ThreadPoolExecutor:
@@ -148,10 +81,9 @@ class TransferEngine:
         if pool is not None:
             pool.shutdown(wait=True)
 
-    def _account(self, count: int, nbytes: int) -> None:
+    def _account(self, count: int) -> None:
         with self._lock:
             self.tasks_executed += count
-            self.bytes_transferred += nbytes
 
     # -- execution ---------------------------------------------------------------
     def submit(self, fn: Callable[..., R], *args: Any, **kwargs: Any) -> Future:
@@ -163,38 +95,22 @@ class TransferEngine:
         """
         return self._ensure_pool().submit(fn, *args, **kwargs)
 
-    def map(
-        self,
-        fn: Callable[[T], R],
-        items: Iterable[T],
-        *,
-        costs: Sequence[int] | None = None,
-    ) -> list[R]:
+    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
         """Run ``fn`` over ``items`` concurrently; results in item order.
 
         The calling thread participates in draining the work queue, so the
         call makes progress even when the pool is saturated (or when it is
         invoked *from* a pool thread) — the property that makes nested use
         safe.  The first exception cancels the not-yet-started items and is
-        re-raised once the in-flight ones finish.  ``costs`` (bytes per
-        item) is charged against the engine's budget when one is set.
+        re-raised once the in-flight ones finish.
         """
         items = list(items)
         total = len(items)
         if total == 0:
             return []
-        budget = self.budget if costs is not None else None
         if total == 1 or self.workers == 1:
-            results = []
-            for index, item in enumerate(items):
-                if budget is not None:
-                    budget.acquire(costs[index])
-                try:
-                    results.append(fn(item))
-                finally:
-                    if budget is not None:
-                        budget.release(costs[index])
-            self._account(total, sum(costs) if costs else 0)
+            results = [fn(item) for item in items]
+            self._account(total)
             return results
 
         queue: deque[int] = deque(range(total))
@@ -209,13 +125,7 @@ class TransferEngine:
                         return
                     index = queue.popleft()
                 try:
-                    if budget is not None:
-                        budget.acquire(costs[index])
-                    try:
-                        results[index] = fn(items[index])
-                    finally:
-                        if budget is not None:
-                            budget.release(costs[index])
+                    results[index] = fn(items[index])
                 except BaseException as exc:  # first error wins, others dropped
                     with cond:
                         if state["error"] is None:
@@ -241,7 +151,7 @@ class TransferEngine:
             error = state["error"]
         if error is not None:
             raise error
-        self._account(total, sum(costs) if costs else 0)
+        self._account(total)
         return results
 
 
@@ -250,57 +160,34 @@ def pipelined(
     engine: TransferEngine,
     *,
     depth: int = 2,
-    budget: InflightBudget | None = None,
-    cost_hint: int = 0,
 ) -> Iterator[R]:
     """Yield each fetch's result in order with bounded read-ahead.
 
     Up to ``depth`` fetches run on the engine ahead of the consumer — the
     streaming-read primitive that overlaps storage latency with downstream
-    processing.  Fetch thunks must be leaf work.
-
-    With a ``budget``, only the *head* fetch of the window is
-    unconditional; every additional read-ahead slot charges ``cost_hint``
-    bytes via a non-blocking ``try_acquire`` and simply stays un-extended
-    when the budget is exhausted.  A stream therefore always progresses
-    with a window of one, so any number of independent streams sharing one
-    budget — e.g. a k-way merge pulling many segment streams from a single
-    thread — can never deadlock each other, while their *extra* read-ahead
-    bytes stay collectively bounded.
+    processing.  A fetch thunk runs on a pool thread, so it may call
+    ``engine.map`` (the calling thread drains its own items, whatever the
+    pool is doing) but must never wait on a future it submitted: with
+    every worker blocked that way, nothing would run the submitted work.
     """
     depth = max(depth, 1)
-    window: deque[tuple[Future, int]] = deque()
+    window: deque[Future] = deque()
     fetches = iter(fetches)
     exhausted = False
     try:
         while True:
             while not exhausted and len(window) < depth:
-                charge = 0
-                if window and budget is not None and cost_hint > 0:
-                    if not budget.try_acquire(cost_hint):
-                        break  # no budget for more read-ahead right now
-                    charge = cost_hint
                 try:
                     fetch = next(fetches)
                 except StopIteration:
-                    if charge:
-                        budget.release(charge)
                     exhausted = True
                     break
-                window.append((engine.submit(fetch), charge))
+                window.append(engine.submit(fetch))
             if not window:
                 return
-            future, charge = window.popleft()
-            try:
-                result = future.result()
-            finally:
-                if charge:
-                    budget.release(charge)
-            yield result
+            yield window.popleft().result()
     finally:
-        for future, charge in window:
-            if charge:
-                budget.release(charge)
+        for future in window:
             if not future.cancel():
                 try:
                     future.result()

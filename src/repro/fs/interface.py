@@ -371,8 +371,8 @@ class FileSystem(ABC):
         The streaming read API of the I/O engine: no caller ever needs to
         materialise a whole file.  The base implementation chunks through
         :meth:`open`; backends override it to pipeline transfers (BSFS
-        fetches pages concurrently with read-ahead, HDFS prefetches block
-        chunks, LocalFS streams straight from disk).  ``length=None``
+        fetches page-aligned windows with read-ahead, HDFS prefetches
+        block chunks, LocalFS streams straight from disk).  ``length=None``
         streams to the end of the file as sized at open time.  ``version``
         (or an ``@vN`` path suffix) streams an ``AS OF`` snapshot, as in
         :meth:`open`.

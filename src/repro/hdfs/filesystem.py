@@ -37,6 +37,9 @@ __all__ = ["HDFS", "HDFSOutputStream", "HDFSInputStream"]
 #: Default HDFS block size (the paper: "Hadoop often makes use of data in 64 MB chunks").
 DEFAULT_BLOCK_SIZE = 64 * 1024 * 1024
 
+#: Block chunks :meth:`HDFS.open_read` fetches ahead of the consumer.
+READ_AHEAD_CHUNKS = 4
+
 
 class HDFSOutputStream(OutputStream):
     """Single-writer output stream writing full blocks through a replication pipeline.
@@ -286,14 +289,13 @@ class HDFS(FileSystem):
         chunk_size: int = 1024 * 1024,
         version: int | None = None,
         client_host: str | None = None,
-        read_ahead: int = 4,
     ):
         """Stream a byte range as block chunks with concurrent read-ahead.
 
-        Chunks are fetched through the transfer engine up to ``read_ahead``
-        ahead of the consumer, so datanode latency overlaps with
-        processing; every chunk keeps the per-chunk replica failover of
-        :meth:`_read_block`.  ``version`` bounds the stream at the
+        Chunks are fetched through the transfer engine up to
+        :data:`READ_AHEAD_CHUNKS` ahead of the consumer, so datanode
+        latency overlaps with processing; every chunk keeps the per-chunk
+        replica failover of :meth:`_read_block`.  ``version`` bounds the stream at the
         snapshot's size token (see :meth:`open`).
         """
         self._validate_stream_range(offset, length, chunk_size)
@@ -328,7 +330,7 @@ class HDFS(FileSystem):
                     yield partial(fetch_chunk, meta, chunk_offset, size)
                     chunk_offset += size
 
-        return pipelined(thunks(), self.transfer, depth=read_ahead)
+        return pipelined(thunks(), self.transfer, depth=READ_AHEAD_CHUNKS)
 
     def _read_block(
         self, meta, offset: int, length: int, client_host: str | None

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Any, Callable
 
-from ..core.transfer import InflightBudget, TransferEngine
+from ..core.transfer import TransferEngine
 from ..fs import path as fspath
 from ..fs.interface import FileSystem
 from ..fs.quota import tenant_scope
@@ -89,8 +89,6 @@ class JobContext:
     #: Whether speculative backups may launch now (closed while a tenant
     #: is starved; see ``JobService._speculation_open``).
     speculation_gate: Callable[[], bool]
-    #: The tenant's shared byte budget for shuffle transfers, if any.
-    inflight_budget: InflightBudget | None
     #: ``progress(phase, completed, total)``, fired as task winners commit.
     progress: Callable[[str, int, int], None]
 
@@ -662,7 +660,6 @@ class JobTracker:
             # the benchmarks) share; it is shut down with the job.
             shuffle_transfer = TransferEngine(
                 max(2, min(2 * max(num_partitions, 1), 16)),
-                budget=context.inflight_budget,
                 name=f"shuffle-{job.name[:16]}",
             )
             shuffle_service = ShuffleService(

@@ -18,10 +18,9 @@ engine.
 * **admission control** — per-tenant caps: ``max_queued_jobs`` rejects at
   submit time (:class:`AdmissionError`), ``max_concurrent_jobs`` queues.
 * **resource isolation** — per-tenant namespace quotas (files/bytes,
-  enforced in the file system via :class:`~repro.fs.quota.QuotaManager`),
-  per-tenant inflight-byte budgets throttling shuffle transfers
-  (:class:`~repro.core.transfer.InflightBudget`), and a shared
-  :class:`~repro.mapreduce.scheduler.SlotLedger` tracking live slot use.
+  enforced in the file system via :class:`~repro.fs.quota.QuotaManager`)
+  and a shared :class:`~repro.mapreduce.scheduler.SlotLedger` tracking
+  live slot use.
 * **cooperative preemption** — while any tenant is *starved* (jobs queued,
   none running), the speculation gate closes: running jobs stop launching
   backup attempts for stragglers, handing those slots to the starved
@@ -36,7 +35,6 @@ import time
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable
 
-from ..core.transfer import InflightBudget
 from ..fs.quota import QuotaManager, attach_quota_manager
 from ..fs.registry import get_filesystem
 from .job import Job
@@ -102,8 +100,7 @@ class TenantConfig:
 
     ``None`` limits mean unlimited.  Namespace limits (``max_files``/
     ``max_bytes``) are enforced inside the file system on every create,
-    append and resize; ``inflight_bytes`` bounds the bytes the tenant's
-    shuffle transfers keep in flight across all its concurrent jobs.
+    append and resize.
     """
 
     name: str
@@ -114,8 +111,6 @@ class TenantConfig:
     #: Jobs waiting in this tenant's queue; further submissions are
     #: rejected with :class:`AdmissionError`.
     max_queued_jobs: int | None = None
-    #: Shared inflight-byte budget for the tenant's shuffle transfers.
-    inflight_bytes: int | None = None
     #: Namespace quota: files the tenant may hold.
     max_files: int | None = None
     #: Namespace quota: recorded bytes the tenant may hold.
@@ -285,7 +280,6 @@ class JobService:
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
         self._tenants: dict[str, TenantConfig] = {}
-        self._budgets: dict[str, InflightBudget] = {}
         self._queues: dict[str, list[_QueuedJob]] = {}
         self._running: dict[str, int] = {}
         self._served: dict[str, float] = {}
@@ -354,7 +348,6 @@ class JobService:
         weight: float = 1.0,
         max_concurrent_jobs: int | None = None,
         max_queued_jobs: int | None = None,
-        inflight_bytes: int | None = None,
         max_files: int | None = None,
         max_bytes: int | None = None,
     ) -> TenantConfig:
@@ -363,8 +356,7 @@ class JobService:
         Accepts a prebuilt :class:`TenantConfig` or a name plus keyword
         limits.  Namespace limits install a quota into the file system's
         :class:`~repro.fs.quota.QuotaManager` (attaching one if the file
-        system was built without); ``inflight_bytes`` creates the tenant's
-        shared shuffle budget.  Unregistered tenants may still submit —
+        system was built without).  Unregistered tenants may still submit —
         they get weight 1 and no limits.
         """
         if isinstance(tenant, TenantConfig):
@@ -375,16 +367,11 @@ class JobService:
                 weight=weight,
                 max_concurrent_jobs=max_concurrent_jobs,
                 max_queued_jobs=max_queued_jobs,
-                inflight_bytes=inflight_bytes,
                 max_files=max_files,
                 max_bytes=max_bytes,
             )
         with self._lock:
             self._tenants[config.name] = config
-            if config.inflight_bytes is not None:
-                self._budgets[config.name] = InflightBudget(config.inflight_bytes)
-            else:
-                self._budgets.pop(config.name, None)
         if config.max_files is not None or config.max_bytes is not None:
             if self.quotas is None:
                 self.quotas = getattr(self.fs, "quotas", None) or QuotaManager()
@@ -480,11 +467,10 @@ class JobService:
                 config = self._tenants.get(key)
                 weight = config.weight if config is not None else 1.0
                 self._served[key] = self._served.get(key, 0.0) + 1.0 / weight
-                budget = self._budgets.get(key)
             item.handle._mark_running()
             worker = threading.Thread(
                 target=self._run_job,
-                args=(item, budget),
+                args=(item,),
                 name=f"jobservice-{item.handle.job_id}",
                 daemon=True,
             )
@@ -516,13 +502,12 @@ class JobService:
             return None
         return self._queues[best_key].pop(0)
 
-    def _run_job(self, item: _QueuedJob, budget: InflightBudget | None) -> None:
+    def _run_job(self, item: _QueuedJob) -> None:
         handle = item.handle
         conf = replace(item.job.conf, tenant=handle.tenant, priority=handle.priority)
         context = JobContext(
             cancel_event=handle._cancel_event,
             speculation_gate=self._speculation_open,
-            inflight_budget=budget,
             progress=handle._report_progress,
         )
         result: JobResult | None = None

@@ -143,8 +143,11 @@ class RpcServer:
         self._acceptor: threading.Thread | None = None
         self._lock = threading.Lock()
         self._running = False
-        #: Live connections and the thread serving each.
-        self._connections: dict[socket.socket, threading.Thread] = {}
+        #: Live connections.
+        self._connections: set[socket.socket] = set()
+        #: Connection threads not yet seen finished: stop() joins them all,
+        #: including one that already left ``_connections`` on its way out.
+        self._threads: set[threading.Thread] = set()
         #: Requests answered since start (monitoring/tests).
         self.requests_served = 0
         #: Connections dropped for protocol violations (bad frames).
@@ -189,7 +192,9 @@ class RpcServer:
                 if not self._running:
                     sock.close()
                     return
-                self._connections[sock] = thread
+                self._connections.add(sock)
+                self._threads = {t for t in self._threads if t.is_alive()}
+                self._threads.add(thread)
                 thread.start()  # under the lock: stop() joins only started threads
 
     def stop(self) -> None:
@@ -199,7 +204,8 @@ class RpcServer:
             if not self._running:
                 return
             self._running = False
-            connections = dict(self._connections)
+            connections = list(self._connections)
+            threads = set(self._threads)
         assert self._listener is not None and self._acceptor is not None
         try:
             self._listener.shutdown(socket.SHUT_RDWR)  # wakes accept()
@@ -213,7 +219,7 @@ class RpcServer:
             except OSError:
                 pass
         deadline = time.monotonic() + _STOP_GRACE_S
-        for thread in connections.values():
+        for thread in threads:
             if thread is not threading.current_thread():  # stop() as an RPC
                 thread.join(max(0.0, deadline - time.monotonic()))
 
@@ -249,7 +255,7 @@ class RpcServer:
             pass  # the client went away, or stop() shut the socket
         finally:
             with self._lock:
-                self._connections.pop(sock, None)
+                self._connections.discard(sock)
             sock.close()
 
     def _encode_response(self, response: Response) -> list:

@@ -132,25 +132,29 @@ class VersionGC:
     def _walk(
         self, roots: Iterable["NodeKey | None"]
     ) -> tuple[set[str], dict["PageKey", "PageDescriptor"]]:
-        """Reachable (node dht-keys, page descriptors) from ``roots``."""
+        """Reachable (node dht-keys, page descriptors) from ``roots``.
+
+        Level order: the unvisited nodes of one tree level are resolved
+        together (one ``get_many`` for those not cached), then their
+        children form the next frontier.
+        """
         manager = self._client.metadata_manager
-        nodes: set[str] = set()
+        seen: set["NodeKey"] = set()
         pages: dict["PageKey", "PageDescriptor"] = {}
-        stack = [root for root in roots if root is not None]
-        while stack:
-            key = stack.pop()
-            dht_key = key.dht_key()
-            if dht_key in nodes:
-                continue
-            nodes.add(dht_key)
-            node = manager.fetch(key)
-            if node.page is not None:
-                pages[node.page.key] = node.page
-            if node.left is not None:
-                stack.append(node.left)
-            if node.right is not None:
-                stack.append(node.right)
-        return nodes, pages
+        frontier = list({root for root in roots if root is not None})
+        while frontier:
+            seen.update(frontier)
+            children: set["NodeKey"] = set()
+            for node in manager.resolve(frontier):
+                if node.page is not None:
+                    pages[node.page.key] = node.page
+                children.update(
+                    child
+                    for child in (node.left, node.right)
+                    if child is not None and child not in seen
+                )
+            frontier = list(children)
+        return {key.dht_key() for key in seen}, pages
 
     def live_versions(self, blob_id: int) -> set[int]:
         """The versions of ``blob_id`` this collector would retain right now."""

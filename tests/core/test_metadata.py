@@ -133,7 +133,7 @@ class TestBuildAndLookup:
     def test_fetch_missing_node_raises_corruption(self, manager):
         missing = NodeKey(9, 9, 0, 4)
         with pytest.raises(MetadataCorruptionError):
-            manager.fetch(missing)
+            manager.lookup(missing, 0, 4)
 
     def test_multi_version_chain_remains_consistent(self, manager):
         root = None
@@ -170,7 +170,7 @@ def reference_lookup(manager, key, first, last, out):
     """The recursive one-node-at-a-time walk ``lookup`` replaced."""
     if key is None or key.hi <= first or key.lo >= last:
         return out
-    node = manager.fetch(key)
+    node = manager._dht.get(key.dht_key())
     if node.is_leaf:
         out[key.lo] = node.page
         return out

@@ -8,7 +8,7 @@ from repro.core.errors import PageNotFoundError, ProviderUnavailableError
 from repro.core.pages import PageDescriptor, PageKey
 from repro.core.provider import DataProvider
 from repro.core.provider_manager import ProviderManager
-from repro.core.replication import ReplicationManager, read_page, write_pages
+from repro.core.replication import ReplicationManager, read_pages, write_pages
 
 
 @pytest.fixture
@@ -45,30 +45,30 @@ class TestReadPage:
     def test_reads_from_replica(self, manager):
         write_pages(manager, [(KEY, b"payload", (1, 3))])
         descriptor = PageDescriptor(KEY, (1, 3), size=7)
-        assert read_page(manager, descriptor) == b"payload"
+        assert read_pages(manager, [descriptor])[0] == b"payload"
 
     def test_failover_to_second_replica(self, manager):
         write_pages(manager, [(KEY, b"payload", (1, 3))])
         manager.get(1).fail()
         descriptor = PageDescriptor(KEY, (1, 3), size=7)
-        assert read_page(manager, descriptor, policy="first") == b"payload"
+        assert read_pages(manager, [descriptor], policy="first")[0] == b"payload"
 
     def test_all_replicas_gone_raises(self, manager):
         descriptor = PageDescriptor(KEY, (0, 1), size=4)
         with pytest.raises(PageNotFoundError):
-            read_page(manager, descriptor)
+            read_pages(manager, [descriptor])
 
     @pytest.mark.parametrize("policy", ["least_loaded", "random", "first"])
     def test_policies_return_correct_data(self, manager, policy):
         write_pages(manager, [(KEY, b"abc", (0, 1, 2))])
         descriptor = PageDescriptor(KEY, (0, 1, 2), size=3)
-        assert read_page(manager, descriptor, policy=policy) == b"abc"
+        assert read_pages(manager, [descriptor], policy=policy)[0] == b"abc"
 
     def test_least_loaded_spreads_reads(self, manager):
         write_pages(manager, [(KEY, b"abc", (0, 1))])
         descriptor = PageDescriptor(KEY, (0, 1), size=3)
         for _ in range(10):
-            read_page(manager, descriptor, policy="least_loaded")
+            read_pages(manager, [descriptor], policy="least_loaded")
         reads_0 = manager.get(0).stats().pages_read
         reads_1 = manager.get(1).stats().pages_read
         assert abs(reads_0 - reads_1) <= 1

@@ -9,7 +9,6 @@ import pytest
 
 from repro.core.transfer import (
     ChunkBuffer,
-    InflightBudget,
     TransferEngine,
     default_engine,
     pipelined,
@@ -95,60 +94,14 @@ class TestTransferEngineMap:
     def test_accounting(self):
         engine = TransferEngine(2)
         try:
-            engine.map(lambda x: x, [1, 2, 3], costs=[10, 20, 30])
+            engine.map(lambda x: x, [1, 2, 3])
             assert engine.tasks_executed == 3
-            assert engine.bytes_transferred == 60
         finally:
             engine.close()
 
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError):
             TransferEngine(0)
-
-
-class TestInflightBudget:
-    def test_blocks_until_release(self):
-        budget = InflightBudget(100)
-        budget.acquire(80)
-        acquired = threading.Event()
-
-        def second():
-            budget.acquire(50)
-            acquired.set()
-
-        thread = threading.Thread(target=second, daemon=True)
-        thread.start()
-        time.sleep(0.05)
-        assert not acquired.is_set()
-        budget.release(80)
-        assert acquired.wait(timeout=5)
-        thread.join(timeout=5)
-
-    def test_oversized_request_admitted_when_idle(self):
-        budget = InflightBudget(10)
-        budget.acquire(1000)  # must not deadlock
-        assert budget.inflight == 1000
-        budget.release(1000)
-        assert budget.inflight == 0
-
-    def test_budget_enforced_through_engine_map(self):
-        budget = InflightBudget(100)
-        engine = TransferEngine(4, budget=budget)
-        peak = []
-        lock = threading.Lock()
-
-        def work(_i):
-            with lock:
-                peak.append(budget.inflight)
-            time.sleep(0.002)
-
-        try:
-            engine.map(work, range(20), costs=[60] * 20)
-            # 60-byte items against a 100-byte cap: never two in flight.
-            assert max(peak) <= 60
-            assert budget.inflight == 0
-        finally:
-            engine.close()
 
 
 class TestPipelined:
@@ -193,69 +146,6 @@ class TestPipelined:
             stream = pipelined((lambda i=i: i for i in range(50)), engine, depth=2)
             assert next(stream) == 0
             stream.close()  # must not hang or leak
-        finally:
-            engine.close()
-
-    def test_interleaved_streams_sharing_a_budget_never_deadlock(self):
-        # Regression: a single consumer alternating between streams that
-        # share one budget (the k-way merge shape) must keep progressing.
-        # Budget charging is non-blocking: an exhausted budget degrades a
-        # stream to a read-ahead of one instead of waiting on the other
-        # stream's held bytes, which that same consumer could never free.
-        budget = InflightBudget(700)  # far less than two full windows
-        engine = TransferEngine(4, budget=budget)
-
-        def make_stream():
-            return pipelined(
-                (lambda: b"x" * 600 for _ in range(5)),
-                engine,
-                depth=3,
-                budget=budget,
-                cost_hint=600,
-            )
-
-        try:
-            s1, s2 = make_stream(), make_stream()
-            got = 0
-            for _ in range(5):  # strict alternation on one thread
-                got += len(next(s1))
-                got += len(next(s2))
-            assert got == 2 * 5 * 600
-            assert budget.inflight == 0
-        finally:
-            engine.close()
-
-    def test_budget_bounds_extra_read_ahead(self):
-        budget = InflightBudget(100)
-        engine = TransferEngine(8)
-        started = []
-        lock = threading.Lock()
-
-        def make(i):
-            def fetch():
-                with lock:
-                    started.append(i)
-                return i
-
-            return fetch
-
-        try:
-            # cost_hint 100 == the whole budget: beyond the unconditional
-            # head fetch, at most one read-ahead slot can ever be charged.
-            stream = pipelined(
-                (make(i) for i in range(50)),
-                engine,
-                depth=8,
-                budget=budget,
-                cost_hint=100,
-            )
-            assert next(stream) == 0
-            time.sleep(0.05)
-            with lock:
-                eager = len(started)
-            assert eager <= 4
-            stream.close()
-            assert budget.inflight == 0
         finally:
             engine.close()
 

@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import errno
 import random
+import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import BlobSeer, BlobSeerConfig
 from repro.core.errors import AllocationError, ProviderUnavailableError
@@ -380,9 +383,81 @@ class TestClientStreaming:
         assert _drain(client.open_read(blob, version=v1)) == b"1" * (2 * PAGE)
         assert _drain(client.open_read(blob)) == b"1" * (2 * PAGE) + b"2" * PAGE
 
-    def test_stream_looks_up_only_the_windows_it_reaches(self, client, monkeypatch):
-        from repro.core.client import LOOKUP_WINDOW_PAGES as WINDOW
+    @given(
+        ops=st.lists(
+            st.one_of(
+                st.tuples(st.just("append"), st.integers(1, 3 * PAGE)),
+                # A page-aligned write 0-2 pages past the end: a hole.
+                st.tuples(st.just("write"), st.integers(0, 2), st.integers(1, 2 * PAGE)),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_stream_equals_one_read(self, ops, data):
+        with BlobSeer(
+            BlobSeerConfig(page_size=PAGE, num_providers=4, rng_seed=3)
+        ) as client:
+            blob = client.create_blob()
+            for op in ops:
+                if op[0] == "append":
+                    client.append(blob, _payload(op[1], seed=op[1]))
+                else:
+                    end_page = -(-client.get_size(blob) // PAGE)
+                    client.write(blob, (end_page + op[1]) * PAGE, _payload(op[2]))
+            version = data.draw(st.sampled_from(client.versions(blob)), label="version")
+            blob_size = client.get_size(blob, version)
+            offset = data.draw(st.integers(0, blob_size), label="offset")
+            size = data.draw(st.integers(0, blob_size - offset), label="size")
+            chunk_size = data.draw(
+                st.one_of(
+                    st.integers(1, 5 * PAGE), st.sampled_from([PAGE, 2 * PAGE, 3 * PAGE])
+                ),
+                label="chunk_size",
+            )
+            chunks = [
+                bytes(chunk)
+                for chunk in client.open_read(
+                    blob, offset, size, version=version, chunk_size=chunk_size
+                )
+            ]
+            assert b"".join(chunks) == client.read(blob, offset, size, version=version)
+            window = max(chunk_size // PAGE, 1) * PAGE
+            assert all(0 < len(chunk) <= window for chunk in chunks)
+            position = offset
+            for chunk in chunks[:-1]:
+                position += len(chunk)
+                assert position % window == 0
 
+    def test_concurrent_streams_on_a_small_pool_all_finish(self):
+        # Each window's fetch runs on the pool and fans out through a
+        # nested engine.map: with two workers and six streams, every
+        # worker can be inside a window fetch at once, and the nested map
+        # must still drain on its calling thread.
+        client = BlobSeer(
+            BlobSeerConfig(page_size=PAGE, num_providers=6, transfer_workers=2, rng_seed=41)
+        )
+        blob = client.create_blob()
+        data = _payload(40 * PAGE + 123, seed=43)
+        client.append(blob, data)
+        results: dict[int, bytes] = {}
+
+        def stream(index: int) -> None:
+            results[index] = _drain(client.open_read(blob, chunk_size=4 * PAGE))
+
+        threads = [threading.Thread(target=stream, args=(i,), daemon=True) for i in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == dict.fromkeys(range(6), data)
+        client.close()
+
+    def test_stream_looks_up_only_the_windows_it_reaches(self, client, monkeypatch):
+        WINDOW = 8  # pages per chunk
         blob = client.create_blob()
         data = _payload(5 * WINDOW * PAGE, seed=11)
         client.append(blob, data)
@@ -395,42 +470,37 @@ class TestClientStreaming:
 
         monkeypatch.setattr(client.metadata_manager, "lookup", recorded)
         # Opened to the end of the blob (as a record reader opens a split),
-        # mid-window, but abandoned after three pages.
+        # mid-window, but abandoned after the first chunk.
         offset = (WINDOW + 5) * PAGE + 7
-        stream = client.open_read(blob, offset, read_ahead=2)
+        stream = client.open_read(blob, offset, chunk_size=WINDOW * PAGE)
         assert ranges == []  # nothing is looked up before the first chunk
-        head = b"".join(bytes(next(stream)) for _ in range(3))
+        head = bytes(next(stream))
         stream.close()
-        assert head == data[offset : (WINDOW + 8) * PAGE]
-        assert ranges == [(WINDOW + 5, 2 * WINDOW)]
+        assert head == data[offset : 2 * WINDOW * PAGE]
+        # The window it fetched, plus at most the one read ahead of it.
+        assert ranges[0] == (WINDOW + 5, 2 * WINDOW)
+        assert set(ranges) <= {(WINDOW + 5, 2 * WINDOW), (2 * WINDOW, 3 * WINDOW)}
         # Read to the end, the windows are aligned and cover the rest once.
         del ranges[:]
-        assert _drain(client.open_read(blob, offset)) == data[offset:]
-        assert ranges == [
+        assert _drain(client.open_read(blob, offset, chunk_size=WINDOW * PAGE)) == data[offset:]
+        assert sorted(ranges) == [
             (WINDOW + 5, 2 * WINDOW),
             (2 * WINDOW, 3 * WINDOW),
             (3 * WINDOW, 4 * WINDOW),
             (4 * WINDOW, 5 * WINDOW),
         ]
 
-    def test_interleaved_streams_with_tight_inflight_budget(self):
-        # Regression (review finding): with max_inflight_bytes smaller
-        # than two read-ahead windows, one thread alternating between two
-        # open_read streams used to deadlock in budget.acquire — the
-        # paused stream held bytes only this same thread could release.
+    def test_interleaved_streams_on_one_thread(self):
+        # Regression: one thread alternating between two open_read
+        # streams (the k-way merge shape) must keep both progressing.
         client = BlobSeer(
-            BlobSeerConfig(
-                page_size=PAGE,
-                num_providers=4,
-                max_inflight_bytes=PAGE,  # one page: no spare read-ahead
-                rng_seed=31,
-            )
+            BlobSeerConfig(page_size=PAGE, num_providers=4, rng_seed=31)
         )
         blob = client.create_blob()
         data = _payload(6 * PAGE, seed=29)
         client.append(blob, data)
-        s1 = client.open_read(blob)
-        s2 = client.open_read(blob)
+        s1 = client.open_read(blob, chunk_size=PAGE)
+        s2 = client.open_read(blob, chunk_size=PAGE)
         got1, got2 = bytearray(), bytearray()
         for _ in range(6):
             got1 += bytes(next(s1))
@@ -451,7 +521,7 @@ class TestClientStreaming:
         blob = client.create_blob()
         data = _payload(8 * PAGE, seed=9)
         client.append(blob, data)
-        stream = client.open_read(blob, read_ahead=1)
+        stream = client.open_read(blob, chunk_size=PAGE)
         got = bytearray(bytes(next(stream)))
         # Kill one provider mid-stream: every page has a second replica, so
         # the remaining chunks must keep arriving, byte-identical.

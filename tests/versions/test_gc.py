@@ -157,6 +157,31 @@ class TestCollect:
         assert client.read_all(blob)[:PAGE] == bytes([1]) * PAGE
 
 
+class TestMarkRoundTrips:
+    def test_mark_walks_the_tree_level_by_level(self):
+        client = make_client()
+        blob = client.create_blob()
+        client.append(blob, b"a" * (16 * PAGE))  # depth 4: spans 16, 8, 4, 2, 1
+        churn(client, blob, 3)  # three more roots sharing most of the tree
+        warm = client.gc.plan(blob)
+        client.metadata_manager.forget_blob(blob)  # an empty node cache
+        calls = {"get": 0, "get_many": 0}
+        dht = client.dht
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(dht, name)):
+                calls[_name] += 1
+                return _fn(*args)
+
+            setattr(dht, name, counted)
+        cold = client.gc.plan(blob)
+        assert calls["get"] == 0
+        assert 0 < calls["get_many"] <= 4 + 1  # one per tree level
+        assert cold.live_versions == warm.live_versions
+        assert cold.dead_nodes == warm.dead_nodes
+        assert set(cold.dead_pages) == set(warm.dead_pages)
+        assert cold.live_pages == warm.live_pages == 16 + 3
+
+
 class TestInflightWriters:
     def test_inflight_floor_protects_base_versions(self):
         client = make_client(max_versions_kept=1)
