@@ -290,6 +290,28 @@ class TestSequentialReadAhead:
         assert stream.pread(0, BLOCK) == data
 
 
+class TestOpenReadStream:
+    def test_chunks_are_windows_of_the_requested_chunk_size(self, bsfs: BSFS):
+        # open_read hands its chunk_size to the blob stream: every chunk
+        # but the last ends on a chunk_size multiple of the file offset.
+        page = bsfs.blobseer.config.page_size
+        chunk_size = 2 * page
+        data = bytes(range(256)) * (3 * BLOCK // 256) + b"t" * 777
+        bsfs.write_file("/win.bin", data)
+        offset = page + 5
+        chunks = [
+            bytes(chunk)
+            for chunk in bsfs.open_read("/win.bin", offset=offset, chunk_size=chunk_size)
+        ]
+        assert b"".join(chunks) == data[offset:]
+        ends = [offset]
+        for chunk in chunks:
+            ends.append(ends[-1] + len(chunk))
+        assert ends[1] == chunk_size
+        assert all(end % chunk_size == 0 for end in ends[1:-1])
+        assert all(0 < len(chunk) <= chunk_size for chunk in chunks)
+
+
 class TestSingleFlightBlockFetch:
     """Each block of a scan is read from the blob once, however the demand
     reads, the read-ahead and a second reader interleave."""

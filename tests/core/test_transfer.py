@@ -164,6 +164,33 @@ class TestPipelined:
             engine.close()
 
 
+    def test_fetches_may_map_on_a_saturated_pool(self):
+        # The rule pipelined documents: a fetch may fan out through
+        # engine.map while every worker is itself running a fetch, because
+        # the calling thread drains its own items.
+        engine = TransferEngine(2)
+
+        def make(i):
+            def part(j):
+                time.sleep(0.001)
+                return i * 10 + j
+
+            return lambda: sum(engine.map(part, range(5)))
+
+        results: list[int] = []
+
+        def consume():
+            results.extend(pipelined((make(i) for i in range(12)), engine, depth=4))
+
+        consumer = threading.Thread(target=consume, daemon=True)
+        try:
+            consumer.start()
+            consumer.join(timeout=30)
+            assert not consumer.is_alive()
+            assert results == [sum(i * 10 + j for j in range(5)) for i in range(12)]
+        finally:
+            engine.close()
+
 class TestChunkBuffer:
     def test_append_take_roundtrip(self):
         buffer = ChunkBuffer()

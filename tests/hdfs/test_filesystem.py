@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.core.errors import ProviderUnavailableError
 from repro.core import KB
 from repro.fs.errors import InvalidRangeError, UnsupportedOperationError
 from repro.hdfs import HDFS, DefaultPlacementPolicy
+from repro.hdfs.filesystem import READ_AHEAD_CHUNKS
 
 BLOCK = 16 * KB
 
@@ -113,6 +116,28 @@ class TestReads:
         hdfs.namenode.datanode(meta.locations[0]).fail()
         with pytest.raises(ProviderUnavailableError):
             hdfs.read_file("/doomed.bin")
+
+
+    def test_open_read_fetches_at_most_read_ahead_chunks_ahead(
+        self, hdfs: HDFS, monkeypatch
+    ):
+        data = bytes(range(256)) * (4 * BLOCK // 256)
+        hdfs.write_file("/ahead.bin", data, replication=1)
+        fetched: list[int] = []
+        read_block = hdfs._read_block
+
+        def recorded(meta, offset, length, client_host):
+            fetched.append(offset)
+            return read_block(meta, offset, length, client_host)
+
+        monkeypatch.setattr(hdfs, "_read_block", recorded)
+        stream = hdfs.open_read("/ahead.bin", chunk_size=BLOCK // 8)
+        assert fetched == []  # nothing is read before the first chunk
+        first = bytes(next(stream))
+        time.sleep(0.05)  # give a runaway read-ahead time to show
+        assert 1 <= len(fetched) <= READ_AHEAD_CHUNKS
+        assert first + b"".join(bytes(chunk) for chunk in stream) == data
+        assert len(fetched) == 32
 
 
 class TestNamenodeBookkeeping:

@@ -385,3 +385,26 @@ class TestTcpConnectionContract:
         server.stop()
         assert set(threading.enumerate()) - threads_before == set()
         assert len(os.listdir("/proc/self/fd")) == fds_before
+
+
+    def test_stop_joins_a_connection_thread_already_out_of_the_set(self, registry):
+        # A connection thread leaves the connection set on client EOF a
+        # moment before it exits; a stop() in that moment must join it.
+        served: list[threading.Thread] = []
+        leaving = threading.Event()
+
+        class LingeringServer(RpcServer):
+            def _serve(self, sock):
+                served.append(threading.current_thread())
+                super()._serve(sock)
+                leaving.set()
+                time.sleep(0.3)
+
+        server = LingeringServer(registry)
+        host, port = server.start()
+        transport = TcpTransport(host, port)
+        assert transport.call("echo", "echo", 7) == 7
+        transport.close()
+        assert leaving.wait(5)
+        server.stop()
+        assert served and not any(thread.is_alive() for thread in served)
