@@ -11,8 +11,8 @@ re-replicated until a read returns byte-identical data.
 
 ``tcp-rpc`` prices one small round trip, so it predicts the end-to-end
 cell ``append-shared`` ``op_p50_ms`` of ``benchmarks/e2e``: each append
-is two small RPCs (a metadata ``put_many`` beside a boundary-page
-``put_pages``), and their per-call cost sets that latency.
+is two small RPCs (the ``put_pages`` of its extent, then the metadata
+``put_many``), and their per-call cost sets that latency.
 
 The bulk row is best of three passes: best-of filters scheduling
 hiccups of a shared host.

@@ -1,13 +1,18 @@
 #!/usr/bin/env python3
-"""Print the design-size numbers of the package: code lines and public names.
+"""Print the design-size numbers of the package: lines, public names, knobs.
 
 * ``src_lines`` — lines in every ``src/**/*.py`` file, the count
   ``find src -name '*.py' | xargs cat | wc -l`` gives;
 * ``public_symbols`` — names listed in every module-level ``__all__``
-  under ``src/repro``, read with ``ast`` so nothing is imported.
+  under ``src/repro``;
+* ``settable_values`` — the fields of every ``*Config`` / ``*Conf``
+  dataclass plus the keyword parameters (those with a default, and every
+  keyword-only one) of the public callables a module defines and lists in
+  its ``__all__``: functions, and classes through their ``__init__``.
 
-Both should trend down as duplicate paths are deleted.  The script only
-reports; it gates nothing.
+Everything is read with ``ast``, so nothing is imported.  All three should
+trend down as duplicate paths and unused knobs are deleted.  The script
+only reports; it gates nothing.
 
 Usage:
     python scripts/design_stats.py
@@ -44,10 +49,50 @@ def public_symbols(package: Path) -> int:
     return sum(len(all_names(path)) for path in package.rglob("*.py"))
 
 
+def keyword_parameters(function: ast.FunctionDef | ast.AsyncFunctionDef) -> int:
+    """Parameters of ``function`` a caller may set by keyword to change a default."""
+    args = function.args
+    return len(args.defaults) + len(args.kwonlyargs)
+
+
+def is_config(node: ast.ClassDef) -> bool:
+    """Whether ``node`` is a ``*Config`` / ``*Conf`` dataclass."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return node.name.endswith(("Config", "Conf")) and any(
+        getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators
+    )
+
+
+def settable_values(package: Path) -> int:
+    """Config dataclass fields plus keyword parameters of public callables."""
+    total = 0
+    for path in package.rglob("*.py"):
+        public = set(all_names(path))
+        for node in ast.parse(path.read_bytes(), filename=str(path)).body:
+            if isinstance(node, ast.ClassDef) and is_config(node):
+                total += sum(
+                    isinstance(item, ast.AnnAssign)
+                    and "ClassVar" not in ast.unparse(item.annotation)
+                    for item in node.body
+                )
+            elif getattr(node, "name", None) not in public:
+                continue
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                total += keyword_parameters(node)
+            elif isinstance(node, ast.ClassDef):
+                total += sum(
+                    keyword_parameters(item)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and item.name == "__init__"
+                )
+    return total
+
+
 def main() -> int:
     stats = {
         "src_lines": src_lines(SRC),
         "public_symbols": public_symbols(SRC / "repro"),
+        "settable_values": settable_values(SRC / "repro"),
     }
     print(json.dumps(stats, indent=2))
     return 0

@@ -23,12 +23,15 @@ Write protocol (mirrors the paper's description of BlobSeer):
 
 1. obtain a write ticket (version number + resolved offset) from the
    version manager — the only serialized step;
-2. push the interior, page-aligned data to the data providers chosen by the
-   provider manager's load-balancing strategy — fully concurrent across
-   writers;
-3. wait for the base version to be published, merge boundary pages if the
-   write was not page-aligned, and build the new metadata tree (sharing
-   every untouched subtree with the base version);
+2. push the write's bytes of every page it touches to the data providers
+   chosen by the provider manager's load-balancing strategy — fully
+   concurrent across writers.  A page the write covers only in part (the
+   head or tail of an unaligned write) is stored as an *extent* holding
+   just the write's bytes, so nothing is read back;
+3. wait for the base version to be published, list each partial page's
+   extent after the base version's extents of that page (compacting a
+   leaf that would exceed :data:`MAX_PAGE_EXTENTS`), and build the new
+   metadata tree, sharing every untouched subtree with the base version;
 4. report the new root to the version manager, which publishes versions in
    ticket order.
 """
@@ -49,8 +52,8 @@ from .errors import (
     InvalidRangeError,
     PageNotFoundError,
 )
-from .metadata import BlobLRU, MetadataManager, NodeKey, next_power_of_two
-from .pages import PageDescriptor, PageKey, page_range_for_bytes
+from .metadata import MetadataManager, NodeKey, next_power_of_two
+from .pages import PageDescriptor, PageKey, overlay, page_range_for_bytes
 from .persistence import LogStructuredStore, MemoryStore
 from .provider import DataProvider
 from .provider_manager import ProviderManager
@@ -66,10 +69,10 @@ from ..versions.retention import RetentionPolicy
 
 __all__ = ["PageLocation", "BlobSeer"]
 
-#: Bytes of partial pages — blob tails — one :class:`BlobSeer` keeps after
-#: pushing them, so the next append merges its boundary page without
-#: reading it back: 16 tails at the default 256 KiB page.
-TAIL_CACHE_BYTES = 4 * 1024 * 1024
+#: Most extents one leaf lists.  A write that would make a leaf longer
+#: stores the whole page again instead; 64 KiB appends fill a 256 KiB
+#: page in 4.
+MAX_PAGE_EXTENTS = 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,9 +151,6 @@ class BlobSeer:
         self.transfer = TransferEngine(self.config.transfer_workers, name="blobseer-io")
         self._rng = random.Random(self.config.rng_seed)
         self._rng_lock = threading.Lock()
-        #: Partial pages this client pushed, by key; a key is written once,
-        #: so an entry never goes stale.
-        self._tail_pages = BlobLRU(TAIL_CACHE_BYTES, weight=len)
         #: Snapshot lifecycle: pins protect published versions from the
         #: collector (and the blob from deletion); the retention policy and
         #: collector turn `max_versions_kept` / `version_ttl_seconds` into
@@ -226,23 +226,15 @@ class BlobSeer:
         ``pins.wait_for_drain(blob_id)`` or defer through
         ``pins.on_drain``.
         """
-        # Collect pages of every published version before forgetting the blob.
-        roots = self.version_manager.snapshot_roots(blob_id)
-        page_size = self.blob_info(blob_id).page_size
-        keys: set[PageKey] = set()
-        for version, root in roots.items():
-            size = self.version_manager.size(blob_id, version)
-            total_pages = (size + page_size - 1) // page_size
-            for descriptor in self.metadata_manager.lookup(
-                root, 0, total_pages
-            ).values():
-                keys.add(descriptor.key)
+        # Collect the extents of every published version before forgetting
+        # the blob.
+        roots = self.version_manager.snapshot_roots(blob_id).values()
+        keys = list(self.metadata_manager.reachable(roots)[1])
         self.version_manager.delete_blob(blob_id)
         self.metadata_manager.forget_blob(blob_id)
-        self._tail_pages.drop_blob(blob_id)
         for provider in self.provider_manager.providers if keys else ():
             try:
-                provider.remove_pages(list(keys))
+                provider.remove_pages(keys)
             except Exception:
                 continue
             finally:
@@ -329,226 +321,142 @@ class BlobSeer:
         data: bytes,
         client_hint: int | None,
     ) -> int:
-        blob_id = ticket.blob_id
-        info = self.blob_info(blob_id)
-        page_size = info.page_size
+        info = self.blob_info(ticket.blob_id)
         try:
-            written, boundary, targets = self._transfer_pages(
-                ticket, data, page_size, info, client_hint
-            )
-            if boundary:
-                root = self._store_beside_push(ticket, written, boundary, targets, page_size)
-            else:
-                root = self._build_metadata(ticket, written, page_size)
+            extents = self._push_extents(ticket, data, info, client_hint)
+            base = self._base_of(ticket)
+            leaves = self._leaves(ticket, data, extents, base, info.page_size)
+            root = self._build_metadata(ticket, base, leaves, info.page_size)
         except Exception:
             self.version_manager.abort(ticket)
             raise
         self.version_manager.publish(ticket, root)
         return ticket.version
 
-    def _store_beside_push(
-        self,
-        ticket: WriteTicket,
-        written: dict[int, PageDescriptor],
-        boundary: dict[int, bytes],
-        targets: dict[int, tuple[int, ...]],
-        page_size: int,
-    ) -> NodeKey | None:
-        """Push the boundary pages while the new version's nodes are stored.
-
-        The store runs on the descriptors the allocation predicts.  If a
-        replica failed or a page was re-placed, the nodes are built and
-        stored again over the first ones before the caller publishes: the
-        version is unpublished, so nobody has read them.  The engine's
-        ``map`` returns, or raises, only once neither thunk is running, so
-        an aborting caller never races its own push.
-        """
-        predicted = dict(written)
-        for index, page in boundary.items():
-            key = PageKey(ticket.blob_id, ticket.version, index)
-            predicted[index] = PageDescriptor(key, targets[index], len(page))
-        root, pushed = self.transfer.map(
-            lambda thunk: thunk(),
-            [
-                lambda: self._build_metadata(ticket, predicted, page_size),
-                lambda: self._push_pages(ticket, boundary, targets, page_size),
-            ],
-        )
-        if any(predicted[index] != descriptor for index, descriptor in pushed.items()):
-            root = self._build_metadata(ticket, {**written, **pushed}, page_size)
-        return root
-
-    def _transfer_pages(
+    def _push_extents(
         self,
         ticket: WriteTicket,
         data: bytes,
-        page_size: int,
         info: BlobInfo,
         client_hint: int | None,
-    ) -> tuple[dict[int, PageDescriptor], dict[int, bytes], dict[int, tuple[int, ...]]]:
-        """Push the write's interior pages and merge its boundary pages.
+    ) -> dict[int, PageDescriptor]:
+        """Store the write's bytes of every page it touches; returns the extents.
 
-        Interior pages go out first, as one bulk call per provider running
+        Every page goes out at once, as one bulk call per provider running
         concurrently on the deployment's transfer engine, so one large
-        write stripes across the provider pool.  Boundary pages are merged
-        once the base version is published and returned unpushed.  Returns
-        ``(written, boundary, targets)``: the interior descriptors, the
-        boundary pages by index, and every page's allocated providers.
+        write stripes across the provider pool.  Each piece is a copy-free
+        view of ``data``, and none needs another writer's bytes: the head
+        and tail of an unaligned write are stored as they are and overlaid
+        on the base version's pages only in the metadata.
         """
-        offset = ticket.offset
-        end = offset + len(data)
-        page_range = page_range_for_bytes(offset, len(data), page_size)
-        first_page, last_page = page_range.first, page_range.last
-        head_unaligned = offset % page_size != 0
-        tail_unaligned = end % page_size != 0 and end < ticket.new_size
-
+        page_size = info.page_size
+        page_range = page_range_for_bytes(ticket.offset, len(data), page_size)
         allocation = self.provider_manager.allocate(
             len(page_range), info.replication, client_hint=client_hint
         )
-        targets = dict(zip(page_range, allocation))
-        boundary_indices: list[int] = []
-        if head_unaligned:
-            boundary_indices.append(first_page)
-        if tail_unaligned and (last_page - 1) not in boundary_indices:
-            boundary_indices.append(last_page - 1)
+        view, end = memoryview(data), ticket.offset + len(data)
+        pieces = {}
+        for index, providers in zip(page_range, allocation):
+            page_start = index * page_size
+            lo, hi = max(ticket.offset, page_start), min(end, page_start + page_size)
+            piece = view[lo - ticket.offset : hi - ticket.offset]
+            pieces[index] = (lo - page_start, piece, providers)
+        return self._store(ticket, pieces)
 
-        # Interior (fully covered) pages can be transferred immediately,
-        # concurrently with other writers.
-        interior = [p for p in page_range if p not in boundary_indices]
-        written = self._push_pages(
-            ticket, self._page_views(ticket, data, interior, page_size), targets, page_size
-        )
-
-        boundary: dict[int, bytes] = {}
-        if boundary_indices:
-            # Boundary pages need the base version's bytes: wait for it.
-            self._wait_for_base(ticket)
-            base_info = self.version_manager.version_info(
-                ticket.blob_id, ticket.base_version
-            )
-            rng = self._op_rng()
-            boundary = {
-                page_index: self._merge_boundary_page(
-                    ticket,
-                    data,
-                    page_index,
-                    page_size,
-                    base_info.root,
-                    base_info.size,
-                    rng=rng,
-                )
-                for page_index in boundary_indices
-            }
-        return written, boundary, targets
-
-    @staticmethod
-    def _page_views(
-        ticket: WriteTicket, data: bytes, indices: list[int], page_size: int
-    ) -> dict[int, memoryview]:
-        """Copy-free views of the fully covered pages ``indices`` of a write."""
-        view, start = memoryview(data), ticket.offset
-        pages = {}
-        for index in indices:
-            end = min((index + 1) * page_size, ticket.new_size)
-            pages[index] = view[index * page_size - start : end - start]
-        return pages
-
-    def _push_pages(
+    def _store(
         self,
         ticket: WriteTicket,
-        pages: dict[int, bytes | memoryview],
-        targets: dict[int, tuple[int, ...]],
-        page_size: int,
+        pieces: dict[int, tuple[int, bytes | bytearray | memoryview, Sequence[int]]],
     ) -> dict[int, PageDescriptor]:
-        """Store ``{page index: bytes}`` with one bulk call per provider.
-
-        A stored partial page — the blob's tail — is kept in the tail
-        cache, for the next append's boundary merge.
-        """
-        keys = {index: PageKey(ticket.blob_id, ticket.version, index) for index in pages}
+        """Store ``{page index: (offset in page, bytes, providers)}`` under the
+        ticket's keys, with one bulk call per provider."""
+        keys = {index: PageKey(ticket.blob_id, ticket.version, index) for index in pieces}
         stored = write_pages(
             self.provider_manager,
-            [(keys[index], page, targets[index]) for index, page in pages.items()],
+            [(keys[index], piece, targets) for index, (_, piece, targets) in pieces.items()],
             engine=self.transfer,
         )
-        self._tail_pages.put_many(
-            (keys[index], bytes(page)) for index, page in pages.items() if len(page) < page_size
-        )
         return {
-            index: PageDescriptor(key=keys[index], providers=ids, size=len(pages[index]))
-            for index, ids in zip(pages, stored)
+            index: PageDescriptor(keys[index], ids, len(piece), offset)
+            for (index, (offset, piece, _)), ids in zip(pieces.items(), stored)
         }
 
-    def _wait_for_base(self, ticket: WriteTicket) -> None:
+    def _base_of(self, ticket: WriteTicket) -> VersionInfo:
+        """The ticket's base version, once it is published."""
         if ticket.base_version > 0:
             self.version_manager.wait_for_publication(
                 ticket.blob_id, ticket.base_version
             )
+        return self.version_manager.version_info(ticket.blob_id, ticket.base_version)
 
-    def _merge_boundary_page(
+    def _leaves(
         self,
         ticket: WriteTicket,
         data: bytes,
-        page_index: int,
+        extents: dict[int, PageDescriptor],
+        base: VersionInfo,
         page_size: int,
-        base_root: NodeKey | None,
-        base_size: int,
-        *,
-        rng: random.Random,
-    ) -> bytes:
-        """Combine the new bytes of a partially covered page with the base bytes."""
-        offset, end = ticket.offset, ticket.offset + len(data)
-        page_start = page_index * page_size
-        page_end = min(page_start + page_size, max(ticket.new_size, base_size))
-        page_len = page_end - page_start
-        # Existing content of this page in the base version (zero-filled holes).
-        existing = bytearray(page_len)
-        if base_root is not None and page_start < base_size:
-            base_descriptors = self.metadata_manager.lookup(
-                base_root, page_index, page_index + 1
-            )
-            descriptor = base_descriptors.get(page_index)
-            if descriptor is not None:
-                # A tail this client pushed needs no read-back.
-                old = self._tail_pages.get_many([descriptor.key]).get(descriptor.key)
-                if old is None:
-                    [old] = read_pages(
-                        self.provider_manager,
-                        [descriptor],
-                        policy=self.config.read_replica_policy,
-                        rng=rng,
-                    )
-                existing[: len(old)] = old
-        # Overlay the new bytes.
-        new_lo = max(offset, page_start)
-        new_hi = min(end, page_end)
-        existing[new_lo - page_start : new_hi - page_start] = data[
-            new_lo - offset : new_hi - offset
-        ]
-        # Trim to the page's actual length within the new blob size.
-        actual_len = min(page_size, ticket.new_size - page_start)
-        return bytes(existing[:actual_len])
+    ) -> dict[int, tuple[PageDescriptor, ...]]:
+        """The new leaf of every page the write touched.
+
+        An extent that fills its page is the whole leaf.  Any other goes
+        after the base leaf's extents, less those it hides entirely; a
+        leaf that would list more than :data:`MAX_PAGE_EXTENTS` is
+        compacted into one extent.
+        """
+        leaves = {}
+        for index, extent in extents.items():
+            leaf: tuple[PageDescriptor, ...] = (extent,)
+            page_len = min(page_size, ticket.new_size - index * page_size)
+            if extent.offset > 0 or extent.size < page_len:
+                below = self.metadata_manager.lookup(base.root, index, index + 1)
+                leaf = tuple(e for e in below.get(index, ()) if not extent.covers(e)) + leaf
+            if len(leaf) > MAX_PAGE_EXTENTS:
+                leaf = (self._compact(ticket, data, extent, base, page_size),)
+            leaves[index] = leaf
+        return leaves
+
+    def _compact(
+        self,
+        ticket: WriteTicket,
+        data: bytes,
+        extent: PageDescriptor,
+        base: VersionInfo,
+        page_size: int,
+    ) -> PageDescriptor:
+        """Store ``extent``'s whole page again under the extent's own key.
+
+        The page's bytes at the base version, overlaid with the write's,
+        replace the extent on its providers.  The version is unpublished,
+        so nobody has read the extent yet.
+        """
+        page_start = extent.index * page_size
+        page = bytearray(min(page_size, ticket.new_size - page_start))
+        below = min(page_size, base.size - page_start)
+        if below > 0:
+            page[:below] = self._read_range(base, page_size, page_start, below)
+        lo = page_start + extent.offset - ticket.offset
+        page[extent.offset : extent.end] = memoryview(data)[lo : lo + extent.size]
+        pieces = {extent.index: (0, page, extent.providers)}
+        return self._store(ticket, pieces)[extent.index]
 
     def _build_metadata(
         self,
         ticket: WriteTicket,
-        written: dict[int, PageDescriptor],
+        base: VersionInfo,
+        leaves: dict[int, tuple[PageDescriptor, ...]],
         page_size: int,
     ) -> NodeKey | None:
-        """Wait for the base version and derive the new metadata tree from it."""
-        self._wait_for_base(ticket)
-        base_info = self.version_manager.version_info(
-            ticket.blob_id, ticket.base_version
-        )
-        base_pages = (base_info.size + page_size - 1) // page_size
+        """Derive the new metadata tree from the published base version."""
+        base_pages = (base.size + page_size - 1) // page_size
         base_capacity = next_power_of_two(base_pages) if base_pages else 1
         total_pages = (ticket.new_size + page_size - 1) // page_size
         return self.metadata_manager.build_version(
             ticket.blob_id,
             ticket.version,
-            written,
+            leaves,
             total_pages,
-            base_root=base_info.root,
+            base_root=base.root,
             base_capacity=base_capacity,
         )
 
@@ -590,31 +498,37 @@ class BlobSeer:
         """The bytes of a non-empty, validated range of the version ``info``.
 
         One metadata lookup for the range's pages, one bulk ``get_pages``
-        call per provider, then one join.
+        call per provider for the extents the range shows, then one join.
         """
         page_range = page_range_for_bytes(offset, size, page_size)
-        descriptors = self.metadata_manager.lookup(
+        leaves = self.metadata_manager.lookup(
             info.root, page_range.first, page_range.last
         )
+        end = offset + size
+        segments = []
+        for page_index in page_range:
+            page_start = page_index * page_size
+            lo, hi = max(offset - page_start, 0), min(end - page_start, page_size)
+            segments += overlay(leaves.get(page_index, ()), lo, hi)
+        # An extent may show in several segments of its page; fetch it once.
+        shown = {id(extent): extent for _, _, extent in segments if extent}
         found = read_pages(
             self.provider_manager,
-            descriptors.values(),
+            shown.values(),
             policy=self.config.read_replica_policy,
             rng=self._op_rng(),
             engine=self.transfer,
         )
-        pages = dict(zip(descriptors, found))
-        # One copy: every page adds a view of the bytes the range covers
-        # (zeros for holes and short pages) to a single join.
-        end = offset + size
+        pieces = dict(zip(shown, found))
+        # One copy: every segment adds a view of its extent's bytes (zeros
+        # where no extent lies) to a single join.
         parts: list[bytes | memoryview] = []
-        for page_index in page_range:
-            page_start = page_index * page_size
-            lo, hi = max(offset - page_start, 0), min(end - page_start, page_size)
-            data = pages.get(page_index, b"")
-            parts.append(memoryview(data)[lo:hi])
-            if len(data) < hi:
-                parts.append(bytes(hi - max(lo, len(data))))
+        for start, stop, extent in segments:
+            if extent:
+                data = memoryview(pieces[id(extent)])
+                parts.append(data[start - extent.offset : stop - extent.offset])
+            else:
+                parts.append(bytes(stop - start))
         return b"".join(parts)
 
     def read_all(self, blob_id: int, *, version: int | None = None) -> bytes:
@@ -686,16 +600,19 @@ class BlobSeer:
         size = min(size, max(info.size - offset, 0))
         page_size = self.blob_info(blob_id).page_size
         page_range = page_range_for_bytes(offset, size, page_size)
-        descriptors = self.metadata_manager.lookup(
+        leaves = self.metadata_manager.lookup(
             info.root, page_range.first, page_range.last
         )
         locations: list[PageLocation] = []
-        for page_index in page_range:
-            descriptor = descriptors.get(page_index)
-            if descriptor is None:
-                continue
+        for page_index, leaf in sorted(leaves.items()):
+            # The providers of a page's extents, most bytes held first.
+            held: dict[int, int] = {}
+            for extent in leaf:
+                for provider_id in extent.providers:
+                    held[provider_id] = held.get(provider_id, 0) + extent.size
+            providers = tuple(sorted(held, key=lambda pid: -held[pid]))
             hosts = []
-            for provider_id in descriptor.providers:
+            for provider_id in providers:
                 try:
                     hosts.append(self.provider_manager.get(provider_id).host)
                 except Exception:
@@ -704,42 +621,42 @@ class BlobSeer:
                 PageLocation(
                     page_index=page_index,
                     offset=page_index * page_size,
-                    size=descriptor.size,
-                    providers=descriptor.providers,
+                    size=max(extent.end for extent in leaf),
+                    providers=providers,
                     hosts=tuple(hosts),
                 )
             )
         return locations
 
     # ------------------------------------------------------------ fault tolerance
+    def _leaves_of(
+        self, info: VersionInfo, page_size: int
+    ) -> dict[int, tuple[PageDescriptor, ...]]:
+        """Every leaf of the version ``info``, by page index."""
+        return self.metadata_manager.lookup(info.root, 0, -(-info.size // page_size))
+
     def scrub(self, blob_id: int, *, version: int | None = None):
-        """Scrub a version's pages; see :class:`ReplicationManager.scrub`."""
+        """Scrub a version's extents; see :class:`ReplicationManager.scrub`."""
         info = self.version_manager.version_info(blob_id, version)
-        page_size = self.blob_info(blob_id).page_size
-        total_pages = (info.size + page_size - 1) // page_size
-        descriptors = self.metadata_manager.lookup(info.root, 0, total_pages)
+        blob = self.blob_info(blob_id)
+        leaves = self._leaves_of(info, blob.page_size)
         return self.replication_manager.scrub(
-            descriptors.values(),
-            target_replication=self.blob_info(blob_id).replication,
+            (extent for leaf in leaves.values() for extent in leaf),
+            target_replication=blob.replication,
         )
 
     def repair(self, blob_id: int, *, version: int | None = None) -> int:
-        """Re-replicate under-replicated pages and publish a repaired version.
+        """Re-replicate under-replicated extents and publish a repaired version.
 
         The repaired version has identical content but updated page
         placement; it becomes the new latest version.  Returns the new
         version number (or the current one when nothing needed healing).
         """
         info = self.version_manager.version_info(blob_id, version)
-        blob = self.blob_info(blob_id)
-        page_size = blob.page_size
-        total_pages = (info.size + page_size - 1) // page_size
-        descriptors = self.metadata_manager.lookup(info.root, 0, total_pages)
-        report = self.replication_manager.scrub(
-            descriptors.values(), target_replication=blob.replication
-        )
+        report = self.scrub(blob_id, version=info.version)
         if report.is_healthy:
             return info.version
+        blob = self.blob_info(blob_id)
         healed = self.replication_manager.heal_all(
             list(report.under_replicated) + list(report.lost),
             target_replication=blob.replication,
@@ -749,11 +666,17 @@ class BlobSeer:
                 f"blob {blob_id}: some pages lost all replicas and cannot be healed"
             )
         # Publish a metadata-only version carrying the new placement.
+        leaves = {
+            index: tuple(healed.get(extent.key, extent) for extent in leaf)
+            for index, leaf in self._leaves_of(info, blob.page_size).items()
+            if any(extent.key in healed for extent in leaf)
+        }
         ticket = self.version_manager.assign_ticket(
             blob_id, offset=0, size=0, append=False
         )
         try:
-            root = self._build_metadata(ticket, healed, page_size)
+            base = self._base_of(ticket)
+            root = self._build_metadata(ticket, base, leaves, blob.page_size)
         except Exception:
             self.version_manager.abort(ticket)
             raise

@@ -20,9 +20,15 @@ The public entry point is :class:`MetadataManager` with two operations:
   a write produced and the root of the version it was based on, create the
   new version's tree and return its root key.
 * :meth:`MetadataManager.lookup` — given a version's root key and a page
-  range, return the page descriptors covering it.
+  range, return the extents of every page in it;
+* :meth:`MetadataManager.reachable` — every node and extent reachable from
+  a set of roots, each resolved once however many versions share it (the
+  garbage collector's mark phase, blob deletion).
 
-Both cost round trips per tree *level*, not per node: a walk resolves all
+A leaf lists the extents of its page in overlay order
+(:func:`repro.core.pages.overlay`); a page written whole is a 1-tuple.
+
+They cost round trips per tree *level*, not per node: a walk resolves all
 the nodes it needs of one level together — from the manager's node cache,
 the rest with one :meth:`MetadataDHT.get_many` — and a build stores its new
 nodes with one :meth:`MetadataDHT.put_many`.  Because a node never changes
@@ -36,11 +42,11 @@ import bisect
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .dht import MetadataDHT
 from .errors import MetadataCorruptionError
-from .pages import PageDescriptor
+from .pages import PageDescriptor, PageKey
 
 __all__ = ["NodeKey", "TreeNode", "MetadataManager", "next_power_of_two"]
 
@@ -88,13 +94,13 @@ class TreeNode:
 
     Interior nodes carry the keys of their two children (either may be
     ``None`` for a hole, i.e. a range never written).  Leaves carry the
-    descriptor of the page covering their single index.
+    extents of the page at their single index, oldest first.
     """
 
     key: NodeKey
     left: NodeKey | None = None
     right: NodeKey | None = None
-    page: PageDescriptor | None = None
+    extents: tuple[PageDescriptor, ...] = ()
 
     @property
     def is_leaf(self) -> bool:
@@ -103,18 +109,12 @@ class TreeNode:
 
 
 class BlobLRU:
-    """Bounded, thread-safe LRU of immutable values under per-blob keys.
+    """Bounded, thread-safe LRU of immutable values under keys carrying a
+    ``blob_id``; holds at most ``capacity`` entries."""
 
-    Keys carry a ``blob_id`` (:class:`NodeKey`, :class:`PageKey`);
-    ``weight`` measures a value against ``capacity`` (default: one per
-    entry).
-    """
-
-    def __init__(self, capacity: int, weight: Callable[[Any], int] = lambda _value: 1) -> None:
+    def __init__(self, capacity: int) -> None:
         self._capacity = capacity
-        self._weight = weight
         self._entries: OrderedDict[Any, Any] = OrderedDict()
-        self._total = 0
         self._lock = threading.Lock()
 
     def get_many(self, keys: Iterable[Any]) -> dict[Any, Any]:
@@ -131,16 +131,15 @@ class BlobLRU:
     def put_many(self, items: Iterable[tuple[Any, Any]]) -> None:
         with self._lock:
             for key, value in items:
-                old = self._entries.pop(key, None)
-                self._total += self._weight(value) - (0 if old is None else self._weight(old))
                 self._entries[key] = value
-            while self._total > self._capacity:
-                self._total -= self._weight(self._entries.popitem(last=False)[1])
+                self._entries.move_to_end(key)
+            while len(self._entries) > self._capacity:
+                self._entries.popitem(last=False)
 
     def drop_blob(self, blob_id: int) -> None:
         with self._lock:
             for key in [k for k in self._entries if k.blob_id == blob_id]:
-                self._total -= self._weight(self._entries.pop(key))
+                del self._entries[key]
 
     def __len__(self) -> int:
         with self._lock:
@@ -200,7 +199,7 @@ class MetadataManager:
         self,
         blob_id: int,
         version: int,
-        written: Mapping[int, PageDescriptor],
+        written: Mapping[int, tuple[PageDescriptor, ...]],
         total_pages: int,
         *,
         base_root: NodeKey | None,
@@ -213,7 +212,8 @@ class MetadataManager:
         blob_id, version:
             Identity of the version being published.
         written:
-            Page index -> descriptor for every page the write materialised.
+            Page index -> the new leaf's extents, for every page the write
+            touched.
         total_pages:
             Total number of pages of the blob *after* this write (determines
             the capacity of the new tree).
@@ -314,7 +314,7 @@ class MetadataManager:
         version: int,
         lo: int,
         hi: int,
-        written: Mapping[int, PageDescriptor],
+        written: Mapping[int, tuple[PageDescriptor, ...]],
         indices: list[int],
         base_root: NodeKey | None,
         base_capacity: int,
@@ -332,13 +332,13 @@ class MetadataManager:
             # prefixes of an expanded tree): recurse so the left part can be
             # shared and the right part becomes a hole.
         if hi - lo == 1:
-            descriptor = written.get(lo)
-            if descriptor is None:
+            extents = written.get(lo)
+            if not extents:
                 # Reached only if a touched ancestor narrowed to an untouched
                 # leaf inside the base capacity, which the sharing branch
                 # should have handled.
                 return self._find_base_node_key(base_root, base_capacity, lo, hi)
-            node = TreeNode(key=NodeKey(blob_id, version, lo, hi), page=descriptor)
+            node = TreeNode(key=NodeKey(blob_id, version, lo, hi), extents=extents)
         else:
             mid = (lo + hi) // 2
             left = self._build_range(
@@ -357,8 +357,8 @@ class MetadataManager:
         root: NodeKey | None,
         first_page: int,
         last_page: int,
-    ) -> dict[int, PageDescriptor]:
-        """Return descriptors for the page indices in ``[first_page, last_page)``.
+    ) -> dict[int, tuple[PageDescriptor, ...]]:
+        """Return the extents of the page indices in ``[first_page, last_page)``.
 
         Indices that were never written (holes) are absent from the result;
         callers decide whether holes are an error (reads) or expected
@@ -368,7 +368,7 @@ class MetadataManager:
             raise ValueError(
                 f"invalid page lookup range [{first_page}, {last_page})"
             )
-        result: dict[int, PageDescriptor] = {}
+        result: dict[int, tuple[PageDescriptor, ...]] = {}
         if root is None or first_page == last_page:
             return result
         # Level order: the nodes of one level that intersect the range are
@@ -378,11 +378,11 @@ class MetadataManager:
             children: list[NodeKey] = []
             for node in self.resolve(frontier):
                 if node.is_leaf:
-                    if node.page is None:
+                    if not node.extents:
                         raise MetadataCorruptionError(
                             f"leaf {node.key!r} carries no page"
                         )
-                    result[node.key.lo] = node.page
+                    result[node.key.lo] = node.extents
                     continue
                 for child in (node.left, node.right):
                     if (
@@ -394,21 +394,35 @@ class MetadataManager:
             frontier = children
         return result
 
+    def reachable(
+        self, roots: Iterable[NodeKey | None]
+    ) -> tuple[set[NodeKey], dict[PageKey, PageDescriptor]]:
+        """Every node and extent reachable from ``roots``.
+
+        Level order over all the trees at once: the unvisited nodes of one
+        level are resolved together, so a node shared by many versions is
+        resolved once.
+        """
+        seen: set[NodeKey] = set()
+        extents: dict[PageKey, PageDescriptor] = {}
+        frontier = list({root for root in roots if root is not None})
+        while frontier:
+            seen.update(frontier)
+            children: set[NodeKey] = set()
+            for node in self.resolve(frontier):
+                extents.update((extent.key, extent) for extent in node.extents)
+                children.update(
+                    child
+                    for child in (node.left, node.right)
+                    if child is not None and child not in seen
+                )
+            frontier = list(children)
+        return seen, extents
+
     # -- introspection ------------------------------------------------------------
     def count_nodes(self, root: NodeKey | None) -> int:
         """Number of reachable nodes from ``root`` (shared nodes counted once)."""
-        seen: set[NodeKey] = set()
-        frontier = [root] if root is not None else []
-        while frontier:
-            seen.update(frontier)
-            children = {
-                child
-                for node in self.resolve(frontier)
-                for child in (node.left, node.right)
-                if child is not None and child not in seen
-            }
-            frontier = list(children)
-        return len(seen)
+        return len(self.reachable([root])[0])
 
     def nodes_created_by(self, blob_id: int, version: int) -> int:
         """Number of DHT-stored tree nodes whose key carries ``version``.

@@ -5,23 +5,27 @@ write at version ``v`` materialises new pages only for the byte range it
 touches; untouched pages are shared with older versions through the
 versioned metadata tree (:mod:`repro.core.metadata`).
 
-Pages are addressed by :class:`PageKey` — the triple ``(blob_id, version,
-index)`` identifying the write that produced the page and its position in
-the blob.  A :class:`PageDescriptor` extends the key with the placement
-information needed to fetch the bytes (which providers hold a replica and
-how many bytes the page actually carries — only the last page of a blob may
-be shorter than the configured page size).
+Stored pieces are addressed by :class:`PageKey` — the triple ``(blob_id,
+version, index)`` identifying the write that produced the piece and the
+page it belongs to.  A :class:`PageDescriptor` extends the key with the
+placement information needed to fetch the bytes: which providers hold a
+replica, how many bytes the piece carries and where inside the page they
+start.  A write stores only its own bytes, so a page is a list of such
+*extents*, applied oldest first (:func:`overlay`): an append that starts
+mid-page adds an extent beside its predecessors' instead of rewriting the
+page.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 __all__ = [
     "PageKey",
     "PageDescriptor",
     "PageRange",
+    "overlay",
     "page_range_for_bytes",
     "split_into_pages",
 ]
@@ -58,15 +62,17 @@ class PageKey:
 
 @dataclass(frozen=True, slots=True)
 class PageDescriptor:
-    """Placement record for a page: where its replicas live and its size."""
+    """Placement record for an extent: where its replicas live, its size and
+    ``offset``, the position of its bytes inside the page."""
 
     key: PageKey
     providers: tuple[int, ...]
     size: int
+    offset: int = 0
 
     def __post_init__(self) -> None:
-        if self.size < 0:
-            raise ValueError("page size cannot be negative")
+        if self.size < 0 or self.offset < 0:
+            raise ValueError("page size and offset cannot be negative")
         if not self.providers:
             raise ValueError("a page descriptor needs at least one provider")
 
@@ -79,6 +85,15 @@ class PageDescriptor:
     def replication(self) -> int:
         """Number of replicas recorded for this page."""
         return len(self.providers)
+
+    @property
+    def end(self) -> int:
+        """Position inside the page just past the extent's bytes."""
+        return self.offset + self.size
+
+    def covers(self, other: "PageDescriptor") -> bool:
+        """Whether this extent hides every byte of ``other``."""
+        return self.offset <= other.offset and other.end <= self.end
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,6 +115,29 @@ class PageRange:
 
     def __contains__(self, index: object) -> bool:
         return isinstance(index, int) and self.first <= index < self.last
+
+
+def overlay(
+    extents: Sequence[PageDescriptor], lo: int, hi: int
+) -> list[tuple[int, int, PageDescriptor | None]]:
+    """Which extent supplies each byte of ``[lo, hi)`` inside one page.
+
+    Returns contiguous ``(start, stop, extent)`` segments covering the
+    range; later extents win, and ``extent`` is ``None`` where none
+    covers the bytes (they read as zeros).
+    """
+    segments: list[tuple[int, int, PageDescriptor | None]] = [(lo, hi, None)]
+    for extent in extents:
+        start, stop = max(extent.offset, lo), min(extent.end, hi)
+        if start == lo and stop == hi:
+            segments = [(lo, hi, extent)]
+        elif start < stop:
+            segments = (
+                [(a, min(b, start), x) for a, b, x in segments if a < start]
+                + [(start, stop, extent)]
+                + [(max(a, stop), b, x) for a, b, x in segments if b > stop]
+            )
+    return segments
 
 
 def page_range_for_bytes(offset: int, size: int, page_size: int) -> PageRange:

@@ -17,7 +17,7 @@ This module concentrates the replica-handling logic used by the client:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Sequence
 
 from .dht import MISSING
@@ -307,13 +307,9 @@ class ReplicationManager:
         if not live:
             raise PageNotFoundError(descriptor.key)
         if len(live) >= target_replication:
-            return PageDescriptor(
-                key=descriptor.key, providers=tuple(live), size=descriptor.size
-            )
+            return replace(descriptor, providers=tuple(live))
         [data] = read_pages(
-            self._pm,
-            [PageDescriptor(descriptor.key, tuple(live), descriptor.size)],
-            policy="first",
+            self._pm, [replace(descriptor, providers=tuple(live))], policy="first"
         )
         candidates = [provider_id for provider_id in available if provider_id not in live]
         self._rng.shuffle(candidates)
@@ -326,27 +322,25 @@ class ReplicationManager:
                 stored.append(provider_id)
             except ProviderUnavailableError:
                 continue
-        return PageDescriptor(
-            key=descriptor.key, providers=tuple(stored), size=descriptor.size
-        )
+        return replace(descriptor, providers=tuple(stored))
 
     def heal_all(
         self,
         descriptors: Iterable[PageDescriptor],
         *,
         target_replication: int,
-    ) -> dict[int, PageDescriptor]:
-        """Heal every under-replicated page; returns ``{page index: new descriptor}``.
+    ) -> dict[PageKey, PageDescriptor]:
+        """Heal every under-replicated page; returns ``{key: new descriptor}``.
 
         Pages whose replicas all vanished are skipped (they cannot be
         healed); callers can detect them through :meth:`scrub`.  The
         providers that may take new replicas are probed once per call.
         """
         available = [snapshot.provider_id for snapshot in self._pm.available_stats()]
-        healed: dict[int, PageDescriptor] = {}
+        healed: dict[PageKey, PageDescriptor] = {}
         for descriptor in descriptors:
             try:
-                healed[descriptor.index] = self._heal(
+                healed[descriptor.key] = self._heal(
                     descriptor, target_replication, available
                 )
             except PageNotFoundError:

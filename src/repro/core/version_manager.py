@@ -411,9 +411,9 @@ class VersionManager:
     def inflight_floor(self, blob_id: int) -> int | None:
         """Lowest base version any in-flight (unpublished) writer depends on.
 
-        Writers merge boundary pages by reading their ticket's base version,
-        so the garbage collector must not reclaim any version at or above
-        this floor.  ``None`` means no writer is in flight.
+        Writers read their ticket's base version — its leaves, and the
+        bytes of a page they compact — so the garbage collector must not
+        reclaim any version at or above this floor.  ``None`` means no writer is in flight.
         """
         state = self._state(blob_id)
         with state.lock:

@@ -6,8 +6,8 @@ the retention policy and pin registry into reclaimed space:
 
 1. **mark** — for each blob, compute the *live* version set (retention rules
    ∪ pinned versions ∪ the latest published version ∪ any version an
-   in-flight writer's boundary merge still depends on) and walk their
-   metadata trees, collecting every reachable tree node and page key;
+   in-flight writer still reads as its base) and walk their metadata
+   trees, collecting every reachable tree node and extent;
 2. **retire** — drop the dead versions from the version manager's catalogue
    so new readers fail fast with ``VersionRetiredError``;
 3. **sweep** — delete the dead versions' unreachable tree nodes from the
@@ -16,7 +16,8 @@ the retention policy and pin registry into reclaimed space:
 
 Structural sharing makes the mark phase precise for free: a page or node
 shared by a dead and a live version is reachable from the live root and is
-therefore spared.  The collector is safe to run concurrently with writers —
+therefore spared — so is an old append's extent that a live leaf still
+overlays.  The collector is safe to run concurrently with writers —
 pages of unpublished versions are newer than the head snapshot the plan was
 computed against and are never touched.
 
@@ -30,15 +31,14 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable
 
 from .pins import PinRegistry
 from .retention import RetentionPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..core.client import BlobSeer
-    from ..core.metadata import NodeKey
-    from ..core.pages import PageDescriptor, PageKey
+    from ..core.pages import PageKey
 
 __all__ = ["GcPlan", "GcReport", "VersionGC", "GcDaemon"]
 
@@ -129,33 +129,6 @@ class VersionGC:
         self._run_lock = threading.Lock()
 
     # --------------------------------------------------------------------- mark
-    def _walk(
-        self, roots: Iterable["NodeKey | None"]
-    ) -> tuple[set[str], dict["PageKey", "PageDescriptor"]]:
-        """Reachable (node dht-keys, page descriptors) from ``roots``.
-
-        Level order: the unvisited nodes of one tree level are resolved
-        together (one ``get_many`` for those not cached), then their
-        children form the next frontier.
-        """
-        manager = self._client.metadata_manager
-        seen: set["NodeKey"] = set()
-        pages: dict["PageKey", "PageDescriptor"] = {}
-        frontier = list({root for root in roots if root is not None})
-        while frontier:
-            seen.update(frontier)
-            children: set["NodeKey"] = set()
-            for node in manager.resolve(frontier):
-                if node.page is not None:
-                    pages[node.page.key] = node.page
-                children.update(
-                    child
-                    for child in (node.left, node.right)
-                    if child is not None and child not in seen
-                )
-            frontier = list(children)
-        return {key.dht_key() for key in seen}, pages
-
     def live_versions(self, blob_id: int) -> set[int]:
         """The versions of ``blob_id`` this collector would retain right now."""
         return set(self._plan_versions(blob_id)[0])
@@ -170,8 +143,9 @@ class VersionGC:
             published_times=vm.publication_times(blob_id),
             now=self._clock(),
         )
-        # Writers in flight merge boundary pages from their base version:
-        # everything at or above the lowest in-flight base must survive.
+        # Writers in flight read their base version's leaves (and, when they
+        # compact a page, its bytes): everything at or above the lowest
+        # in-flight base must survive.
         floor = vm.inflight_floor(blob_id)
         if floor is not None:
             retained |= {v for v in published if v >= floor}
@@ -187,12 +161,9 @@ class VersionGC:
         head = vm.latest_version(blob_id)
         live, dead = self._plan_versions(blob_id)
         roots = vm.snapshot_roots(blob_id)
-        live_nodes, live_pages = self._walk(
-            root for version, root in roots.items() if version in live
-        )
-        dead_nodes, dead_page_map = self._walk(
-            root for version, root in roots.items() if version in dead
-        )
+        walk = self._client.metadata_manager.reachable
+        live_nodes, live_pages = walk(r for v, r in roots.items() if v in live)
+        dead_nodes, dead_page_map = walk(r for v, r in roots.items() if v in dead)
         dead_nodes -= live_nodes
         reclaim: dict["PageKey", int] = {
             key: descriptor.size
@@ -222,7 +193,7 @@ class VersionGC:
             live_versions=tuple(sorted(live)),
             dead_versions=tuple(sorted(dead)),
             dead_pages=tuple(reclaim),
-            dead_nodes=tuple(sorted(dead_nodes)),
+            dead_nodes=tuple(sorted(key.dht_key() for key in dead_nodes)),
             live_pages=len(live_pages),
             live_bytes=live_bytes,
         )

@@ -198,32 +198,55 @@ class TestAppendRoundTrips:
         providers = reset(bs)
         (metadata,) = bs.dht.providers
         bs.append(blob, second)
-        # Placement from the load view, the boundary page from the tail
-        # cache, the tree spine from the node cache.
+        # Placement from the load view, the base leaf and the tree spine
+        # from the node cache; the extent needs no bytes of the first.
         assert total(providers, "stats") == 0
         assert total(providers, "get_pages") == 0
         assert total(providers, "put_pages") == 1
         assert (metadata.calls["put_many"], metadata.calls["get_many"]) == (1, 0)
         assert bs.read_all(blob) == first + second
 
-    def test_tail_cache_keeps_to_its_byte_bound(self):
-        tails = BlobLRU(1000, weight=len)
-        keys = [PageKey(1, version, 0) for version in range(4)]
-        tails.put_many((key, bytes(400)) for key in keys[:3])
-        assert list(tails.get_many(keys)) == keys[1:3]  # 1200 bytes: the oldest went
-        tails.get_many([keys[1]])  # keys[1] is now the freshest
-        tails.put_many([(keys[3], bytes(400))])
-        assert list(tails.get_many(keys)) == [keys[1], keys[3]]
+    def test_appends_into_one_page_store_only_their_own_bytes(self):
+        bs = make_blobseer(page_size=256 * KB)
+        blob = bs.create_blob()
+        records = [bytes([i]) * (64 * KB) for i in range(1, 5)]
+        for record in records:
+            bs.append(blob, record)
+        # Write amplification 1.0: no append rewrote its predecessors' bytes.
+        assert bs.stats()["bytes_written"] == 256 * KB
+        root = bs.version_manager.version_info(blob).root
+        leaf = bs.metadata_manager.lookup(root, 0, 1)[0]
+        assert [extent.offset for extent in leaf] == [0, 64 * KB, 128 * KB, 192 * KB]
+        assert bs.read_all(blob) == b"".join(records)
 
-    def test_delete_blob_drops_its_tail_pages(self):
+    def test_lru_keeps_to_its_entry_bound(self):
+        cache = BlobLRU(2)
+        keys = [PageKey(1, version, 0) for version in range(4)]
+        cache.put_many((key, version) for version, key in enumerate(keys[:3]))
+        assert list(cache.get_many(keys)) == keys[1:3]  # 3 entries: the oldest went
+        cache.get_many([keys[1]])  # keys[1] is now the freshest
+        cache.put_many([(keys[3], 3)])
+        assert list(cache.get_many(keys)) == [keys[1], keys[3]]
+        assert len(cache) == 2
+
+    def test_delete_blob_removes_every_extents_page(self):
         bs = make_blobseer()
         kept, deleted = bs.create_blob(), bs.create_blob()
         bs.append(kept, b"k" * 10)
-        bs.append(deleted, b"d" * 10)
-        tails = [PageKey(kept, 1, 0), PageKey(deleted, 1, 0)]
-        assert len(bs._tail_pages.get_many(tails)) == 2
+        for part in (b"d" * 10, b"e" * 300, b"f" * (2 * PAGE)):
+            bs.append(deleted, part)
+        stored = {key for p in bs.provider_manager.providers for key in p.page_keys()}
+        assert {key for key in stored if key.blob_id == deleted} == {
+            PageKey(deleted, 1, 0),
+            PageKey(deleted, 2, 0),
+            PageKey(deleted, 3, 0),
+            PageKey(deleted, 3, 1),
+            PageKey(deleted, 3, 2),
+        }
         bs.delete_blob(deleted)
-        assert bs._tail_pages.get_many(tails) == {tails[0]: b"k" * 10}
+        assert [key for p in bs.provider_manager.providers for key in p.page_keys()] == [
+            PageKey(kept, 1, 0)
+        ]
 
 
 class TestScrubAndHealProbes:
@@ -315,12 +338,11 @@ class TestFailover:
         data = payload(PAGE + 500)
         bs.append(blob, data)  # warms the load view with both providers
         bs.provider_manager.get(1).fail()
-        # Its boundary page is pushed beside the store of the predicted
-        # descriptors, which name both providers: the store is redone.
+        # The extent the append adds to page 1 lands on provider 0 only.
         bs.append(blob, b"tail")
         info = bs.version_manager.version_info(blob)
         for manager in (bs.metadata_manager, MetadataManager(bs.dht)):
-            assert manager.lookup(info.root, 1, 2)[1].providers == (0,)
+            assert manager.lookup(info.root, 1, 2)[1][-1].providers == (0,)
         assert bs.read_all(blob) == data + b"tail"
 
     def test_partial_write_keeps_allocation_order_of_survivors(self):
@@ -377,6 +399,33 @@ class TestBulkDelete:
         assert total(providers, "has_page") == 0
         assert bs.stats()["pages_stored"] == 0
 
+    def test_delete_blob_resolves_each_distinct_node_once(self):
+        bs = make_blobseer()
+        blob = bs.create_blob()
+        for i in range(20):
+            bs.append(blob, payload(PAGE // 2 + i))  # 11 pages: a depth-5 tree
+        manager = bs.metadata_manager
+        roots = bs.version_manager.snapshot_roots(blob).values()
+        distinct = manager.reachable(roots)[0]
+        resolved: Counter = Counter()
+        resolve = manager.resolve
+
+        def counted(keys):
+            resolved.update(keys)
+            return resolve(keys)
+
+        manager.resolve = counted
+        manager.forget_blob(blob)  # an empty node cache: the DHT is asked
+        reset(bs)
+        (metadata,) = bs.dht.providers
+        bs.delete_blob(blob)
+        # One walk over the 20 trees at once: every shared node once, one
+        # get_many per tree level instead of one lookup per version.
+        assert set(resolved) == distinct
+        assert set(resolved.values()) == {1}
+        assert metadata.calls["get_many"] <= 5
+        assert bs.stats()["pages_stored"] == 0
+
     def test_page_removal_resets_the_load_view(self):
         bs = make_blobseer(max_versions_kept=1)
         blob = bs.create_blob()
@@ -391,3 +440,60 @@ class TestBulkDelete:
             assert [provider.calls["stats"] for provider in providers] == [1, 1, 1]
             bs.append(blob, payload(3 * PAGE))
             assert [provider.calls["stats"] for provider in providers] == [1, 1, 1]
+
+
+class TestFragmentedPages:
+    """A page written by several appends is a leaf of several extents."""
+
+    def test_extent_that_lost_a_replica_is_repaired_to_identical_bytes(self):
+        bs = make_blobseer(providers=4, replication=2)
+        blob = bs.create_blob()
+        for part in (payload(100), payload(300)[::-1], payload(50)):
+            bs.append(blob, part)
+        before = bs.read_all(blob)
+        info = bs.version_manager.version_info(blob)
+        leaf = bs.metadata_manager.lookup(info.root, 0, 1)[0]
+        assert [extent.offset for extent in leaf] == [0, 100, 400]
+        middle = leaf[1]
+        bs.provider_manager.get(middle.providers[0]).remove_pages([middle.key])
+        report = bs.scrub(blob)
+        assert (report.total_pages, report.under_replicated) == (3, (middle,))
+        repaired = bs.repair(blob)
+        assert bs.scrub(blob).is_healthy
+        assert bs.read_all(blob) == before
+        healed = bs.metadata_manager.lookup(
+            bs.version_manager.version_info(blob, repaired).root, 0, 1
+        )[0]
+        assert [extent.key for extent in healed] == [extent.key for extent in leaf]
+        assert healed[1].offset == 100 and len(healed[1].providers) == 2
+        # The repair read the extent alone: no other writer's bytes moved.
+        assert sum(p.stats().bytes_written for p in bs.provider_manager.providers) == (
+            2 * len(before) + 300
+        )
+
+    def test_page_locations_rank_the_extents_hosts_by_bytes_held(self):
+        bs = make_blobseer(providers=3)
+        blob = bs.create_blob()
+        for size in (100, 300, 50):
+            bs.append(blob, payload(size))
+        held: dict[str, int] = {}
+        for provider in bs.provider_manager.providers:
+            stored = [k for k in provider.pages_for_blob(blob) if k.index == 0]
+            if stored:
+                held[provider.host] = sum(map(len, provider.get_pages(stored)))
+        (location,) = bs.page_locations(blob, 0, 450)
+        assert location.hosts == tuple(sorted(held, key=lambda host: -held[host]))
+        assert location.size == 450
+
+    def test_a_retired_versions_fragment_survives_while_a_live_leaf_overlays_it(self):
+        bs = make_blobseer(max_versions_kept=1)
+        blob = bs.create_blob()
+        parts = [payload(100 + i) for i in range(4)]
+        for part in parts:
+            bs.append(blob, part)  # v1..v4, four extents of page 0
+        report = bs.gc.collect(blob)
+        assert report.versions_retired == 3
+        assert report.pages_reclaimed == 0
+        stored = {k for p in bs.provider_manager.providers for k in p.pages_for_blob(blob)}
+        assert stored == {PageKey(blob, version, 0) for version in range(1, 5)}
+        assert bs.read_all(blob) == b"".join(parts)

@@ -25,9 +25,12 @@ def manager() -> MetadataManager:
 
 
 def descriptors_for(blob_id: int, version: int, indices, size: int = 100):
+    """One-extent leaves for the pages ``indices``, as a write of whole pages has."""
     return {
-        index: PageDescriptor(
-            key=PageKey(blob_id, version, index), providers=(index % 3,), size=size
+        index: (
+            PageDescriptor(
+                key=PageKey(blob_id, version, index), providers=(index % 3,), size=size
+            ),
         )
         for index in indices
     }
@@ -75,13 +78,13 @@ class TestBuildAndLookup:
         root2 = manager.build_version(1, 2, v2, 8, base_root=root1, base_capacity=8)
         found = manager.lookup(root2, 0, 8)
         # Touched pages come from version 2, untouched ones from version 1.
-        assert found[2].key.version == 2
-        assert found[3].key.version == 2
+        assert found[2][0].key.version == 2
+        assert found[3][0].key.version == 2
         for index in (0, 1, 4, 5, 6, 7):
-            assert found[index].key.version == 1
+            assert found[index][0].key.version == 1
         # The old version is still fully readable.
         old = manager.lookup(root1, 0, 8)
-        assert all(d.key.version == 1 for d in old.values())
+        assert all(leaf[0].key.version == 1 for leaf in old.values())
 
     def test_append_grows_capacity_and_shares_prefix(self, manager):
         v1 = descriptors_for(1, 1, range(4))
@@ -90,8 +93,8 @@ class TestBuildAndLookup:
         root2 = manager.build_version(1, 2, v2, 10, base_root=root1, base_capacity=4)
         found = manager.lookup(root2, 0, 10)
         assert sorted(found.keys()) == list(range(10))
-        assert all(found[i].key.version == 1 for i in range(4))
-        assert all(found[i].key.version == 2 for i in range(4, 10))
+        assert all(found[i][0].key.version == 1 for i in range(4))
+        assert all(found[i][0].key.version == 2 for i in range(4, 10))
 
     def test_sparse_write_creates_holes(self, manager):
         written = descriptors_for(1, 1, [5, 6])
@@ -151,8 +154,8 @@ class TestBuildAndLookup:
         found = manager.lookup(root, 0, pages)
         assert sorted(found.keys()) == list(range(8))
         # Page i was written by version i+1 and never rewritten.
-        for index, descriptor in found.items():
-            assert descriptor.key.version == index + 1
+        for index, (extent,) in found.items():
+            assert extent.key.version == index + 1
 
 
 def counted_manager(providers: int = 1):
@@ -172,7 +175,7 @@ def reference_lookup(manager, key, first, last, out):
         return out
     node = manager._dht.get(key.dht_key())
     if node.is_leaf:
-        out[key.lo] = node.page
+        out[key.lo] = node.extents
         return out
     reference_lookup(manager, node.left, first, last, out)
     reference_lookup(manager, node.right, first, last, out)

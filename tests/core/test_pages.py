@@ -8,6 +8,7 @@ from repro.core.pages import (
     PageDescriptor,
     PageKey,
     PageRange,
+    overlay,
     page_range_for_bytes,
     split_into_pages,
 )
@@ -49,6 +50,44 @@ class TestPageDescriptor:
     def test_rejects_negative_size(self):
         with pytest.raises(ValueError):
             PageDescriptor(PageKey(1, 1, 0), providers=(1,), size=-1)
+
+    def test_extent_end_and_cover(self):
+        inner = PageDescriptor(PageKey(1, 1, 0), (1,), size=10, offset=20)
+        outer = PageDescriptor(PageKey(1, 2, 0), (1,), size=40)
+        assert (inner.end, outer.end) == (30, 40)
+        assert outer.covers(inner) and not inner.covers(outer)
+        with pytest.raises(ValueError):
+            PageDescriptor(PageKey(1, 1, 0), (1,), size=1, offset=-1)
+
+
+def extent(version: int, offset: int, size: int) -> PageDescriptor:
+    return PageDescriptor(PageKey(1, version, 0), (0,), size=size, offset=offset)
+
+
+class TestOverlay:
+    def test_whole_page_extent_is_one_segment(self):
+        full = extent(1, 0, 100)
+        assert overlay((full,), 10, 90) == [(10, 90, full)]
+
+    def test_later_extents_win_and_gaps_read_as_zeros(self):
+        a, b, c = extent(1, 0, 50), extent(2, 30, 40), extent(3, 80, 10)
+        assert overlay((a, b, c), 0, 100) == [
+            (0, 30, a),
+            (30, 70, b),
+            (70, 80, None),
+            (80, 90, c),
+            (90, 100, None),
+        ]
+
+    def test_an_extent_inside_another_splits_it(self):
+        a, b = extent(1, 0, 100), extent(2, 40, 20)
+        assert overlay((a, b), 0, 100) == [(0, 40, a), (40, 60, b), (60, 100, a)]
+        assert overlay((b, a), 0, 100) == [(0, 100, a)]
+
+    def test_extents_outside_the_window_are_skipped(self):
+        a, b = extent(1, 0, 10), extent(2, 10, 10)
+        assert overlay((a, b), 12, 15) == [(12, 15, b)]
+        assert overlay((), 0, 5) == [(0, 5, None)]
 
 
 class TestPageRange:

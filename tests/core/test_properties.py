@@ -3,15 +3,21 @@
 The central property: a BlobSeer blob, whatever sequence of aligned writes
 and appends it receives, must read back exactly like a plain in-memory
 bytearray receiving the same operations — for the latest version and for
-every intermediate snapshot.
+every intermediate snapshot.  That includes pages made of many extents
+(runs of short appends, compacted past ``MAX_PAGE_EXTENTS``) and pages
+written concurrently by several appenders.
 """
 
 from __future__ import annotations
+
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import BlobSeer, BlobSeerConfig
+from repro.core.client import MAX_PAGE_EXTENTS
 from repro.core.dht import ConsistentHashRing
 from repro.core.metadata import next_power_of_two
 from repro.core.pages import page_range_for_bytes, split_into_pages
@@ -35,6 +41,18 @@ def make_service() -> BlobSeer:
             rng_seed=42,
         )
     )
+
+
+def apply_write(
+    service: BlobSeer, blob: int, model: bytearray, page_index: int, payload: bytes
+) -> int:
+    """An aligned write, applied to the blob and to its model."""
+    offset = page_index * PAGE
+    version = service.write(blob, offset, payload)
+    if offset + len(payload) > len(model):
+        model.extend(b"\x00" * (offset + len(payload) - len(model)))
+    model[offset : offset + len(payload)] = payload
+    return version
 
 
 # An operation is either an append of N bytes or an aligned write at page P.
@@ -70,12 +88,7 @@ class TestBlobMatchesReferenceModel:
                 model.extend(payload)
             else:
                 _, page_index, length = op
-                offset = page_index * PAGE
-                payload = bytes([fill]) * length
-                version = service.write(blob, offset, payload)
-                if offset + length > len(model):
-                    model.extend(b"\x00" * (offset + length - len(model)))
-                model[offset : offset + length] = payload
+                version = apply_write(service, blob, model, page_index, bytes([fill]) * length)
             snapshots[version] = bytes(model)
 
         # Latest version equals the model.
@@ -104,16 +117,87 @@ class TestBlobMatchesReferenceModel:
                 model.extend(payload)
             else:
                 _, page_index, length = op
-                start = page_index * PAGE
-                payload = b"w" * length
-                service.write(blob, start, payload)
-                if start + length > len(model):
-                    model.extend(b"\x00" * (start + length - len(model)))
-                model[start : start + length] = payload
+                apply_write(service, blob, model, page_index, b"w" * length)
         clamped_offset = min(offset, len(model))
         clamped_size = min(size, len(model) - clamped_offset)
         expected = bytes(model[clamped_offset : clamped_offset + clamped_size])
         assert service.read(blob, clamped_offset, clamped_size) == expected
+
+
+# Runs of short appends put many extents into one page (enough to pass
+# MAX_PAGE_EXTENTS unless every append fills an aligned eighth of a page);
+# aligned writes over them end mid-page, so their tails overlay extents.
+fragment_strategy = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("appends"),
+            st.lists(
+                st.integers(min_value=1, max_value=PAGE // 8),
+                min_size=2 * MAX_PAGE_EXTENTS + 1,
+                max_size=3 * MAX_PAGE_EXTENTS,
+            ),
+        ),
+        st.tuples(
+            st.just("write"),
+            st.integers(min_value=0, max_value=4),  # page index
+            st.integers(min_value=1, max_value=2 * PAGE),
+        ),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+class TestFragmentedPagesMatchModel:
+    @SETTINGS
+    @given(ops=fragment_strategy)
+    def test_every_snapshot_equals_the_model(self, ops):
+        with make_service() as service:
+            blob = service.create_blob()
+            model = bytearray()
+            snapshots: dict[int, bytes] = {}
+            fill = 0
+            for op in ops:
+                sizes = op[1] if op[0] == "appends" else [op[2]]
+                for size in sizes:
+                    fill = fill % 255 + 1
+                    payload = bytes([fill]) * size
+                    if op[0] == "appends":
+                        version = service.append(blob, payload)
+                        model.extend(payload)
+                    else:
+                        version = apply_write(service, blob, model, op[1], payload)
+                    snapshots[version] = bytes(model)
+            for version, expected in snapshots.items():
+                assert service.read_all(blob, version=version) == expected
+            info = service.version_manager.version_info(blob)
+            leaves = service.metadata_manager.lookup(info.root, 0, -(-info.size // PAGE))
+            assert max(map(len, leaves.values())) <= MAX_PAGE_EXTENTS
+
+    def test_concurrent_short_appends_read_back_in_version_order(self):
+        with make_service() as service:
+            blob = service.create_blob()
+            records: dict[int, bytes] = {}
+
+            def appender(thread: int) -> None:
+                for i in range(50):
+                    record = f"<{thread}:{i}>".encode() * (1 + (7 * i + thread) % 5)
+                    records[service.append(blob, record)] = record
+
+            # More appenders than cores, switching threads often.
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                with ThreadPoolExecutor(4) as pool:
+                    for future in [pool.submit(appender, thread) for thread in range(4)]:
+                        future.result(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert sorted(records) == list(range(1, 201))
+            expected = b""
+            for version in range(1, 201):
+                expected += records[version]
+                assert service.read_all(blob, version=version) == expected
 
 
 class TestPageMathProperties:

@@ -132,4 +132,4 @@ class TestReplicationManager:
             ],
             target_replication=2,
         )
-        assert list(healed.keys()) == [0]
+        assert list(healed.keys()) == [KEY]

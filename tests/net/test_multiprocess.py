@@ -162,10 +162,10 @@ class TestMultiProcessCluster:
             blob = bs.create_blob()
             payload = bytes(range(251)) * 256  # ~63 KiB: 16 pages
             bs.append(blob, payload)
-            descriptors = bs.metadata_manager.lookup(
+            leaves = bs.metadata_manager.lookup(
                 bs.version_manager.version_info(blob).root, 0, 16
             ).values()
-            failing_over = sum(d.providers[0] == 1 for d in descriptors)
+            failing_over = sum(extent.providers[0] == 1 for (extent,) in leaves)
             assert failing_over > 0
 
             failed_calls: list[int] = []

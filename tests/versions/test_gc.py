@@ -182,6 +182,18 @@ class TestMarkRoundTrips:
         assert cold.live_pages == warm.live_pages == 16 + 3
 
 
+def push_write(client, ticket, data):
+    """The first step of a write: its extents stored, nothing published."""
+    return client._push_extents(ticket, data, client.blob_info(ticket.blob_id), None)
+
+
+def finish_write(client, ticket, data, extents):
+    """The rest of a write: wait for the base, build the tree, publish."""
+    base = client._base_of(ticket)
+    leaves = client._leaves(ticket, data, extents, base, PAGE)
+    client.version_manager.publish(ticket, client._build_metadata(ticket, base, leaves, PAGE))
+
+
 class TestInflightWriters:
     def test_inflight_floor_protects_base_versions(self):
         client = make_client(max_versions_kept=1)
@@ -198,11 +210,8 @@ class TestInflightWriters:
         assert report.versions_retired == 3
         assert client.version_manager.published_versions(blob) == [0, 4]
         # The writer completes normally against its preserved base.
-        written, _boundary, _targets = client._transfer_pages(
-            ticket, b"\x99" * PAGE, PAGE, client.blob_info(blob), None
-        )
-        root = client._build_metadata(ticket, written, PAGE)
-        client.version_manager.publish(ticket, root)
+        data = b"\x99" * PAGE
+        finish_write(client, ticket, data, push_write(client, ticket, data))
         assert client.read_all(blob)[-PAGE:] == b"\x99" * PAGE
 
     def test_unpublished_pages_are_never_swept_as_orphans(self):
@@ -212,14 +221,12 @@ class TestInflightWriters:
         ticket = client.version_manager.assign_ticket(
             blob, offset=None, size=PAGE, append=True
         )
-        written, _boundary, _targets = client._transfer_pages(
-            ticket, b"\x42" * PAGE, PAGE, client.blob_info(blob), None
-        )
+        data = b"\x42" * PAGE
+        extents = push_write(client, ticket, data)
         # The new page sits on a provider but belongs to an unpublished
         # version (newer than the head): the sweep must leave it alone.
         client.gc.collect(blob)
-        root = client._build_metadata(ticket, written, PAGE)
-        client.version_manager.publish(ticket, root)
+        finish_write(client, ticket, data, extents)
         assert client.read_all(blob)[-PAGE:] == b"\x42" * PAGE
 
     def test_aborted_writer_pages_are_swept_as_orphans(self):
@@ -229,9 +236,7 @@ class TestInflightWriters:
         ticket = client.version_manager.assign_ticket(
             blob, offset=None, size=PAGE, append=True
         )
-        client._transfer_pages(
-            ticket, b"\x42" * PAGE, PAGE, client.blob_info(blob), None
-        )
+        push_write(client, ticket, b"\x42" * PAGE)
         client.version_manager.abort(ticket)
         assert stored_bytes(client) == 3 * PAGE  # the orphan lingers
         report = client.gc.collect(blob)
