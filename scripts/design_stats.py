@@ -11,15 +11,19 @@
   its ``__all__``: functions, and classes through their ``__init__``.
 
 Everything is read with ``ast``, so nothing is imported.  All three should
-trend down as duplicate paths and unused knobs are deleted.  The script
-only reports; it gates nothing.
+trend down as duplicate paths and unused knobs are deleted.  With
+``--baseline FILE`` (a JSON object of committed values, such as
+``benchmarks/baselines/BENCH_design.json``) each number is printed beside
+its committed value and the delta.  The script only reports; it gates
+nothing.
 
 Usage:
-    python scripts/design_stats.py
+    python scripts/design_stats.py [--baseline FILE]
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import json
 from pathlib import Path
@@ -88,12 +92,41 @@ def settable_values(package: Path) -> int:
     return total
 
 
-def main() -> int:
-    stats = {
-        "src_lines": src_lines(SRC),
-        "public_symbols": public_symbols(SRC / "repro"),
-        "settable_values": settable_values(SRC / "repro"),
+def design_stats(src: Path) -> dict[str, int]:
+    """The three design-size numbers of the package under ``src``."""
+    return {
+        "src_lines": src_lines(src),
+        "public_symbols": public_symbols(src / "repro"),
+        "settable_values": settable_values(src / "repro"),
     }
+
+
+def against_baseline(
+    stats: dict[str, int], baseline: dict[str, int]
+) -> dict[str, dict[str, int | None]]:
+    """Each number beside its committed value and ``value - baseline``.
+
+    A number the baseline lacks gets ``None`` for both.
+    """
+    return {
+        name: {
+            "value": value,
+            "baseline": baseline.get(name),
+            "delta": value - baseline[name] if name in baseline else None,
+        }
+        for name, value in stats.items()
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--baseline", type=Path, help="JSON object of committed values to compare"
+    )
+    args = parser.parse_args(argv)
+    stats: dict = design_stats(SRC)
+    if args.baseline is not None:
+        stats = against_baseline(stats, json.loads(args.baseline.read_text()))
     print(json.dumps(stats, indent=2))
     return 0
 

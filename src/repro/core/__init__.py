@@ -43,7 +43,6 @@ from .provider_manager import (
     LocalFirstStrategy,
     ProviderManager,
     RandomStrategy,
-    make_strategy,
 )
 from .replication import ReplicationManager, ScrubReport, read_pages, write_pages
 from .transfer import ChunkBuffer, TransferEngine, pipelined
@@ -74,7 +73,6 @@ __all__ = [
     "LoadBalancedStrategy",
     "RandomStrategy",
     "LocalFirstStrategy",
-    "make_strategy",
     # metadata
     "MetadataDHT",
     "MetadataProvider",

@@ -73,6 +73,9 @@ __all__ = ["PageLocation", "BlobSeer"]
 #: stores the whole page again instead; 64 KiB appends fill a 256 KiB
 #: page in 4.
 MAX_PAGE_EXTENTS = 8
+#: Longest run of contiguous pages one placement decision hands a replica
+#: set; longer writes split into runs of at most this many pages.
+ALLOCATION_RANGE_PAGES = 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,15 +134,9 @@ class BlobSeer:
                 for i in range(self.config.num_metadata_providers)
             ]
         self.provider_manager = ProviderManager(
-            providers,
-            strategy=self.config.allocation_strategy,
-            seed=self.config.rng_seed,
-            range_pages=self.config.allocation_range_pages,
+            providers, range_pages=ALLOCATION_RANGE_PAGES
         )
-        self.dht = MetadataDHT(
-            metadata_providers,
-            virtual_nodes=self.config.virtual_nodes_per_metadata_provider,
-        )
+        self.dht = MetadataDHT(metadata_providers)
         self.metadata_manager = MetadataManager(self.dht)
         self.version_manager = VersionManager(self.config)
         self.replication_manager = ReplicationManager(
@@ -153,17 +150,12 @@ class BlobSeer:
         self._rng_lock = threading.Lock()
         #: Snapshot lifecycle: pins protect published versions from the
         #: collector (and the blob from deletion); the retention policy and
-        #: collector turn `max_versions_kept` / `version_ttl_seconds` into
-        #: reclaimed space.
-        self.pins = PinRegistry(default_ttl=self.config.pin_default_ttl_seconds)
-        self.retention = RetentionPolicy(
-            keep_last=self.config.max_versions_kept,
-            ttl_seconds=self.config.version_ttl_seconds,
-        )
+        #: collector turn `max_versions_kept` into reclaimed space; call
+        #: ``gc.start(interval)`` for a background daemon.
+        self.pins = PinRegistry()
+        self.retention = RetentionPolicy(keep_last=self.config.max_versions_kept)
         self.gc = VersionGC(self, policy=self.retention, pins=self.pins)
         self.version_manager.add_delete_guard(self.pins.guard_delete)
-        if self.config.gc_interval_seconds is not None:
-            self.gc.start(self.config.gc_interval_seconds)
 
     def _op_rng(self) -> random.Random:
         """Derive one deterministic RNG for a whole client operation.

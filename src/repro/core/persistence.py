@@ -16,10 +16,10 @@ Two store implementations share the :class:`PageStore` interface:
 
 from __future__ import annotations
 
+import binascii
 import os
 import struct
 import threading
-import zlib
 from typing import Iterator, MutableMapping
 
 from .errors import PersistenceError
@@ -149,7 +149,7 @@ class LogStructuredStore(PageStore):
             payload = self._file.read(key_len + value_len)
             if len(payload) < key_len + value_len:
                 break  # torn record
-            if zlib.crc32(payload) != crc:
+            if binascii.crc32(payload) != crc:
                 break  # torn/corrupt tail record: stop replay here
             key = payload[:key_len]
             if tombstone:
@@ -165,7 +165,7 @@ class LogStructuredStore(PageStore):
     def _append_record(self, key: bytes, value: bytes, tombstone: bool) -> int:
         payload = key + value
         header = _RECORD_HEADER.pack(
-            _MAGIC, zlib.crc32(payload), len(key), len(value), int(tombstone)
+            _MAGIC, binascii.crc32(payload), len(key), len(value), int(tombstone)
         )
         self._file.seek(0, os.SEEK_END)
         offset = self._file.tell()
@@ -242,7 +242,7 @@ class LogStructuredStore(PageStore):
                 for key, value in live:
                     payload = key + value
                     header = _RECORD_HEADER.pack(
-                        _MAGIC, zlib.crc32(payload), len(key), len(value), 0
+                        _MAGIC, binascii.crc32(payload), len(key), len(value), 0
                     )
                     tmp.write(header)
                     tmp.write(payload)

@@ -35,7 +35,6 @@ __all__ = [
     "LoadBalancedStrategy",
     "RandomStrategy",
     "LocalFirstStrategy",
-    "make_strategy",
     "ProviderManager",
 ]
 
@@ -83,7 +82,7 @@ class AllocationStrategy(ABC):
         Each run assigns ``run_length`` consecutive pages to the same
         replica set, so the caller pays one placement decision per run
         instead of one per page; ``max_range`` caps the run length (the
-        ``allocation_range_pages`` knob).  ``pending`` is mutated with the
+        provider manager's ``range_pages``).  ``pending`` is mutated with the
         load this call assigns.  The default implementation preserves
         per-page behaviour exactly: it calls :meth:`select` once per page
         and coalesces adjacent identical choices.
@@ -157,7 +156,7 @@ class LoadBalancedStrategy(AllocationStrategy):
         write costs ``O(pages / max_range)`` placement decisions instead of
         one per page.  Load balancing granularity coarsens to ``max_range``
         pages — the knob trades allocator lock time against placement
-        smoothness (`allocation_range_pages` in the config).
+        smoothness (``ProviderManager(range_pages=)``).
 
         Runs are additionally capped so the write still *stripes* across
         the whole pool: a 4-page write over 4 providers lands one page per
@@ -255,22 +254,6 @@ class LocalFirstStrategy(AllocationStrategy):
         return chosen + extra
 
 
-_STRATEGIES = {
-    "load_balanced": LoadBalancedStrategy,
-    "random": RandomStrategy,
-    "local_first": LocalFirstStrategy,
-}
-
-
-def make_strategy(name: str, *, seed: int = 0) -> AllocationStrategy:
-    """Instantiate an allocation strategy by configuration name."""
-    try:
-        factory = _STRATEGIES[name]
-    except KeyError:
-        raise AllocationError(f"unknown allocation strategy {name!r}") from None
-    return factory(seed=seed)
-
-
 class ProviderManager:
     """Registry of data providers plus the page allocation service.
 
@@ -288,20 +271,17 @@ class ProviderManager:
         self,
         providers: Sequence[DataProvider] | None = None,
         *,
-        strategy: AllocationStrategy | str = "load_balanced",
-        seed: int = 0,
+        strategy: AllocationStrategy | None = None,
         range_pages: int = 1,
     ) -> None:
         self._providers: dict[int, DataProvider] = {}
         self._view: dict[int, ProviderStats] = {}
         self._lock = threading.Lock()
-        if isinstance(strategy, str):
-            strategy = make_strategy(strategy, seed=seed)
-        self._strategy = strategy
+        self._strategy = strategy if strategy is not None else LoadBalancedStrategy()
         if range_pages < 1:
             raise AllocationError("range_pages must be at least 1")
         #: Default cap on contiguous pages per replica set handed out by one
-        #: placement decision (``allocation_range_pages`` in the config).
+        #: placement decision.
         self._range_pages = range_pages
         for provider in providers or []:
             self.register(provider)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -117,19 +116,13 @@ class _BlobState:
     published_version: int = 0
     published_sizes: dict[int, int] = field(default_factory=dict)
     published_roots: dict[int, NodeKey | None] = field(default_factory=dict)
-    published_times: dict[int, float] = field(default_factory=dict)
     retired: set[int] = field(default_factory=set)
 
 
 class VersionManager:
     """Centralized version assignment and ordered publication service."""
 
-    def __init__(
-        self,
-        config: BlobSeerConfig | None = None,
-        *,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
+    def __init__(self, config: BlobSeerConfig | None = None) -> None:
         self._config = config or BlobSeerConfig()
         # Blob registry: registration and removal take _blobs_lock, lookups
         # are lock-free (a GIL-atomic dict read).  Per-blob ordering lives
@@ -138,9 +131,6 @@ class VersionManager:
         self._blobs: dict[int, _BlobState] = {}
         self._blobs_lock = threading.Lock()
         self._blob_ids = itertools.count(1)
-        #: Clock used to stamp publication times (injectable so retention
-        #: TTL tests can run on a virtual clock).
-        self._clock = clock
         self._delete_guards: list[Callable[[int], None]] = []
 
     # -- blob lifecycle -----------------------------------------------------------
@@ -166,7 +156,6 @@ class VersionManager:
         # Version 0 is the implicit empty snapshot.
         state.published_sizes[0] = 0
         state.published_roots[0] = None
-        state.published_times[0] = self._clock()
         with self._blobs_lock:
             self._blobs[blob_id] = state
         return info
@@ -329,7 +318,6 @@ class VersionManager:
             else:
                 state.published_roots[nxt] = slot.root
                 state.published_sizes[nxt] = slot.ticket.new_size
-            state.published_times[nxt] = self._clock()
             state.published_version = nxt
 
     def wait_for_publication(
@@ -398,16 +386,6 @@ class VersionManager:
                 if v not in state.retired
             ]
 
-    def publication_times(self, blob_id: int) -> dict[int, float]:
-        """Map live published version -> publication timestamp (manager clock)."""
-        state = self._state(blob_id)
-        with state.lock:
-            return {
-                v: t
-                for v, t in state.published_times.items()
-                if v not in state.retired
-            }
-
     def inflight_floor(self, blob_id: int) -> int | None:
         """Lowest base version any in-flight (unpublished) writer depends on.
 
@@ -470,7 +448,6 @@ class VersionManager:
                     state.retired.add(version)
                     state.published_roots.pop(version, None)
                     state.published_sizes.pop(version, None)
-                    state.published_times.pop(version, None)
                     # The write ticket's slot is no longer needed: the version
                     # published long ago and _advance never revisits it.
                     state.versions.pop(version, None)

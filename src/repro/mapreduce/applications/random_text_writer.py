@@ -66,7 +66,6 @@ def make_random_text_writer_job(
     num_map_tasks: int = 4,
     bytes_per_map: int = 1024 * 1024,
     seed: int = 0,
-    output_replication: int | None = None,
 ) -> Job:
     """Build the Random Text Writer job (map-only, synthetic input).
 
@@ -79,7 +78,6 @@ def make_random_text_writer_job(
         output_dir=output_dir,
         num_reduce_tasks=0,
         num_map_tasks=num_map_tasks,
-        output_replication=output_replication,
         properties={
             "random_text.bytes_per_map": bytes_per_map,
             "random_text.seed": seed,

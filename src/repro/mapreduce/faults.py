@@ -3,8 +3,8 @@
 The paper's evaluation runs MapReduce on a large testbed where task
 failures, tracker crashes and stragglers are the norm, not the exception.
 This module makes those scenarios *expressible* so the fault-tolerance
-subsystem (bounded retries, tracker blacklisting, speculative execution —
-see :mod:`repro.mapreduce.jobtracker`) has something to recover from:
+subsystem (bounded retries and tracker blacklisting — see
+:mod:`repro.mapreduce.jobtracker`) has something to recover from:
 
 * :class:`FaultPlan` is a schedule of injected faults, built either from
   explicit specs (``fail_task``, ``delay_task``, ``kill_tracker``,

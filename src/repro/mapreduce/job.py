@@ -45,7 +45,6 @@ class JobConf:
     num_reduce_tasks: int = 1
     num_map_tasks: int | None = None
     split_size: int | None = None
-    output_replication: int | None = None
     #: Route the shuffle through the job's file system: map tasks spill
     #: sorted segment files, reduce tasks fetch them as maps complete and
     #: merge externally (see :mod:`repro.mapreduce.shuffle_service`).
@@ -63,15 +62,6 @@ class JobConf:
     #: (Hadoop's ``mapred.map.max.attempts``).  A failed attempt is retried
     #: on a *different* tracker when the cluster has one.
     max_task_attempts: int = 4
-    #: Launch backup attempts for stragglers near the end of each phase and
-    #: take the first completion (Hadoop's speculative execution).
-    speculative_execution: bool = False
-    #: A running attempt is a straggler once its runtime exceeds this
-    #: multiple of the median successful attempt duration of its phase.
-    slow_task_threshold: float = 2.0
-    #: Speculate only once at most this fraction of the phase's tasks is
-    #: still incomplete (Hadoop's slow-start idea, inverted).
-    speculative_fraction: float = 0.5
     #: Run the job ``AS OF`` a storage snapshot: an ``int`` reads every
     #: input at that version, a mapping pins per-path versions (keys are
     #: resolved in-filesystem file paths), ``None`` reads the current
@@ -103,10 +93,6 @@ class JobConf:
             raise ValueError("shuffle_segment_size must be positive")
         if self.max_task_attempts < 1:
             raise ValueError("max_task_attempts must be at least 1")
-        if self.slow_task_threshold <= 0:
-            raise ValueError("slow_task_threshold must be positive")
-        if not 0.0 < self.speculative_fraction <= 1.0:
-            raise ValueError("speculative_fraction must be within (0, 1]")
         if self.snapshot_version is not None:
             if isinstance(self.snapshot_version, int):
                 if self.snapshot_version < 0:

@@ -29,14 +29,12 @@ paper's §V scenario — on backends that support it.
 Fault tolerance.  Every task is executed as a sequence of *attempts*
 (bounded by ``JobConf.max_task_attempts``): a failed attempt is re-executed
 on a different tracker, hosts accumulating failures are blacklisted for the
-job (:class:`~repro.mapreduce.scheduler.LocalityAwareScheduler`), and with
-``JobConf(speculative_execution=True)`` stragglers near the end of a phase
-get a speculative backup attempt — the first completion wins and the loser
-is discarded, mirroring Hadoop semantics.  Exactly one attempt per task
-ever commits output: the shuffle service publishes only the winning
-attempt's (attempt-id-suffixed) segments, and reduce/map-only writes are
-gated by an output-committer handshake.  Failure *injection* for all of
-this lives in :mod:`repro.mapreduce.faults`.
+job (:class:`~repro.mapreduce.scheduler.LocalityAwareScheduler`), and a
+straggler is waited for.  Exactly one attempt per task ever commits
+output: the shuffle service publishes only the winning attempt's
+(attempt-id-suffixed) segments, and reduce/map-only writes are gated by an
+output-committer handshake.  Failure *injection* for all of this lives in
+:mod:`repro.mapreduce.faults`.
 """
 
 from __future__ import annotations
@@ -69,12 +67,6 @@ from .tasktracker import TaskResult, TaskTracker
 
 __all__ = ["JobContext", "JobResult", "JobTracker"]
 
-#: How often the phase orchestrator wakes to look for stragglers.
-_SPECULATION_POLL_SECONDS = 0.02
-#: An attempt younger than this is never considered a straggler, however
-#: fast the rest of the phase was (guards against sub-millisecond medians).
-_MIN_STRAGGLER_RUNTIME = 0.05
-
 
 @dataclass(frozen=True)
 class JobContext:
@@ -86,9 +78,6 @@ class JobContext:
 
     #: Set by ``JobHandle.cancel``: attempts not yet started fail at once.
     cancel_event: threading.Event
-    #: Whether speculative backups may launch now (closed while a tenant
-    #: is starved; see ``JobService._speculation_open``).
-    speculation_gate: Callable[[], bool]
     #: ``progress(phase, completed, total)``, fired as task winners commit.
     progress: Callable[[str, int, int], None]
 
@@ -104,8 +93,8 @@ class JobResult:
     reduce_tasks: int
     counters: Counters
     locality: LocalityStats
-    #: Every executed task *attempt*, including failed, retried, speculative
-    #: and discarded (race-losing) ones.
+    #: Every executed task *attempt*, including failed, retried and
+    #: discarded (race-losing) ones.
     task_results: list[TaskResult] = field(default_factory=list)
     output_paths: list[str] = field(default_factory=list)
     #: Spill-based shuffle statistics (``None`` for the in-memory shuffle).
@@ -129,31 +118,15 @@ class JobResult:
 
     @property
     def retries(self) -> int:
-        """Re-executions triggered by task failures (speculation excluded)."""
-        return sum(
-            1 for r in self.task_results if r.attempt > 0 and not r.speculative
-        )
-
-    @property
-    def speculative_attempts(self) -> int:
-        """Backup attempts launched for stragglers."""
-        return sum(1 for r in self.task_results if r.speculative)
-
-    @property
-    def speculative_wins(self) -> int:
-        """Speculative attempts that beat the original and committed output."""
-        return sum(
-            1
-            for r in self.task_results
-            if r.speculative and r.succeeded and not r.discarded
-        )
+        """Re-executions triggered by task failures."""
+        return sum(1 for r in self.task_results if r.attempt > 0)
 
     def summary(self) -> dict[str, Any]:
         """JSON-friendly summary used by reports and benchmarks.
 
         Beyond the task counts it reports the *recovery overhead*: total
-        attempts executed, retries, and speculative launches/wins — the
-        numbers benchmark tables need to show what fault tolerance cost.
+        attempts executed and retries — the numbers benchmark tables need
+        to show what fault tolerance cost.
         """
         summary = {
             "job": self.job_name,
@@ -166,11 +139,6 @@ class JobResult:
             "locality": self.locality.as_dict(),
             "counters": self.counters.as_dict(),
         }
-        if self.speculative_attempts:
-            summary["speculative"] = {
-                "launched": self.speculative_attempts,
-                "wins": self.speculative_wins,
-            }
         if self.blacklisted_hosts:
             summary["blacklisted_hosts"] = sorted(self.blacklisted_hosts)
         if self.shuffle is not None:
@@ -189,7 +157,6 @@ def _failed_result(
     *,
     locality: str = "n/a",
     attempt: int = 0,
-    speculative: bool = False,
 ) -> TaskResult:
     """Record one raising task attempt as a failed :class:`TaskResult`."""
     error = "".join(
@@ -206,7 +173,6 @@ def _failed_result(
         succeeded=False,
         error=error,
         attempt=attempt,
-        speculative=speculative,
     )
 
 
@@ -217,34 +183,28 @@ class _TaskEntry:
         "index",
         "attempts_started",
         "running",
-        "running_hosts",
         "banned_hosts",
         "winner",
         "permanent_failure",
         "done",
         "committed",
         "commit_attempt",
-        "speculated",
-        "last_start",
     )
 
     def __init__(self, index: int) -> None:
         self.index = index
         self.attempts_started = 0
         self.running = 0
-        self.running_hosts: list[str] = []
         self.banned_hosts: set[str] = set()
         self.winner: TaskResult | None = None
         self.permanent_failure: TaskResult | None = None
         self.done = False
         self.committed = False
         self.commit_attempt: int | None = None
-        self.speculated = False
-        self.last_start = 0.0
 
 
 class _RetryingPhase:
-    """Executes one phase's tasks as bounded, speculating attempt sequences.
+    """Executes one phase's tasks as bounded attempt sequences.
 
     The phase owns the full fault-tolerance protocol for its tasks:
 
@@ -254,9 +214,8 @@ class _RetryingPhase:
     * every failure is reported to ``on_attempt_failed`` (feeding the
       scheduler blacklist; a :class:`TrackerDeadError` is *fatal* and
       blacklists the host immediately);
-    * near the end of the phase, stragglers get one speculative backup
-      attempt; the first attempt to *commit* (:meth:`try_commit`) wins and
-      every other attempt of the task is discarded;
+    * the first attempt to *commit* (:meth:`try_commit`) wins and every
+      other attempt of the task is discarded;
     * a task with no surviving attempt triggers ``on_permanent_failure``
       (used to abort the shuffle so overlapped reducers do not wait
       forever) and fails the phase.
@@ -273,15 +232,9 @@ class _RetryingPhase:
         *,
         total: int,
         max_attempts: int,
-        execute: Callable[
-            [int, int, TaskTracker, bool], tuple[TaskResult, bool, bool]
-        ],
+        execute: Callable[[int, int, TaskTracker], tuple[TaskResult, bool, bool]],
         pick_tracker: Callable[[int, int, set[str]], TaskTracker],
         make_failure: Callable[[int, int, BaseException], TaskResult],
-        speculation_gate: Callable[[], bool],
-        speculative: bool = False,
-        slow_task_threshold: float = 2.0,
-        speculative_fraction: float = 0.5,
         on_winner: Callable[[TaskResult], None] | None = None,
         on_attempt_failed: Callable[[str, bool], None] | None = None,
         on_permanent_failure: Callable[[int, TaskResult], None] | None = None,
@@ -289,14 +242,10 @@ class _RetryingPhase:
         self._max_attempts = max_attempts
         self._execute = execute
         self._pick_tracker = pick_tracker
-        self._speculative = speculative
-        self._slow_task_threshold = slow_task_threshold
-        self._speculative_fraction = speculative_fraction
         self._on_winner = on_winner
         self._on_attempt_failed = on_attempt_failed
         self._on_permanent_failure = on_permanent_failure
         self._make_failure = make_failure
-        self._speculation_gate = speculation_gate
         self._cond = threading.Condition()
         self._entries = [_TaskEntry(i) for i in range(total)]
         self._results: list[TaskResult] = []
@@ -367,21 +316,17 @@ class _RetryingPhase:
                 except NoHealthyTrackerError as exc:
                     self._fail_no_tracker(entry, 0, exc)
                     continue
-                self._launch(entry, tracker, speculative=False)
+                self._launch(entry, tracker)
 
     def finish(self) -> list[TaskResult]:
-        """Block until every task is decided, speculating on stragglers.
+        """Block until every task is decided.
 
         Race-losing attempts may still be running when this returns; their
         results land in :attr:`results` once the worker pool is joined.
         """
-        # Only a speculating phase needs timed wakeups to probe for
-        # stragglers; otherwise every state change notifies the condition.
-        timeout = _SPECULATION_POLL_SECONDS if self._speculative else None
         with self._cond:
             while self._fatal is None and not all(e.done for e in self._entries):
-                self._cond.wait(timeout=timeout)
-                self._maybe_speculate()
+                self._cond.wait()
         if self._fatal is not None:
             raise self._fatal
         return self.results
@@ -391,36 +336,23 @@ class _RetryingPhase:
         self.start(pool)
         return self.finish()
 
-    def _launch(
-        self, entry: _TaskEntry, tracker: TaskTracker, *, speculative: bool
-    ) -> None:
+    def _launch(self, entry: _TaskEntry, tracker: TaskTracker) -> None:
         """Submit one attempt of ``entry`` (phase lock held)."""
         attempt = entry.attempts_started
         entry.attempts_started += 1
         entry.running += 1
-        entry.running_hosts.append(tracker.host)
-        entry.last_start = time.perf_counter()
         assert self._pool is not None
         try:
-            self._pool.submit(self._attempt, entry, attempt, tracker, speculative)
+            self._pool.submit(self._attempt, entry, attempt, tracker)
         except RuntimeError:
             # The pool is shutting down (fatal error elsewhere): undo the
             # launch bookkeeping so the entry does not look in-flight.
             entry.attempts_started -= 1
             entry.running -= 1
-            entry.running_hosts.remove(tracker.host)
 
-    def _attempt(
-        self,
-        entry: _TaskEntry,
-        attempt: int,
-        tracker: TaskTracker,
-        speculative: bool,
-    ) -> None:
+    def _attempt(self, entry: _TaskEntry, attempt: int, tracker: TaskTracker) -> None:
         try:
-            result, retryable, fatal_host = self._execute(
-                entry.index, attempt, tracker, speculative
-            )
+            result, retryable, fatal_host = self._execute(entry.index, attempt, tracker)
         except BaseException as exc:
             # ``execute`` traps Exception; anything escaping is a
             # SystemExit-class event that must fail the whole phase instead
@@ -431,12 +363,11 @@ class _RetryingPhase:
                 entry.running -= 1
                 self._cond.notify_all()
             raise
-        self._record(entry, tracker, result, retryable, fatal_host)
+        self._record(entry, result, retryable, fatal_host)
 
     def _record(
         self,
         entry: _TaskEntry,
-        tracker: TaskTracker,
         result: TaskResult,
         retryable: bool,
         fatal_host: bool,
@@ -448,8 +379,6 @@ class _RetryingPhase:
         won = False
         with self._cond:
             entry.running -= 1
-            if tracker.host in entry.running_hosts:
-                entry.running_hosts.remove(tracker.host)
             if result.succeeded and not result.discarded:
                 if entry.winner is None:
                     entry.winner = result
@@ -457,8 +386,8 @@ class _RetryingPhase:
                     entry.done = True
                     won = True
                 else:
-                    # An in-memory race loser (speculation): another attempt
-                    # already won, so this one's output is discarded.
+                    # An in-memory race loser: another attempt already won,
+                    # so this one's output is discarded.
                     result = replace(result, discarded=True)
             elif result.succeeded:
                 # A committed-side race loser: its write was skipped.
@@ -499,7 +428,7 @@ class _RetryingPhase:
                 return
             with self._cond:
                 if entry.winner is None and self._fatal is None:
-                    self._launch(entry, tracker, speculative=False)
+                    self._launch(entry, tracker)
                 elif entry.running == 0 and entry.winner is None and not entry.done:
                     entry.permanent_failure = result
                     entry.done = True
@@ -507,54 +436,6 @@ class _RetryingPhase:
                     self._cond.notify_all()
         if permanent is not None and self._on_permanent_failure is not None:
             self._on_permanent_failure(entry.index, permanent)
-
-    def _maybe_speculate(self) -> None:
-        """Launch backup attempts for stragglers (phase lock held).
-
-        Hadoop semantics: only near the end of the phase (at most
-        ``speculative_fraction`` of its tasks still incomplete), only for
-        attempts running longer than ``slow_task_threshold ×`` the median
-        successful attempt duration, and at most one backup per task.
-        """
-        if not self._speculative or not self._entries or self._pool is None:
-            return
-        if not self._speculation_gate():
-            # Cooperative preemption: the service closes the gate while a
-            # starved tenant waits, so backup attempts stop competing for
-            # slots the waiting tenant needs.
-            return
-        total = len(self._entries)
-        remaining = sum(1 for e in self._entries if not e.done)
-        if remaining == 0 or remaining / total > self._speculative_fraction:
-            return
-        durations = sorted(
-            e.winner.duration for e in self._entries if e.winner is not None
-        )
-        if not durations:
-            return
-        median = durations[len(durations) // 2]
-        straggler_after = max(
-            self._slow_task_threshold * median, _MIN_STRAGGLER_RUNTIME
-        )
-        now = time.perf_counter()
-        for entry in self._entries:
-            if (
-                entry.done
-                or entry.speculated
-                or entry.running == 0
-                or entry.attempts_started >= self._max_attempts
-                or now - entry.last_start < straggler_after
-            ):
-                continue
-            exclude = entry.banned_hosts | set(entry.running_hosts)
-            try:
-                tracker = self._pick_tracker(
-                    entry.index, entry.attempts_started, exclude
-                )
-            except NoHealthyTrackerError:
-                continue  # no backup possible; the primary may still finish
-            entry.speculated = True
-            self._launch(entry, tracker, speculative=True)
 
 
 class JobTracker:
@@ -646,11 +527,7 @@ class JobTracker:
             # to a previous run's output — but only after the inputs were
             # split successfully, so a rerun with a bad input path fails
             # without destroying the existing output.
-            reduce_format.prepare(
-                self.fs,
-                job.conf.output_dir,
-                replication=job.conf.output_replication,
-            )
+            reduce_format.prepare(self.fs, job.conf.output_dir)
 
         shuffle_service: ShuffleService | None = None
         shuffle_transfer: TransferEngine | None = None
@@ -677,7 +554,7 @@ class JobTracker:
             scheduler.report_task_failure(host, fatal=fatal)
 
         def cancelled_result(
-            task_id: str, kind: str, attempt: int, speculative: bool
+            task_id: str, kind: str, attempt: int
         ) -> tuple[TaskResult, bool, bool]:
             failed = _failed_result(
                 task_id,
@@ -685,7 +562,6 @@ class JobTracker:
                 kind,
                 RuntimeError("job cancelled before the attempt started"),
                 attempt=attempt,
-                speculative=speculative,
             )
             return failed, False, False  # not retryable: the job is going away
 
@@ -718,7 +594,7 @@ class JobTracker:
             return scheduler.pick_tracker(exclude=banned)
 
         def execute_map(
-            index: int, attempt: int, tracker: TaskTracker, speculative: bool
+            index: int, attempt: int, tracker: TaskTracker
         ) -> tuple[TaskResult, bool, bool]:
             assignment = assignments[index]
             split = assignment.split
@@ -730,7 +606,7 @@ class JobTracker:
                     "node-local" if tracker.host in split.hosts else "remote"
                 )
             if context.cancel_event.is_set():
-                return cancelled_result(task_id, "map", attempt, speculative)
+                return cancelled_result(task_id, "map", attempt)
             commit_check = None
             if map_only:
                 commit_check = partial(map_phase.try_commit, index, attempt)
@@ -754,7 +630,6 @@ class JobTracker:
                         output_format=map_format,
                         shuffle=shuffle_service,
                         attempt=attempt,
-                        speculative=speculative,
                         fault_plan=fault_plan,
                         commit_check=commit_check,
                     )
@@ -766,7 +641,6 @@ class JobTracker:
                     exc,
                     locality=locality,
                     attempt=attempt,
-                    speculative=speculative,
                 )
                 return failed, True, (
                     isinstance(exc, TrackerDeadError) and tracker_liveness is None
@@ -808,14 +682,10 @@ class JobTracker:
             max_attempts=job.conf.max_task_attempts,
             execute=execute_map,
             pick_tracker=pick_map_tracker,
-            speculative=job.conf.speculative_execution,
-            slow_task_threshold=job.conf.slow_task_threshold,
-            speculative_fraction=job.conf.speculative_fraction,
             on_winner=merge_winner_counters,
             on_attempt_failed=report_host_failure,
             on_permanent_failure=on_map_permanent_failure,
             make_failure=make_map_placement_failure,
-            speculation_gate=context.speculation_gate,
         )
 
         # -- reduce phase ---------------------------------------------------------
@@ -829,11 +699,11 @@ class JobTracker:
             return scheduler.pick_tracker(exclude=banned)
 
         def execute_reduce(
-            index: int, attempt: int, tracker: TaskTracker, speculative: bool
+            index: int, attempt: int, tracker: TaskTracker
         ) -> tuple[TaskResult, bool, bool]:
             task_id = f"reduce-{index:05d}"
             if context.cancel_event.is_set():
-                return cancelled_result(task_id, "reduce", attempt, speculative)
+                return cancelled_result(task_id, "reduce", attempt)
             attempt_counters = Counters()
             scheduler.task_started()
             try:
@@ -853,7 +723,6 @@ class JobTracker:
                         output_format=reduce_format,
                         presorted=presorted,
                         attempt=attempt,
-                        speculative=speculative,
                         fault_plan=fault_plan,
                         commit_check=partial(reduce_phase.try_commit, index, attempt),
                     )
@@ -865,7 +734,6 @@ class JobTracker:
                     "reduce",
                     exc,
                     attempt=attempt,
-                    speculative=speculative,
                 )
                 return failed, False, False
             except Exception as exc:
@@ -875,7 +743,6 @@ class JobTracker:
                     "reduce",
                     exc,
                     attempt=attempt,
-                    speculative=speculative,
                 )
                 return failed, True, (
                     isinstance(exc, TrackerDeadError) and tracker_liveness is None
@@ -889,13 +756,9 @@ class JobTracker:
             max_attempts=job.conf.max_task_attempts,
             execute=execute_reduce,
             pick_tracker=pick_reduce_tracker,
-            speculative=job.conf.speculative_execution,
-            slow_task_threshold=job.conf.slow_task_threshold,
-            speculative_fraction=job.conf.speculative_fraction,
             on_winner=merge_winner_counters,
             on_attempt_failed=report_host_failure,
             make_failure=make_reduce_placement_failure,
-            speculation_gate=context.speculation_gate,
         )
 
         # -- execution ------------------------------------------------------------
@@ -912,13 +775,10 @@ class JobTracker:
                 # Overlapped shuffle: reduce workers start alongside the map
                 # phase and fetch segments as individual maps complete; the
                 # separate pools keep blocked reducers from starving maps.
-                # Speculative reduce backups need headroom beyond one
-                # worker per partition, since primaries block on fetches.
-                reduce_workers = max(num_partitions, 1) * (
-                    2 if job.conf.speculative_execution else 1
-                )
                 reduce_ran = True
-                with ThreadPoolExecutor(max_workers=reduce_workers) as reduce_pool:
+                with ThreadPoolExecutor(
+                    max_workers=max(num_partitions, 1)
+                ) as reduce_pool:
                     reduce_phase.start(reduce_pool)
                     try:
                         with ThreadPoolExecutor(max_workers=max_workers) as map_pool:

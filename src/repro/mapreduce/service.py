@@ -21,10 +21,6 @@ engine.
   enforced in the file system via :class:`~repro.fs.quota.QuotaManager`)
   and a shared :class:`~repro.mapreduce.scheduler.SlotLedger` tracking
   live slot use.
-* **cooperative preemption** — while any tenant is *starved* (jobs queued,
-  none running), the speculation gate closes: running jobs stop launching
-  backup attempts for stragglers, handing those slots to the starved
-  tenant's job instead of racing duplicates.
 """
 
 from __future__ import annotations
@@ -507,7 +503,6 @@ class JobService:
         conf = replace(item.job.conf, tenant=handle.tenant, priority=handle.priority)
         context = JobContext(
             cancel_event=handle._cancel_event,
-            speculation_gate=self._speculation_open,
             progress=handle._report_progress,
         )
         result: JobResult | None = None
@@ -528,23 +523,6 @@ class JobService:
                 self._total_running -= 1
                 self._idle.notify_all()
             self._pump()
-
-    def _speculation_open(self) -> bool:
-        """Whether running jobs may launch speculative backup attempts.
-
-        Closed while any tenant is *starved* (jobs queued, none running):
-        speculation races duplicate attempts for stragglers, and under
-        starvation those slots belong to the waiting tenant.  Cooperative
-        preemption — running attempts are never killed, the job merely
-        stops spawning extras.
-        """
-        with self._lock:
-            for key, queue in self._queues.items():
-                if not any(i.handle.status() == JOB_QUEUED for i in queue):
-                    continue
-                if self._running.get(key, 0) == 0:
-                    return False
-            return True
 
     def _cancel(self, handle: JobHandle) -> bool:
         with self._lock:

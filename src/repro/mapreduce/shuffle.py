@@ -13,9 +13,9 @@ creating several output files, as it is currently done in Hadoop").
 
 from __future__ import annotations
 
+import binascii
 import itertools
 import operator
-import zlib
 from collections import defaultdict
 from typing import Any, Callable, Iterable, Iterator
 
@@ -42,7 +42,7 @@ def hash_partitioner(key: Any, num_partitions: int) -> int:
     """Deterministic hash partitioner (stable across processes and runs)."""
     if num_partitions <= 1:
         return 0
-    return zlib.crc32(repr(key).encode("utf-8")) % num_partitions
+    return binascii.crc32(repr(key).encode("utf-8")) % num_partitions
 
 
 class MapOutputCollector:
@@ -164,7 +164,6 @@ class TextOutputFormat:
         pairs: Iterable[tuple[Any, Any]],
         *,
         map_only: bool = False,
-        replication: int | None = None,
         client_host: str | None = None,
     ) -> str:
         """Write one task's output pairs; returns the part file path.
@@ -175,9 +174,7 @@ class TextOutputFormat:
         """
         fs.mkdirs(output_dir)
         path = self.output_path(output_dir, task_index, map_only=map_only)
-        with fs.open_write(
-            path, overwrite=True, replication=replication, client_host=client_host
-        ) as stream:
+        with fs.open_write(path, overwrite=True, client_host=client_host) as stream:
             for batch in self._batches(pairs, OUTPUT_BATCH_BYTES):
                 stream.write(batch)
         return path
@@ -239,9 +236,7 @@ class SingleFileOutputFormat(TextOutputFormat):
         """Path of the single shared output file under ``output_dir``."""
         return fspath.join(output_dir, self._filename)
 
-    def prepare(
-        self, fs: FileSystem, output_dir: str, *, replication: int | None = None
-    ) -> str:
+    def prepare(self, fs: FileSystem, output_dir: str) -> str:
         """Create-or-truncate the shared file before any reducer appends.
 
         Called once per job by the jobtracker: without it, rerunning a job
@@ -251,7 +246,7 @@ class SingleFileOutputFormat(TextOutputFormat):
         """
         fs.mkdirs(output_dir)
         path = self.shared_path(output_dir)
-        with fs.create(path, overwrite=True, replication=replication):
+        with fs.create(path, overwrite=True):
             pass
         return path
 
@@ -263,7 +258,6 @@ class SingleFileOutputFormat(TextOutputFormat):
         pairs: Iterable[tuple[Any, Any]],
         *,
         map_only: bool = False,
-        replication: int | None = None,
         client_host: str | None = None,
     ) -> str:
         concurrent_append = getattr(fs, "concurrent_append", None)
@@ -278,7 +272,7 @@ class SingleFileOutputFormat(TextOutputFormat):
         path = self.shared_path(output_dir)
         if not fs.exists(path):
             try:
-                with fs.create(path, replication=replication):
+                with fs.create(path):
                     pass
             except Exception:
                 # Another reducer created it concurrently; that is fine.

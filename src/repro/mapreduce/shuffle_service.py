@@ -326,9 +326,9 @@ class ShuffleService:
     def _segment_path(
         self, map_index: int, partition: int, sequence: int, attempt: int
     ) -> str:
-        # The attempt id is part of the path so re-executed and speculative
-        # attempts never overwrite each other's segments; only the winning
-        # attempt's segments are ever *published* to reducers.
+        # The attempt id is part of the path so re-executed attempts never
+        # overwrite each other's segments; only the winning attempt's
+        # segments are ever *published* to reducers.
         return fspath.join(
             self._dir,
             f"map-{map_index:05d}-a{attempt:02d}"
@@ -371,8 +371,7 @@ class ShuffleService:
         Returns ``(bytes_written, won)``: ``won`` is False when another
         attempt of the same map already published its output — the racing
         attempt's segments are discarded so reducers only ever fetch the
-        winning attempt (first-completion semantics for retried and
-        speculative attempts).
+        winning attempt (first-completion semantics for retried attempts).
 
         Each partition is cut into a new segment whenever the buffered
         frames reach ``segment_size`` encoded bytes (so a big partition
@@ -562,9 +561,9 @@ class ShuffleService:
         """Merge up to ``merge_factor`` sorted runs into one on-storage run.
 
         Runs are named by a service-wide counter, never by (partition,
-        round): concurrent attempts of the same reduce partition (task
-        retry racing a straggler, speculative backups) each cascade into
-        their own files instead of overwriting each other's mid-read.
+        round): attempts of the same reduce partition (a retry after a
+        failed attempt) each cascade into their own files instead of
+        overwriting each other's mid-read.
         """
         with self._cond:
             run_id = self._merge_runs

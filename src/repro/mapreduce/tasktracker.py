@@ -49,8 +49,6 @@ class TaskResult:
     error: str | None = None
     #: Zero-based attempt number of this execution (0 = first attempt).
     attempt: int = 0
-    #: Whether this attempt was a speculative backup of a straggler.
-    speculative: bool = False
     #: ``True`` when the attempt finished fine but *lost* the race against
     #: another attempt of the same task: its output was not committed.
     discarded: bool = False
@@ -109,7 +107,6 @@ class TaskTracker:
         output_format: TextOutputFormat | None = None,
         shuffle: ShuffleService | None = None,
         attempt: int = 0,
-        speculative: bool = False,
         fault_plan: FaultPlan | None = None,
         commit_check: Callable[[], bool] | None = None,
     ) -> TaskResult:
@@ -170,7 +167,6 @@ class TaskTracker:
                         split.split_id,
                         pairs,
                         map_only=True,
-                        replication=job.conf.output_replication,
                         client_host=self.host,
                     )
                 else:
@@ -196,7 +192,6 @@ class TaskTracker:
                 output_path=output_path,
                 map_output=partitions_out,
                 attempt=attempt,
-                speculative=speculative,
                 discarded=discarded,
                 attempt_counters=counters,
             )
@@ -215,7 +210,6 @@ class TaskTracker:
         output_format: TextOutputFormat | None = None,
         presorted: bool = False,
         attempt: int = 0,
-        speculative: bool = False,
         fault_plan: FaultPlan | None = None,
         commit_check: Callable[[], bool] | None = None,
     ) -> TaskResult:
@@ -228,9 +222,9 @@ class TaskTracker:
 
         ``commit_check`` implements the output-committer handshake: right
         before writing, the attempt asks whether it is the first of its
-        task to finish — a losing (speculative or duplicate) attempt skips
-        the write entirely, so retries and backups can never duplicate
-        reduce output, including on the shared single-output-file path.
+        task to finish — a losing (duplicate) attempt skips the write
+        entirely, so retries can never duplicate reduce output, including
+        on the shared single-output-file path.
         """
         task_id = f"reduce-{partition_index:05d}"
         self._acquire_slot()
@@ -272,7 +266,6 @@ class TaskTracker:
                     partition_index,
                     emitted,
                     map_only=False,
-                    replication=job.conf.output_replication,
                     client_host=self.host,
                 )
             else:
@@ -287,7 +280,6 @@ class TaskTracker:
                 records_out=len(emitted),
                 output_path=output_path,
                 attempt=attempt,
-                speculative=speculative,
                 discarded=discarded,
                 attempt_counters=counters,
             )

@@ -7,7 +7,7 @@ deployment can span processes without changing any caller:
 * :mod:`~repro.net.framing` / :mod:`~repro.net.messages` — the wire
   format: pickled request/response messages with correlation ids in
   scatter-gather frames whose segment table lets bulk payloads travel
-  out-of-band and fat segments compress above a threshold.
+  out-of-band, each in a segment of its own.
 * :mod:`~repro.net.transport` / :mod:`~repro.net.tcp` — client channels:
   an in-process loopback (full codec fidelity, deterministic) and a real
   TCP transport that gives each call a pooled connection of its own,

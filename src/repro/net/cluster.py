@@ -80,15 +80,11 @@ class ClusterConfig:
     block_report_every: int = 5
     #: Default RPC timeout, seconds.
     rpc_timeout: float = 5.0
-    #: Transport-level retries per RPC (transient failures only).
-    rpc_retries: int = 2
     #: Idle TCP connections kept per peer.  A connection carries one call
     #: at a time, so this covers the calls a client has in flight to one
     #: peer at once (at most the 8 threads of its transfer pool); beyond
     #: it, connections close as they come back.
     pool_size: int = 8
-    #: Compress wire segments of at least this many bytes (None = never).
-    compress_threshold: int | None = None
 
     def __post_init__(self) -> None:
         if self.heartbeat_interval <= 0:
@@ -99,20 +95,12 @@ class ClusterConfig:
             raise ValueError("block_report_every must be at least 1")
         if self.rpc_timeout <= 0:
             raise ValueError("rpc_timeout must be positive")
-        if self.rpc_retries < 0:
-            raise ValueError("rpc_retries must be non-negative")
         if self.pool_size < 1:
             raise ValueError("pool_size must be at least 1")
-        if self.compress_threshold is not None and self.compress_threshold < 1:
-            raise ValueError("compress_threshold must be positive")
-
-    def retry_policy(self) -> RetryPolicy:
-        """The retry policy RPC clients of this deployment use."""
-        return RetryPolicy(retries=self.rpc_retries)
 
     def wire_config(self) -> WireConfig:
-        """The wire-protocol knobs of this deployment."""
-        return WireConfig(compress_threshold=self.compress_threshold)
+        """The wire configuration of this deployment: the one default."""
+        return WireConfig()
 
     def make_registry(
         self, *, clock: Callable[[], float] | None = None
@@ -227,9 +215,7 @@ class NodeServer:
         self.registry = ServiceRegistry()
         self.registry.register(self.service_name, node)
         self.registry.register("node", self)
-        self.rpc = RpcServer(
-            self.registry, host=host, port=port, wire=self.config.wire_config()
-        )
+        self.rpc = RpcServer(self.registry, host=host, port=port)
         self._control = control
         self._should_beat = should_beat
         self._pump: HeartbeatPump | None = None
@@ -497,10 +483,8 @@ def connect_provider(
         host,
         port,
         timeout=config.rpc_timeout,
-        retry=config.retry_policy(),
         faults=faults,
         pool_size=config.pool_size,
-        wire=config.wire_config(),
     )
     return RemoteDataProvider.connect(transport)
 
@@ -518,10 +502,8 @@ def connect_datanode(
         host,
         port,
         timeout=config.rpc_timeout,
-        retry=config.retry_policy(),
         faults=faults,
         pool_size=config.pool_size,
-        wire=config.wire_config(),
     )
     return RemoteDataNode.connect(transport)
 
@@ -539,10 +521,8 @@ def connect_metadata(
         host,
         port,
         timeout=config.rpc_timeout,
-        retry=config.retry_policy(),
         faults=faults,
         pool_size=config.pool_size,
-        wire=config.wire_config(),
     )
     return RemoteMetadataProvider.connect(transport)
 
@@ -565,9 +545,7 @@ def connect_jobservice(
         host,
         port,
         timeout=max(timeout, config.rpc_timeout),
-        retry=config.retry_policy(),
         faults=faults,
         pool_size=config.pool_size,
-        wire=config.wire_config(),
     )
     return RemoteJobService.connect(transport)

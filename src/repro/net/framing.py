@@ -14,8 +14,8 @@ segments themselves::
 
     frame flags:   reserved, always 0; a frame with any flag set is a
                    framing violation
-    segment flags: bits 0-3 = codec id of a compressed segment
-                   (0 = raw, 1 = zlib)
+    segment flags: reserved, always 0; a segment with any flag set is a
+                   framing violation
 
 The magic byte and the version byte (:data:`WIRE_VERSION`) let a stream
 that is not an RPC stream of this layout be rejected at its first frame.
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import socket
 import struct
-import zlib
 from typing import Sequence
 
 from .errors import FrameError, FrameTooLargeError, TruncatedFrameError
@@ -64,10 +63,6 @@ HEADER = struct.Struct(">BBI")
 META = struct.Struct(">BH")
 #: One segment-table entry: stored length, segment flags.
 TABLE_ENTRY = struct.Struct(">IB")
-#: Low nibble of a segment's flags: codec id (0 = uncompressed).
-SEG_CODEC_MASK = 0x0F
-#: Codec id of a zlib-compressed segment, the only codec.
-CODEC_ZLIB = 1
 #: Default ceiling on a frame's payload (pages are <= a few MiB; 64 MiB
 #: leaves room for whole-block transfers plus pickling overhead).
 DEFAULT_MAX_FRAME = 64 * 1024 * 1024
@@ -82,12 +77,7 @@ def _nbytes(segment) -> int:
     return segment.nbytes if isinstance(segment, memoryview) else len(segment)
 
 
-def encode_frame(
-    segments: Sequence,
-    *,
-    max_frame: int = DEFAULT_MAX_FRAME,
-    compress_threshold: int | None = None,
-) -> list:
+def encode_frame(segments: Sequence, *, max_frame: int = DEFAULT_MAX_FRAME) -> list:
     """Encode one frame as a scatter-gather list, copy-free.
 
     Returns ``[head, seg0, seg1, ...]`` where ``head`` is the fixed
@@ -95,39 +85,20 @@ def encode_frame(
     caller's buffer itself (bytes or memoryview) — hand the list to
     ``socket.sendmsg`` / ``writer.writelines`` and the bulk payloads are
     never concatenated or copied by this layer.
-
-    Segments of at least ``compress_threshold`` bytes are compressed
-    with zlib and flagged, but only when that actually shrinks them —
-    incompressible pages travel raw.
     """
     if not segments:
         raise ValueError("a frame needs at least one segment")
     if len(segments) > MAX_SEGMENTS:
         raise ValueError(f"too many segments ({len(segments)} > {MAX_SEGMENTS})")
-    out: list = []
-    entries: list[tuple[int, int]] = []
-    total = META.size + len(segments) * TABLE_ENTRY.size
-    for segment in segments:
-        size = _nbytes(segment)
-        seg_flags = 0
-        if compress_threshold is not None and size >= compress_threshold:
-            # Level 1: the wire codec trades ratio for speed — threshold
-            # compression exists to win on fat, compressible payloads, not
-            # to stall a connection grinding incompressible pages.
-            packed = zlib.compress(segment, 1)
-            if len(packed) < size:
-                segment, size, seg_flags = packed, len(packed), CODEC_ZLIB
-        entries.append((size, seg_flags))
-        out.append(segment)
-        total += size
+    sizes = [_nbytes(segment) for segment in segments]
+    total = META.size + len(sizes) * TABLE_ENTRY.size + sum(sizes)
     if total > max_frame:
         raise FrameTooLargeError(total, max_frame)
     head = bytearray(HEADER.pack(MAGIC, WIRE_VERSION, total))
-    head += META.pack(0, len(entries))
-    for size, seg_flags in entries:
-        head += TABLE_ENTRY.pack(size, seg_flags)
-    out.insert(0, bytes(head))
-    return out
+    head += META.pack(0, len(sizes))
+    for size in sizes:
+        head += TABLE_ENTRY.pack(size, 0)
+    return [bytes(head), *segments]
 
 
 # -- validation ------------------------------------------------------------------------
@@ -159,6 +130,9 @@ def _check_meta(flags: int, nseg: int, length: int) -> None:
 
 
 def _check_table(entries: list[tuple[int, int]], length: int) -> None:
+    for _, seg_flags in entries:
+        if seg_flags:
+            raise FrameError(f"unknown segment flags 0x{seg_flags:02X}")
     declared = (
         META.size
         + len(entries) * TABLE_ENTRY.size
@@ -169,25 +143,6 @@ def _check_table(entries: list[tuple[int, int]], length: int) -> None:
             f"segment table sums to {declared} bytes but the "
             f"frame announces {length}"
         )
-
-
-def _decode_stored(segment: bytes, seg_flags: int, limit: int) -> bytes:
-    """Undo a segment's codec flag (bomb-guarded by ``limit``)."""
-    code = seg_flags & SEG_CODEC_MASK
-    if not code:
-        return segment
-    if code != CODEC_ZLIB:
-        raise FrameError(f"unknown segment codec id {code}")
-    decomp = zlib.decompressobj()
-    try:
-        out = decomp.decompress(segment, limit + 1)
-    except zlib.error as exc:
-        raise FrameError(f"corrupt compressed segment: {exc!r}") from exc
-    if len(out) > limit or not decomp.eof:
-        raise FrameError(
-            f"compressed segment inflates past the {limit}-byte frame limit"
-        )
-    return out
 
 
 # -- decoding --------------------------------------------------------------------------
@@ -205,7 +160,7 @@ class Frame:
         return f"Frame(segments={[len(s) for s in self.segments]})"
 
 
-def _decode_body(body: memoryview, length: int, max_frame: int) -> Frame:
+def _decode_body(body: memoryview, length: int) -> Frame:
     """Decode a whole frame payload (everything after the header)."""
     flags, nseg = META.unpack_from(body, 0)
     _check_meta(flags, nseg, length)
@@ -213,10 +168,8 @@ def _decode_body(body: memoryview, length: int, max_frame: int) -> Frame:
     entries = list(TABLE_ENTRY.iter_unpack(body[META.size : offset]))
     _check_table(entries, length)
     segments: list[bytes] = []
-    for size, seg_flags in entries:
-        segments.append(
-            _decode_stored(bytes(body[offset : offset + size]), seg_flags, max_frame)
-        )
+    for size, _ in entries:
+        segments.append(bytes(body[offset : offset + size]))
         offset += size
     return Frame(segments)
 
@@ -242,7 +195,7 @@ def decode_frame(buffer, *, max_frame: int = DEFAULT_MAX_FRAME) -> Frame:
         )
     if view.nbytes > end:
         raise FrameError(f"{view.nbytes - end} bytes trail the frame")
-    return _decode_body(view[HEADER.size : end], length, max_frame)
+    return _decode_body(view[HEADER.size : end], length)
 
 
 # -- exact-framed socket reads ---------------------------------------------------------
@@ -302,14 +255,10 @@ def recv_frame(
     magic, version, length = HEADER.unpack(header)
     _check_header(magic, version, length, max_frame)
     if length <= _GULP_CUTOFF:
-        return _decode_body(memoryview(_recv_exact(sock, length)), length, max_frame)
+        return _decode_body(memoryview(_recv_exact(sock, length)), length)
     flags, nseg = META.unpack(_recv_exact(sock, META.size))
     _check_meta(flags, nseg, length)
     table = _recv_exact(sock, nseg * TABLE_ENTRY.size)
     entries = list(TABLE_ENTRY.iter_unpack(table))
     _check_table(entries, length)
-    segments: list[bytes] = []
-    for size, seg_flags in entries:
-        data = _recv_exact(sock, size) if size else b""
-        segments.append(_decode_stored(data, seg_flags, max_frame))
-    return Frame(segments)
+    return Frame([_recv_exact(sock, size) if size else b"" for size, _ in entries])

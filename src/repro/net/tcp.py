@@ -22,10 +22,9 @@ reply can never reach the next caller; the base class's retry policy
 decides what happens next.  The pool keeps at most ``pool_size`` idle
 connections and closes the rest as they come back.
 
-Peers need no handshake: the frame layout is fixed (a stream with
-another version byte is a framing violation), and every peer decodes
-zlib segments, so each side compresses what it sends above its own
-``compress_threshold``.
+Peers need no handshake: the frame layout is fixed, and a stream with
+another version byte, or with a frame or segment flag set, is a framing
+violation.
 """
 
 from __future__ import annotations
@@ -263,11 +262,7 @@ class RpcServer:
             head, buffers = encode_message(
                 response, oob_threshold=self._wire.oob_threshold
             )
-            return encode_frame(
-                [head, *buffers],
-                max_frame=self._max_frame,
-                compress_threshold=self._wire.compress_threshold,
-            )
+            return encode_frame([head, *buffers], max_frame=self._max_frame)
         except (FrameTooLargeError, ValueError) as exc:
             # A response that cannot be framed must not strand the caller
             # until timeout: degrade to an error response it can raise.
@@ -419,11 +414,7 @@ class TcpTransport(Transport):
         gone, and never chained to the socket error whose frames held it.
         """
         head, buffers = encode_message(request, oob_threshold=self._wire.oob_threshold)
-        parts = encode_frame(
-            [head, *buffers],
-            max_frame=self._max_frame,
-            compress_threshold=self._wire.compress_threshold,
-        )
+        parts = encode_frame([head, *buffers], max_frame=self._max_frame)
         del head, buffers
         connection: _Connection | None = None
         failure: TransportError | None = None

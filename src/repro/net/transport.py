@@ -51,14 +51,10 @@ class WireConfig:
 
     #: Bytes payloads at least this large travel out-of-band.
     oob_threshold: int = DEFAULT_OOB_THRESHOLD
-    #: Zlib-compress segments of at least this many bytes (None = never).
-    compress_threshold: int | None = None
 
     def __post_init__(self) -> None:
         if self.oob_threshold < 1:
             raise ValueError("oob_threshold must be positive")
-        if self.compress_threshold is not None and self.compress_threshold < 1:
-            raise ValueError("compress_threshold must be positive")
 
 
 @dataclass(frozen=True, slots=True)
@@ -234,11 +230,7 @@ class LoopbackTransport(Transport):
         head, buffers = encode_message(
             message, oob_threshold=self._wire.oob_threshold
         )
-        parts = encode_frame(
-            [head, *buffers],
-            max_frame=self._max_frame,
-            compress_threshold=self._wire.compress_threshold,
-        )
+        parts = encode_frame([head, *buffers], max_frame=self._max_frame)
         frame = decode_frame(b"".join(parts), max_frame=self._max_frame)
         return decode_message(frame.segments[0], frame.segments[1:])
 

@@ -6,15 +6,11 @@ production lifecycle:
 
 * :class:`PinRegistry` / :class:`SnapshotHandle` — refcounted, optionally
   expiring leases readers and MapReduce jobs take on a published version;
-* :class:`RetentionPolicy` — keep-last-N / TTL / pinned retention rules;
+* :class:`RetentionPolicy` — keep-last-N plus pinned retention;
 * :class:`VersionGC` — mark-and-sweep collector walking the snapshot
-  metadata trees to reclaim unreachable pages and tree nodes, runnable
-  in-process (:class:`GcDaemon`) or over the ``repro.net`` control plane
-  (:mod:`repro.versions.service`).
-
-The control-plane adapters live in :mod:`repro.versions.service` and are
-re-exported lazily so importing this package never drags in the network
-stack.
+  metadata trees to reclaim unreachable pages and tree nodes.  It runs in
+  the process that holds the version manager, on demand or as a
+  background :class:`GcDaemon`.
 """
 
 from __future__ import annotations
@@ -31,31 +27,4 @@ __all__ = [
     "GcDaemon",
     "GcPlan",
     "GcReport",
-    # lazily re-exported from repro.versions.service:
-    "GC_SERVICE",
-    "VersionGCService",
-    "RemoteVersionGC",
-    "expose_gc",
-    "connect_gc",
-    "drive_remote_gc",
 ]
-
-_SERVICE_EXPORTS = {
-    "GC_SERVICE",
-    "VersionGCService",
-    "RemoteVersionGC",
-    "expose_gc",
-    "connect_gc",
-    "drive_remote_gc",
-}
-
-
-def __getattr__(name: str):
-    # PEP 562 lazy import: repro.core imports this package, and the service
-    # module imports repro.net which imports repro.core — resolving the
-    # network-facing names on first use keeps the import graph acyclic.
-    if name in _SERVICE_EXPORTS:
-        from . import service
-
-        return getattr(service, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

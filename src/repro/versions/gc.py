@@ -21,15 +21,14 @@ overlays.  The collector is safe to run concurrently with writers —
 pages of unpublished versions are newer than the head snapshot the plan was
 computed against and are never touched.
 
-The collector can run in-process (``run_once`` / the background daemon
-started by :meth:`VersionGC.start`) or be exposed over the ``repro.net``
-control plane (:mod:`repro.versions.service`).
+The collector runs in the process that holds the version manager and the
+metadata client: on demand (``run_once`` / ``collect``) or as the background
+daemon :meth:`VersionGC.start` starts.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -116,12 +115,10 @@ class VersionGC:
         *,
         policy: RetentionPolicy | None = None,
         pins: PinRegistry | None = None,
-        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self._client = client
         self.policy = policy if policy is not None else RetentionPolicy()
         self.pins = pins if pins is not None else PinRegistry()
-        self._clock = clock
         self._totals = _Totals()
         self._daemon: GcDaemon | None = None
         # One collection at a time: overlapping sweeps of the same blob
@@ -137,12 +134,7 @@ class VersionGC:
         vm = self._client.version_manager
         published = set(vm.published_versions(blob_id))
         pinned = self.pins.pinned_versions(blob_id)
-        retained = self.policy.retained(
-            published,
-            pinned=pinned,
-            published_times=vm.publication_times(blob_id),
-            now=self._clock(),
-        )
+        retained = self.policy.retained(published, pinned=pinned)
         # Writers in flight read their base version's leaves (and, when they
         # compact a page, its bytes): everything at or above the lowest
         # in-flight base must survive.
@@ -347,10 +339,8 @@ class VersionGC:
 
 
 class GcDaemon:
-    """Periodic driver for a collection callable (local or remote).
-
-    The same harness drives an in-process :meth:`VersionGC.run_once` and a
-    :class:`~repro.versions.service.RemoteVersionGC` stub, mirroring how
+    """Periodic driver for a collection callable such as
+    :meth:`VersionGC.run_once`, mirroring how
     :class:`~repro.net.liveness.HeartbeatPump` drives heartbeats.
     """
 

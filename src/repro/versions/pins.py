@@ -79,14 +79,8 @@ class SnapshotHandle:
 class PinRegistry:
     """Refcounted snapshot pins with optional lease expiry and drain hooks."""
 
-    def __init__(
-        self,
-        *,
-        clock: Callable[[], float] = time.monotonic,
-        default_ttl: float | None = None,
-    ) -> None:
+    def __init__(self, *, clock: Callable[[], float] = time.monotonic) -> None:
         self._clock = clock
-        self._default_ttl = default_ttl
         self._lock = threading.Condition()
         self._handle_ids = itertools.count(1)
         # (blob_id, version) -> {handle_id -> SnapshotHandle}
@@ -108,14 +102,11 @@ class PinRegistry:
     ) -> SnapshotHandle:
         """Take a pin on ``(blob_id, version)`` and return its handle.
 
-        ``ttl`` overrides the registry default; ``None`` with no default
-        means the pin never expires.
+        A pin with a ``ttl`` is a lease that expires that many seconds from
+        now; ``None`` means the pin never expires.
         """
-        effective_ttl = ttl if ttl is not None else self._default_ttl
         with self._lock:
-            expires_at = (
-                self._clock() + effective_ttl if effective_ttl is not None else None
-            )
+            expires_at = self._clock() + ttl if ttl is not None else None
             handle = SnapshotHandle(
                 self, next(self._handle_ids), blob_id, version, owner, expires_at
             )

@@ -1,23 +1,22 @@
 """Retention policy: which published versions must survive garbage collection.
 
-The policy composes three rules, any of which retains a version:
+The policy composes two rules, either of which retains a version:
 
 * **keep-last-N** — the newest ``keep_last`` published versions (the latest
   published version is always retained, even with ``keep_last=1``);
-* **TTL** — versions published less than ``ttl_seconds`` ago;
 * **pinned** — versions held by a live :class:`~repro.versions.PinRegistry`
   lease (supplied by the caller, not the policy).
 
 Version 0, the implicit empty snapshot every blob starts from, is always
 retained: it owns no pages, and the version manager relies on it as the
-base of the history.  A policy with ``keep_last=None`` and
-``ttl_seconds=None`` retains everything — the seed behaviour.
+base of the history.  A policy with ``keep_last=None`` retains
+everything — the seed behaviour.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 __all__ = ["RetentionPolicy"]
 
@@ -27,74 +26,44 @@ class RetentionPolicy:
     """Declarative retention rules evaluated per blob by the GC."""
 
     keep_last: int | None = None
-    ttl_seconds: float | None = None
 
     def __post_init__(self) -> None:
         if self.keep_last is not None and self.keep_last < 1:
             raise ValueError("keep_last must be None or >= 1")
-        if self.ttl_seconds is not None and self.ttl_seconds < 0:
-            raise ValueError("ttl_seconds must be None or >= 0")
 
     @property
     def retains_everything(self) -> bool:
         """True when no rule ever lets a version die (GC has nothing to do)."""
-        return self.keep_last is None and self.ttl_seconds is None
+        return self.keep_last is None
 
     def retained(
-        self,
-        published: Iterable[int],
-        *,
-        pinned: Iterable[int] = (),
-        published_times: Mapping[int, float] | None = None,
-        now: float | None = None,
+        self, published: Iterable[int], *, pinned: Iterable[int] = ()
     ) -> set[int]:
         """Versions of ``published`` that must survive this GC cycle.
 
         ``published`` are the live published versions of one blob;
-        ``pinned`` the versions currently leased; ``published_times`` and
-        ``now`` feed the TTL rule (versions missing a timestamp are
-        conservatively retained).
+        ``pinned`` the versions currently leased.
         """
         versions = sorted(set(published))
-        if not versions:
-            return set()
+        if not versions or self.keep_last is None:
+            return set(versions)
         keep: set[int] = {0} & set(versions)
         keep.update(set(pinned) & set(versions))
-        latest = versions[-1]
-        keep.add(latest)
-        if self.retains_everything:
-            return set(versions)
-        if self.keep_last is not None:
-            # Version 0 does not consume a keep-last slot: it has no pages.
-            real = [v for v in versions if v > 0]
-            keep.update(real[-self.keep_last :])
-        if self.ttl_seconds is not None:
-            times = published_times or {}
-            if now is None:
-                raise ValueError("ttl_seconds requires a `now` timestamp")
-            for version in versions:
-                stamp = times.get(version)
-                if stamp is None or now - stamp < self.ttl_seconds:
-                    keep.add(version)
+        keep.add(versions[-1])
+        # Version 0 does not consume a keep-last slot: it has no pages.
+        real = [v for v in versions if v > 0]
+        keep.update(real[-self.keep_last :])
         return keep
 
     def dead(
-        self,
-        published: Iterable[int],
-        *,
-        pinned: Iterable[int] = (),
-        published_times: Mapping[int, float] | None = None,
-        now: float | None = None,
+        self, published: Iterable[int], *, pinned: Iterable[int] = ()
     ) -> set[int]:
         """Complement of :meth:`retained` over ``published``."""
         versions = set(published)
-        return versions - self.retained(
-            versions, pinned=pinned, published_times=published_times, now=now
-        )
+        return versions - self.retained(versions, pinned=pinned)
 
     def describe(self) -> dict:
         return {
             "keep_last": self.keep_last,
-            "ttl_seconds": self.ttl_seconds,
             "retains_everything": self.retains_everything,
         }

@@ -8,8 +8,8 @@ tests rely on for end-to-end content verification.
 
 from __future__ import annotations
 
+import binascii
 import random
-import zlib
 
 from ..mapreduce.applications.random_text_writer import WORD_LIST, random_sentence
 
@@ -35,7 +35,7 @@ def deterministic_bytes(size: int, *, seed: int = 0) -> bytes:
     counter = 0
     state = seed & 0xFFFFFFFF
     while len(out) < size:
-        state = zlib.crc32(counter.to_bytes(8, "little"), state) & 0xFFFFFFFF
+        state = binascii.crc32(counter.to_bytes(8, "little"), state) & 0xFFFFFFFF
         out += state.to_bytes(4, "little")
         counter += 1
     return bytes(out[:size])

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
+
 import pytest
 
 from repro.core import (
@@ -12,6 +15,7 @@ from repro.core import (
     InvalidRangeError,
     VersionNotPublishedError,
 )
+from repro.core.client import ALLOCATION_RANGE_PAGES
 
 PAGE = 4 * 1024
 
@@ -144,6 +148,22 @@ class TestWriteRead:
 
 
 class TestReplicationAndLocality:
+    def test_a_long_write_is_placed_in_runs_of_the_allocation_range(self):
+        # 64 pages over 4 providers: the waterfill hands each provider two
+        # runs of ALLOCATION_RANGE_PAGES contiguous pages, evenly.
+        client = BlobSeer(
+            BlobSeerConfig(page_size=PAGE, num_providers=4, num_metadata_providers=1)
+        )
+        blob = client.create_blob()
+        client.write(blob, 0, b"w" * (64 * PAGE))
+        owners = [
+            loc.providers[0] for loc in client.page_locations(blob, 0, 64 * PAGE)
+        ]
+        runs = [len(list(group)) for _, group in itertools.groupby(owners)]
+        assert runs == [ALLOCATION_RANGE_PAGES] * (64 // ALLOCATION_RANGE_PAGES)
+        assert sorted(Counter(owners).values()) == [16, 16, 16, 16]
+        client.close()
+
     def test_replicated_pages_land_on_distinct_providers(self, replicated_blobseer):
         service = replicated_blobseer
         blob = service.create_blob()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.config import GB, KB, MB, BlobSeerConfig
@@ -30,9 +32,8 @@ class TestBlobSeerConfig:
             {"num_providers": 0},
             {"num_metadata_providers": 0},
             {"replication": 10, "num_providers": 5},
-            {"allocation_strategy": "bogus"},
             {"read_replica_policy": "bogus"},
-            {"virtual_nodes_per_metadata_provider": 0},
+            {"transfer_workers": 0},
             {"max_versions_kept": 0},
         ],
     )
@@ -40,24 +41,13 @@ class TestBlobSeerConfig:
         with pytest.raises(ValueError):
             BlobSeerConfig(**overrides)
 
-    def test_with_overrides_returns_new_object(self):
+    def test_replace_builds_a_validated_copy(self):
         config = BlobSeerConfig()
-        other = config.with_overrides(page_size=KB)
+        other = replace(config, page_size=KB)
         assert other.page_size == KB
         assert config.page_size == 64 * KB
-        assert other is not config
-
-    def test_from_mapping_ignores_unknown_keys(self):
-        config = BlobSeerConfig.from_mapping(
-            {"page_size": 2 * KB, "replication": 2, "bogus_key": 42}
-        )
-        assert config.page_size == 2 * KB
-        assert config.replication == 2
-
-    def test_describe_round_trips_through_from_mapping(self):
-        config = BlobSeerConfig(page_size=8 * KB, num_providers=4, replication=3)
-        clone = BlobSeerConfig.from_mapping(config.describe())
-        assert clone == config
+        with pytest.raises(ValueError):
+            replace(config, replication=config.num_providers + 1)
 
     def test_config_is_hashable_and_frozen(self):
         config = BlobSeerConfig()

@@ -142,6 +142,10 @@ class TestRangeAllocation:
         assert len(allocation) == 8
         assert all(len(page_ids) == 1 for page_ids in allocation)
 
+    def test_default_range_is_one_page_per_decision(self):
+        runs = ProviderManager(make_providers(4)).allocate_ranges(32, 1)
+        assert [run for run, _ in runs] == [1] * 32
+
     def test_range_pages_validation(self):
         from repro.core.errors import AllocationError
 

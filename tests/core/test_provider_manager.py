@@ -16,7 +16,6 @@ from repro.core.provider_manager import (
     LocalFirstStrategy,
     ProviderManager,
     RandomStrategy,
-    make_strategy,
 )
 from repro.core.replication import write_pages
 
@@ -85,7 +84,7 @@ class TestAllocation:
             assert len(set(replicas)) == 3
 
     def test_load_balanced_allocation_spreads_evenly(self):
-        manager = ProviderManager(make_providers(4), strategy="load_balanced")
+        manager = ProviderManager(make_providers(4))
         allocation = manager.allocate(100, replication=1)
         counts = {}
         for (provider_id,) in allocation:
@@ -97,7 +96,7 @@ class TestAllocation:
         # Pre-load provider 0 heavily.
         for i in range(50):
             providers[0].put_page(PageKey(1, 1, i), b"x")
-        manager = ProviderManager(providers, strategy="load_balanced")
+        manager = ProviderManager(providers)
         allocation = manager.allocate(20, replication=1)
         used = {replicas[0] for replicas in allocation}
         assert 0 not in used
@@ -225,12 +224,12 @@ class TestAllocationProbes:
 
 
 class TestStrategies:
-    def test_make_strategy_factory(self):
-        assert isinstance(make_strategy("load_balanced"), LoadBalancedStrategy)
-        assert isinstance(make_strategy("random"), RandomStrategy)
-        assert isinstance(make_strategy("local_first"), LocalFirstStrategy)
-        with pytest.raises(AllocationError):
-            make_strategy("bogus")
+    def test_manager_defaults_to_load_balanced_and_takes_an_instance(self):
+        assert isinstance(
+            ProviderManager(make_providers(2))._strategy, LoadBalancedStrategy
+        )
+        strategy = RandomStrategy(seed=1)
+        assert ProviderManager(make_providers(2), strategy=strategy)._strategy is strategy
 
     def test_local_first_prefers_hint(self):
         providers = make_providers(5)

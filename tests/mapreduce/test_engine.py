@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -23,6 +24,9 @@ from repro.mapreduce.applications import (
     make_wordcount_job,
 )
 from repro.mapreduce.job import Counters, identity_mapper, identity_reducer
+from repro.mapreduce.jobtracker import JobResult, _RetryingPhase
+from repro.mapreduce.scheduler import LocalityStats
+from repro.mapreduce.tasktracker import TaskResult
 from repro.mapreduce.splitter import InputSplit
 from repro.workloads import write_text_file
 
@@ -266,3 +270,93 @@ class TestEndToEndJobs:
     def test_jobtracker_requires_trackers(self, bsfs):
         with pytest.raises(ValueError):
             JobTracker(bsfs, [])
+
+
+class TestRetryingPhase:
+    """The phase orchestrator on its own: attempts, commits, the wait."""
+
+    @staticmethod
+    def result(index: int, attempt: int, **fields) -> TaskResult:
+        return TaskResult(
+            task_id=f"t-{index}",
+            tracker_host="h0",
+            kind="map",
+            duration=0.0,
+            records_in=0,
+            records_out=0,
+            attempt=attempt,
+            **fields,
+        )
+
+    def phase(self, total: int, execute) -> _RetryingPhase:
+        tracker = TaskTracker("h0", slots=2)
+        return _RetryingPhase(
+            total=total,
+            max_attempts=3,
+            execute=execute,
+            pick_tracker=lambda index, attempt, banned: tracker,
+            make_failure=lambda index, attempt, exc: self.result(
+                index, attempt, succeeded=False, error=str(exc)
+            ),
+        )
+
+    def test_finish_blocks_until_the_last_attempt_reports(self):
+        release = threading.Event()
+
+        def execute(index, attempt, tracker):
+            if index == 1:
+                release.wait(timeout=10)
+            return self.result(index, attempt), True, False
+
+        phase = self.phase(2, execute)
+        finished = threading.Event()
+
+        def finish() -> None:
+            phase.finish()
+            finished.set()
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            phase.start(pool)
+            waiter = threading.Thread(target=finish)
+            waiter.start()
+            assert not finished.wait(timeout=0.2)
+            release.set()
+            assert finished.wait(timeout=10)
+            waiter.join()
+        assert phase.succeeded
+        assert sorted(r.task_id for r in phase.results) == ["t-0", "t-1"]
+
+    def test_a_failed_attempt_is_retried_and_only_one_commits(self):
+        commits = []
+
+        def execute(index, attempt, tracker):
+            if attempt == 0:
+                return self.result(index, 0, succeeded=False, error="boom"), True, False
+            commits.append(phase.try_commit(index, attempt))
+            commits.append(phase.try_commit(index, attempt + 10))
+            return self.result(index, attempt), True, False
+
+        phase = self.phase(1, execute)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            results = phase.run(pool)
+        assert [(r.attempt, r.succeeded) for r in results] == [(0, False), (1, True)]
+        assert commits == [True, False]
+
+    def test_summary_reports_attempts_and_retries_only(self):
+        job_result = JobResult(
+            job_name="j",
+            succeeded=True,
+            elapsed=0.0,
+            map_tasks=1,
+            reduce_tasks=0,
+            counters=Counters(),
+            locality=LocalityStats(),
+            task_results=[
+                self.result(0, 0, succeeded=False, error="x"),
+                self.result(0, 1),
+            ],
+        )
+        summary = job_result.summary()
+        assert summary["task_attempts"] == 2 and summary["retries"] == 1
+        assert summary["failed_tasks"] == ["t-0"]
+        assert "speculative" not in summary

@@ -1,9 +1,9 @@
-"""Fault-tolerance scenarios: injection, retries, blacklist, speculation.
+"""Fault-tolerance scenarios: injection, retries, blacklist, stragglers.
 
 Covers the recovery subsystem end to end: deterministic failure injection
 (:mod:`repro.mapreduce.faults`), bounded task retries on different
-trackers, flaky-tracker blacklisting, speculative execution for
-stragglers, replica-aware storage re-reads, and the acceptance scenario —
+trackers, flaky-tracker blacklisting, one committed attempt per task,
+replica-aware storage re-reads, and the acceptance scenario —
 a job with an injected map failure, an injected reduce failure and one
 straggler completes with output byte-identical to a fault-free run, on
 both shuffle paths, on every backend.
@@ -11,6 +11,7 @@ both shuffle paths, on every backend.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import replace
 
 import pytest
@@ -300,53 +301,50 @@ class TestNetworkFaults:
         assert wire.messages_delayed == 1
 
 
-class TestSpeculativeExecution:
-    @pytest.mark.parametrize("spill", [False, True])
-    def test_straggler_backup_wins_and_output_matches(self, bsfs, spill):
-        write_text_file(bsfs, "/in/slow.txt", num_lines=900, seed=13)
-        reference = run_reference(bsfs, "/in/slow.txt", "/spec-ref", spill_to_fs=spill)
-        plan = FaultPlan([delay_task("map", 0, 1.0)])
-        result = JobService.local(bsfs).submit(
-            wordcount(
-                "/in/slow.txt",
-                "/spec-out",
-                spill_to_fs=spill,
-                speculative_execution=True,
-                slow_task_threshold=2.0,
-            ),
-            fault_plan=plan,
-        ).wait()
-        assert result.succeeded
-        assert read_output(bsfs, result) == reference
-        assert result.speculative_attempts >= 1
-        assert result.speculative_wins >= 1
-        summary = result.summary()
-        assert summary["speculative"]["wins"] >= 1
-        # The delayed original lost the race: exactly one attempt of the
-        # straggler task committed.
-        straggler = [r for r in result.task_results if r.task_id == "map-00000"]
-        committed = [r for r in straggler if r.succeeded and not r.discarded]
-        assert len(committed) == 1
-        assert committed[0].speculative
+class TestAttemptCommit:
+    @staticmethod
+    def fail_mid_split(job, task_id, after_records):
+        """``job`` whose mapper counts every record it sees, and whose first
+        execution of ``task_id`` raises after ``after_records`` of them."""
+        mapper = job.mapper
+        lock = threading.Lock()
+        state = {"seen": 0, "failed": False}
 
-    def test_losing_attempt_counters_are_not_merged(self, bsfs):
-        # The discarded straggler fully processes its split too; its
-        # counters must not inflate the job totals (Hadoop semantics:
-        # failed/killed attempts do not contribute counters).
-        write_text_file(bsfs, "/in/slow.txt", num_lines=900, seed=13)
-        reference = JobService.local(bsfs).submit(wordcount("/in/slow.txt", "/cnt-ref")).wait()
-        assert reference.succeeded
-        plan = FaultPlan([delay_task("map", 0, 1.0)])
-        result = JobService.local(bsfs).submit(
-            wordcount(
-                "/in/slow.txt",
-                "/cnt-out",
-                speculative_execution=True,
-                slow_task_threshold=2.0,
-            ),
-            fault_plan=plan,
+        def flaky(key, value, context):
+            context.counters.increment("records_seen")
+            mapper(key, value, context)
+            if context.task_id != task_id:
+                return
+            with lock:
+                if state["failed"]:
+                    return
+                state["seen"] += 1
+                if state["seen"] < after_records:
+                    return
+                state["failed"] = True
+            raise RuntimeError("failure mid-split")
+
+        return replace(job, mapper=flaky)
+
+    @pytest.mark.parametrize("spill", [False, True])
+    def test_failed_attempt_counters_are_not_merged(self, bsfs, spill):
+        # The failed attempt processed part of its split and counted it;
+        # only the retry that committed contributes counters (Hadoop
+        # semantics: failed attempts do not pollute job counters).
+        write_text_file(bsfs, "/in/mid.txt", num_lines=900, seed=13)
+        reference = JobService.local(bsfs).submit(
+            wordcount("/in/mid.txt", "/mid-ref", spill_to_fs=spill)
         ).wait()
-        assert result.succeeded and result.speculative_wins >= 1
+        assert reference.succeeded
+        job = self.fail_mid_split(
+            wordcount("/in/mid.txt", "/mid-out", spill_to_fs=spill), "map-00000", 20
+        )
+        result = JobService.local(bsfs).submit(job).wait()
+        assert result.succeeded and result.retries == 1
+        assert read_output(bsfs, result) == read_output(bsfs, reference)
+        assert result.counter("records_seen") == reference.counter(
+            "map_input_records"
+        )
         for counter in (
             "map_input_records",
             "map_output_records",
@@ -355,14 +353,21 @@ class TestSpeculativeExecution:
         ):
             assert result.counter(counter) == reference.counter(counter), counter
 
-    def test_no_speculation_without_the_flag(self, bsfs):
+    def test_a_straggler_is_waited_for_and_commits_once(self, bsfs):
         write_text_file(bsfs, "/in/slow.txt", num_lines=600, seed=13)
+        reference = run_reference(bsfs, "/in/slow.txt", "/slow-ref")
         plan = FaultPlan([delay_task("map", 0, 0.2)])
         result = JobService.local(bsfs).submit(
-            wordcount("/in/slow.txt", "/nospec-out"), fault_plan=plan
+            wordcount("/in/slow.txt", "/slow-out"), fault_plan=plan
         ).wait()
         assert result.succeeded
-        assert result.speculative_attempts == 0
+        assert read_output(bsfs, result) == reference
+        straggler = [r for r in result.task_results if r.task_id == "map-00000"]
+        assert [(r.attempt, r.succeeded, r.discarded) for r in straggler] == [
+            (0, True, False)
+        ]
+        assert result.retries == 0
+        assert len(result.task_results) == result.map_tasks + result.reduce_tasks
 
 
 class TestStorageFailure:
@@ -437,13 +442,7 @@ class TestAcceptanceScenario:
             any_fs, "/in/accept.txt", "/accept-ref", spill_to_fs=spill
         )
         result = JobService.local(any_fs).submit(
-            wordcount(
-                "/in/accept.txt",
-                "/accept-out",
-                spill_to_fs=spill,
-                speculative_execution=True,
-                slow_task_threshold=2.0,
-            ),
+            wordcount("/in/accept.txt", "/accept-out", spill_to_fs=spill),
             fault_plan=FaultPlan(self.FAULTS),
         ).wait()
         assert result.succeeded
@@ -458,13 +457,7 @@ class TestAcceptanceScenario:
         assert ref.succeeded
         reference = sorted(bsfs.read_file("/sref/output.txt").splitlines())
         result = JobService.local(bsfs).submit(
-            wordcount(
-                "/in/accept.txt",
-                "/sout",
-                single_output_file=True,
-                speculative_execution=True,
-                slow_task_threshold=2.0,
-            ),
+            wordcount("/in/accept.txt", "/sout", single_output_file=True),
             fault_plan=FaultPlan(self.FAULTS),
         ).wait()
         assert result.succeeded

@@ -322,33 +322,6 @@ class TestCancellation:
         )
 
 
-class TestCooperativePreemption:
-    def test_speculation_gate_closes_while_tenant_starved(self, tmp_path):
-        fs = make_fs("file", tmp_path)
-        service = JobService.local(fs, num_trackers=2, max_concurrent_jobs=1)
-        release = threading.Event()
-        started = threading.Event()
-        write_text_file(fs, "/in/spec.txt", 1, seed=0)
-        write_text_file(fs, "/in/starved.txt", 1, seed=1)
-
-        running = service.submit(
-            blocking_job("spec", release, started, tenant="alice")
-        )
-        assert started.wait(timeout=10)
-        assert service._speculation_open() is True  # nobody waiting yet
-
-        waiting = service.submit(blocking_job("starved", release, tenant="bob"))
-        assert waiting.status() == JOB_QUEUED
-        # bob has work queued and nothing running: alice's job must stop
-        # launching speculative backups until bob gets a slot.
-        assert service._speculation_open() is False
-
-        release.set()
-        assert running.wait(timeout=60).succeeded
-        assert waiting.wait(timeout=60).succeeded
-        assert service._speculation_open() is True
-
-
 class TestSubmitAndWait:
     def test_wait_reraises_configuration_errors(self, tmp_path):
         fs = make_fs("file", tmp_path)

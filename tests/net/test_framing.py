@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import random
+import array
 import socket
 import threading
-import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -35,11 +34,6 @@ def wire(segments, **kwargs) -> bytes:
 def v1_frame(payload: bytes) -> bytes:
     """A frame of the retired single-blob layout: header + raw payload."""
     return HEADER.pack(MAGIC, 1, len(payload)) + payload
-
-
-def half_random_bulk() -> bytes:
-    """256 KiB that zlib halves: compressed, it is still a bulk segment."""
-    return random.Random(7).randbytes(128 * KB) + b"\0" * (128 * KB)
 
 
 def recv_one(data: bytes, *, max_frame: int = DEFAULT_MAX_FRAME):
@@ -90,18 +84,10 @@ class TestV2RoundTrip:
         segments = [b"head", b"x" * 100, b"", b"tail"]
         assert decode(wire(segments)).segments == segments
 
-    @given(
-        segments=st.lists(st.binary(max_size=4 * KB), min_size=1, max_size=6),
-        compress_threshold=st.one_of(
-            st.none(), st.integers(min_value=1, max_value=8 * KB)
-        ),
-    )
+    @given(segments=st.lists(st.binary(max_size=4 * KB), min_size=1, max_size=6))
     @settings(max_examples=50, deadline=None)
-    def test_compression_flag_round_trips(self, segments, compress_threshold):
-        # Whatever subset of segments the threshold compresses, the
-        # receiver reconstructs the originals bit-for-bit.
-        stream = wire(segments, compress_threshold=compress_threshold)
-        assert decode_frame(stream).segments == segments
+    def test_segment_lists_round_trip(self, segments):
+        assert decode_frame(wire(segments)).segments == segments
 
     def test_encode_scatter_list_is_copy_free_for_bulk(self):
         bulk = b"z" * (256 * KB)
@@ -109,25 +95,18 @@ class TestV2RoundTrip:
         # The caller's buffer object itself rides in the scatter list.
         assert any(part is bulk for part in parts)
 
-    def test_compression_shrinks_compressible_wire(self):
-        bulk = b"a" * (512 * KB)
-        compressed = wire([b"head", bulk], compress_threshold=KB)
-        raw = wire([b"head", bulk])
-        assert len(compressed) < len(raw) // 10
-
-    def test_incompressible_segments_travel_raw(self):
-        # Already-compressed bytes would *grow* under zlib: the encoder
-        # must keep them raw rather than flag a larger segment.
-        bulk = zlib.compress(b"b" * (64 * KB), 9)
-        stream = wire([bulk], compress_threshold=16)
-        assert decode_frame(stream).segments == [bulk]
-        assert len(stream) < len(bulk) + 64  # header + table only
-
-    def test_corrupt_compressed_segment_raises(self, decode):
-        stream = bytearray(wire([b"c" * (8 * KB)], compress_threshold=16))
-        stream[-1] ^= 0xFF  # flip a bit inside the zlib stream
-        with pytest.raises(FrameError):
-            decode(bytes(stream))
+    def test_segments_travel_raw_with_zero_flags(self):
+        # The wire is header + table + the segments' own bytes, and every
+        # table entry carries flag byte 0.
+        segments = [b"head", b"a" * (64 * KB)]
+        stream = wire(segments)
+        table = HEADER.size + META.size
+        assert len(stream) == table + 2 * TABLE_ENTRY.size + sum(map(len, segments))
+        entries = list(
+            TABLE_ENTRY.iter_unpack(stream[table : table + 2 * TABLE_ENTRY.size])
+        )
+        assert entries == [(len(s), 0) for s in segments]
+        assert stream.endswith(b"head" + b"a" * (64 * KB))
 
     def test_segment_table_must_sum_to_frame_length(self, decode):
         stream = bytearray(wire([b"abc", b"defg"]))
@@ -135,11 +114,18 @@ class TestV2RoundTrip:
         with pytest.raises(FrameError, match="table"):
             decode(bytes(stream))
 
-    def test_retired_batch_flag_rejected(self, decode):
+    # Bit 0 was the retired batch envelope; every frame flag is reserved.
+    @pytest.mark.parametrize("flags", [0x01, 0x02, 0x80])
+    def test_frame_flags_are_reserved(self, decode, flags):
         stream = bytearray(wire([b"msg-1", b"msg-2"]))
-        stream[HEADER.size] = 0x01  # bit 0: the retired batch envelope
-        with pytest.raises(FrameError, match="flags"):
+        stream[HEADER.size] = flags
+        with pytest.raises(FrameError, match="frame flags"):
             decode(bytes(stream))
+
+    def test_memoryview_segments_are_framed_by_their_byte_size(self, decode):
+        words = memoryview(array.array("I", range(1000)))
+        frame = decode(wire([b"head", words]))
+        assert frame.segments == [b"head", words.tobytes()]
 
 
 class TestRejection:
@@ -196,10 +182,12 @@ class TestRejection:
         with pytest.raises(TruncatedFrameError):
             decode(wire([b"head", b"b" * (256 * KB)])[:-1])
 
-    def test_unknown_segment_codec_rejected(self, decode):
+    # 0x01 was the retired zlib codec id; segment flags are reserved.
+    @pytest.mark.parametrize("seg_flags", [0x01, 0x02, 0x80])
+    def test_unknown_segment_codec_rejected(self, decode, seg_flags):
         stream = bytearray(wire([b"abc"]))
-        stream[HEADER.size + META.size + TABLE_ENTRY.size - 1] = 2
-        with pytest.raises(FrameError, match="codec"):
+        stream[HEADER.size + META.size + TABLE_ENTRY.size - 1] = seg_flags
+        with pytest.raises(FrameError, match="segment flags"):
             decode(bytes(stream))
 
     def test_trailing_bytes_rejected(self):
@@ -262,20 +250,19 @@ class TestRecvFrame:
             left.close()
             right.close()
 
-    def test_plain_and_compressed_frames_interleave_on_one_stream(self):
-        bulk = b"z" * (4 * KB)
-        stream = (
-            wire([b"plain"])
-            + wire([b"head", bulk], compress_threshold=KB)
-            + wire([b"last"])
-        )
+    def test_small_and_bulk_frames_interleave_on_one_stream(self):
+        # A bulk frame (read per segment) between two small ones (read in
+        # one gulp) leaves the stream aligned on frame boundaries.
+        bulk = b"z" * (256 * KB)
+        stream = wire([b"plain"]) + wire([b"head", bulk]) + wire([b"last"])
         left, right = self._pair()
         try:
-            left.sendall(stream)
-            left.close()
+            sender = self._send(left, stream)
             assert recv_frame(right).segments == [b"plain"]
             assert recv_frame(right).segments == [b"head", bulk]
             assert recv_frame(right).segments == [b"last"]
+            sender.join()
+            left.close()
             assert recv_frame(right) is None
         finally:
             right.close()
@@ -302,34 +289,6 @@ class TestRecvFrame:
             assert frame.segments[0] == b"head"
             assert frame.segments[1] == bulk
             assert isinstance(frame.segments[1], bytes)
-        finally:
-            left.close()
-            right.close()
-
-    def test_compressed_segment_decodes_transparently(self):
-        payload = b"ab" * (64 * KB)
-        stream = wire([b"head", payload], compress_threshold=KB)
-        assert len(stream) < len(payload)  # compression engaged on the wire
-        left, right = self._pair()
-        try:
-            sender = self._send(left, stream)
-            frame = recv_frame(right)
-            sender.join()
-            assert frame.segments == [b"head", payload]
-        finally:
-            left.close()
-            right.close()
-
-    def test_compressed_bulk_segment_read_per_segment(self):
-        # Above the gulp cutoff, a compressed segment is read exactly at
-        # its stored size and inflated after the read.
-        stream = wire([b"head", half_random_bulk()], compress_threshold=KB)
-        left, right = self._pair()
-        try:
-            sender = self._send(left, stream)
-            frame = recv_frame(right)
-            sender.join()
-            assert frame.segments == [b"head", half_random_bulk()]
         finally:
             left.close()
             right.close()

@@ -1,12 +1,11 @@
-"""The wire protocol end-to-end: no handshake, compression, identity.
+"""The wire protocol end-to-end: no handshake, identity.
 
 The wire path must be invisible to everything above the transport: the
 filesystems and the metadata plane read back exactly the bytes they
 wrote.  These tests cover the handshake-free connection over real
-sockets, the out-of-band threshold, the retired batch flag,
-compression chosen by each sender alone, and cross-backend differential
-byte-identity over raw and compressed segments — including mid-read
-replica failover and wire faults, where the degraded path must stay
+sockets, the out-of-band threshold, the retired batch flag, and
+cross-backend differential byte-identity — including mid-read replica
+failover and wire faults, where the degraded path must stay
 byte-identical too.
 """
 
@@ -69,13 +68,8 @@ def faults():
     return NetworkFaultPlan(sleep=lambda _s: None)
 
 
-#: The two ways a segment may travel: raw, or zlib-compressed above a
-#: threshold (low enough here that metadata heads compress too).
-CODECS = pytest.mark.parametrize(
-    "wire",
-    [WireConfig(), WireConfig(compress_threshold=64)],
-    ids=["raw", "zlib"],
-)
+#: The one wire configuration: every segment travels raw.
+CODECS = pytest.mark.parametrize("wire", [WireConfig()], ids=["raw"])
 
 
 def loopback_stub(stub_cls, service, backend, *, peer, faults, wire, retry=None):
@@ -92,15 +86,39 @@ class TestWireConfig:
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
             WireConfig(oob_threshold=0)
-        with pytest.raises(ValueError):
-            WireConfig(compress_threshold=0)
 
     def test_cluster_config_maps_onto_wire_config(self):
-        wire = ClusterConfig(compress_threshold=KB).wire_config()
-        assert wire.compress_threshold == KB
         assert ClusterConfig().wire_config() == WireConfig()
-        with pytest.raises(ValueError):
-            ClusterConfig(compress_threshold=0)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "heartbeat_interval",
+            "max_missed_heartbeats",
+            "block_report_every",
+            "rpc_timeout",
+            "pool_size",
+        ],
+    )
+    def test_cluster_config_rejects_non_positive_values(self, field):
+        with pytest.raises(ValueError, match=field):
+            ClusterConfig(**{field: 0})
+
+    def test_connected_stubs_use_the_deployment_defaults(self):
+        config = ClusterConfig(rpc_timeout=2.5, pool_size=3)
+        server = NodeServer(DataProvider(0), host="127.0.0.1", port=0, config=config)
+        host, port = server.start()
+        try:
+            stub = connect_provider(host, port, config=config)
+            transport = stub.transport
+            assert transport.retry == RetryPolicy()
+            assert transport.retry.retries == 2
+            assert transport.timeout == 2.5
+            assert transport._pool_size == 3
+            assert transport._wire == config.wire_config()
+            stub.close()
+        finally:
+            server.stop()
 
 
 class TestOutOfBandThreshold:
@@ -195,13 +213,20 @@ class TestNoHandshake:
         assert server.requests_served == 1
 
 
-class TestRetiredBatchFlag:
-    def test_server_drops_a_batch_frame(self):
-        # Bit 0 of the frame flags was the small-op batch envelope; a
-        # frame that sets it is a framing violation like any other.
+class TestReservedFlags:
+    # Bit 0 of the frame flags was the small-op batch envelope and segment
+    # flag 0x01 the zlib codec id; every flag is now reserved, so a frame
+    # that sets one is a framing violation like any other.
+    @pytest.mark.parametrize(
+        "where, flags",
+        [("frame", 0x01), ("segment", 0x01), ("segment", 0x80)],
+    )
+    def test_server_drops_a_frame_with_a_reserved_flag(self, where, flags):
         head, _ = encode_message(Request(1, "echo", "echo", ("x",), {}))
         frame = bytearray(b"".join(encode_frame([head])))
-        frame[HEADER.size] = 0x01
+        # The frame flags byte opens the payload; segment 0's flag byte
+        # follows the segment count and its 4-byte stored length.
+        frame[HEADER.size if where == "frame" else HEADER.size + 3 + 4] = flags
         with RpcServer(echo_registry()) as server:
             host, port = server.address
             with socket.create_connection((host, port), timeout=5.0) as raw:
@@ -211,43 +236,6 @@ class TestRetiredBatchFlag:
                 assert transport.call("echo", "echo", "after") == "after"
         assert server.protocol_errors == 1
         assert server.requests_served == 1
-
-
-class TestCompression:
-    def test_compressed_connection_is_byte_identical(self):
-        wire = WireConfig(compress_threshold=KB)
-        with RpcServer(echo_registry(), wire=wire) as server:
-            host, port = server.address
-            transport = TcpTransport(host, port, wire=wire)
-            try:
-                compressible = b"c" * (1024 * KB)
-                random_ish = bytes(range(256)) * (4 * KB)
-                assert transport.call("echo", "echo", compressible) == compressible
-                assert transport.call("echo", "echo", random_ish) == random_ish
-            finally:
-                transport.close()
-
-    @pytest.mark.parametrize("server_compresses", [False, True])
-    @pytest.mark.parametrize("client_compresses", [False, True])
-    def test_every_pairing_round_trips_bulk_bytes(
-        self, client_compresses, server_compresses
-    ):
-        # Each side compresses what it sends by its own config alone; the
-        # receiver decodes whatever codec the segment table names.
-        def wire(on: bool) -> WireConfig:
-            return WireConfig(compress_threshold=KB if on else None)
-
-        payload = b"p" * (2048 * KB)
-        with RpcServer(echo_registry(), wire=wire(server_compresses)) as server:
-            host, port = server.address
-            transport = TcpTransport(host, port, wire=wire(client_compresses))
-            try:
-                assert transport.call("echo", "echo", payload) == payload
-                assert transport.call("echo", "pair", 1, b"two") == (1, b"two")
-            finally:
-                transport.close()
-        assert server.requests_served == 2
-        assert server.protocol_errors == 0
 
 
 class TestLoopback:
@@ -378,11 +366,8 @@ class TestDifferentialByteIdentity:
 
 
 class TestTcpDifferential:
-    @pytest.mark.parametrize(
-        "compress_threshold", [None, 64], ids=["raw", "zlib"]
-    )
-    def test_hdfs_over_tcp_identical(self, compress_threshold):
-        config = ClusterConfig(compress_threshold=compress_threshold)
+    def test_hdfs_over_tcp_identical(self):
+        config = ClusterConfig()
         backends = [DataNode(i, host=f"node-{i}", rack="r0") for i in range(3)]
         servers = [
             NodeServer(d, host="127.0.0.1", port=0, config=config)

@@ -1,4 +1,4 @@
-"""Version GC tests: mark/retire/sweep, pins, in-flight writers, RPC exposure.
+"""Version GC tests: mark/retire/sweep, pins, in-flight writers, the daemon.
 
 The deployments are tiny (4 KB pages) so every scenario materialises real
 pages on real providers — reclaimed bytes are measured from provider stats,
@@ -18,16 +18,7 @@ from repro.core import (
     VersionRetiredError,
 )
 from repro.core.provider import total_bytes_stored
-from repro.net.service import ServiceRegistry
-from repro.net.transport import LoopbackTransport
-from repro.versions import (
-    GcDaemon,
-    PinRegistry,
-    RetentionPolicy,
-    VersionGC,
-    connect_gc,
-    expose_gc,
-)
+from repro.versions import GcDaemon, PinRegistry, RetentionPolicy, VersionGC
 
 PAGE = 4 * KB
 
@@ -129,7 +120,6 @@ class TestCollect:
             client,
             policy=RetentionPolicy(keep_last=1),
             pins=PinRegistry(clock=clock),
-            clock=clock,
         )
         blob = client.create_blob()
         churn(client, blob, 3)
@@ -382,8 +372,9 @@ class TestRunOnceAndDaemon:
             client.gc.stop()
         assert not client.gc.running
 
-    def test_config_driven_gc_autostarts_and_close_stops_it(self):
-        client = make_client(max_versions_kept=2, gc_interval_seconds=0.01)
+    def test_close_stops_a_started_daemon(self):
+        client = make_client(max_versions_kept=2)
+        client.gc.start(0.01)
         assert client.gc.running
         client.close()
         assert not client.gc.running
@@ -413,47 +404,6 @@ class TestDescribe:
         client.append(blob, b"z" * PAGE)
         with client.pin_version(blob):
             assert client.stats()["pins"]["active_pins"] == 1
-
-
-class TestRemoteService:
-    def test_gc_over_loopback_rpc(self):
-        client = make_client(max_versions_kept=1)
-        blob = client.create_blob()
-        churn(client, blob, 4)
-
-        registry = ServiceRegistry()
-        expose_gc(registry, client.gc)
-        with connect_gc(LoopbackTransport(registry)) as remote:
-            plan = remote.plan(blob)
-            assert plan["dead_versions"] == [1, 2, 3]
-            report = remote.run_once()
-            assert report["versions_retired"] == 3
-            assert report["bytes_reclaimed"] == 3 * PAGE
-            info = remote.describe()
-            assert info["totals"]["versions_retired"] == 3
-        assert stored_bytes(client) == PAGE
-
-    def test_remote_daemon_drives_cycles(self):
-        import time
-
-        client = make_client(max_versions_kept=1)
-        blob = client.create_blob()
-        churn(client, blob, 3)
-        registry = ServiceRegistry()
-        expose_gc(registry, client.gc)
-        remote = connect_gc(LoopbackTransport(registry))
-        from repro.versions import drive_remote_gc
-
-        daemon = drive_remote_gc(remote, 0.01)
-        try:
-            for _ in range(200):
-                if stored_bytes(client) == PAGE:
-                    break
-                time.sleep(0.01)
-            assert stored_bytes(client) == PAGE
-        finally:
-            daemon.stop()
-            remote.close()
 
 
 class FakeClock:

@@ -75,12 +75,6 @@ class TestLeaseExpiry:
         assert handle.released
         assert pins.describe()["pins_expired"] == 1
 
-    def test_registry_default_ttl(self, clock: FakeClock):
-        pins = PinRegistry(clock=clock, default_ttl=5.0)
-        pins.pin(1, 1)
-        clock.advance(6.0)
-        assert not pins.is_pinned(1, 1)
-
     def test_renew_extends_lease(self, pins: PinRegistry, clock: FakeClock):
         handle = pins.pin(1, 5, ttl=10.0)
         clock.advance(8.0)

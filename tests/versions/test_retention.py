@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.versions import RetentionPolicy
 
@@ -11,10 +13,6 @@ class TestValidation:
     def test_keep_last_must_be_positive(self):
         with pytest.raises(ValueError):
             RetentionPolicy(keep_last=0)
-
-    def test_ttl_must_be_non_negative(self):
-        with pytest.raises(ValueError):
-            RetentionPolicy(ttl_seconds=-1.0)
 
     def test_default_retains_everything(self):
         policy = RetentionPolicy()
@@ -47,45 +45,57 @@ class TestKeepLast:
         assert policy.retained([0, 1, 2], pinned=[99]) == {0, 2}
 
 
-class TestTtl:
-    def test_ttl_requires_now(self):
-        policy = RetentionPolicy(ttl_seconds=10.0)
-        with pytest.raises(ValueError):
-            policy.retained([0, 1], published_times={1: 0.0})
-
-    def test_fresh_versions_survive_old_ones_die(self):
-        policy = RetentionPolicy(ttl_seconds=10.0)
-        times = {1: 0.0, 2: 6.0, 3: 14.0}
-        retained = policy.retained(
-            [0, 1, 2, 3], published_times=times, now=15.0
-        )
-        assert retained == {0, 2, 3}
-
-    def test_versions_without_timestamp_are_conservatively_kept(self):
-        policy = RetentionPolicy(ttl_seconds=1.0)
-        retained = policy.retained(
-            [0, 1, 2], published_times={2: 0.0}, now=100.0
-        )
-        # 1 has no timestamp -> kept; 2 is stale but the latest -> kept.
-        assert retained == {0, 1, 2}
-
-
 class TestComposition:
-    def test_keep_last_and_ttl_union(self):
-        policy = RetentionPolicy(keep_last=1, ttl_seconds=10.0)
-        times = {1: 0.0, 2: 95.0, 3: 99.0}
-        retained = policy.retained(
-            [0, 1, 2, 3], published_times=times, now=100.0
-        )
-        # 3 by keep-last (and latest), 2 by TTL, 1 dead, 0 always.
-        assert retained == {0, 2, 3}
-
     def test_empty_published_set(self):
         assert RetentionPolicy(keep_last=1).retained([]) == set()
 
     def test_describe(self):
         assert RetentionPolicy(keep_last=3).describe() == {
             "keep_last": 3,
-            "ttl_seconds": None,
             "retains_everything": False,
         }
+
+
+published_sets = st.sets(st.integers(min_value=0, max_value=40), max_size=20)
+
+
+class TestProperties:
+    @given(
+        published=published_sets,
+        pinned=st.sets(st.integers(min_value=0, max_value=50), max_size=5),
+        keep_last=st.one_of(st.none(), st.integers(min_value=1, max_value=6)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_retained_and_dead_partition_the_published_set(
+        self, published, pinned, keep_last
+    ):
+        policy = RetentionPolicy(keep_last=keep_last)
+        retained = policy.retained(published, pinned=pinned)
+        dead = policy.dead(published, pinned=pinned)
+        assert retained | dead == published
+        assert not retained & dead
+
+    @given(
+        published=published_sets,
+        pinned=st.sets(st.integers(min_value=0, max_value=50), max_size=5),
+        keep_last=st.integers(min_value=1, max_value=6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_zero_latest_and_pinned_versions_always_survive(
+        self, published, pinned, keep_last
+    ):
+        retained = RetentionPolicy(keep_last=keep_last).retained(
+            published, pinned=pinned
+        )
+        assert (pinned | {0}) & published <= retained
+        if published:
+            assert max(published) in retained
+
+    @given(published=published_sets, keep_last=st.integers(min_value=1, max_value=6))
+    @settings(max_examples=100, deadline=None)
+    def test_unpinned_keep_last_keeps_exactly_the_newest_real_versions(
+        self, published, keep_last
+    ):
+        retained = RetentionPolicy(keep_last=keep_last).retained(published)
+        real = sorted(v for v in published if v > 0)
+        assert retained == set(real[-keep_last:]) | ({0} & published)
