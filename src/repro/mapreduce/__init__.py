@@ -57,7 +57,6 @@ from .shuffle import (
     group_by_key,
     group_sorted_pairs,
     hash_partitioner,
-    merge_map_outputs,
 )
 from .shuffle_service import (
     SegmentReader,
@@ -113,7 +112,6 @@ __all__ = [
     "TextOutputFormat",
     "SingleFileOutputFormat",
     "hash_partitioner",
-    "merge_map_outputs",
     "group_by_key",
     "group_sorted_pairs",
     "ShuffleService",

@@ -45,11 +45,11 @@ class JobConf:
     num_reduce_tasks: int = 1
     num_map_tasks: int | None = None
     split_size: int | None = None
-    #: Route the shuffle through the job's file system: map tasks spill
-    #: sorted segment files, reduce tasks fetch them as maps complete and
-    #: merge externally (see :mod:`repro.mapreduce.shuffle_service`).
-    #: Default off — the in-memory shuffle remains the fast path.
-    spill_to_fs: bool = False
+    #: Always ``True``: every shuffle spills through the job's file system
+    #: (see :mod:`repro.mapreduce.shuffle_service`).  The field remains
+    #: only because the end-to-end benchmark's ``sort-spill`` workload still
+    #: passes ``spill_to_fs=True``; ``False`` is rejected.
+    spill_to_fs: bool = True
     #: Spill threshold, in encoded bytes: a map's partition is cut into a
     #: new segment file once the buffered records reach this size (a
     #: segment may exceed it by up to one frame of records).
@@ -89,6 +89,11 @@ class JobConf:
             raise ValueError("num_map_tasks must be at least 1 when given")
         if self.split_size is not None and self.split_size <= 0:
             raise ValueError("split_size must be positive when given")
+        if not self.spill_to_fs:
+            raise ValueError(
+                "spill_to_fs=False is not supported: there is one shuffle, "
+                "and map output always spills through the file system"
+            )
         if self.shuffle_segment_size < 1:
             raise ValueError("shuffle_segment_size must be positive")
         if self.max_task_attempts < 1:

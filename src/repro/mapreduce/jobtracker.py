@@ -15,16 +15,16 @@ engine is storage-agnostic: pass a BSFS or an HDFS instance.  Its one
 caller is :class:`~repro.mapreduce.service.JobService`, which hands every
 execution a :class:`JobContext` of runtime controls.
 
-Two shuffle paths exist.  The default keeps intermediate pairs in memory
-and runs reduce after a global map barrier.  With
-``JobConf(spill_to_fs=True)`` the shuffle is routed through the job's file
-system instead: maps spill sorted segment files, reduce tasks start
-*alongside* the map phase and fetch segments as individual maps complete
-(overlapped shuffle), then merge them externally — so shuffle I/O exercises
-the storage backend under measurement and a partition larger than memory
-still reduces.  ``JobConf(single_output_file=True)`` additionally makes all
-reducers write one shared output file via ``concurrent_append`` — the
-paper's §V scenario — on backends that support it.
+There is one shuffle, and it goes through the job's file system: maps
+spill sorted segment files (:mod:`repro.mapreduce.shuffle_service`), reduce
+tasks start *alongside* the map phase and fetch segments as individual
+maps complete (overlapped shuffle), then merge them externally — so
+shuffle I/O exercises the storage backend under measurement and a
+partition larger than memory still reduces.  A map-only job has no reduce
+phase: its maps write the output themselves.
+``JobConf(single_output_file=True)`` makes all reducers write one shared
+output file via ``concurrent_append`` — the paper's §V scenario — on
+backends that support it.
 
 Fault tolerance.  Every task is executed as a sequence of *attempts*
 (bounded by ``JobConf.max_task_attempts``): a failed attempt is re-executed
@@ -51,16 +51,12 @@ from ..core.transfer import TransferEngine
 from ..fs import path as fspath
 from ..fs.interface import FileSystem
 from ..fs.quota import tenant_scope
-from ..net.liveness import HeartbeatPump, LivenessMonitor, LivenessRegistry
+from ..net.liveness import HeartbeatPump, LivenessRegistry
 from .faults import FaultPlan, TrackerDeadError
 from .job import Counters, Job
-from .scheduler import (
-    LocalityAwareScheduler,
-    LocalityStats,
-    NoHealthyTrackerError,
-    SlotLedger,
-)
-from .shuffle import SingleFileOutputFormat, TextOutputFormat, merge_map_outputs
+from .phase import _RetryingPhase
+from .scheduler import LocalityAwareScheduler, LocalityStats, SlotLedger
+from .shuffle import SingleFileOutputFormat, TextOutputFormat
 from .shuffle_service import ShuffleAbortedError, ShuffleService
 from .splitter import SyntheticInputFormat, TextInputFormat
 from .tasktracker import TaskResult, TaskTracker
@@ -93,11 +89,10 @@ class JobResult:
     reduce_tasks: int
     counters: Counters
     locality: LocalityStats
-    #: Every executed task *attempt*, including failed, retried and
-    #: discarded (race-losing) ones.
+    #: Every executed task *attempt*, including failed and retried ones.
     task_results: list[TaskResult] = field(default_factory=list)
     output_paths: list[str] = field(default_factory=list)
-    #: Spill-based shuffle statistics (``None`` for the in-memory shuffle).
+    #: Shuffle statistics (``None`` for a map-only job, which has none).
     shuffle: dict | None = None
     #: Tracker hosts blacklisted during the run (flaky/killed trackers).
     blacklisted_hosts: list[str] = field(default_factory=list)
@@ -176,266 +171,53 @@ def _failed_result(
     )
 
 
-class _TaskEntry:
-    """Mutable per-task attempt bookkeeping (guarded by the phase lock)."""
+class _TrackerLiveness:
+    """Heartbeat-based death detection for the trackers of one job.
 
-    __slots__ = (
-        "index",
-        "attempts_started",
-        "running",
-        "banned_hosts",
-        "winner",
-        "permanent_failure",
-        "done",
-        "committed",
-        "commit_attempt",
-    )
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-        self.attempts_started = 0
-        self.running = 0
-        self.banned_hosts: set[str] = set()
-        self.winner: TaskResult | None = None
-        self.permanent_failure: TaskResult | None = None
-        self.done = False
-        self.committed = False
-        self.commit_attempt: int | None = None
-
-
-class _RetryingPhase:
-    """Executes one phase's tasks as bounded attempt sequences.
-
-    The phase owns the full fault-tolerance protocol for its tasks:
-
-    * a failed attempt is retried on a different tracker (``pick_tracker``
-      receives the set of hosts that already failed this task) until
-      ``max_attempts`` executions are spent or a non-retryable error hits;
-    * every failure is reported to ``on_attempt_failed`` (feeding the
-      scheduler blacklist; a :class:`TrackerDeadError` is *fatal* and
-      blacklists the host immediately);
-    * the first attempt to *commit* (:meth:`try_commit`) wins and every
-      other attempt of the task is discarded;
-    * a task with no surviving attempt triggers ``on_permanent_failure``
-      (used to abort the shuffle so overlapped reducers do not wait
-      forever) and fails the phase.
-
-    The ``execute`` callable runs one attempt and returns ``(result,
-    retryable, fatal_host)`` — ``fatal_host`` flags a dead-tracker failure
-    that must blacklist the host immediately.  It must only raise
-    ``BaseException``s (SystemExit and friends), which the phase records
-    and re-raises from :meth:`finish`.
+    Every live tracker heartbeats a :class:`LivenessRegistry`; a tracker
+    the fault plan killed falls silent, and the registry declares it dead
+    after ``max_missed`` missed beats — the way a real jobtracker learns of
+    a crashed tasktracker.  The registry's clock counts heartbeat rounds,
+    not seconds: one pump thread beats for every live tracker and then
+    checks, so however the threads are scheduled, only a killed tracker
+    ever misses a round.
     """
 
     def __init__(
         self,
+        hosts: list[str],
+        fault_plan: FaultPlan,
         *,
-        total: int,
-        max_attempts: int,
-        execute: Callable[[int, int, TaskTracker], tuple[TaskResult, bool, bool]],
-        pick_tracker: Callable[[int, int, set[str]], TaskTracker],
-        make_failure: Callable[[int, int, BaseException], TaskResult],
-        on_winner: Callable[[TaskResult], None] | None = None,
-        on_attempt_failed: Callable[[str, bool], None] | None = None,
-        on_permanent_failure: Callable[[int, TaskResult], None] | None = None,
+        on_death: Callable[[str], None],
     ) -> None:
-        self._max_attempts = max_attempts
-        self._execute = execute
-        self._pick_tracker = pick_tracker
-        self._on_winner = on_winner
-        self._on_attempt_failed = on_attempt_failed
-        self._on_permanent_failure = on_permanent_failure
-        self._make_failure = make_failure
-        self._cond = threading.Condition()
-        self._entries = [_TaskEntry(i) for i in range(total)]
-        self._results: list[TaskResult] = []
-        self._pool: ThreadPoolExecutor | None = None
-        self._fatal: BaseException | None = None
+        self._hosts = hosts
+        self._fault_plan = fault_plan
+        self._round = 0
+        self._registry = LivenessRegistry(
+            heartbeat_interval=1, max_missed=2, clock=lambda: self._round
+        )
+        self._registry.on_death(on_death)
+        for host in hosts:
+            self._registry.register(host)
+        self._pump = HeartbeatPump(self._beat_round, interval=0.02).start()
 
-    # -- results -----------------------------------------------------------------------
-    @property
-    def results(self) -> list[TaskResult]:
-        """Every attempt result recorded so far (read after the pool closed)."""
-        with self._cond:
-            return list(self._results)
+    def _beat_round(self) -> None:
+        self._round += 1
+        for host in self._hosts:
+            if not self._fault_plan.tracker_is_dead(host):
+                self._registry.heartbeat(host)
+        self._registry.check()
 
-    @property
-    def succeeded(self) -> bool:
-        """Whether every task of the phase committed a winning attempt."""
-        with self._cond:
-            return all(e.winner is not None for e in self._entries)
+    def stop(self) -> None:
+        """Stop the pump, then run the rounds a killed tracker still needs.
 
-    def winner_map_outputs(self) -> list[list[list[tuple[Any, Any]]]]:
-        """The winning attempts' in-memory map outputs, in task order."""
-        with self._cond:
-            return [
-                e.winner.map_output
-                for e in self._entries
-                if e.winner is not None and e.winner.map_output is not None
-            ]
-
-    def try_commit(self, index: int, attempt: int) -> bool:
-        """Output-committer handshake: may attempt ``attempt`` of task
-        ``index`` commit its output?  Exactly one attempt per task wins."""
-        with self._cond:
-            entry = self._entries[index]
-            if entry.committed:
-                return False
-            entry.committed = True
-            entry.commit_attempt = attempt
-            return True
-
-    # -- orchestration -----------------------------------------------------------------
-    def _fail_no_tracker(
-        self, entry: _TaskEntry, attempt: int, exc: NoHealthyTrackerError
-    ) -> None:
-        """Record a permanent failure for a task that cannot be placed.
-
-        Every tracker host is dead/blacklisted, so the attempt fails without
-        ever launching.
+        A short job can end before a tracker killed late has missed
+        ``max_missed`` rounds; running them here makes the blacklist
+        deterministic, and the death is still declared by the registry.
         """
-        result = self._make_failure(entry.index, attempt, exc)
-        permanent: TaskResult | None = None
-        with self._cond:
-            self._results.append(result)
-            if entry.winner is None and not entry.done and entry.running == 0:
-                entry.permanent_failure = result
-                entry.done = True
-                permanent = result
-            self._cond.notify_all()
-        if permanent is not None and self._on_permanent_failure is not None:
-            self._on_permanent_failure(entry.index, permanent)
-
-    def start(self, pool: ThreadPoolExecutor) -> None:
-        """Submit attempt 0 of every task to ``pool`` and return immediately."""
-        self._pool = pool
-        with self._cond:
-            for entry in self._entries:
-                try:
-                    tracker = self._pick_tracker(entry.index, 0, set())
-                except NoHealthyTrackerError as exc:
-                    self._fail_no_tracker(entry, 0, exc)
-                    continue
-                self._launch(entry, tracker)
-
-    def finish(self) -> list[TaskResult]:
-        """Block until every task is decided.
-
-        Race-losing attempts may still be running when this returns; their
-        results land in :attr:`results` once the worker pool is joined.
-        """
-        with self._cond:
-            while self._fatal is None and not all(e.done for e in self._entries):
-                self._cond.wait()
-        if self._fatal is not None:
-            raise self._fatal
-        return self.results
-
-    def run(self, pool: ThreadPoolExecutor) -> list[TaskResult]:
-        """``start`` + ``finish`` for phases without an overlap window."""
-        self.start(pool)
-        return self.finish()
-
-    def _launch(self, entry: _TaskEntry, tracker: TaskTracker) -> None:
-        """Submit one attempt of ``entry`` (phase lock held)."""
-        attempt = entry.attempts_started
-        entry.attempts_started += 1
-        entry.running += 1
-        assert self._pool is not None
-        try:
-            self._pool.submit(self._attempt, entry, attempt, tracker)
-        except RuntimeError:
-            # The pool is shutting down (fatal error elsewhere): undo the
-            # launch bookkeeping so the entry does not look in-flight.
-            entry.attempts_started -= 1
-            entry.running -= 1
-
-    def _attempt(self, entry: _TaskEntry, attempt: int, tracker: TaskTracker) -> None:
-        try:
-            result, retryable, fatal_host = self._execute(entry.index, attempt, tracker)
-        except BaseException as exc:
-            # ``execute`` traps Exception; anything escaping is a
-            # SystemExit-class event that must fail the whole phase instead
-            # of vanishing inside the worker pool.
-            with self._cond:
-                if self._fatal is None:
-                    self._fatal = exc
-                entry.running -= 1
-                self._cond.notify_all()
-            raise
-        self._record(entry, result, retryable, fatal_host)
-
-    def _record(
-        self,
-        entry: _TaskEntry,
-        result: TaskResult,
-        retryable: bool,
-        fatal_host: bool,
-    ) -> None:
-        """Fold one finished attempt into the entry's state machine."""
-        relaunch = False
-        permanent: TaskResult | None = None
-        host_failed = False
-        won = False
-        with self._cond:
-            entry.running -= 1
-            if result.succeeded and not result.discarded:
-                if entry.winner is None:
-                    entry.winner = result
-                    entry.committed = True
-                    entry.done = True
-                    won = True
-                else:
-                    # An in-memory race loser: another attempt already won,
-                    # so this one's output is discarded.
-                    result = replace(result, discarded=True)
-            elif result.succeeded:
-                # A committed-side race loser: its write was skipped.
-                pass
-            else:
-                entry.banned_hosts.add(result.tracker_host)
-                host_failed = True
-                if entry.commit_attempt == result.attempt:
-                    # The failed attempt died *after* claiming the commit
-                    # (e.g. mid-write); release it so a retry can commit.
-                    entry.committed = False
-                    entry.commit_attempt = None
-                if (
-                    entry.winner is None
-                    and retryable
-                    and entry.attempts_started < self._max_attempts
-                    and self._fatal is None
-                ):
-                    relaunch = True
-                elif entry.winner is None and entry.running == 0 and not entry.done:
-                    entry.permanent_failure = result
-                    entry.done = True
-                    permanent = result
-            self._results.append(result)
-            self._cond.notify_all()
-        if won and self._on_winner is not None:
-            self._on_winner(result)
-        if host_failed and self._on_attempt_failed is not None:
-            self._on_attempt_failed(result.tracker_host, fatal_host)
-        if relaunch:
-            with self._cond:
-                banned = set(entry.banned_hosts)
-                next_attempt = entry.attempts_started
-            try:
-                tracker = self._pick_tracker(entry.index, next_attempt, banned)
-            except NoHealthyTrackerError as exc:
-                self._fail_no_tracker(entry, next_attempt, exc)
-                return
-            with self._cond:
-                if entry.winner is None and self._fatal is None:
-                    self._launch(entry, tracker)
-                elif entry.running == 0 and entry.winner is None and not entry.done:
-                    entry.permanent_failure = result
-                    entry.done = True
-                    permanent = result
-                    self._cond.notify_all()
-        if permanent is not None and self._on_permanent_failure is not None:
-            self._on_permanent_failure(entry.index, permanent)
+        self._pump.stop()
+        for _ in range(self._registry.max_missed + 1):
+            self._beat_round()
 
 
 class JobTracker:
@@ -483,38 +265,6 @@ class JobTracker:
         scheduler = LocalityAwareScheduler(
             self.trackers, tenant=job.conf.tenant, slot_ledger=self.slot_ledger
         )
-        # Tracker failure detection.  With tracker faults in play, a
-        # killed tracker is no longer blacklisted synchronously from the
-        # TrackerDeadError its attempts raise: every tracker heartbeats a
-        # liveness registry, a killed one falls silent, and the registry
-        # declares it dead after max_missed intervals — that death event
-        # is what blacklists the host, the way a real jobtracker learns
-        # of a crashed tasktracker.
-        tracker_liveness: LivenessRegistry | None = None
-        liveness_monitor: LivenessMonitor | None = None
-        heartbeat_pumps: list[HeartbeatPump] = []
-        if fault_plan is not None and fault_plan.tracker_faults:
-            tracker_liveness = LivenessRegistry(
-                heartbeat_interval=0.02, max_missed=2
-            )
-            # A death event blacklists the host unconditionally (even the
-            # last one): retrying against a dead process is futile, and a
-            # fully dead cluster surfaces as NoHealthyTrackerError-backed
-            # permanent task failures instead of burning every attempt.
-            tracker_liveness.on_death(scheduler.mark_dead)
-            for tracker in self.trackers:
-                tracker_liveness.register(tracker.host)
-                pump = HeartbeatPump(
-                    partial(tracker_liveness.heartbeat, tracker.host),
-                    interval=tracker_liveness.heartbeat_interval,
-                    should_beat=partial(
-                        lambda plan, host: not plan.tracker_is_dead(host),
-                        fault_plan,
-                        tracker.host,
-                    ),
-                )
-                heartbeat_pumps.append(pump.start())
-            liveness_monitor = LivenessMonitor(tracker_liveness).start()
         input_format = job.input_format or (
             TextInputFormat() if job.conf.input_paths else SyntheticInputFormat()
         )
@@ -529,26 +279,10 @@ class JobTracker:
             # without destroying the existing output.
             reduce_format.prepare(self.fs, job.conf.output_dir)
 
+        map_only = job.conf.is_map_only
         shuffle_service: ShuffleService | None = None
         shuffle_transfer: TransferEngine | None = None
-        if job.conf.spill_to_fs and not job.conf.is_map_only:
-            # A per-job prefetch engine keeps one heavy shuffle from
-            # starving the process-wide fallback pool that other jobs (or
-            # the benchmarks) share; it is shut down with the job.
-            shuffle_transfer = TransferEngine(
-                max(2, min(2 * max(num_partitions, 1), 16)),
-                name=f"shuffle-{job.name[:16]}",
-            )
-            shuffle_service = ShuffleService(
-                self.fs,
-                num_maps=len(assignments),
-                num_partitions=num_partitions,
-                shuffle_dir=fspath.join(job.conf.output_dir, "_shuffle"),
-                segment_size=job.conf.shuffle_segment_size,
-                transfer=shuffle_transfer,
-            )
-
-        map_only = job.conf.is_map_only
+        tracker_liveness: _TrackerLiveness | None = None
 
         def report_host_failure(host: str, fatal: bool) -> None:
             scheduler.report_task_failure(host, fatal=fatal)
@@ -663,7 +397,7 @@ class JobTracker:
         progress_lock = threading.Lock()
         phase_totals = {
             "map": len(assignments),
-            "reduce": 0 if map_only else num_partitions,
+            "reduce": num_partitions,
         }
 
         def merge_winner_counters(result: TaskResult) -> None:
@@ -689,8 +423,6 @@ class JobTracker:
         )
 
         # -- reduce phase ---------------------------------------------------------
-        map_outputs: list[list[list[tuple[Any, Any]]]] = []
-
         def pick_reduce_tracker(
             index: int, attempt: int, banned: set[str]
         ) -> TaskTracker:
@@ -707,12 +439,8 @@ class JobTracker:
             attempt_counters = Counters()
             scheduler.task_started()
             try:
-                if shuffle_service is not None:
-                    pairs: Any = shuffle_service.merged_pairs(index)
-                    presorted = True
-                else:
-                    pairs = merge_map_outputs(map_outputs, index)
-                    presorted = False
+                assert shuffle_service is not None
+                pairs = shuffle_service.merged_pairs(index)
                 with tenant_scope(job.conf.tenant):
                     result = tracker.run_reduce_task(
                         job,
@@ -721,7 +449,6 @@ class JobTracker:
                         pairs,
                         counters=attempt_counters,
                         output_format=reduce_format,
-                        presorted=presorted,
                         attempt=attempt,
                         fault_plan=fault_plan,
                         commit_check=partial(reduce_phase.try_commit, index, attempt),
@@ -752,7 +479,7 @@ class JobTracker:
             return result, True, False
 
         reduce_phase = _RetryingPhase(
-            total=0 if map_only else num_partitions,
+            total=num_partitions,
             max_attempts=job.conf.max_task_attempts,
             execute=execute_reduce,
             pick_tracker=pick_reduce_tracker,
@@ -768,37 +495,56 @@ class JobTracker:
         # with a clear VersionRetiredError — if a requested snapshot was
         # already reclaimed, instead of mid-task.
         snapshot_pins = self._pin_snapshots(job, splits)
-        reduce_ran = False
         max_workers = max(sum(t.slots for t in self.trackers), 1)
         try:
-            if shuffle_service is not None:
-                # Overlapped shuffle: reduce workers start alongside the map
-                # phase and fetch segments as individual maps complete; the
-                # separate pools keep blocked reducers from starving maps.
-                reduce_ran = True
-                with ThreadPoolExecutor(
-                    max_workers=max(num_partitions, 1)
-                ) as reduce_pool:
-                    reduce_phase.start(reduce_pool)
-                    try:
-                        with ThreadPoolExecutor(max_workers=max_workers) as map_pool:
-                            map_phase.run(map_pool)
-                    except BaseException as exc:
-                        # A SystemExit/KeyboardInterrupt escaping a map
-                        # would otherwise leave the reducers blocked forever
-                        # on maps that will never complete, hanging the
-                        # reduce pool's shutdown below.
+            if not map_only:
+                # A per-job prefetch engine keeps one heavy shuffle from
+                # starving the process-wide fallback pool that other jobs
+                # (or the benchmarks) share; it is shut down with the job.
+                shuffle_transfer = TransferEngine(
+                    max(2, min(2 * num_partitions, 16)),
+                    name=f"shuffle-{job.name[:16]}",
+                )
+                shuffle_service = ShuffleService(
+                    self.fs,
+                    num_maps=len(assignments),
+                    num_partitions=num_partitions,
+                    shuffle_dir=fspath.join(job.conf.output_dir, "_shuffle"),
+                    segment_size=job.conf.shuffle_segment_size,
+                    transfer=shuffle_transfer,
+                )
+            if fault_plan is not None and fault_plan.tracker_faults:
+                # With tracker faults in play, a killed tracker is not
+                # blacklisted synchronously from the TrackerDeadError its
+                # attempts raise: its heartbeats stop, and the death the
+                # liveness registry declares is what blacklists the host
+                # (even the last one: retrying against a dead process is
+                # futile, and a fully dead cluster surfaces as permanent
+                # task failures instead of burning every attempt).
+                tracker_liveness = _TrackerLiveness(
+                    [tracker.host for tracker in self.trackers],
+                    fault_plan,
+                    on_death=scheduler.mark_dead,
+                )
+            # Overlapped shuffle: reduce workers start alongside the map
+            # phase and fetch segments as individual maps complete; the
+            # separate pools keep blocked reducers from starving maps.  A
+            # map-only job has no reduce tasks, so its reduce pool stays
+            # empty.
+            with ThreadPoolExecutor(max_workers=max(num_partitions, 1)) as reduce_pool:
+                reduce_phase.start(reduce_pool)
+                try:
+                    with ThreadPoolExecutor(max_workers=max_workers) as map_pool:
+                        map_phase.run(map_pool)
+                except BaseException as exc:
+                    # A SystemExit/KeyboardInterrupt escaping a map would
+                    # otherwise leave the reducers blocked forever on maps
+                    # that will never complete, hanging the reduce pool's
+                    # shutdown below.
+                    if shuffle_service is not None:
                         shuffle_service.abort(exc)
-                        raise
-                    reduce_phase.finish()
-            else:
-                with ThreadPoolExecutor(max_workers=max_workers) as map_pool:
-                    map_phase.run(map_pool)
-                if not map_only and map_phase.succeeded:
-                    reduce_ran = True
-                    map_outputs.extend(map_phase.winner_map_outputs())
-                    with ThreadPoolExecutor(max_workers=max_workers) as reduce_pool:
-                        reduce_phase.run(reduce_pool)
+                    raise
+                reduce_phase.finish()
         finally:
             for pin in snapshot_pins:
                 try:
@@ -817,29 +563,16 @@ class JobTracker:
                 shuffle_service.cleanup()
             if shuffle_transfer is not None:
                 shuffle_transfer.close()
-            if liveness_monitor is not None:
-                liveness_monitor.stop()
-            for pump in heartbeat_pumps:
-                pump.stop()
-            if tracker_liveness is not None and fault_plan is not None:
-                # A short job can finish before the detector's deadline
-                # passes; wait out the missed-heartbeat window for every
-                # tracker the plan actually killed so the blacklist is
-                # deterministic — the detection still happens through the
-                # registry, never synchronously.
-                for tracker in self.trackers:
-                    if fault_plan.tracker_is_dead(tracker.host):
-                        tracker_liveness.await_death(tracker.host, timeout=2.0)
+            if tracker_liveness is not None:
+                tracker_liveness.stop()
 
-        # Results are read only now, after every pool joined: race-losing
-        # attempts finishing during pool shutdown are included too.
+        # Results and counters are read only now, after every pool joined,
+        # so the winners' on_winner callbacks have all run.
         map_results = map_phase.results
         reduce_results = reduce_phase.results
         task_results = map_results + reduce_results
         output_paths = [r.output_path for r in task_results if r.output_path]
-        succeeded = map_phase.succeeded and (
-            map_only or (reduce_ran and reduce_phase.succeeded)
-        )
+        succeeded = map_phase.succeeded and reduce_phase.succeeded
         elapsed = time.perf_counter() - started
         return JobResult(
             job_name=job.name,

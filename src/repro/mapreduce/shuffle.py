@@ -2,10 +2,13 @@
 
 Between the map and reduce phases Hadoop partitions every intermediate pair
 by key, sorts each partition and groups values by key before handing them
-to the reducer.  The same steps live here, in process: map outputs are
-collected per partition by :class:`MapOutputCollector`, merged across map
-tasks by :func:`merge_map_outputs`, and reduce outputs are written back to
-the file system by an output format (one ``part-*`` file per reduce task,
+to the reducer.  The map side of those steps lives here: map outputs are
+collected per partition by :class:`MapOutputCollector` (combiner applied,
+sorted by ``repr(key)``) and then spilled through the job's file system by
+:class:`~repro.mapreduce.shuffle_service.ShuffleService`, whose merged
+stream :func:`group_sorted_pairs` cuts into reducer calls.  Reduce outputs
+are written back to the file system by an output format (one ``part-*``
+file per reduce task,
 exactly the layout the paper mentions when motivating concurrent appends —
 "the MapReduce workers write the reduce output to the same file, instead of
 creating several output files, as it is currently done in Hadoop").
@@ -25,7 +28,6 @@ from ..fs import path as fspath
 __all__ = [
     "hash_partitioner",
     "MapOutputCollector",
-    "merge_map_outputs",
     "group_by_key",
     "group_sorted_pairs",
     "TextOutputFormat",
@@ -103,19 +105,11 @@ class MapOutputCollector:
         return result
 
 
-def merge_map_outputs(
-    map_outputs: Iterable[list[list[tuple[Any, Any]]]], partition: int
-) -> list[tuple[Any, Any]]:
-    """Merge one partition's pairs from every map task and sort them by key."""
-    merged: list[tuple[Any, Any]] = []
-    for output in map_outputs:
-        merged.extend(output[partition])
-    merged.sort(key=lambda kv: repr(kv[0]))
-    return merged
-
-
 def group_by_key(pairs: Iterable[tuple[Any, Any]]) -> Iterator[tuple[Any, list[Any]]]:
-    """Group sorted (or unsorted) pairs by key, preserving value order per key."""
+    """Group unsorted pairs by key, preserving value order per key.
+
+    Used by the map-side combiner, whose input is a task's raw output.
+    """
     grouped: dict[Any, list[Any]] = defaultdict(list)
     order: list[Any] = []
     for key, value in pairs:
@@ -131,8 +125,8 @@ def group_sorted_pairs(
 ) -> Iterator[tuple[Any, list[Any]]]:
     """Group a key-sorted pair stream into ``(key, values)`` runs.
 
-    The streaming counterpart of :func:`group_by_key` for the spill-based
-    shuffle: the input (an external k-way merge over sorted segments) is
+    The streaming counterpart of :func:`group_by_key` for the reduce
+    side: the input (an external k-way merge over sorted segments) is
     already ordered by ``repr(key)``, so equal keys are adjacent and only
     the current key's values are ever held in memory — a reduce partition
     larger than memory still reduces.

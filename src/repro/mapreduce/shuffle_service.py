@@ -1,17 +1,14 @@
-"""Spill-based, overlapped shuffle through the storage layer.
+"""The shuffle: map output spills through the storage layer.
 
-The in-memory shuffle (:func:`repro.mapreduce.shuffle.merge_map_outputs`)
-keeps every intermediate pair in Python lists and makes reduce wait on a
-global map barrier, so the shuffle never touches the storage backends the
-paper benchmarks.  This module provides the alternative the paper's claims
-actually need:
+As in the paper's Hadoop, map output is materialised and reducers fetch
+it; here it goes through the job's :class:`~repro.fs.interface.FileSystem`
+(any registered backend — ``bsfs://``, ``hdfs://``, ``file://``), so
+shuffle I/O exercises the storage layer under measurement:
 
 * map tasks *spill* their partitioned, sorted, combiner-applied output as
-  segment files written through the job's :class:`~repro.fs.interface.FileSystem`
-  (any registered backend — ``bsfs://``, ``hdfs://``, ``file://``), so
-  shuffle I/O exercises the storage layer under measurement;
+  segment files;
 * reduce tasks *fetch* segments as soon as the producing map completes —
-  before the global map barrier — overlapping shuffle I/O with the map
+  before the last map finishes — overlapping shuffle I/O with the map
   phase exactly as Hadoop's copier threads do;
 * reducers merge segments with an external k-way merge
   (:func:`heapq.merge` over streaming segment readers), so a reduce
@@ -21,16 +18,16 @@ Segments are sequences of length-prefixed frames: each frame is
 ``4-byte big-endian length + pickle([(key, value), ...])``, one pickle for a
 batch of records of about :data:`FRAME_BYTES`.  A map's partition is
 already sorted by ``repr(key)`` when it is spilled; cutting it into
-consecutive size-bounded segments preserves that order, and the k-way merge
-over segments ordered by ``(map_index, sequence)`` reproduces exactly the
-pair order of the in-memory merge (stable for equal keys), which is what
-makes the two shuffle paths byte-identical.
+consecutive size-bounded segments preserves that order, and the stable
+k-way merge over segments ordered by ``(map_index, sequence)`` yields the
+partition sorted by ``repr(key)``, with the values of equal keys in map
+order — the order a stable sort by ``repr(key)`` of every map's output,
+concatenated in map order, gives.
 
-One caveat to the byte-identity guarantee: it requires that equal keys have
-equal ``repr`` (true for the usual str/bytes/int/tuple keys).  A job mixing
-keys that compare equal but print differently (``1`` and ``True``) gets one
-reducer call per repr-run on the spill path, while the in-memory
-``group_by_key`` folds them into one dict entry.
+One caveat: grouping relies on equal keys having equal ``repr`` (true for
+the usual str/bytes/int/tuple keys).  A job mixing keys that compare equal
+but print differently (``1`` and ``True``) may get more than one reducer
+call for them, because such keys need not be adjacent in ``repr`` order.
 """
 
 from __future__ import annotations
@@ -201,15 +198,23 @@ class SegmentReader:
             self._on_release(released)
 
     def _read_chunk(self) -> bytes:
+        """The next chunk of the segment; ``b""`` once its recorded size is
+        read, so a segment the prefetch read whole is opened only once."""
+        remaining = self.segment.bytes - self._offset
+        if remaining <= 0:
+            return b""
         if self._chunks is None:
             # Resume the streaming read where the prefetch stopped; the
             # backend's open_read applies its own read-ahead from here on.
             self._chunks = self._fs.open_read(
                 self.segment.path,
                 offset=self._offset,
+                length=remaining,
                 chunk_size=self._chunk_size,
             )
         chunk = next(self._chunks, b"")
+        if not chunk:
+            raise ValueError(f"truncated shuffle segment {self.segment.path!r}")
         self._offset += len(chunk)
         return chunk
 
@@ -529,8 +534,8 @@ class ShuffleService:
 
         Fetching overlaps the map phase; the merge itself starts once all
         maps completed.  Readers are ordered by ``(map_index, sequence)``
-        and :func:`heapq.merge` is stable, so for equal keys values appear
-        in map order — the same order the in-memory shuffle produces.
+        and :func:`heapq.merge` is stable, so the pairs come out sorted by
+        ``repr(key)`` with the values of equal keys in map order.
 
         When a partition spans more than ``merge_factor`` segments, the
         earliest runs are cascaded through intermediate on-storage merges

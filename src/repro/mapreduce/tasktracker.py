@@ -17,12 +17,7 @@ from typing import Any, Callable, Iterable
 from ..fs.interface import FileSystem
 from .faults import FaultPlan
 from .job import Counters, Job, TaskContext
-from .shuffle import (
-    MapOutputCollector,
-    TextOutputFormat,
-    group_by_key,
-    group_sorted_pairs,
-)
+from .shuffle import MapOutputCollector, TextOutputFormat, group_sorted_pairs
 from .shuffle_service import ShuffleService
 from .splitter import InputSplit
 
@@ -41,9 +36,6 @@ class TaskResult:
     records_out: int
     locality: str = "n/a"
     output_path: str | None = None
-    #: Map tasks: per-partition intermediate pairs; reduce tasks — and map
-    #: tasks that spilled through a :class:`ShuffleService` — ``None``.
-    map_output: list[list[tuple[Any, Any]]] | None = field(default=None, repr=False)
     #: ``False`` when the task raised; ``error`` then carries the exception.
     succeeded: bool = True
     error: str | None = None
@@ -114,9 +106,8 @@ class TaskTracker:
 
         For map-only jobs (``num_partitions == 0``) the mapper's output is
         written directly to the job output directory through the output
-        format; otherwise it is partitioned for the shuffle — spilled as
-        segment files through ``shuffle`` when a service is given (waking
-        waiting reducers), or returned in memory otherwise.
+        format; otherwise it is partitioned and spilled as segment files
+        through ``shuffle`` (waking waiting reducers).
 
         ``fault_plan`` injects failures/delays before the attempt touches
         data; ``commit_check`` gates the map-only output write so that only
@@ -157,7 +148,6 @@ class TaskTracker:
             discarded = False
             partitions = collector.partitions()
             if map_only:
-                partitions_out: list[list[tuple[Any, Any]]] | None = None
                 if commit_check is None or commit_check():
                     fmt = output_format or TextOutputFormat()
                     pairs = [pair for partition in partitions for pair in partition]
@@ -171,15 +161,13 @@ class TaskTracker:
                     )
                 else:
                     discarded = True
-            elif shuffle is not None:
+            else:
+                assert shuffle is not None, "a job with reducers spills"
                 spilled, won = shuffle.spill_map_output(
                     split.split_id, partitions, attempt=attempt
                 )
                 counters.increment("map_spilled_bytes", spilled)
-                partitions_out = None
                 discarded = not won
-            else:
-                partitions_out = partitions
             duration = time.perf_counter() - started
             return TaskResult(
                 task_id=task_id,
@@ -190,7 +178,6 @@ class TaskTracker:
                 records_out=records_out,
                 locality=locality,
                 output_path=output_path,
-                map_output=partitions_out,
                 attempt=attempt,
                 discarded=discarded,
                 attempt_counters=counters,
@@ -208,17 +195,15 @@ class TaskTracker:
         *,
         counters: Counters,
         output_format: TextOutputFormat | None = None,
-        presorted: bool = False,
         attempt: int = 0,
         fault_plan: FaultPlan | None = None,
         commit_check: Callable[[], bool] | None = None,
     ) -> TaskResult:
         """Execute the reduce function over one merged, grouped partition.
 
-        ``pairs`` may be any iterable; with ``presorted=True`` it is assumed
-        to be ordered by ``repr(key)`` (the spill-based shuffle's external
-        merge) and is grouped in streaming fashion without materialising the
-        partition.
+        ``pairs`` is the shuffle's external merge of the partition, ordered
+        by ``repr(key)``; it is grouped in streaming fashion without
+        materialising the partition.
 
         ``commit_check`` implements the output-committer handshake: right
         before writing, the attempt asks whether it is the first of its
@@ -248,8 +233,7 @@ class TaskTracker:
             )
             records_in = 0
             reducer = job.reducer
-            groups = group_sorted_pairs(pairs) if presorted else group_by_key(pairs)
-            for key, values in groups:
+            for key, values in group_sorted_pairs(pairs):
                 reducer(key, values, context)
                 records_in += len(values)
             # Every shuffled pair reaches the reducer exactly once.

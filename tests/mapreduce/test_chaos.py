@@ -10,8 +10,6 @@ converge to output identical to the fault-free run.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from repro.core import KB
@@ -27,7 +25,7 @@ CHAOS_RATE = 0.1
 INPUT = "/in/chaos.txt"
 
 
-def make_job(app, output_dir, *, spill):
+def make_job(app, output_dir):
     if app == "wordcount":
         job = make_wordcount_job(
             [INPUT], output_dir=output_dir, num_reduce_tasks=3, split_size=4 * KB
@@ -47,22 +45,21 @@ def make_job(app, output_dir, *, spill):
             num_reduce_tasks=3,
             split_size=4 * KB,
         )
-    return replace(job, conf=replace(job.conf, spill_to_fs=spill))
+    return job
 
 
 def read_output(fs, result):
     return {path.rsplit("/", 1)[-1]: fs.read_file(path) for path in result.output_paths}
 
 
-@pytest.mark.parametrize("spill", [False, True])
 @pytest.mark.parametrize("app", ["wordcount", "grep", "sort"])
-def test_chaos_run_matches_fault_free_output(any_fs, app, spill):
+def test_chaos_run_matches_fault_free_output(any_fs, app):
     write_text_file(any_fs, INPUT, num_lines=700, seed=77)
     service = JobService.local(any_fs)
-    reference = service.submit(make_job(app, "/chaos-ref", spill=spill)).wait()
+    reference = service.submit(make_job(app, "/chaos-ref")).wait()
     assert reference.succeeded
     plan = FaultPlan.random(seed=101, failure_rate=CHAOS_RATE, delay_rate=CHAOS_RATE, delay=0.02)
-    result = service.submit(make_job(app, "/chaos-out", spill=spill), fault_plan=plan).wait()
+    result = service.submit(make_job(app, "/chaos-out"), fault_plan=plan).wait()
     assert result.succeeded, result.summary()
     assert read_output(any_fs, result) == read_output(any_fs, reference)
     # The plan interfered for real: this seed injects faults into the run.
@@ -76,7 +73,7 @@ def test_chaos_schedule_is_deterministic_across_runs(bsfs):
     for attempt in range(2):
         plan = FaultPlan.random(seed=55, failure_rate=CHAOS_RATE)
         result = JobService.local(bsfs).submit(
-            make_job("wordcount", f"/chaos-det-{attempt}", spill=False),
+            make_job("wordcount", f"/chaos-det-{attempt}"),
             fault_plan=plan,
         ).wait()
         assert result.succeeded

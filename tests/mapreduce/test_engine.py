@@ -24,7 +24,8 @@ from repro.mapreduce.applications import (
     make_wordcount_job,
 )
 from repro.mapreduce.job import Counters, identity_mapper, identity_reducer
-from repro.mapreduce.jobtracker import JobResult, _RetryingPhase
+from repro.mapreduce.jobtracker import JobResult
+from repro.mapreduce.phase import _RetryingPhase
 from repro.mapreduce.scheduler import LocalityStats
 from repro.mapreduce.tasktracker import TaskResult
 from repro.mapreduce.splitter import InputSplit

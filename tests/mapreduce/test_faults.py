@@ -6,7 +6,7 @@ trackers, flaky-tracker blacklisting, one committed attempt per task,
 replica-aware storage re-reads, and the acceptance scenario —
 a job with an injected map failure, an injected reduce failure and one
 straggler completes with output byte-identical to a fault-free run, on
-both shuffle paths, on every backend.
+every backend.
 """
 
 from __future__ import annotations
@@ -101,13 +101,12 @@ class TestFaultPlanDeterminism:
 
 
 class TestTaskRetries:
-    @pytest.mark.parametrize("spill", [False, True])
-    def test_injected_map_failure_recovers(self, any_fs, spill):
+    def test_injected_map_failure_recovers(self, any_fs):
         write_text_file(any_fs, "/in/retry.txt", num_lines=900, seed=5)
-        reference = run_reference(any_fs, "/in/retry.txt", "/retry-ref", spill_to_fs=spill)
+        reference = run_reference(any_fs, "/in/retry.txt", "/retry-ref")
         plan = FaultPlan([fail_task("map", 1)])
         result = JobService.local(any_fs).submit(
-            wordcount("/in/retry.txt", "/retry-out", spill_to_fs=spill),
+            wordcount("/in/retry.txt", "/retry-out"),
             fault_plan=plan,
         ).wait()
         assert result.succeeded
@@ -125,13 +124,12 @@ class TestTaskRetries:
         assert summary["retries"] >= 1
         assert summary["task_attempts"] > summary["map_tasks"] + summary["reduce_tasks"]
 
-    @pytest.mark.parametrize("spill", [False, True])
-    def test_injected_reduce_failure_recovers(self, any_fs, spill):
+    def test_injected_reduce_failure_recovers(self, any_fs):
         write_text_file(any_fs, "/in/retry.txt", num_lines=900, seed=5)
-        reference = run_reference(any_fs, "/in/retry.txt", "/rretry-ref", spill_to_fs=spill)
+        reference = run_reference(any_fs, "/in/retry.txt", "/rretry-ref")
         plan = FaultPlan([fail_task("reduce", 0)])
         result = JobService.local(any_fs).submit(
-            wordcount("/in/retry.txt", "/rretry-out", spill_to_fs=spill),
+            wordcount("/in/retry.txt", "/rretry-out"),
             fault_plan=plan,
         ).wait()
         assert result.succeeded
@@ -326,18 +324,17 @@ class TestAttemptCommit:
 
         return replace(job, mapper=flaky)
 
-    @pytest.mark.parametrize("spill", [False, True])
-    def test_failed_attempt_counters_are_not_merged(self, bsfs, spill):
+    def test_failed_attempt_counters_are_not_merged(self, bsfs):
         # The failed attempt processed part of its split and counted it;
         # only the retry that committed contributes counters (Hadoop
         # semantics: failed attempts do not pollute job counters).
         write_text_file(bsfs, "/in/mid.txt", num_lines=900, seed=13)
         reference = JobService.local(bsfs).submit(
-            wordcount("/in/mid.txt", "/mid-ref", spill_to_fs=spill)
+            wordcount("/in/mid.txt", "/mid-ref")
         ).wait()
         assert reference.succeeded
         job = self.fail_mid_split(
-            wordcount("/in/mid.txt", "/mid-out", spill_to_fs=spill), "map-00000", 20
+            wordcount("/in/mid.txt", "/mid-out"), "map-00000", 20
         )
         result = JobService.local(bsfs).submit(job).wait()
         assert result.succeeded and result.retries == 1
@@ -435,14 +432,11 @@ class TestAcceptanceScenario:
         delay_task("map", 0, 0.4),
     )
 
-    @pytest.mark.parametrize("spill", [False, True])
-    def test_recovers_to_byte_identical_output(self, any_fs, spill):
+    def test_recovers_to_byte_identical_output(self, any_fs):
         write_text_file(any_fs, "/in/accept.txt", num_lines=900, seed=29)
-        reference = run_reference(
-            any_fs, "/in/accept.txt", "/accept-ref", spill_to_fs=spill
-        )
+        reference = run_reference(any_fs, "/in/accept.txt", "/accept-ref")
         result = JobService.local(any_fs).submit(
-            wordcount("/in/accept.txt", "/accept-out", spill_to_fs=spill),
+            wordcount("/in/accept.txt", "/accept-out"),
             fault_plan=FaultPlan(self.FAULTS),
         ).wait()
         assert result.succeeded

@@ -206,14 +206,11 @@ class TestJobCounters:
             lines.append(line.encode())
         return b"\n".join(lines) + b"\n"
 
-    @pytest.mark.parametrize("spill", [False, True])
     @pytest.mark.parametrize("name", ["grep", "sort", "wordcount"])
-    def test_every_counter_matches_an_independent_count(self, bsfs, text, name, spill):
+    def test_every_counter_matches_an_independent_count(self, bsfs, text, name):
         bsfs.write_file("/in/text.txt", text)
-        job = make_job(name, "/in/text.txt", f"/out-{name}-{spill}")
-        job = replace(
-            job, conf=replace(job.conf, spill_to_fs=spill, shuffle_segment_size=2 * KB)
-        )
+        job = make_job(name, "/in/text.txt", f"/out-{name}")
+        job = replace(job, conf=replace(job.conf, shuffle_segment_size=2 * KB))
         result = JobService.local(bsfs, num_trackers=2).submit(job).wait()
         assert result.succeeded
         assert result.map_tasks == -(-len(text) // SPLIT) > 3

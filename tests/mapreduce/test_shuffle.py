@@ -1,4 +1,4 @@
-"""Unit tests for partitioning, shuffle merge, grouping and output formats."""
+"""Unit tests for partitioning, grouping and output formats."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from repro.mapreduce.shuffle import (
     TextOutputFormat,
     group_by_key,
     hash_partitioner,
-    merge_map_outputs,
 )
 
 
@@ -72,14 +71,6 @@ class TestMapOutputCollector:
 
 
 class TestMergeAndGroup:
-    def test_merge_map_outputs(self):
-        out_a = [[("a", 1)], [("b", 2)]]
-        out_b = [[("a", 3)], [("c", 4)]]
-        merged0 = merge_map_outputs([out_a, out_b], 0)
-        assert merged0 == [("a", 1), ("a", 3)]
-        merged1 = merge_map_outputs([out_a, out_b], 1)
-        assert sorted(merged1) == [("b", 2), ("c", 4)]
-
     def test_group_by_key_preserves_value_order(self):
         pairs = [("k", 1), ("j", 9), ("k", 2), ("k", 3)]
         grouped = dict(group_by_key(pairs))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -250,6 +251,13 @@ def spilled_segments(service, partition: int = 0) -> list[SpilledSegment]:
         return list(service._segments[partition])
 
 
+def prefetched(fs, segment: SpilledSegment) -> SegmentReader:
+    """A reader whose first chunk was already fetched, as the service does."""
+    reader = SegmentReader(fs, segment)
+    reader.prefetch()
+    return reader
+
+
 class TestFrameCodec:
     def test_round_trip_of_mixed_key_types(self, bsfs):
         service = make_service(bsfs, num_maps=1, num_partitions=1, segment_size=200)
@@ -308,6 +316,47 @@ class TestFrameCodec:
             for pair in reader:
                 decoded.append(pair)
         assert decoded == pairs[: len(decoded)]  # the whole first frame
+
+    def test_segment_shorter_than_its_recorded_size_raises(self, any_fs):
+        # Cut at a frame boundary: every frame left decodes, so only the
+        # recorded size can tell that the rest of the segment is missing.
+        service = make_service(any_fs, num_maps=1, num_partitions=1, segment_size=10**6)
+        pairs = [(f"key-{i:04d}", "v" * 20) for i in range(200)]
+        service.spill_map_output(0, [pairs])
+        [segment] = spilled_segments(service)
+        frames = read_frames(any_fs, segment.path)
+        assert len(frames) >= 2
+        any_fs.write_file("/job/_shuffle/short", frames[0])
+        short = replace(segment, path="/job/_shuffle/short")
+        for reader in (SegmentReader(any_fs, short), prefetched(any_fs, short)):
+            decoded = []
+            with pytest.raises(ValueError, match="truncated"):
+                for pair in reader:
+                    decoded.append(pair)
+            assert decoded == pairs[: len(decoded)]
+
+    def test_segment_within_one_chunk_is_opened_once(self, any_fs, monkeypatch):
+        service = make_service(any_fs, num_maps=4, num_partitions=2)
+        for map_index in range(4):
+            service.spill_map_output(
+                map_index, [[("a", map_index)], [("b", map_index)]]
+            )
+        opened: list[str] = []
+        open_read = any_fs.open_read
+
+        def counting_open_read(path, **kwargs):
+            opened.append(path)
+            return open_read(path, **kwargs)
+
+        monkeypatch.setattr(any_fs, "open_read", counting_open_read)
+        merged = [list(service.merged_pairs(p)) for p in range(2)]
+        assert merged == [
+            [("a", m) for m in range(4)],
+            [("b", m) for m in range(4)],
+        ]
+        segments = spilled_segments(service, 0) + spilled_segments(service, 1)
+        assert all(s.bytes < 64 * 1024 for s in segments)
+        assert sorted(opened) == sorted(s.path for s in segments)
 
     @pytest.mark.parametrize("segment_size", [1, 100, 4096, 64 * 1024])
     def test_segments_exceed_the_size_by_at_most_one_frame(self, bsfs, segment_size):

@@ -1,26 +1,23 @@
-"""End-to-end jobs over the spill-based overlapped shuffle.
+"""End-to-end jobs over the shuffle, which spills through the file system.
 
-Covers the acceptance criteria of the shuffle subsystem: byte-identical
-output with the in-memory shuffle on every registered backend, external
+Covers the acceptance criteria of the shuffle subsystem: output equal, byte
+for byte, to a plain-Python reference on every registered backend, external
 merge of partitions larger than one segment, the single-output-file (§V)
 job mode with its per-backend fallback, and per-task failure capture.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from repro.core import KB
-from repro.mapreduce import Job, JobConf, JobService
+from repro.mapreduce import Job, JobConf, JobService, hash_partitioner
 from repro.mapreduce.applications import make_wordcount_job
 from repro.workloads import write_text_file
-
-
-def spill_conf(job, **overrides):
-    """Clone ``job`` with spill_to_fs enabled (plus extra conf overrides)."""
-    return replace(job, conf=replace(job.conf, spill_to_fs=True, **overrides))
 
 
 def read_parts(fs, paths) -> dict[str, bytes]:
@@ -28,55 +25,66 @@ def read_parts(fs, paths) -> dict[str, bytes]:
     return {path.rsplit("/", 1)[-1]: fs.read_file(path) for path in paths}
 
 
+def reference_wordcount_parts(text: str, num_partitions: int) -> dict[str, bytes]:
+    """A plain-Python word count laid out the way the job writes it: one
+    ``part-r-*`` file per :func:`hash_partitioner` partition, words ordered
+    by ``repr``."""
+    counts = Counter(text.split())
+    parts: dict[str, bytes] = {}
+    for partition in range(num_partitions):
+        words = sorted(
+            (w for w in counts if hash_partitioner(w, num_partitions) == partition),
+            key=repr,
+        )
+        parts[f"part-r-{partition:05d}"] = "".join(
+            f"{word}\t{counts[word]}\n" for word in words
+        ).encode()
+    return parts
+
+
 class TestSpillShuffleEquivalence:
     @pytest.mark.parametrize(
         "num_trackers, slots", [(None, 2), (1, 1)], ids=["many-slots", "one-slot"]
     )
-    def test_wordcount_byte_identical_to_in_memory(self, any_fs, num_trackers, slots):
+    def test_wordcount_byte_identical_to_reference(self, any_fs, num_trackers, slots):
         write_text_file(any_fs, "/in/data.txt", num_lines=2000, seed=11)
         service = JobService.local(any_fs, num_trackers=num_trackers, slots_per_tracker=slots)
-        memory_job = make_wordcount_job(
-            ["/in/data.txt"], output_dir="/wc-mem", num_reduce_tasks=3,
+        job = make_wordcount_job(
+            ["/in/data.txt"], output_dir="/wc-spill", num_reduce_tasks=3,
             split_size=8 * KB,
         )
-        memory_result = service.submit(memory_job).wait()
-        spill_job = spill_conf(
-            make_wordcount_job(
-                ["/in/data.txt"], output_dir="/wc-spill", num_reduce_tasks=3,
-                split_size=8 * KB,
-            ),
-            shuffle_segment_size=2 * KB,
+        job = replace(job, conf=replace(job.conf, shuffle_segment_size=2 * KB))
+        result = service.submit(job).wait()
+        assert result.succeeded
+        text = any_fs.read_file("/in/data.txt").decode()
+        assert read_parts(any_fs, result.output_paths) == reference_wordcount_parts(
+            text, 3
         )
-        spill_result = service.submit(spill_job).wait()
-        assert memory_result.succeeded and spill_result.succeeded
-        assert read_parts(any_fs, memory_result.output_paths) == read_parts(
-            any_fs, spill_result.output_paths
-        )
-        assert spill_result.shuffle is not None
-        assert spill_result.shuffle["segments_spilled"] > 0
-        assert (
-            spill_result.shuffle["segments_fetched"]
-            == spill_result.shuffle["segments_spilled"]
-        )
-        assert spill_result.counter("map_spilled_bytes") > 0
-        assert spill_result.counter(
-            "reduce_shuffle_records"
-        ) == memory_result.counter("reduce_shuffle_records")
+        assert result.shuffle is not None
+        assert result.shuffle["segments_spilled"] > 0
+        assert result.shuffle["segments_fetched"] == result.shuffle["segments_spilled"]
+        assert result.counter("map_spilled_bytes") > 0
+        # Every spilled record reaches a reducer exactly once.
+        assert result.counter("reduce_shuffle_records") == result.shuffle[
+            "records_spilled"
+        ]
         # Intermediate segments are deleted once the job completes.
         assert not any_fs.exists("/wc-spill/_shuffle")
+
+    def test_spill_to_fs_false_is_rejected(self):
+        with pytest.raises(ValueError, match="one shuffle"):
+            JobConf(name="in-memory", spill_to_fs=False)
 
     def test_partition_larger_than_segment_size_merges_externally(self, any_fs):
         write_text_file(any_fs, "/in/big.txt", num_lines=1500, seed=23)
         service = JobService.local(any_fs, slots_per_tracker=2)
-        job = spill_conf(
-            make_wordcount_job(
-                ["/in/big.txt"], output_dir="/wc-ext", num_reduce_tasks=1,
-                split_size=16 * KB,
-            ),
-            # Tiny segments: the single reduce partition spans many sorted
-            # runs and must be reassembled by the external k-way merge.
-            shuffle_segment_size=512,
+        job = make_wordcount_job(
+            ["/in/big.txt"], output_dir="/wc-ext", num_reduce_tasks=1,
+            split_size=16 * KB,
         )
+        # Tiny segments: the single reduce partition spans many sorted runs
+        # and must be reassembled by the external k-way merge.
+        job = replace(job, conf=replace(job.conf, shuffle_segment_size=512))
         result = service.submit(job).wait()
         assert result.succeeded
         assert result.shuffle["segments_spilled"] > result.map_tasks
@@ -91,13 +99,11 @@ class TestSpillShuffleEquivalence:
                 produced[word] = int(count)
         assert produced == reference
 
-    def test_map_only_job_ignores_spill_flag(self, bsfs):
+    def test_map_only_job_has_no_shuffle(self, bsfs):
         from repro.mapreduce.applications import make_random_text_writer_job
 
-        job = spill_conf(
-            make_random_text_writer_job(
-                output_dir="/rtw-spill", num_map_tasks=2, bytes_per_map=4 * KB, seed=3
-            )
+        job = make_random_text_writer_job(
+            output_dir="/rtw-spill", num_map_tasks=2, bytes_per_map=4 * KB, seed=3
         )
         result = JobService.local(bsfs).submit(job).wait()
         assert result.succeeded
@@ -105,19 +111,18 @@ class TestSpillShuffleEquivalence:
 
 
 class TestSingleOutputFile:
-    def wordcount(self, fs, output_dir, *, spill=False):
+    def wordcount(self, fs, output_dir):
         if not fs.exists("/in/single.txt"):
             write_text_file(fs, "/in/single.txt", num_lines=800, seed=31)
         job = make_wordcount_job(
             ["/in/single.txt"], output_dir=output_dir, num_reduce_tasks=4,
             split_size=8 * KB,
         )
-        conf = replace(job.conf, single_output_file=True, spill_to_fs=spill)
+        conf = replace(job.conf, single_output_file=True)
         return JobService.local(fs).submit(replace(job, conf=conf)).wait()
 
-    @pytest.mark.parametrize("spill", [False, True])
-    def test_all_reducers_share_one_file_on_bsfs(self, bsfs, spill):
-        result = self.wordcount(bsfs, "/wc-single", spill=spill)
+    def test_all_reducers_share_one_file_on_bsfs(self, bsfs):
+        result = self.wordcount(bsfs, "/wc-single")
         assert result.succeeded
         assert result.reduce_tasks == 4
         assert result.output_paths == ["/wc-single/output.txt"]
@@ -197,25 +202,20 @@ class TestTaskFailureHandling:
             return replace(job, mapper=crashing_mapper)
         return replace(job, reducer=crashing_reducer)
 
-    @pytest.mark.parametrize("spill", [False, True])
-    def test_crashing_mapper_fails_job_without_raising(self, any_fs, spill):
+    def test_crashing_mapper_fails_job_without_raising(self, any_fs):
         write_text_file(any_fs, "/in/crash.txt", num_lines=400, seed=41)
-        job = self.make_crashing_job("/crash-out", crash_in="map", spill_to_fs=spill)
+        job = self.make_crashing_job("/crash-out", crash_in="map")
         result = JobService.local(any_fs).submit(job).wait()
         assert not result.succeeded
         failed_maps = [t for t in result.failed_tasks if t.kind == "map"]
         assert failed_maps
         assert "deliberate mapper crash" in failed_maps[0].error
         assert failed_maps[0].task_id in result.summary()["failed_tasks"]
-        if spill:
-            # The aborted shuffle propagates to the waiting reducers, which
-            # are recorded as failed too instead of hanging forever.
-            failed_reduces = [t for t in result.failed_tasks if t.kind == "reduce"]
-            assert failed_reduces
-            assert "aborted" in failed_reduces[0].error
-        else:
-            # Barrier mode skips the reduce phase outright on map failure.
-            assert result.reduce_tasks == 0
+        # The aborted shuffle propagates to the waiting reducers, which are
+        # recorded as failed too instead of hanging forever.
+        failed_reduces = [t for t in result.failed_tasks if t.kind == "reduce"]
+        assert failed_reduces
+        assert "aborted" in failed_reduces[0].error
 
     def test_crashing_reducer_records_the_reduce_task(self, bsfs):
         write_text_file(bsfs, "/in/crash.txt", num_lines=400, seed=41)
@@ -236,7 +236,7 @@ class TestTaskFailureHandling:
         def exiting_mapper(key, value, context):
             raise SystemExit(3)
 
-        job = self.make_crashing_job("/crash-exit", spill_to_fs=True)
+        job = self.make_crashing_job("/crash-exit")
         job = replace(job, mapper=exiting_mapper)
         service = JobService.local(bsfs)
         outcome: list[BaseException] = []
@@ -255,7 +255,80 @@ class TestTaskFailureHandling:
 
     def test_spill_mode_failure_cleans_shuffle_dir(self, bsfs):
         write_text_file(bsfs, "/in/crash.txt", num_lines=400, seed=41)
-        job = self.make_crashing_job("/crash-spill", crash_in="map", spill_to_fs=True)
+        job = self.make_crashing_job("/crash-spill", crash_in="map")
         result = JobService.local(bsfs).submit(job).wait()
         assert not result.succeeded
         assert not bsfs.exists("/crash-spill/_shuffle")
+
+
+def shuffle_threads() -> list[str]:
+    """Names of the live threads of per-job ``shuffle-*`` prefetch engines."""
+    return [t.name for t in threading.enumerate() if t.name.startswith("shuffle-")]
+
+
+class TestShuffleThreads:
+    """Every job with reducers builds its own prefetch engine; no thread of
+    it may outlive the job, however the job ends."""
+
+    def job(self, output_dir, *, mapper=None, reducer=None):
+        job = make_wordcount_job(
+            ["/in/threads.txt"], output_dir=output_dir, num_reduce_tasks=2,
+            split_size=4 * KB,
+        )
+        if mapper is not None:
+            job = replace(job, mapper=mapper)
+        if reducer is not None:
+            job = replace(job, reducer=reducer)
+        return job
+
+    @pytest.fixture
+    def service(self, bsfs):
+        write_text_file(bsfs, "/in/threads.txt", num_lines=400, seed=41)
+        assert shuffle_threads() == []
+        return JobService.local(bsfs, num_trackers=1, slots_per_tracker=1)
+
+    def test_succeeded_job(self, service):
+        seen: list[str] = []
+        base = self.job("/threads-ok")
+
+        def reducer(key, values, context):
+            seen.extend(shuffle_threads())
+            base.reducer(key, values, context)
+
+        result = service.submit(replace(base, reducer=reducer)).wait()
+        assert result.succeeded
+        assert seen  # the engine did run prefetches during the job
+        assert shuffle_threads() == []
+
+    def test_failed_job(self, service):
+        def mapper(key, value, context):
+            # The first split maps and spills; every later one crashes.
+            if key >= 4 * KB:
+                raise RuntimeError("deliberate mapper crash")
+            context.emit("word", 1)
+
+        result = service.submit(self.job("/threads-failed", mapper=mapper)).wait()
+        assert not result.succeeded
+        assert shuffle_threads() == []
+
+    def test_cancelled_job(self, service):
+        started = threading.Event()
+        cancelled = threading.Event()
+        base = self.job("/threads-cancelled")
+
+        def mapper(key, value, context):
+            # The first split maps and spills; the second holds its slot
+            # until the job is cancelled.
+            if key >= 4 * KB and not started.is_set():
+                started.set()
+                assert cancelled.wait(timeout=30)
+            base.mapper(key, value, context)
+
+        handle = service.submit(replace(base, mapper=mapper))
+        assert started.wait(timeout=10)
+        assert handle.cancel() is True
+        cancelled.set()
+        result = handle.wait(timeout=60)
+        assert not result.succeeded
+        assert any("cancelled" in str(r.error) for r in result.failed_tasks)
+        assert shuffle_threads() == []
