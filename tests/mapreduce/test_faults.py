@@ -12,6 +12,7 @@ every backend.
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -212,6 +213,25 @@ class TestTrackerFailure:
         ]
         assert dead_tracker_failures
         assert result.summary()["blacklisted_hosts"] == [victim]
+
+    def test_late_heartbeats_never_blacklist_a_live_tracker(self, bsfs):
+        # Every heartbeat arrives later than two 20 ms intervals, as from a
+        # starved pump thread: only the killed tracker may be declared dead.
+        write_text_file(bsfs, "/in/tracker.txt", num_lines=900, seed=9)
+        service = JobService.local(bsfs)
+        victim = service.tracker.trackers[0].host
+
+        class LateHeartbeats(FaultPlan):
+            def tracker_is_dead(self, host):
+                time.sleep(0.05)
+                return super().tracker_is_dead(host)
+
+        plan = LateHeartbeats([kill_tracker(victim, after_tasks=1)])
+        result = service.submit(
+            wordcount("/in/tracker.txt", "/tk-late"), fault_plan=plan
+        ).wait()
+        assert result.succeeded
+        assert result.blacklisted_hosts == [victim]
 
     def test_dead_tracker_raises_for_every_later_attempt(self):
         plan = FaultPlan([kill_tracker("node-1", after_tasks=0)])
