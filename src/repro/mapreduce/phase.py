@@ -166,7 +166,8 @@ class _RetryingPhase:
         return self.results
 
     def run(self, pool: ThreadPoolExecutor) -> list[TaskResult]:
-        """``start`` + ``finish`` for phases without an overlap window."""
+        """``start`` + ``finish``: submit every task, then block until each
+        is decided."""
         self.start(pool)
         return self.finish()
 
