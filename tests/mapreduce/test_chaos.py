@@ -10,6 +10,8 @@ converge to output identical to the fault-free run.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import KB
@@ -21,11 +23,13 @@ from repro.mapreduce.applications import (
 )
 from repro.workloads import write_text_file
 
+from .conftest import assert_segment_layout
+
 CHAOS_RATE = 0.1
 INPUT = "/in/chaos.txt"
 
 
-def make_job(app, output_dir):
+def make_job(app, output_dir, segment_size=None):
     if app == "wordcount":
         job = make_wordcount_job(
             [INPUT], output_dir=output_dir, num_reduce_tasks=3, split_size=4 * KB
@@ -45,6 +49,8 @@ def make_job(app, output_dir):
             num_reduce_tasks=3,
             split_size=4 * KB,
         )
+    if segment_size is not None:
+        job = replace(job, conf=replace(job.conf, shuffle_segment_size=segment_size))
     return job
 
 
@@ -53,14 +59,17 @@ def read_output(fs, result):
 
 
 @pytest.mark.parametrize("app", ["wordcount", "grep", "sort"])
-def test_chaos_run_matches_fault_free_output(any_fs, app):
+def test_chaos_run_matches_fault_free_output(any_fs, app, segment_size):
     write_text_file(any_fs, INPUT, num_lines=700, seed=77)
     service = JobService.local(any_fs)
     reference = service.submit(make_job(app, "/chaos-ref")).wait()
     assert reference.succeeded
     plan = FaultPlan.random(seed=101, failure_rate=CHAOS_RATE, delay_rate=CHAOS_RATE, delay=0.02)
-    result = service.submit(make_job(app, "/chaos-out"), fault_plan=plan).wait()
+    result = service.submit(
+        make_job(app, "/chaos-out", segment_size), fault_plan=plan
+    ).wait()
     assert result.succeeded, result.summary()
+    assert_segment_layout(result, reference, segment_size)
     assert read_output(any_fs, result) == read_output(any_fs, reference)
     # The plan interfered for real: this seed injects faults into the run.
     assert plan.injected_failures + plan.injected_delays > 0

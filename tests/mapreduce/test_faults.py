@@ -33,6 +33,8 @@ from repro.mapreduce import (
 from repro.mapreduce.applications import make_wordcount_job
 from repro.workloads import write_text_file
 
+from .conftest import assert_segment_layout
+
 
 def wordcount(input_path, output_dir, **conf_overrides):
     """A small multi-split wordcount job with conf overrides applied."""
@@ -102,16 +104,22 @@ class TestFaultPlanDeterminism:
 
 
 class TestTaskRetries:
-    def test_injected_map_failure_recovers(self, any_fs):
+    def test_injected_map_failure_recovers(self, any_fs, segment_size):
         write_text_file(any_fs, "/in/retry.txt", num_lines=900, seed=5)
-        reference = run_reference(any_fs, "/in/retry.txt", "/retry-ref")
+        reference = JobService.local(any_fs).submit(
+            wordcount("/in/retry.txt", "/retry-ref")
+        ).wait()
+        assert reference.succeeded
         plan = FaultPlan([fail_task("map", 1)])
         result = JobService.local(any_fs).submit(
-            wordcount("/in/retry.txt", "/retry-out"),
+            wordcount(
+                "/in/retry.txt", "/retry-out", shuffle_segment_size=segment_size
+            ),
             fault_plan=plan,
         ).wait()
         assert result.succeeded
-        assert read_output(any_fs, result) == reference
+        assert_segment_layout(result, reference, segment_size)
+        assert read_output(any_fs, result) == read_output(any_fs, reference)
         assert result.retries >= 1
         attempts = [r for r in result.task_results if r.task_id == "map-00001"]
         failed = [r for r in attempts if not r.succeeded]
@@ -125,16 +133,22 @@ class TestTaskRetries:
         assert summary["retries"] >= 1
         assert summary["task_attempts"] > summary["map_tasks"] + summary["reduce_tasks"]
 
-    def test_injected_reduce_failure_recovers(self, any_fs):
+    def test_injected_reduce_failure_recovers(self, any_fs, segment_size):
         write_text_file(any_fs, "/in/retry.txt", num_lines=900, seed=5)
-        reference = run_reference(any_fs, "/in/retry.txt", "/rretry-ref")
+        reference = JobService.local(any_fs).submit(
+            wordcount("/in/retry.txt", "/rretry-ref")
+        ).wait()
+        assert reference.succeeded
         plan = FaultPlan([fail_task("reduce", 0)])
         result = JobService.local(any_fs).submit(
-            wordcount("/in/retry.txt", "/rretry-out"),
+            wordcount(
+                "/in/retry.txt", "/rretry-out", shuffle_segment_size=segment_size
+            ),
             fault_plan=plan,
         ).wait()
         assert result.succeeded
-        assert read_output(any_fs, result) == reference
+        assert_segment_layout(result, reference, segment_size)
+        assert read_output(any_fs, result) == read_output(any_fs, reference)
         attempts = [r for r in result.task_results if r.task_id == "reduce-00000"]
         assert any(not r.succeeded for r in attempts)
         assert any(r.succeeded and not r.discarded for r in attempts)
@@ -344,7 +358,7 @@ class TestAttemptCommit:
 
         return replace(job, mapper=flaky)
 
-    def test_failed_attempt_counters_are_not_merged(self, bsfs):
+    def test_failed_attempt_counters_are_not_merged(self, bsfs, segment_size):
         # The failed attempt processed part of its split and counted it;
         # only the retry that committed contributes counters (Hadoop
         # semantics: failed attempts do not pollute job counters).
@@ -354,10 +368,13 @@ class TestAttemptCommit:
         ).wait()
         assert reference.succeeded
         job = self.fail_mid_split(
-            wordcount("/in/mid.txt", "/mid-out"), "map-00000", 20
+            wordcount("/in/mid.txt", "/mid-out", shuffle_segment_size=segment_size),
+            "map-00000",
+            20,
         )
         result = JobService.local(bsfs).submit(job).wait()
         assert result.succeeded and result.retries == 1
+        assert_segment_layout(result, reference, segment_size)
         assert read_output(bsfs, result) == read_output(bsfs, reference)
         assert result.counter("records_seen") == reference.counter(
             "map_input_records"
@@ -452,15 +469,21 @@ class TestAcceptanceScenario:
         delay_task("map", 0, 0.4),
     )
 
-    def test_recovers_to_byte_identical_output(self, any_fs):
+    def test_recovers_to_byte_identical_output(self, any_fs, segment_size):
         write_text_file(any_fs, "/in/accept.txt", num_lines=900, seed=29)
-        reference = run_reference(any_fs, "/in/accept.txt", "/accept-ref")
+        reference = JobService.local(any_fs).submit(
+            wordcount("/in/accept.txt", "/accept-ref")
+        ).wait()
+        assert reference.succeeded
         result = JobService.local(any_fs).submit(
-            wordcount("/in/accept.txt", "/accept-out"),
+            wordcount(
+                "/in/accept.txt", "/accept-out", shuffle_segment_size=segment_size
+            ),
             fault_plan=FaultPlan(self.FAULTS),
         ).wait()
         assert result.succeeded
-        assert read_output(any_fs, result) == reference
+        assert_segment_layout(result, reference, segment_size)
+        assert read_output(any_fs, result) == read_output(any_fs, reference)
         assert result.retries >= 2
 
     def test_single_output_file_never_duplicates_under_faults(self, bsfs):
