@@ -244,11 +244,6 @@ class BlockReadCache:
         """Size of one cached block."""
         return self._block_size
 
-    @property
-    def store(self) -> VersionedBlockCache:
-        """The backing block store (shared or private)."""
-        return self._store
-
     def _full_key(self, block_index: int) -> tuple:
         return self._key + (block_index,)
 
@@ -274,12 +269,14 @@ class BlockReadCache:
         return data
 
     def read(self, offset: int, size: int) -> bytes:
-        """Read ``size`` bytes at ``offset``, prefetching whole blocks on miss."""
+        """Read ``size`` bytes at ``offset``, prefetching whole blocks on miss.
+
+        Each byte is copied at most once: a whole cached block is returned
+        as is, a range inside one block as one slice, any other range as
+        one join over views of its blocks."""
         if offset < 0 or size < 0:
             raise ValueError("offset and size must be non-negative")
-        if size == 0:
-            return b""
-        result = bytearray()
+        parts: list[tuple[bytes, int, int]] = []
         position = offset
         end = offset + size
         while position < end:
@@ -289,10 +286,13 @@ class BlockReadCache:
             start_in_block = position - block_start
             if start_in_block >= len(block):
                 break  # reading past the end of the file
-            take = min(end - position, len(block) - start_in_block)
-            result += block[start_in_block : start_in_block + take]
-            position += take
-        return bytes(result)
+            stop_in_block = min(end - block_start, len(block))
+            parts.append((block, start_in_block, stop_in_block))
+            position = block_start + stop_in_block
+        if len(parts) == 1:
+            block, start, stop = parts[0]
+            return block if stop - start == len(block) else block[start:stop]
+        return b"".join(memoryview(block)[start:stop] for block, start, stop in parts)
 
     def contains(self, block_index: int) -> bool:
         """Whether a block is currently cached (no LRU touch, no stats)."""

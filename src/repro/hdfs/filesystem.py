@@ -104,23 +104,17 @@ class HDFSInputStream(InputStream):
         self._blocks = fs.namenode.file_blocks(path)
 
     def _pread(self, offset: int, size: int) -> bytes:
-        result = bytearray()
-        position = 0
-        remaining_start = offset
-        end = offset + size
+        # A lone chunk is returned as the datanode sent it; several are joined once.
+        chunks: list[bytes] = []
+        block_start, end = 0, offset + size
         for meta in self._blocks:
-            block_start = position
-            block_end = position + meta.length
-            position = block_end
-            if block_end <= remaining_start or block_start >= end:
-                continue
-            read_start = max(remaining_start, block_start) - block_start
-            read_end = min(end, block_end) - block_start
-            chunk = self._fs._read_block(
-                meta, read_start, read_end - read_start, self._client_host
-            )
-            result += chunk
-        return bytes(result)
+            lo, hi = max(offset, block_start), min(end, block_start + meta.length)
+            if lo < hi:
+                chunks.append(
+                    self._fs._read_block(meta, lo - block_start, hi - lo, self._client_host)
+                )
+            block_start += meta.length
+        return chunks[0] if len(chunks) == 1 else b"".join(chunks)
 
 
 class HDFS(FileSystem):
@@ -366,7 +360,10 @@ class HDFS(FileSystem):
                 return (1, load(node))
             return (2, load(node))
 
-        for node in sorted(replicas, key=distance):
+        # A lone replica needs no order (ordering asks every node its load).
+        if len(replicas) > 1:
+            replicas.sort(key=distance)
+        for node in replicas:
             if not node.available:
                 continue
             try:

@@ -166,14 +166,14 @@ class SegmentReader:
         """
         if self._offset or self._chunks is not None:
             return 0
-        fetched: list[bytes] = []
+        fetched: list[memoryview] = []
         got = 0
         chunks = self._fs.open_read(
             self.segment.path, length=self._chunk_size, chunk_size=self._chunk_size
         )
         try:
             for chunk in chunks:
-                fetched.append(bytes(chunk))
+                fetched.append(chunk)
                 got += len(chunk)
         finally:
             close = getattr(chunks, "close", None)

@@ -118,6 +118,47 @@ class TestReads:
             hdfs.read_file("/doomed.bin")
 
 
+    @staticmethod
+    def record_node_calls(hdfs: HDFS, monkeypatch) -> tuple[list[int], list[int]]:
+        """Node ids of every ``stats()`` call and of every block read."""
+        loads: list[int] = []
+        reads: list[int] = []
+        for node in hdfs.datanodes:
+
+            def stats(node=node, inner=node.stats):
+                loads.append(node.node_id)
+                return inner()
+
+            def read_block(*args, node=node, inner=node.read_block):
+                reads.append(node.node_id)
+                return inner(*args)
+
+            monkeypatch.setattr(node, "stats", stats)
+            monkeypatch.setattr(node, "read_block", read_block)
+        return loads, reads
+
+    def test_single_replica_read_asks_no_node_for_its_load(self, hdfs: HDFS, monkeypatch):
+        hdfs.write_file("/lone.bin", b"l" * (3 * BLOCK), replication=1)
+        loads, reads = self.record_node_calls(hdfs, monkeypatch)
+        assert hdfs.read_file("/lone.bin") == b"l" * (3 * BLOCK)
+        assert loads == [] and len(reads) == 3
+
+    def test_replicas_are_still_ordered_by_distance_then_load(self, hdfs: HDFS, monkeypatch):
+        hdfs.write_file("/pair.bin", b"p" * BLOCK, replication=2)
+        meta = hdfs.namenode.file_blocks("/pair.bin")[0]
+        busy, idle = (hdfs.namenode.datanode(i) for i in meta.locations)
+        busy.read_block(meta.block_id)
+        loads, reads = self.record_node_calls(hdfs, monkeypatch)
+        # Same distance from a host-less client: the less loaded goes first.
+        hdfs.read_file("/pair.bin")
+        assert sorted(loads) == sorted([busy.node_id, idle.node_id])
+        assert reads == [idle.node_id]
+        # A client on the busier replica's host reads locally regardless.
+        reads.clear()
+        with hdfs.open("/pair.bin", client_host=busy.host) as stream:
+            stream.read()
+        assert reads == [busy.node_id]
+
     def test_open_read_fetches_at_most_read_ahead_chunks_ahead(
         self, hdfs: HDFS, monkeypatch
     ):
