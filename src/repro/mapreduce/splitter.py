@@ -17,6 +17,7 @@ This module reproduces the two input formats the reproduction needs:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -55,14 +56,21 @@ class InputSplit:
 class LineRecordReader:
     """Iterates ``(byte offset, line)`` records of one split, Hadoop-style.
 
-    The reader makes a *single streaming pass* over the split through the
-    file system's ``open_read`` API: chunks arrive with backend read-ahead
+    The reader streams the split's own byte range through the file
+    system's ``open_read`` API: chunks arrive with backend read-ahead
     (BSFS fetches pages concurrently, HDFS prefetches block chunks), so
     record decoding overlaps with actual byte movement instead of issuing
     one blocking positional read per chunk.  Each chunk is cut into its
     complete lines with one ``bytes.split``; only a line that spans chunks
     is carried over and joined.
+
+    Past the split's end it only finishes its last line, in bounded pieces
+    (:attr:`_TAIL_PIECE`, doubling), so read-ahead never fetches the next
+    split's bytes.
     """
+
+    #: First piece read past the split's end to finish the last line.
+    _TAIL_PIECE = 64 * 1024
 
     def __init__(
         self,
@@ -77,6 +85,20 @@ class LineRecordReader:
         self._split = split
         self._read_chunk = read_chunk
 
+    def _chunks(self, start: int, end: int, file_size: int) -> Iterator[memoryview]:
+        """The bytes of ``[start, end)``, then those past ``end`` piece by
+        piece, up to the split's snapshot size: an ``AS OF`` job reads the
+        same bytes however many appends land concurrently."""
+        split = self._split
+        read = functools.partial(self._fs.open_read, split.path, version=split.version)
+        yield from read(offset=start, length=end - start, chunk_size=self._read_chunk)
+        piece = min(self._TAIL_PIECE, self._read_chunk)
+        while end < file_size:
+            length = min(piece, file_size - end)
+            yield from read(offset=end, length=length, chunk_size=length)
+            end += length
+            piece = min(2 * piece, self._read_chunk)
+
     def __iter__(self) -> Iterator[tuple[int, bytes]]:
         split = self._split
         if split.version is None:
@@ -87,17 +109,7 @@ class LineRecordReader:
             file_size = self._fs.snapshot_size(split.path, split.version)
         end = min(split.offset + split.length, file_size)
         start = min(split.offset, file_size)
-        # The stream is bounded by the split's snapshot size: a split may
-        # read past its end to finish its last line, but never past the
-        # version its splits were computed against — so an ``AS OF`` job
-        # reads identical bytes however many appends land concurrently.
-        chunks = self._fs.open_read(
-            split.path,
-            offset=start,
-            length=file_size - start,
-            chunk_size=self._read_chunk,
-            version=split.version,
-        )
+        chunks = self._chunks(start, end, file_size)
         record_start = start  # absolute file offset of the next record
         skipping = split.offset > 0
         # Bytes of a line that spans chunks, waiting for its newline; a
@@ -114,9 +126,13 @@ class LineRecordReader:
                     newline = data.find(b"\n")
                     if newline < 0:
                         record_start += len(data)
+                        if record_start >= end:
+                            return  # the next record starts past the end
                         continue
                     skipping = False
                     record_start += newline + 1
+                    if record_start > end:
+                        return
                     data = data[newline + 1 :]
                 # One split per chunk: every element but the last is a
                 # complete line; the last is the start of the next one.
@@ -144,9 +160,7 @@ class LineRecordReader:
             if last and record_start <= end:
                 yield record_start, last
         finally:
-            close = getattr(chunks, "close", None)
-            if close is not None:
-                close()
+            chunks.close()
 
 
 class TextInputFormat:

@@ -189,6 +189,115 @@ class TestLineRecordReaderMatchesReference:
         assert len(offsets) == len(set(offsets))
 
 
+def split_reference(data: bytes, lo: int, hi: int) -> list[tuple[int, bytes]]:
+    """The records Hadoop's rule gives the split ``[lo, hi)``: every line
+    starting in ``(lo, hi]``, and the first line too when ``lo`` is 0."""
+    return [
+        (offset, line)
+        for offset, line in reference_records(data)
+        if lo < offset <= hi or offset == lo == 0
+    ]
+
+
+@pytest.fixture(params=["bsfs", "hdfs"])
+def counted(request, bsfs, hdfs, monkeypatch):
+    """A backend whose fetches, read-ahead included, add their byte count
+    to the returned list."""
+    fetched: list[int] = []
+    if request.param == "bsfs":
+        read_range = bsfs.blobseer._read_range
+
+        def counting_range(info, page_size, offset, size):
+            fetched.append(size)
+            return read_range(info, page_size, offset, size)
+
+        monkeypatch.setattr(bsfs.blobseer, "_read_range", counting_range)
+        return bsfs, fetched
+    read_block = hdfs._read_block
+
+    def counting_block(meta, offset, length, client_host):
+        fetched.append(length)
+        return read_block(meta, offset, length, client_host)
+
+    monkeypatch.setattr(hdfs, "_read_block", counting_block)
+    return hdfs, fetched
+
+
+class TestBoundedSplitReads:
+    """A split reads its own range, then only as far as its last line ends."""
+
+    CHUNK = 16 * KB  # the reader's chunk: one read-ahead window
+
+    def read(self, fs, path, lo, hi, version=None, read_chunk=CHUNK):
+        split = InputSplit(0, path, lo, hi - lo, version=version)
+        return list(LineRecordReader(fs, split, read_chunk=read_chunk))
+
+    def test_a_split_fetches_at_most_its_length_and_one_window(self, counted):
+        fs, fetched = counted
+        body = b"".join(b"line %06d of the input\n" % i for i in range(12_000))
+        fs.write_file("/in.txt", body)
+        split_size = 64 * KB
+        for lo in range(0, len(body) - split_size, split_size):
+            fetched.clear()
+            records = self.read(fs, "/in.txt", lo, lo + split_size)
+            assert records == split_reference(body, lo, lo + split_size)
+            assert sum(fetched) <= split_size + self.CHUNK, (lo, fetched)
+
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        lines=st.lists(st.integers(min_value=0, max_value=3 * KB), min_size=1, max_size=40),
+        cut=st.integers(min_value=1, max_value=16 * KB),
+    )
+    def test_random_splits_yield_the_reference_records(self, counted, lines, cut):
+        fs, _ = counted
+        body = b"".join(b"%d" % n + b"x" * n + b"\n" for n in lines)
+        path = f"/rand-{abs(hash((tuple(lines), cut))) % 10**9}.txt"
+        if not fs.exists(path):
+            fs.write_file(path, body)
+        records = []
+        for lo in range(0, len(body), cut):
+            hi = min(lo + cut, len(body))
+            part = self.read(fs, path, lo, hi, read_chunk=4 * KB)
+            assert part == split_reference(body, lo, hi)
+            records.extend(part)
+        assert records == reference_records(body)
+
+    def test_a_split_ending_on_a_newline_owns_the_next_line(self, counted):
+        fs, _ = counted
+        fs.write_file("/exact.txt", b"aaa\nbbb\nccc\n")
+        assert self.read(fs, "/exact.txt", 0, 4) == [(0, b"aaa"), (4, b"bbb")]
+        assert self.read(fs, "/exact.txt", 4, 12) == [(8, b"ccc")]
+
+    def test_a_line_longer_than_the_tail_piece_is_read_whole(self, counted):
+        fs, _ = counted
+        long_line = b"z" * (300 * KB)
+        fs.write_file("/long.txt", b"short\n" + long_line + b"\nafter\n")
+        records = self.read(fs, "/long.txt", 0, 100, read_chunk=1024 * KB)
+        assert records == [(0, b"short"), (6, long_line)]
+
+    def test_a_split_inside_one_line_reads_only_its_range(self, counted):
+        fs, fetched = counted
+        fs.write_file("/one-line.txt", b"q" * (200 * KB) + b"\nnext\n")
+        fetched.clear()
+        assert self.read(fs, "/one-line.txt", 10 * KB, 30 * KB) == []
+        assert sum(fetched) <= 20 * KB
+
+    def test_an_as_of_split_stops_at_its_snapshot(self, bsfs):
+        bsfs.write_file("/grow.txt", b"one\ntwo\nthr")
+        version = bsfs.snapshot("/grow.txt")
+        bsfs.concurrent_append("/grow.txt", b"ee\nfour\n")
+        assert self.read(bsfs, "/grow.txt", 0, 5, version=version) == [
+            (0, b"one"),
+            (4, b"two"),
+        ]
+        assert self.read(bsfs, "/grow.txt", 5, 12, version=version) == [(8, b"thr")]
+        assert self.read(bsfs, "/grow.txt", 5, 12) == [(8, b"three")]
+
+
 class TestReaderSizeBoundary:
     def test_reader_respects_a_clamped_status_size(self, bsfs):
         # Regression: the streaming reader must bound its byte stream by
