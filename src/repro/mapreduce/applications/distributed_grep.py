@@ -16,14 +16,17 @@ from ..job import Job, JobConf, TaskContext
 __all__ = ["make_distributed_grep_job"]
 
 
-def _grep_mapper(key: int, value: bytes, context: TaskContext) -> None:
-    """Emit ``(matched expression, 1)`` for every match in the input line."""
-    pattern = context.job_conf.get("grep.pattern", "")
-    flags = re.IGNORECASE if context.job_conf.get("grep.ignore_case", False) else 0
-    line = value.decode("utf-8", errors="replace")
-    for match in re.finditer(pattern, line, flags):
-        context.emit(match.group(0), 1)
-        context.counters.increment("grep.matches")
+class _GrepMapper:
+    """Emits ``(matched expression, 1)`` for every match in the input line;
+    the expression is compiled once per job, as in Hadoop's ``RegexMapper``."""
+
+    def __init__(self, pattern: str, ignore_case: bool) -> None:
+        self._regex = re.compile(pattern, re.IGNORECASE if ignore_case else 0)
+
+    def __call__(self, key: int, value: bytes, context: TaskContext) -> None:
+        for match in self._regex.finditer(value.decode("utf-8", errors="replace")):
+            context.emit(match.group(0), 1)
+            context.counters.increment("grep.matches")
 
 
 def _count_reducer(key: str, values, context: TaskContext) -> None:
@@ -60,7 +63,7 @@ def make_distributed_grep_job(
     )
     return Job(
         conf=conf,
-        mapper=_grep_mapper,
+        mapper=_GrepMapper(pattern, ignore_case),
         reducer=_count_reducer,
         combiner=_count_reducer,
     )

@@ -11,9 +11,11 @@ __all__ = ["make_wordcount_job"]
 
 def _wordcount_mapper(key: int, value: bytes, context: TaskContext) -> None:
     """Emit ``(word, 1)`` for every whitespace-separated token of the line."""
-    for word in value.decode("utf-8", errors="replace").split():
+    words = value.decode("utf-8", errors="replace").split()
+    for word in words:
         context.emit(word, 1)
-        context.counters.increment("wordcount.words")
+    if words:
+        context.counters.increment("wordcount.words", len(words))
 
 
 def _sum_reducer(key: str, values, context: TaskContext) -> None:
