@@ -52,7 +52,7 @@ from ..fs import path as fspath
 from ..fs.interface import FileSystem
 from ..fs.quota import tenant_scope
 from ..net.liveness import HeartbeatPump, LivenessRegistry
-from .faults import FaultPlan, TrackerDeadError
+from .faults import FaultPlan
 from .job import Counters, Job
 from .phase import _RetryingPhase
 from .scheduler import LocalityAwareScheduler, LocalityStats, SlotLedger
@@ -284,12 +284,9 @@ class JobTracker:
         shuffle_transfer: TransferEngine | None = None
         tracker_liveness: _TrackerLiveness | None = None
 
-        def report_host_failure(host: str, fatal: bool) -> None:
-            scheduler.report_task_failure(host, fatal=fatal)
-
         def cancelled_result(
             task_id: str, kind: str, attempt: int
-        ) -> tuple[TaskResult, bool, bool]:
+        ) -> tuple[TaskResult, bool]:
             failed = _failed_result(
                 task_id,
                 "n/a",
@@ -297,7 +294,7 @@ class JobTracker:
                 RuntimeError("job cancelled before the attempt started"),
                 attempt=attempt,
             )
-            return failed, False, False  # not retryable: the job is going away
+            return failed, False  # not retryable: the job is going away
 
         def make_map_placement_failure(
             index: int, attempt: int, exc: BaseException
@@ -329,7 +326,7 @@ class JobTracker:
 
         def execute_map(
             index: int, attempt: int, tracker: TaskTracker
-        ) -> tuple[TaskResult, bool, bool]:
+        ) -> tuple[TaskResult, bool]:
             assignment = assignments[index]
             split = assignment.split
             task_id = f"map-{split.split_id:05d}"
@@ -376,12 +373,10 @@ class JobTracker:
                     locality=locality,
                     attempt=attempt,
                 )
-                return failed, True, (
-                    isinstance(exc, TrackerDeadError) and tracker_liveness is None
-                )
+                return failed, True
             finally:
                 scheduler.task_finished()
-            return result, True, False
+            return result, True
 
         def on_map_permanent_failure(index: int, result: TaskResult) -> None:
             if shuffle_service is not None:
@@ -417,7 +412,7 @@ class JobTracker:
             execute=execute_map,
             pick_tracker=pick_map_tracker,
             on_winner=merge_winner_counters,
-            on_attempt_failed=report_host_failure,
+            on_attempt_failed=scheduler.report_task_failure,
             on_permanent_failure=on_map_permanent_failure,
             make_failure=make_map_placement_failure,
         )
@@ -432,7 +427,7 @@ class JobTracker:
 
         def execute_reduce(
             index: int, attempt: int, tracker: TaskTracker
-        ) -> tuple[TaskResult, bool, bool]:
+        ) -> tuple[TaskResult, bool]:
             task_id = f"reduce-{index:05d}"
             if context.cancel_event.is_set():
                 return cancelled_result(task_id, "reduce", attempt)
@@ -462,7 +457,7 @@ class JobTracker:
                     exc,
                     attempt=attempt,
                 )
-                return failed, False, False
+                return failed, False
             except Exception as exc:
                 failed = _failed_result(
                     task_id,
@@ -471,12 +466,10 @@ class JobTracker:
                     exc,
                     attempt=attempt,
                 )
-                return failed, True, (
-                    isinstance(exc, TrackerDeadError) and tracker_liveness is None
-                )
+                return failed, True
             finally:
                 scheduler.task_finished()
-            return result, True, False
+            return result, True
 
         reduce_phase = _RetryingPhase(
             total=num_partitions,
@@ -484,7 +477,7 @@ class JobTracker:
             execute=execute_reduce,
             pick_tracker=pick_reduce_tracker,
             on_winner=merge_winner_counters,
-            on_attempt_failed=report_host_failure,
+            on_attempt_failed=scheduler.report_task_failure,
             make_failure=make_reduce_placement_failure,
         )
 

@@ -51,9 +51,8 @@ class _RetryingPhase:
     * a failed attempt is retried on a different tracker (``pick_tracker``
       receives the set of hosts that already failed this task) until
       ``max_attempts`` executions are spent or a non-retryable error hits;
-    * every failure is reported to ``on_attempt_failed`` (feeding the
-      scheduler blacklist; a :class:`TrackerDeadError` is *fatal* and
-      blacklists the host immediately);
+    * every failure is reported to ``on_attempt_failed`` with the failed
+      attempt's host (feeding the scheduler blacklist);
     * the first attempt to *commit* (:meth:`try_commit`) wins and every
       other attempt of the task is discarded;
     * a task with no surviving attempt triggers ``on_permanent_failure``
@@ -61,8 +60,7 @@ class _RetryingPhase:
       forever) and fails the phase.
 
     The ``execute`` callable runs one attempt and returns ``(result,
-    retryable, fatal_host)`` — ``fatal_host`` flags a dead-tracker failure
-    that must blacklist the host immediately.  It must only raise
+    retryable)``.  It must only raise
     ``BaseException``s (SystemExit and friends), which the phase records
     and re-raises from :meth:`finish`.
     """
@@ -72,11 +70,11 @@ class _RetryingPhase:
         *,
         total: int,
         max_attempts: int,
-        execute: Callable[[int, int, TaskTracker], tuple[TaskResult, bool, bool]],
+        execute: Callable[[int, int, TaskTracker], tuple[TaskResult, bool]],
         pick_tracker: Callable[[int, int, set[str]], TaskTracker],
         make_failure: Callable[[int, int, BaseException], TaskResult],
         on_winner: Callable[[TaskResult], None] | None = None,
-        on_attempt_failed: Callable[[str, bool], None] | None = None,
+        on_attempt_failed: Callable[[str], None] | None = None,
         on_permanent_failure: Callable[[int, TaskResult], None] | None = None,
     ) -> None:
         self._max_attempts = max_attempts
@@ -187,7 +185,7 @@ class _RetryingPhase:
 
     def _attempt(self, entry: _TaskEntry, attempt: int, tracker: TaskTracker) -> None:
         try:
-            result, retryable, fatal_host = self._execute(entry.index, attempt, tracker)
+            result, retryable = self._execute(entry.index, attempt, tracker)
         except BaseException as exc:
             # ``execute`` traps Exception; anything escaping is a
             # SystemExit-class event that must fail the whole phase instead
@@ -198,15 +196,9 @@ class _RetryingPhase:
                 entry.running -= 1
                 self._cond.notify_all()
             raise
-        self._record(entry, result, retryable, fatal_host)
+        self._record(entry, result, retryable)
 
-    def _record(
-        self,
-        entry: _TaskEntry,
-        result: TaskResult,
-        retryable: bool,
-        fatal_host: bool,
-    ) -> None:
+    def _record(self, entry: _TaskEntry, result: TaskResult, retryable: bool) -> None:
         """Fold one finished attempt into the entry's state machine."""
         relaunch = False
         permanent: TaskResult | None = None
@@ -247,7 +239,7 @@ class _RetryingPhase:
         if won and self._on_winner is not None:
             self._on_winner(result)
         if host_failed and self._on_attempt_failed is not None:
-            self._on_attempt_failed(result.tracker_host, fatal_host)
+            self._on_attempt_failed(result.tracker_host)
         if relaunch:
             with self._cond:
                 banned = set(entry.banned_hosts)

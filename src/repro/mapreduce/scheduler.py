@@ -129,10 +129,11 @@ class LocalityAwareScheduler:
 
     Beyond the initial locality-aware wave, the scheduler maintains a
     per-job *blacklist* of flaky tracker hosts: hosts accumulating
-    :data:`BLACKLIST_AFTER_FAILURES` task failures (or one fatal failure —
-    a killed tracker) stop receiving work, exactly like Hadoop's per-job
-    tracker blacklist.  The last healthy host is never blacklisted, so a
-    single-tracker cluster keeps making progress.
+    :data:`BLACKLIST_AFTER_FAILURES` task failures stop receiving work,
+    exactly like Hadoop's per-job tracker blacklist (a killed tracker is
+    blacklisted by :meth:`mark_dead` once its heartbeats stop).  Failure
+    reports never blacklist the last healthy host, so a single-tracker
+    cluster keeps making progress.
     """
 
     #: Task failures on one host before it is blacklisted for the job.
@@ -179,21 +180,19 @@ class LocalityAwareScheduler:
         with self._round_robin_lock:
             return host in self._blacklisted
 
-    def report_task_failure(self, host: str, *, fatal: bool = False) -> bool:
+    def report_task_failure(self, host: str) -> bool:
         """Record one task failure on ``host``; returns whether the host is
         now blacklisted.
 
-        ``fatal`` failures (a tracker killed mid-job) blacklist the host
-        immediately; ordinary task failures only after
-        :data:`BLACKLIST_AFTER_FAILURES` strikes — a crashing *task* should
-        not take down a healthy tracker.
+        A host is blacklisted only after :data:`BLACKLIST_AFTER_FAILURES`
+        strikes — a crashing *task* should not take down a healthy tracker.
         """
         with self._round_robin_lock:
             count = self._failure_counts.get(host, 0) + 1
             self._failure_counts[host] = count
             if host in self._blacklisted:
                 return True
-            if not fatal and count < self.BLACKLIST_AFTER_FAILURES:
+            if count < self.BLACKLIST_AFTER_FAILURES:
                 return False
             healthy = {t.host for t in self._trackers} - self._blacklisted
             if healthy == {host}:

@@ -307,7 +307,7 @@ class TestRetryingPhase:
         def execute(index, attempt, tracker):
             if index == 1:
                 release.wait(timeout=10)
-            return self.result(index, attempt), True, False
+            return self.result(index, attempt), True
 
         phase = self.phase(2, execute)
         finished = threading.Event()
@@ -332,10 +332,10 @@ class TestRetryingPhase:
 
         def execute(index, attempt, tracker):
             if attempt == 0:
-                return self.result(index, 0, succeeded=False, error="boom"), True, False
+                return self.result(index, 0, succeeded=False, error="boom"), True
             commits.append(phase.try_commit(index, attempt))
             commits.append(phase.try_commit(index, attempt + 10))
-            return self.result(index, attempt), True, False
+            return self.result(index, attempt), True
 
         phase = self.phase(1, execute)
         with ThreadPoolExecutor(max_workers=1) as pool:

@@ -200,8 +200,8 @@ class TestSchedulerBlacklist:
         from repro.mapreduce import LocalityAwareScheduler, TaskTracker
 
         scheduler = LocalityAwareScheduler([TaskTracker("solo")])
-        for _ in range(10):
-            assert not scheduler.report_task_failure("solo", fatal=True)
+        for _ in range(10 * LocalityAwareScheduler.BLACKLIST_AFTER_FAILURES):
+            assert not scheduler.report_task_failure("solo")
         assert not scheduler.is_blacklisted("solo")
         assert scheduler.pick_tracker().host == "solo"
 

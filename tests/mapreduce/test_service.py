@@ -463,9 +463,9 @@ class TestNoHealthyTracker:
     def test_report_task_failure_spares_last_healthy_host(self):
         trackers = [TaskTracker(f"h{i}", slots=1) for i in range(2)]
         scheduler = LocalityAwareScheduler(trackers)
-        for _ in range(5):
-            scheduler.report_task_failure("h0", fatal=True)
-            scheduler.report_task_failure("h1", fatal=True)
+        for _ in range(5 * LocalityAwareScheduler.BLACKLIST_AFTER_FAILURES):
+            scheduler.report_task_failure("h0")
+            scheduler.report_task_failure("h1")
         # One of the two survives: failure reporting alone can never
         # blacklist the whole cluster.
         assert len(scheduler.blacklisted_hosts) == 1
