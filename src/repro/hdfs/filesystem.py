@@ -332,10 +332,12 @@ class HDFS(FileSystem):
         """Read part of a block, failing over across replicas.
 
         Replicas are tried in topology order (same host, same rack, any);
-        a replica that fails *between* the liveness check and the read —
-        e.g. a datanode killed mid-job by failure injection — no longer
-        fails the whole read: the next replica is re-read instead, exactly
-        like the Hadoop client's block-read retry.
+        a replica whose read fails — a datanode that is down, killed
+        mid-job by failure injection, or missing the block — does not fail
+        the whole read: the next replica is read instead, exactly like the
+        Hadoop client's block-read retry.  No liveness probe goes first: a
+        down node refuses the read itself, so a probe would only add a
+        round trip per block.
         """
         replicas = [self.namenode.datanode(node_id) for node_id in meta.locations]
         client_rack = None
@@ -364,8 +366,6 @@ class HDFS(FileSystem):
         if len(replicas) > 1:
             replicas.sort(key=distance)
         for node in replicas:
-            if not node.available:
-                continue
             try:
                 return node.read_block(meta.block_id, offset, length)
             except (ProviderUnavailableError, KeyError):
