@@ -59,7 +59,6 @@ def make_distributed_grep_job(
         output_dir=output_dir,
         num_reduce_tasks=num_reduce_tasks,
         split_size=split_size,
-        properties={"grep.pattern": pattern, "grep.ignore_case": ignore_case},
     )
     return Job(
         conf=conf,
