@@ -17,8 +17,8 @@ The script walks through the storage stack bottom-up:
 5. address all backends uniformly through ``scheme://authority/path`` URIs
    and the pluggable scheme registry — the one-string backend swap;
 6. wrap it all in the session facade — ``repro.connect`` bundles the
-   storage handle, the deployment's job service and a tenant identity
-   into one object, the recommended application entry point.
+   storage handle and the deployment's job service into one object, the
+   recommended application entry point.
 """
 
 from __future__ import annotations
@@ -112,12 +112,11 @@ def registry_tour() -> None:
 
 def session_tour() -> None:
     print("\n=== 6. Session facade: connect once, use everything ===")
-    # One call resolves the backend, builds (or joins) the deployment's
-    # job service and binds a tenant identity for quota attribution.
-    session = connect("bsfs://quickstart-session", tenant="alice")
-    session.service.register_tenant("alice", max_bytes=16 * MB)
+    # One call resolves the backend and builds (or joins) the deployment's
+    # job service.
+    session = connect("bsfs://quickstart-session")
     session.write("/in/words.txt", b"to be or not to be that is the question\n" * 200)
-    print(f"  usage after write: {session.usage()}")
+    print(f"  wrote {session.fs.size('/in/words.txt')} bytes")
 
     snapshot = session.snapshot("/in/words.txt")
     with session.append("/in/words.txt") as out:
@@ -126,10 +125,10 @@ def session_tour() -> None:
     print(f"  AS-OF read sees {len(as_of)} bytes (now {session.fs.size('/in/words.txt')})")
 
     job = make_wordcount_job(["/in/words.txt"], output_dir="/out/wc")
-    handle = session.submit(job)  # alice's fair-share queue
+    handle = session.submit(job)  # queued FIFO on the shared job service
     result = handle.wait()
     top = result.counters.as_dict().get("wordcount.words", "?")
-    print(f"  wordcount as tenant {handle.tenant!r}: {handle.status()}, {top} words")
+    print(f"  wordcount job {handle.job_id}: {handle.status()}, {top} words")
 
 
 def main() -> None:

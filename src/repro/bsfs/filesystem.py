@@ -29,7 +29,6 @@ from ..core.errors import BlobPinnedError
 from ..fs import path as fspath
 from ..fs.errors import InvalidRangeError, NoSuchPathError
 from ..fs.interface import BlockLocation, FileStatus, FileSystem
-from ..fs.quota import QuotaManager
 from ..versions.pins import SnapshotHandle
 from .cache import VersionedBlockCache
 from .file import BSFSInputStream, BSFSOutputStream
@@ -55,7 +54,6 @@ class BSFS(FileSystem):
         default_block_size: int = DEFAULT_BLOCK_SIZE,
         cache_blocks: int = 4,
         shared_cache_blocks: int | None = None,
-        quotas: QuotaManager | None = None,
     ) -> None:
         """Create a BSFS instance.
 
@@ -77,13 +75,9 @@ class BSFS(FileSystem):
             of the same snapshot share fetches while a pinned-snapshot
             reader can never be served a concurrent latest-reader's bytes.
             Defaults to ``8 × cache_blocks`` (at least 32).
-        quotas:
-            Optional per-tenant :class:`~repro.fs.quota.QuotaManager`
-            enforcing file/byte budgets on namespace writes.
         """
         self.blobseer = blobseer if blobseer is not None else BlobSeer(config)
-        self.namespace = NamespaceManager(quotas=quotas)
-        self.quotas = quotas
+        self.namespace = NamespaceManager()
         self._default_block_size = default_block_size
         self._cache_blocks = cache_blocks
         if shared_cache_blocks is None:
@@ -134,9 +128,8 @@ class BSFS(FileSystem):
         )
 
         def _on_close(final_size: int) -> None:
-            # Release the lease even when the size commit is rejected (a
-            # tenant over its byte quota): the failed write must leave the
-            # file deletable, not leased forever.
+            # Release the lease even when the size commit fails: the failed
+            # write must leave the file deletable, not leased forever.
             try:
                 self._commit_size(norm, blob_id, final_size)
             finally:
@@ -199,24 +192,13 @@ class BSFS(FileSystem):
         """
         norm = fspath.normalize(path)
         record = self.namespace.record(norm)
-        # Admission against the owner's byte budget happens *before* the blob
-        # write; the monotonic size update consumes the reservation (possibly
-        # on behalf of a racing appender whose observation covered our bytes).
-        owner = self.namespace.tree.get_file(norm).owner_tenant
-        if self.quotas is not None:
-            self.quotas.reserve_bytes(owner, len(data))
-        try:
-            version = self.blobseer.append(record.blob_id, data)
-            info = self.blobseer.version_manager.version_info(record.blob_id, version)
-            new_size = self.blobseer.get_size(record.blob_id)
-            # Two appenders may observe their post-append sizes in either order;
-            # the monotonic update makes the namespace size the max ever seen
-            # instead of the last write racing it backwards.
-            self.namespace.update_size_monotonic(norm, new_size)
-        except BaseException:
-            if self.quotas is not None:
-                self.quotas.unreserve_bytes(owner, len(data))
-            raise
+        version = self.blobseer.append(record.blob_id, data)
+        info = self.blobseer.version_manager.version_info(record.blob_id, version)
+        new_size = self.blobseer.get_size(record.blob_id)
+        # Two appenders may observe their post-append sizes in either order;
+        # the monotonic update makes the namespace size the max ever seen
+        # instead of the last write racing it backwards.
+        self.namespace.update_size_monotonic(norm, new_size)
         return info.write_offset
 
     # ------------------------------------------------------------------- reading

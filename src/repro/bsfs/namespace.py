@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from ..fs import path as fspath
 from ..fs.interface import FileStatus
 from ..fs.namespace import DirectoryEntry, FileEntry, NamespaceTree
-from ..fs.quota import QuotaManager
 
 __all__ = ["BSFSFileRecord", "NamespaceManager"]
 
@@ -33,10 +32,8 @@ class BSFSFileRecord:
 class NamespaceManager:
     """Centralized file-to-BLOB namespace service of BSFS."""
 
-    def __init__(self, *, quotas: QuotaManager | None = None) -> None:
+    def __init__(self) -> None:
         self._tree: NamespaceTree[int] = NamespaceTree()
-        self._tree.set_quota_manager(quotas)
-        self.quotas = quotas
 
     @property
     def tree(self) -> NamespaceTree[int]:

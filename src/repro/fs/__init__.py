@@ -11,7 +11,6 @@ from .errors import (
     NoSuchPathError,
     NotADirectoryError,
     PathExistsError,
-    QuotaExceededError,
     StreamClosedError,
     UnsupportedOperationError,
 )
@@ -24,14 +23,6 @@ from .interface import (
     copy_path,
 )
 from .local import LocalFS
-from .quota import (
-    QuotaManager,
-    TenantQuota,
-    TenantUsage,
-    attach_quota_manager,
-    current_tenant,
-    tenant_scope,
-)
 from .registry import (
     UnknownSchemeError,
     clear_instance_cache,
@@ -78,11 +69,4 @@ __all__ = [
     "LeaseConflictError",
     "StreamClosedError",
     "UnsupportedOperationError",
-    "QuotaExceededError",
-    "QuotaManager",
-    "TenantQuota",
-    "TenantUsage",
-    "attach_quota_manager",
-    "current_tenant",
-    "tenant_scope",
 ]

@@ -14,7 +14,6 @@ __all__ = [
     "InvalidRangeError",
     "StreamClosedError",
     "UnsupportedOperationError",
-    "QuotaExceededError",
 ]
 
 
@@ -115,28 +114,6 @@ class InvalidRangeError(FileSystemError):
 
 class StreamClosedError(FileSystemError):
     """Raised when reading from or writing to a closed stream."""
-
-
-class QuotaExceededError(FileSystemError):
-    """Raised when a namespace operation would push a tenant over its quota.
-
-    Carries the tenant, the exhausted resource (``"files"`` or ``"bytes"``),
-    the amount requested and the usage/limit pair, so admission-control and
-    job layers can report precisely *which* budget ran out.
-    """
-
-    def __init__(
-        self, tenant: str, resource: str, *, requested: int, used: int, limit: int
-    ) -> None:
-        super().__init__(
-            f"tenant {tenant!r} would exceed its {resource} quota: "
-            f"requested {requested}, used {used}, limit {limit}"
-        )
-        self.tenant = tenant
-        self.resource = resource
-        self.requested = requested
-        self.used = used
-        self.limit = limit
 
 
 class UnsupportedOperationError(FileSystemError):

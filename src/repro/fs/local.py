@@ -32,7 +32,6 @@ from . import path as fspath
 from .errors import InvalidRangeError, IsADirectoryError
 from .interface import BlockLocation, FileStatus, FileSystem, InputStream, OutputStream
 from .namespace import DirectoryEntry, FileEntry, NamespaceTree
-from .quota import QuotaManager
 
 __all__ = ["LocalFS", "DEFAULT_BLOCK_SIZE", "LocalFSInputStream", "LocalFSOutputStream"]
 
@@ -97,7 +96,6 @@ class LocalFS(FileSystem):
         *,
         default_block_size: int = DEFAULT_BLOCK_SIZE,
         default_replication: int = 1,
-        quotas: QuotaManager | None = None,
     ) -> None:
         """Create a LocalFS over a sandboxed root directory.
 
@@ -112,9 +110,6 @@ class LocalFS(FileSystem):
         default_replication:
             Replication factor reported in statuses (local disk stores one
             copy; the knob only affects reported metadata).
-        quotas:
-            Optional per-tenant :class:`~repro.fs.quota.QuotaManager`
-            enforcing file/byte budgets on namespace writes.
         """
         self._owns_root = root is None
         if root is None:
@@ -129,8 +124,6 @@ class LocalFS(FileSystem):
         self._default_block_size = default_block_size
         self._default_replication = default_replication
         self._tree: NamespaceTree[str] = NamespaceTree()
-        self._tree.set_quota_manager(quotas)
-        self.quotas = quotas
         self._lock = threading.Lock()
         self._object_ids = iter(range(1, 2**62))
         self._client_ids = iter(range(1, 2**62))
@@ -185,9 +178,6 @@ class LocalFS(FileSystem):
         backing = entry.payload
 
         def _on_close() -> None:
-            # Release the lease even when the size update is rejected (a
-            # tenant over its byte quota): the failed write must leave the
-            # file deletable, not leased forever.
             try:
                 self._tree.update_file(norm, size=os.path.getsize(backing))
             finally:
@@ -221,22 +211,11 @@ class LocalFS(FileSystem):
         """
         norm = fspath.normalize(path)
         entry = self._tree.get_file(norm)
-        # Reserve against the owner's byte budget before touching storage, so
-        # an over-quota append is rejected without landing a single byte.  On
-        # success the namespace size update consumes the reservation; it is
-        # handed back only when the write never reached the namespace.
-        if self.quotas is not None:
-            self.quotas.reserve_bytes(entry.owner_tenant, len(data))
-        try:
-            with self._lock:
-                offset = os.path.getsize(entry.payload)
-                with open(entry.payload, "ab") as backing:
-                    backing.write(data)
-                self._tree.update_file(norm, size=offset + len(data))
-        except BaseException:
-            if self.quotas is not None:
-                self.quotas.unreserve_bytes(entry.owner_tenant, len(data))
-            raise
+        with self._lock:
+            offset = os.path.getsize(entry.payload)
+            with open(entry.payload, "ab") as backing:
+                backing.write(data)
+            self._tree.update_file(norm, size=offset + len(data))
         return offset
 
     # -- read path -------------------------------------------------------------------

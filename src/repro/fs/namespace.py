@@ -27,7 +27,6 @@ from .errors import (
     NotADirectoryError,
     PathExistsError,
 )
-from .quota import QuotaManager, current_tenant
 
 __all__ = ["FileEntry", "DirectoryEntry", "NamespaceTree"]
 
@@ -45,10 +44,6 @@ class FileEntry(Generic[PayloadT]):
     replication: int = 1
     modification_time: float = field(default_factory=time.time)
     lease_holder: str | None = None
-    #: Tenant whose quota this file counts against (the creator's tenant
-    #: scope at creation time).  Travels with the entry through renames, so
-    #: ownership never needs re-deriving.
-    owner_tenant: str | None = None
 
     @property
     def is_dir(self) -> bool:
@@ -81,13 +76,6 @@ class NamespaceTree(Generic[PayloadT]):
     def __init__(self) -> None:
         self._root = DirectoryEntry(name="")
         self._lock = threading.RLock()
-        #: Optional per-tenant quota accounting (shared across file systems
-        #: when desired).  ``None`` disables it.
-        self.quotas: QuotaManager | None = None
-
-    def set_quota_manager(self, quotas: QuotaManager | None) -> None:
-        """Attach (or detach) the quota manager charging this tree's writes."""
-        self.quotas = quotas
 
     # -- resolution helpers ---------------------------------------------------------
     def _resolve(self, path: str) -> DirectoryEntry | FileEntry[PayloadT]:
@@ -210,21 +198,6 @@ class NamespaceTree(Generic[PayloadT]):
                     raise PathExistsError(norm)
                 if existing.lease_holder is not None:
                     raise LeaseConflictError(norm, existing.lease_holder)
-            tenant = current_tenant()
-            if self.quotas is not None:
-                # Enforced before the overwrite callback runs, so a rejected
-                # create leaves the replaced entry (and its storage) intact.
-                self.quotas.charge_create(
-                    tenant,
-                    replacing_owner=(
-                        existing.owner_tenant
-                        if isinstance(existing, FileEntry)
-                        else None
-                    ),
-                    replacing_bytes=(
-                        existing.size if isinstance(existing, FileEntry) else 0
-                    ),
-                )
             if isinstance(existing, FileEntry) and on_overwrite is not None:
                 on_overwrite(existing)
             entry: FileEntry[PayloadT] = FileEntry(
@@ -233,7 +206,6 @@ class NamespaceTree(Generic[PayloadT]):
                 block_size=block_size,
                 replication=replication,
                 lease_holder=lease_holder,
-                owner_tenant=tenant,
             )
             parent_dir.children[name] = entry
             parent_dir.modification_time = time.time()
@@ -268,11 +240,6 @@ class NamespaceTree(Generic[PayloadT]):
                     raise LeaseConflictError(file_path, file_entry.lease_holder)
             del parent_dir.children[name]
             parent_dir.modification_time = time.time()
-        if self.quotas is not None:
-            # Quota tracks the namespace view: released as soon as the entry
-            # is gone, even when blob/block reclamation is deferred (pins).
-            for _file_path, file_entry in removed_files:
-                self.quotas.release_entry(file_entry.owner_tenant, file_entry.size)
         if on_delete_file is not None:
             for file_path, file_entry in removed_files:
                 on_delete_file(file_path, file_entry)
@@ -355,12 +322,6 @@ class NamespaceTree(Generic[PayloadT]):
         with self._lock:
             entry = self._resolve_file(path)
             if size is not None:
-                delta = size - entry.size
-                if self.quotas is not None:
-                    if delta > 0:
-                        self.quotas.charge_bytes(entry.owner_tenant, delta)
-                    elif delta < 0:
-                        self.quotas.release_bytes(entry.owner_tenant, -delta)
                 entry.size = size
             if payload is not None:
                 entry.payload = payload
@@ -378,8 +339,6 @@ class NamespaceTree(Generic[PayloadT]):
         with self._lock:
             entry = self._resolve_file(path)
             if size > entry.size:
-                if self.quotas is not None:
-                    self.quotas.charge_bytes(entry.owner_tenant, size - entry.size)
                 entry.size = size
             entry.modification_time = time.time()
             return entry.size

@@ -27,7 +27,6 @@ from ..core.transfer import ChunkBuffer, TransferEngine, pipelined
 from ..fs import path as fspath
 from ..fs.errors import NoSuchPathError, UnsupportedOperationError
 from ..fs.interface import BlockLocation, FileStatus, FileSystem, InputStream, OutputStream
-from ..fs.quota import QuotaManager
 from .block_placement import BlockPlacementPolicy
 from .datanode import DataNode
 from .namenode import NameNode
@@ -133,7 +132,6 @@ class HDFS(FileSystem):
         placement_policy: BlockPlacementPolicy | None = None,
         seed: int = 0,
         transfer_workers: int = 8,
-        quotas: QuotaManager | None = None,
     ) -> None:
         """Create an in-process HDFS deployment.
 
@@ -152,9 +150,7 @@ class HDFS(FileSystem):
             placement_policy=placement_policy,
             default_block_size=default_block_size,
             default_replication=default_replication,
-            quotas=quotas,
         )
-        self.quotas = quotas
         #: Shared transfer engine: replica pushes of one block run
         #: concurrently (the write pipeline) and streaming reads prefetch
         #: ahead of the consumer.

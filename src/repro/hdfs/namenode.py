@@ -18,7 +18,6 @@ from ..fs import path as fspath
 from ..fs.errors import InvalidRangeError, NoSuchPathError, UnsupportedOperationError
 from ..fs.interface import BlockLocation, FileStatus
 from ..fs.namespace import DirectoryEntry, FileEntry, NamespaceTree
-from ..fs.quota import QuotaManager
 from .block_placement import BlockPlacementPolicy, DefaultPlacementPolicy
 from .datanode import DataNode
 
@@ -52,11 +51,8 @@ class NameNode:
         placement_policy: BlockPlacementPolicy | None = None,
         default_block_size: int = 64 * 1024 * 1024,
         default_replication: int = 1,
-        quotas: QuotaManager | None = None,
     ) -> None:
         self._tree: NamespaceTree[HDFSFilePayload] = NamespaceTree()
-        self._tree.set_quota_manager(quotas)
-        self.quotas = quotas
         self._datanodes: dict[int, DataNode] = {d.node_id: d for d in datanodes}
         self._blocks: dict[int, BlockMeta] = {}
         self._block_ids = itertools.count(1)
@@ -268,14 +264,7 @@ class NameNode:
             meta.length = length
             meta.locations = tuple(locations)
             entry = self._tree.get_file(path)
-            new_size = sum(
-                self._blocks[b].length for b in entry.payload.block_ids
-            )
-            # This sets entry.size directly (bypassing tree.update_file), so
-            # the quota charge happens here; blocks only grow a file.
-            if self.quotas is not None and new_size > entry.size:
-                self.quotas.charge_bytes(entry.owner_tenant, new_size - entry.size)
-            entry.size = new_size
+            entry.size = sum(self._blocks[b].length for b in entry.payload.block_ids)
 
     def abandon_block(self, path: str, block_id: int) -> None:
         """Drop a block no datanode stored (``ClientProtocol.abandonBlock``).

@@ -40,16 +40,8 @@ from .scheduler import (
     LocalityAwareScheduler,
     LocalityStats,
     NoHealthyTrackerError,
-    SlotLedger,
 )
-from .service import (
-    AdmissionError,
-    JobCancelledError,
-    JobHandle,
-    JobService,
-    JobServiceEndpoint,
-    TenantConfig,
-)
+from .service import JobCancelledError, JobHandle, JobService
 from .shuffle import (
     MapOutputCollector,
     SingleFileOutputFormat,
@@ -74,12 +66,8 @@ __all__ = [
     "JobTracker",
     "JobService",
     "JobHandle",
-    "JobServiceEndpoint",
-    "TenantConfig",
-    "AdmissionError",
     "JobCancelledError",
     "NoHealthyTrackerError",
-    "SlotLedger",
     "FaultInjectedError",
     "FaultPlan",
     "InjectedTaskFailure",

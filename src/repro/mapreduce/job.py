@@ -71,15 +71,6 @@ class JobConf:
     #: ``@vN`` suffix on an input path overrides this setting for that
     #: path.
     snapshot_version: int | Mapping[str, int] | None = None
-    #: Tenant the job runs as: namespace writes are attributed to (and
-    #: enforced against) this tenant's quota, and the
-    #: :class:`~repro.mapreduce.service.JobService` schedules fair-share
-    #: across tenants.  ``None`` runs untenanted (no quotas, default queue).
-    tenant: str | None = None
-    #: Scheduling priority within the tenant's own queue: higher runs
-    #: first, ties resolve FIFO.  Cross-tenant ordering is fair-share, so a
-    #: high priority never lets one tenant starve another.
-    priority: int = 0
     properties: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:

@@ -50,12 +50,11 @@ from typing import Any, Callable
 from ..core.transfer import TransferEngine
 from ..fs import path as fspath
 from ..fs.interface import FileSystem
-from ..fs.quota import tenant_scope
 from ..net.liveness import HeartbeatPump, LivenessRegistry
 from .faults import FaultPlan
 from .job import Counters, Job
 from .phase import _RetryingPhase
-from .scheduler import LocalityAwareScheduler, LocalityStats, SlotLedger
+from .scheduler import LocalityAwareScheduler, LocalityStats
 from .shuffle import SingleFileOutputFormat, TextOutputFormat
 from .shuffle_service import ShuffleAbortedError, ShuffleService
 from .splitter import SyntheticInputFormat, TextInputFormat
@@ -230,13 +229,12 @@ class JobTracker:
 
         Build one through
         :meth:`repro.mapreduce.service.JobService.local`; the service owns
-        submission, and its per-job schedulers share :attr:`slot_ledger`.
+        submission.
         """
         if not trackers:
             raise ValueError("a job tracker needs at least one task tracker")
         self.fs = fs
         self.trackers = list(trackers)
-        self.slot_ledger = SlotLedger()
 
     def execute(
         self, job: Job, context: JobContext, fault_plan: FaultPlan | None = None
@@ -262,9 +260,7 @@ class JobTracker:
             job = replace(job, conf=resolved_conf)
         started = time.perf_counter()
         counters = Counters()
-        scheduler = LocalityAwareScheduler(
-            self.trackers, tenant=job.conf.tenant, slot_ledger=self.slot_ledger
-        )
+        scheduler = LocalityAwareScheduler(self.trackers)
         input_format = job.input_format or (
             TextInputFormat() if job.conf.input_paths else SyntheticInputFormat()
         )
@@ -344,26 +340,21 @@ class JobTracker:
             # Each attempt gets its own counter set; only the winner's is
             # folded into the job counters (see merge_winner_counters).
             attempt_counters = Counters()
-            scheduler.task_started()
             try:
-                # The tenant scope wraps the *attempt* (running in a pool
-                # thread): every namespace write the task performs is
-                # attributed to — and enforced against — the job's tenant.
-                with tenant_scope(job.conf.tenant):
-                    result = tracker.run_map_task(
-                        job,
-                        self.fs,
-                        split,
-                        num_partitions=num_partitions,
-                        reader_factory=input_format.create_reader,
-                        counters=attempt_counters,
-                        locality=locality,
-                        output_format=map_format,
-                        shuffle=shuffle_service,
-                        attempt=attempt,
-                        fault_plan=fault_plan,
-                        commit_check=commit_check,
-                    )
+                result = tracker.run_map_task(
+                    job,
+                    self.fs,
+                    split,
+                    num_partitions=num_partitions,
+                    reader_factory=input_format.create_reader,
+                    counters=attempt_counters,
+                    locality=locality,
+                    output_format=map_format,
+                    shuffle=shuffle_service,
+                    attempt=attempt,
+                    fault_plan=fault_plan,
+                    commit_check=commit_check,
+                )
             except Exception as exc:
                 failed = _failed_result(
                     task_id,
@@ -374,8 +365,6 @@ class JobTracker:
                     attempt=attempt,
                 )
                 return failed, True
-            finally:
-                scheduler.task_finished()
             return result, True
 
         def on_map_permanent_failure(index: int, result: TaskResult) -> None:
@@ -432,22 +421,20 @@ class JobTracker:
             if context.cancel_event.is_set():
                 return cancelled_result(task_id, "reduce", attempt)
             attempt_counters = Counters()
-            scheduler.task_started()
             try:
                 assert shuffle_service is not None
                 pairs = shuffle_service.merged_pairs(index)
-                with tenant_scope(job.conf.tenant):
-                    result = tracker.run_reduce_task(
-                        job,
-                        self.fs,
-                        index,
-                        pairs,
-                        counters=attempt_counters,
-                        output_format=reduce_format,
-                        attempt=attempt,
-                        fault_plan=fault_plan,
-                        commit_check=partial(reduce_phase.try_commit, index, attempt),
-                    )
+                result = tracker.run_reduce_task(
+                    job,
+                    self.fs,
+                    index,
+                    pairs,
+                    counters=attempt_counters,
+                    output_format=reduce_format,
+                    attempt=attempt,
+                    fault_plan=fault_plan,
+                    commit_check=partial(reduce_phase.try_commit, index, attempt),
+                )
             except ShuffleAbortedError as exc:
                 # The shuffle is dead; retrying this reduce cannot succeed.
                 failed = _failed_result(
@@ -467,8 +454,6 @@ class JobTracker:
                     attempt=attempt,
                 )
                 return failed, True
-            finally:
-                scheduler.task_finished()
             return result, True
 
         reduce_phase = _RetryingPhase(

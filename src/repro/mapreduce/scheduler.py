@@ -27,7 +27,6 @@ __all__ = [
     "LocalityStats",
     "LocalityAwareScheduler",
     "NoHealthyTrackerError",
-    "SlotLedger",
 ]
 
 
@@ -46,47 +45,6 @@ class NoHealthyTrackerError(RuntimeError):
             f"({', '.join(sorted(blacklisted)) or 'none known'})"
         )
         self.blacklisted = frozenset(blacklisted)
-
-
-class SlotLedger:
-    """Thread-safe per-tenant running-task accounting shared across jobs.
-
-    The fair-share :class:`~repro.mapreduce.service.JobService` hands one
-    ledger to every per-job scheduler it creates; the job layer reports
-    attempt starts/finishes, giving the service a live view of how many
-    cluster slots each tenant is actually occupying.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._running: dict[str, int] = {}
-
-    def task_started(self, tenant: str | None) -> None:
-        """Record one task attempt entering a slot for ``tenant``."""
-        key = tenant or ""
-        with self._lock:
-            self._running[key] = self._running.get(key, 0) + 1
-
-    def task_finished(self, tenant: str | None) -> None:
-        """Record one task attempt leaving its slot."""
-        key = tenant or ""
-        with self._lock:
-            self._running[key] = max(self._running.get(key, 0) - 1, 0)
-
-    def running(self, tenant: str | None) -> int:
-        """Attempts currently occupying slots for ``tenant``."""
-        with self._lock:
-            return self._running.get(tenant or "", 0)
-
-    def total_running(self) -> int:
-        """Attempts currently occupying slots across all tenants."""
-        with self._lock:
-            return sum(self._running.values())
-
-    def snapshot(self) -> dict[str, int]:
-        """Copy of the per-tenant running counts (monitoring)."""
-        with self._lock:
-            return dict(self._running)
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,17 +97,9 @@ class LocalityAwareScheduler:
     #: Task failures on one host before it is blacklisted for the job.
     BLACKLIST_AFTER_FAILURES = 3
 
-    def __init__(
-        self,
-        trackers: list[TaskTracker],
-        *,
-        tenant: str | None = None,
-        slot_ledger: SlotLedger | None = None,
-    ) -> None:
+    def __init__(self, trackers: list[TaskTracker]) -> None:
         if not trackers:
             raise ValueError("the scheduler needs at least one task tracker")
-        self.tenant = tenant
-        self.slot_ledger = slot_ledger
         self._trackers = list(trackers)
         self._by_host: dict[str, list[TaskTracker]] = {}
         for tracker in self._trackers:
@@ -213,17 +163,6 @@ class LocalityAwareScheduler:
         with self._round_robin_lock:
             self._failure_counts[host] = self._failure_counts.get(host, 0) + 1
             self._blacklisted.add(host)
-
-    # -- slot accounting ---------------------------------------------------------------
-    def task_started(self) -> None:
-        """Report one attempt entering a slot (forwards to the shared ledger)."""
-        if self.slot_ledger is not None:
-            self.slot_ledger.task_started(self.tenant)
-
-    def task_finished(self) -> None:
-        """Report one attempt leaving its slot (forwards to the shared ledger)."""
-        if self.slot_ledger is not None:
-            self.slot_ledger.task_finished(self.tenant)
 
     def pick_tracker(self, *, exclude: set[str] = frozenset()) -> TaskTracker:
         """Least-loaded tracker avoiding ``exclude`` and blacklisted hosts.

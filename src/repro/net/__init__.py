@@ -32,11 +32,9 @@ from .cluster import (
     NodeServer,
     RecoveryCoordinator,
     connect_datanode,
-    connect_jobservice,
     connect_metadata,
     connect_provider,
     loopback_datanode_stub,
-    loopback_jobservice_stub,
     loopback_metadata_stub,
     loopback_provider_stub,
 )
@@ -60,7 +58,6 @@ from .service import ServiceRegistry
 from .stubs import (
     RemoteDataNode,
     RemoteDataProvider,
-    RemoteJobService,
     RemoteMetadataProvider,
 )
 from .tcp import RpcServer, TcpTransport
@@ -99,7 +96,6 @@ __all__ = [
     "RemoteDataProvider",
     "RemoteDataNode",
     "RemoteMetadataProvider",
-    "RemoteJobService",
     # liveness
     "LivenessRegistry",
     "LivenessMonitor",
@@ -113,11 +109,9 @@ __all__ = [
     "loopback_provider_stub",
     "loopback_datanode_stub",
     "loopback_metadata_stub",
-    "loopback_jobservice_stub",
     "connect_provider",
     "connect_datanode",
     "connect_metadata",
-    "connect_jobservice",
     # faults
     "NetworkFaultPlan",
 ]

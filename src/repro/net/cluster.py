@@ -34,12 +34,10 @@ from .liveness import HeartbeatPump, LivenessMonitor, LivenessRegistry
 from .service import ServiceRegistry
 from .stubs import (
     DATANODE_SERVICE,
-    JOBSERVICE_SERVICE,
     METADATA_SERVICE,
     PROVIDER_SERVICE,
     RemoteDataNode,
     RemoteDataProvider,
-    RemoteJobService,
     RemoteMetadataProvider,
 )
 from .tcp import RpcServer, TcpTransport
@@ -57,11 +55,9 @@ __all__ = [
     "loopback_provider_stub",
     "loopback_datanode_stub",
     "loopback_metadata_stub",
-    "loopback_jobservice_stub",
     "connect_provider",
     "connect_datanode",
     "connect_metadata",
-    "connect_jobservice",
 ]
 
 #: Name the control-plane service is registered under.
@@ -167,13 +163,11 @@ class ControlService:
 class NodeServer:
     """Worker-process harness: RPC server + heartbeat pump for one node.
 
-    ``node`` is duck-typed: anything with ``submit_job`` serves as a
-    multi-tenant job service (service name ``"jobservice"``), anything
-    with ``put_page`` as a data provider (service name ``"provider"``),
-    anything with a ``node_id`` as an HDFS datanode (service name
-    ``"datanode"``), and anything else with a ``provider_id`` as a
-    metadata provider (service name ``"metadata"``) — the submission
-    plane runs over the same RPC/heartbeat harness as the storage planes.
+    ``node`` is duck-typed: anything with ``put_page`` serves as a data
+    provider (service name ``"provider"``), anything with a ``node_id``
+    as an HDFS datanode (service name ``"datanode"``), and anything else
+    with a ``provider_id`` as a metadata provider (service name
+    ``"metadata"``).
     """
 
     def __init__(
@@ -189,10 +183,7 @@ class NodeServer:
     ) -> None:
         self.node = node
         self.config = config if config is not None else ClusterConfig()
-        if hasattr(node, "submit_job"):
-            self.kind, self.numeric_id = "jobservice", 0
-            self.service_name = JOBSERVICE_SERVICE
-        elif hasattr(node, "put_page"):
+        if hasattr(node, "put_page"):
             self.kind, self.numeric_id = "provider", node.provider_id
             self.service_name = PROVIDER_SERVICE
         elif hasattr(node, "node_id"):
@@ -203,9 +194,8 @@ class NodeServer:
             self.service_name = METADATA_SERVICE
         else:
             raise TypeError(
-                "node must expose submit_job (job service), put_page "
-                "(provider), node_id (datanode) or provider_id (metadata "
-                "provider)"
+                "node must expose put_page (provider), node_id (datanode) "
+                "or provider_id (metadata provider)"
             )
         self.node_name = (
             node_name
@@ -236,8 +226,6 @@ class NodeServer:
 
     def block_report_payload(self) -> list:
         """What this node stores, in control-plane terms."""
-        if self.kind == "jobservice":
-            return self.node.job_ids()
         if self.kind == "provider":
             return self.node.page_keys()
         if self.kind == "metadata":
@@ -442,34 +430,6 @@ def loopback_metadata_stub(
     return RemoteMetadataProvider.connect(transport)
 
 
-def loopback_jobservice_stub(
-    endpoint: Any,
-    *,
-    faults: NetworkFaultPlan | None = None,
-    local: str = "client",
-    timeout: float = 30.0,
-    retry: RetryPolicy | None = None,
-) -> RemoteJobService:
-    """Wrap a job-service endpoint in the loopback stub/codec path.
-
-    ``endpoint`` is a
-    :class:`~repro.mapreduce.service.JobServiceEndpoint`; the stub is
-    addressable in the fault plan as ``"jobservice"``.  The default
-    timeout is generous — ``wait_job`` blocks for the job's duration.
-    """
-    registry = ServiceRegistry()
-    registry.register(JOBSERVICE_SERVICE, endpoint)
-    transport = LoopbackTransport(
-        registry,
-        peer="jobservice",
-        local=local,
-        timeout=timeout,
-        retry=retry,
-        faults=faults,
-    )
-    return RemoteJobService.connect(transport)
-
-
 def connect_provider(
     host: str,
     port: int,
@@ -525,27 +485,3 @@ def connect_metadata(
         pool_size=config.pool_size,
     )
     return RemoteMetadataProvider.connect(transport)
-
-
-def connect_jobservice(
-    host: str,
-    port: int,
-    *,
-    config: ClusterConfig | None = None,
-    faults: NetworkFaultPlan | None = None,
-    timeout: float = 30.0,
-) -> RemoteJobService:
-    """Connect a job-service stub to a :class:`NodeServer` over TCP.
-
-    ``timeout`` defaults above the deployment's RPC timeout because
-    ``wait_job`` legitimately blocks for a whole job execution.
-    """
-    config = config if config is not None else ClusterConfig()
-    transport = TcpTransport(
-        host,
-        port,
-        timeout=max(timeout, config.rpc_timeout),
-        faults=faults,
-        pool_size=config.pool_size,
-    )
-    return RemoteJobService.connect(transport)

@@ -42,18 +42,12 @@ __all__ = [
     "RemoteDataProvider",
     "RemoteDataNode",
     "RemoteMetadataProvider",
-    "RemoteJobService",
 ]
 
 #: Service names a node process exposes its storage object under.
 PROVIDER_SERVICE = "provider"
 DATANODE_SERVICE = "datanode"
 METADATA_SERVICE = "metadata"
-JOBSERVICE_SERVICE = "jobservice"
-
-#: Seconds a timed ``wait_job`` RPC outlives its remote wait, so the
-#: remote ``TimeoutError`` arrives before the transport gives up.
-WAIT_GRACE = 1.0
 
 
 class _Stub:
@@ -250,65 +244,6 @@ class RemoteMetadataProvider(_Stub):
             f"RemoteMetadataProvider(id={self.provider_id}, "
             f"peer={self._transport.peer!r})"
         )
-
-
-class RemoteJobService(_Stub):
-    """A :class:`~repro.mapreduce.service.JobServiceEndpoint` in another process.
-
-    The submission plane of the multi-tenant job service over the wire:
-    ids in, states and result summaries out.  Application exceptions
-    (:class:`~repro.mapreduce.service.AdmissionError`, quota errors raised
-    at submit time) re-raise as themselves through the transport's pickled
-    error path; an unreachable service surfaces as
-    :class:`~repro.core.errors.ProviderUnavailableError`, like every other
-    dead node.
-    """
-
-    def __init__(
-        self, transport: Transport, *, service: str = JOBSERVICE_SERVICE
-    ) -> None:
-        super().__init__(transport, service)
-
-    @classmethod
-    def connect(
-        cls, transport: Transport, *, service: str = JOBSERVICE_SERVICE
-    ) -> "RemoteJobService":
-        """Build a stub (the job service carries no per-node identity)."""
-        return cls(transport, service=service)
-
-    # -- submission plane ---------------------------------------------------------
-    def submit_job(
-        self, job: Any, tenant: str | None = None, priority: int | None = None
-    ) -> int:
-        return self._call("submit_job", job, tenant, priority)
-
-    def job_status(self, job_id: int) -> str:
-        return self._call("job_status", job_id)
-
-    def wait_job(self, job_id: int, timeout: float | None = None) -> dict:
-        """Block until the job finishes; its result summary.
-
-        With a ``timeout`` the RPC may take ``timeout`` plus
-        :data:`WAIT_GRACE` seconds, so the remote ``TimeoutError`` reaches
-        the caller instead of the transport's own timeout.  Without one
-        the call is bounded by the transport's default RPC timeout.
-        """
-        if timeout is None:
-            return self._call("wait_job", job_id, None)
-        # ``timeout=`` is consumed by Transport.call as this RPC's bound.
-        return self._call("wait_job", job_id, timeout, timeout=timeout + WAIT_GRACE)
-
-    def cancel_job(self, job_id: int) -> bool:
-        return bool(self._call("cancel_job", job_id))
-
-    def job_ids(self) -> list[int]:
-        return self._call("job_ids")
-
-    def service_stats(self) -> dict:
-        return self._call("service_stats")
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RemoteJobService(peer={self._transport.peer!r})"
 
 
 class RemoteDataNode(_Stub):

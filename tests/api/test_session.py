@@ -1,4 +1,4 @@
-"""The session facade: connect() → Session wiring storage, jobs and tenancy."""
+"""The session facade: connect() → Session wiring storage and jobs."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pytest
 from repro.api import Session, connect
 from repro.bsfs import BSFS
 from repro.core import KB, BlobSeerConfig
-from repro.fs import LocalFS, QuotaExceededError, clear_instance_cache
+from repro.fs import LocalFS, clear_instance_cache
 from repro.mapreduce import JobService
 from repro.mapreduce.applications import make_wordcount_job
 from repro.workloads import write_text_file
@@ -37,23 +37,21 @@ def make_bsfs() -> BSFS:
 class TestConnect:
     def test_connect_accepts_filesystem_instance(self, tmp_path):
         fs = make_local(tmp_path)
-        session = connect(fs, tenant="alice")
+        session = connect(fs)
         assert isinstance(session, Session)
         assert session.fs is fs
-        assert session.tenant == "alice"
 
     def test_sessions_share_one_service_per_deployment(self, tmp_path):
         fs = make_local(tmp_path)
-        alice = connect(fs, tenant="alice")
-        bob = connect(fs, tenant="bob")
-        assert alice.service is bob.service
-        assert alice.tenant != bob.tenant
+        first = connect(fs)
+        second = connect(fs)
+        assert first is not second
+        assert first.service is second.service
 
     def test_connect_uri_builds_backend_through_registry(self, tmp_path):
         try:
             session = connect(
                 "file://session-uri-test",
-                tenant="alice",
                 root=str(tmp_path / "uri-root"),
             )
             session.write("/hello.txt", b"hi via uri")
@@ -64,16 +62,26 @@ class TestConnect:
     def test_explicit_service_is_not_replaced(self, tmp_path):
         fs = make_local(tmp_path)
         service = JobService.local(fs, num_trackers=1, slots_per_tracker=1)
-        session = connect(fs, tenant="alice", service=service)
+        session = connect(fs, service=service)
         assert session.service is service
         # The explicit service is not cached onto the deployment.
-        other = connect(fs, tenant="bob")
-        assert other.service is not None
+        other = connect(fs)
+        assert other.service is not service
+
+    def test_first_connect_sets_the_cluster_shape(self, tmp_path):
+        fs = make_local(tmp_path)
+        session = connect(fs, num_trackers=3, slots_per_tracker=1, max_concurrent_jobs=2)
+        trackers = session.service.tracker.trackers
+        assert len(trackers) == 3
+        assert all(t.slots == 1 for t in trackers)
+        assert session.service.max_concurrent_jobs == 2
+        # Later sessions reuse that service; their shape keywords are unused.
+        assert connect(fs, num_trackers=1).service is session.service
 
 
 class TestStoragePlane:
     def test_write_read_roundtrip_and_helpers(self, tmp_path):
-        session = connect(make_local(tmp_path), tenant="alice")
+        session = connect(make_local(tmp_path))
         session.mkdirs("/data")
         session.write("/data/a.txt", b"alpha")
         assert session.exists("/data/a.txt")
@@ -83,7 +91,7 @@ class TestStoragePlane:
         assert not session.exists("/data/a.txt")
 
     def test_as_of_read_over_snapshot(self, tmp_path):
-        session = connect(make_bsfs(), tenant="alice")
+        session = connect(make_bsfs())
         session.write("/log", b"first")
         v1 = session.snapshot("/log")
         with session.append("/log") as out:
@@ -93,71 +101,48 @@ class TestStoragePlane:
         # The @vN path suffix addresses the same snapshot.
         assert session.read(f"/log@v{v1}") == b"first"
 
-    def test_pin_owner_defaults_to_tenant(self, tmp_path):
-        session = connect(make_bsfs(), tenant="alice")
-        session.write("/keep", b"k" * 100)
-        pin = session.pin("/keep")
-        assert pin.owner == "alice"
-        pin.release()
+    def test_pin_holds_a_snapshot_for_the_default_owner(self, tmp_path):
+        session = connect(make_bsfs())
+        session.write("/log", b"first")
+        with session.pin("/log") as pin:
+            assert pin.owner == "reader"
+            with session.append("/log") as out:
+                out.write(b"-second")
+            assert session.read("/log", version=pin.version) == b"first"
+        assert pin.released
 
-    def test_writes_are_attributed_to_the_tenant(self, tmp_path):
-        fs = make_local(tmp_path)
-        session = connect(fs, tenant="alice")
-        session.service.register_tenant("alice", max_files=1)
-        session.write("/one", b"1")
-        with pytest.raises(QuotaExceededError):
-            session.write("/two", b"2")
-        assert session.usage().files == 1
-
-    def test_scope_covers_raw_fs_writes(self, tmp_path):
-        fs = make_local(tmp_path)
-        session = connect(fs, tenant="alice")
-        session.service.register_tenant("alice", max_bytes=1000)
-        with session.scope():
-            with fs.create("/raw") as out:  # not via a session helper
-                out.write(b"r" * 64)
-        assert session.usage().bytes == 64
-
-    def test_anonymous_session_has_no_usage(self, tmp_path):
+    def test_open_read_streams_a_byte_range(self, tmp_path):
         session = connect(make_local(tmp_path))
-        session.write("/f", b"x")
-        assert session.usage() is None
+        session.write("/r", b"0123456789")
+        chunks = session.open_read("/r", offset=2, length=5, chunk_size=2)
+        assert b"".join(bytes(c) for c in chunks) == b"23456"
 
 
 class TestJobPlane:
-    def test_submit_defaults_to_session_tenant(self, tmp_path):
+    def test_submit_returns_a_handle(self, tmp_path):
         fs = make_local(tmp_path)
-        session = connect(fs, tenant="alice")
-        session.service.register_tenant("alice")
+        session = connect(fs)
         write_text_file(fs, "/in/words.txt", 30, seed=3)
         job = make_wordcount_job(["/in/words.txt"], output_dir="/out/wc")
         handle = session.submit(job)
-        assert handle.tenant == "alice"
         result = handle.wait()
         assert result.succeeded
         assert session.exists("/out/wc/part-r-00000")
 
     def test_run_is_submit_and_wait(self, tmp_path):
         fs = make_local(tmp_path)
-        session = connect(fs, tenant="alice")
+        session = connect(fs)
         write_text_file(fs, "/in/words.txt", 30, seed=3)
         result = session.run(make_wordcount_job(["/in/words.txt"], output_dir="/out"))
         assert result.succeeded
 
-    def test_session_write_then_job_fits_the_quota_story(self, tmp_path):
-        """The quickstart narrative: a tenant writes input through the
-        session (charged to them), runs a job, and sees its usage."""
-        fs = make_local(tmp_path)
-        session = connect(fs, tenant="alice")
-        session.service.register_tenant("alice", max_bytes=512 * KB)
-        write_text_file(fs, "/in/words.txt", 20, seed=5)
-        before = session.usage().bytes
-        session.write("/in/extra.txt", b"more words here\n" * 4)
-        assert session.usage().bytes == before + 64
-        result = session.run(make_wordcount_job(["/in/words.txt"], output_dir="/o"))
-        assert result.succeeded
-
     def test_context_manager_form(self, tmp_path):
-        with connect(make_local(tmp_path), tenant="alice") as session:
+        with connect(make_local(tmp_path)) as session:
             session.write("/f", b"x")
             assert session.read("/f") == b"x"
+
+    def test_run_reraises_configuration_errors(self, tmp_path):
+        session = connect(make_local(tmp_path))
+        bad = make_wordcount_job(["bsfs://other/in.txt"], output_dir="/out")
+        with pytest.raises(ValueError, match="scheme"):
+            session.run(bad)

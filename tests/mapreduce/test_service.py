@@ -1,6 +1,6 @@
-"""Multi-tenant JobService tests: submission API, fair share, admission,
-cancellation, cooperative preemption — and the scheduler's typed
-no-healthy-tracker failure."""
+"""JobService tests: submission API, FIFO start order, cancellation,
+cooperative preemption — and the scheduler's typed no-healthy-tracker
+failure."""
 
 from __future__ import annotations
 
@@ -12,23 +12,22 @@ import pytest
 
 from repro.bsfs import BSFS
 from repro.core import KB, BlobSeerConfig
-from repro.fs import LocalFS, QuotaExceededError
+from repro.fs import LocalFS
 from repro.hdfs import HDFS
 from repro.mapreduce import (
-    AdmissionError,
     Job,
     JobCancelledError,
     JobConf,
     JobHandle,
     JobService,
     NoHealthyTrackerError,
-    SlotLedger,
     TaskTracker,
 )
 from repro.mapreduce.applications import make_wordcount_job
 from repro.mapreduce.scheduler import LocalityAwareScheduler
 from repro.mapreduce.service import (
     JOB_CANCELLED,
+    JOB_FAILED,
     JOB_QUEUED,
     JOB_RUNNING,
     JOB_SUCCEEDED,
@@ -73,23 +72,19 @@ def read_outputs(fs, output_dir: str) -> dict[str, bytes]:
     return outputs
 
 
-def tenant_job(tenant: str, index: int, *, num_reduce_tasks: int = 2) -> Job:
+def wordcount_job(index: int, *, num_reduce_tasks: int = 2) -> Job:
     job = make_wordcount_job(
-        [f"/in/{tenant}-{index}.txt"],
-        output_dir=f"/out/{tenant}/{index}",
+        [f"/in/wc-{index}.txt"],
+        output_dir=f"/out/wc/{index}",
         num_reduce_tasks=num_reduce_tasks,
     )
-    return replace(
-        job, conf=replace(job.conf, name=f"wc-{tenant}-{index}", tenant=tenant)
-    )
+    return replace(job, conf=replace(job.conf, name=f"wc-{index}"))
 
 
 def blocking_job(
     name: str,
     release: threading.Event,
     started: threading.Event | None = None,
-    *,
-    tenant: str | None = None,
 ) -> Job:
     """A one-map job whose mapper parks on ``release`` (tiny synthetic input)."""
 
@@ -107,157 +102,77 @@ def blocking_job(
         input_paths=(f"/in/{name}.txt",),
         output_dir=f"/out/{name}",
         num_reduce_tasks=1,
-        tenant=tenant,
     )
     return Job(conf=conf, mapper=mapper, reducer=reducer)
 
 
 class TestConcurrentVsSequentialParity:
     @pytest.mark.parametrize("kind", ["bsfs", "hdfs", "file"])
-    def test_two_tenants_four_jobs_byte_identical(self, kind, tmp_path):
-        """Acceptance: 2 tenants × 4 concurrent jobs produce byte-identical
-        output to the same jobs run sequentially, on every backend."""
-        specs = [(tenant, i) for tenant in ("alice", "bob") for i in range(4)]
+    def test_eight_concurrent_jobs_byte_identical(self, kind, tmp_path):
+        """Eight jobs, four running at once, produce byte-identical output
+        to the same jobs run one after another, on every backend."""
+        specs = range(8)
 
         concurrent_fs = make_fs(kind, tmp_path, tag="concurrent")
         sequential_fs = make_fs(kind, tmp_path, tag="sequential")
         for fs in (concurrent_fs, sequential_fs):
-            for tenant, i in specs:
-                write_text_file(
-                    fs, f"/in/{tenant}-{i}.txt", 30, seed=hash((tenant, i)) % 1000
-                )
+            for i in specs:
+                write_text_file(fs, f"/in/wc-{i}.txt", 30, seed=100 + i)
 
         service = JobService.local(concurrent_fs, num_trackers=2, max_concurrent_jobs=4)
-        service.register_tenant("alice")
-        service.register_tenant("bob")
-        handles = [service.submit(tenant_job(tenant, i)) for tenant, i in specs]
+        handles = [service.submit(wordcount_job(i)) for i in specs]
         for handle in handles:
             assert handle.wait(timeout=120).succeeded
 
         sequential = JobService.local(sequential_fs, num_trackers=2)
-        for tenant, i in specs:
-            assert sequential.submit(tenant_job(tenant, i)).wait().succeeded
+        for i in specs:
+            assert sequential.submit(wordcount_job(i)).wait().succeeded
 
-        for tenant, i in specs:
-            out_dir = f"/out/{tenant}/{i}"
+        for i in specs:
+            out_dir = f"/out/wc/{i}"
             concurrent = read_outputs(concurrent_fs, out_dir)
             sequential = read_outputs(sequential_fs, out_dir)
             assert concurrent == sequential, f"divergence in {out_dir}"
 
 
-class TestFairShare:
-    def test_weighted_stride_ordering(self, tmp_path):
-        """With one global slot, a weight-3 tenant gets three starts per
-        weight-1 start — the stride scheduler's deterministic pattern."""
+class TestFifoOrder:
+    def test_jobs_start_in_submission_order(self, tmp_path):
+        """With one job slot, queued jobs start oldest first."""
         fs = make_fs("file", tmp_path)
         service = JobService.local(fs, num_trackers=1, max_concurrent_jobs=1)
-        service.register_tenant("light", weight=1.0)
-        service.register_tenant("heavy", weight=3.0)
-
         starts: list[str] = []
         lock = threading.Lock()
 
-        def traced_job(tenant: str, i: int) -> Job:
+        def traced_job(name: str) -> Job:
             def mapper(key, value, ctx):
                 with lock:
-                    starts.append(tenant)
+                    starts.append(name)
                 ctx.emit("k", 1)
 
             conf = JobConf(
-                name=f"{tenant}-{i}",
-                input_paths=(f"/in/{tenant}.txt",),
-                output_dir=f"/out/{tenant}-{i}",
+                name=name,
+                input_paths=("/in/fifo.txt",),
+                output_dir=f"/out/{name}",
                 num_reduce_tasks=0,
-                tenant=tenant,
             )
             return Job(conf=conf, mapper=mapper)
 
-        for tenant in ("light", "heavy"):
-            write_text_file(fs, f"/in/{tenant}.txt", 1, seed=1)
-
-        # Hold the single slot so both queues fill before draining starts.
+        write_text_file(fs, "/in/fifo.txt", 1, seed=1)
+        # Hold the single slot so every job queues before the first starts.
         release = threading.Event()
         started = threading.Event()
         write_text_file(fs, "/in/gate.txt", 1, seed=1)
         gate = service.submit(blocking_job("gate", release, started))
         assert started.wait(timeout=10)
 
-        handles = [service.submit(traced_job("light", i)) for i in range(4)]
-        handles += [service.submit(traced_job("heavy", i)) for i in range(4)]
+        names = [f"job-{i}" for i in range(6)]
+        handles = [service.submit(traced_job(name)) for name in names]
+        assert all(handle.status() == JOB_QUEUED for handle in handles)
         release.set()
         assert gate.wait(timeout=30).succeeded
         for handle in handles:
             assert handle.wait(timeout=60).succeeded
-
-        # First four drained starts: heavy runs 3× for light's 1×.
-        first_four = starts[:4]
-        assert first_four.count("heavy") == 3
-        assert first_four.count("light") == 1
-
-    def test_slot_ledger_drains_to_zero(self, tmp_path):
-        fs = make_fs("file", tmp_path)
-        service = JobService.local(fs, num_trackers=2)
-        write_text_file(fs, "/in/alice-0.txt", 20, seed=3)
-        handle = service.submit(tenant_job("alice", 0))
-        assert handle.wait(timeout=60).succeeded
-        assert service.slot_ledger.running("alice") == 0
-        assert service.slot_ledger.total_running() == 0
-
-
-class TestAdmissionControl:
-    def test_queue_limit_rejects_at_submit(self, tmp_path):
-        fs = make_fs("file", tmp_path)
-        service = JobService.local(fs, num_trackers=1, max_concurrent_jobs=1)
-        service.register_tenant("alice", max_queued_jobs=1)
-
-        release = threading.Event()
-        started = threading.Event()
-        events = [threading.Event() for _ in range(3)]
-        for i, name in enumerate(("run", "queued", "rejected")):
-            write_text_file(fs, f"/in/a-{name}.txt", 1, seed=i)
-
-        running = service.submit(
-            blocking_job("a-run", release, started, tenant="alice")
-        )
-        assert started.wait(timeout=10)
-        queued = service.submit(blocking_job("a-queued", release, tenant="alice"))
-        assert queued.status() == JOB_QUEUED
-        with pytest.raises(AdmissionError) as excinfo:
-            service.submit(blocking_job("a-rejected", release, tenant="alice"))
-        assert excinfo.value.tenant == "alice"
-        assert excinfo.value.limit == 1
-
-        release.set()
-        assert running.wait(timeout=60).succeeded
-        assert queued.wait(timeout=60).succeeded
-        del events
-
-    def test_per_tenant_concurrency_cap_queues(self, tmp_path):
-        fs = make_fs("file", tmp_path)
-        service = JobService.local(fs, num_trackers=2, max_concurrent_jobs=4)
-        service.register_tenant("alice", max_concurrent_jobs=1)
-
-        release = threading.Event()
-        started = threading.Event()
-        write_text_file(fs, "/in/a-first.txt", 1, seed=0)
-        write_text_file(fs, "/in/a-second.txt", 1, seed=1)
-        write_text_file(fs, "/in/b-free.txt", 1, seed=2)
-
-        first = service.submit(blocking_job("a-first", release, started, tenant="alice"))
-        assert started.wait(timeout=10)
-        second = service.submit(blocking_job("a-second", release, tenant="alice"))
-        assert second.status() == JOB_QUEUED  # tenant cap, not cluster cap
-
-        b_started = threading.Event()
-        b_release = threading.Event()
-        other = service.submit(
-            blocking_job("b-free", b_release, b_started, tenant="bob")
-        )
-        assert b_started.wait(timeout=10)  # bob is unaffected by alice's cap
-        b_release.set()
-        release.set()
-        for handle in (first, second, other):
-            assert handle.wait(timeout=60).succeeded
+        assert starts == names
 
 
 class TestCancellation:
@@ -321,6 +236,66 @@ class TestCancellation:
             "cancelled" in str(r.error) for r in result.failed_tasks
         )
 
+    def test_cancel_racing_the_start_never_finishes_a_running_job(
+        self, tmp_path, monkeypatch
+    ):
+        """A cancel arriving while the service starts a job either dequeues
+        it (and it never executes) or finds it RUNNING and stops it
+        cooperatively: it never reports "cancelled before it started" for
+        a job that then runs."""
+        fs = make_fs("file", tmp_path)
+        service = JobService.local(fs, num_trackers=1, max_concurrent_jobs=1)
+        write_text_file(fs, "/in/race.txt", 1, seed=0)
+        executed = threading.Event()
+        execute = service.tracker.execute
+
+        def traced_execute(*args, **kwargs):
+            executed.set()
+            return execute(*args, **kwargs)
+
+        monkeypatch.setattr(service.tracker, "execute", traced_execute)
+
+        mark_running = JobHandle._mark_running
+        racers: list[threading.Thread] = []
+        outcomes: list[str] = []
+
+        def cancel_then_look(handle):
+            handle.cancel()
+            try:
+                handle.wait(timeout=0)
+                outcomes.append("finished")
+            except JobCancelledError:
+                outcomes.append("cancelled-before-start")
+            except TimeoutError:
+                outcomes.append("running")
+
+        def racing_mark_running(handle):
+            # Land a concurrent cancel in the start window: give it up to
+            # half a second before the job is marked RUNNING.
+            racer = threading.Thread(target=cancel_then_look, args=(handle,))
+            racers.append(racer)
+            racer.start()
+            racer.join(timeout=0.5)
+            mark_running(handle)
+
+        monkeypatch.setattr(JobHandle, "_mark_running", racing_mark_running)
+        conf = JobConf(
+            name="race",
+            input_paths=("/in/race.txt",),
+            output_dir="/out/race",
+            num_reduce_tasks=0,
+        )
+        handle = service.submit(Job(conf=conf))
+        assert service.join(timeout=30)
+        for racer in racers:
+            racer.join(timeout=10)
+        assert len(outcomes) == 1
+        if outcomes[0] == "cancelled-before-start":
+            assert not executed.is_set(), "a job reported cancelled was run anyway"
+            assert handle.status() == JOB_CANCELLED
+        else:
+            assert executed.is_set()
+
 
 class TestSubmitAndWait:
     def test_wait_reraises_configuration_errors(self, tmp_path):
@@ -335,7 +310,7 @@ class TestSubmitAndWait:
         join() never returns while a handle still reads RUNNING."""
         fs = make_fs("file", tmp_path)
         service = JobService.local(fs, num_trackers=2)
-        write_text_file(fs, "/in/alice-0.txt", 20, seed=1)
+        write_text_file(fs, "/in/wc-0.txt", 20, seed=1)
         finish = JobHandle._finish
         idle_during_finish: list[bool] = []
 
@@ -344,7 +319,7 @@ class TestSubmitAndWait:
             finish(handle, result, error)
 
         monkeypatch.setattr(JobHandle, "_finish", observed_finish)
-        handle = service.submit(tenant_job("alice", 0))
+        handle = service.submit(wordcount_job(0))
         assert service.join(timeout=10)
         assert handle.status() == JOB_SUCCEEDED
         assert handle.result is not None
@@ -369,13 +344,12 @@ class TestSubmitAndWait:
             num_reduce_tasks=0,
             properties={"app.flag": "on"},
         )
-        handle = service.submit(Job(conf=conf, mapper=mapper), tenant="alice")
+        handle = service.submit(Job(conf=conf, mapper=mapper))
         assert handle.wait(timeout=60).succeeded
         assert seen
         for job_conf in seen:
             assert not [key for key in job_conf.properties if key.startswith("__")]
             assert job_conf.properties == {"app.flag": "on"}
-            assert job_conf.tenant == "alice"
             assert pickle.loads(pickle.dumps(job_conf)) == job_conf
 
     def test_dunder_properties_are_plain_user_data(self, tmp_path):
@@ -403,48 +377,6 @@ class TestSubmitAndWait:
         assert result.succeeded
         assert handle.status() == JOB_SUCCEEDED
         assert seen and all(props == properties for props in seen)
-
-
-class TestQuotaMidJob:
-    def test_over_quota_job_fails_cleanly(self, tmp_path):
-        """A tenant exceeding its byte quota mid-job fails the job with a
-        QuotaExceededError task failure, leaves usage within the limit,
-        and deleting the output returns usage to the pre-job level."""
-        fs = make_fs("file", tmp_path)
-        service = JobService.local(fs, num_trackers=2)
-        service.register_tenant("alice", max_bytes=200)
-        write_text_file(fs, "/in/alice-big.txt", 10, seed=2)
-        before = service.quotas.usage("alice")
-
-        def mapper(key, value, ctx):
-            ctx.emit(value, "x" * 50)  # inflate far beyond the quota
-
-        def reducer(key, values, ctx):
-            for value in values:
-                ctx.emit(key, value)
-
-        conf = JobConf(
-            name="over-quota",
-            input_paths=("/in/alice-big.txt",),
-            output_dir="/out/over",
-            num_reduce_tasks=1,
-            tenant="alice",
-            max_task_attempts=1,
-        )
-        handle = service.submit(Job(conf=conf, mapper=mapper, reducer=reducer))
-        result = handle.wait(timeout=60)
-        assert not result.succeeded
-        assert any(
-            "QuotaExceededError" in (r.error or "") for r in result.failed_tasks
-        )
-        usage = service.quotas.usage("alice")
-        assert usage.bytes <= 200
-        assert usage.reserved == 0
-        if fs.exists("/out/over"):
-            fs.delete("/out/over", recursive=True)
-        after = service.quotas.usage("alice")
-        assert after.files == before.files
-        assert after.bytes == before.bytes
 
 
 class TestNoHealthyTracker:
@@ -505,17 +437,215 @@ class TestNoHealthyTracker:
         )
 
 
-class TestSlotLedgerUnit:
-    def test_counts_clamp_and_aggregate(self):
-        ledger = SlotLedger()
-        ledger.task_started("a")
-        ledger.task_started("a")
-        ledger.task_started(None)
-        assert ledger.running("a") == 2
-        assert ledger.running(None) == 1
-        assert ledger.total_running() == 3
-        ledger.task_finished("a")
-        ledger.task_finished("a")
-        ledger.task_finished("a")  # over-release clamps at zero
-        assert ledger.running("a") == 0
-        assert ledger.snapshot() == {"a": 0, "": 1}
+def traced_job(name: str, starts: list[str], lock: threading.Lock) -> Job:
+    """A one-map job over ``/in/fifo.txt`` that records when it starts."""
+
+    def mapper(key, value, ctx):
+        with lock:
+            starts.append(name)
+        ctx.emit("k", 1)
+
+    conf = JobConf(
+        name=name,
+        input_paths=("/in/fifo.txt",),
+        output_dir=f"/out/{name}",
+        num_reduce_tasks=0,
+    )
+    return Job(conf=conf, mapper=mapper)
+
+
+def gated_service(tmp_path):
+    """A one-job-at-a-time service whose slot is held by a running ``gate``.
+
+    Returns ``(fs, service, gate_handle, release)``; setting ``release``
+    lets the gate finish.
+    """
+    fs = make_fs("file", tmp_path)
+    service = JobService.local(fs, num_trackers=2, max_concurrent_jobs=1)
+    write_text_file(fs, "/in/fifo.txt", 1, seed=1)
+    write_text_file(fs, "/in/gate.txt", 1, seed=1)
+    release = threading.Event()
+    started = threading.Event()
+    gate = service.submit(blocking_job("gate", release, started))
+    assert started.wait(timeout=10)
+    return fs, service, gate, release
+
+
+class TestConcurrencyCap:
+    def test_cap_bounds_the_running_jobs(self, tmp_path):
+        fs = make_fs("file", tmp_path)
+        service = JobService.local(fs, num_trackers=2, max_concurrent_jobs=2)
+        release = threading.Event()
+        started = [threading.Event() for _ in range(4)]
+        for i in range(4):
+            write_text_file(fs, f"/in/cap-{i}.txt", 1, seed=i)
+        handles = [
+            service.submit(blocking_job(f"cap-{i}", release, started[i]))
+            for i in range(4)
+        ]
+        assert started[0].wait(timeout=10) and started[1].wait(timeout=10)
+        assert [h.status() for h in handles] == [
+            JOB_RUNNING,
+            JOB_RUNNING,
+            JOB_QUEUED,
+            JOB_QUEUED,
+        ]
+        release.set()
+        for handle in handles:
+            assert handle.wait(timeout=60).succeeded
+        assert all(event.is_set() for event in started)
+
+    def test_unbounded_service_starts_every_job(self, tmp_path):
+        fs = make_fs("file", tmp_path)
+        service = JobService.local(
+            fs, num_trackers=2, slots_per_tracker=2, max_concurrent_jobs=None
+        )
+        release = threading.Event()
+        started = [threading.Event() for _ in range(3)]
+        for i in range(3):
+            write_text_file(fs, f"/in/all-{i}.txt", 1, seed=i)
+        handles = [
+            service.submit(blocking_job(f"all-{i}", release, started[i]))
+            for i in range(3)
+        ]
+        # Every job is running before any is released.
+        assert all(event.wait(timeout=10) for event in started)
+        assert all(h.status() == JOB_RUNNING for h in handles)
+        release.set()
+        assert service.join(timeout=60)
+        assert all(h.status() == JOB_SUCCEEDED for h in handles)
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_non_positive_cap_is_rejected(self, tmp_path, cap):
+        fs = make_fs("file", tmp_path)
+        with pytest.raises(ValueError, match="max_concurrent_jobs"):
+            JobService.local(fs, num_trackers=1, max_concurrent_jobs=cap)
+
+
+class TestWaitingAndJoin:
+    def test_wait_times_out_while_queued(self, tmp_path):
+        _fs, service, gate, release = gated_service(tmp_path)
+        starts: list[str] = []
+        queued = service.submit(traced_job("late", starts, threading.Lock()))
+        with pytest.raises(TimeoutError, match="QUEUED"):
+            queued.wait(timeout=0.05)
+        assert queued.result is None
+        release.set()
+        assert queued.wait(timeout=60).succeeded
+        assert queued.result is not None
+        assert starts == ["late"]
+
+    def test_join_times_out_while_a_job_runs(self, tmp_path):
+        _fs, service, gate, release = gated_service(tmp_path)
+        assert service.join(timeout=0.05) is False
+        assert gate.status() == JOB_RUNNING
+        release.set()
+        assert service.join(timeout=60) is True
+        assert gate.status() == JOB_SUCCEEDED
+
+    def test_submissions_from_many_threads_all_run(self, tmp_path):
+        fs = make_fs("file", tmp_path)
+        service = JobService.local(fs, num_trackers=2, max_concurrent_jobs=2)
+        write_text_file(fs, "/in/fifo.txt", 1, seed=1)
+        starts: list[str] = []
+        lock = threading.Lock()
+        handles: list[JobHandle] = []
+
+        def submit_two(t: int) -> None:
+            for j in range(2):
+                handle = service.submit(traced_job(f"t{t}-{j}", starts, lock))
+                with lock:
+                    handles.append(handle)
+
+        threads = [threading.Thread(target=submit_two, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert service.join(timeout=60)
+        assert sorted(h.job_id for h in handles) == list(range(1, 9))
+        assert all(h.status() == JOB_SUCCEEDED for h in handles)
+        assert sorted(starts) == sorted(f"t{t}-{j}" for t in range(4) for j in range(2))
+
+    def test_job_ids_follow_submission_order(self, tmp_path):
+        _fs, service, gate, release = gated_service(tmp_path)
+        starts: list[str] = []
+        lock = threading.Lock()
+        handles = [service.submit(traced_job(f"id-{i}", starts, lock)) for i in range(3)]
+        assert [h.job_id for h in handles] == [gate.job_id + 1 + i for i in range(3)]
+        assert [h.job_name for h in handles] == ["id-0", "id-1", "id-2"]
+        release.set()
+        assert service.join(timeout=60)
+
+
+class TestQueuedCancellation:
+    def test_cancelled_job_leaves_the_rest_in_fifo_order(self, tmp_path):
+        _fs, service, gate, release = gated_service(tmp_path)
+        starts: list[str] = []
+        lock = threading.Lock()
+        handles = [service.submit(traced_job(f"q-{i}", starts, lock)) for i in range(3)]
+        assert handles[1].cancel() is True
+        release.set()
+        assert service.join(timeout=60)
+        assert starts == ["q-0", "q-2"]
+        assert [h.status() for h in handles] == [
+            JOB_SUCCEEDED,
+            JOB_CANCELLED,
+            JOB_SUCCEEDED,
+        ]
+
+    def test_second_cancel_has_no_effect(self, tmp_path):
+        _fs, service, gate, release = gated_service(tmp_path)
+        queued = service.submit(traced_job("twice", [], threading.Lock()))
+        assert queued.cancel() is True
+        assert queued.cancel() is False
+        assert queued.status() == JOB_CANCELLED
+        release.set()
+        assert service.join(timeout=60)
+
+
+class TestOutcomes:
+    def test_failing_mapper_reports_failed(self, tmp_path):
+        fs = make_fs("file", tmp_path)
+        service = JobService.local(fs, num_trackers=1)
+        write_text_file(fs, "/in/boom.txt", 1, seed=1)
+
+        def mapper(key, value, ctx):
+            raise RuntimeError("mapper exploded")
+
+        conf = JobConf(
+            name="boom",
+            input_paths=("/in/boom.txt",),
+            output_dir="/out/boom",
+            num_reduce_tasks=0,
+            max_task_attempts=2,
+        )
+        handle = service.submit(Job(conf=conf, mapper=mapper))
+        result = handle.wait(timeout=60)
+        assert not result.succeeded
+        assert handle.status() == JOB_FAILED
+        assert any("mapper exploded" in (r.error or "") for r in result.failed_tasks)
+
+    def test_progress_callbacks_reach_every_task(self, tmp_path):
+        """Callbacks registered while the job is queued see each phase
+        count up to its total."""
+        fs, service, gate, release = gated_service(tmp_path)
+        write_text_file(fs, "/in/wc-0.txt", 30, seed=1)
+        events: list[tuple[str, int, int]] = []
+        lock = threading.Lock()
+
+        def record(phase: str, completed: int, total: int) -> None:
+            with lock:
+                events.append((phase, completed, total))
+
+        handle = service.submit(wordcount_job(0, num_reduce_tasks=2))
+        assert handle.on_progress(record) is handle
+        release.set()
+        assert handle.wait(timeout=60).succeeded
+        for phase in ("map", "reduce"):
+            seen = [(done, total) for p, done, total in events if p == phase]
+            assert seen, f"no {phase} progress"
+            total = seen[0][1]
+            assert sorted(done for done, _ in seen) == list(range(1, total + 1))
+            assert all(t == total for _, t in seen)
+        assert len([e for e in events if e[0] == "reduce"]) == 2

@@ -195,3 +195,33 @@ class TestTcpStubs:
                 stub.close()
             for server in servers:
                 server.stop()
+
+
+class TestNodeServerClassification:
+    def test_storage_nodes_are_classified_by_duck_type(self):
+        from repro.core.pages import PageKey
+
+        provider = DataProvider(5, host="node-5", rack="rack-0")
+        provider.put_page(PageKey(9, 1, 0), b"page")
+        datanode = DataNode(2, host="node-2", rack="rack-1")
+        datanode.write_block(11, b"block")
+
+        as_provider = NodeServer(provider).describe()
+        as_datanode = NodeServer(datanode).describe()
+        assert (as_provider["kind"], as_provider["numeric_id"]) == ("provider", 5)
+        assert (as_datanode["kind"], as_datanode["numeric_id"]) == ("datanode", 2)
+        assert as_provider["node_name"] == "node-5"
+        assert NodeServer(provider).block_report_payload() == [PageKey(9, 1, 0)]
+        assert NodeServer(datanode).block_report_payload() == [11]
+
+    def test_non_storage_node_is_rejected(self, tmp_path):
+        from repro.fs import LocalFS
+        from repro.mapreduce import JobService
+
+        service = JobService.local(LocalFS(root=str(tmp_path / "fs")), num_trackers=1)
+        with pytest.raises(TypeError) as excinfo:
+            NodeServer(service)
+        message = str(excinfo.value)
+        for expected in ("put_page", "node_id", "provider_id"):
+            assert expected in message
+        assert "submit_job" not in message
