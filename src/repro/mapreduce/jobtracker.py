@@ -9,7 +9,9 @@ execute the reduce function on the map outputs."
 
 :meth:`JobTracker.execute` follows exactly that structure: compute splits,
 schedule map tasks (locality-aware), execute them in parallel threads (one
-per tracker slot), shuffle, execute reduce tasks, and return a
+per tracker slot, each handing its map's compute to a worker process when
+the job's map side pickles — see :mod:`repro.mapreduce.task_workers`),
+shuffle, execute reduce tasks, and return a
 :class:`JobResult` with timings, counters and locality statistics.  The
 engine is storage-agnostic: pass a BSFS or an HDFS instance.  Its one
 caller is :class:`~repro.mapreduce.service.JobService`, which hands every
@@ -58,6 +60,7 @@ from .scheduler import LocalityAwareScheduler, LocalityStats
 from .shuffle import SingleFileOutputFormat, TextOutputFormat
 from .shuffle_service import ShuffleAbortedError, ShuffleService
 from .splitter import SyntheticInputFormat, TextInputFormat
+from .task_workers import MapSide, ship
 from .tasktracker import TaskResult, TaskTracker
 
 __all__ = ["JobContext", "JobResult", "JobTracker"]
@@ -120,7 +123,9 @@ class JobResult:
 
         Beyond the task counts it reports the *recovery overhead*: total
         attempts executed and retries — the numbers benchmark tables need
-        to show what fault tolerance cost.
+        to show what fault tolerance cost — and where maps ran:
+        ``map_attempts_in_workers`` counts the map attempts whose compute
+        ran in a worker process.
         """
         summary = {
             "job": self.job_name,
@@ -130,6 +135,9 @@ class JobResult:
             "reduce_tasks": self.reduce_tasks,
             "task_attempts": len(self.task_results),
             "retries": self.retries,
+            "map_attempts_in_workers": sum(
+                1 for r in self.task_results if r.kind == "map" and r.in_worker
+            ),
             "locality": self.locality.as_dict(),
             "counters": self.counters.as_dict(),
         }
@@ -276,6 +284,9 @@ class JobTracker:
             reduce_format.prepare(self.fs, job.conf.output_dir)
 
         map_only = job.conf.is_map_only
+        map_side = MapSide(job.mapper, job.combiner, job.conf, num_partitions)
+        # Pickled once per job; ``None`` computes every map in-thread.
+        shipped = ship(map_side)
         shuffle_service: ShuffleService | None = None
         shuffle_transfer: TransferEngine | None = None
         tracker_liveness: _TrackerLiveness | None = None
@@ -342,10 +353,10 @@ class JobTracker:
             attempt_counters = Counters()
             try:
                 result = tracker.run_map_task(
-                    job,
+                    map_side,
                     self.fs,
                     split,
-                    num_partitions=num_partitions,
+                    shipped=shipped,
                     reader_factory=input_format.create_reader,
                     counters=attempt_counters,
                     locality=locality,

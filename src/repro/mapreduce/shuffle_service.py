@@ -6,7 +6,8 @@ it; here it goes through the job's :class:`~repro.fs.interface.FileSystem`
 shuffle I/O exercises the storage layer under measurement:
 
 * map tasks *spill* their partitioned, sorted, combiner-applied output as
-  segment files;
+  segment files, encoded by :func:`encode_segments` on the map side (in a
+  worker process when the job allows) and written by the tracker thread;
 * reduce tasks *fetch* segments as soon as the producing map completes —
   before the last map finishes — overlapping shuffle I/O with the map
   phase exactly as Hadoop's copier threads do;
@@ -48,6 +49,8 @@ from ..fs.interface import FileSystem
 
 __all__ = [
     "DEFAULT_SEGMENT_SIZE",
+    "decode_segment",
+    "encode_segments",
     "ShuffleAbortedError",
     "SpilledSegment",
     "SegmentReader",
@@ -89,6 +92,40 @@ def _frames(pairs: Iterable[Any], budget: int) -> Iterator[tuple[int, bytes]]:
         payload = pickle.dumps(batch, protocol=pickle.HIGHEST_PROTOCOL)
         yield len(batch), _LENGTH.pack(len(payload)) + payload
         count = max(1, budget * len(batch) // len(payload))
+
+
+def encode_segments(pairs: Iterable[Any], segment_size: int) -> list[tuple[bytes, int]]:
+    """One map partition's sorted pairs as spill segments.
+
+    Each segment is ``(length-prefixed frames, records)``; a new one is cut
+    once the frames reach ``segment_size`` encoded bytes, so a segment
+    exceeds the size by at most its last frame.  Runs on the map side (in
+    a worker process when the job's map side pickles); the shuffle service
+    only writes the result.
+    """
+    segments: list[tuple[bytes, int]] = []
+    frames: list[bytes] = []
+    size = records = 0
+    for count, frame in _frames(pairs, min(segment_size, FRAME_BYTES)):
+        frames.append(frame)
+        size += len(frame)
+        records += count
+        if size >= segment_size:
+            segments.append((b"".join(frames), records))
+            frames, size, records = [], 0, 0
+    if records:
+        segments.append((b"".join(frames), records))
+    return segments
+
+
+def decode_segment(payload: bytes) -> Iterator[Any]:
+    """The records of one encoded segment, in order."""
+    view = memoryview(payload)
+    offset = 0
+    while offset < len(view):
+        end = offset + _LENGTH.size + _LENGTH.unpack_from(view, offset)[0]
+        yield from pickle.loads(view[offset + _LENGTH.size : end])
+        offset = end
 
 
 class ShuffleAbortedError(RuntimeError):
@@ -263,8 +300,9 @@ class SegmentReader:
 class ShuffleService:
     """Coordinates spilled map segments between map and reduce tasks.
 
-    Map side: :meth:`spill_map_output` writes one map task's per-partition
-    pairs as segment files through the file system and publishes them.
+    Map side: :meth:`spill_map_output` writes one map task's encoded
+    per-partition segments as files through the file system and publishes
+    them.
     Reduce side: :meth:`fetch_segments` blocks until segments appear and
     yields them as the producing maps complete; :meth:`merged_pairs` wraps
     that in the external k-way merge reducers consume.
@@ -305,7 +343,9 @@ class ShuffleService:
         self._num_maps = num_maps
         self._num_partitions = num_partitions
         self._dir = fspath.normalize(shuffle_dir)
-        self._segment_size = segment_size
+        #: The job's spill threshold: the map side cuts segments at it, and
+        #: it caps the frames of intermediate merge runs.
+        self.segment_size = segment_size
         self._frame_budget = min(segment_size, FRAME_BYTES)
         self._fetch_chunk_size = fetch_chunk_size
         self._merge_factor = merge_factor
@@ -314,7 +354,6 @@ class ShuffleService:
         self._segments: list[list[SpilledSegment]] = [
             [] for _ in range(num_partitions)
         ]
-        self._completed_maps: set[int] = set()
         self._merge_runs = 0
         self._maps_done = 0
         self._error: BaseException | None = None
@@ -345,12 +384,11 @@ class ShuffleService:
         map_index: int,
         partition: int,
         sequence: int,
-        frames: list[bytes],
+        payload: bytes,
         records: int,
         attempt: int,
     ) -> SpilledSegment:
         path = self._segment_path(map_index, partition, sequence, attempt)
-        payload = b"".join(frames)
         # Intermediate data is transient; replication 1 matches Hadoop's
         # unreplicated map-output spills.
         with self._fs.open_write(path, overwrite=True, replication=1) as stream:
@@ -367,76 +405,44 @@ class ShuffleService:
     def spill_map_output(
         self,
         map_index: int,
-        partitions: list[list[tuple[Any, Any]]],
+        segments: list[list[tuple[bytes, int]]],
         *,
         attempt: int = 0,
-    ) -> tuple[int, bool]:
-        """Spill one map attempt's finalised per-partition pairs.
+    ) -> tuple[int, int]:
+        """Write one map attempt's encoded segments and publish them.
 
-        Returns ``(bytes_written, won)``: ``won`` is False when another
-        attempt of the same map already published its output — the racing
-        attempt's segments are discarded so reducers only ever fetch the
-        winning attempt (first-completion semantics for retried attempts).
+        ``segments`` holds, per partition, the ``(frames, records)``
+        segments :func:`encode_segments` cut.  Once every file is written
+        the map is marked complete and waiting reducers are woken.
+        Returns ``(bytes, records)`` spilled.
 
-        Each partition is cut into a new segment whenever the buffered
-        frames reach ``segment_size`` encoded bytes (so a big partition
-        yields several sorted runs for the external merge; a segment
-        exceeds the size by at most its last frame), then the map is
-        marked complete and waiting reducers are woken.
+        A map publishes once: attempts of one task never overlap (a retry
+        starts only after its predecessor failed, and an attempt cannot
+        fail once it has spilled), so no second attempt of a completed map
+        ever reaches this point.
         """
-        if len(partitions) != self._num_partitions:
+        if len(segments) != self._num_partitions:
             raise ValueError(
-                f"map {map_index} spilled {len(partitions)} partitions, "
+                f"map {map_index} spilled {len(segments)} partitions, "
                 f"expected {self._num_partitions}"
             )
         spilled = [
-            self._write_segment(
-                map_index, partition, sequence, frames, records, attempt
-            )
-            for partition, pairs in enumerate(partitions)
-            for sequence, (frames, records) in enumerate(self._cut_segments(pairs))
+            self._write_segment(map_index, partition, sequence, payload, records, attempt)
+            for partition, cut in enumerate(segments)
+            for sequence, (payload, records) in enumerate(cut)
         ]
         total_bytes = sum(segment.bytes for segment in spilled)
         total_records = sum(segment.records for segment in spilled)
         with self._cond:
-            if map_index in self._completed_maps:
-                won = False
-            else:
-                won = True
-                self._completed_maps.add(map_index)
-                for segment in spilled:
-                    self._segments[segment.partition].append(segment)
-                self._maps_done += 1
-                self._last_map_done = time.monotonic()
-                self.segments_spilled += len(spilled)
-                self.bytes_spilled += total_bytes
-                self.records_spilled += total_records
-                self._cond.notify_all()
-        if not won:
-            # The losing attempt's segments were never published; drop the
-            # files so the shuffle directory only holds winning output.
             for segment in spilled:
-                try:
-                    self._fs.delete(segment.path)
-                except FileSystemError:
-                    pass
-        return total_bytes, won
-
-    def _cut_segments(
-        self, pairs: Iterable[tuple[Any, Any]]
-    ) -> Iterator[tuple[list[bytes], int]]:
-        """Group a partition's frames into ``(frames, records)`` segments."""
-        frames: list[bytes] = []
-        size = records = 0
-        for count, frame in _frames(pairs, self._frame_budget):
-            frames.append(frame)
-            size += len(frame)
-            records += count
-            if size >= self._segment_size:
-                yield frames, records
-                frames, size, records = [], 0, 0
-        if records:
-            yield frames, records
+                self._segments[segment.partition].append(segment)
+            self._maps_done += 1
+            self._last_map_done = time.monotonic()
+            self.segments_spilled += len(spilled)
+            self.bytes_spilled += total_bytes
+            self.records_spilled += total_records
+            self._cond.notify_all()
+        return total_bytes, total_records
 
     def _refund_prefetch(self, amount: int) -> None:
         """Credit consumed prefetch bytes back to the budget."""

@@ -13,6 +13,12 @@ This module reproduces the two input formats the reproduction needs:
 * :class:`SyntheticInputFormat` — inputless splits for generator jobs such
   as Random Text Writer, where each map task produces data rather than
   consuming it.
+
+Both formats' readers separate I/O from compute: ``fetch()`` reads what
+the split needs from storage (on the task tracker's thread) and returns a
+picklable iterable of records, so the per-record work — for text,
+:func:`cut_lines` — can run in a map worker process
+(:mod:`repro.mapreduce.task_workers`).  Iterating a reader does both.
 """
 
 from __future__ import annotations
@@ -28,6 +34,8 @@ from .job import JobConf
 __all__ = [
     "InputSplit",
     "LineRecordReader",
+    "SplitBytes",
+    "cut_lines",
     "TextInputFormat",
     "SyntheticInputFormat",
 ]
@@ -53,20 +61,60 @@ class InputSplit:
         return self.path is None
 
 
+def cut_lines(data: bytes, start: int, end: int) -> Iterator[tuple[int, bytes]]:
+    """The ``(byte offset, line)`` records of the split ``[start, end)``.
+
+    ``data`` holds the file's bytes from ``start`` on, at least up to the
+    newline ending the split's last line (or to the end of the file).
+    Hadoop's convention decides ownership: a split owns every line that
+    starts in ``(start, end]``, plus the first line of the file when
+    ``start`` is 0.  The line starting exactly at ``end`` is this split's
+    because the next split always skips its first (possibly complete)
+    line, which its predecessor finishes.  So every line of the file is
+    read exactly once however the file is split.
+    """
+    if start > 0 and data.find(b"\n", 0, end - start) < 0:
+        return  # no line starts in (start, end]
+    lines = data.split(b"\n")
+    # What follows the last newline: the file's final line when it has no
+    # newline, else empty or a line starting past ``end``.
+    last = lines.pop()
+    offset = start
+    if start > 0:
+        offset += len(lines[0]) + 1  # the previous split's line
+        del lines[0]
+    for line in lines:
+        if offset > end:
+            return
+        yield offset, line
+        offset += len(line) + 1
+    if last and offset <= end:
+        yield offset, last
+
+
+@dataclass(frozen=True)
+class SplitBytes:
+    """A fetched text split: iterating it cuts its records (:func:`cut_lines`)."""
+
+    data: bytes
+    start: int
+    end: int
+
+    def __iter__(self) -> Iterator[tuple[int, bytes]]:
+        return cut_lines(self.data, self.start, self.end)
+
+
 class LineRecordReader:
-    """Iterates ``(byte offset, line)`` records of one split, Hadoop-style.
+    """Reads the ``(byte offset, line)`` records of one split, Hadoop-style.
 
-    The reader streams the split's own byte range through the file
-    system's ``open_read`` API: chunks arrive with backend read-ahead
-    (BSFS fetches pages concurrently, HDFS prefetches block chunks), so
-    record decoding overlaps with actual byte movement instead of issuing
-    one blocking positional read per chunk.  Each chunk is cut into its
-    complete lines with one ``bytes.split``; only a line that spans chunks
-    is carried over and joined.
-
-    Past the split's end it only finishes its last line, in bounded pieces
-    (:attr:`_TAIL_PIECE`, doubling), so read-ahead never fetches the next
-    split's bytes.
+    :meth:`fetch` does the storage I/O: it streams the split's own byte
+    range through the file system's ``open_read`` (BSFS fetches pages
+    concurrently, HDFS prefetches block chunks), then, past the split's
+    end, only finishes its last line, in bounded pieces
+    (:attr:`_TAIL_PIECE`, doubling up to ``read_chunk``), so read-ahead
+    never fetches the next split's bytes.  Cutting the fetched bytes into
+    records is the pure :func:`cut_lines`, which a map task may run in a
+    worker process.
     """
 
     #: First piece read past the split's end to finish the last line.
@@ -85,21 +133,11 @@ class LineRecordReader:
         self._split = split
         self._read_chunk = read_chunk
 
-    def _chunks(self, start: int, end: int, file_size: int) -> Iterator[memoryview]:
-        """The bytes of ``[start, end)``, then those past ``end`` piece by
-        piece, up to the split's snapshot size: an ``AS OF`` job reads the
-        same bytes however many appends land concurrently."""
-        split = self._split
-        read = functools.partial(self._fs.open_read, split.path, version=split.version)
-        yield from read(offset=start, length=end - start, chunk_size=self._read_chunk)
-        piece = min(self._TAIL_PIECE, self._read_chunk)
-        while end < file_size:
-            length = min(piece, file_size - end)
-            yield from read(offset=end, length=length, chunk_size=length)
-            end += length
-            piece = min(2 * piece, self._read_chunk)
-
-    def __iter__(self) -> Iterator[tuple[int, bytes]]:
+    def fetch(self) -> SplitBytes:
+        """The split's bytes: ``[start, end)``, then up to the first newline
+        at or after ``end``, within the split's snapshot size (an ``AS OF``
+        job reads the same bytes however many appends land concurrently).
+        """
         split = self._split
         if split.version is None:
             # Current-state split: bound by the size ``status`` reports
@@ -109,58 +147,26 @@ class LineRecordReader:
             file_size = self._fs.snapshot_size(split.path, split.version)
         end = min(split.offset + split.length, file_size)
         start = min(split.offset, file_size)
-        chunks = self._chunks(start, end, file_size)
-        record_start = start  # absolute file offset of the next record
-        skipping = split.offset > 0
-        # Bytes of a line that spans chunks, waiting for its newline; a
-        # list of parts, so a line many chunks long is joined once.
-        partial: list[bytes] = []
-        try:
-            for chunk in chunks:
-                data = bytes(chunk)
-                if skipping:
-                    # Skip the first (partial) line: it belongs to the
-                    # previous split, which always reads past its end to
-                    # finish it.  A one-byte delimiter cannot straddle
-                    # chunks, so skipping never buffers anything.
-                    newline = data.find(b"\n")
-                    if newline < 0:
-                        record_start += len(data)
-                        if record_start >= end:
-                            return  # the next record starts past the end
-                        continue
-                    skipping = False
-                    record_start += newline + 1
-                    if record_start > end:
-                        return
-                    data = data[newline + 1 :]
-                # One split per chunk: every element but the last is a
-                # complete line; the last is the start of the next one.
-                lines = data.split(b"\n")
-                if len(lines) == 1:
-                    partial.append(data)
-                    continue
-                if partial:
-                    partial.append(lines[0])
-                    lines[0] = b"".join(partial)
-                partial = [lines.pop()]
-                # Hadoop's convention: a split also owns the record that
-                # *starts* exactly at its end offset, because the next split
-                # always skips its first (possibly complete) line.  Hence
-                # ``<=``.
-                for line in lines:
-                    if record_start > end:
-                        return
-                    yield record_start, line
-                    record_start += len(line) + 1
-                if record_start > end:
-                    return
-            # End of file: what is left is a final line without a newline.
-            last = b"".join(partial)
-            if last and record_start <= end:
-                yield record_start, last
-        finally:
-            chunks.close()
+        read = functools.partial(self._fs.open_read, split.path, version=split.version)
+        data = b"".join(read(offset=start, length=end - start, chunk_size=self._read_chunk))
+        if start > 0 and b"\n" not in data:
+            return SplitBytes(data, start, end)  # owns no line: no tail
+        tail: list[bytes] = []
+        piece = min(self._TAIL_PIECE, self._read_chunk)
+        position = end
+        while position < file_size:
+            length = min(piece, file_size - position)
+            tail.append(b"".join(read(offset=position, length=length, chunk_size=length)))
+            position += length
+            if b"\n" in tail[-1]:
+                break
+            piece = min(2 * piece, self._read_chunk)
+        if tail:
+            data = b"".join((data, *tail))
+        return SplitBytes(data, start, end)
+
+    def __iter__(self) -> Iterator[tuple[int, bytes]]:
+        return iter(self.fetch())
 
 
 class TextInputFormat:
@@ -252,10 +258,20 @@ class SyntheticInputFormat:
             for i in range(num_tasks)
         ]
 
-    def create_reader(self, fs: FileSystem, split: InputSplit):
-        """Yield a single record identifying the synthetic task."""
+    def create_reader(self, fs: FileSystem, split: InputSplit) -> "SyntheticReader":
+        """Reader of the single record identifying the synthetic task."""
+        return SyntheticReader(split)
 
-        def _records() -> Iterator[tuple[int, int]]:
-            yield split.offset, split.offset
 
-        return _records()
+class SyntheticReader:
+    """The one ``(task index, task index)`` record of a synthetic split."""
+
+    def __init__(self, split: InputSplit) -> None:
+        self._split = split
+
+    def fetch(self) -> list[tuple[int, int]]:
+        """The split's records: nothing is read from storage."""
+        return [(self._split.offset, self._split.offset)]
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return iter(self.fetch())

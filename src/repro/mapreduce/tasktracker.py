@@ -5,6 +5,14 @@ tasktrackers, one per node."  A :class:`TaskTracker` models one such slave:
 it owns a host name (used for data-locality scoring), a number of task
 slots, and the code that actually runs a map task over an input split or a
 reduce task over a merged partition.
+
+Each task slot is a thread of the head process, and it does all of its
+task's storage I/O.  A map attempt fetches its split, hands the bytes to a
+map worker process (:mod:`repro.mapreduce.task_workers`) for the record
+cutting, mapper, combiner, sort and frame encoding, and writes back the
+encoded frames it receives — as Hadoop's tasktracker runs each task in a
+child process.  A job whose map side cannot be pickled computes on the
+slot thread instead; reduce tasks always do.
 """
 
 from __future__ import annotations
@@ -17,9 +25,10 @@ from typing import Any, Callable, Iterable
 from ..fs.interface import FileSystem
 from .faults import FaultPlan
 from .job import Counters, Job, TaskContext
-from .shuffle import MapOutputCollector, TextOutputFormat, group_sorted_pairs
-from .shuffle_service import ShuffleService
+from .shuffle import TextOutputFormat, group_sorted_pairs
+from .shuffle_service import ShuffleService, decode_segment
 from .splitter import InputSplit
+from .task_workers import MapSide, compute_map, map_workers
 
 __all__ = ["TaskResult", "TaskTracker"]
 
@@ -49,6 +58,8 @@ class TaskResult:
     #: counters into the job totals (Hadoop semantics: killed and failed
     #: attempts do not pollute job counters).
     attempt_counters: Counters | None = field(default=None, repr=False)
+    #: ``True`` when the attempt's map compute ran in a worker process.
+    in_worker: bool = False
 
 
 class TaskTracker:
@@ -88,11 +99,11 @@ class TaskTracker:
     # -- map tasks -------------------------------------------------------------------
     def run_map_task(
         self,
-        job: Job,
+        side: MapSide,
         fs: FileSystem,
         split: InputSplit,
         *,
-        num_partitions: int,
+        shipped: bytes | None,
         reader_factory: Callable[[FileSystem, InputSplit], Any],
         counters: Counters,
         locality: str = "n/a",
@@ -104,15 +115,21 @@ class TaskTracker:
     ) -> TaskResult:
         """Execute the map function over one input split.
 
-        For map-only jobs (``num_partitions == 0``) the mapper's output is
-        written directly to the job output directory through the output
-        format; otherwise it is partitioned and spilled as segment files
-        through ``shuffle`` (waking waiting reducers).
+        This thread does the attempt's storage I/O: it fetches the split
+        and afterwards writes the output.  The compute in between
+        (:func:`~repro.mapreduce.task_workers.compute_map`) runs in a map
+        worker process when the job's map side was ``shipped`` (it
+        pickles) and the reader can fetch its records up front; otherwise
+        it runs right here.
+
+        For map-only jobs (``side.num_partitions == 0``) the mapper's
+        output is written directly to the job output directory through
+        the output format; otherwise its encoded partitions are spilled as
+        segment files through ``shuffle`` (waking waiting reducers).
 
         ``fault_plan`` injects failures/delays before the attempt touches
         data; ``commit_check`` gates the map-only output write so that only
-        one attempt of a task ever commits (the shuffle service enforces
-        the same first-completion rule for spilled output itself).
+        one attempt of a task ever commits.
         """
         task_id = f"map-{split.split_id:05d}"
         self._acquire_slot()
@@ -126,36 +143,31 @@ class TaskTracker:
                     tracker_host=self.host,
                     fs=fs,
                 )
-            records_in = 0
-            map_only = num_partitions == 0
-            collector = MapOutputCollector(
-                max(num_partitions, 1), combiner=job.combiner
-            )
-            context = TaskContext(
-                job_conf=job.conf,
-                task_id=task_id,
-                emit=collector.collect,
-                counters=counters,
-            )
-            mapper = job.mapper
-            for key, value in reader_factory(fs, split):
-                mapper(key, value, context)
-                records_in += 1
-            counters.increment("map_input_records", records_in)
-            records_out = collector.records_collected
-            counters.increment("map_output_records", records_out)
+            reader = reader_factory(fs, split)
+            fetch = getattr(reader, "fetch", None)
+            in_worker = shipped is not None and fetch is not None
+            if in_worker:
+                output = map_workers.run_map(shipped, fetch(), task_id)
+            else:
+                output = compute_map(side, reader, task_id)
+            for name, value in output.counters.items():
+                counters.increment(name, value)
+            counters.increment("map_input_records", output.records_in)
+            counters.increment("map_output_records", output.records_out)
             output_path: str | None = None
             discarded = False
-            partitions = collector.partitions()
-            if map_only:
+            if side.num_partitions == 0:
                 if commit_check is None or commit_check():
                     fmt = output_format or TextOutputFormat()
-                    pairs = [pair for partition in partitions for pair in partition]
                     output_path = fmt.write(
                         fs,
-                        job.conf.output_dir,
+                        side.conf.output_dir,
                         split.split_id,
-                        pairs,
+                        (
+                            pair
+                            for payload, _records in output.segments[0]
+                            for pair in decode_segment(payload)
+                        ),
                         map_only=True,
                         client_host=self.host,
                     )
@@ -163,24 +175,24 @@ class TaskTracker:
                     discarded = True
             else:
                 assert shuffle is not None, "a job with reducers spills"
-                spilled, won = shuffle.spill_map_output(
-                    split.split_id, partitions, attempt=attempt
+                spilled, _records = shuffle.spill_map_output(
+                    split.split_id, output.segments, attempt=attempt
                 )
                 counters.increment("map_spilled_bytes", spilled)
-                discarded = not won
             duration = time.perf_counter() - started
             return TaskResult(
                 task_id=task_id,
                 tracker_host=self.host,
                 kind="map",
                 duration=duration,
-                records_in=records_in,
-                records_out=records_out,
+                records_in=output.records_in,
+                records_out=output.records_out,
                 locality=locality,
                 output_path=output_path,
                 attempt=attempt,
                 discarded=discarded,
                 attempt_counters=counters,
+                in_worker=in_worker,
             )
         finally:
             self._release_slot()

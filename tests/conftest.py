@@ -7,12 +7,15 @@ same code paths as the paper-scale configurations.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.bsfs import BSFS
 from repro.core import BlobSeer, BlobSeerConfig, KB
 from repro.fs import LocalFS
 from repro.hdfs import HDFS
+from repro.mapreduce.task_workers import map_workers
 
 #: Small page size used across the test suite (keeps blobs multi-page).
 TEST_PAGE_SIZE = 4 * KB
@@ -89,3 +92,14 @@ def local_fs(tmp_path) -> LocalFS:
 def any_fs(request, bsfs: BSFS, hdfs: HDFS, local_fs: LocalFS):
     """Parametrised fixture yielding every backend (shared-semantics tests)."""
     return {"bsfs": bsfs, "hdfs": hdfs, "file": local_fs}[request.param]
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """Stop the shared map workers; fail the run if a child process outlives them."""
+    map_workers.shutdown()
+    children = multiprocessing.active_children()
+    if children:
+        reporter = session.config.pluginmanager.get_plugin("terminalreporter")
+        if reporter is not None:
+            reporter.write_line(f"child processes outlived the session: {children}", red=True)
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED

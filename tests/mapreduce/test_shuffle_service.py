@@ -14,6 +14,7 @@ from repro.mapreduce.shuffle_service import (
     ShuffleService,
     SpilledSegment,
     _LENGTH,
+    encode_segments,
 )
 
 
@@ -28,27 +29,33 @@ def make_service(fs, *, num_maps=2, num_partitions=2, segment_size=1024, **kwarg
     )
 
 
+def spill(service, map_index, partitions, **kwargs):
+    """Encode ``partitions`` as a map task does, then spill them."""
+    segments = [encode_segments(pairs, service.segment_size) for pairs in partitions]
+    return service.spill_map_output(map_index, segments, **kwargs)
+
+
 class TestSpillAndMerge:
     def test_spill_fetch_roundtrip(self, any_fs):
         service = make_service(any_fs, num_maps=2, num_partitions=2)
-        service.spill_map_output(0, [[("a", 1), ("b", 2)], [("x", 9)]])
-        service.spill_map_output(1, [[("a", 3)], []])
+        spill(service, 0, [[("a", 1), ("b", 2)], [("x", 9)]])
+        spill(service, 1, [[("a", 3)], []])
         assert list(service.merged_pairs(0)) == [("a", 1), ("a", 3), ("b", 2)]
         assert list(service.merged_pairs(1)) == [("x", 9)]
 
     def test_merge_is_stable_in_map_order_for_equal_keys(self, bsfs):
         service = make_service(bsfs, num_maps=3, num_partitions=1)
         # Publish out of map order: merge must still order equal keys by map.
-        service.spill_map_output(2, [[("k", "from-map-2")]])
-        service.spill_map_output(0, [[("k", "from-map-0")]])
-        service.spill_map_output(1, [[("k", "from-map-1")]])
+        spill(service, 2, [[("k", "from-map-2")]])
+        spill(service, 0, [[("k", "from-map-0")]])
+        spill(service, 1, [[("k", "from-map-1")]])
         values = [value for _key, value in service.merged_pairs(0)]
         assert values == ["from-map-0", "from-map-1", "from-map-2"]
 
     def test_large_partition_splits_into_multiple_segments(self, bsfs):
         service = make_service(bsfs, num_maps=1, num_partitions=1, segment_size=256)
         pairs = [(f"key-{i:04d}", "v" * 40) for i in range(100)]
-        service.spill_map_output(0, [pairs])
+        spill(service, 0, [pairs])
         assert service.segments_spilled > 1
         assert service.bytes_spilled > 256
         merged = list(service.merged_pairs(0))
@@ -69,7 +76,7 @@ class TestSpillAndMerge:
                 key=lambda kv: repr(kv[0]),
             )
             expected.extend(pairs)
-            service.spill_map_output(map_index, [pairs])
+            spill(service, map_index, [pairs])
         assert service.segments_spilled > 3
         merged = list(service.merged_pairs(0))
         assert merged == sorted(expected, key=lambda kv: repr(kv[0]))
@@ -81,7 +88,7 @@ class TestSpillAndMerge:
             bsfs, num_maps=6, num_partitions=1, segment_size=1, merge_factor=2
         )
         for map_index in range(6):
-            service.spill_map_output(map_index, [[("k", f"map-{map_index}")]])
+            spill(service, map_index, [[("k", f"map-{map_index}")]])
         values = [value for _key, value in service.merged_pairs(0)]
         assert values == [f"map-{i}" for i in range(6)]
         assert service.merge_passes > 0
@@ -95,7 +102,7 @@ class TestSpillAndMerge:
             ((f"key-{i:03d}", "v" * 30) for i in range(30)),
             key=lambda kv: repr(kv[0]),
         )
-        service.spill_map_output(0, [pairs])
+        spill(service, 0, [pairs])
         # No eager prefetch I/O, but the merge still reads everything.
         assert list(service.merged_pairs(0)) == pairs
 
@@ -112,7 +119,7 @@ class TestSpillAndMerge:
             ((f"key-{i:03d}", "v" * 30) for i in range(20)),
             key=lambda kv: repr(kv[0]),
         )
-        service.spill_map_output(0, [pairs, pairs, pairs, pairs])
+        spill(service, 0, [pairs, pairs, pairs, pairs])
         for partition in range(4):
             assert list(service.merged_pairs(partition)) == pairs
         # Every reader released its reservation: the budget is whole again.
@@ -120,21 +127,21 @@ class TestSpillAndMerge:
 
     def test_segments_are_real_files_on_the_backend(self, any_fs):
         service = make_service(any_fs, num_maps=1, num_partitions=1)
-        service.spill_map_output(0, [[("k", "v")]])
+        spill(service, 0, [[("k", "v")]])
         files = any_fs.list_files("/job/_shuffle")
         assert len(files) == 1
         assert files[0].size == service.bytes_spilled > 0
 
     def test_cleanup_removes_the_shuffle_dir(self, any_fs):
         service = make_service(any_fs, num_maps=1, num_partitions=1)
-        service.spill_map_output(0, [[("k", "v")]])
+        spill(service, 0, [[("k", "v")]])
         service.cleanup()
         assert not any_fs.exists("/job/_shuffle")
 
     def test_spill_validates_partition_count(self, bsfs):
         service = make_service(bsfs, num_maps=1, num_partitions=2)
         with pytest.raises(ValueError):
-            service.spill_map_output(0, [[("k", 1)]])
+            spill(service, 0, [[("k", 1)]])
 
     def test_constructor_validation(self, bsfs):
         with pytest.raises(ValueError):
@@ -161,9 +168,9 @@ class TestOverlap:
 
         consumer = threading.Thread(target=consume)
         consumer.start()
-        service.spill_map_output(0, [[("a", 1)]])
+        spill(service, 0, [[("a", 1)]])
         assert fetched_first.wait(timeout=10.0)
-        service.spill_map_output(1, [[("b", 2)]])
+        spill(service, 1, [[("b", 2)]])
         consumer.join(timeout=10.0)
         assert not consumer.is_alive()
         assert merged == [("a", 1), ("b", 2)]
@@ -174,7 +181,7 @@ class TestOverlap:
 
     def test_abort_unblocks_waiting_fetchers(self, bsfs):
         service = make_service(bsfs, num_maps=2, num_partitions=1)
-        service.spill_map_output(0, [[("a", 1)]])
+        spill(service, 0, [[("a", 1)]])
         failure: list[BaseException] = []
 
         def consume() -> None:
@@ -195,7 +202,7 @@ class TestOverlap:
 class TestSegmentReader:
     def test_truncated_segment_raises(self, bsfs):
         service = make_service(bsfs, num_maps=1, num_partitions=1)
-        service.spill_map_output(0, [[("key", "value")]])
+        spill(service, 0, [[("key", "value")]])
         [segment] = [
             SpilledSegment(
                 map_index=0,
@@ -223,7 +230,7 @@ class TestSegmentReader:
     def test_small_chunk_size_still_decodes_frames(self, bsfs):
         service = make_service(bsfs, num_maps=1, num_partitions=1)
         pairs = [(f"key-{i}", list(range(i))) for i in range(20)]
-        service.spill_map_output(0, [sorted(pairs, key=lambda kv: repr(kv[0]))])
+        spill(service, 0, [sorted(pairs, key=lambda kv: repr(kv[0]))])
         readers = list(service.fetch_segments(0))
         decoded = []
         for reader in readers:
@@ -266,7 +273,7 @@ class TestFrameCodec:
             * 30,
             key=lambda kv: repr(kv[0]),
         )
-        service.spill_map_output(0, [pairs])
+        spill(service, 0, [pairs])
         assert service.records_spilled == len(pairs)
         decoded = []
         for segment in spilled_segments(service):
@@ -288,7 +295,7 @@ class TestFrameCodec:
         for map_index in (2, 0, 1):  # published out of map order
             pairs = [("k", (map_index, i)) for i in range(150)]
             pairs.append(("z", (map_index, 0)))
-            service.spill_map_output(map_index, [pairs])
+            spill(service, map_index, [pairs])
         # Every map's run spans several segments of several frames.
         segments = spilled_segments(service)
         assert len(segments) > 3 * 2
@@ -302,7 +309,7 @@ class TestFrameCodec:
     def test_segment_truncated_mid_frame_raises(self, bsfs):
         service = make_service(bsfs, num_maps=1, num_partitions=1, segment_size=10**6)
         pairs = [(f"key-{i:04d}", "v" * 20) for i in range(200)]
-        service.spill_map_output(0, [pairs])
+        spill(service, 0, [pairs])
         [segment] = spilled_segments(service)
         frames = read_frames(bsfs, segment.path)
         assert len(frames) >= 2
@@ -322,7 +329,7 @@ class TestFrameCodec:
         # recorded size can tell that the rest of the segment is missing.
         service = make_service(any_fs, num_maps=1, num_partitions=1, segment_size=10**6)
         pairs = [(f"key-{i:04d}", "v" * 20) for i in range(200)]
-        service.spill_map_output(0, [pairs])
+        spill(service, 0, [pairs])
         [segment] = spilled_segments(service)
         frames = read_frames(any_fs, segment.path)
         assert len(frames) >= 2
@@ -338,9 +345,7 @@ class TestFrameCodec:
     def test_segment_within_one_chunk_is_opened_once(self, any_fs, monkeypatch):
         service = make_service(any_fs, num_maps=4, num_partitions=2)
         for map_index in range(4):
-            service.spill_map_output(
-                map_index, [[("a", map_index)], [("b", map_index)]]
-            )
+            spill(service, map_index, [[("a", map_index)], [("b", map_index)]])
         opened: list[str] = []
         open_read = any_fs.open_read
 
@@ -365,7 +370,7 @@ class TestFrameCodec:
         )
         # Record sizes vary, so frame sizing keeps adapting.
         pairs = [(f"key-{i:05d}", "v" * (i % 97)) for i in range(3000)]
-        service.spill_map_output(0, [pairs])
+        spill(service, 0, [pairs])
         segments = spilled_segments(service)
         for index, segment in enumerate(segments):
             frames = read_frames(bsfs, segment.path)
