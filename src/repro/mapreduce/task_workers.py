@@ -21,6 +21,8 @@ job (closures, wrapped mappers, readers that only stream) runs the same
 
 from __future__ import annotations
 
+import atexit
+import gc
 import io
 import multiprocessing
 import os
@@ -28,6 +30,7 @@ import pickle
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from multiprocessing import resource_tracker
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
@@ -141,6 +144,7 @@ class WorkerPool:
                 self._executor = ProcessPoolExecutor(
                     self.size, mp_context=multiprocessing.get_context("spawn")
                 )
+                atexit.register(self._exit)
             executor = self._executor
         try:
             return executor.submit(_compute_shipped, shipped, records, task_id).result()
@@ -159,6 +163,17 @@ class WorkerPool:
             executor, self._executor = self._executor, None
         if executor is not None:
             executor.shutdown(wait=True)
+
+    def _exit(self) -> None:
+        """At interpreter exit: stop the workers, then the semaphore tracker
+        process ``spawn`` started, and reap it, so no helper process of the
+        pool outlives the head (an orphan is left to an init that may never
+        reap it).  Collecting first finalizes the executor's queues, whose
+        semaphores would otherwise restart the tracker as they unregister.
+        """
+        self.shutdown()
+        gc.collect()
+        resource_tracker._resource_tracker._stop()
 
 
 #: The head process's map workers, one per core.
