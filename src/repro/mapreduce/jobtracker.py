@@ -9,10 +9,11 @@ execute the reduce function on the map outputs."
 
 :meth:`JobTracker.execute` follows exactly that structure: compute splits,
 schedule map tasks (locality-aware), execute them in parallel threads (one
-per tracker slot, each handing its map's compute to a worker process when
-the job's map side pickles — see :mod:`repro.mapreduce.task_workers`),
-shuffle, execute reduce tasks, and return a
-:class:`JobResult` with timings, counters and locality statistics.  The
+per tracker slot), shuffle, execute reduce tasks, and return a
+:class:`JobResult` with timings, counters and locality statistics.  Each
+task's thread keeps its storage I/O and hands its compute to a task worker
+process when the job's map or reduce side pickles — the jobtracker pickles
+each side once per job (see :mod:`repro.mapreduce.task_workers`).  The
 engine is storage-agnostic: pass a BSFS or an HDFS instance.  Its one
 caller is :class:`~repro.mapreduce.service.JobService`, which hands every
 execution a :class:`JobContext` of runtime controls.
@@ -60,7 +61,7 @@ from .scheduler import LocalityAwareScheduler, LocalityStats
 from .shuffle import SingleFileOutputFormat, TextOutputFormat
 from .shuffle_service import ShuffleAbortedError, ShuffleService
 from .splitter import SyntheticInputFormat, TextInputFormat
-from .task_workers import MapSide, ship
+from .task_workers import MapSide, ReduceSide, ship
 from .tasktracker import TaskResult, TaskTracker
 
 __all__ = ["JobContext", "JobResult", "JobTracker"]
@@ -123,9 +124,9 @@ class JobResult:
 
         Beyond the task counts it reports the *recovery overhead*: total
         attempts executed and retries — the numbers benchmark tables need
-        to show what fault tolerance cost — and where maps ran:
-        ``map_attempts_in_workers`` counts the map attempts whose compute
-        ran in a worker process.
+        to show what fault tolerance cost — and where tasks ran:
+        ``map_attempts_in_workers`` and ``reduce_attempts_in_workers``
+        count the attempts whose compute ran in a task worker process.
         """
         summary = {
             "job": self.job_name,
@@ -137,6 +138,9 @@ class JobResult:
             "retries": self.retries,
             "map_attempts_in_workers": sum(
                 1 for r in self.task_results if r.kind == "map" and r.in_worker
+            ),
+            "reduce_attempts_in_workers": sum(
+                1 for r in self.task_results if r.kind == "reduce" and r.in_worker
             ),
             "locality": self.locality.as_dict(),
             "counters": self.counters.as_dict(),
@@ -284,9 +288,11 @@ class JobTracker:
             reduce_format.prepare(self.fs, job.conf.output_dir)
 
         map_only = job.conf.is_map_only
-        map_side = MapSide(job.mapper, job.combiner, job.conf, num_partitions)
-        # Pickled once per job; ``None`` computes every map in-thread.
-        shipped = ship(map_side)
+        map_side = MapSide(job.mapper, job.combiner, job.conf, num_partitions, map_format)
+        reduce_side = ReduceSide(job.reducer, job.conf, reduce_format)
+        # Pickled once per job; ``None`` computes every such task in-thread.
+        shipped_map = ship(map_side)
+        shipped_reduce = None if map_only else ship(reduce_side)
         shuffle_service: ShuffleService | None = None
         shuffle_transfer: TransferEngine | None = None
         tracker_liveness: _TrackerLiveness | None = None
@@ -356,11 +362,10 @@ class JobTracker:
                     map_side,
                     self.fs,
                     split,
-                    shipped=shipped,
+                    shipped=shipped_map,
                     reader_factory=input_format.create_reader,
                     counters=attempt_counters,
                     locality=locality,
-                    output_format=map_format,
                     shuffle=shuffle_service,
                     attempt=attempt,
                     fault_plan=fault_plan,
@@ -434,14 +439,15 @@ class JobTracker:
             attempt_counters = Counters()
             try:
                 assert shuffle_service is not None
-                pairs = shuffle_service.merged_pairs(index)
+                readers = shuffle_service.partition_readers(index)
                 result = tracker.run_reduce_task(
-                    job,
+                    reduce_side,
                     self.fs,
                     index,
-                    pairs,
+                    readers,
+                    shuffle=shuffle_service,
+                    shipped=shipped_reduce,
                     counters=attempt_counters,
-                    output_format=reduce_format,
                     attempt=attempt,
                     fault_plan=fault_plan,
                     commit_check=partial(reduce_phase.try_commit, index, attempt),

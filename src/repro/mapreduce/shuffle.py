@@ -139,46 +139,27 @@ class TextOutputFormat:
     """Writes reduce (or map-only) output as ``key\\tvalue`` text lines.
 
     One ``part-XXXXX`` file per task under the job's output directory —
-    the standard Hadoop layout.
+    the standard Hadoop layout.  Output goes out in two steps: the pure
+    :meth:`encode` turns pairs into batches of lines (in a task worker
+    process when the job allows), and :meth:`write_batches` writes those
+    bytes through the file system (on the task's slot thread).
     """
 
     def __init__(self, *, separator: bytes = b"\t") -> None:
         self._separator = separator
+        #: A batch ends at the first line boundary at or past this size.
+        self._batch_bytes = OUTPUT_BATCH_BYTES
 
     def output_path(self, output_dir: str, task_index: int, *, map_only: bool) -> str:
         """Path of the part file written by task ``task_index``."""
         prefix = "part-m-" if map_only else "part-r-"
         return fspath.join(output_dir, f"{prefix}{task_index:05d}")
 
-    def write(
-        self,
-        fs: FileSystem,
-        output_dir: str,
-        task_index: int,
-        pairs: Iterable[tuple[Any, Any]],
-        *,
-        map_only: bool = False,
-        client_host: str | None = None,
-    ) -> str:
-        """Write one task's output pairs; returns the part file path.
-
-        Pairs are encoded lazily and reach the streaming sink in batches
-        of :data:`OUTPUT_BATCH_BYTES`, so a task's output never has to fit
-        in memory at once.
-        """
-        fs.mkdirs(output_dir)
-        path = self.output_path(output_dir, task_index, map_only=map_only)
-        with fs.open_write(path, overwrite=True, client_host=client_host) as stream:
-            for batch in self._batches(pairs, OUTPUT_BATCH_BYTES):
-                stream.write(batch)
-        return path
-
-    def _batches(
-        self, pairs: Iterable[tuple[Any, Any]], limit: int
-    ) -> Iterator[bytes]:
-        """Encoded lines joined into batches that end at the first line
-        boundary at or past ``limit`` bytes."""
-        encode, separator = self._encode, self._separator
+    def encode(self, pairs: Iterable[tuple[Any, Any]]) -> Iterator[bytes]:
+        """The ``key<separator>value`` lines of ``pairs``, joined into
+        batches that end at the first line boundary at or past the
+        format's batch size.  Lazy: a batch is built only when asked for."""
+        encode, separator, limit = self._encode, self._separator, self._batch_bytes
         lines: list[bytes] = []
         size = 0
         for key, value in pairs:
@@ -190,6 +171,28 @@ class TextOutputFormat:
                 lines, size = [], 0
         if lines:
             yield b"".join(lines)
+
+    def write_batches(
+        self,
+        fs: FileSystem,
+        output_dir: str,
+        task_index: int,
+        batches: Iterable[bytes],
+        *,
+        map_only: bool = False,
+        client_host: str | None = None,
+    ) -> str:
+        """Write one task's encoded batches as its part file; returns the path.
+
+        ``batches`` may be :meth:`encode`'s lazy iterator, so a task's
+        output never has to fit in memory at once.
+        """
+        fs.mkdirs(output_dir)
+        path = self.output_path(output_dir, task_index, map_only=map_only)
+        with fs.open_write(path, overwrite=True, client_host=client_host) as stream:
+            for batch in batches:
+                stream.write(batch)
+        return path
 
     @staticmethod
     def _encode(value: Any) -> bytes:
@@ -206,11 +209,11 @@ class SingleFileOutputFormat(TextOutputFormat):
     their output to a single file.  It requires the target file system to
     expose ``concurrent_append`` (BSFS does; HDFS raises).
 
-    Output streams through bounded appends: encoded lines accumulate in a
-    chunk list and are appended once ``append_chunk_bytes`` is reached, so
-    a reducer with output larger than memory still commits.  Flushes only
-    ever happen at line boundaries — concurrent reducers may interleave
-    *between* appends, so a line must never straddle two of them.
+    Output goes out in bounded appends: :meth:`encode` cuts batches of
+    ``append_chunk_bytes`` and each batch is one ``concurrent_append``, so
+    a reducer with output larger than memory still commits.  Batches end
+    only at line boundaries — concurrent reducers may interleave *between*
+    appends, so a line must never straddle two of them.
     """
 
     def __init__(
@@ -224,7 +227,7 @@ class SingleFileOutputFormat(TextOutputFormat):
         if append_chunk_bytes < 1:
             raise ValueError("append_chunk_bytes must be positive")
         self._filename = filename
-        self._append_chunk_bytes = append_chunk_bytes
+        self._batch_bytes = append_chunk_bytes
 
     def shared_path(self, output_dir: str) -> str:
         """Path of the single shared output file under ``output_dir``."""
@@ -244,16 +247,17 @@ class SingleFileOutputFormat(TextOutputFormat):
             pass
         return path
 
-    def write(
+    def write_batches(
         self,
         fs: FileSystem,
         output_dir: str,
         task_index: int,
-        pairs: Iterable[tuple[Any, Any]],
+        batches: Iterable[bytes],
         *,
         map_only: bool = False,
         client_host: str | None = None,
     ) -> str:
+        """Append each batch to the shared file; returns its path."""
         concurrent_append = getattr(fs, "concurrent_append", None)
         if concurrent_append is None:
             from ..fs.errors import UnsupportedOperationError
@@ -271,6 +275,6 @@ class SingleFileOutputFormat(TextOutputFormat):
             except Exception:
                 # Another reducer created it concurrently; that is fine.
                 pass
-        for batch in self._batches(pairs, self._append_chunk_bytes):
+        for batch in batches:
             concurrent_append(path, batch)
         return path

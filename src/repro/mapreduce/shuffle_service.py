@@ -11,9 +11,13 @@ shuffle I/O exercises the storage layer under measurement:
 * reduce tasks *fetch* segments as soon as the producing map completes —
   before the last map finishes — overlapping shuffle I/O with the map
   phase exactly as Hadoop's copier threads do;
-* reducers merge segments with an external k-way merge
-  (:func:`heapq.merge` over streaming segment readers), so a reduce
-  partition larger than memory still reduces.
+* a reduce task reads a partition of at most
+  :data:`~repro.mapreduce.tasktracker.WORKER_REDUCE_MAX_BYTES` whole
+  (:meth:`SegmentReader.read_all`) and hands the bytes to a task worker
+  process, which merges the decoded runs with :func:`merge_runs`; a larger
+  partition is merged on its slot thread over streaming segment readers
+  (:meth:`ShuffleService.merged_pairs`), so a reduce partition larger than
+  memory still reduces.
 
 Segments are sequences of length-prefixed frames: each frame is
 ``4-byte big-endian length + pickle([(key, value), ...])``, one pickle for a
@@ -51,6 +55,7 @@ __all__ = [
     "DEFAULT_SEGMENT_SIZE",
     "decode_segment",
     "encode_segments",
+    "merge_runs",
     "ShuffleAbortedError",
     "SpilledSegment",
     "SegmentReader",
@@ -126,6 +131,19 @@ def decode_segment(payload: bytes) -> Iterator[Any]:
         end = offset + _LENGTH.size + _LENGTH.unpack_from(view, offset)[0]
         yield from pickle.loads(view[offset + _LENGTH.size : end])
         offset = end
+
+
+def _key_repr(pair: tuple[Any, Any]) -> str:
+    return repr(pair[0])
+
+
+def merge_runs(runs: Iterable[Iterable[tuple[Any, Any]]]) -> Iterator[tuple[Any, Any]]:
+    """Stable k-way merge of sorted runs by ``repr(key)``.
+
+    Given the runs in ``(map_index, sequence)`` order, the values of equal
+    keys come out in map order.
+    """
+    return heapq.merge(*runs, key=_key_repr)
 
 
 class ShuffleAbortedError(RuntimeError):
@@ -263,6 +281,24 @@ class SegmentReader:
             self._buffer += chunk
         return True
 
+    def read_all(self) -> bytes:
+        """The whole segment: the prefetched first chunk, then the rest in
+        one streaming range read.  The reader is spent afterwards."""
+        self._resolve_prefetch()
+        self._release_prefetch()
+        parts: list[Any] = [self._buffer]
+        remaining = self.segment.bytes - self._offset
+        if remaining > 0:
+            parts.extend(
+                self._fs.open_read(self.segment.path, offset=self._offset, length=remaining)
+            )
+        payload = b"".join(parts)
+        self._buffer = bytearray()
+        self._offset = self.segment.bytes
+        if len(payload) != self.segment.bytes:
+            raise ValueError(f"truncated shuffle segment {self.segment.path!r}")
+        return payload
+
     def close(self) -> None:
         """Release the storage stream and any prefetch accounting (idempotent)."""
         self._resolve_prefetch()
@@ -304,8 +340,10 @@ class ShuffleService:
     per-partition segments as files through the file system and publishes
     them.
     Reduce side: :meth:`fetch_segments` blocks until segments appear and
-    yields them as the producing maps complete; :meth:`merged_pairs` wraps
-    that in the external k-way merge reducers consume.
+    yields them as the producing maps complete; :meth:`partition_readers`
+    collects a whole partition, which a reduce either reads whole
+    (:meth:`SegmentReader.read_all`) or merges as streams
+    (:meth:`merged_pairs`).
 
     All mutable state is guarded by one condition variable; the service is
     meant to be driven by many concurrent map and reduce worker threads.
@@ -535,13 +573,25 @@ class ShuffleService:
             self._prefetch_remaining += max(reserved - fetched, 0)
         return fetched
 
-    def merged_pairs(self, partition: int) -> Iterator[tuple[Any, Any]]:
+    def partition_readers(self, partition: int) -> list[SegmentReader]:
+        """Every segment reader of ``partition``, in ``(map_index, sequence)``
+        order; blocks until every map completed (fetching overlaps the map
+        phase meanwhile)."""
+        return sorted(
+            self.fetch_segments(partition),
+            key=lambda reader: (reader.segment.map_index, reader.segment.sequence),
+        )
+
+    def merged_pairs(
+        self, partition: int, readers: list[SegmentReader] | None = None
+    ) -> Iterator[tuple[Any, Any]]:
         """External k-way merge over every segment of ``partition``.
 
-        Fetching overlaps the map phase; the merge itself starts once all
-        maps completed.  Readers are ordered by ``(map_index, sequence)``
-        and :func:`heapq.merge` is stable, so the pairs come out sorted by
-        ``repr(key)`` with the values of equal keys in map order.
+        ``readers`` are the partition's :meth:`partition_readers` (fetched
+        here when not given): fetching overlaps the map phase, and the
+        merge itself starts once all maps completed.  The pairs come out
+        sorted by ``repr(key)`` with the values of equal keys in map order
+        (see :func:`merge_runs`).
 
         When a partition spans more than ``merge_factor`` segments, the
         earliest runs are cascaded through intermediate on-storage merges
@@ -551,10 +601,8 @@ class ShuffleService:
         preserves the stable equal-key order, since it holds the earliest
         maps' records.
         """
-        readers = sorted(
-            self.fetch_segments(partition),
-            key=lambda reader: (reader.segment.map_index, reader.segment.sequence),
-        )
+        if readers is None:
+            readers = self.partition_readers(partition)
         while len(readers) > self._merge_factor:
             batch, readers = readers[: self._merge_factor], readers[self._merge_factor :]
             intermediate = self._merge_to_segment(partition, batch)
@@ -564,7 +612,7 @@ class ShuffleService:
                     self._fs, intermediate, chunk_size=self._fetch_chunk_size
                 ),
             )
-        return heapq.merge(*readers, key=lambda kv: repr(kv[0]))
+        return merge_runs(readers)
 
     def _merge_to_segment(
         self, partition: int, readers: list[SegmentReader]
@@ -582,7 +630,7 @@ class ShuffleService:
         path = fspath.join(self._dir, f"merge-part-{partition:05d}-run-{run_id:04d}")
         records = 0
         total = 0
-        merged = heapq.merge(*readers, key=lambda kv: repr(kv[0]))
+        merged = merge_runs(readers)
         with self._fs.open_write(path, overwrite=True, replication=1) as stream:
             for count, frame in _frames(merged, self._frame_budget):
                 stream.write(frame)

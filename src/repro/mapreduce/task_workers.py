@@ -1,27 +1,32 @@
-"""The CPU half of a map task, and the worker processes that run it.
+"""The CPU half of map and reduce tasks, and the worker processes that run it.
 
-A map attempt is split in two.  The tracker thread keeps all storage I/O:
-it fetches the split's bytes and, afterwards, writes the spill or the
-map-only output.  In between, :func:`compute_map` cuts the records, runs
-the mapper and the combiner, sorts every partition and encodes it as
-shuffle frames.  That function is pure: it sees only the fetched records
-and the job's map side, and returns encoded frames, record counts and
-counter deltas.
+Every task attempt is split in two.  The slot thread keeps all storage
+I/O: a map fetches its split's bytes and, afterwards, writes the spill or
+the map-only output; a reduce fetches its partition's segments and,
+afterwards, writes its output.  In between runs one pure function:
+
+* :func:`compute_map` cuts the records, runs the mapper and the combiner,
+  and sorts every partition and encodes it as shuffle frames (a map-only
+  job's output is encoded as output lines instead);
+* :func:`compute_reduce` merges the partition's sorted runs, groups them
+  by key, runs the reducer and encodes its output lines.
+
+Each sees only its input and its job's side (:class:`MapSide`,
+:class:`ReduceSide`) and returns encoded bytes, record counts and counter
+deltas.
 
 Hadoop runs every task in a child process of its tasktracker; here
-:data:`map_workers`, one pool of worker processes per head process, plays
-that part, so per-record Python work no longer competes for one
-interpreter with the storage clients' threads.  A job runs its maps in
-the pool when its :class:`MapSide` pickles (mapper and combiner defined
-at module level of an importable module, not ``__main__``; a picklable
-conf) and its record reader can ``fetch()`` the split up front; any other
-job (closures, wrapped mappers, readers that only stream) runs the same
-:func:`compute_map` in the tracker thread.
+:data:`workers`, one pool of worker processes per head process, plays that
+part, so per-record Python work no longer competes for one interpreter
+with the storage clients' threads.  A side runs in the pool when
+:func:`ship` can pickle it (its functions defined at module level of an
+importable module, not ``__main__``; a picklable conf and output format).
+Any other job (closures, wrapped functions) runs the same compute in the
+slot thread.
 """
 
 from __future__ import annotations
 
-import atexit
 import gc
 import io
 import multiprocessing
@@ -30,15 +35,29 @@ import pickle
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from multiprocessing import resource_tracker
+from multiprocessing import resource_tracker, util
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, TypeVar
 
 from .job import Counters, JobConf, TaskContext
-from .shuffle import MapOutputCollector
-from .shuffle_service import encode_segments
+from .shuffle import MapOutputCollector, TextOutputFormat, group_sorted_pairs
+from .shuffle_service import decode_segment, encode_segments, merge_runs
 
-__all__ = ["MapSide", "MapOutput", "compute_map", "ship", "WorkerPool", "map_workers"]
+__all__ = [
+    "MapSide",
+    "MapOutput",
+    "compute_map",
+    "ReduceSide",
+    "ReduceOutput",
+    "compute_reduce",
+    "compute_reduce_segments",
+    "ship",
+    "run_shipped",
+    "WorkerPool",
+    "workers",
+]
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -50,20 +69,24 @@ class MapSide:
     conf: JobConf
     #: Reduce partitions; 0 for a map-only job.
     num_partitions: int
+    #: The format a map-only job's output lines are encoded with.
+    output_format: TextOutputFormat
 
 
 @dataclass(frozen=True)
 class MapOutput:
-    """What a map attempt's compute hands back to its tracker thread."""
+    """What a map attempt's compute hands back to its slot thread."""
 
     records_in: int
     #: Pairs the mapper emitted, before the combiner.
     records_out: int
     #: Counter increments made by the mapper and the combiner.
     counters: dict[str, int]
-    #: Per partition (one for a map-only job), its sorted pairs as spill
-    #: segments: ``(length-prefixed frames, records)``.
+    #: Per partition, its sorted pairs as spill segments:
+    #: ``(length-prefixed frames, records)``.  Empty for a map-only job.
     segments: list[list[tuple[bytes, int]]]
+    #: A map-only job's output, as encoded line batches.
+    batches: list[bytes]
 
 
 def compute_map(side: MapSide, records: Iterable[tuple[Any, Any]], task_id: str) -> MapOutput:
@@ -78,13 +101,79 @@ def compute_map(side: MapSide, records: Iterable[tuple[Any, Any]], task_id: str)
     for key, value in records:
         mapper(key, value, context)
         records_in += 1
-    segment_size = side.conf.shuffle_segment_size
+    partitions = collector.partitions()
+    segments: list[list[tuple[bytes, int]]] = []
+    batches: list[bytes] = []
+    if side.num_partitions == 0:
+        batches = list(side.output_format.encode(partitions[0]))
+    else:
+        segment_size = side.conf.shuffle_segment_size
+        segments = [encode_segments(pairs, segment_size) for pairs in partitions]
     return MapOutput(
         records_in=records_in,
         records_out=collector.records_collected,
         counters=counters.as_dict(),
-        segments=[encode_segments(pairs, segment_size) for pairs in collector.partitions()],
+        segments=segments,
+        batches=batches,
     )
+
+
+@dataclass(frozen=True)
+class ReduceSide:
+    """What a reduce attempt's compute needs of its job."""
+
+    reducer: Callable[[Any, list[Any], TaskContext], None]
+    conf: JobConf
+    output_format: TextOutputFormat
+
+
+@dataclass(frozen=True)
+class ReduceOutput:
+    """What a reduce attempt's compute hands back to its slot thread."""
+
+    #: Shuffled pairs the reducer consumed.
+    records_in: int
+    #: Pairs the reducer emitted.
+    records_out: int
+    #: Counter increments made by the reducer.
+    counters: dict[str, int]
+    #: The output, as encoded line batches.
+    batches: list[bytes]
+
+
+def compute_reduce(
+    side: ReduceSide, runs: Iterable[Iterable[tuple[Any, Any]]], task_id: str
+) -> ReduceOutput:
+    """Merge the sorted ``runs`` (in ``(map_index, sequence)`` order), group
+    them by key, reduce each group and encode the output lines."""
+    counters = Counters()
+    emitted: list[tuple[Any, Any]] = []
+    append = emitted.append
+    context = TaskContext(
+        job_conf=side.conf,
+        task_id=task_id,
+        emit=lambda key, value: append((key, value)),
+        counters=counters,
+    )
+    reducer = side.reducer
+    records_in = 0
+    for key, values in group_sorted_pairs(merge_runs(runs)):
+        reducer(key, values, context)
+        records_in += len(values)
+    return ReduceOutput(
+        records_in=records_in,
+        records_out=len(emitted),
+        counters=counters.as_dict(),
+        batches=list(side.output_format.encode(emitted)),
+    )
+
+
+def compute_reduce_segments(
+    side: ReduceSide, segments: list[bytes], task_id: str
+) -> ReduceOutput:
+    """:func:`compute_reduce` over whole encoded segments, each one run:
+    what a task worker receives."""
+    return compute_reduce(side, [decode_segment(payload) for payload in segments], task_id)
 
 
 class _Shipper(pickle.Pickler):
@@ -100,7 +189,7 @@ class _Shipper(pickle.Pickler):
         return NotImplemented
 
 
-def ship(side: MapSide) -> bytes | None:
+def ship(side: MapSide | ReduceSide) -> bytes | None:
     """``side`` pickled for a worker, or ``None`` when it cannot be sent
     (a closure, a lambda, a wrapped function, an unpicklable property,
     anything defined in ``__main__``)."""
@@ -112,9 +201,9 @@ def ship(side: MapSide) -> bytes | None:
     return buffer.getvalue()
 
 
-def _compute_shipped(shipped: bytes, records: Iterable[tuple[Any, Any]], task_id: str) -> MapOutput:
-    """Worker-side entry point: :func:`compute_map` of a shipped map side."""
-    return compute_map(pickle.loads(shipped), records, task_id)
+def run_shipped(compute: Callable[..., _T], shipped: bytes, *args: Any) -> _T:
+    """Worker-side entry point: ``compute`` over the unpickled side."""
+    return compute(pickle.loads(shipped), *args)
 
 
 class WorkerPool:
@@ -134,47 +223,60 @@ class WorkerPool:
         self.size = size
         self._lock = threading.Lock()
         self._executor: ProcessPoolExecutor | None = None
+        # Runs from multiprocessing's exit hook, before it joins the
+        # process's children: the workers never exit on their own, so a
+        # process that ran a job (the head, or a multiprocessing child)
+        # would otherwise wait for them forever.  The priority is above the
+        # executor queues' own finalizers (10), which would stop feeding
+        # the workers their stop sentinels.
+        util.Finalize(None, self._exit, exitpriority=20)
 
-    def run_map(
-        self, shipped: bytes, records: Iterable[tuple[Any, Any]], task_id: str
-    ) -> MapOutput:
-        """:func:`compute_map` of a shipped map side, in a worker process."""
+    def run(self, fn: Callable[..., _T], *args: Any) -> _T:
+        """``fn(*args)`` in a worker process; ``fn`` and ``args`` must pickle."""
         with self._lock:
             if self._executor is None:
                 self._executor = ProcessPoolExecutor(
                     self.size, mp_context=multiprocessing.get_context("spawn")
                 )
-                atexit.register(self._exit)
             executor = self._executor
         try:
-            return executor.submit(_compute_shipped, shipped, records, task_id).result()
+            return executor.submit(fn, *args).result()
         except BrokenProcessPool:
             # Reap the dead executor's workers before the attempt is
-            # reported failed, so a retry never overlaps a survivor.
+            # reported failed, so a retry never overlaps a survivor.  Every
+            # attempt in flight sees the same break; shutting down under
+            # the lock keeps them from closing its queues twice at once
+            # (the second close would hit a descriptor number the next
+            # executor may already own).
             with self._lock:
                 if self._executor is executor:
                     self._executor = None
-            executor.shutdown(wait=True)
+                executor.shutdown(wait=True)
             raise
 
     def shutdown(self) -> None:
         """Stop the workers and wait for them; a later task starts new ones."""
         with self._lock:
             executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
+            if executor is not None:
+                executor.shutdown(wait=True)
 
     def _exit(self) -> None:
-        """At interpreter exit: stop the workers, then the semaphore tracker
+        """At process exit: stop the workers, then the semaphore tracker
         process ``spawn`` started, and reap it, so no helper process of the
-        pool outlives the head (an orphan is left to an init that may never
-        reap it).  Collecting first finalizes the executor's queues, whose
-        semaphores would otherwise restart the tracker as they unregister.
+        pool outlives its parent (an orphan is left to an init that may
+        never reap it).  Only the process that started the tracker stops
+        it: a multiprocessing child shares its parent's.  Collecting first
+        finalizes the executor's queues, whose semaphores would otherwise
+        restart the tracker as they unregister.
         """
         self.shutdown()
-        gc.collect()
-        resource_tracker._resource_tracker._stop()
+        tracker = resource_tracker._resource_tracker
+        if tracker._pid is not None:
+            gc.collect()
+            tracker._stop()
 
 
-#: The head process's map workers, one per core.
-map_workers = WorkerPool(os.cpu_count() or 1)
+#: The head process's task workers, one per core, shared by map and reduce
+#: tasks.
+workers = WorkerPool(os.cpu_count() or 1)

@@ -7,12 +7,17 @@ slots, and the code that actually runs a map task over an input split or a
 reduce task over a merged partition.
 
 Each task slot is a thread of the head process, and it does all of its
-task's storage I/O.  A map attempt fetches its split, hands the bytes to a
-map worker process (:mod:`repro.mapreduce.task_workers`) for the record
-cutting, mapper, combiner, sort and frame encoding, and writes back the
-encoded frames it receives — as Hadoop's tasktracker runs each task in a
-child process.  A job whose map side cannot be pickled computes on the
-slot thread instead; reduce tasks always do.
+task's storage I/O; the compute runs in a task worker process
+(:mod:`repro.mapreduce.task_workers`), as Hadoop's tasktracker runs each
+task in a child process.  A map attempt fetches its split, hands the bytes
+to a worker for the record cutting, mapper, combiner, sort and encoding,
+and writes back the encoded frames or output lines it receives.  A reduce
+attempt reads its partition's segments whole, hands the bytes to a worker
+for the merge, grouping, reducer and line encoding, and writes back the
+encoded lines.  A side that cannot be pickled computes on the slot thread
+instead, and so does a reduce whose partition spilled more than
+:data:`WORKER_REDUCE_MAX_BYTES`: it merges streaming segment readers, so a
+partition larger than memory still reduces.
 """
 
 from __future__ import annotations
@@ -20,17 +25,29 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from ..fs.interface import FileSystem
 from .faults import FaultPlan
-from .job import Counters, Job, TaskContext
-from .shuffle import TextOutputFormat, group_sorted_pairs
-from .shuffle_service import ShuffleService, decode_segment
+from .job import Counters
+from .shuffle_service import SegmentReader, ShuffleService
 from .splitter import InputSplit
-from .task_workers import MapSide, compute_map, map_workers
+from .task_workers import (
+    MapSide,
+    ReduceSide,
+    compute_map,
+    compute_reduce,
+    compute_reduce_segments,
+    run_shipped,
+    workers,
+)
 
 __all__ = ["TaskResult", "TaskTracker"]
+
+#: A reduce whose partition spilled at most this many bytes reads them
+#: whole and computes in a task worker; a larger one merges streaming
+#: segment readers on its slot thread.
+WORKER_REDUCE_MAX_BYTES = 64 * 1024 * 1024
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,7 +75,7 @@ class TaskResult:
     #: counters into the job totals (Hadoop semantics: killed and failed
     #: attempts do not pollute job counters).
     attempt_counters: Counters | None = field(default=None, repr=False)
-    #: ``True`` when the attempt's map compute ran in a worker process.
+    #: ``True`` when the attempt's compute ran in a task worker process.
     in_worker: bool = False
 
 
@@ -107,7 +124,6 @@ class TaskTracker:
         reader_factory: Callable[[FileSystem, InputSplit], Any],
         counters: Counters,
         locality: str = "n/a",
-        output_format: TextOutputFormat | None = None,
         shuffle: ShuffleService | None = None,
         attempt: int = 0,
         fault_plan: FaultPlan | None = None,
@@ -117,15 +133,16 @@ class TaskTracker:
 
         This thread does the attempt's storage I/O: it fetches the split
         and afterwards writes the output.  The compute in between
-        (:func:`~repro.mapreduce.task_workers.compute_map`) runs in a map
+        (:func:`~repro.mapreduce.task_workers.compute_map`) runs in a task
         worker process when the job's map side was ``shipped`` (it
         pickles) and the reader can fetch its records up front; otherwise
         it runs right here.
 
-        For map-only jobs (``side.num_partitions == 0``) the mapper's
-        output is written directly to the job output directory through
-        the output format; otherwise its encoded partitions are spilled as
-        segment files through ``shuffle`` (waking waiting reducers).
+        For map-only jobs (``side.num_partitions == 0``) the encoded output
+        lines are written directly to the job output directory through
+        the side's output format; otherwise the encoded partitions are
+        spilled as segment files through ``shuffle`` (waking waiting
+        reducers).
 
         ``fault_plan`` injects failures/delays before the attempt touches
         data; ``commit_check`` gates the map-only output write so that only
@@ -147,7 +164,7 @@ class TaskTracker:
             fetch = getattr(reader, "fetch", None)
             in_worker = shipped is not None and fetch is not None
             if in_worker:
-                output = map_workers.run_map(shipped, fetch(), task_id)
+                output = workers.run(run_shipped, compute_map, shipped, fetch(), task_id)
             else:
                 output = compute_map(side, reader, task_id)
             for name, value in output.counters.items():
@@ -158,16 +175,11 @@ class TaskTracker:
             discarded = False
             if side.num_partitions == 0:
                 if commit_check is None or commit_check():
-                    fmt = output_format or TextOutputFormat()
-                    output_path = fmt.write(
+                    output_path = side.output_format.write_batches(
                         fs,
                         side.conf.output_dir,
                         split.split_id,
-                        (
-                            pair
-                            for payload, _records in output.segments[0]
-                            for pair in decode_segment(payload)
-                        ),
+                        output.batches,
                         map_only=True,
                         client_host=self.host,
                     )
@@ -200,22 +212,28 @@ class TaskTracker:
     # -- reduce tasks ----------------------------------------------------------------
     def run_reduce_task(
         self,
-        job: Job,
+        side: ReduceSide,
         fs: FileSystem,
         partition_index: int,
-        pairs: Iterable[tuple[Any, Any]],
+        readers: list[SegmentReader],
         *,
+        shuffle: ShuffleService,
+        shipped: bytes | None,
         counters: Counters,
-        output_format: TextOutputFormat | None = None,
         attempt: int = 0,
         fault_plan: FaultPlan | None = None,
         commit_check: Callable[[], bool] | None = None,
     ) -> TaskResult:
-        """Execute the reduce function over one merged, grouped partition.
+        """Execute the reduce function over one partition.
 
-        ``pairs`` is the shuffle's external merge of the partition, ordered
-        by ``repr(key)``; it is grouped in streaming fashion without
-        materialising the partition.
+        ``readers`` are the partition's segments in ``(map_index,
+        sequence)`` order, as :meth:`ShuffleService.partition_readers`
+        delivers them once every map completed.  The compute
+        (:func:`~repro.mapreduce.task_workers.compute_reduce`) runs in a
+        task worker process over the segments read whole when the job's
+        reduce side was ``shipped`` and the partition spilled at most
+        :data:`WORKER_REDUCE_MAX_BYTES`; otherwise it runs right here over
+        ``shuffle``'s streaming merge, without materialising the partition.
 
         ``commit_check`` implements the output-committer handshake: right
         before writing, the attempt asks whether it is the first of its
@@ -235,32 +253,31 @@ class TaskTracker:
                     tracker_host=self.host,
                     fs=fs,
                 )
-            emitted: list[tuple[Any, Any]] = []
-            append = emitted.append
-            context = TaskContext(
-                job_conf=job.conf,
-                task_id=task_id,
-                emit=lambda key, value: append((key, value)),
-                counters=counters,
-            )
-            records_in = 0
-            reducer = job.reducer
-            for key, values in group_sorted_pairs(pairs):
-                reducer(key, values, context)
-                records_in += len(values)
+            spilled = sum(reader.segment.bytes for reader in readers)
+            in_worker = shipped is not None and spilled <= WORKER_REDUCE_MAX_BYTES
+            if in_worker:
+                payloads = [reader.read_all() for reader in readers]
+                output = workers.run(
+                    run_shipped, compute_reduce_segments, shipped, payloads, task_id
+                )
+            else:
+                # The service's external merge is one sorted run.
+                merged = shuffle.merged_pairs(partition_index, readers)
+                output = compute_reduce(side, [merged], task_id)
+            for name, value in output.counters.items():
+                counters.increment(name, value)
             # Every shuffled pair reaches the reducer exactly once.
-            counters.increment("reduce_shuffle_records", records_in)
-            counters.increment("reduce_input_records", records_in)
-            counters.increment("reduce_output_records", len(emitted))
+            counters.increment("reduce_shuffle_records", output.records_in)
+            counters.increment("reduce_input_records", output.records_in)
+            counters.increment("reduce_output_records", output.records_out)
             output_path: str | None = None
             discarded = False
             if commit_check is None or commit_check():
-                fmt = output_format or TextOutputFormat()
-                output_path = fmt.write(
+                output_path = side.output_format.write_batches(
                     fs,
-                    job.conf.output_dir,
+                    side.conf.output_dir,
                     partition_index,
-                    emitted,
+                    output.batches,
                     map_only=False,
                     client_host=self.host,
                 )
@@ -272,12 +289,15 @@ class TaskTracker:
                 tracker_host=self.host,
                 kind="reduce",
                 duration=duration,
-                records_in=records_in,
-                records_out=len(emitted),
+                records_in=output.records_in,
+                records_out=output.records_out,
                 output_path=output_path,
                 attempt=attempt,
                 discarded=discarded,
                 attempt_counters=counters,
+                in_worker=in_worker,
             )
         finally:
+            for reader in readers:
+                reader.close()
             self._release_slot()

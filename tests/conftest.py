@@ -15,7 +15,7 @@ from repro.bsfs import BSFS
 from repro.core import BlobSeer, BlobSeerConfig, KB
 from repro.fs import LocalFS
 from repro.hdfs import HDFS
-from repro.mapreduce.task_workers import map_workers
+from repro.mapreduce.task_workers import workers
 
 #: Small page size used across the test suite (keeps blobs multi-page).
 TEST_PAGE_SIZE = 4 * KB
@@ -95,8 +95,8 @@ def any_fs(request, bsfs: BSFS, hdfs: HDFS, local_fs: LocalFS):
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """Stop the shared map workers; fail the run if a child process outlives them."""
-    map_workers.shutdown()
+    """Stop the shared task workers; fail the run if a child process outlives them."""
+    workers.shutdown()
     children = multiprocessing.active_children()
     if children:
         reporter = session.config.pluginmanager.get_plugin("terminalreporter")

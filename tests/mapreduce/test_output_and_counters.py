@@ -41,7 +41,8 @@ MIXED_PAIRS = [
 
 class TestOutputFormatsMatchLineEncoder:
     def test_part_files(self, any_fs):
-        path = TextOutputFormat().write(any_fs, "/out", 3, iter(MIXED_PAIRS * 50))
+        fmt = TextOutputFormat()
+        path = fmt.write_batches(any_fs, "/out", 3, fmt.encode(iter(MIXED_PAIRS * 50)))
         assert path == "/out/part-r-00003"
         expected = b"".join(reference_line(k, v) for k, v in MIXED_PAIRS * 50)
         assert any_fs.read_file(path) == expected
@@ -49,7 +50,7 @@ class TestOutputFormatsMatchLineEncoder:
     def test_shared_file(self, bsfs):
         fmt = SingleFileOutputFormat(append_chunk_bytes=100)
         fmt.prepare(bsfs, "/shared")
-        path = fmt.write(bsfs, "/shared", 0, iter(MIXED_PAIRS * 50))
+        path = fmt.write_batches(bsfs, "/shared", 0, fmt.encode(iter(MIXED_PAIRS * 50)))
         expected = b"".join(reference_line(k, v) for k, v in MIXED_PAIRS * 50)
         assert bsfs.read_file(path) == expected
 
@@ -115,7 +116,7 @@ class TestOutputBatches:
     def test_lazy_bounded_writes_at_line_boundaries(self, fmt, limit):
         consumed = [0]
         fs = _SpyFS(consumed)
-        fmt.write(fs, "/out", 0, self.pairs(consumed))
+        fmt.write_batches(fs, "/out", 0, fmt.encode(self.pairs(consumed)))
         longest = max(
             len(reference_line(f"key-{i:06d}", "v" * (i % 100))) for i in range(100)
         )

@@ -81,18 +81,18 @@ class TestMergeAndGroup:
 class TestTextOutputFormat:
     def test_writes_part_file(self, bsfs):
         fmt = TextOutputFormat()
-        path = fmt.write(bsfs, "/out", 3, [("a", 1), ("b", 2)])
+        path = fmt.write_batches(bsfs, "/out", 3, fmt.encode([("a", 1), ("b", 2)]))
         assert path == "/out/part-r-00003"
         assert bsfs.read_file(path) == b"a\t1\nb\t2\n"
 
     def test_map_only_prefix(self, bsfs):
         fmt = TextOutputFormat()
-        path = fmt.write(bsfs, "/out", 0, [("k", "v")], map_only=True)
+        path = fmt.write_batches(bsfs, "/out", 0, fmt.encode([("k", "v")]), map_only=True)
         assert path == "/out/part-m-00000"
 
     def test_bytes_keys_and_custom_separator(self, bsfs):
         fmt = TextOutputFormat(separator=b",")
-        path = fmt.write(bsfs, "/out", 0, [(b"raw", 7)])
+        path = fmt.write_batches(bsfs, "/out", 0, fmt.encode([(b"raw", 7)]))
         assert bsfs.read_file(path) == b"raw,7\n"
 
 
@@ -100,7 +100,7 @@ class TestSingleFileOutputFormat:
     def test_all_tasks_append_to_one_file_on_bsfs(self, bsfs):
         fmt = SingleFileOutputFormat(filename="merged.txt")
         for task in range(4):
-            fmt.write(bsfs, "/merged-out", task, [(f"task{task}", task)])
+            fmt.write_batches(bsfs, "/merged-out", task, fmt.encode([(f"task{task}", task)]))
         content = bsfs.read_file("/merged-out/merged.txt").decode()
         for task in range(4):
             assert f"task{task}\t{task}" in content
@@ -108,4 +108,4 @@ class TestSingleFileOutputFormat:
     def test_rejected_on_hdfs(self, hdfs):
         fmt = SingleFileOutputFormat()
         with pytest.raises(UnsupportedOperationError):
-            fmt.write(hdfs, "/merged-out", 0, [("k", 1)])
+            fmt.write_batches(hdfs, "/merged-out", 0, fmt.encode([("k", 1)]))
