@@ -20,9 +20,10 @@ Hadoop runs every task in a child process of its tasktracker; here
 part, so per-record Python work no longer competes for one interpreter
 with the storage clients' threads.  A side runs in the pool when
 :func:`ship` can pickle it (its functions defined at module level of an
-importable module, not ``__main__``; a picklable conf and output format).
-Any other job (closures, wrapped functions) runs the same compute in the
-slot thread.
+importable module, not ``__main__``; a picklable conf and output format)
+and, for a map, when its record reader can ``fetch()`` the split up front.
+Any other job (closures, wrapped functions, readers that only stream) runs
+the same compute in the slot thread.
 """
 
 from __future__ import annotations
