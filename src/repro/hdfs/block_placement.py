@@ -47,7 +47,12 @@ class BlockPlacementPolicy(ABC):
 
 
 class DefaultPlacementPolicy(BlockPlacementPolicy):
-    """The rack-aware policy quoted above (local, same rack, remote rack)."""
+    """The rack-aware policy quoted above (local, same rack, remote rack).
+
+    Candidates are the datanodes whose ``available`` is true, a check that
+    sends nothing: a remote datanode's stub answers from what its own calls
+    saw, as Hadoop's namenode places blocks from heartbeat state.
+    """
 
     def __init__(self, *, seed: int = 0) -> None:
         self._rng = random.Random(seed)

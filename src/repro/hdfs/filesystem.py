@@ -187,25 +187,12 @@ class HDFS(FileSystem):
         """Create a file for writing (single writer, sealed at close)."""
         norm = fspath.normalize(path)
         holder = self._next_client(client_host)
-
-        def _release_overwritten(entry) -> None:
-            for block_id in entry.payload.block_ids:
-                try:
-                    meta = self.namenode.block_meta(block_id)
-                except KeyError:
-                    continue
-                for node_id in meta.locations:
-                    node = self.namenode.datanode(node_id)
-                    if node.available:
-                        node.delete_block(block_id)
-
         entry = self.namenode.create_file(
             norm,
             block_size=block_size,
             replication=replication,
             overwrite=overwrite,
             lease_holder=holder,
-            on_overwrite=_release_overwritten,
         )
         return HDFSOutputStream(
             self,
@@ -223,7 +210,25 @@ class HDFS(FileSystem):
         functional equivalent here is pushing the block to every chosen
         datanode *concurrently* through the transfer engine, instead of
         one full block transfer after the other.
+
+        Targets are chosen from the liveness the head already holds (a
+        datanode stub's ``available`` is its own view, not a probe), so a
+        node that died since its last call can still be picked; its failed
+        push marks it down.  A block no target accepted is abandoned and
+        placed once more if a datanode still looks up — one spare
+        placement, never a loop — and otherwise the write raises
+        :class:`~repro.core.errors.ProviderUnavailableError`.  Either way
+        the file keeps no empty block.
         """
+        placed = self._place_block(path, data, client_host)
+        if not placed and any(d.available for d in self.datanodes):
+            placed = self._place_block(path, data, client_host)
+        if not placed:
+            raise ProviderUnavailableError(f"no datanode accepted a block of {path!r}")
+
+    def _place_block(self, path: str, data: bytes, client_host: str | None) -> bool:
+        """One placement of a block: commit it where its pushes landed, or
+        abandon it and return ``False`` when no target accepted it."""
         meta, targets = self.namenode.add_block(path, writer_host=client_host)
 
         def push(datanode: DataNode) -> int | None:
@@ -240,12 +245,11 @@ class HDFS(FileSystem):
         written = [node_id for node_id in outcomes if node_id is not None]
         if not written:
             self.namenode.abandon_block(path, meta.block_id)
-            raise ProviderUnavailableError(
-                f"no datanode accepted block {meta.block_id} of {path!r}"
-            )
+            return False
         self.namenode.commit_block(
             path, meta.block_id, length=len(data), locations=written
         )
+        return True
 
     # -- read path -------------------------------------------------------------------
     def open(

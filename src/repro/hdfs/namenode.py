@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import itertools
 import threading
+from collections import Counter
 from dataclasses import dataclass, field
 
+from ..core.errors import ProviderUnavailableError
 from ..fs import path as fspath
 from ..fs.errors import InvalidRangeError, NoSuchPathError, UnsupportedOperationError
 from ..fs.interface import BlockLocation, FileStatus
@@ -134,13 +136,18 @@ class NameNode:
                         n for n in meta.locations if n != node_id
                     )
                     work.append((meta, target))
+            # Each node's load as the block map has it: choosing a
+            # destination asks no datanode for its counters.
+            load = Counter(n for meta in self._blocks.values() for n in meta.locations)
         copied = 0
         for meta, target in work:
-            copied += self._replicate_block(meta, target)
+            copied += self._replicate_block(meta, target, load)
         return copied
 
-    def _replicate_block(self, meta: BlockMeta, target: int) -> int:
-        """Copy ``meta``'s block to live nodes until ``target`` replicas exist."""
+    def _replicate_block(self, meta: BlockMeta, target: int, load: Counter) -> int:
+        """Copy ``meta``'s block to live nodes until ``target`` replicas exist,
+        each copy going to the candidate holding the fewest blocks in
+        ``load`` (updated as copies land)."""
         created = 0
         while True:
             with self._lock:
@@ -158,9 +165,7 @@ class NameNode:
                 ]
             if not sources or not candidates:
                 return created
-            destination = min(
-                candidates, key=lambda d: d.stats().blocks_stored
-            )
+            destination = min(candidates, key=lambda d: load[d.node_id])
             try:
                 data = sources[0].read_block(meta.block_id)
                 destination.write_block(meta.block_id, data)
@@ -169,6 +174,7 @@ class NameNode:
             with self._lock:
                 if destination.node_id not in meta.locations:
                     meta.locations = meta.locations + (destination.node_id,)
+                    load[destination.node_id] += 1
                     created += 1
 
     # -- namespace --------------------------------------------------------------------
@@ -185,18 +191,21 @@ class NameNode:
         replication: int | None,
         overwrite: bool,
         lease_holder: str,
-        on_overwrite=None,
     ) -> FileEntry[HDFSFilePayload]:
-        """Create a file entry under a write lease."""
-        return self._tree.create_file(
+        """Create a file entry under a write lease, releasing the blocks of
+        the file it replaces once the namespace lock is dropped."""
+        replaced: list[int] = []
+        entry = self._tree.create_file(
             path,
             payload_factory=HDFSFilePayload,
             block_size=block_size or self.default_block_size,
             replication=replication or self.default_replication,
             overwrite=overwrite,
             lease_holder=lease_holder,
-            on_overwrite=on_overwrite,
+            on_overwrite=lambda old: replaced.extend(old.payload.block_ids),
         )
+        self._release_blocks(replaced)
+        return entry
 
     def status(self, path: str) -> FileStatus:
         """Return the :class:`FileStatus` of ``path``."""
@@ -338,34 +347,42 @@ class NameNode:
         """Delete a path, releasing the blocks of every removed file."""
 
         def _release(file_path: str, entry: FileEntry[HDFSFilePayload]) -> None:
-            with self._lock:
-                block_ids = list(entry.payload.block_ids)
-            for block_id in block_ids:
-                meta = self._blocks.pop(block_id, None)
-                if meta is None:
-                    continue
-                for node_id in meta.locations:
-                    node = self._datanodes.get(node_id)
-                    if node is not None and node.available:
-                        node.delete_block(block_id)
+            self._release_blocks(entry.payload.block_ids)
 
         self._tree.delete(path, recursive=recursive, on_delete_file=_release)
+
+    def _release_blocks(self, block_ids: list[int]) -> None:
+        """Forget ``block_ids`` and delete their replicas.  A replica on a
+        node that is down, or fails the delete, is left as an orphan."""
+        with self._lock:
+            metas = [self._blocks.pop(block_id, None) for block_id in block_ids]
+        for meta in metas:
+            if meta is None:
+                continue
+            for node_id in meta.locations:
+                node = self._datanodes.get(node_id)
+                if node is not None and node.available:
+                    try:
+                        node.delete_block(meta.block_id)
+                    except ProviderUnavailableError:
+                        continue
 
     # -- reports ----------------------------------------------------------------------
     def report(self) -> dict:
         """Cluster-wide report (files, blocks, per-datanode usage)."""
         with self._lock:
             blocks = len(self._blocks)
+        datanodes = {}
+        for d in self.datanodes:
+            stats = d.stats()
+            datanodes[d.node_id] = {
+                "host": d.host,
+                "rack": d.rack,
+                "blocks": stats.blocks_stored,
+                "bytes": stats.bytes_stored,
+            }
         return {
             "files": self._tree.count_files(),
             "blocks": blocks,
-            "datanodes": {
-                d.node_id: {
-                    "host": d.host,
-                    "rack": d.rack,
-                    "blocks": d.stats().blocks_stored,
-                    "bytes": d.stats().bytes_stored,
-                }
-                for d in self.datanodes
-            },
+            "datanodes": datanodes,
         }

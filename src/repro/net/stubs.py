@@ -18,9 +18,11 @@ Error mapping is the interesting part:
   path's perspective an unreachable node and a crashed node are the
   same event, and both must trigger failover, not an unhandled
   ``NetError``.
-* Predicates degrade gracefully: ``available`` is ``False`` and
-  ``has_page`` / ``has_block`` answer ``False`` when the node cannot be
-  reached — callers probing for replicas treat silence as absence.
+* Predicates degrade gracefully: a provider's ``available`` is ``False``
+  and ``has_page`` / ``has_block`` answer ``False`` when the node cannot
+  be reached — callers probing for replicas treat silence as absence.
+* A datanode stub's ``available`` is a view, not a probe: it answers
+  from what the stub's own calls saw (see :class:`RemoteDataNode`).
 
 Identity fields (``provider_id``, ``host``, ``rack``) are fetched once
 at connect time: they are immutable on the node, and the allocation
@@ -29,6 +31,7 @@ strategies read them in tight loops.
 
 from __future__ import annotations
 
+import time
 from typing import Any, Sequence
 
 from ..core.errors import ProviderUnavailableError
@@ -48,6 +51,11 @@ __all__ = [
 PROVIDER_SERVICE = "provider"
 DATANODE_SERVICE = "datanode"
 METADATA_SERVICE = "metadata"
+
+#: Seconds a datanode stub keeps a node marked down after a failed call
+#: before it offers the node to placement again.  The HDFS client expires
+#: the datanodes it excluded from a write pipeline the same way.
+DOWN_MARK_EXPIRY_S = 10.0
 
 
 class _Stub:
@@ -247,7 +255,18 @@ class RemoteMetadataProvider(_Stub):
 
 
 class RemoteDataNode(_Stub):
-    """An HDFS :class:`~repro.hdfs.datanode.DataNode` in another process."""
+    """An HDFS :class:`~repro.hdfs.datanode.DataNode` in another process.
+
+    ``available`` asks no one: it is the stub's view of the node, built
+    from its own calls, the way the namenode places blocks from state it
+    already holds.  A call that raises
+    :class:`~repro.core.errors.ProviderUnavailableError` (a transport
+    failure or a node that refused it) marks the node down, and so does
+    :meth:`fail`.  The next successful call clears the mark, as does a
+    re-registration (which connects a fresh stub); otherwise the mark
+    expires after :data:`DOWN_MARK_EXPIRY_S`, so a node that came back
+    without being called is offered to placement again.
+    """
 
     def __init__(
         self,
@@ -262,6 +281,8 @@ class RemoteDataNode(_Stub):
         self.node_id = node_id
         self.host = host
         self.rack = rack
+        #: ``time.monotonic()`` of the last failure seen, ``None`` when up.
+        self._down_since: float | None = None
 
     @classmethod
     def connect(
@@ -276,13 +297,24 @@ class RemoteDataNode(_Stub):
             service=service,
         )
 
+    def _call(self, method: str, *args: Any, **kwargs: Any) -> Any:
+        try:
+            result = super()._call(method, *args, **kwargs)
+        except ProviderUnavailableError:
+            self._down_since = time.monotonic()
+            raise
+        self._down_since = None
+        return result
+
     # -- availability -------------------------------------------------------------
     @property
     def available(self) -> bool:
-        return bool(self._probe("available"))
+        down_since = self._down_since
+        return down_since is None or time.monotonic() - down_since >= DOWN_MARK_EXPIRY_S
 
     def fail(self) -> None:
         self._call("fail")
+        self._down_since = time.monotonic()
 
     def recover(self) -> None:
         self._call("recover")

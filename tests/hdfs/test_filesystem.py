@@ -277,6 +277,44 @@ class TestNamenodeBookkeeping:
         assert copied == 0  # nothing to copy from; no crash
         assert hdfs.namenode.block_meta(meta.block_id).locations == ()
 
+    def test_re_replication_targets_the_least_loaded_node_of_the_block_map(
+        self, monkeypatch
+    ):
+        from repro.hdfs import DataNode
+
+        nodes = [DataNode(i, host=f"node-{i}", rack=f"rack-{i % 2}") for i in range(4)]
+        fs = HDFS(datanodes=nodes, default_block_size=BLOCK)
+        # Local first replica on node 0, second in its rack: node 2.
+        with fs.create("/rerep.bin", replication=2, client_host="node-0") as out:
+            out.write(b"x" * BLOCK)
+        assert fs.namenode.file_blocks("/rerep.bin")[0].locations == (0, 2)
+        with fs.create("/load.bin", replication=1, client_host="node-1") as out:
+            out.write(b"l" * (2 * BLOCK))
+        # Node 3 stores strays the block map does not know: only its own
+        # counters call it the busier candidate.
+        for block_id in range(900, 905):
+            nodes[3].write_block(block_id, b"stray")
+        for node in nodes:
+            monkeypatch.setattr(node, "stats", lambda: pytest.fail("stats() asked"))
+        nodes[0].fail()
+        assert fs.namenode.handle_dead_datanode(0) == 1
+        assert fs.namenode.file_blocks("/rerep.bin")[0].locations == (2, 3)
+
+    def test_report_asks_each_datanode_once(self, hdfs: HDFS, monkeypatch):
+        calls = []
+        for node in hdfs.datanodes:
+            stats = node.stats
+
+            def counted(stats=stats, node_id=node.node_id):
+                calls.append(node_id)
+                return stats()
+
+            monkeypatch.setattr(node, "stats", counted)
+        hdfs.write_file("/r.bin", b"r" * BLOCK)
+        report = hdfs.stats()
+        assert sorted(calls) == sorted(report["datanodes"])
+        assert sum(d["blocks"] for d in report["datanodes"].values()) == 2
+
     def test_report_structure(self, hdfs: HDFS):
         hdfs.write_file("/r.bin", b"r" * BLOCK)
         report = hdfs.stats()

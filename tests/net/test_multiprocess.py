@@ -21,6 +21,7 @@ import pytest
 from repro.core import KB, BlobSeer, BlobSeerConfig
 from repro.core.errors import ProviderUnavailableError
 from repro.bsfs import BSFS
+from repro.hdfs import HDFS
 from repro.net import (
     CONTROL_SERVICE,
     ClusterConfig,
@@ -244,6 +245,35 @@ class TestMultiProcessCluster:
             assert versions == list(range(1, 11))
             assert failed_puts  # the stale entry was used, and survived
             assert bs.read_all(blob) == bytes(expected)
+        finally:
+            for stub in stubs:
+                stub.close()
+            reap(processes)
+
+    def test_hdfs_writes_place_around_a_killed_datanode_still_marked_up(self):
+        # No control plane, so no missed heartbeat declares the SIGKILLed
+        # datanode dead, and its stub still looks up: the first block
+        # placed on it fails, marks it down, and is placed once more.
+        processes, stubs = [], []
+        try:
+            for node_id in range(3):
+                process, host, port = spawn_node("datanode", node_id)
+                processes.append(process)
+                stubs.append(connect_datanode(host, port, config=FAST))
+            fs = HDFS(datanodes=stubs, default_block_size=BLOCK)
+            victim = stubs[1]
+            os.kill(processes[1].pid, signal.SIGKILL)
+            processes[1].wait(timeout=10)
+            assert victim.available
+
+            payload = bytes(range(256)) * (5 * BLOCK // 256)
+            with fs.create("/placed.bin", replication=1, client_host=victim.host) as out:
+                out.write(payload)
+            assert not victim.available
+            blocks = fs.namenode.file_blocks("/placed.bin")
+            assert len(blocks) == 5
+            assert all(victim.node_id not in b.locations for b in blocks)
+            assert fs.read_file("/placed.bin") == payload
         finally:
             for stub in stubs:
                 stub.close()

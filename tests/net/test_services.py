@@ -145,6 +145,111 @@ class TestHdfsOverStubs:
         assert fs.read_file("/part.bin") == b"p" * BLOCK
 
 
+class TestHdfsPlacementWithoutProbes:
+    """Block placement reads each datanode stub's own view of liveness."""
+
+    def make_hdfs(self, faults):
+        self.backends = [
+            DataNode(i, host=f"node-{i}", rack=f"rack-{i % 3}") for i in range(3)
+        ]
+        self.stubs = [
+            loopback_datanode_stub(d, faults=faults, retry=RetryPolicy.no_retry())
+            for d in self.backends
+        ]
+        self.writes = {stub.node_id: 0 for stub in self.stubs}
+        for stub in self.stubs:
+            self.count_writes(stub)
+        return HDFS(datanodes=self.stubs, default_block_size=BLOCK)
+
+    def count_writes(self, stub):
+        """Count every ``write_block`` the stub is asked to send."""
+        write_block = stub.write_block
+
+        def counted(block_id, data):
+            self.writes[stub.node_id] += 1
+            return write_block(block_id, data)
+
+        stub.write_block = counted
+
+    def rpcs(self) -> int:
+        return sum(stub.transport.calls_served for stub in self.stubs)
+
+    @staticmethod
+    def write_from(fs, host: str, path: str, data: bytes) -> None:
+        """Write ``data`` as a client on ``host``: replication 1 places
+        every block on that host's datanode while it looks up."""
+        with fs.create(path, replication=1, client_host=host) as out:
+            out.write(data)
+
+    def test_write_makes_one_rpc_per_block(self, faults):
+        fs = self.make_hdfs(faults)
+        before = self.rpcs()
+        fs.write_file("/six.bin", bytes(6 * BLOCK), replication=1)
+        assert self.rpcs() - before == 6  # one write_block each, no probes
+        assert len(fs.namenode.file_blocks("/six.bin")) == 6
+
+    def test_failed_write_marks_node_down_and_places_the_block_once_more(self, faults):
+        fs = self.make_hdfs(faults)
+        victim = self.stubs[0]
+        faults.kill(victim.host)
+        payload = bytes(range(256)) * (6 * BLOCK // 256)
+        self.write_from(fs, victim.host, "/spare.bin", payload)
+        assert not victim.available
+        assert self.writes[victim.node_id] == 1  # the failed one, no further
+        blocks = fs.namenode.file_blocks("/spare.bin")
+        assert len(blocks) == 6
+        assert all(victim.node_id not in b.locations for b in blocks)
+        assert fs.read_file("/spare.bin") == payload
+
+    def test_down_mark_clears_on_success_and_on_expiry(self, faults, monkeypatch):
+        from repro.net import stubs as stubs_module
+
+        fs = self.make_hdfs(faults)
+        victim = self.stubs[0]
+        faults.kill(victim.host)
+        self.write_from(fs, victim.host, "/a.bin", bytes(BLOCK))
+        assert not victim.available
+        faults.revive(victim.host)
+        assert not victim.available  # no call has seen it since
+        # A successful call clears the mark, and blocks go local again.
+        assert victim.block_ids() == []
+        assert victim.available
+        self.write_from(fs, victim.host, "/b.bin", bytes(BLOCK))
+        assert fs.namenode.file_blocks("/b.bin")[0].locations == (victim.node_id,)
+        # fail() marks it down; the mark expires without any call.
+        victim.fail()
+        assert not victim.available
+        self.backends[0].recover()
+        monkeypatch.setattr(stubs_module, "DOWN_MARK_EXPIRY_S", 0.0)
+        assert victim.available
+        self.write_from(fs, victim.host, "/c.bin", bytes(BLOCK))
+        assert fs.namenode.file_blocks("/c.bin")[0].locations == (victim.node_id,)
+
+    def test_spare_placement_is_tried_once(self, faults):
+        fs = self.make_hdfs(faults)
+        for stub in self.stubs:
+            faults.kill(stub.host)
+        stream = fs.create("/never.bin", block_size=BLOCK, replication=1)
+        with pytest.raises(ProviderUnavailableError):
+            stream.write(bytes(BLOCK))
+        stream.close()
+        assert sum(self.writes.values()) == 2  # first placement, one spare
+        assert sum(stub.available for stub in self.stubs) == 1  # still looks up
+        assert fs.namenode.file_blocks("/never.bin") == []
+
+    def test_delete_and_overwrite_skip_an_unreachable_replica(self, faults):
+        fs = self.make_hdfs(faults)
+        victim = self.stubs[0]
+        self.write_from(fs, victim.host, "/old.bin", bytes(BLOCK))
+        self.write_from(fs, victim.host, "/gone.bin", bytes(BLOCK))
+        faults.kill(victim.host)
+        assert victim.available  # no call has failed yet
+        fs.write_file("/old.bin", b"new", overwrite=True, replication=1)
+        fs.delete("/gone.bin")
+        assert not fs.exists("/gone.bin")
+        assert fs.read_file("/old.bin") == b"new"
+
+
 class TestTcpStubs:
     def test_provider_node_server_round_trip(self):
         from repro.core.pages import PageKey
