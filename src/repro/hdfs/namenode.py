@@ -369,18 +369,23 @@ class NameNode:
 
     # -- reports ----------------------------------------------------------------------
     def report(self) -> dict:
-        """Cluster-wide report (files, blocks, per-datanode usage)."""
+        """Cluster-wide report (files, blocks, per-datanode usage).
+
+        A datanode that cannot be reached is listed with ``"reachable":
+        False`` and no usage."""
         with self._lock:
             blocks = len(self._blocks)
         datanodes = {}
         for d in self.datanodes:
-            stats = d.stats()
-            datanodes[d.node_id] = {
-                "host": d.host,
-                "rack": d.rack,
-                "blocks": stats.blocks_stored,
-                "bytes": stats.bytes_stored,
-            }
+            entry = {"host": d.host, "rack": d.rack, "reachable": True}
+            try:
+                stats = d.stats()
+            except ProviderUnavailableError:
+                # One unreachable datanode must not fail the whole report.
+                entry["reachable"] = False
+            else:
+                entry.update(blocks=stats.blocks_stored, bytes=stats.bytes_stored)
+            datanodes[d.node_id] = entry
         return {
             "files": self._tree.count_files(),
             "blocks": blocks,

@@ -50,10 +50,6 @@ class JobConf:
     #: only because the end-to-end benchmark's ``sort-spill`` workload still
     #: passes ``spill_to_fs=True``; ``False`` is rejected.
     spill_to_fs: bool = True
-    #: Spill threshold, in encoded bytes: a map's partition is cut into a
-    #: new segment file once the buffered records reach this size (a
-    #: segment may exceed it by up to one frame of records).
-    shuffle_segment_size: int = 1024 * 1024
     #: Write all reduce output into one shared file via concurrent appends
     #: (the paper's §V scenario).  Falls back to per-reducer ``part-r-*``
     #: files on backends without ``concurrent_append`` (HDFS).
@@ -85,8 +81,6 @@ class JobConf:
                 "spill_to_fs=False is not supported: there is one shuffle, "
                 "and map output always spills through the file system"
             )
-        if self.shuffle_segment_size < 1:
-            raise ValueError("shuffle_segment_size must be positive")
         if self.max_task_attempts < 1:
             raise ValueError("max_task_attempts must be at least 1")
         if self.snapshot_version is not None:

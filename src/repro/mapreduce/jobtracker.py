@@ -18,10 +18,11 @@ engine is storage-agnostic: pass a BSFS or an HDFS instance.  Its one
 caller is :class:`~repro.mapreduce.service.JobService`, which hands every
 execution a :class:`JobContext` of runtime controls.
 
-There is one shuffle, and it goes through the job's file system: maps
-spill sorted segment files (:mod:`repro.mapreduce.shuffle_service`), reduce
-tasks start *alongside* the map phase and fetch segments as individual
-maps complete (overlapped shuffle), then merge them externally — so
+There is one shuffle, and it goes through the job's file system: each map
+spills one file of sorted per-partition segments
+(:mod:`repro.mapreduce.shuffle_service`), reduce tasks start *alongside*
+the map phase and read their partition's byte range of each map's file as
+individual maps complete (overlapped shuffle), then merge them — so
 shuffle I/O exercises the storage backend under measurement and a
 partition larger than memory still reduces.  A map-only job has no reduce
 phase: its maps write the output themselves.
@@ -35,7 +36,7 @@ on a different tracker, hosts accumulating failures are blacklisted for the
 job (:class:`~repro.mapreduce.scheduler.LocalityAwareScheduler`), and a
 straggler is waited for.  Exactly one attempt per task ever commits
 output: the shuffle service publishes only the winning attempt's
-(attempt-id-suffixed) segments, and reduce/map-only writes are gated by an
+(attempt-id-suffixed) spill file, and reduce/map-only writes are gated by an
 output-committer handshake.  Failure *injection* for all of this lives in
 :mod:`repro.mapreduce.faults`.
 """
@@ -505,7 +506,6 @@ class JobTracker:
                     num_maps=len(assignments),
                     num_partitions=num_partitions,
                     shuffle_dir=fspath.join(job.conf.output_dir, "_shuffle"),
-                    segment_size=job.conf.shuffle_segment_size,
                     transfer=shuffle_transfer,
                 )
             if fault_plan is not None and fault_plan.tracker_faults:
@@ -550,7 +550,7 @@ class JobTracker:
             if shuffle_service is not None:
                 shuffle_stats = shuffle_service.stats()
                 counters.increment(
-                    "shuffle_segments_spilled", shuffle_service.segments_spilled
+                    "shuffle_files_spilled", shuffle_service.files_spilled
                 )
                 counters.increment(
                     "shuffle_segments_fetched", shuffle_service.segments_fetched

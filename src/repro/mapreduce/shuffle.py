@@ -158,12 +158,22 @@ class TextOutputFormat:
     def encode(self, pairs: Iterable[tuple[Any, Any]]) -> Iterator[bytes]:
         """The ``key<separator>value`` lines of ``pairs``, joined into
         batches that end at the first line boundary at or past the
-        format's batch size.  Lazy: a batch is built only when asked for."""
+        format's batch size.  Lazy: a batch is built only when asked for.
+
+        A pair of two ``str`` is formatted as one string and encoded once,
+        byte-identical to encoding its parts."""
         encode, separator, limit = self._encode, self._separator, self._batch_bytes
+        try:
+            text_separator = separator.decode("utf-8")
+        except UnicodeDecodeError:
+            text_separator = None
         lines: list[bytes] = []
         size = 0
         for key, value in pairs:
-            line = encode(key) + separator + encode(value) + b"\n"
+            if type(key) is str and type(value) is str and text_separator is not None:
+                line = f"{key}{text_separator}{value}\n".encode("utf-8")
+            else:
+                line = encode(key) + separator + encode(value) + b"\n"
             lines.append(line)
             size += len(line)
             if size >= limit:

@@ -5,12 +5,18 @@ it; here it goes through the job's :class:`~repro.fs.interface.FileSystem`
 (any registered backend — ``bsfs://``, ``hdfs://``, ``file://``), so
 shuffle I/O exercises the storage layer under measurement:
 
-* map tasks *spill* their partitioned, sorted, combiner-applied output as
-  segment files, encoded by :func:`encode_segments` on the map side (in a
-  worker process when the job allows) and written by the tracker thread;
-* reduce tasks *fetch* segments as soon as the producing map completes —
-  before the last map finishes — overlapping shuffle I/O with the map
-  phase exactly as Hadoop's copier threads do;
+* each map attempt *spills* its partitioned, sorted, combiner-applied
+  output as **one file** holding every partition in partition order (the
+  layout of Hadoop's ``file.out``; cf. Dean & Ghemawat, OSDI 2004, §3.1).
+  Each partition is one *segment* of that file, encoded by
+  :func:`encode_segment` on the map side (in a worker process when the job
+  allows) and written by the tracker thread; the service keeps the index,
+  ``(map, partition) → (path, offset, bytes, records)``, in memory;
+* reduce tasks *fetch* their segments as soon as the producing map
+  completes — before the last map finishes — overlapping shuffle I/O with
+  the map phase exactly as Hadoop's copier threads do; a reducer reads only
+  its own byte range of each map's file, many reducers sharing one file
+  through offset reads, the access pattern BSFS is built for;
 * a reduce task reads a partition of at most
   :data:`~repro.mapreduce.tasktracker.WORKER_REDUCE_MAX_BYTES` whole
   (:meth:`SegmentReader.read_all`) and hands the bytes to a task worker
@@ -21,13 +27,12 @@ shuffle I/O exercises the storage layer under measurement:
 
 Segments are sequences of length-prefixed frames: each frame is
 ``4-byte big-endian length + pickle([(key, value), ...])``, one pickle for a
-batch of records of about :data:`FRAME_BYTES`.  A map's partition is
-already sorted by ``repr(key)`` when it is spilled; cutting it into
-consecutive size-bounded segments preserves that order, and the stable
-k-way merge over segments ordered by ``(map_index, sequence)`` yields the
-partition sorted by ``repr(key)``, with the values of equal keys in map
-order — the order a stable sort by ``repr(key)`` of every map's output,
-concatenated in map order, gives.
+batch of records of about :data:`FRAME_BYTES`.  A map's partition is sorted
+by ``repr(key)`` when it is spilled, so it is one sorted run, and the stable
+k-way merge over segments ordered by map index yields the partition sorted
+by ``repr(key)``, with the values of equal keys in map order — the order a
+stable sort by ``repr(key)`` of every map's output, concatenated in map
+order, gives.
 
 One caveat: grouping relies on equal keys having equal ``repr`` (true for
 the usual str/bytes/int/tuple keys).  A job mixing keys that compare equal
@@ -52,9 +57,8 @@ from ..fs.errors import FileSystemError
 from ..fs.interface import FileSystem
 
 __all__ = [
-    "DEFAULT_SEGMENT_SIZE",
     "decode_segment",
-    "encode_segments",
+    "encode_segment",
     "merge_runs",
     "ShuffleAbortedError",
     "SpilledSegment",
@@ -62,13 +66,8 @@ __all__ = [
     "ShuffleService",
 ]
 
-#: Default spill threshold for one segment file (1 MiB): a segment is cut
-#: once its encoded frames reach this size, so it may exceed the value by
-#: up to one frame.
-DEFAULT_SEGMENT_SIZE = 1024 * 1024
-
-#: Target size of one frame (capped by the segment size): the records of a
-#: frame are pickled, and unpickled, with one call.
+#: Target size of one frame: the records of a frame are pickled, and
+#: unpickled, with one call.
 FRAME_BYTES = 64 * 1024
 
 #: Maximum sorted runs merged in one pass (Hadoop's ``io.sort.factor``
@@ -99,28 +98,17 @@ def _frames(pairs: Iterable[Any], budget: int) -> Iterator[tuple[int, bytes]]:
         count = max(1, budget * len(batch) // len(payload))
 
 
-def encode_segments(pairs: Iterable[Any], segment_size: int) -> list[tuple[bytes, int]]:
-    """One map partition's sorted pairs as spill segments.
-
-    Each segment is ``(length-prefixed frames, records)``; a new one is cut
-    once the frames reach ``segment_size`` encoded bytes, so a segment
-    exceeds the size by at most its last frame.  Runs on the map side (in
-    a worker process when the job's map side pickles); the shuffle service
-    only writes the result.
-    """
-    segments: list[tuple[bytes, int]] = []
+def encode_segment(pairs: Iterable[Any]) -> tuple[bytes, int]:
+    """One map partition's sorted pairs as ``(length-prefixed frames,
+    records)``: the segment it spills.  Runs on the map side (in a worker
+    process when the job's map side pickles); the shuffle service only
+    writes the result."""
     frames: list[bytes] = []
-    size = records = 0
-    for count, frame in _frames(pairs, min(segment_size, FRAME_BYTES)):
+    records = 0
+    for count, frame in _frames(pairs, FRAME_BYTES):
         frames.append(frame)
-        size += len(frame)
         records += count
-        if size >= segment_size:
-            segments.append((b"".join(frames), records))
-            frames, size, records = [], 0, 0
-    if records:
-        segments.append((b"".join(frames), records))
-    return segments
+    return b"".join(frames), records
 
 
 def decode_segment(payload: bytes) -> Iterator[Any]:
@@ -140,8 +128,8 @@ def _key_repr(pair: tuple[Any, Any]) -> str:
 def merge_runs(runs: Iterable[Iterable[tuple[Any, Any]]]) -> Iterator[tuple[Any, Any]]:
     """Stable k-way merge of sorted runs by ``repr(key)``.
 
-    Given the runs in ``(map_index, sequence)`` order, the values of equal
-    keys come out in map order.
+    Given the runs in map order, the values of equal keys come out in map
+    order.
     """
     return heapq.merge(*runs, key=_key_repr)
 
@@ -152,12 +140,13 @@ class ShuffleAbortedError(RuntimeError):
 
 @dataclass(frozen=True, slots=True)
 class SpilledSegment:
-    """One segment file spilled by a map task for one reduce partition."""
+    """One map task's output for one reduce partition: the byte range
+    ``[offset, offset + bytes)`` of its spill file."""
 
     map_index: int
     partition: int
-    sequence: int
     path: str
+    offset: int
     bytes: int
     records: int
 
@@ -165,8 +154,10 @@ class SpilledSegment:
 class SegmentReader:
     """Streaming, bounded-memory record iterator over one spilled segment.
 
-    Resource discipline matters here because one reduce partition can span
-    thousands of segments:
+    Every storage read stays inside the segment's byte range of its spill
+    file, so reducers sharing one map's file never read each other's
+    partitions.  Resource discipline matters because one reduce partition
+    has a segment per map, and a job may have thousands of maps:
 
     * the storage stream is opened *lazily* — constructing a reader costs
       nothing on the backend, so collecting every segment of a partition
@@ -195,7 +186,7 @@ class SegmentReader:
         self._chunks = None  # lazily opened streaming read iterator
         self._chunk_size = max(chunk_size, _LENGTH.size)
         self._buffer = bytearray()
-        self._offset = 0  # next storage byte to read
+        self._offset = 0  # next byte of the segment to read
         self._on_release = on_release
         self._prefetched_bytes = 0
         self._prefetch_future = None
@@ -223,8 +214,8 @@ class SegmentReader:
             return 0
         fetched: list[memoryview] = []
         got = 0
-        chunks = self._fs.open_read(
-            self.segment.path, length=self._chunk_size, chunk_size=self._chunk_size
+        chunks = self._open(
+            min(self._chunk_size, self.segment.bytes), chunk_size=self._chunk_size
         )
         try:
             for chunk in chunks:
@@ -252,6 +243,22 @@ class SegmentReader:
             released, self._prefetched_bytes = self._prefetched_bytes, 0
             self._on_release(released)
 
+    def _open(self, length: int, **kwargs: Any) -> Iterator[memoryview]:
+        """Stream ``length`` bytes of the segment from the next unread one."""
+        return self._fs.open_read(
+            self.segment.path,
+            offset=self.segment.offset + self._offset,
+            length=length,
+            **kwargs,
+        )
+
+    def _truncated(self) -> ValueError:
+        segment = self.segment
+        return ValueError(
+            f"truncated shuffle segment: {segment.bytes} bytes at "
+            f"{segment.offset} of {segment.path!r}"
+        )
+
     def _read_chunk(self) -> bytes:
         """The next chunk of the segment; ``b""`` once its recorded size is
         read, so a segment the prefetch read whole is opened only once."""
@@ -261,15 +268,10 @@ class SegmentReader:
         if self._chunks is None:
             # Resume the streaming read where the prefetch stopped; the
             # backend's open_read applies its own read-ahead from here on.
-            self._chunks = self._fs.open_read(
-                self.segment.path,
-                offset=self._offset,
-                length=remaining,
-                chunk_size=self._chunk_size,
-            )
+            self._chunks = self._open(remaining, chunk_size=self._chunk_size)
         chunk = next(self._chunks, b"")
         if not chunk:
-            raise ValueError(f"truncated shuffle segment {self.segment.path!r}")
+            raise self._truncated()
         self._offset += len(chunk)
         return chunk
 
@@ -289,14 +291,12 @@ class SegmentReader:
         parts: list[Any] = [self._buffer]
         remaining = self.segment.bytes - self._offset
         if remaining > 0:
-            parts.extend(
-                self._fs.open_read(self.segment.path, offset=self._offset, length=remaining)
-            )
+            parts.extend(self._open(remaining))
         payload = b"".join(parts)
         self._buffer = bytearray()
         self._offset = self.segment.bytes
         if len(payload) != self.segment.bytes:
-            raise ValueError(f"truncated shuffle segment {self.segment.path!r}")
+            raise self._truncated()
         return payload
 
     def close(self) -> None:
@@ -316,15 +316,11 @@ class SegmentReader:
             while True:
                 if not self._fill(_LENGTH.size):
                     if self._buffer:
-                        raise ValueError(
-                            f"truncated shuffle segment {self.segment.path!r}"
-                        )
+                        raise self._truncated()
                     return
                 end = _LENGTH.size + _LENGTH.unpack_from(self._buffer)[0]
                 if not self._fill(end):
-                    raise ValueError(
-                        f"truncated shuffle segment {self.segment.path!r}"
-                    )
+                    raise self._truncated()
                 with memoryview(self._buffer)[_LENGTH.size : end] as payload:
                     frame = pickle.loads(payload)
                 del self._buffer[:end]
@@ -337,8 +333,8 @@ class ShuffleService:
     """Coordinates spilled map segments between map and reduce tasks.
 
     Map side: :meth:`spill_map_output` writes one map task's encoded
-    per-partition segments as files through the file system and publishes
-    them.
+    per-partition segments as one file through the file system and
+    publishes their byte ranges.
     Reduce side: :meth:`fetch_segments` blocks until segments appear and
     yields them as the producing maps complete; :meth:`partition_readers`
     collects a whole partition, which a reduce either reads whole
@@ -356,7 +352,6 @@ class ShuffleService:
         num_maps: int,
         num_partitions: int,
         shuffle_dir: str,
-        segment_size: int = DEFAULT_SEGMENT_SIZE,
         fetch_chunk_size: int = 64 * 1024,
         merge_factor: int = DEFAULT_MERGE_FACTOR,
         prefetch_budget: int = DEFAULT_PREFETCH_BUDGET,
@@ -366,8 +361,6 @@ class ShuffleService:
             raise ValueError("num_maps cannot be negative")
         if num_partitions < 1:
             raise ValueError("num_partitions must be at least 1")
-        if segment_size < 1:
-            raise ValueError("segment_size must be positive")
         if merge_factor < 2:
             raise ValueError("merge_factor must be at least 2")
         self._fs = fs
@@ -381,14 +374,11 @@ class ShuffleService:
         self._num_maps = num_maps
         self._num_partitions = num_partitions
         self._dir = fspath.normalize(shuffle_dir)
-        #: The job's spill threshold: the map side cuts segments at it, and
-        #: it caps the frames of intermediate merge runs.
-        self.segment_size = segment_size
-        self._frame_budget = min(segment_size, FRAME_BYTES)
         self._fetch_chunk_size = fetch_chunk_size
         self._merge_factor = merge_factor
         self._prefetch_remaining = max(prefetch_budget, 0)
         self._cond = threading.Condition()
+        # The index: per partition, every map's segment, as maps complete.
         self._segments: list[list[SpilledSegment]] = [
             [] for _ in range(num_partitions)
         ]
@@ -397,7 +387,7 @@ class ShuffleService:
         self._error: BaseException | None = None
         self._first_fetch: float | None = None
         self._last_map_done: float | None = None
-        self.segments_spilled = 0
+        self.files_spilled = 0
         self.bytes_spilled = 0
         self.records_spilled = 0
         self.segments_fetched = 0
@@ -405,82 +395,61 @@ class ShuffleService:
         fs.mkdirs(self._dir)
 
     # -- map side --------------------------------------------------------------------
-    def _segment_path(
-        self, map_index: int, partition: int, sequence: int, attempt: int
-    ) -> str:
-        # The attempt id is part of the path so re-executed attempts never
-        # overwrite each other's segments; only the winning attempt's
-        # segments are ever *published* to reducers.
-        return fspath.join(
-            self._dir,
-            f"map-{map_index:05d}-a{attempt:02d}"
-            f"-part-{partition:05d}-seg-{sequence:04d}",
-        )
-
-    def _write_segment(
-        self,
-        map_index: int,
-        partition: int,
-        sequence: int,
-        payload: bytes,
-        records: int,
-        attempt: int,
-    ) -> SpilledSegment:
-        path = self._segment_path(map_index, partition, sequence, attempt)
-        # Intermediate data is transient; replication 1 matches Hadoop's
-        # unreplicated map-output spills.
-        with self._fs.open_write(path, overwrite=True, replication=1) as stream:
-            stream.write(payload)
-        return SpilledSegment(
-            map_index=map_index,
-            partition=partition,
-            sequence=sequence,
-            path=path,
-            bytes=len(payload),
-            records=records,
-        )
-
     def spill_map_output(
         self,
         map_index: int,
-        segments: list[list[tuple[bytes, int]]],
+        segments: list[tuple[bytes, int]],
         *,
         attempt: int = 0,
     ) -> tuple[int, int]:
-        """Write one map attempt's encoded segments and publish them.
+        """Write one map attempt's encoded partitions as one file and
+        publish their byte ranges.
 
         ``segments`` holds, per partition, the ``(frames, records)``
-        segments :func:`encode_segments` cut.  Once every file is written
-        the map is marked complete and waiting reducers are woken.
-        Returns ``(bytes, records)`` spilled.
+        :func:`encode_segment` built.  They are written through one stream
+        in partition order; a map with no output writes no file.  Once the
+        file is closed the map is marked complete and waiting reducers are
+        woken.  Returns ``(bytes, records)`` spilled.
 
-        A map publishes once: attempts of one task never overlap (a retry
-        starts only after its predecessor failed, and an attempt cannot
-        fail once it has spilled), so no second attempt of a completed map
-        ever reaches this point.
+        The attempt id is part of the path, so a retried map never
+        overwrites its predecessor's file.  A map publishes once: attempts
+        of one task never overlap (a retry starts only after its
+        predecessor failed, and an attempt cannot fail once it has
+        spilled), so no second attempt of a completed map ever reaches the
+        index.
         """
         if len(segments) != self._num_partitions:
             raise ValueError(
                 f"map {map_index} spilled {len(segments)} partitions, "
                 f"expected {self._num_partitions}"
             )
-        spilled = [
-            self._write_segment(map_index, partition, sequence, payload, records, attempt)
-            for partition, cut in enumerate(segments)
-            for sequence, (payload, records) in enumerate(cut)
-        ]
-        total_bytes = sum(segment.bytes for segment in spilled)
+        path = fspath.join(self._dir, f"map-{map_index:05d}-a{attempt:02d}.out")
+        spilled: list[SpilledSegment] = []
+        offset = 0
+        for partition, (payload, records) in enumerate(segments):
+            if payload:
+                spilled.append(
+                    SpilledSegment(map_index, partition, path, offset, len(payload), records)
+                )
+                offset += len(payload)
+        if spilled:
+            # Intermediate data is transient; replication 1 matches
+            # Hadoop's unreplicated map-output spills.
+            with self._fs.open_write(path, overwrite=True, replication=1) as stream:
+                for payload, _records in segments:
+                    if payload:
+                        stream.write(payload)
         total_records = sum(segment.records for segment in spilled)
         with self._cond:
             for segment in spilled:
                 self._segments[segment.partition].append(segment)
             self._maps_done += 1
             self._last_map_done = time.monotonic()
-            self.segments_spilled += len(spilled)
-            self.bytes_spilled += total_bytes
+            self.files_spilled += bool(spilled)
+            self.bytes_spilled += offset
             self.records_spilled += total_records
             self._cond.notify_all()
-        return total_bytes, total_records
+        return offset, total_records
 
     def _refund_prefetch(self, amount: int) -> None:
         """Credit consumed prefetch bytes back to the budget."""
@@ -574,12 +543,10 @@ class ShuffleService:
         return fetched
 
     def partition_readers(self, partition: int) -> list[SegmentReader]:
-        """Every segment reader of ``partition``, in ``(map_index, sequence)``
-        order; blocks until every map completed (fetching overlaps the map
-        phase meanwhile)."""
+        """Every segment reader of ``partition``, in map order; blocks until
+        every map completed (fetching overlaps the map phase meanwhile)."""
         return sorted(
-            self.fetch_segments(partition),
-            key=lambda reader: (reader.segment.map_index, reader.segment.sequence),
+            self.fetch_segments(partition), key=lambda reader: reader.segment.map_index
         )
 
     def merged_pairs(
@@ -617,7 +584,8 @@ class ShuffleService:
     def _merge_to_segment(
         self, partition: int, readers: list[SegmentReader]
     ) -> SpilledSegment:
-        """Merge up to ``merge_factor`` sorted runs into one on-storage run.
+        """Merge up to ``merge_factor`` sorted runs into one on-storage run,
+        a file of its own read from offset 0.
 
         Runs are named by a service-wide counter, never by (partition,
         round): attempts of the same reduce partition (a retry after a
@@ -632,24 +600,24 @@ class ShuffleService:
         total = 0
         merged = merge_runs(readers)
         with self._fs.open_write(path, overwrite=True, replication=1) as stream:
-            for count, frame in _frames(merged, self._frame_budget):
+            for count, frame in _frames(merged, FRAME_BYTES):
                 stream.write(frame)
                 records += count
                 total += len(frame)
         with self._cond:
             self.merge_passes += 1
         return SpilledSegment(
-            map_index=-1,  # sorts before every real map, matching its content
+            map_index=-1,  # precedes every real map, matching its content
             partition=partition,
-            sequence=run_id,
             path=path,
+            offset=0,
             bytes=total,
             records=records,
         )
 
     # -- lifecycle / reporting -------------------------------------------------------
     def cleanup(self) -> None:
-        """Delete every spilled segment (the whole shuffle directory)."""
+        """Delete every spill file (the whole shuffle directory)."""
         try:
             if self._fs.exists(self._dir):
                 self._fs.delete(self._dir, recursive=True)
@@ -669,7 +637,9 @@ class ShuffleService:
         """JSON-friendly snapshot of the shuffle's I/O and overlap behaviour."""
         with self._cond:
             return {
-                "segments_spilled": self.segments_spilled,
+                # Spill files written; the key keeps the name the
+                # end-to-end benchmark reads.
+                "segments_spilled": self.files_spilled,
                 "bytes_spilled": self.bytes_spilled,
                 "records_spilled": self.records_spilled,
                 "segments_fetched": self.segments_fetched,

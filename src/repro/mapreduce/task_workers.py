@@ -42,7 +42,7 @@ from typing import Any, Callable, Iterable, TypeVar
 
 from .job import Counters, JobConf, TaskContext
 from .shuffle import MapOutputCollector, TextOutputFormat, group_sorted_pairs
-from .shuffle_service import decode_segment, encode_segments, merge_runs
+from .shuffle_service import decode_segment, encode_segment, merge_runs
 
 __all__ = [
     "MapSide",
@@ -83,9 +83,9 @@ class MapOutput:
     records_out: int
     #: Counter increments made by the mapper and the combiner.
     counters: dict[str, int]
-    #: Per partition, its sorted pairs as spill segments:
+    #: Per partition, its sorted pairs as one spill segment:
     #: ``(length-prefixed frames, records)``.  Empty for a map-only job.
-    segments: list[list[tuple[bytes, int]]]
+    segments: list[tuple[bytes, int]]
     #: A map-only job's output, as encoded line batches.
     batches: list[bytes]
 
@@ -103,13 +103,12 @@ def compute_map(side: MapSide, records: Iterable[tuple[Any, Any]], task_id: str)
         mapper(key, value, context)
         records_in += 1
     partitions = collector.partitions()
-    segments: list[list[tuple[bytes, int]]] = []
+    segments: list[tuple[bytes, int]] = []
     batches: list[bytes] = []
     if side.num_partitions == 0:
         batches = list(side.output_format.encode(partitions[0]))
     else:
-        segment_size = side.conf.shuffle_segment_size
-        segments = [encode_segments(pairs, segment_size) for pairs in partitions]
+        segments = [encode_segment(pairs) for pairs in partitions]
     return MapOutput(
         records_in=records_in,
         records_out=collector.records_collected,
@@ -145,8 +144,8 @@ class ReduceOutput:
 def compute_reduce(
     side: ReduceSide, runs: Iterable[Iterable[tuple[Any, Any]]], task_id: str
 ) -> ReduceOutput:
-    """Merge the sorted ``runs`` (in ``(map_index, sequence)`` order), group
-    them by key, reduce each group and encode the output lines."""
+    """Merge the sorted ``runs`` (in map order), group them by key, reduce
+    each group and encode the output lines."""
     counters = Counters()
     emitted: list[tuple[Any, Any]] = []
     append = emitted.append

@@ -141,8 +141,7 @@ class TaskTracker:
         For map-only jobs (``side.num_partitions == 0``) the encoded output
         lines are written directly to the job output directory through
         the side's output format; otherwise the encoded partitions are
-        spilled as segment files through ``shuffle`` (waking waiting
-        reducers).
+        spilled as one file through ``shuffle`` (waking waiting reducers).
 
         ``fault_plan`` injects failures/delays before the attempt touches
         data; ``commit_check`` gates the map-only output write so that only
@@ -226,9 +225,9 @@ class TaskTracker:
     ) -> TaskResult:
         """Execute the reduce function over one partition.
 
-        ``readers`` are the partition's segments in ``(map_index,
-        sequence)`` order, as :meth:`ShuffleService.partition_readers`
-        delivers them once every map completed.  The compute
+        ``readers`` are the partition's segments in map order, as
+        :meth:`ShuffleService.partition_readers` delivers them once every
+        map completed.  The compute
         (:func:`~repro.mapreduce.task_workers.compute_reduce`) runs in a
         task worker process over the segments read whole when the job's
         reduce side was ``shipped`` and the partition spilled at most

@@ -13,7 +13,7 @@ Two message kinds flow over the framed stream:
   provider).  Unpicklable values or exceptions degrade to a
   :class:`~repro.net.errors.RemoteCallError` carrying their repr.
 
-Serialisation is pickle protocol 5 (the segment files of the shuffle
+Serialisation is pickle protocol 5 (the spill files of the shuffle
 already commit to pickle for on-storage data): a message encodes to a
 *head* plus the raw buffers of its bulk payloads, which travel as their
 own frame segments.  The framing layer above bounds message size, and

@@ -23,13 +23,13 @@ from repro.mapreduce.applications import (
 )
 from repro.workloads import write_text_file
 
-from .conftest import assert_segment_layout
+from .conftest import assert_run_layout
 
 CHAOS_RATE = 0.1
 INPUT = "/in/chaos.txt"
 
 
-def make_job(app, output_dir, segment_size=None):
+def make_job(app, output_dir, overrides=None):
     if app == "wordcount":
         job = make_wordcount_job(
             [INPUT], output_dir=output_dir, num_reduce_tasks=3, split_size=4 * KB
@@ -49,8 +49,8 @@ def make_job(app, output_dir, segment_size=None):
             num_reduce_tasks=3,
             split_size=4 * KB,
         )
-    if segment_size is not None:
-        job = replace(job, conf=replace(job.conf, shuffle_segment_size=segment_size))
+    if overrides:
+        job = replace(job, conf=replace(job.conf, **overrides))
     return job
 
 
@@ -59,17 +59,17 @@ def read_output(fs, result):
 
 
 @pytest.mark.parametrize("app", ["wordcount", "grep", "sort"])
-def test_chaos_run_matches_fault_free_output(any_fs, app, segment_size):
+def test_chaos_run_matches_fault_free_output(any_fs, app, run_layout):
     write_text_file(any_fs, INPUT, num_lines=700, seed=77)
     service = JobService.local(any_fs)
     reference = service.submit(make_job(app, "/chaos-ref")).wait()
     assert reference.succeeded
     plan = FaultPlan.random(seed=101, failure_rate=CHAOS_RATE, delay_rate=CHAOS_RATE, delay=0.02)
     result = service.submit(
-        make_job(app, "/chaos-out", segment_size), fault_plan=plan
+        make_job(app, "/chaos-out", run_layout), fault_plan=plan
     ).wait()
     assert result.succeeded, result.summary()
-    assert_segment_layout(result, reference, segment_size)
+    assert_run_layout(result, reference, run_layout)
     assert read_output(any_fs, result) == read_output(any_fs, reference)
     # The plan interfered for real: this seed injects faults into the run.
     assert plan.injected_failures + plan.injected_delays > 0

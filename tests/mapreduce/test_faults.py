@@ -33,7 +33,7 @@ from repro.mapreduce import (
 from repro.mapreduce.applications import make_wordcount_job
 from repro.workloads import write_text_file
 
-from .conftest import assert_segment_layout
+from .conftest import assert_run_layout
 
 
 def wordcount(input_path, output_dir, **conf_overrides):
@@ -104,7 +104,7 @@ class TestFaultPlanDeterminism:
 
 
 class TestTaskRetries:
-    def test_injected_map_failure_recovers(self, any_fs, segment_size):
+    def test_injected_map_failure_recovers(self, any_fs, run_layout):
         write_text_file(any_fs, "/in/retry.txt", num_lines=900, seed=5)
         reference = JobService.local(any_fs).submit(
             wordcount("/in/retry.txt", "/retry-ref")
@@ -112,13 +112,11 @@ class TestTaskRetries:
         assert reference.succeeded
         plan = FaultPlan([fail_task("map", 1)])
         result = JobService.local(any_fs).submit(
-            wordcount(
-                "/in/retry.txt", "/retry-out", shuffle_segment_size=segment_size
-            ),
+            wordcount("/in/retry.txt", "/retry-out", **run_layout),
             fault_plan=plan,
         ).wait()
         assert result.succeeded
-        assert_segment_layout(result, reference, segment_size)
+        assert_run_layout(result, reference, run_layout)
         assert read_output(any_fs, result) == read_output(any_fs, reference)
         assert result.retries >= 1
         attempts = [r for r in result.task_results if r.task_id == "map-00001"]
@@ -133,7 +131,7 @@ class TestTaskRetries:
         assert summary["retries"] >= 1
         assert summary["task_attempts"] > summary["map_tasks"] + summary["reduce_tasks"]
 
-    def test_injected_reduce_failure_recovers(self, any_fs, segment_size):
+    def test_injected_reduce_failure_recovers(self, any_fs, run_layout):
         write_text_file(any_fs, "/in/retry.txt", num_lines=900, seed=5)
         reference = JobService.local(any_fs).submit(
             wordcount("/in/retry.txt", "/rretry-ref")
@@ -141,13 +139,11 @@ class TestTaskRetries:
         assert reference.succeeded
         plan = FaultPlan([fail_task("reduce", 0)])
         result = JobService.local(any_fs).submit(
-            wordcount(
-                "/in/retry.txt", "/rretry-out", shuffle_segment_size=segment_size
-            ),
+            wordcount("/in/retry.txt", "/rretry-out", **run_layout),
             fault_plan=plan,
         ).wait()
         assert result.succeeded
-        assert_segment_layout(result, reference, segment_size)
+        assert_run_layout(result, reference, run_layout)
         assert read_output(any_fs, result) == read_output(any_fs, reference)
         attempts = [r for r in result.task_results if r.task_id == "reduce-00000"]
         assert any(not r.succeeded for r in attempts)
@@ -358,23 +354,24 @@ class TestAttemptCommit:
 
         return replace(job, mapper=flaky)
 
-    def test_failed_attempt_counters_are_not_merged(self, bsfs, segment_size):
+    def test_failed_attempt_counters_are_not_merged(self, bsfs, run_layout):
         # The failed attempt processed part of its split and counted it;
         # only the retry that committed contributes counters (Hadoop
         # semantics: failed attempts do not pollute job counters).
         write_text_file(bsfs, "/in/mid.txt", num_lines=900, seed=13)
+        # The same splits: the combiner's counts depend on them.
         reference = JobService.local(bsfs).submit(
-            wordcount("/in/mid.txt", "/mid-ref")
+            wordcount("/in/mid.txt", "/mid-ref", **run_layout)
         ).wait()
         assert reference.succeeded
         job = self.fail_mid_split(
-            wordcount("/in/mid.txt", "/mid-out", shuffle_segment_size=segment_size),
+            wordcount("/in/mid.txt", "/mid-out", **run_layout),
             "map-00000",
-            20,
+            5,  # fewer records than the smallest split holds
         )
         result = JobService.local(bsfs).submit(job).wait()
         assert result.succeeded and result.retries == 1
-        assert_segment_layout(result, reference, segment_size)
+        assert_run_layout(result, reference, run_layout)
         assert read_output(bsfs, result) == read_output(bsfs, reference)
         assert result.counter("records_seen") == reference.counter(
             "map_input_records"
@@ -469,20 +466,18 @@ class TestAcceptanceScenario:
         delay_task("map", 0, 0.4),
     )
 
-    def test_recovers_to_byte_identical_output(self, any_fs, segment_size):
+    def test_recovers_to_byte_identical_output(self, any_fs, run_layout):
         write_text_file(any_fs, "/in/accept.txt", num_lines=900, seed=29)
         reference = JobService.local(any_fs).submit(
             wordcount("/in/accept.txt", "/accept-ref")
         ).wait()
         assert reference.succeeded
         result = JobService.local(any_fs).submit(
-            wordcount(
-                "/in/accept.txt", "/accept-out", shuffle_segment_size=segment_size
-            ),
+            wordcount("/in/accept.txt", "/accept-out", **run_layout),
             fault_plan=FaultPlan(self.FAULTS),
         ).wait()
         assert result.succeeded
-        assert_segment_layout(result, reference, segment_size)
+        assert_run_layout(result, reference, run_layout)
         assert read_output(any_fs, result) == read_output(any_fs, reference)
         assert result.retries >= 2
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import replace
 
 import pytest
 
@@ -211,7 +210,6 @@ class TestJobCounters:
     def test_every_counter_matches_an_independent_count(self, bsfs, text, name):
         bsfs.write_file("/in/text.txt", text)
         job = make_job(name, "/in/text.txt", f"/out-{name}")
-        job = replace(job, conf=replace(job.conf, shuffle_segment_size=2 * KB))
         result = JobService.local(bsfs, num_trackers=2).submit(job).wait()
         assert result.succeeded
         assert result.map_tasks == -(-len(text) // SPLIT) > 3

@@ -96,6 +96,65 @@ class TestTextOutputFormat:
         assert bsfs.read_file(path) == b"raw,7\n"
 
 
+def encode_part_by_part(pairs, separator: bytes, batch_bytes: int) -> list[bytes]:
+    """Output batches built by encoding every key and value on its own:
+    what :meth:`TextOutputFormat.encode` must stay byte-identical to."""
+
+    def encode(value) -> bytes:
+        return value if isinstance(value, bytes) else str(value).encode("utf-8")
+
+    batches, lines, size = [], [], 0
+    for key, value in pairs:
+        lines.append(encode(key) + separator + encode(value) + b"\n")
+        size += len(lines[-1])
+        if size >= batch_bytes:
+            batches.append(b"".join(lines))
+            lines, size = [], 0
+    if lines:
+        batches.append(b"".join(lines))
+    return batches
+
+
+class Formatted(str):
+    """A ``str`` that formats differently from its ``str()``."""
+
+    def __format__(self, spec: str) -> str:
+        return "formatted"
+
+
+FIELDS = st.one_of(st.text(), st.binary(), st.integers(), st.floats(allow_nan=False))
+SEPARATORS = [b"\t", b",", b"::", "\u00e9".encode(), b"\xff", b""]
+
+
+class TestLineEncoding:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(FIELDS, FIELDS), max_size=40),
+        separator=st.sampled_from(SEPARATORS),
+        batch_bytes=st.integers(min_value=1, max_value=64),
+    )
+    def test_matches_encoding_part_by_part(self, pairs, separator, batch_bytes):
+        fmt = SingleFileOutputFormat(separator=separator, append_chunk_bytes=batch_bytes)
+        assert list(fmt.encode(pairs)) == encode_part_by_part(pairs, separator, batch_bytes)
+
+    @pytest.mark.parametrize("separator", SEPARATORS)
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [("word", "7"), ("naïve", "日本語"), ("", "")],
+            [(b"raw", b"\x00\xff"), ("text", b"bytes"), (b"bytes", "text")],
+            [(1, 2), ("k", 3), (4.5, "v"), (("t", 1), None)],
+            [(Formatted("key"), "v"), ("k", Formatted("value"))],
+            [(f"key-{i:03d}", "é" * (i % 5)) for i in range(100)],
+        ],
+        ids=["str", "bytes", "int-and-mixed", "str-subclass", "many"],
+    )
+    @pytest.mark.parametrize("batch_bytes", [1, 10, 1 << 20])
+    def test_batches_match_encoding_part_by_part(self, pairs, separator, batch_bytes):
+        fmt = SingleFileOutputFormat(separator=separator, append_chunk_bytes=batch_bytes)
+        assert list(fmt.encode(pairs)) == encode_part_by_part(pairs, separator, batch_bytes)
+
+
 class TestSingleFileOutputFormat:
     def test_all_tasks_append_to_one_file_on_bsfs(self, bsfs):
         fmt = SingleFileOutputFormat(filename="merged.txt")

@@ -11,27 +11,27 @@ from repro.mapreduce.shuffle import group_sorted_pairs
 from repro.mapreduce.shuffle_service import (
     SegmentReader,
     ShuffleAbortedError,
+    FRAME_BYTES,
     ShuffleService,
     SpilledSegment,
     _LENGTH,
-    encode_segments,
+    encode_segment,
 )
 
 
-def make_service(fs, *, num_maps=2, num_partitions=2, segment_size=1024, **kwargs):
+def make_service(fs, *, num_maps=2, num_partitions=2, **kwargs):
     return ShuffleService(
         fs,
         num_maps=num_maps,
         num_partitions=num_partitions,
         shuffle_dir="/job/_shuffle",
-        segment_size=segment_size,
         **kwargs,
     )
 
 
 def spill(service, map_index, partitions, **kwargs):
     """Encode ``partitions`` as a map task does, then spill them."""
-    segments = [encode_segments(pairs, service.segment_size) for pairs in partitions]
+    segments = [encode_segment(pairs) for pairs in partitions]
     return service.spill_map_output(map_index, segments, **kwargs)
 
 
@@ -52,23 +52,23 @@ class TestSpillAndMerge:
         values = [value for _key, value in service.merged_pairs(0)]
         assert values == ["from-map-0", "from-map-1", "from-map-2"]
 
-    def test_large_partition_splits_into_multiple_segments(self, bsfs):
-        service = make_service(bsfs, num_maps=1, num_partitions=1, segment_size=256)
-        pairs = [(f"key-{i:04d}", "v" * 40) for i in range(100)]
+    def test_a_large_partition_is_one_segment_of_many_frames(self, bsfs):
+        service = make_service(bsfs, num_maps=1, num_partitions=1)
+        pairs = [(f"key-{i:05d}", f"value-{i:05d}" * 4) for i in range(5000)]
         spill(service, 0, [pairs])
-        assert service.segments_spilled > 1
-        assert service.bytes_spilled > 256
+        [segment] = spilled_segments(service)
+        assert len(read_frames(bsfs, segment)) > 2
+        assert service.files_spilled == 1
+        assert service.bytes_spilled == segment.bytes > 3 * FRAME_BYTES
         merged = list(service.merged_pairs(0))
         assert merged == pairs
-        assert service.segments_fetched == service.segments_spilled
+        assert service.segments_fetched == 1
 
     def test_cascaded_merge_bounds_open_runs(self, bsfs):
         # More sorted runs than merge_factor: the earliest runs must be
         # cascaded through intermediate on-storage merges while the final
         # output stays identical to a flat merge.
-        service = make_service(
-            bsfs, num_maps=4, num_partitions=1, segment_size=128, merge_factor=3
-        )
+        service = make_service(bsfs, num_maps=4, num_partitions=1, merge_factor=3)
         expected = []
         for map_index in range(4):
             pairs = sorted(
@@ -77,16 +77,14 @@ class TestSpillAndMerge:
             )
             expected.extend(pairs)
             spill(service, map_index, [pairs])
-        assert service.segments_spilled > 3
+        assert service.files_spilled == 4
         merged = list(service.merged_pairs(0))
         assert merged == sorted(expected, key=lambda kv: repr(kv[0]))
         assert service.merge_passes > 0
         assert service.stats()["merge_passes"] == service.merge_passes
 
     def test_cascaded_merge_keeps_equal_keys_in_map_order(self, bsfs):
-        service = make_service(
-            bsfs, num_maps=6, num_partitions=1, segment_size=1, merge_factor=2
-        )
+        service = make_service(bsfs, num_maps=6, num_partitions=1, merge_factor=2)
         for map_index in range(6):
             spill(service, map_index, [[("k", f"map-{map_index}")]])
         values = [value for _key, value in service.merged_pairs(0)]
@@ -94,10 +92,7 @@ class TestSpillAndMerge:
         assert service.merge_passes > 0
 
     def test_prefetch_budget_caps_eager_reads(self, bsfs):
-        service = make_service(
-            bsfs, num_maps=1, num_partitions=1, segment_size=64,
-            prefetch_budget=0,
-        )
+        service = make_service(bsfs, num_maps=1, num_partitions=1, prefetch_budget=0)
         pairs = sorted(
             ((f"key-{i:03d}", "v" * 30) for i in range(30)),
             key=lambda kv: repr(kv[0]),
@@ -112,7 +107,7 @@ class TestSpillAndMerge:
         # the bytes back, so later partitions prefetch again.
         chunk = 4 * 1024
         service = make_service(
-            bsfs, num_maps=1, num_partitions=4, segment_size=64,
+            bsfs, num_maps=1, num_partitions=4,
             prefetch_budget=2 * chunk, fetch_chunk_size=chunk,
         )
         pairs = sorted(
@@ -125,12 +120,26 @@ class TestSpillAndMerge:
         # Every reader released its reservation: the budget is whole again.
         assert service._prefetch_remaining == 2 * chunk
 
-    def test_segments_are_real_files_on_the_backend(self, any_fs):
+    def test_a_map_spills_every_partition_into_one_file(self, any_fs):
+        service = make_service(any_fs, num_maps=2, num_partitions=3)
+        spill(service, 0, [[("a", 1)], [], [("c", 3), ("d", 4)]])
+        spill(service, 1, [[], [], []])  # no output: no file
+        [file] = any_fs.list_files("/job/_shuffle")
+        assert file.size == service.bytes_spilled > 0
+        assert service.files_spilled == 1
+        first, third = spilled_segments(service, 0) + spilled_segments(service, 2)
+        assert spilled_segments(service, 1) == []
+        assert (first.path, third.path) == (file.path, file.path)
+        assert (first.offset, third.offset) == (0, first.bytes)
+        assert first.bytes + third.bytes == file.size
+        assert (first.records, third.records) == (1, 2)
+        assert list(service.merged_pairs(2)) == [("c", 3), ("d", 4)]
+
+    def test_a_retried_attempt_writes_its_own_file(self, any_fs):
         service = make_service(any_fs, num_maps=1, num_partitions=1)
-        spill(service, 0, [[("k", "v")]])
-        files = any_fs.list_files("/job/_shuffle")
-        assert len(files) == 1
-        assert files[0].size == service.bytes_spilled > 0
+        spill(service, 0, [[("k", "v")]], attempt=2)
+        [file] = any_fs.list_files("/job/_shuffle")
+        assert file.path.endswith("map-00000-a02.out")
 
     def test_cleanup_removes_the_shuffle_dir(self, any_fs):
         service = make_service(any_fs, num_maps=1, num_partitions=1)
@@ -146,8 +155,6 @@ class TestSpillAndMerge:
     def test_constructor_validation(self, bsfs):
         with pytest.raises(ValueError):
             make_service(bsfs, num_partitions=0)
-        with pytest.raises(ValueError):
-            make_service(bsfs, segment_size=0)
         with pytest.raises(ValueError):
             make_service(bsfs, num_maps=-1)
 
@@ -207,8 +214,8 @@ class TestSegmentReader:
             SpilledSegment(
                 map_index=0,
                 partition=0,
-                sequence=0,
                 path=f.path,
+                offset=0,
                 bytes=f.size,
                 records=1,
             )
@@ -216,14 +223,7 @@ class TestSegmentReader:
         ]
         truncated_path = "/job/_shuffle/truncated"
         bsfs.write_file(truncated_path, bsfs.read_file(segment.path)[:-2])
-        bad = SpilledSegment(
-            map_index=0,
-            partition=0,
-            sequence=0,
-            path=truncated_path,
-            bytes=segment.bytes - 2,
-            records=1,
-        )
+        bad = replace(segment, path=truncated_path, bytes=segment.bytes - 2)
         with pytest.raises(ValueError, match="truncated"):
             list(SegmentReader(bsfs, bad))
 
@@ -242,9 +242,10 @@ class TestSegmentReader:
         )
 
 
-def read_frames(fs, path: str) -> list[bytes]:
-    """The raw frames (length prefix included) of one segment file."""
-    data, frames, pos = fs.read_file(path), [], 0
+def read_frames(fs, segment: SpilledSegment) -> list[bytes]:
+    """The raw frames (length prefix included) of one segment."""
+    data = fs.read_file(segment.path)[segment.offset : segment.offset + segment.bytes]
+    frames, pos = [], 0
     while pos < len(data):
         end = pos + _LENGTH.size + _LENGTH.unpack_from(data, pos)[0]
         frames.append(data[pos:end])
@@ -267,7 +268,7 @@ def prefetched(fs, segment: SpilledSegment) -> SegmentReader:
 
 class TestFrameCodec:
     def test_round_trip_of_mixed_key_types(self, bsfs):
-        service = make_service(bsfs, num_maps=1, num_partitions=1, segment_size=200)
+        service = make_service(bsfs, num_maps=1, num_partitions=1)
         pairs = sorted(
             [("text", 1), (b"raw", b"\x00\xff"), (7, 7.5), (("t", 2), [1, 2])]
             * 30,
@@ -286,20 +287,16 @@ class TestFrameCodec:
         self, bsfs, merge_factor
     ):
         service = make_service(
-            bsfs,
-            num_maps=3,
-            num_partitions=1,
-            segment_size=300,
-            merge_factor=merge_factor,
+            bsfs, num_maps=3, num_partitions=1, merge_factor=merge_factor
         )
         for map_index in (2, 0, 1):  # published out of map order
             pairs = [("k", (map_index, i)) for i in range(150)]
             pairs.append(("z", (map_index, 0)))
             spill(service, map_index, [pairs])
-        # Every map's run spans several segments of several frames.
+        # Every map's run is one segment of several frames.
         segments = spilled_segments(service)
-        assert len(segments) > 3 * 2
-        assert any(len(read_frames(bsfs, s.path)) > 1 for s in segments)
+        assert len(segments) == 3
+        assert all(len(read_frames(bsfs, s)) > 1 for s in segments)
         merged = list(service.merged_pairs(0))
         assert merged == [
             ("k", (m, i)) for m in range(3) for i in range(150)
@@ -307,16 +304,16 @@ class TestFrameCodec:
         assert (service.merge_passes > 0) == (merge_factor == 2)
 
     def test_segment_truncated_mid_frame_raises(self, bsfs):
-        service = make_service(bsfs, num_maps=1, num_partitions=1, segment_size=10**6)
+        service = make_service(bsfs, num_maps=1, num_partitions=1)
         pairs = [(f"key-{i:04d}", "v" * 20) for i in range(200)]
         spill(service, 0, [pairs])
         [segment] = spilled_segments(service)
-        frames = read_frames(bsfs, segment.path)
+        frames = read_frames(bsfs, segment)
         assert len(frames) >= 2
         cut = len(frames[0]) + len(frames[1]) // 2
         bsfs.write_file("/job/_shuffle/cut", bsfs.read_file(segment.path)[:cut])
         reader = SegmentReader(
-            bsfs, SpilledSegment(0, 0, 0, "/job/_shuffle/cut", cut, len(pairs))
+            bsfs, SpilledSegment(0, 0, "/job/_shuffle/cut", 0, cut, len(pairs))
         )
         decoded = []
         with pytest.raises(ValueError, match="truncated"):
@@ -327,11 +324,11 @@ class TestFrameCodec:
     def test_segment_shorter_than_its_recorded_size_raises(self, any_fs):
         # Cut at a frame boundary: every frame left decodes, so only the
         # recorded size can tell that the rest of the segment is missing.
-        service = make_service(any_fs, num_maps=1, num_partitions=1, segment_size=10**6)
+        service = make_service(any_fs, num_maps=1, num_partitions=1)
         pairs = [(f"key-{i:04d}", "v" * 20) for i in range(200)]
         spill(service, 0, [pairs])
         [segment] = spilled_segments(service)
-        frames = read_frames(any_fs, segment.path)
+        frames = read_frames(any_fs, segment)
         assert len(frames) >= 2
         any_fs.write_file("/job/_shuffle/short", frames[0])
         short = replace(segment, path="/job/_shuffle/short")
@@ -341,6 +338,56 @@ class TestFrameCodec:
                 for pair in reader:
                     decoded.append(pair)
             assert decoded == pairs[: len(decoded)]
+
+    def test_a_segment_cut_off_its_shared_file_raises(self, any_fs):
+        # The file keeps partition 0 whole but stops inside partition 1's
+        # range: only partition 1's readers can tell, and every read path
+        # (streamed, prefetched, read whole) must.
+        service = make_service(any_fs, num_maps=1, num_partitions=2)
+        pairs = [(f"key-{i:04d}", "v" * 20) for i in range(200)]
+        spill(service, 0, [pairs, pairs])
+        [first] = spilled_segments(service, 0)
+        [second] = spilled_segments(service, 1)
+        data = any_fs.read_file(first.path)
+        any_fs.write_file("/job/_shuffle/short", data[: second.offset + second.bytes // 2])
+        first, second = (replace(s, path="/job/_shuffle/short") for s in (first, second))
+        assert list(SegmentReader(any_fs, first, chunk_size=100)) == pairs
+        assert SegmentReader(any_fs, first).read_all() == data[: first.bytes]
+        for reader in (SegmentReader(any_fs, second), prefetched(any_fs, second)):
+            with pytest.raises(ValueError, match="truncated"):
+                list(reader)
+        for reader in (SegmentReader(any_fs, second), prefetched(any_fs, second)):
+            with pytest.raises(ValueError, match="truncated"):
+                reader.read_all()
+
+    @pytest.mark.parametrize("chunk_size", [100, 4096, 64 * 1024])
+    def test_a_reader_reads_only_its_own_range(self, any_fs, monkeypatch, chunk_size):
+        service = make_service(any_fs, num_maps=1, num_partitions=3)
+        # Each partition is larger than the prefetch chunk.
+        parts = [[(f"{p}-{i:04d}", f"value-{i:04d}" * 3) for i in range(3000)] for p in range(3)]
+        spill(service, 0, parts)
+        segments = [spilled_segments(service, p)[0] for p in range(3)]
+        reads: list[tuple[int, int]] = []
+        open_read = any_fs.open_read
+
+        def recording_open_read(path, *, offset=0, length=None, **kwargs):
+            reads.append((offset, length))
+            return open_read(path, offset=offset, length=length, **kwargs)
+
+        monkeypatch.setattr(any_fs, "open_read", recording_open_read)
+        for segment, pairs in zip(segments, parts):
+            end = segment.offset + segment.bytes
+            reads.clear()
+            assert list(prefetched(any_fs, segment)) == pairs
+            assert list(SegmentReader(any_fs, segment, chunk_size=chunk_size)) == pairs
+            assert all(segment.offset <= at and at + n <= end for at, n in reads)
+            reads.clear()
+            payload = prefetched(any_fs, segment).read_all()
+            assert payload == encode_segment(pairs)[0]
+            # The prefetch and the rest tile the range exactly.
+            (first, head), (rest, tail) = reads
+            assert first == segment.offset and rest == first + head
+            assert rest + tail == end
 
     def test_segment_within_one_chunk_is_opened_once(self, any_fs, monkeypatch):
         service = make_service(any_fs, num_maps=4, num_partitions=2)
@@ -362,23 +409,6 @@ class TestFrameCodec:
         segments = spilled_segments(service, 0) + spilled_segments(service, 1)
         assert all(s.bytes < 64 * 1024 for s in segments)
         assert sorted(opened) == sorted(s.path for s in segments)
-
-    @pytest.mark.parametrize("segment_size", [1, 100, 4096, 64 * 1024])
-    def test_segments_exceed_the_size_by_at_most_one_frame(self, bsfs, segment_size):
-        service = make_service(
-            bsfs, num_maps=1, num_partitions=1, segment_size=segment_size
-        )
-        # Record sizes vary, so frame sizing keeps adapting.
-        pairs = [(f"key-{i:05d}", "v" * (i % 97)) for i in range(3000)]
-        spill(service, 0, [pairs])
-        segments = spilled_segments(service)
-        for index, segment in enumerate(segments):
-            frames = read_frames(bsfs, segment.path)
-            assert sum(map(len, frames)) == segment.bytes
-            assert segment.bytes - len(frames[-1]) < segment_size
-            if index < len(segments) - 1:
-                assert segment.bytes >= segment_size
-        assert list(service.merged_pairs(0)) == pairs
 
 
 class TestGroupSortedPairs:

@@ -2,8 +2,9 @@
 
 Covers the acceptance criteria of the shuffle subsystem: output equal, byte
 for byte, to a plain-Python reference on every registered backend, external
-merge of partitions larger than one segment, the single-output-file (§V)
-job mode with its per-backend fallback, and per-task failure capture.
+merge of partitions of more runs than one merge pass takes, one spill file
+per map read by range, the single-output-file (§V) job mode with its
+per-backend fallback, and per-task failure capture.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ from dataclasses import replace
 import pytest
 
 from repro.core import KB
+import repro.mapreduce.tasktracker as tasktracker
 from repro.mapreduce import Job, JobConf, JobService, hash_partitioner
 from repro.mapreduce.applications import make_wordcount_job
+from repro.mapreduce.shuffle_service import DEFAULT_MERGE_FACTOR, ShuffleService
 from repro.workloads import write_text_file
 
 
@@ -53,7 +56,6 @@ class TestSpillShuffleEquivalence:
             ["/in/data.txt"], output_dir="/wc-spill", num_reduce_tasks=3,
             split_size=8 * KB,
         )
-        job = replace(job, conf=replace(job.conf, shuffle_segment_size=2 * KB))
         result = service.submit(job).wait()
         assert result.succeeded
         text = any_fs.read_file("/in/data.txt").decode()
@@ -61,8 +63,9 @@ class TestSpillShuffleEquivalence:
             text, 3
         )
         assert result.shuffle is not None
-        assert result.shuffle["segments_spilled"] > 0
-        assert result.shuffle["segments_fetched"] == result.shuffle["segments_spilled"]
+        # One spill file per map; a reducer fetches a segment of each.
+        assert result.shuffle["segments_spilled"] == result.map_tasks
+        assert result.shuffle["segments_fetched"] == 3 * result.map_tasks
         assert result.counter("map_spilled_bytes") > 0
         # Every spilled record reaches a reducer exactly once.
         assert result.counter("reduce_shuffle_records") == result.shuffle[
@@ -75,19 +78,23 @@ class TestSpillShuffleEquivalence:
         with pytest.raises(ValueError, match="one shuffle"):
             JobConf(name="in-memory", spill_to_fs=False)
 
-    def test_partition_larger_than_segment_size_merges_externally(self, any_fs):
+    def test_partition_of_more_runs_than_the_merge_factor_merges_externally(
+        self, any_fs, monkeypatch
+    ):
         write_text_file(any_fs, "/in/big.txt", num_lines=1500, seed=23)
         service = JobService.local(any_fs, slots_per_tracker=2)
         job = make_wordcount_job(
             ["/in/big.txt"], output_dir="/wc-ext", num_reduce_tasks=1,
-            split_size=16 * KB,
+            split_size=2 * KB,
         )
-        # Tiny segments: the single reduce partition spans many sorted runs
-        # and must be reassembled by the external k-way merge.
-        job = replace(job, conf=replace(job.conf, shuffle_segment_size=512))
+        # Small splits: the single reduce partition spans more sorted runs
+        # than one merge pass takes, and the streaming reduce must cascade
+        # them through intermediate on-storage merges.
+        monkeypatch.setattr(tasktracker, "WORKER_REDUCE_MAX_BYTES", 0)
         result = service.submit(job).wait()
         assert result.succeeded
-        assert result.shuffle["segments_spilled"] > result.map_tasks
+        assert result.map_tasks > DEFAULT_MERGE_FACTOR
+        assert result.shuffle["merge_passes"] > 0
         reference: dict[str, int] = {}
         for line in any_fs.read_file("/in/big.txt").decode().splitlines():
             for word in line.split():
@@ -108,6 +115,131 @@ class TestSpillShuffleEquivalence:
         result = JobService.local(bsfs).submit(job).wait()
         assert result.succeeded
         assert result.shuffle is None
+
+
+class FailingSpill:
+    """A spill stream that writes its first partition, then fails: a map
+    attempt whose storage breaks mid-file."""
+
+    def __init__(self, stream) -> None:
+        self._stream = stream
+        self._writes = 0
+
+    def __enter__(self):
+        self._stream.__enter__()
+        return self
+
+    def __exit__(self, *exc_info):
+        return self._stream.__exit__(*exc_info)
+
+    def write(self, data) -> int:
+        self._writes += 1
+        if self._writes > 1:
+            raise RuntimeError("storage failed mid-spill")
+        return self._stream.write(data)
+
+
+class TestSpillLayout:
+    """One spill file per map attempt; each reducer reads exactly its own
+    byte range of each map's file."""
+
+    REDUCERS = 3
+
+    def run(self, fs, monkeypatch, output_dir, *, failing_path=None):
+        """Run a word count, recording the shuffle's file writes, range
+        reads and final index (partition → segments)."""
+        written: list[str] = []
+        reads: list[tuple[str, int, int]] = []
+        index: list[list] = []
+        open_write, open_read = fs.open_write, fs.open_read
+
+        def recording_open_write(path, **kwargs):
+            stream = open_write(path, **kwargs)
+            if "/_shuffle/map-" not in path:
+                return stream
+            written.append(path)
+            return FailingSpill(stream) if path == failing_path else stream
+
+        def recording_open_read(path, *, offset=0, length=None, **kwargs):
+            if "/_shuffle/" in path:
+                reads.append((path, offset, length))
+            return open_read(path, offset=offset, length=length, **kwargs)
+
+        cleanup = ShuffleService.cleanup
+
+        def indexed_cleanup(service):
+            index.extend(list(segments) for segments in service._segments)
+            cleanup(service)
+
+        monkeypatch.setattr(fs, "open_write", recording_open_write)
+        monkeypatch.setattr(fs, "open_read", recording_open_read)
+        monkeypatch.setattr(ShuffleService, "cleanup", indexed_cleanup)
+        job = make_wordcount_job(
+            ["/in/layout.txt"], output_dir=output_dir,
+            num_reduce_tasks=self.REDUCERS, split_size=4 * KB,
+        )
+        result = JobService.local(fs).submit(job).wait()
+        monkeypatch.undo()
+        assert result.succeeded
+        text = fs.read_file("/in/layout.txt").decode()
+        assert read_parts(fs, result.output_paths) == reference_wordcount_parts(
+            text, self.REDUCERS
+        )
+        return result, written, reads, index
+
+    @staticmethod
+    def assert_reads_tile_the_index(reads, index) -> None:
+        """Every shuffle read lies inside one indexed segment, and the reads
+        of each segment cover it exactly once."""
+        read_bytes = Counter()
+        for path, offset, length in reads:
+            [segment] = [
+                s for segments in index for s in segments
+                if s.path == path and s.offset <= offset
+                and offset + length <= s.offset + s.bytes
+            ]
+            read_bytes[segment] += length
+        segments = [s for segments in index for s in segments]
+        assert read_bytes == Counter({s: s.bytes for s in segments})
+
+    def test_one_file_per_map_and_each_reducer_reads_its_range(
+        self, any_fs, monkeypatch
+    ):
+        write_text_file(any_fs, "/in/layout.txt", num_lines=600, seed=17)
+        result, written, reads, index = self.run(any_fs, monkeypatch, "/layout")
+        maps = result.map_tasks
+        assert maps > 2
+        assert sorted(written) == [
+            f"/layout/_shuffle/map-{m:05d}-a00.out" for m in range(maps)
+        ]
+        assert result.shuffle["segments_spilled"] == maps
+        # Every reducer has a segment of every map's file, in its own
+        # partition's place within it.
+        for partition, segments in enumerate(index):
+            assert sorted(s.map_index for s in segments) == list(range(maps))
+            assert {s.partition for s in segments} == {partition}
+        self.assert_reads_tile_the_index(reads, index)
+
+    def test_a_map_retried_after_a_failed_spill_is_read_from_the_winner(
+        self, any_fs, monkeypatch
+    ):
+        write_text_file(any_fs, "/in/layout.txt", num_lines=600, seed=17)
+        loser = "/layout-retry/_shuffle/map-00001-a00.out"
+        result, written, reads, index = self.run(
+            any_fs, monkeypatch, "/layout-retry", failing_path=loser
+        )
+        assert result.retries == 1
+        [failed] = result.failed_tasks
+        assert (failed.task_id, failed.attempt) == ("map-00001", 0)
+        assert "mid-spill" in failed.error
+        winner = "/layout-retry/_shuffle/map-00001-a01.out"
+        assert written.count(loser) == 1 and winner in written
+        assert len(written) == result.map_tasks + 1
+        map_one = [s for segments in index for s in segments if s.map_index == 1]
+        assert len(map_one) == self.REDUCERS
+        assert {s.path for s in map_one} == {winner}
+        assert loser not in {path for path, _offset, _length in reads}
+        self.assert_reads_tile_the_index(reads, index)
 
 
 class TestSingleOutputFile:

@@ -290,8 +290,8 @@ def test_a_partition_over_the_bound_streams_on_the_slot_thread(any_fs, monkeypat
     write_text_file(any_fs, INPUT, num_lines=400, seed=11)
     service = JobService.local(any_fs)
     job = make_job("sort", "/out-in-memory")
-    # 64 B segments: more sorted runs than one merge pass takes.
-    job = replace(job, conf=replace(job.conf, shuffle_segment_size=64))
+    # More maps, so more sorted runs, than one merge pass takes.
+    job = replace(job, conf=replace(job.conf, split_size=KB))
     in_memory = service.submit(job).wait()
     monkeypatch.setattr(tasktracker, "WORKER_REDUCE_MAX_BYTES", 0)
     streamed = service.submit(replace(job, conf=replace(job.conf, output_dir="/out-streamed"))).wait()

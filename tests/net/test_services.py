@@ -249,6 +249,21 @@ class TestHdfsPlacementWithoutProbes:
         assert not fs.exists("/gone.bin")
         assert fs.read_file("/old.bin") == b"new"
 
+    def test_stats_list_an_unreachable_datanode_and_report_the_rest(self, faults):
+        fs = self.make_hdfs(faults)
+        victim = self.stubs[0]
+        self.write_from(fs, self.stubs[1].host, "/kept.bin", bytes(BLOCK))
+        faults.kill(victim.host)
+        report = fs.stats()["datanodes"]
+        assert report[victim.node_id] == {
+            "host": victim.host,
+            "rack": victim.rack,
+            "reachable": False,
+        }
+        others = [report[stub.node_id] for stub in self.stubs[1:]]
+        assert all(entry["reachable"] for entry in others)
+        assert [entry["blocks"] for entry in others] == [1, 0]
+
 
 class TestTcpStubs:
     def test_provider_node_server_round_trip(self):
