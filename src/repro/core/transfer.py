@@ -3,10 +3,9 @@
 The paper's headline numbers are *aggregate throughput under heavy
 concurrency*: BlobSeer-backed MapReduce wins because page transfers are
 striped across providers in parallel.  Every byte path of this code base —
-client page writes and reads, replica fan-out, HDFS block replication,
-shuffle segment prefetching — therefore funnels through one small engine
-instead of each layer hand-rolling (or, worse, skipping) its own
-concurrency:
+client page writes and reads, replica fan-out, HDFS block replication —
+therefore funnels through one small engine instead of each layer
+hand-rolling (or, worse, skipping) its own concurrency:
 
 * :class:`TransferEngine` — a bounded worker pool with *caller
   participation*: :meth:`TransferEngine.map` drains its work queue on the
@@ -34,7 +33,6 @@ __all__ = [
     "TransferEngine",
     "ChunkBuffer",
     "pipelined",
-    "default_engine",
 ]
 
 T = TypeVar("T")
@@ -277,22 +275,3 @@ class ChunkBuffer:
         """Drop everything buffered."""
         self._chunks.clear()
         self._length = 0
-
-
-_default_engine: TransferEngine | None = None
-_default_engine_lock = threading.Lock()
-
-
-def default_engine() -> TransferEngine:
-    """Process-wide fallback engine for components without their own config.
-
-    Deployments with a configuration (BlobSeer, HDFS) own a private engine
-    sized by their ``transfer_workers``; pieces that only have a
-    :class:`~repro.fs.interface.FileSystem` in hand (LocalFS streaming, the
-    shuffle service on any backend) share this one.
-    """
-    global _default_engine
-    with _default_engine_lock:
-        if _default_engine is None:
-            _default_engine = TransferEngine(name="transfer-shared")
-        return _default_engine

@@ -51,7 +51,6 @@ from .shuffle import (
     hash_partitioner,
 )
 from .shuffle_service import (
-    SegmentReader,
     ShuffleAbortedError,
     ShuffleService,
     SpilledSegment,
@@ -104,7 +103,6 @@ __all__ = [
     "group_sorted_pairs",
     "ShuffleService",
     "ShuffleAbortedError",
-    "SegmentReader",
     "SpilledSegment",
     "identity_mapper",
     "identity_reducer",

@@ -21,11 +21,11 @@ execution a :class:`JobContext` of runtime controls.
 There is one shuffle, and it goes through the job's file system: each map
 spills one file of sorted per-partition segments
 (:mod:`repro.mapreduce.shuffle_service`), reduce tasks start *alongside*
-the map phase and read their partition's byte range of each map's file as
-individual maps complete (overlapped shuffle), then merge them — so
-shuffle I/O exercises the storage backend under measurement and a
-partition larger than memory still reduces.  A map-only job has no reduce
-phase: its maps write the output themselves.
+the map phase and read their partition's byte range of each map's file,
+whole, as that map commits (overlapped shuffle), then merge the segments
+once the last map committed — so shuffle I/O exercises the storage backend
+under measurement.  A reduce holds its partition in memory.  A map-only
+job has no reduce phase: its maps write the output themselves.
 ``JobConf(single_output_file=True)`` makes all reducers write one shared
 output file via ``concurrent_append`` — the paper's §V scenario — on
 backends that support it.
@@ -34,10 +34,11 @@ Fault tolerance.  Every task is executed as a sequence of *attempts*
 (bounded by ``JobConf.max_task_attempts``): a failed attempt is re-executed
 on a different tracker, hosts accumulating failures are blacklisted for the
 job (:class:`~repro.mapreduce.scheduler.LocalityAwareScheduler`), and a
-straggler is waited for.  Exactly one attempt per task ever commits
-output: the shuffle service publishes only the winning attempt's
-(attempt-id-suffixed) spill file, and reduce/map-only writes are gated by an
-output-committer handshake.  Failure *injection* for all of this lives in
+straggler is waited for.  Attempts of one task never overlap — a retry
+starts only after its predecessor failed — so exactly one attempt per task
+succeeds and writes output; only a map attempt that spilled its whole
+file publishes it to the shuffle index, and the file name carries the
+attempt id.  Failure *injection* for all of this lives in
 :mod:`repro.mapreduce.faults`.
 """
 
@@ -48,10 +49,8 @@ import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Any, Callable
 
-from ..core.transfer import TransferEngine
 from ..fs import path as fspath
 from ..fs.interface import FileSystem
 from ..net.liveness import HeartbeatPump, LivenessRegistry
@@ -112,8 +111,8 @@ class JobResult:
 
     @property
     def winning_tasks(self) -> list[TaskResult]:
-        """The attempts whose output was committed (one per completed task)."""
-        return [r for r in self.task_results if r.succeeded and not r.discarded]
+        """The attempts that succeeded (one per completed task)."""
+        return [r for r in self.task_results if r.succeeded]
 
     @property
     def retries(self) -> int:
@@ -295,7 +294,6 @@ class JobTracker:
         shipped_map = ship(map_side)
         shipped_reduce = None if map_only else ship(reduce_side)
         shuffle_service: ShuffleService | None = None
-        shuffle_transfer: TransferEngine | None = None
         tracker_liveness: _TrackerLiveness | None = None
 
         def cancelled_result(
@@ -352,9 +350,6 @@ class JobTracker:
                 )
             if context.cancel_event.is_set():
                 return cancelled_result(task_id, "map", attempt)
-            commit_check = None
-            if map_only:
-                commit_check = partial(map_phase.try_commit, index, attempt)
             # Each attempt gets its own counter set; only the winner's is
             # folded into the job counters (see merge_winner_counters).
             attempt_counters = Counters()
@@ -370,7 +365,6 @@ class JobTracker:
                     shuffle=shuffle_service,
                     attempt=attempt,
                     fault_plan=fault_plan,
-                    commit_check=commit_check,
                 )
             except Exception as exc:
                 failed = _failed_result(
@@ -440,18 +434,18 @@ class JobTracker:
             attempt_counters = Counters()
             try:
                 assert shuffle_service is not None
-                readers = shuffle_service.partition_readers(index)
+                # Reads each segment as its map commits, holding no slot.
+                payloads = shuffle_service.partition_payloads(index)
                 result = tracker.run_reduce_task(
                     reduce_side,
                     self.fs,
                     index,
-                    readers,
+                    payloads,
                     shuffle=shuffle_service,
                     shipped=shipped_reduce,
                     counters=attempt_counters,
                     attempt=attempt,
                     fault_plan=fault_plan,
-                    commit_check=partial(reduce_phase.try_commit, index, attempt),
                 )
             except ShuffleAbortedError as exc:
                 # The shuffle is dead; retrying this reduce cannot succeed.
@@ -494,19 +488,11 @@ class JobTracker:
         max_workers = max(sum(t.slots for t in self.trackers), 1)
         try:
             if not map_only:
-                # A per-job prefetch engine keeps one heavy shuffle from
-                # starving the process-wide fallback pool that other jobs
-                # (or the benchmarks) share; it is shut down with the job.
-                shuffle_transfer = TransferEngine(
-                    max(2, min(2 * num_partitions, 16)),
-                    name=f"shuffle-{job.name[:16]}",
-                )
                 shuffle_service = ShuffleService(
                     self.fs,
                     num_maps=len(assignments),
                     num_partitions=num_partitions,
                     shuffle_dir=fspath.join(job.conf.output_dir, "_shuffle"),
-                    transfer=shuffle_transfer,
                 )
             if fault_plan is not None and fault_plan.tracker_faults:
                 # With tracker faults in play, a killed tracker is not
@@ -522,7 +508,7 @@ class JobTracker:
                     on_death=scheduler.mark_dead,
                 )
             # Overlapped shuffle: reduce workers start alongside the map
-            # phase and fetch segments as individual maps complete; the
+            # phase and read segments as individual maps commit; the
             # separate pools keep blocked reducers from starving maps.  A
             # map-only job has no reduce tasks, so its reduce pool stays
             # empty.
@@ -556,8 +542,6 @@ class JobTracker:
                     "shuffle_segments_fetched", shuffle_service.segments_fetched
                 )
                 shuffle_service.cleanup()
-            if shuffle_transfer is not None:
-                shuffle_transfer.close()
             if tracker_liveness is not None:
                 tracker_liveness.stop()
 

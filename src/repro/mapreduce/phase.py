@@ -1,4 +1,4 @@
-"""Task attempts: the retry, blacklist and commit protocol of one phase.
+"""Task attempts: the retry and blacklist protocol of one phase.
 
 :class:`_RetryingPhase` runs the tasks of one MapReduce phase (all maps or
 all reduces of a job) as bounded sequences of attempts on a worker pool;
@@ -27,8 +27,6 @@ class _TaskEntry:
         "winner",
         "permanent_failure",
         "done",
-        "committed",
-        "commit_attempt",
     )
 
     def __init__(self, index: int) -> None:
@@ -39,8 +37,6 @@ class _TaskEntry:
         self.winner: TaskResult | None = None
         self.permanent_failure: TaskResult | None = None
         self.done = False
-        self.committed = False
-        self.commit_attempt: int | None = None
 
 
 class _RetryingPhase:
@@ -53,8 +49,8 @@ class _RetryingPhase:
       ``max_attempts`` executions are spent or a non-retryable error hits;
     * every failure is reported to ``on_attempt_failed`` with the failed
       attempt's host (feeding the scheduler blacklist);
-    * the first attempt to *commit* (:meth:`try_commit`) wins and every
-      other attempt of the task is discarded;
+    * the first attempt to succeed wins; attempts of one task never
+      overlap, so no other attempt of the task is running then;
     * a task with no surviving attempt triggers ``on_permanent_failure``
       (used to abort the shuffle so overlapped reducers do not wait
       forever) and fails the phase.
@@ -102,17 +98,6 @@ class _RetryingPhase:
         """Whether every task of the phase committed a winning attempt."""
         with self._cond:
             return all(e.winner is not None for e in self._entries)
-
-    def try_commit(self, index: int, attempt: int) -> bool:
-        """Output-committer handshake: may attempt ``attempt`` of task
-        ``index`` commit its output?  Exactly one attempt per task wins."""
-        with self._cond:
-            entry = self._entries[index]
-            if entry.committed:
-                return False
-            entry.committed = True
-            entry.commit_attempt = attempt
-            return True
 
     # -- orchestration -----------------------------------------------------------------
     def _fail_no_tracker(
@@ -206,23 +191,13 @@ class _RetryingPhase:
         won = False
         with self._cond:
             entry.running -= 1
-            if result.succeeded and not result.discarded:
+            if result.succeeded:
                 entry.winner = result
-                entry.committed = True
                 entry.done = True
                 won = True
-            elif result.succeeded:
-                # The output committer refused this attempt: its write was
-                # skipped, so there is nothing to fold in.
-                pass
             else:
                 entry.banned_hosts.add(result.tracker_host)
                 host_failed = True
-                if entry.commit_attempt == result.attempt:
-                    # The failed attempt died *after* claiming the commit
-                    # (e.g. mid-write); release it so a retry can commit.
-                    entry.committed = False
-                    entry.commit_attempt = None
                 if (
                     entry.winner is None
                     and retryable

@@ -58,13 +58,11 @@ class MapOutputCollector:
         self,
         num_partitions: int,
         *,
-        partitioner: Callable[[Any, int], int] = hash_partitioner,
         combiner: Callable[[Any, Iterable[Any], Any], None] | None = None,
     ) -> None:
         if num_partitions < 1:
             raise ValueError("num_partitions must be at least 1")
         self._num_partitions = num_partitions
-        self._partitioner = partitioner
         self._combiner = combiner
         self._partitions: list[list[tuple[Any, Any]]] = [
             [] for _ in range(num_partitions)
@@ -72,7 +70,7 @@ class MapOutputCollector:
 
     def collect(self, key: Any, value: Any) -> None:
         """Add one intermediate pair."""
-        partition = self._partitioner(key, self._num_partitions)
+        partition = hash_partitioner(key, self._num_partitions)
         self._partitions[partition].append((key, value))
 
     @property

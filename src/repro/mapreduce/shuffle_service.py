@@ -12,18 +12,19 @@ shuffle I/O exercises the storage layer under measurement:
   :func:`encode_segment` on the map side (in a worker process when the job
   allows) and written by the tracker thread; the service keeps the index,
   ``(map, partition) → (path, offset, bytes, records)``, in memory;
-* reduce tasks *fetch* their segments as soon as the producing map
-  completes — before the last map finishes — overlapping shuffle I/O with
-  the map phase exactly as Hadoop's copier threads do; a reducer reads only
-  its own byte range of each map's file, many reducers sharing one file
-  through offset reads, the access pattern BSFS is built for;
-* a reduce task reads a partition of at most
-  :data:`~repro.mapreduce.tasktracker.WORKER_REDUCE_MAX_BYTES` whole
-  (:meth:`SegmentReader.read_all`) and hands the bytes to a task worker
-  process, which merges the decoded runs with :func:`merge_runs`; a larger
-  partition is merged on its slot thread over streaming segment readers
-  (:meth:`ShuffleService.merged_pairs`), so a reduce partition larger than
-  memory still reduces.
+* a reduce task reads its segment of each map's file as soon as that map
+  commits — before the last map finishes — with one range read
+  (:meth:`ShuffleService.fetch_segments`), overlapping shuffle I/O with the
+  map phase as Hadoop's copier threads do; many reducers share one map's
+  file through offset reads, the access pattern BSFS is built for;
+* once every map committed, the reduce merges its partition's segments in
+  map order with :func:`merge_runs`, in a task worker process when the job
+  allows and on its slot thread otherwise
+  (:meth:`ShuffleService.merged_pairs`).
+
+A reduce partition is held in memory, as a map's whole output already is
+on the map side; the reduce's output is built in memory too, so reading
+the partition by streams would not bound a reduce's memory.
 
 Segments are sequences of length-prefixed frames: each frame is
 ``4-byte big-endian length + pickle([(key, value), ...])``, one pickle for a
@@ -51,7 +52,6 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Any, Iterable, Iterator
 
-from ..core.transfer import TransferEngine, default_engine
 from ..fs import path as fspath
 from ..fs.errors import FileSystemError
 from ..fs.interface import FileSystem
@@ -62,7 +62,6 @@ __all__ = [
     "merge_runs",
     "ShuffleAbortedError",
     "SpilledSegment",
-    "SegmentReader",
     "ShuffleService",
 ]
 
@@ -70,44 +69,28 @@ __all__ = [
 #: unpickled, with one call.
 FRAME_BYTES = 64 * 1024
 
-#: Maximum sorted runs merged in one pass (Hadoop's ``io.sort.factor``
-#: idea): more runs cascade through intermediate on-storage merges, keeping
-#: open streams and merge memory bounded however large the partition is.
-DEFAULT_MERGE_FACTOR = 32
-
-#: Cap on the bytes held in fetched-but-not-yet-merged segment buffers at
-#: any moment.  Readers refund the budget as the merge consumes them, so it
-#: bounds live memory, not the job's total prefetch volume.
-DEFAULT_PREFETCH_BUDGET = 8 * 1024 * 1024
-
 #: Big-endian 4-byte frame length prefix.
 _LENGTH = struct.Struct(">I")
-
-
-def _frames(pairs: Iterable[Any], budget: int) -> Iterator[tuple[int, bytes]]:
-    """Encode ``pairs`` as ``(records, length-prefixed frame)`` items.
-
-    The first frame holds one record; every later one holds as many as fit
-    ``budget`` bytes at its predecessor's bytes per record.
-    """
-    pairs = iter(pairs)
-    count = 1
-    while batch := list(islice(pairs, count)):
-        payload = pickle.dumps(batch, protocol=pickle.HIGHEST_PROTOCOL)
-        yield len(batch), _LENGTH.pack(len(payload)) + payload
-        count = max(1, budget * len(batch) // len(payload))
 
 
 def encode_segment(pairs: Iterable[Any]) -> tuple[bytes, int]:
     """One map partition's sorted pairs as ``(length-prefixed frames,
     records)``: the segment it spills.  Runs on the map side (in a worker
     process when the job's map side pickles); the shuffle service only
-    writes the result."""
+    writes the result.
+
+    The first frame holds one record; every later one holds as many as fit
+    :data:`FRAME_BYTES` at its predecessor's bytes per record.
+    """
     frames: list[bytes] = []
     records = 0
-    for count, frame in _frames(pairs, FRAME_BYTES):
-        frames.append(frame)
-        records += count
+    pairs = iter(pairs)
+    count = 1
+    while batch := list(islice(pairs, count)):
+        payload = pickle.dumps(batch, protocol=pickle.HIGHEST_PROTOCOL)
+        frames.append(_LENGTH.pack(len(payload)) + payload)
+        records += len(batch)
+        count = max(1, FRAME_BYTES * len(batch) // len(payload))
     return b"".join(frames), records
 
 
@@ -151,195 +134,16 @@ class SpilledSegment:
     records: int
 
 
-class SegmentReader:
-    """Streaming, bounded-memory record iterator over one spilled segment.
-
-    Every storage read stays inside the segment's byte range of its spill
-    file, so reducers sharing one map's file never read each other's
-    partitions.  Resource discipline matters because one reduce partition
-    has a segment per map, and a job may have thousands of maps:
-
-    * the storage stream is opened *lazily* — constructing a reader costs
-      nothing on the backend, so collecting every segment of a partition
-      does not accumulate open file handles;
-    * :meth:`prefetch` is a single open-read-close of the first chunk (the
-      reduce-side "fetch" that overlaps the map phase) — it leaves data in
-      the buffer but no handle open; the shuffle service runs prefetches
-      *asynchronously* on its transfer engine, so many segments fetch in
-      parallel while the merge is still consuming earlier ones
-      (:meth:`attach_prefetch` hands the reader the in-flight future);
-    * during iteration at most ``chunk_size`` bytes of undecoded data (plus
-      one frame) are held via the backend's streaming ``open_read``, and
-      the stream is closed when exhausted.
-    """
-
-    def __init__(
-        self,
-        fs: FileSystem,
-        segment: SpilledSegment,
-        *,
-        chunk_size: int = 64 * 1024,
-        on_release: Any = None,
-    ) -> None:
-        self.segment = segment
-        self._fs = fs
-        self._chunks = None  # lazily opened streaming read iterator
-        self._chunk_size = max(chunk_size, _LENGTH.size)
-        self._buffer = bytearray()
-        self._offset = 0  # next byte of the segment to read
-        self._on_release = on_release
-        self._prefetched_bytes = 0
-        self._prefetch_future = None
-
-    def attach_prefetch(self, future) -> None:
-        """Record the in-flight async prefetch of this reader."""
-        self._prefetch_future = future
-
-    def _resolve_prefetch(self) -> None:
-        """Wait for an in-flight async prefetch before touching the buffer."""
-        future, self._prefetch_future = self._prefetch_future, None
-        if future is not None:
-            future.result()
-
-    def prefetch(self) -> int:
-        """Open-read-close the first chunk from storage; returns bytes read.
-
-        Runs as soon as the producing map completes, overlapping shuffle
-        reads with the still-running map phase without keeping a stream
-        open while the reader waits its turn in the merge.  Bytes are
-        committed to the buffer only on success, so a failed prefetch
-        leaves the reader clean for a plain (error-reporting) read.
-        """
-        if self._offset or self._chunks is not None:
-            return 0
-        fetched: list[memoryview] = []
-        got = 0
-        chunks = self._open(
-            min(self._chunk_size, self.segment.bytes), chunk_size=self._chunk_size
-        )
-        try:
-            for chunk in chunks:
-                fetched.append(chunk)
-                got += len(chunk)
-        finally:
-            close = getattr(chunks, "close", None)
-            if close is not None:
-                close()
-        for chunk in fetched:
-            self._buffer += chunk
-        self._offset += got
-        self._prefetched_bytes = got
-        return got
-
-    def _release_prefetch(self) -> None:
-        """Hand the prefetched bytes back to their accountant (once).
-
-        Called when iteration starts (the buffer stops being
-        "fetched-but-unmerged" and becomes bounded merge memory) so the
-        service's prefetch budget tracks *live* fetch buffers instead of
-        depleting over the job's lifetime.
-        """
-        if self._prefetched_bytes and self._on_release is not None:
-            released, self._prefetched_bytes = self._prefetched_bytes, 0
-            self._on_release(released)
-
-    def _open(self, length: int, **kwargs: Any) -> Iterator[memoryview]:
-        """Stream ``length`` bytes of the segment from the next unread one."""
-        return self._fs.open_read(
-            self.segment.path,
-            offset=self.segment.offset + self._offset,
-            length=length,
-            **kwargs,
-        )
-
-    def _truncated(self) -> ValueError:
-        segment = self.segment
-        return ValueError(
-            f"truncated shuffle segment: {segment.bytes} bytes at "
-            f"{segment.offset} of {segment.path!r}"
-        )
-
-    def _read_chunk(self) -> bytes:
-        """The next chunk of the segment; ``b""`` once its recorded size is
-        read, so a segment the prefetch read whole is opened only once."""
-        remaining = self.segment.bytes - self._offset
-        if remaining <= 0:
-            return b""
-        if self._chunks is None:
-            # Resume the streaming read where the prefetch stopped; the
-            # backend's open_read applies its own read-ahead from here on.
-            self._chunks = self._open(remaining, chunk_size=self._chunk_size)
-        chunk = next(self._chunks, b"")
-        if not chunk:
-            raise self._truncated()
-        self._offset += len(chunk)
-        return chunk
-
-    def _fill(self, needed: int) -> bool:
-        while len(self._buffer) < needed:
-            chunk = self._read_chunk()
-            if not chunk:
-                return False
-            self._buffer += chunk
-        return True
-
-    def read_all(self) -> bytes:
-        """The whole segment: the prefetched first chunk, then the rest in
-        one streaming range read.  The reader is spent afterwards."""
-        self._resolve_prefetch()
-        self._release_prefetch()
-        parts: list[Any] = [self._buffer]
-        remaining = self.segment.bytes - self._offset
-        if remaining > 0:
-            parts.extend(self._open(remaining))
-        payload = b"".join(parts)
-        self._buffer = bytearray()
-        self._offset = self.segment.bytes
-        if len(payload) != self.segment.bytes:
-            raise self._truncated()
-        return payload
-
-    def close(self) -> None:
-        """Release the storage stream and any prefetch accounting (idempotent)."""
-        self._resolve_prefetch()
-        self._release_prefetch()
-        if self._chunks is not None:
-            close = getattr(self._chunks, "close", None)
-            if close is not None:
-                close()
-            self._chunks = None
-
-    def __iter__(self) -> Iterator[tuple[Any, Any]]:
-        self._resolve_prefetch()
-        self._release_prefetch()
-        try:
-            while True:
-                if not self._fill(_LENGTH.size):
-                    if self._buffer:
-                        raise self._truncated()
-                    return
-                end = _LENGTH.size + _LENGTH.unpack_from(self._buffer)[0]
-                if not self._fill(end):
-                    raise self._truncated()
-                with memoryview(self._buffer)[_LENGTH.size : end] as payload:
-                    frame = pickle.loads(payload)
-                del self._buffer[:end]
-                yield from frame
-        finally:
-            self.close()
-
-
 class ShuffleService:
     """Coordinates spilled map segments between map and reduce tasks.
 
     Map side: :meth:`spill_map_output` writes one map task's encoded
     per-partition segments as one file through the file system and
     publishes their byte ranges.
-    Reduce side: :meth:`fetch_segments` blocks until segments appear and
-    yields them as the producing maps complete; :meth:`partition_readers`
-    collects a whole partition, which a reduce either reads whole
-    (:meth:`SegmentReader.read_all`) or merges as streams
-    (:meth:`merged_pairs`).
+    Reduce side: :meth:`fetch_segments` reads a partition's segment of each
+    map's file as that map commits; :meth:`partition_payloads` collects
+    them in map order once every map committed, and :meth:`merged_pairs`
+    merges them on the calling thread.
 
     All mutable state is guarded by one condition variable; the service is
     meant to be driven by many concurrent map and reduce worker threads.
@@ -352,37 +156,20 @@ class ShuffleService:
         num_maps: int,
         num_partitions: int,
         shuffle_dir: str,
-        fetch_chunk_size: int = 64 * 1024,
-        merge_factor: int = DEFAULT_MERGE_FACTOR,
-        prefetch_budget: int = DEFAULT_PREFETCH_BUDGET,
-        transfer: TransferEngine | None = None,
     ) -> None:
         if num_maps < 0:
             raise ValueError("num_maps cannot be negative")
         if num_partitions < 1:
             raise ValueError("num_partitions must be at least 1")
-        if merge_factor < 2:
-            raise ValueError("merge_factor must be at least 2")
         self._fs = fs
-        # Prefetches run asynchronously on a transfer engine, so segment
-        # fetches of one reducer overlap both the map phase and the merge.
-        # Deliberately NOT the file system's own engine: a prefetch blocks
-        # on the backend's nested streaming read (which submits page
-        # fetches to the backend engine), so running it on that same
-        # bounded pool could deadlock it against its own children.
-        self._transfer = transfer or default_engine()
         self._num_maps = num_maps
         self._num_partitions = num_partitions
         self._dir = fspath.normalize(shuffle_dir)
-        self._fetch_chunk_size = fetch_chunk_size
-        self._merge_factor = merge_factor
-        self._prefetch_remaining = max(prefetch_budget, 0)
         self._cond = threading.Condition()
         # The index: per partition, every map's segment, as maps complete.
         self._segments: list[list[SpilledSegment]] = [
             [] for _ in range(num_partitions)
         ]
-        self._merge_runs = 0
         self._maps_done = 0
         self._error: BaseException | None = None
         self._first_fetch: float | None = None
@@ -391,7 +178,6 @@ class ShuffleService:
         self.bytes_spilled = 0
         self.records_spilled = 0
         self.segments_fetched = 0
-        self.merge_passes = 0
         fs.mkdirs(self._dir)
 
     # -- map side --------------------------------------------------------------------
@@ -451,11 +237,6 @@ class ShuffleService:
             self._cond.notify_all()
         return offset, total_records
 
-    def _refund_prefetch(self, amount: int) -> None:
-        """Credit consumed prefetch bytes back to the budget."""
-        with self._cond:
-            self._prefetch_remaining += amount
-
     def abort(self, exc: BaseException) -> None:
         """Record a map-side failure and wake every waiting reduce fetcher."""
         with self._cond:
@@ -464,20 +245,22 @@ class ShuffleService:
             self._cond.notify_all()
 
     # -- reduce side -----------------------------------------------------------------
-    def fetch_segments(self, partition: int) -> Iterator[SegmentReader]:
-        """Yield prefetched readers for ``partition`` as maps complete.
+    def fetch_segments(self, partition: int) -> Iterator[tuple[int, bytes]]:
+        """Read ``partition``'s segment of each map's file as that map
+        commits, and yield ``(map index, segment bytes)`` in commit order.
 
-        Blocks between batches until another map finishes (or the shuffle is
-        aborted); returns once every map completed and every published
-        segment was delivered.  The prefetch inside the loop is what starts
-        reduce-side storage reads *before* the last map finishes.
+        Blocks until another map commits (or the shuffle is aborted, which
+        raises :class:`ShuffleAbortedError`); returns once every map
+        committed and each of their segments was read.  Reading inside the
+        loop is what overlaps reduce-side storage reads with the map phase.
         """
         delivered = 0
         while True:
             with self._cond:
+                segments = self._segments[partition]
                 while (
                     self._error is None
-                    and delivered >= len(self._segments[partition])
+                    and delivered == len(segments)
                     and self._maps_done < self._num_maps
                 ):
                     self._cond.wait()
@@ -485,135 +268,47 @@ class ShuffleService:
                     raise ShuffleAbortedError(
                         f"shuffle aborted by a failed map task: {self._error!r}"
                     ) from self._error
-                batch = list(self._segments[partition][delivered:])
-                delivered += len(batch)
-                finished = (
-                    self._maps_done >= self._num_maps
-                    and delivered >= len(self._segments[partition])
-                )
-            for segment in batch:
-                reader = SegmentReader(
-                    self._fs,
-                    segment,
-                    chunk_size=self._fetch_chunk_size,
-                    on_release=self._refund_prefetch,
-                )
-                # Reserve budget for a full chunk up front (atomically, so
-                # concurrent reducers cannot oversubscribe the cap), then
-                # return whatever the prefetch did not actually read.  The
-                # budget caps *live* fetched-but-unmerged buffers: readers
-                # refund it once merging starts consuming them, so eager
-                # reads keep flowing however much the job shuffles in total.
-                with self._cond:
-                    if self._prefetch_remaining >= self._fetch_chunk_size:
-                        reserved = self._fetch_chunk_size
-                        self._prefetch_remaining -= reserved
-                    else:
-                        reserved = 0
-                if reserved > 0:
-                    # The prefetch itself runs on the transfer engine so
-                    # many segments fetch in parallel while this generator
-                    # (and the merge behind it) keeps moving; the reader
-                    # joins the future before first use.
-                    reader.attach_prefetch(
-                        self._transfer.submit(self._prefetch_one, reader, reserved)
-                    )
-                with self._cond:
-                    if self._first_fetch is None:
-                        self._first_fetch = time.monotonic()
-                    self.segments_fetched += 1
-                yield reader
-            if finished:
-                return
+                if delivered == len(segments):
+                    return
+                segment = segments[delivered]
+                delivered += 1
+                if self._first_fetch is None:
+                    self._first_fetch = time.monotonic()
+                self.segments_fetched += 1
+            yield segment.map_index, self._read(segment)
 
-    def _prefetch_one(self, reader: SegmentReader, reserved: int) -> int:
-        """Engine-side body of one async segment prefetch.
+    def _read(self, segment: SpilledSegment) -> bytes:
+        """The bytes of ``segment``, read with one range read of its file.
 
-        Never lets an exception escape into the future: a failed prefetch
-        just refunds its reservation and leaves the reader clean, so the
-        real (diagnosable) error surfaces from the merge's own read.
+        Raises ``ValueError`` when the file holds fewer bytes than the
+        index records: every frame that did arrive may decode, so only the
+        recorded size can tell that the rest is missing.
         """
-        fetched = 0
-        try:
-            fetched = reader.prefetch()
-        except BaseException:
-            fetched = 0
-        with self._cond:
-            self._prefetch_remaining += max(reserved - fetched, 0)
-        return fetched
-
-    def partition_readers(self, partition: int) -> list[SegmentReader]:
-        """Every segment reader of ``partition``, in map order; blocks until
-        every map completed (fetching overlaps the map phase meanwhile)."""
-        return sorted(
-            self.fetch_segments(partition), key=lambda reader: reader.segment.map_index
+        payload = b"".join(
+            self._fs.open_read(segment.path, offset=segment.offset, length=segment.bytes)
         )
-
-    def merged_pairs(
-        self, partition: int, readers: list[SegmentReader] | None = None
-    ) -> Iterator[tuple[Any, Any]]:
-        """External k-way merge over every segment of ``partition``.
-
-        ``readers`` are the partition's :meth:`partition_readers` (fetched
-        here when not given): fetching overlaps the map phase, and the
-        merge itself starts once all maps completed.  The pairs come out
-        sorted by ``repr(key)`` with the values of equal keys in map order
-        (see :func:`merge_runs`).
-
-        When a partition spans more than ``merge_factor`` segments, the
-        earliest runs are cascaded through intermediate on-storage merges
-        (Hadoop's multi-pass merge): at most ``merge_factor`` streams are
-        ever open at once, so file handles and merge memory stay bounded
-        however large the partition is.  Prepending each intermediate run
-        preserves the stable equal-key order, since it holds the earliest
-        maps' records.
-        """
-        if readers is None:
-            readers = self.partition_readers(partition)
-        while len(readers) > self._merge_factor:
-            batch, readers = readers[: self._merge_factor], readers[self._merge_factor :]
-            intermediate = self._merge_to_segment(partition, batch)
-            readers.insert(
-                0,
-                SegmentReader(
-                    self._fs, intermediate, chunk_size=self._fetch_chunk_size
-                ),
+        if len(payload) != segment.bytes:
+            raise ValueError(
+                f"truncated shuffle segment: {segment.bytes} bytes at "
+                f"{segment.offset} of {segment.path!r}"
             )
-        return merge_runs(readers)
+        return payload
 
-    def _merge_to_segment(
-        self, partition: int, readers: list[SegmentReader]
-    ) -> SpilledSegment:
-        """Merge up to ``merge_factor`` sorted runs into one on-storage run,
-        a file of its own read from offset 0.
+    def partition_payloads(self, partition: int) -> list[bytes]:
+        """Every segment of ``partition``, in map order.
 
-        Runs are named by a service-wide counter, never by (partition,
-        round): attempts of the same reduce partition (a retry after a
-        failed attempt) each cascade into their own files instead of
-        overwriting each other's mid-read.
+        Blocks until every map committed; :meth:`fetch_segments` reads each
+        segment as its map commits meanwhile.
         """
-        with self._cond:
-            run_id = self._merge_runs
-            self._merge_runs += 1
-        path = fspath.join(self._dir, f"merge-part-{partition:05d}-run-{run_id:04d}")
-        records = 0
-        total = 0
-        merged = merge_runs(readers)
-        with self._fs.open_write(path, overwrite=True, replication=1) as stream:
-            for count, frame in _frames(merged, FRAME_BYTES):
-                stream.write(frame)
-                records += count
-                total += len(frame)
-        with self._cond:
-            self.merge_passes += 1
-        return SpilledSegment(
-            map_index=-1,  # precedes every real map, matching its content
-            partition=partition,
-            path=path,
-            offset=0,
-            bytes=total,
-            records=records,
-        )
+        fetched = dict(self.fetch_segments(partition))
+        return [fetched[map_index] for map_index in sorted(fetched)]
+
+    def merged_pairs(self, payloads: list[bytes]) -> Iterator[tuple[Any, Any]]:
+        """The records of a partition's segments, given in map order, as
+        one run sorted by ``repr(key)`` with the values of equal keys in map
+        order (see :func:`merge_runs`).  A reduce that computes on its slot
+        thread merges here; a task worker merges the same way."""
+        return merge_runs(decode_segment(payload) for payload in payloads)
 
     # -- lifecycle / reporting -------------------------------------------------------
     def cleanup(self) -> None:
@@ -643,7 +338,6 @@ class ShuffleService:
                 "bytes_spilled": self.bytes_spilled,
                 "records_spilled": self.records_spilled,
                 "segments_fetched": self.segments_fetched,
-                "merge_passes": self.merge_passes,
                 "maps_completed": self._maps_done,
                 "first_fetch_time": self._first_fetch,
                 "last_map_done_time": self._last_map_done,

@@ -1,9 +1,10 @@
 """The CPU half of map and reduce tasks, and the worker processes that run it.
 
-Every task attempt is split in two.  The slot thread keeps all storage
-I/O: a map fetches its split's bytes and, afterwards, writes the spill or
-the map-only output; a reduce fetches its partition's segments and,
-afterwards, writes its output.  In between runs one pure function:
+Every task attempt is split in two.  The head keeps all storage I/O: a
+map's slot thread fetches its split's bytes and, afterwards, writes the
+spill or the map-only output; a reduce's segments are read whole as their
+maps commit, before it takes a slot, and afterwards its slot thread writes
+its output.  In between runs one pure function:
 
 * :func:`compute_map` cuts the records, runs the mapper and the combiner,
   and sorts every partition and encodes it as shuffle frames (a map-only

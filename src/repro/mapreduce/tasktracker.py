@@ -12,12 +12,10 @@ task's storage I/O; the compute runs in a task worker process
 task in a child process.  A map attempt fetches its split, hands the bytes
 to a worker for the record cutting, mapper, combiner, sort and encoding,
 and writes back the encoded frames or output lines it receives.  A reduce
-attempt reads its partition's segments whole, hands the bytes to a worker
-for the merge, grouping, reducer and line encoding, and writes back the
-encoded lines.  A side that cannot be pickled computes on the slot thread
-instead, and so does a reduce whose partition spilled more than
-:data:`WORKER_REDUCE_MAX_BYTES`: it merges streaming segment readers, so a
-partition larger than memory still reduces.
+attempt is handed its partition's segments, which the job tracker read
+whole as the maps committed; it hands the bytes to a worker for the merge,
+grouping, reducer and line encoding, and writes back the encoded lines.  A
+side that cannot be pickled computes on the slot thread instead.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from typing import Any, Callable
 from ..fs.interface import FileSystem
 from .faults import FaultPlan
 from .job import Counters
-from .shuffle_service import SegmentReader, ShuffleService
+from .shuffle_service import ShuffleService
 from .splitter import InputSplit
 from .task_workers import (
     MapSide,
@@ -43,11 +41,6 @@ from .task_workers import (
 )
 
 __all__ = ["TaskResult", "TaskTracker"]
-
-#: A reduce whose partition spilled at most this many bytes reads them
-#: whole and computes in a task worker; a larger one merges streaming
-#: segment readers on its slot thread.
-WORKER_REDUCE_MAX_BYTES = 64 * 1024 * 1024
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,9 +60,6 @@ class TaskResult:
     error: str | None = None
     #: Zero-based attempt number of this execution (0 = first attempt).
     attempt: int = 0
-    #: ``True`` when the attempt finished fine but *lost* the race against
-    #: another attempt of the same task: its output was not committed.
-    discarded: bool = False
     #: The counters this attempt incremented.  The jobtracker hands every
     #: attempt its own instance and folds only the *winning* attempt's
     #: counters into the job totals (Hadoop semantics: killed and failed
@@ -127,7 +117,6 @@ class TaskTracker:
         shuffle: ShuffleService | None = None,
         attempt: int = 0,
         fault_plan: FaultPlan | None = None,
-        commit_check: Callable[[], bool] | None = None,
     ) -> TaskResult:
         """Execute the map function over one input split.
 
@@ -144,8 +133,7 @@ class TaskTracker:
         spilled as one file through ``shuffle`` (waking waiting reducers).
 
         ``fault_plan`` injects failures/delays before the attempt touches
-        data; ``commit_check`` gates the map-only output write so that only
-        one attempt of a task ever commits.
+        data.
         """
         task_id = f"map-{split.split_id:05d}"
         self._acquire_slot()
@@ -171,19 +159,15 @@ class TaskTracker:
             counters.increment("map_input_records", output.records_in)
             counters.increment("map_output_records", output.records_out)
             output_path: str | None = None
-            discarded = False
             if side.num_partitions == 0:
-                if commit_check is None or commit_check():
-                    output_path = side.output_format.write_batches(
-                        fs,
-                        side.conf.output_dir,
-                        split.split_id,
-                        output.batches,
-                        map_only=True,
-                        client_host=self.host,
-                    )
-                else:
-                    discarded = True
+                output_path = side.output_format.write_batches(
+                    fs,
+                    side.conf.output_dir,
+                    split.split_id,
+                    output.batches,
+                    map_only=True,
+                    client_host=self.host,
+                )
             else:
                 assert shuffle is not None, "a job with reducers spills"
                 spilled, _records = shuffle.spill_map_output(
@@ -201,7 +185,6 @@ class TaskTracker:
                 locality=locality,
                 output_path=output_path,
                 attempt=attempt,
-                discarded=discarded,
                 attempt_counters=counters,
                 in_worker=in_worker,
             )
@@ -214,31 +197,23 @@ class TaskTracker:
         side: ReduceSide,
         fs: FileSystem,
         partition_index: int,
-        readers: list[SegmentReader],
+        payloads: list[bytes],
         *,
         shuffle: ShuffleService,
         shipped: bytes | None,
         counters: Counters,
         attempt: int = 0,
         fault_plan: FaultPlan | None = None,
-        commit_check: Callable[[], bool] | None = None,
     ) -> TaskResult:
         """Execute the reduce function over one partition.
 
-        ``readers`` are the partition's segments in map order, as
-        :meth:`ShuffleService.partition_readers` delivers them once every
-        map completed.  The compute
-        (:func:`~repro.mapreduce.task_workers.compute_reduce`) runs in a
-        task worker process over the segments read whole when the job's
-        reduce side was ``shipped`` and the partition spilled at most
-        :data:`WORKER_REDUCE_MAX_BYTES`; otherwise it runs right here over
-        ``shuffle``'s streaming merge, without materialising the partition.
-
-        ``commit_check`` implements the output-committer handshake: right
-        before writing, the attempt asks whether it is the first of its
-        task to finish — a losing (duplicate) attempt skips the write
-        entirely, so retries can never duplicate reduce output, including
-        on the shared single-output-file path.
+        ``payloads`` are the partition's encoded segments in map order, as
+        :meth:`ShuffleService.partition_payloads` returns them once every
+        map committed.  The compute
+        (:func:`~repro.mapreduce.task_workers.compute_reduce_segments`)
+        runs in a task worker process when the job's reduce side was
+        ``shipped``; otherwise it runs right here over ``shuffle``'s
+        :meth:`~ShuffleService.merged_pairs`.
         """
         task_id = f"reduce-{partition_index:05d}"
         self._acquire_slot()
@@ -252,36 +227,27 @@ class TaskTracker:
                     tracker_host=self.host,
                     fs=fs,
                 )
-            spilled = sum(reader.segment.bytes for reader in readers)
-            in_worker = shipped is not None and spilled <= WORKER_REDUCE_MAX_BYTES
+            in_worker = shipped is not None
             if in_worker:
-                payloads = [reader.read_all() for reader in readers]
                 output = workers.run(
                     run_shipped, compute_reduce_segments, shipped, payloads, task_id
                 )
             else:
-                # The service's external merge is one sorted run.
-                merged = shuffle.merged_pairs(partition_index, readers)
-                output = compute_reduce(side, [merged], task_id)
+                output = compute_reduce(side, [shuffle.merged_pairs(payloads)], task_id)
             for name, value in output.counters.items():
                 counters.increment(name, value)
             # Every shuffled pair reaches the reducer exactly once.
             counters.increment("reduce_shuffle_records", output.records_in)
             counters.increment("reduce_input_records", output.records_in)
             counters.increment("reduce_output_records", output.records_out)
-            output_path: str | None = None
-            discarded = False
-            if commit_check is None or commit_check():
-                output_path = side.output_format.write_batches(
-                    fs,
-                    side.conf.output_dir,
-                    partition_index,
-                    output.batches,
-                    map_only=False,
-                    client_host=self.host,
-                )
-            else:
-                discarded = True
+            output_path = side.output_format.write_batches(
+                fs,
+                side.conf.output_dir,
+                partition_index,
+                output.batches,
+                map_only=False,
+                client_host=self.host,
+            )
             duration = time.perf_counter() - started
             return TaskResult(
                 task_id=task_id,
@@ -292,11 +258,8 @@ class TaskTracker:
                 records_out=output.records_out,
                 output_path=output_path,
                 attempt=attempt,
-                discarded=discarded,
                 attempt_counters=counters,
                 in_worker=in_worker,
             )
         finally:
-            for reader in readers:
-                reader.close()
             self._release_slot()

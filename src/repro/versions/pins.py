@@ -294,7 +294,7 @@ class PinRegistry:
             raise BlobPinnedError(blob_id, count)
 
     def forget_blob(self, blob_id: int) -> None:
-        """Drop all bookkeeping for a deleted blob (hooks are discarded)."""
+        """Drop all bookkeeping for a deleted blob, its drain hooks included."""
         with self._lock:
             for key in [k for k in self._pins if k[0] == blob_id]:
                 del self._pins[key]

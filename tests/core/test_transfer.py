@@ -10,7 +10,6 @@ import pytest
 from repro.core.transfer import (
     ChunkBuffer,
     TransferEngine,
-    default_engine,
     pipelined,
 )
 
@@ -246,7 +245,3 @@ class TestChunkBuffer:
         # remainder copy per block boundary.
         assert total_joined <= 2 * writes
         assert total_joined >= writes  # every byte was drained exactly once
-
-
-def test_default_engine_is_a_singleton():
-    assert default_engine() is default_engine()

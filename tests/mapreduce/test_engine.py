@@ -274,7 +274,7 @@ class TestEndToEndJobs:
 
 
 class TestRetryingPhase:
-    """The phase orchestrator on its own: attempts, commits, the wait."""
+    """The phase orchestrator on its own: attempts, retries, the wait."""
 
     @staticmethod
     def result(index: int, attempt: int, **fields) -> TaskResult:
@@ -328,20 +328,28 @@ class TestRetryingPhase:
         assert sorted(r.task_id for r in phase.results) == ["t-0", "t-1"]
 
     def test_a_failed_attempt_is_retried_and_only_one_commits(self):
-        commits = []
-
         def execute(index, attempt, tracker):
             if attempt == 0:
                 return self.result(index, 0, succeeded=False, error="boom"), True
-            commits.append(phase.try_commit(index, attempt))
-            commits.append(phase.try_commit(index, attempt + 10))
             return self.result(index, attempt), True
 
         phase = self.phase(1, execute)
         with ThreadPoolExecutor(max_workers=1) as pool:
             results = phase.run(pool)
         assert [(r.attempt, r.succeeded) for r in results] == [(0, False), (1, True)]
-        assert commits == [True, False]
+        assert phase.succeeded
+        job_result = JobResult(
+            job_name="j",
+            succeeded=True,
+            elapsed=0.0,
+            map_tasks=1,
+            reduce_tasks=0,
+            counters=Counters(),
+            locality=LocalityStats(),
+            task_results=results,
+        )
+        assert job_result.retries == 1
+        assert job_result.winning_tasks == [results[1]]
 
     def test_summary_reports_attempts_and_retries_only(self):
         job_result = JobResult(

@@ -121,7 +121,7 @@ class TestTaskRetries:
         assert result.retries >= 1
         attempts = [r for r in result.task_results if r.task_id == "map-00001"]
         failed = [r for r in attempts if not r.succeeded]
-        winners = [r for r in attempts if r.succeeded and not r.discarded]
+        winners = [r for r in attempts if r.succeeded]
         assert failed and failed[0].attempt == 0
         assert "injected failure" in failed[0].error
         assert len(winners) == 1 and winners[0].attempt >= 1
@@ -147,7 +147,7 @@ class TestTaskRetries:
         assert read_output(any_fs, result) == read_output(any_fs, reference)
         attempts = [r for r in result.task_results if r.task_id == "reduce-00000"]
         assert any(not r.succeeded for r in attempts)
-        assert any(r.succeeded and not r.discarded for r in attempts)
+        assert any(r.succeeded for r in attempts)
 
     def test_retries_are_bounded_by_max_task_attempts(self, bsfs):
         write_text_file(bsfs, "/in/retry.txt", num_lines=300, seed=5)
@@ -394,9 +394,7 @@ class TestAttemptCommit:
         assert result.succeeded
         assert read_output(bsfs, result) == reference
         straggler = [r for r in result.task_results if r.task_id == "map-00000"]
-        assert [(r.attempt, r.succeeded, r.discarded) for r in straggler] == [
-            (0, True, False)
-        ]
+        assert [(r.attempt, r.succeeded) for r in straggler] == [(0, True)]
         assert result.retries == 0
         assert len(result.task_results) == result.map_tasks + result.reduce_tasks
 

@@ -9,23 +9,22 @@ import pytest
 
 from repro.mapreduce.shuffle import group_sorted_pairs
 from repro.mapreduce.shuffle_service import (
-    SegmentReader,
     ShuffleAbortedError,
     FRAME_BYTES,
     ShuffleService,
     SpilledSegment,
     _LENGTH,
+    decode_segment,
     encode_segment,
 )
 
 
-def make_service(fs, *, num_maps=2, num_partitions=2, **kwargs):
+def make_service(fs, *, num_maps=2, num_partitions=2):
     return ShuffleService(
         fs,
         num_maps=num_maps,
         num_partitions=num_partitions,
         shuffle_dir="/job/_shuffle",
-        **kwargs,
     )
 
 
@@ -35,13 +34,18 @@ def spill(service, map_index, partitions, **kwargs):
     return service.spill_map_output(map_index, segments, **kwargs)
 
 
+def merged(service, partition: int) -> list:
+    """``partition`` fetched and merged as a slot-thread reduce does."""
+    return list(service.merged_pairs(service.partition_payloads(partition)))
+
+
 class TestSpillAndMerge:
     def test_spill_fetch_roundtrip(self, any_fs):
         service = make_service(any_fs, num_maps=2, num_partitions=2)
         spill(service, 0, [[("a", 1), ("b", 2)], [("x", 9)]])
         spill(service, 1, [[("a", 3)], []])
-        assert list(service.merged_pairs(0)) == [("a", 1), ("a", 3), ("b", 2)]
-        assert list(service.merged_pairs(1)) == [("x", 9)]
+        assert merged(service, 0) == [("a", 1), ("a", 3), ("b", 2)]
+        assert merged(service, 1) == [("x", 9)]
 
     def test_merge_is_stable_in_map_order_for_equal_keys(self, bsfs):
         service = make_service(bsfs, num_maps=3, num_partitions=1)
@@ -49,7 +53,7 @@ class TestSpillAndMerge:
         spill(service, 2, [[("k", "from-map-2")]])
         spill(service, 0, [[("k", "from-map-0")]])
         spill(service, 1, [[("k", "from-map-1")]])
-        values = [value for _key, value in service.merged_pairs(0)]
+        values = [value for _key, value in merged(service, 0)]
         assert values == ["from-map-0", "from-map-1", "from-map-2"]
 
     def test_a_large_partition_is_one_segment_of_many_frames(self, bsfs):
@@ -60,65 +64,8 @@ class TestSpillAndMerge:
         assert len(read_frames(bsfs, segment)) > 2
         assert service.files_spilled == 1
         assert service.bytes_spilled == segment.bytes > 3 * FRAME_BYTES
-        merged = list(service.merged_pairs(0))
-        assert merged == pairs
+        assert merged(service, 0) == pairs
         assert service.segments_fetched == 1
-
-    def test_cascaded_merge_bounds_open_runs(self, bsfs):
-        # More sorted runs than merge_factor: the earliest runs must be
-        # cascaded through intermediate on-storage merges while the final
-        # output stays identical to a flat merge.
-        service = make_service(bsfs, num_maps=4, num_partitions=1, merge_factor=3)
-        expected = []
-        for map_index in range(4):
-            pairs = sorted(
-                ((f"key-{map_index}-{i:03d}", i) for i in range(40)),
-                key=lambda kv: repr(kv[0]),
-            )
-            expected.extend(pairs)
-            spill(service, map_index, [pairs])
-        assert service.files_spilled == 4
-        merged = list(service.merged_pairs(0))
-        assert merged == sorted(expected, key=lambda kv: repr(kv[0]))
-        assert service.merge_passes > 0
-        assert service.stats()["merge_passes"] == service.merge_passes
-
-    def test_cascaded_merge_keeps_equal_keys_in_map_order(self, bsfs):
-        service = make_service(bsfs, num_maps=6, num_partitions=1, merge_factor=2)
-        for map_index in range(6):
-            spill(service, map_index, [[("k", f"map-{map_index}")]])
-        values = [value for _key, value in service.merged_pairs(0)]
-        assert values == [f"map-{i}" for i in range(6)]
-        assert service.merge_passes > 0
-
-    def test_prefetch_budget_caps_eager_reads(self, bsfs):
-        service = make_service(bsfs, num_maps=1, num_partitions=1, prefetch_budget=0)
-        pairs = sorted(
-            ((f"key-{i:03d}", "v" * 30) for i in range(30)),
-            key=lambda kv: repr(kv[0]),
-        )
-        spill(service, 0, [pairs])
-        # No eager prefetch I/O, but the merge still reads everything.
-        assert list(service.merged_pairs(0)) == pairs
-
-    def test_prefetch_budget_is_refunded_as_readers_are_consumed(self, bsfs):
-        # The budget caps live fetched-but-unmerged buffers, not the job's
-        # lifetime prefetch volume: consuming each partition's readers hands
-        # the bytes back, so later partitions prefetch again.
-        chunk = 4 * 1024
-        service = make_service(
-            bsfs, num_maps=1, num_partitions=4,
-            prefetch_budget=2 * chunk, fetch_chunk_size=chunk,
-        )
-        pairs = sorted(
-            ((f"key-{i:03d}", "v" * 30) for i in range(20)),
-            key=lambda kv: repr(kv[0]),
-        )
-        spill(service, 0, [pairs, pairs, pairs, pairs])
-        for partition in range(4):
-            assert list(service.merged_pairs(partition)) == pairs
-        # Every reader released its reservation: the budget is whole again.
-        assert service._prefetch_remaining == 2 * chunk
 
     def test_a_map_spills_every_partition_into_one_file(self, any_fs):
         service = make_service(any_fs, num_maps=2, num_partitions=3)
@@ -133,7 +80,7 @@ class TestSpillAndMerge:
         assert (first.offset, third.offset) == (0, first.bytes)
         assert first.bytes + third.bytes == file.size
         assert (first.records, third.records) == (1, 2)
-        assert list(service.merged_pairs(2)) == [("c", 3), ("d", 4)]
+        assert merged(service, 2) == [("c", 3), ("d", 4)]
 
     def test_a_retried_attempt_writes_its_own_file(self, any_fs):
         service = make_service(any_fs, num_maps=1, num_partitions=1)
@@ -166,11 +113,11 @@ class TestOverlap:
         # was fetched.
         service = make_service(bsfs, num_maps=2, num_partitions=1)
         fetched_first = threading.Event()
-        merged: list = []
+        pairs: list = []
 
         def consume() -> None:
-            for reader in service.fetch_segments(0):
-                merged.extend(reader)
+            for _map_index, payload in service.fetch_segments(0):
+                pairs.extend(decode_segment(payload))
                 fetched_first.set()
 
         consumer = threading.Thread(target=consume)
@@ -180,7 +127,7 @@ class TestOverlap:
         spill(service, 1, [[("b", 2)]])
         consumer.join(timeout=10.0)
         assert not consumer.is_alive()
-        assert merged == [("a", 1), ("b", 2)]
+        assert pairs == [("a", 1), ("b", 2)]
         assert service.overlapped
         stats = service.stats()
         assert stats["overlapped"]
@@ -206,42 +153,6 @@ class TestOverlap:
         assert "map 1 crashed" in str(failure[0])
 
 
-class TestSegmentReader:
-    def test_truncated_segment_raises(self, bsfs):
-        service = make_service(bsfs, num_maps=1, num_partitions=1)
-        spill(service, 0, [[("key", "value")]])
-        [segment] = [
-            SpilledSegment(
-                map_index=0,
-                partition=0,
-                path=f.path,
-                offset=0,
-                bytes=f.size,
-                records=1,
-            )
-            for f in bsfs.list_files("/job/_shuffle")
-        ]
-        truncated_path = "/job/_shuffle/truncated"
-        bsfs.write_file(truncated_path, bsfs.read_file(segment.path)[:-2])
-        bad = replace(segment, path=truncated_path, bytes=segment.bytes - 2)
-        with pytest.raises(ValueError, match="truncated"):
-            list(SegmentReader(bsfs, bad))
-
-    def test_small_chunk_size_still_decodes_frames(self, bsfs):
-        service = make_service(bsfs, num_maps=1, num_partitions=1)
-        pairs = [(f"key-{i}", list(range(i))) for i in range(20)]
-        spill(service, 0, [sorted(pairs, key=lambda kv: repr(kv[0]))])
-        readers = list(service.fetch_segments(0))
-        decoded = []
-        for reader in readers:
-            # chunk smaller than one frame forces multi-chunk frame assembly
-            small = SegmentReader(bsfs, reader.segment, chunk_size=7)
-            decoded.extend(small)
-        assert sorted(decoded, key=lambda kv: repr(kv[0])) == sorted(
-            pairs, key=lambda kv: repr(kv[0])
-        )
-
-
 def read_frames(fs, segment: SpilledSegment) -> list[bytes]:
     """The raw frames (length prefix included) of one segment."""
     data = fs.read_file(segment.path)[segment.offset : segment.offset + segment.bytes]
@@ -259,14 +170,23 @@ def spilled_segments(service, partition: int = 0) -> list[SpilledSegment]:
         return list(service._segments[partition])
 
 
-def prefetched(fs, segment: SpilledSegment) -> SegmentReader:
-    """A reader whose first chunk was already fetched, as the service does."""
-    reader = SegmentReader(fs, segment)
-    reader.prefetch()
-    return reader
+def cut_spill_file(fs, service, size: int) -> bytes:
+    """Point the index at a copy of the (one) spill file that lost all but
+    its first ``size`` bytes; the recorded ranges stay.  Returns the whole
+    file."""
+    [path] = {s.path for p in range(len(service._segments)) for s in spilled_segments(service, p)}
+    data = fs.read_file(path)
+    fs.write_file("/job/_shuffle/cut", data[:size])
+    with service._cond:
+        for segments in service._segments:
+            segments[:] = [replace(s, path="/job/_shuffle/cut") for s in segments]
+    return data
 
 
 class TestFrameCodec:
+    """Segments round-trip through their file; a reducer reads each one
+    with one range read of exactly its bytes."""
+
     def test_round_trip_of_mixed_key_types(self, bsfs):
         service = make_service(bsfs, num_maps=1, num_partitions=1)
         pairs = sorted(
@@ -276,50 +196,59 @@ class TestFrameCodec:
         )
         spill(service, 0, [pairs])
         assert service.records_spilled == len(pairs)
-        decoded = []
-        for segment in spilled_segments(service):
-            decoded.extend(SegmentReader(bsfs, segment, chunk_size=5))
-        assert decoded == pairs
-        assert list(service.merged_pairs(0)) == pairs
+        [payload] = service.partition_payloads(0)
+        assert list(decode_segment(payload)) == pairs
+        assert list(service.merged_pairs([payload])) == pairs
 
-    @pytest.mark.parametrize("merge_factor", [2, 32])
-    def test_equal_keys_across_frames_and_segments_keep_map_order(
-        self, bsfs, merge_factor
-    ):
-        service = make_service(
-            bsfs, num_maps=3, num_partitions=1, merge_factor=merge_factor
-        )
-        for map_index in (2, 0, 1):  # published out of map order
+    def test_records_larger_than_a_frame_round_trip(self, any_fs):
+        # Each record outgrows FRAME_BYTES, so every frame holds one record.
+        service = make_service(any_fs, num_maps=1, num_partitions=1)
+        pairs = [(f"key-{i}", bytes([i]) * (FRAME_BYTES + 1)) for i in range(4)]
+        spill(service, 0, [pairs])
+        [segment] = spilled_segments(service)
+        assert len(read_frames(any_fs, segment)) == len(pairs)
+        assert merged(service, 0) == pairs
+
+    @pytest.mark.parametrize("num_maps", [2, 32])
+    def test_equal_keys_across_frames_and_segments_keep_map_order(self, bsfs, num_maps):
+        service = make_service(bsfs, num_maps=num_maps, num_partitions=1)
+        # Published out of map order: the odd maps first, last map first.
+        for map_index in sorted(range(num_maps), key=lambda m: (m % 2 == 0, -m)):
             pairs = [("k", (map_index, i)) for i in range(150)]
             pairs.append(("z", (map_index, 0)))
             spill(service, map_index, [pairs])
         # Every map's run is one segment of several frames.
         segments = spilled_segments(service)
-        assert len(segments) == 3
+        assert len(segments) == num_maps
+        assert [s.map_index for s in segments] != list(range(num_maps))
         assert all(len(read_frames(bsfs, s)) > 1 for s in segments)
-        merged = list(service.merged_pairs(0))
-        assert merged == [
-            ("k", (m, i)) for m in range(3) for i in range(150)
-        ] + [("z", (m, 0)) for m in range(3)]
-        assert (service.merge_passes > 0) == (merge_factor == 2)
+        assert merged(service, 0) == [
+            ("k", (m, i)) for m in range(num_maps) for i in range(150)
+        ] + [("z", (m, 0)) for m in range(num_maps)]
+
+    def test_truncated_segment_raises(self, any_fs):
+        # Two bytes short: the last frame is cut in the middle.
+        service = make_service(any_fs, num_maps=1, num_partitions=1)
+        spill(service, 0, [[("key", "value")]])
+        cut_spill_file(any_fs, service, service.bytes_spilled - 2)
+        with pytest.raises(ValueError, match="truncated shuffle segment"):
+            service.partition_payloads(0)
 
     def test_segment_truncated_mid_frame_raises(self, bsfs):
+        # Cut inside the second frame: the first frame is whole, but a
+        # reducer reads the range whole, so no record of it reaches a merge.
         service = make_service(bsfs, num_maps=1, num_partitions=1)
         pairs = [(f"key-{i:04d}", "v" * 20) for i in range(200)]
         spill(service, 0, [pairs])
         [segment] = spilled_segments(service)
         frames = read_frames(bsfs, segment)
         assert len(frames) >= 2
-        cut = len(frames[0]) + len(frames[1]) // 2
-        bsfs.write_file("/job/_shuffle/cut", bsfs.read_file(segment.path)[:cut])
-        reader = SegmentReader(
-            bsfs, SpilledSegment(0, 0, "/job/_shuffle/cut", 0, cut, len(pairs))
-        )
-        decoded = []
-        with pytest.raises(ValueError, match="truncated"):
-            for pair in reader:
-                decoded.append(pair)
-        assert decoded == pairs[: len(decoded)]  # the whole first frame
+        cut_spill_file(bsfs, service, len(frames[0]) + len(frames[1]) // 2)
+        fetched = []
+        with pytest.raises(ValueError, match="truncated shuffle segment"):
+            for item in service.fetch_segments(0):
+                fetched.append(item)
+        assert fetched == []
 
     def test_segment_shorter_than_its_recorded_size_raises(self, any_fs):
         # Cut at a frame boundary: every frame left decodes, so only the
@@ -330,43 +259,34 @@ class TestFrameCodec:
         [segment] = spilled_segments(service)
         frames = read_frames(any_fs, segment)
         assert len(frames) >= 2
-        any_fs.write_file("/job/_shuffle/short", frames[0])
-        short = replace(segment, path="/job/_shuffle/short")
-        for reader in (SegmentReader(any_fs, short), prefetched(any_fs, short)):
-            decoded = []
-            with pytest.raises(ValueError, match="truncated"):
-                for pair in reader:
-                    decoded.append(pair)
-            assert decoded == pairs[: len(decoded)]
+        cut_spill_file(any_fs, service, len(frames[0]))
+        with pytest.raises(ValueError, match="truncated shuffle segment"):
+            service.partition_payloads(0)
 
     def test_a_segment_cut_off_its_shared_file_raises(self, any_fs):
         # The file keeps partition 0 whole but stops inside partition 1's
-        # range: only partition 1's readers can tell, and every read path
-        # (streamed, prefetched, read whole) must.
+        # range: only partition 1's reducer can tell, and it must.
         service = make_service(any_fs, num_maps=1, num_partitions=2)
         pairs = [(f"key-{i:04d}", "v" * 20) for i in range(200)]
         spill(service, 0, [pairs, pairs])
         [first] = spilled_segments(service, 0)
         [second] = spilled_segments(service, 1)
-        data = any_fs.read_file(first.path)
-        any_fs.write_file("/job/_shuffle/short", data[: second.offset + second.bytes // 2])
-        first, second = (replace(s, path="/job/_shuffle/short") for s in (first, second))
-        assert list(SegmentReader(any_fs, first, chunk_size=100)) == pairs
-        assert SegmentReader(any_fs, first).read_all() == data[: first.bytes]
-        for reader in (SegmentReader(any_fs, second), prefetched(any_fs, second)):
-            with pytest.raises(ValueError, match="truncated"):
-                list(reader)
-        for reader in (SegmentReader(any_fs, second), prefetched(any_fs, second)):
-            with pytest.raises(ValueError, match="truncated"):
-                reader.read_all()
+        data = cut_spill_file(any_fs, service, second.offset + second.bytes // 2)
+        assert service.partition_payloads(0) == [data[: first.bytes]]
+        with pytest.raises(ValueError, match="truncated shuffle segment"):
+            service.partition_payloads(1)
 
-    @pytest.mark.parametrize("chunk_size", [100, 4096, 64 * 1024])
-    def test_a_reader_reads_only_its_own_range(self, any_fs, monkeypatch, chunk_size):
+    @pytest.mark.parametrize("segment_bytes", [100, 4096, 64 * 1024])
+    def test_a_reader_reads_only_its_own_range(self, any_fs, monkeypatch, segment_bytes):
+        # Partitions from below one frame to above one 64 KiB chunk of a
+        # streaming read: each is read with one range read of its bytes.
         service = make_service(any_fs, num_maps=1, num_partitions=3)
-        # Each partition is larger than the prefetch chunk.
-        parts = [[(f"{p}-{i:04d}", f"value-{i:04d}" * 3) for i in range(3000)] for p in range(3)]
+        records = segment_bytes // 20 + 1
+        parts = [
+            [(f"{p}-{i:05d}", f"value-{i:05d}" * 2) for i in range(records)]
+            for p in range(3)
+        ]
         spill(service, 0, parts)
-        segments = [spilled_segments(service, p)[0] for p in range(3)]
         reads: list[tuple[int, int]] = []
         open_read = any_fs.open_read
 
@@ -375,19 +295,12 @@ class TestFrameCodec:
             return open_read(path, offset=offset, length=length, **kwargs)
 
         monkeypatch.setattr(any_fs, "open_read", recording_open_read)
-        for segment, pairs in zip(segments, parts):
-            end = segment.offset + segment.bytes
+        for partition, pairs in enumerate(parts):
+            [segment] = spilled_segments(service, partition)
+            assert segment.bytes > segment_bytes
             reads.clear()
-            assert list(prefetched(any_fs, segment)) == pairs
-            assert list(SegmentReader(any_fs, segment, chunk_size=chunk_size)) == pairs
-            assert all(segment.offset <= at and at + n <= end for at, n in reads)
-            reads.clear()
-            payload = prefetched(any_fs, segment).read_all()
-            assert payload == encode_segment(pairs)[0]
-            # The prefetch and the rest tile the range exactly.
-            (first, head), (rest, tail) = reads
-            assert first == segment.offset and rest == first + head
-            assert rest + tail == end
+            assert service.partition_payloads(partition) == [encode_segment(pairs)[0]]
+            assert reads == [(segment.offset, segment.bytes)]
 
     def test_segment_within_one_chunk_is_opened_once(self, any_fs, monkeypatch):
         service = make_service(any_fs, num_maps=4, num_partitions=2)
@@ -401,8 +314,7 @@ class TestFrameCodec:
             return open_read(path, **kwargs)
 
         monkeypatch.setattr(any_fs, "open_read", counting_open_read)
-        merged = [list(service.merged_pairs(p)) for p in range(2)]
-        assert merged == [
+        assert [merged(service, p) for p in range(2)] == [
             [("a", m) for m in range(4)],
             [("b", m) for m in range(4)],
         ]

@@ -1,9 +1,9 @@
 """End-to-end jobs over the shuffle, which spills through the file system.
 
 Covers the acceptance criteria of the shuffle subsystem: output equal, byte
-for byte, to a plain-Python reference on every registered backend, external
-merge of partitions of more runs than one merge pass takes, one spill file
-per map read by range, the single-output-file (§V) job mode with its
+for byte, to a plain-Python reference on every registered backend, one
+spill file per map whose segments reducers read with one range read each
+as the maps commit, the single-output-file (§V) job mode with its
 per-backend fallback, and per-task failure capture.
 """
 
@@ -16,10 +16,9 @@ from dataclasses import replace
 import pytest
 
 from repro.core import KB
-import repro.mapreduce.tasktracker as tasktracker
 from repro.mapreduce import Job, JobConf, JobService, hash_partitioner
 from repro.mapreduce.applications import make_wordcount_job
-from repro.mapreduce.shuffle_service import DEFAULT_MERGE_FACTOR, ShuffleService
+from repro.mapreduce.shuffle_service import ShuffleService
 from repro.workloads import write_text_file
 
 
@@ -78,9 +77,7 @@ class TestSpillShuffleEquivalence:
         with pytest.raises(ValueError, match="one shuffle"):
             JobConf(name="in-memory", spill_to_fs=False)
 
-    def test_partition_of_more_runs_than_the_merge_factor_merges_externally(
-        self, any_fs, monkeypatch
-    ):
+    def test_partition_of_more_runs_than_one_merge_pass_merges_in_one_pass(self, any_fs):
         write_text_file(any_fs, "/in/big.txt", num_lines=1500, seed=23)
         service = JobService.local(any_fs, slots_per_tracker=2)
         job = make_wordcount_job(
@@ -88,23 +85,16 @@ class TestSpillShuffleEquivalence:
             split_size=2 * KB,
         )
         # Small splits: the single reduce partition spans more sorted runs
-        # than one merge pass takes, and the streaming reduce must cascade
-        # them through intermediate on-storage merges.
-        monkeypatch.setattr(tasktracker, "WORKER_REDUCE_MAX_BYTES", 0)
+        # than Hadoop's default io.sort.factor (32) merges in one pass; the
+        # reducer reads them all and merges them at once.
         result = service.submit(job).wait()
         assert result.succeeded
-        assert result.map_tasks > DEFAULT_MERGE_FACTOR
-        assert result.shuffle["merge_passes"] > 0
-        reference: dict[str, int] = {}
-        for line in any_fs.read_file("/in/big.txt").decode().splitlines():
-            for word in line.split():
-                reference[word] = reference.get(word, 0) + 1
-        produced: dict[str, int] = {}
-        for part in result.output_paths:
-            for line in any_fs.read_file(part).decode().splitlines():
-                word, count = line.split("\t")
-                produced[word] = int(count)
-        assert produced == reference
+        assert result.map_tasks > 32
+        assert result.shuffle["segments_fetched"] == result.map_tasks
+        text = any_fs.read_file("/in/big.txt").decode()
+        assert read_parts(any_fs, result.output_paths) == reference_wordcount_parts(
+            text, 1
+        )
 
     def test_map_only_job_has_no_shuffle(self, bsfs):
         from repro.mapreduce.applications import make_random_text_writer_job
@@ -141,16 +131,32 @@ class FailingSpill:
 
 class TestSpillLayout:
     """One spill file per map attempt; each reducer reads exactly its own
-    byte range of each map's file."""
+    byte range of each map's file, with one range read as the map commits.
+
+    The word count runs without its combiner, so every segment is larger
+    than 64 KiB (several frames) and is still read with one range read.
+    """
 
     REDUCERS = 3
+    LINES = 11000
+    SPLIT = 256 * KB
 
-    def run(self, fs, monkeypatch, output_dir, *, failing_path=None):
-        """Run a word count, recording the shuffle's file writes, range
-        reads and final index (partition → segments)."""
+    def run(self, fs, monkeypatch, output_dir, *, failing_path=None, hold_last_map=False):
+        """Run a word count, recording the shuffle's file writes, completed
+        range reads and final index (partition → segments).
+
+        Each read is ``(path, offset, length, early)``: ``early`` tells
+        whether it completed before the last map opened its spill file.
+        With ``hold_last_map`` the last split's mapper waits until some
+        read of map 0's file completed.
+        """
         written: list[str] = []
-        reads: list[tuple[str, int, int]] = []
+        reads: list[tuple[str, int, int, bool]] = []
         index: list[list] = []
+        maps = -(-fs.status("/in/layout.txt").size // self.SPLIT)
+        last_spill = f"{output_dir}/_shuffle/map-{maps - 1:05d}-a00.out"
+        last_spill_opened = threading.Event()
+        map_zero_read = threading.Event()
         open_write, open_read = fs.open_write, fs.open_read
 
         def recording_open_write(path, **kwargs):
@@ -158,12 +164,22 @@ class TestSpillLayout:
             if "/_shuffle/map-" not in path:
                 return stream
             written.append(path)
+            if path == last_spill:
+                last_spill_opened.set()
             return FailingSpill(stream) if path == failing_path else stream
 
         def recording_open_read(path, *, offset=0, length=None, **kwargs):
-            if "/_shuffle/" in path:
-                reads.append((path, offset, length))
-            return open_read(path, offset=offset, length=length, **kwargs)
+            chunks = open_read(path, offset=offset, length=length, **kwargs)
+            if "/_shuffle/" not in path:
+                return chunks
+
+            def recorded():
+                yield from chunks
+                reads.append((path, offset, length, not last_spill_opened.is_set()))
+                if "/_shuffle/map-00000-" in path:
+                    map_zero_read.set()
+
+            return recorded()
 
         cleanup = ShuffleService.cleanup
 
@@ -176,8 +192,19 @@ class TestSpillLayout:
         monkeypatch.setattr(ShuffleService, "cleanup", indexed_cleanup)
         job = make_wordcount_job(
             ["/in/layout.txt"], output_dir=output_dir,
-            num_reduce_tasks=self.REDUCERS, split_size=4 * KB,
+            num_reduce_tasks=self.REDUCERS, split_size=self.SPLIT,
         )
+        job = replace(job, combiner=None)
+        if hold_last_map:
+            last_split = (maps - 1) * self.SPLIT
+            mapper = job.mapper
+
+            def holding_mapper(key, value, context):
+                if key >= last_split:
+                    assert map_zero_read.wait(timeout=30)
+                mapper(key, value, context)
+
+            job = replace(job, mapper=holding_mapper)
         result = JobService.local(fs).submit(job).wait()
         monkeypatch.undo()
         assert result.succeeded
@@ -185,27 +212,21 @@ class TestSpillLayout:
         assert read_parts(fs, result.output_paths) == reference_wordcount_parts(
             text, self.REDUCERS
         )
+        segments = [s for segments in index for s in segments]
+        assert min(s.bytes for s in segments) > 64 * KB
         return result, written, reads, index
 
     @staticmethod
     def assert_reads_tile_the_index(reads, index) -> None:
-        """Every shuffle read lies inside one indexed segment, and the reads
-        of each segment cover it exactly once."""
-        read_bytes = Counter()
-        for path, offset, length in reads:
-            [segment] = [
-                s for segments in index for s in segments
-                if s.path == path and s.offset <= offset
-                and offset + length <= s.offset + s.bytes
-            ]
-            read_bytes[segment] += length
-        segments = [s for segments in index for s in segments]
-        assert read_bytes == Counter({s: s.bytes for s in segments})
+        """Each indexed segment is read with exactly one range read of
+        exactly its bytes, and nothing else of the shuffle is read."""
+        segments = [(s.path, s.offset, s.bytes) for segments in index for s in segments]
+        assert sorted(read[:3] for read in reads) == sorted(segments)
 
     def test_one_file_per_map_and_each_reducer_reads_its_range(
         self, any_fs, monkeypatch
     ):
-        write_text_file(any_fs, "/in/layout.txt", num_lines=600, seed=17)
+        write_text_file(any_fs, "/in/layout.txt", num_lines=self.LINES, seed=17)
         result, written, reads, index = self.run(any_fs, monkeypatch, "/layout")
         maps = result.map_tasks
         assert maps > 2
@@ -220,10 +241,22 @@ class TestSpillLayout:
             assert {s.partition for s in segments} == {partition}
         self.assert_reads_tile_the_index(reads, index)
 
+    def test_a_reducer_reads_a_range_while_the_last_map_runs(self, any_fs, monkeypatch):
+        write_text_file(any_fs, "/in/layout.txt", num_lines=self.LINES, seed=17)
+        result, _written, reads, index = self.run(
+            any_fs, monkeypatch, "/layout-held", hold_last_map=True
+        )
+        assert result.map_tasks > 2
+        map_zero = {(s.path, s.offset, s.bytes) for segments in index for s in segments
+                    if s.map_index == 0}
+        early_reads = {read[:3] for read in reads if read[3]}
+        assert early_reads & map_zero
+        self.assert_reads_tile_the_index(reads, index)
+
     def test_a_map_retried_after_a_failed_spill_is_read_from_the_winner(
         self, any_fs, monkeypatch
     ):
-        write_text_file(any_fs, "/in/layout.txt", num_lines=600, seed=17)
+        write_text_file(any_fs, "/in/layout.txt", num_lines=self.LINES, seed=17)
         loser = "/layout-retry/_shuffle/map-00001-a00.out"
         result, written, reads, index = self.run(
             any_fs, monkeypatch, "/layout-retry", failing_path=loser
@@ -238,7 +271,7 @@ class TestSpillLayout:
         map_one = [s for segments in index for s in segments if s.map_index == 1]
         assert len(map_one) == self.REDUCERS
         assert {s.path for s in map_one} == {winner}
-        assert loser not in {path for path, _offset, _length in reads}
+        assert loser not in {read[0] for read in reads}
         self.assert_reads_tile_the_index(reads, index)
 
 
@@ -385,6 +418,53 @@ class TestTaskFailureHandling:
         assert not runner.is_alive(), "submit().wait() hung on a BaseException"
         assert outcome and isinstance(outcome[0], SystemExit)
 
+    def test_a_map_failing_after_another_spilled_aborts_the_reducers(self, bsfs):
+        write_text_file(bsfs, "/in/crash.txt", num_lines=400, seed=41)
+
+        def mapper(key, value, context):
+            # The first split maps and spills; every later one crashes.
+            if key >= 4 * KB:
+                raise RuntimeError("deliberate mapper crash")
+            context.emit("word", 1)
+
+        job = replace(self.make_crashing_job("/crash-later"), mapper=mapper)
+        service = JobService.local(bsfs, num_trackers=1, slots_per_tracker=1)
+        result = service.submit(job).wait()
+        assert not result.succeeded
+        failed_reduces = [t for t in result.failed_tasks if t.kind == "reduce"]
+        assert {t.task_id for t in failed_reduces} == {"reduce-00000", "reduce-00001"}
+        assert all("aborted" in t.error for t in failed_reduces)
+        assert not bsfs.exists("/crash-later/_shuffle")
+
+    def test_cancelling_a_job_aborts_its_waiting_reducers(self, bsfs):
+        write_text_file(bsfs, "/in/crash.txt", num_lines=400, seed=41)
+        started = threading.Event()
+        cancelled = threading.Event()
+        base = make_wordcount_job(
+            ["/in/crash.txt"], output_dir="/crash-cancel", num_reduce_tasks=2,
+            split_size=4 * KB,
+        )
+
+        def mapper(key, value, context):
+            # The first split maps and spills; the second holds its slot
+            # until the job is cancelled.
+            if key >= 4 * KB and not started.is_set():
+                started.set()
+                assert cancelled.wait(timeout=30)
+            base.mapper(key, value, context)
+
+        service = JobService.local(bsfs, num_trackers=1, slots_per_tracker=1)
+        handle = service.submit(replace(base, mapper=mapper))
+        assert started.wait(timeout=10)
+        assert handle.cancel() is True
+        cancelled.set()
+        result = handle.wait(timeout=60)
+        assert not result.succeeded
+        assert any("cancelled" in str(r.error) for r in result.failed_tasks)
+        failed_reduces = [t for t in result.failed_tasks if t.kind == "reduce"]
+        assert {t.task_id for t in failed_reduces} == {"reduce-00000", "reduce-00001"}
+        assert not bsfs.exists("/crash-cancel/_shuffle")
+
     def test_spill_mode_failure_cleans_shuffle_dir(self, bsfs):
         write_text_file(bsfs, "/in/crash.txt", num_lines=400, seed=41)
         job = self.make_crashing_job("/crash-spill", crash_in="map")
@@ -393,46 +473,43 @@ class TestTaskFailureHandling:
         assert not bsfs.exists("/crash-spill/_shuffle")
 
 
-def shuffle_threads() -> list[str]:
-    """Names of the live threads of per-job ``shuffle-*`` prefetch engines."""
-    return [t.name for t in threading.enumerate() if t.name.startswith("shuffle-")]
-
-
 class TestShuffleThreads:
-    """Every job with reducers builds its own prefetch engine; no thread of
-    it may outlive the job, however the job ends."""
+    """Reducers fetch the shuffle on threads of the job's reduce pool,
+    blocked while maps run; no such thread may outlive the job, however
+    the job ends."""
 
-    def job(self, output_dir, *, mapper=None, reducer=None):
+    def job(self, output_dir, *, mapper=None):
         job = make_wordcount_job(
             ["/in/threads.txt"], output_dir=output_dir, num_reduce_tasks=2,
             split_size=4 * KB,
         )
-        if mapper is not None:
-            job = replace(job, mapper=mapper)
-        if reducer is not None:
-            job = replace(job, reducer=reducer)
-        return job
+        return job if mapper is None else replace(job, mapper=mapper)
 
     @pytest.fixture
     def service(self, bsfs):
         write_text_file(bsfs, "/in/threads.txt", num_lines=400, seed=41)
-        assert shuffle_threads() == []
         return JobService.local(bsfs, num_trackers=1, slots_per_tracker=1)
 
-    def test_succeeded_job(self, service):
-        seen: list[str] = []
-        base = self.job("/threads-ok")
+    @pytest.fixture
+    def fetchers(self, monkeypatch) -> list[threading.Thread]:
+        """The threads that called :meth:`ShuffleService.fetch_segments`."""
+        threads: list[threading.Thread] = []
+        fetch_segments = ShuffleService.fetch_segments
 
-        def reducer(key, values, context):
-            seen.extend(shuffle_threads())
-            base.reducer(key, values, context)
+        def recording_fetch_segments(service, partition):
+            threads.append(threading.current_thread())
+            return fetch_segments(service, partition)
 
-        result = service.submit(replace(base, reducer=reducer)).wait()
+        monkeypatch.setattr(ShuffleService, "fetch_segments", recording_fetch_segments)
+        return threads
+
+    def test_succeeded_job(self, service, fetchers):
+        result = service.submit(self.job("/threads-ok")).wait()
         assert result.succeeded
-        assert seen  # the engine did run prefetches during the job
-        assert shuffle_threads() == []
+        assert len(fetchers) == 2
+        assert not any(thread.is_alive() for thread in fetchers)
 
-    def test_failed_job(self, service):
+    def test_failed_job(self, service, fetchers):
         def mapper(key, value, context):
             # The first split maps and spills; every later one crashes.
             if key >= 4 * KB:
@@ -441,17 +518,18 @@ class TestShuffleThreads:
 
         result = service.submit(self.job("/threads-failed", mapper=mapper)).wait()
         assert not result.succeeded
-        assert shuffle_threads() == []
+        assert fetchers
+        assert not any(thread.is_alive() for thread in fetchers)
 
-    def test_cancelled_job(self, service):
+    def test_cancelled_job(self, service, fetchers):
         started = threading.Event()
         cancelled = threading.Event()
         base = self.job("/threads-cancelled")
 
         def mapper(key, value, context):
             # The first split maps and spills; the second holds its slot
-            # until the job is cancelled.
-            if key >= 4 * KB and not started.is_set():
+            # until the job is cancelled, with both reducers waiting.
+            if key >= 4 * KB:
                 started.set()
                 assert cancelled.wait(timeout=30)
             base.mapper(key, value, context)
@@ -462,5 +540,5 @@ class TestShuffleThreads:
         cancelled.set()
         result = handle.wait(timeout=60)
         assert not result.succeeded
-        assert any("cancelled" in str(r.error) for r in result.failed_tasks)
-        assert shuffle_threads() == []
+        assert fetchers
+        assert not any(thread.is_alive() for thread in fetchers)

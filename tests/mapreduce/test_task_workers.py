@@ -2,11 +2,11 @@
 
 A job whose map or reduce side pickles computes those tasks in the shared
 worker pool (:data:`repro.mapreduce.task_workers.workers`); any other job
-computes them on the slot thread, and so does a reduce whose partition
-spilled more than :data:`repro.mapreduce.tasktracker.WORKER_REDUCE_MAX_BYTES`.
-The placements must be indistinguishable in output, counters and shuffle
-statistics, a worker that dies must cost only a retry, and a process that
-ran a job must still be able to exit.
+computes them on the slot thread.  Either way a reduce computes over its
+partition's segments, read whole as the maps committed.  The placements
+must be indistinguishable in output, counters and shuffle statistics, a
+worker that dies must cost only a retry, and a process that ran a job must
+still be able to exit.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import pytest
 
 from repro.core import KB
 from repro.fs import LocalFS
-import repro.mapreduce.tasktracker as tasktracker
 from repro.mapreduce import JobService, identity_reducer
 from repro.mapreduce.applications import (
     make_distributed_grep_job,
@@ -41,7 +40,6 @@ SHUFFLE_KEYS = (
     "bytes_spilled",
     "records_spilled",
     "segments_fetched",
-    "merge_passes",
     "maps_completed",
 )
 
@@ -286,23 +284,28 @@ def test_a_mapper_from_main_runs_on_the_tracker_thread(bsfs, monkeypatch):
     assert emitted_pids(bsfs, result) == {os.getpid()}
 
 
-def test_a_partition_over_the_bound_streams_on_the_slot_thread(any_fs, monkeypatch):
+def test_a_partition_of_many_runs_reduces_whole_in_either_placement(any_fs):
     write_text_file(any_fs, INPUT, num_lines=400, seed=11)
     service = JobService.local(any_fs)
-    job = make_job("sort", "/out-in-memory")
-    # More maps, so more sorted runs, than one merge pass takes.
+    job = make_job("sort", "/out-many-workers")
+    # More maps, so more sorted runs per partition, than Hadoop's default
+    # io.sort.factor (32) merges in one pass.
     job = replace(job, conf=replace(job.conf, split_size=KB))
-    in_memory = service.submit(job).wait()
-    monkeypatch.setattr(tasktracker, "WORKER_REDUCE_MAX_BYTES", 0)
-    streamed = service.submit(replace(job, conf=replace(job.conf, output_dir="/out-streamed"))).wait()
-    assert in_memory.succeeded and streamed.succeeded
-    assert in_memory.summary()["reduce_attempts_in_workers"] == in_memory.reduce_tasks
-    assert streamed.summary()["reduce_attempts_in_workers"] == 0
-    assert streamed.summary()["map_attempts_in_workers"] == streamed.map_tasks
-    assert in_memory.shuffle["merge_passes"] == 0
-    assert streamed.shuffle["merge_passes"] > 0
-    assert read_output(any_fs, streamed) == read_output(any_fs, in_memory)
-    assert streamed.counters.as_dict() == in_memory.counters.as_dict()
+    shipped = service.submit(job).wait()
+    local = service.submit(
+        in_thread(replace(job, conf=replace(job.conf, output_dir="/out-many-thread")))
+    ).wait()
+    assert shipped.succeeded and local.succeeded
+    assert shipped.map_tasks > 32
+    assert shipped.summary()["reduce_attempts_in_workers"] == shipped.reduce_tasks
+    assert local.summary()["reduce_attempts_in_workers"] == 0
+    # A reducer fetches at most one segment per map, so the other one
+    # fetched at least the rest: both merge more than 32 runs.
+    assert shipped.shuffle["segments_fetched"] - shipped.map_tasks > 32
+    for key in SHUFFLE_KEYS:
+        assert shipped.shuffle[key] == local.shuffle[key], key
+    assert read_output(any_fs, shipped) == read_output(any_fs, local)
+    assert shipped.counters.as_dict() == local.counters.as_dict()
 
 
 def test_shipped_reducers_share_one_output_file_in_contiguous_runs(bsfs):
