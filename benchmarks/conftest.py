@@ -145,7 +145,7 @@ def bench_json_artifacts(request, monkeypatch):
 #: with its factory defaults.
 FUNCTIONAL_FS_OPTIONS: dict[str, dict] = {
     "bsfs": dict(
-        config=BlobSeerConfig(page_size=64 * KB, num_providers=16, rng_seed=23),
+        config=BlobSeerConfig(page_size=64 * KB, num_providers=16),
         default_block_size=256 * KB,
     ),
     "hdfs": dict(

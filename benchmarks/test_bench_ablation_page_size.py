@@ -32,7 +32,7 @@ def _run():
     payload = b"\xAB" * DATA_SIZE
     for page_size in PAGE_SIZES:
         service = BlobSeer(
-            BlobSeerConfig(page_size=page_size, num_providers=8, rng_seed=3)
+            BlobSeerConfig(page_size=page_size, num_providers=8)
         )
         blob = service.create_blob()
         started = time.perf_counter()

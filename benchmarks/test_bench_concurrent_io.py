@@ -59,7 +59,6 @@ def _make_client(*, transfer_workers: int, num_providers: int = 16) -> BlobSeer:
         page_size=PAGE_SIZE,
         num_providers=num_providers,
         transfer_workers=transfer_workers,
-        rng_seed=42,
     )
     return BlobSeer(config, providers=providers)
 

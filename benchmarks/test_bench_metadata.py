@@ -37,7 +37,6 @@ def _run():
                 page_size=PAGE_SIZE,
                 num_providers=8,
                 num_metadata_providers=8,
-                rng_seed=11,
             )
         )
         blob = service.create_blob()

@@ -169,7 +169,6 @@ def _bench_detect_recover() -> float:
         num_providers=4,
         num_metadata_providers=3,
         replication=2,
-        rng_seed=7,
     )
     backends = [
         DataProvider(i, host=f"node-{i}", rack=f"rack-{i % 2}")

@@ -45,7 +45,6 @@ def _scenario(gc_on: bool) -> dict:
             num_providers=8,
             num_metadata_providers=4,
             replication=1,
-            rng_seed=21,
             max_versions_kept=KEEP_LAST if gc_on else None,
         )
     )

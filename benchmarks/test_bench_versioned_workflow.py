@@ -72,7 +72,7 @@ def _pin_to_snapshot(bsfs: BSFS, job, snapshot: int, snapshot_size: int) -> None
 
 def _run():
     bsfs = BSFS(
-        config=BlobSeerConfig(page_size=16 * KB, num_providers=12, rng_seed=17),
+        config=BlobSeerConfig(page_size=16 * KB, num_providers=12),
         default_block_size=128 * KB,
     )
     write_text_file(bsfs, DATASET, num_lines=6000, seed=7)

@@ -39,8 +39,6 @@ Write protocol (mirrors the paper's description of BlobSeer):
 from __future__ import annotations
 
 import os
-import random
-import threading
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator, Sequence
@@ -50,7 +48,9 @@ from .dht import MetadataDHT, MetadataProvider
 from .errors import (
     AlignmentError,
     InvalidRangeError,
+    NoProvidersError,
     PageNotFoundError,
+    ProviderUnavailableError,
 )
 from .metadata import MetadataManager, NodeKey, next_power_of_two
 from .pages import PageDescriptor, PageKey, overlay, page_range_for_bytes
@@ -139,15 +139,11 @@ class BlobSeer:
         self.dht = MetadataDHT(metadata_providers)
         self.metadata_manager = MetadataManager(self.dht)
         self.version_manager = VersionManager(self.config)
-        self.replication_manager = ReplicationManager(
-            self.provider_manager, seed=self.config.rng_seed
-        )
+        self.replication_manager = ReplicationManager(self.provider_manager)
         #: Shared transfer engine: every page/replica transfer of this
         #: deployment (writes, reads, streaming) runs through its bounded
         #: worker pool.
         self.transfer = TransferEngine(self.config.transfer_workers, name="blobseer-io")
-        self._rng = random.Random(self.config.rng_seed)
-        self._rng_lock = threading.Lock()
         #: Snapshot lifecycle: pins protect published versions from the
         #: collector (and the blob from deletion); the retention policy and
         #: collector turn `max_versions_kept` into reclaimed space; call
@@ -156,16 +152,6 @@ class BlobSeer:
         self.retention = RetentionPolicy(keep_last=self.config.max_versions_kept)
         self.gc = VersionGC(self, policy=self.retention, pins=self.pins)
         self.version_manager.add_delete_guard(self.pins.guard_delete)
-
-    def _op_rng(self) -> random.Random:
-        """Derive one deterministic RNG for a whole client operation.
-
-        The shared seed stream is locked exactly once per operation; the
-        returned generator is then threaded through every page read of
-        the operation instead of re-entering the lock per page.
-        """
-        with self._rng_lock:
-            return random.Random(self._rng.random())
 
     # ------------------------------------------------------------------ lifecycle
     def create_blob(
@@ -224,14 +210,13 @@ class BlobSeer:
         keys = list(self.metadata_manager.reachable(roots)[1])
         self.version_manager.delete_blob(blob_id)
         self.metadata_manager.forget_blob(blob_id)
+        # The freed space shows in the load view at each provider's next
+        # put reply.
         for provider in self.provider_manager.providers if keys else ():
             try:
                 provider.remove_pages(keys)
             except Exception:
                 continue
-            finally:
-                # The freed space shows at the next allocation's probe.
-                self.provider_manager.forget(provider.provider_id)
 
     def close(self) -> None:
         """Stop the GC daemon and transfer engine, close provider stores."""
@@ -339,13 +324,21 @@ class BlobSeer:
         write stripes across the provider pool.  Each piece is a copy-free
         view of ``data``, and none needs another writer's bytes: the head
         and tail of an unaligned write are stored as they are and overlaid
-        on the base version's pages only in the metadata.
+        on the base version's pages only in the metadata.  When every
+        registered provider is known down the write raises
+        :class:`~repro.core.errors.ProviderUnavailableError`, as it would
+        had the providers failed its puts.
         """
         page_size = info.page_size
         page_range = page_range_for_bytes(ticket.offset, len(data), page_size)
-        allocation = self.provider_manager.allocate(
-            len(page_range), info.replication, client_hint=client_hint
-        )
+        try:
+            allocation = self.provider_manager.allocate(
+                len(page_range), info.replication, client_hint=client_hint
+            )
+        except NoProvidersError:
+            if not self.provider_manager.provider_ids:
+                raise
+            raise ProviderUnavailableError("every data provider") from None
         view, end = memoryview(data), ticket.offset + len(data)
         pieces = {}
         for index, providers in zip(page_range, allocation):
@@ -504,13 +497,7 @@ class BlobSeer:
             segments += overlay(leaves.get(page_index, ()), lo, hi)
         # An extent may show in several segments of its page; fetch it once.
         shown = {id(extent): extent for _, _, extent in segments if extent}
-        found = read_pages(
-            self.provider_manager,
-            shown.values(),
-            policy=self.config.read_replica_policy,
-            rng=self._op_rng(),
-            engine=self.transfer,
-        )
+        found = read_pages(self.provider_manager, shown.values(), engine=self.transfer)
         pieces = dict(zip(shown, found))
         # One copy: every segment adds a view of its extent's bytes (zeros
         # where no extent lies) to a single join.

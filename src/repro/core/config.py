@@ -24,6 +24,10 @@ GB = 1024 * MB
 class BlobSeerConfig:
     """Static configuration of a BlobSeer service instance.
 
+    Replica choice has no setting: writers place by the provider manager's
+    load view and readers try available replicas first, then the ones the
+    client read least (:func:`repro.core.replication.read_pages`).
+
     Parameters
     ----------
     page_size:
@@ -42,19 +46,12 @@ class BlobSeerConfig:
         (:mod:`repro.versions`); older ones become reclaimable unless
         pinned.  ``None`` retains every version forever (the seed
         behaviour).
-    read_replica_policy:
-        How a reader chooses among page replicas: ``"least_loaded"``,
-        ``"random"`` or ``"first"``.
     transfer_workers:
         Worker threads of the deployment's shared transfer engine
         (:mod:`repro.core.transfer`): the number of page/replica transfers
         the client keeps in flight concurrently.  ``1`` degrades every
         byte path to the old sequential behaviour (useful as an ablation
         baseline).
-    rng_seed:
-        Seed for the deterministic pseudo-random choices made by the
-        service (replica selection).  Keeping this fixed makes experiments
-        reproducible.
     """
 
     page_size: int = 64 * KB
@@ -62,9 +59,7 @@ class BlobSeerConfig:
     num_providers: int = 16
     num_metadata_providers: int = 4
     max_versions_kept: int | None = None
-    read_replica_policy: str = "least_loaded"
     transfer_workers: int = 8
-    rng_seed: int = 0xB10B5EE
 
     def __post_init__(self) -> None:
         if self.page_size <= 0:
@@ -79,10 +74,6 @@ class BlobSeerConfig:
             raise ValueError(
                 "replication cannot exceed the number of data providers "
                 f"({self.replication} > {self.num_providers})"
-            )
-        if self.read_replica_policy not in ("least_loaded", "random", "first"):
-            raise ValueError(
-                f"unknown read replica policy {self.read_replica_policy!r}"
             )
         if self.transfer_workers < 1:
             raise ValueError("transfer_workers must be at least 1")

@@ -25,7 +25,7 @@ import heapq
 import random
 import threading
 from abc import ABC, abstractmethod
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import AllocationError, NoProvidersError, ProviderUnavailableError
 from .provider import DataProvider, ProviderStats
@@ -257,14 +257,20 @@ class LocalFirstStrategy(AllocationStrategy):
 class ProviderManager:
     """Registry of data providers plus the page allocation service.
 
-    Placement reads a *load view*: the last :class:`ProviderStats` seen
-    from each provider while it was available.  Every ``put_pages`` reply
-    carries a fresh snapshot (:meth:`observe`), so a writing client keeps
-    the view current without probing; a provider is probed only when it
-    has no entry — never seen, last seen unavailable or unreachable, just
-    (re)registered, or :meth:`forget`-ten after a failed put or a page
-    removal.  Like the probe it replaces, the view can lag other clients'
-    writes by one reply.
+    Placement asks no provider anything.  It places on the providers whose
+    ``available`` is true (a remote stub's own down-mark) and reads their
+    load from a *view*: the last :class:`ProviderStats` snapshot a
+    ``put_pages`` reply carried (:meth:`observe`).  A provider with no
+    snapshot yet counts as empty, and its first reply corrects the view.
+    Pages freed by garbage collection or blob deletion stay in the view
+    until that provider's next ``put_pages`` reply: the view only ever
+    holds snapshots a provider sent, and the providers that freed most
+    fill first once their replies catch up.  Like any client-side view it
+    can lag other clients' writes by one reply.
+
+    The manager also keeps this client's read tally: pages read from
+    each provider, which replica ordering reads instead of asking
+    providers their load (:meth:`read_loads`).
     """
 
     def __init__(
@@ -276,6 +282,7 @@ class ProviderManager:
     ) -> None:
         self._providers: dict[int, DataProvider] = {}
         self._view: dict[int, ProviderStats] = {}
+        self._pages_read: dict[int, int] = {}
         self._lock = threading.Lock()
         self._strategy = strategy if strategy is not None else LoadBalancedStrategy()
         if range_pages < 1:
@@ -349,41 +356,31 @@ class ProviderManager:
             return list(self._providers.keys())
 
     # -- load view ----------------------------------------------------------------
-    def observe(self, snapshot: ProviderStats) -> ProviderStats:
-        """Record a provider's snapshot in the load view; returns it.
+    def observe(self, snapshot: ProviderStats) -> None:
+        """Record a ``put_pages`` reply's snapshot in the load view."""
+        with self._lock:
+            self._view[snapshot.provider_id] = snapshot
 
-        An unavailable snapshot drops the entry instead.
+    def note_reads(self, provider_id: int, pages: int) -> None:
+        """Add ``pages`` this client read from ``provider_id`` to its tally."""
+        with self._lock:
+            self._pages_read[provider_id] = self._pages_read.get(provider_id, 0) + pages
+
+    def read_loads(self, provider_ids: Iterable[int]) -> dict[int, tuple[bool, int]]:
+        """``(down, pages this client read from it)`` per provider id.
+
+        The replica-ordering key: available providers first, then the
+        least read.  An unregistered provider counts as down.
         """
         with self._lock:
-            if snapshot.available:
-                self._view[snapshot.provider_id] = snapshot
-            else:
-                self._view.pop(snapshot.provider_id, None)
-        return snapshot
-
-    def forget(self, provider_id: int) -> None:
-        """Drop a provider's view entry, so the next allocation probes it."""
-        with self._lock:
-            self._view.pop(provider_id, None)
-
-    def _probe(self, provider: DataProvider) -> ProviderStats | None:
-        """Fresh snapshot of ``provider`` if it is available (refreshes the view)."""
-        try:
-            snapshot = self.observe(provider.stats())
-        except ProviderUnavailableError:
-            self.forget(provider.provider_id)
-            return None
-        return snapshot if snapshot.available else None
-
-    def available_stats(self) -> list[ProviderStats]:
-        """Fresh statistics snapshots of the providers accepting requests.
-
-        One ``stats()`` call per provider (an RPC for a remote one): the
-        snapshot itself says whether the provider is available, and an
-        unreachable one raises instead of answering.  Refreshes the view.
-        """
-        snapshots = [self._probe(provider) for provider in self.providers]
-        return [snapshot for snapshot in snapshots if snapshot is not None]
+            return {
+                provider_id: (
+                    provider_id not in self._providers
+                    or not self._providers[provider_id].available,
+                    self._pages_read.get(provider_id, 0),
+                )
+                for provider_id in provider_ids
+            }
 
     # -- allocation ---------------------------------------------------------------
     def allocate(
@@ -426,10 +423,8 @@ class ProviderManager:
         of one per page.  ``max_range`` defaults to the manager's
         ``range_pages``.
 
-        Provider loads come from the view; only providers without an entry
-        are probed, *outside* the allocator lock (``stats()`` may be an RPC
-        for remote providers).  Only the strategy run itself — the true
-        serial section — holds it.
+        Only available providers are placed on, with their loads from the
+        view; no provider is asked anything.
         """
         if num_pages < 0:
             raise AllocationError("cannot allocate a negative number of pages")
@@ -440,20 +435,18 @@ class ProviderManager:
         if max_range < 1:
             raise AllocationError("max_range must be at least 1")
         with self._lock:
-            known = [(p, self._view.get(p.provider_id)) for p in self._providers.values()]
-        stats = [
-            snapshot
-            for provider, seen in known
-            if (snapshot := seen or self._probe(provider)) is not None
-        ]
-        if not stats:
-            raise NoProvidersError("no data providers are available")
-        if replication > len(stats):
-            raise AllocationError(
-                f"replication {replication} exceeds available providers "
-                f"({len(stats)})"
-            )
-        with self._lock:
+            stats = [
+                self._view.get(provider_id) or _empty(provider_id)
+                for provider_id, provider in self._providers.items()
+                if provider.available
+            ]
+            if not stats:
+                raise NoProvidersError("no data providers are available")
+            if replication > len(stats):
+                raise AllocationError(
+                    f"replication {replication} exceeds available providers "
+                    f"({len(stats)})"
+                )
             runs = self._strategy.select_range(
                 stats,
                 num_pages,
@@ -479,12 +472,11 @@ class ProviderManager:
     def stats(self) -> dict[int, ProviderStats]:
         """Per-provider statistics snapshot for monitoring.
 
-        The registry lock is held only to snapshot provider *references*;
-        the per-provider ``stats()`` calls (RPCs for remote providers) run
-        outside it, so a slow or dead node never stalls allocation.  The
-        fresh snapshots refresh the view.
+        One ``stats()`` call per provider (an RPC for a remote one),
+        outside the registry lock, so a slow or dead node never stalls
+        allocation.  Monitoring only: nothing on a data path calls it.
         """
-        return {p.provider_id: self.observe(p.stats()) for p in self.providers}
+        return {p.provider_id: p.stats() for p in self.providers}
 
     def distribution(self) -> dict[int, int]:
         """Map provider id -> number of pages stored (load-balance metric)."""
@@ -494,10 +486,23 @@ class ProviderManager:
         """Max/mean ratio of pages stored across available providers.
 
         A perfectly balanced pool has imbalance 1.0; the metric is used by
-        ablation benchmarks to compare allocation strategies.
+        ablation benchmarks to compare allocation strategies.  An
+        unreachable provider is left out, like a failed one.
         """
-        counts = [snapshot.pages_stored for snapshot in self.available_stats()]
+        counts = []
+        for provider in self.providers:
+            try:
+                snapshot = provider.stats()
+            except ProviderUnavailableError:
+                continue
+            if snapshot.available:
+                counts.append(snapshot.pages_stored)
         if not counts or sum(counts) == 0:
             return 1.0
         mean = sum(counts) / len(counts)
         return max(counts) / mean
+
+
+def _empty(provider_id: int) -> ProviderStats:
+    """The load of a provider no reply has described yet."""
+    return ProviderStats(provider_id, 0, 0, 0, 0, 0, 0, True)

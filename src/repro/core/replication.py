@@ -7,7 +7,7 @@ This module concentrates the replica-handling logic used by the client:
   call per provider, as long as every page lands at least once.
 * :func:`read_pages` — fetch pages with one bulk call per provider,
   failing each key a provider could not serve over to its next replica
-  in policy order.
+  (available replicas first, then the ones this client read least).
 * :class:`ReplicationManager` — scrubbing (detecting under-replicated
   pages) and healing (copying surviving replicas onto additional providers)
   so that a blob can be brought back to its target replication level after
@@ -16,12 +16,16 @@ This module concentrates the replica-handling logic used by the client:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Sequence
 
 from .dht import MISSING
-from .errors import NoProvidersError, PageNotFoundError, ProviderUnavailableError
+from .errors import (
+    AllocationError,
+    NoProvidersError,
+    PageNotFoundError,
+    ProviderUnavailableError,
+)
 from .pages import PageDescriptor, PageKey
 from .provider_manager import ProviderManager
 from .transfer import TransferEngine
@@ -80,12 +84,11 @@ def write_pages(
     Pages are grouped by provider and pushed with one ``put_pages`` call
     per provider (per :data:`BULK_CALL_BYTES`), the calls running
     concurrently on ``engine``; each reply refreshes the provider
-    manager's load view, each failed call drops its provider from it.
-    Returns, per item, the ids of the providers that stored a replica, in
-    ``provider_ids`` order.  Nobody declares a provider dead when a put
-    to it fails, so a page whose every target failed is placed once more
-    on a provider the manager still sees, and its ids say where it
-    landed.  A page that still has no replica raises
+    manager's load view.  Returns, per item, the ids of the providers
+    that stored a replica, in ``provider_ids`` order.  A page whose every
+    target failed is placed once more on a provider that still looks up
+    (a failed call marks a remote provider down), and its ids say where
+    it landed.  A page that still has no replica raises
     :class:`~repro.core.errors.ProviderUnavailableError`.
     """
     sizes = [len(data) for _key, data, _ids in items]
@@ -94,11 +97,9 @@ def write_pages(
         provider_id, indices = call
         provider = provider_manager.get(provider_id)
         try:
-            snapshot = provider.put_pages([items[i][:2] for i in indices])
+            provider_manager.observe(provider.put_pages([items[i][:2] for i in indices]))
         except ProviderUnavailableError as exc:
-            provider_manager.forget(provider_id)
             return exc
-        provider_manager.observe(snapshot)
         return None
 
     def push(targets: dict[int, Sequence[int]]) -> ProviderUnavailableError | None:
@@ -131,57 +132,41 @@ def write_pages(
 
 
 def _order_replicas(
-    provider_manager: ProviderManager,
-    descriptors: Sequence[PageDescriptor],
-    policy: str,
-    rng: random.Random | None,
+    provider_manager: ProviderManager, descriptors: Sequence[PageDescriptor]
 ) -> list[Sequence[int]]:
-    """Each descriptor's providers in replica-selection policy order.
+    """Each descriptor's providers in the order a read tries them.
 
-    ``least_loaded`` probes every provider involved once for the whole
-    call (over the wire each ``stats()`` probe is a round trip), then
-    charges each page to the provider it picks, so the next page's
-    ranking sees that load and one call's pages spread over the replicas.
+    Providers the client sees as down go last; the rest go least read
+    first, by the pages this client read from each (no provider is asked
+    its load).  Each page is charged to the provider it picks, so the
+    next page's ranking sees that load and one call's pages spread over
+    the replicas.
     """
     orders: list[Sequence[int]] = [d.providers for d in descriptors]
-    if policy == "first" or max(map(len, orders)) == 1:
+    if max(map(len, orders)) == 1:
         return orders
-    if policy == "random":
-        rng = rng or random.Random(descriptors[0].key.index)
-        orders = [list(order) for order in orders]
-        for order in orders:
-            rng.shuffle(order)
-        return orders
-    if policy == "least_loaded":
-        loads: dict[int, tuple[int, int]] = {}
-        for provider_id in {pid for order in orders for pid in order}:
-            try:
-                stats = provider_manager.get(provider_id).stats()
-                loads[provider_id] = (stats.pages_read, stats.bytes_read)
-            except Exception:  # unregistered provider: try it last
-                loads[provider_id] = (1 << 62, 1 << 62)
-        ranked: list[Sequence[int]] = []
-        for descriptor, order in zip(descriptors, orders):
-            order = sorted(order, key=loads.__getitem__)
-            pages, nbytes = loads[order[0]]
-            loads[order[0]] = (pages + 1, nbytes + descriptor.size)
-            ranked.append(order)
-        return ranked
-    raise ValueError(f"unknown read replica policy {policy!r}")
+    loads = provider_manager.read_loads({pid for order in orders for pid in order})
+    ranked: list[Sequence[int]] = []
+    for order in orders:
+        order = sorted(order, key=loads.__getitem__)
+        down, pages = loads[order[0]]
+        loads[order[0]] = (down, pages + 1)
+        ranked.append(order)
+    return ranked
 
 
 def read_pages(
     provider_manager: ProviderManager,
     descriptors: Iterable[PageDescriptor],
     *,
-    policy: str = "least_loaded",
-    rng: random.Random | None = None,
     engine: TransferEngine | None = None,
 ) -> list[bytes]:
     """Fetch the pages of ``descriptors``, in order, with one call per provider and attempt.
 
-    Keys are grouped by their first replica in policy order and the
-    per-provider ``get_pages`` calls run concurrently on ``engine``.  Only
+    Keys are grouped by their first replica in :func:`_order_replicas`
+    order and the per-provider ``get_pages`` calls run concurrently on
+    ``engine``; each served call of a read with more than one replica
+    to choose from adds to the client's read tally.  Only
     the keys that failed move on, to their next replica: a provider that
     raises fails over all the keys of its call, a :data:`MISSING` slot
     just that key.  Raises :class:`~repro.core.errors.PageNotFoundError`
@@ -190,7 +175,8 @@ def read_pages(
     descriptors = list(descriptors)
     if not descriptors:
         return []
-    orders = _order_replicas(provider_manager, descriptors, policy, rng)
+    orders = _order_replicas(provider_manager, descriptors)
+    replicated = any(len(order) > 1 for order in orders)
     keys = [d.key for d in descriptors]
     sizes = [d.size for d in descriptors]
 
@@ -198,9 +184,12 @@ def read_pages(
         provider_id, indices = call
         try:
             provider = provider_manager.get(provider_id)
-            return provider.get_pages([keys[i] for i in indices])
+            found = provider.get_pages([keys[i] for i in indices])
         except Exception:
             return [MISSING] * len(indices)
+        if replicated:
+            provider_manager.note_reads(provider_id, len(indices))
+        return found
 
     pages: list = [MISSING] * len(descriptors)
     pending = range(len(descriptors))
@@ -240,9 +229,8 @@ class ScrubReport:
 class ReplicationManager:
     """Scrub and heal the replicas of a set of pages."""
 
-    def __init__(self, provider_manager: ProviderManager, *, seed: int = 0) -> None:
+    def __init__(self, provider_manager: ProviderManager) -> None:
         self._pm = provider_manager
-        self._rng = random.Random(seed)
 
     def live_replicas(self, descriptor: PageDescriptor) -> list[int]:
         """Provider ids of the descriptor's replicas that are currently readable.
@@ -292,37 +280,38 @@ class ReplicationManager:
     ) -> PageDescriptor:
         """Copy a surviving replica onto fresh providers until the target is met.
 
-        Returns a new descriptor whose provider list reflects the healed
-        placement (the original descriptor is immutable).  Raises
+        The new homes are placed like any write (the provider manager's
+        allocation, less the live replicas) and written with
+        :func:`write_pages`.  Returns a new descriptor whose provider list
+        reflects the healed placement (the original descriptor is
+        immutable); with too few available providers it holds as many
+        replicas as could be placed.  Raises
         :class:`~repro.core.errors.PageNotFoundError` when no replica
         survives.
         """
-        available = [snapshot.provider_id for snapshot in self._pm.available_stats()]
-        return self._heal(descriptor, target_replication, available)
-
-    def _heal(
-        self, descriptor: PageDescriptor, target_replication: int, available: list[int]
-    ) -> PageDescriptor:
         live = self.live_replicas(descriptor)
         if not live:
             raise PageNotFoundError(descriptor.key)
-        if len(live) >= target_replication:
-            return replace(descriptor, providers=tuple(live))
-        [data] = read_pages(
-            self._pm, [replace(descriptor, providers=tuple(live))], policy="first"
-        )
-        candidates = [provider_id for provider_id in available if provider_id not in live]
-        self._rng.shuffle(candidates)
         needed = target_replication - len(live)
-        new_homes = candidates[:needed]
-        stored = list(live)
-        for provider_id in new_homes:
+        if needed <= 0:
+            return replace(descriptor, providers=tuple(live))
+        [data] = read_pages(self._pm, [replace(descriptor, providers=tuple(live))])
+        # Counted after the read, which may mark a replica down.  Should
+        # another call mark one down before allocation, allocation fails
+        # and the page keeps the replicas it has.
+        available = sum(provider.available for provider in self._pm.providers)
+        try:
+            [chosen] = self._pm.allocate(1, min(target_replication, available))
+        except (AllocationError, NoProvidersError):
+            chosen = ()
+        new_homes = [provider_id for provider_id in chosen if provider_id not in live]
+        stored: Sequence[int] = ()
+        if new_homes:
             try:
-                self._pm.get(provider_id).put_page(descriptor.key, data)
-                stored.append(provider_id)
+                [stored] = write_pages(self._pm, [(descriptor.key, data, new_homes[:needed])])
             except ProviderUnavailableError:
-                continue
-        return replace(descriptor, providers=tuple(stored))
+                pass
+        return replace(descriptor, providers=tuple(dict.fromkeys([*live, *stored])))
 
     def heal_all(
         self,
@@ -333,15 +322,13 @@ class ReplicationManager:
         """Heal every under-replicated page; returns ``{key: new descriptor}``.
 
         Pages whose replicas all vanished are skipped (they cannot be
-        healed); callers can detect them through :meth:`scrub`.  The
-        providers that may take new replicas are probed once per call.
+        healed); callers can detect them through :meth:`scrub`.
         """
-        available = [snapshot.provider_id for snapshot in self._pm.available_stats()]
         healed: dict[PageKey, PageDescriptor] = {}
         for descriptor in descriptors:
             try:
-                healed[descriptor.key] = self._heal(
-                    descriptor, target_replication, available
+                healed[descriptor.key] = self.heal(
+                    descriptor, target_replication=target_replication
                 )
             except PageNotFoundError:
                 continue

@@ -17,8 +17,6 @@ description of HDFS:
 from __future__ import annotations
 
 import itertools
-import random
-import sys
 import threading
 from functools import partial
 
@@ -130,7 +128,6 @@ class HDFS(FileSystem):
         default_block_size: int = DEFAULT_BLOCK_SIZE,
         default_replication: int = 1,
         placement_policy: BlockPlacementPolicy | None = None,
-        seed: int = 0,
         transfer_workers: int = 8,
     ) -> None:
         """Create an in-process HDFS deployment.
@@ -155,9 +152,11 @@ class HDFS(FileSystem):
         #: concurrently (the write pipeline) and streaming reads prefetch
         #: ahead of the consumer.
         self.transfer = TransferEngine(transfer_workers, name="hdfs-io")
-        self._rng = random.Random(seed)
         self._lock = threading.Lock()
         self._client_ids = itertools.count(1)
+        #: Blocks this client read from each datanode, by node id: the
+        #: load that orders replicas of equal distance.
+        self._blocks_read: dict[int, int] = {}
 
     # -- helpers --------------------------------------------------------------------
     @property
@@ -331,45 +330,42 @@ class HDFS(FileSystem):
     ) -> bytes:
         """Read part of a block, failing over across replicas.
 
-        Replicas are tried in topology order (same host, same rack, any);
-        a replica whose read fails — a datanode that is down, killed
-        mid-job by failure injection, or missing the block — does not fail
-        the whole read: the next replica is read instead, exactly like the
-        Hadoop client's block-read retry.  No liveness probe goes first: a
-        down node refuses the read itself, so a probe would only add a
-        round trip per block.
+        Replicas are tried in topology order (same host, same rack, any),
+        then by the replicated blocks this client read from each node, with
+        the nodes the client sees as down last; no node is asked anything
+        first.  A
+        replica whose read fails — a datanode that is down, killed mid-job
+        by failure injection, or missing the block — does not fail the
+        whole read: the next replica is read instead, exactly like the
+        Hadoop client's block-read retry.
         """
         replicas = [self.namenode.datanode(node_id) for node_id in meta.locations]
-        client_rack = None
-        for node in self.datanodes:
-            if client_host is not None and node.host == client_host:
-                client_rack = node.rack
-                break
-
-        def load(node: DataNode) -> int:
-            # Over a remote stub the stats call itself can fail when the
-            # node process is gone; sort such replicas last instead of
-            # failing the read before the failover loop gets a chance.
-            try:
-                return node.stats().blocks_read
-            except ProviderUnavailableError:
-                return sys.maxsize
-
-        def distance(node: DataNode) -> tuple[int, int]:
-            if client_host is not None and node.host == client_host:
-                return (0, load(node))
-            if client_rack is not None and node.rack == client_rack:
-                return (1, load(node))
-            return (2, load(node))
-
-        # A lone replica needs no order (ordering asks every node its load).
         if len(replicas) > 1:
-            replicas.sort(key=distance)
+            client_rack = None
+            for node in self.datanodes:
+                if client_host is not None and node.host == client_host:
+                    client_rack = node.rack
+                    break
+
+            def order(node: DataNode) -> tuple[bool, int, int]:
+                if client_host is not None and node.host == client_host:
+                    distance = 0
+                elif client_rack is not None and node.rack == client_rack:
+                    distance = 1
+                else:
+                    distance = 2
+                return (not node.available, distance, self._blocks_read.get(node.node_id, 0))
+
+            replicas.sort(key=order)
         for node in replicas:
             try:
-                return node.read_block(meta.block_id, offset, length)
+                data = node.read_block(meta.block_id, offset, length)
             except (ProviderUnavailableError, KeyError):
                 continue
+            if len(replicas) > 1:  # only a read with a choice is tallied
+                with self._lock:
+                    self._blocks_read[node.node_id] = self._blocks_read.get(node.node_id, 0) + 1
+            return data
         raise ProviderUnavailableError(
             f"all replicas of block {meta.block_id} are unavailable"
         )

@@ -11,20 +11,15 @@ from .faults import (
     FaultInjectedError,
     FaultPlan,
     InjectedTaskFailure,
-    NetworkFault,
     StorageFault,
     TaskFault,
     TrackerDeadError,
     TrackerFault,
-    delay_messages,
     delay_task,
-    drop_messages,
     fail_storage,
     fail_task,
-    kill_node,
     kill_storage_host,
     kill_tracker,
-    partition_peer,
 )
 from .job import (
     Counters,
@@ -70,20 +65,15 @@ __all__ = [
     "FaultInjectedError",
     "FaultPlan",
     "InjectedTaskFailure",
-    "NetworkFault",
     "StorageFault",
     "TaskFault",
     "TrackerDeadError",
     "TrackerFault",
-    "delay_messages",
     "delay_task",
-    "drop_messages",
     "fail_storage",
     "fail_task",
-    "kill_node",
     "kill_storage_host",
     "kill_tracker",
-    "partition_peer",
     "Counters",
     "TaskContext",
     "TaskTracker",

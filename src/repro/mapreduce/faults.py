@@ -40,16 +40,11 @@ __all__ = [
     "TaskFault",
     "TrackerFault",
     "StorageFault",
-    "NetworkFault",
     "fail_task",
     "delay_task",
     "kill_tracker",
     "fail_storage",
     "kill_storage_host",
-    "kill_node",
-    "partition_peer",
-    "drop_messages",
-    "delay_messages",
     "FaultPlan",
 ]
 
@@ -99,36 +94,6 @@ class TrackerFault:
 
 
 @dataclass(frozen=True, slots=True)
-class NetworkFault:
-    """A wire-level fault: kill, partition, drop or delay at the transport.
-
-    Unlike the other specs (which fire inside the task runtime), network
-    faults are applied to a :class:`~repro.net.faults.NetworkFaultPlan`
-    shared by every transport of the deployment — build one from a plan
-    with :meth:`FaultPlan.network_plan`.  ``peer`` names address nodes
-    the way heartbeats do (``"provider-3"``); ``"*"`` is a wildcard for
-    drop rules.
-    """
-
-    action: str  # "kill" | "partition" | "drop" | "delay"
-    peer: str = "*"
-    other: str = "*"  # partition's far end / drop's destination
-    method: str | None = None
-    count: int | None = 1  # drop: messages to lose (None = forever)
-    seconds: float = 0.0  # delay: injected latency
-
-    def __post_init__(self) -> None:
-        if self.action not in ("kill", "partition", "drop", "delay"):
-            raise ValueError(f"unknown network fault action {self.action!r}")
-        if self.action in ("kill", "partition", "delay") and self.peer == "*":
-            raise ValueError(f"{self.action} needs a concrete peer name")
-        if self.action == "partition" and self.other == "*":
-            raise ValueError("partition needs both endpoints")
-        if self.action == "delay" and self.seconds < 0:
-            raise ValueError("delay must be non-negative")
-
-
-@dataclass(frozen=True, slots=True)
 class StorageFault:
     """Fail one *storage* node once the job has started ``after_task_starts`` attempts.
 
@@ -171,34 +136,6 @@ def kill_tracker(host: str, *, after_tasks: int = 0) -> TrackerFault:
 def fail_storage(host: str, *, after_task_starts: int = 0) -> StorageFault:
     """Spec: storage node ``host`` fails once the job started N attempts."""
     return StorageFault(host=host, after_task_starts=after_task_starts)
-
-
-def kill_node(peer: str) -> NetworkFault:
-    """Spec: the process of ``peer`` is gone — every message to or from it
-    fails fast (the loopback equivalent of SIGKILL on a node process)."""
-    return NetworkFault(action="kill", peer=peer)
-
-
-def partition_peer(a: str, b: str) -> NetworkFault:
-    """Spec: ``a`` and ``b`` cannot reach each other; their messages time out."""
-    return NetworkFault(action="partition", peer=a, other=b)
-
-
-def drop_messages(
-    *,
-    src: str = "*",
-    dst: str = "*",
-    count: int | None = 1,
-    method: str | None = None,
-) -> NetworkFault:
-    """Spec: lose the next ``count`` messages from ``src`` to ``dst``
-    (``method`` narrows the rule, ``count=None`` drops forever)."""
-    return NetworkFault(action="drop", peer=src, other=dst, count=count, method=method)
-
-
-def delay_messages(peer: str, seconds: float) -> NetworkFault:
-    """Spec: every message touching ``peer`` gains ``seconds`` of latency."""
-    return NetworkFault(action="delay", peer=peer, seconds=seconds)
 
 
 def kill_storage_host(fs, host: str) -> bool:
@@ -267,7 +204,6 @@ class FaultPlan:
         self.task_faults: list[TaskFault] = []
         self.tracker_faults: list[TrackerFault] = []
         self.storage_faults: list[StorageFault] = []
-        self.network_faults: list[NetworkFault] = []
         for fault in faults:
             if isinstance(fault, TaskFault):
                 self.task_faults.append(fault)
@@ -275,8 +211,6 @@ class FaultPlan:
                 self.tracker_faults.append(fault)
             elif isinstance(fault, StorageFault):
                 self.storage_faults.append(fault)
-            elif isinstance(fault, NetworkFault):
-                self.network_faults.append(fault)
             else:
                 raise TypeError(f"unknown fault spec {fault!r}")
         self._lock = threading.Lock()
@@ -332,38 +266,7 @@ class FaultPlan:
             for attempt in range(attempts)
         }
 
-    # -- network faults ----------------------------------------------------------------
-    def network_plan(self, *, sleep=time.sleep):
-        """Materialise the plan's :class:`NetworkFault` specs into a
-        :class:`~repro.net.faults.NetworkFaultPlan` ready to hand to the
-        deployment's transports.  Each call builds a fresh plan (wire
-        faults are stateful: drop rules decrement, kills are revivable).
-        """
-        from ..net.faults import NetworkFaultPlan
-
-        plan = NetworkFaultPlan(sleep=sleep)
-        for fault in self.network_faults:
-            if fault.action == "kill":
-                plan.kill(fault.peer)
-            elif fault.action == "partition":
-                plan.partition(fault.peer, fault.other)
-            elif fault.action == "drop":
-                plan.drop(
-                    src=fault.peer,
-                    dst=fault.other,
-                    count=fault.count,
-                    method=fault.method,
-                )
-            elif fault.action == "delay":
-                plan.delay(fault.peer, fault.seconds)
-        return plan
-
     # -- runtime hooks -----------------------------------------------------------------
-    def tracker_is_dead(self, host: str) -> bool:
-        """Whether ``host`` was already killed by a tracker fault."""
-        with self._lock:
-            return host in self._dead_trackers
-
     def on_task_start(
         self,
         *,

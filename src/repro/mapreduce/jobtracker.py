@@ -53,8 +53,7 @@ from typing import Any, Callable
 
 from ..fs import path as fspath
 from ..fs.interface import FileSystem
-from ..net.liveness import HeartbeatPump, LivenessRegistry
-from .faults import FaultPlan
+from .faults import FaultPlan, TrackerDeadError
 from .job import Counters, Job
 from .phase import _RetryingPhase
 from .scheduler import LocalityAwareScheduler, LocalityStats
@@ -182,55 +181,6 @@ def _failed_result(
     )
 
 
-class _TrackerLiveness:
-    """Heartbeat-based death detection for the trackers of one job.
-
-    Every live tracker heartbeats a :class:`LivenessRegistry`; a tracker
-    the fault plan killed falls silent, and the registry declares it dead
-    after ``max_missed`` missed beats — the way a real jobtracker learns of
-    a crashed tasktracker.  The registry's clock counts heartbeat rounds,
-    not seconds: one pump thread beats for every live tracker and then
-    checks, so however the threads are scheduled, only a killed tracker
-    ever misses a round.
-    """
-
-    def __init__(
-        self,
-        hosts: list[str],
-        fault_plan: FaultPlan,
-        *,
-        on_death: Callable[[str], None],
-    ) -> None:
-        self._hosts = hosts
-        self._fault_plan = fault_plan
-        self._round = 0
-        self._registry = LivenessRegistry(
-            heartbeat_interval=1, max_missed=2, clock=lambda: self._round
-        )
-        self._registry.on_death(on_death)
-        for host in hosts:
-            self._registry.register(host)
-        self._pump = HeartbeatPump(self._beat_round, interval=0.02).start()
-
-    def _beat_round(self) -> None:
-        self._round += 1
-        for host in self._hosts:
-            if not self._fault_plan.tracker_is_dead(host):
-                self._registry.heartbeat(host)
-        self._registry.check()
-
-    def stop(self) -> None:
-        """Stop the pump, then run the rounds a killed tracker still needs.
-
-        A short job can end before a tracker killed late has missed
-        ``max_missed`` rounds; running them here makes the blacklist
-        deterministic, and the death is still declared by the registry.
-        """
-        self._pump.stop()
-        for _ in range(self._registry.max_missed + 1):
-            self._beat_round()
-
-
 class JobTracker:
     """Master node of the MapReduce engine, driven by a job service."""
 
@@ -294,7 +244,6 @@ class JobTracker:
         shipped_map = ship(map_side)
         shipped_reduce = None if map_only else ship(reduce_side)
         shuffle_service: ShuffleService | None = None
-        tracker_liveness: _TrackerLiveness | None = None
 
         def cancelled_result(
             task_id: str, kind: str, attempt: int
@@ -322,6 +271,14 @@ class JobTracker:
             return _failed_result(
                 f"reduce-{index:05d}", "n/a", "reduce", exc, attempt=attempt
             )
+
+        def tracker_failed(tracker: TaskTracker, exc: Exception) -> None:
+            # A killed tracker is blacklisted from the TrackerDeadError its
+            # attempt raised, before the retry picks a tracker — even the
+            # last one: retrying against a dead process is futile, and a
+            # fully dead cluster surfaces as permanent task failures.
+            if isinstance(exc, TrackerDeadError):
+                scheduler.mark_dead(tracker.host)
 
         # -- map phase ------------------------------------------------------------
         def pick_map_tracker(
@@ -367,6 +324,7 @@ class JobTracker:
                     fault_plan=fault_plan,
                 )
             except Exception as exc:
+                tracker_failed(tracker, exc)
                 failed = _failed_result(
                     task_id,
                     tracker.host,
@@ -458,6 +416,7 @@ class JobTracker:
                 )
                 return failed, False
             except Exception as exc:
+                tracker_failed(tracker, exc)
                 failed = _failed_result(
                     task_id,
                     tracker.host,
@@ -494,19 +453,6 @@ class JobTracker:
                     num_partitions=num_partitions,
                     shuffle_dir=fspath.join(job.conf.output_dir, "_shuffle"),
                 )
-            if fault_plan is not None and fault_plan.tracker_faults:
-                # With tracker faults in play, a killed tracker is not
-                # blacklisted synchronously from the TrackerDeadError its
-                # attempts raise: its heartbeats stop, and the death the
-                # liveness registry declares is what blacklists the host
-                # (even the last one: retrying against a dead process is
-                # futile, and a fully dead cluster surfaces as permanent
-                # task failures instead of burning every attempt).
-                tracker_liveness = _TrackerLiveness(
-                    [tracker.host for tracker in self.trackers],
-                    fault_plan,
-                    on_death=scheduler.mark_dead,
-                )
             # Overlapped shuffle: reduce workers start alongside the map
             # phase and read segments as individual maps commit; the
             # separate pools keep blocked reducers from starving maps.  A
@@ -542,8 +488,6 @@ class JobTracker:
                     "shuffle_segments_fetched", shuffle_service.segments_fetched
                 )
                 shuffle_service.cleanup()
-            if tracker_liveness is not None:
-                tracker_liveness.stop()
 
         # Results and counters are read only now, after every pool joined,
         # so the winners' on_winner callbacks have all run.

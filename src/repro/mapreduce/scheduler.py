@@ -89,9 +89,9 @@ class LocalityAwareScheduler:
     per-job *blacklist* of flaky tracker hosts: hosts accumulating
     :data:`BLACKLIST_AFTER_FAILURES` task failures stop receiving work,
     exactly like Hadoop's per-job tracker blacklist (a killed tracker is
-    blacklisted by :meth:`mark_dead` once its heartbeats stop).  Failure
-    reports never blacklist the last healthy host, so a single-tracker
-    cluster keeps making progress.
+    blacklisted by :meth:`mark_dead` from the first attempt that finds it
+    dead).  Failure reports never blacklist the last healthy host, so a
+    single-tracker cluster keeps making progress.
     """
 
     #: Task failures on one host before it is blacklisted for the job.
@@ -153,7 +153,7 @@ class LocalityAwareScheduler:
             return True
 
     def mark_dead(self, host: str) -> None:
-        """Blacklist ``host`` unconditionally (liveness declared it dead).
+        """Blacklist ``host`` unconditionally (an attempt found it dead).
 
         Unlike :meth:`report_task_failure`, this bypasses the
         last-healthy-host guard: retrying against a dead process is futile,

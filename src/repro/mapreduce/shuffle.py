@@ -217,25 +217,16 @@ class SingleFileOutputFormat(TextOutputFormat):
     their output to a single file.  It requires the target file system to
     expose ``concurrent_append`` (BSFS does; HDFS raises).
 
-    Output goes out in bounded appends: :meth:`encode` cuts batches of
-    ``append_chunk_bytes`` and each batch is one ``concurrent_append``, so
-    a reducer with output larger than memory still commits.  Batches end
-    only at line boundaries — concurrent reducers may interleave *between*
-    appends, so a line must never straddle two of them.
+    A task's output goes out as **one** ``concurrent_append`` per attempt:
+    concurrent reducers interleave only between whole outputs, and an
+    attempt that fails before its append leaves nothing behind for its
+    retry to duplicate.  The output is already in memory (a reduce holds
+    its partition and its encoded batches), so one append costs no more.
     """
 
-    def __init__(
-        self,
-        *,
-        filename: str = "output.txt",
-        separator: bytes = b"\t",
-        append_chunk_bytes: int = 4 * 1024 * 1024,
-    ) -> None:
+    def __init__(self, *, filename: str = "output.txt", separator: bytes = b"\t") -> None:
         super().__init__(separator=separator)
-        if append_chunk_bytes < 1:
-            raise ValueError("append_chunk_bytes must be positive")
         self._filename = filename
-        self._batch_bytes = append_chunk_bytes
 
     def shared_path(self, output_dir: str) -> str:
         """Path of the single shared output file under ``output_dir``."""
@@ -265,7 +256,7 @@ class SingleFileOutputFormat(TextOutputFormat):
         map_only: bool = False,
         client_host: str | None = None,
     ) -> str:
-        """Append each batch to the shared file; returns its path."""
+        """Append the batches to the shared file in one call; returns its path."""
         concurrent_append = getattr(fs, "concurrent_append", None)
         if concurrent_append is None:
             from ..fs.errors import UnsupportedOperationError
@@ -283,6 +274,7 @@ class SingleFileOutputFormat(TextOutputFormat):
             except Exception:
                 # Another reducer created it concurrently; that is fine.
                 pass
-        for batch in batches:
-            concurrent_append(path, batch)
+        data = b"".join(batches)
+        if data:
+            concurrent_append(path, data)
         return path

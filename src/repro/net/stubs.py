@@ -18,11 +18,13 @@ Error mapping is the interesting part:
   path's perspective an unreachable node and a crashed node are the
   same event, and both must trigger failover, not an unhandled
   ``NetError``.
-* Predicates degrade gracefully: a provider's ``available`` is ``False``
-  and ``has_page`` / ``has_block`` answer ``False`` when the node cannot
-  be reached — callers probing for replicas treat silence as absence.
-* A datanode stub's ``available`` is a view, not a probe: it answers
-  from what the stub's own calls saw (see :class:`RemoteDataNode`).
+* Predicates degrade gracefully: ``has_page`` / ``has_block`` answer
+  ``False`` when the node cannot be reached — callers probing for
+  replicas treat silence as absence — and mark the node down as any
+  failed call does.
+* ``available`` is a view, not a probe, on every stub kind: it answers
+  from what the stub's own calls saw (see :class:`_Stub`), the way
+  Hadoop's ``DFSClient`` keeps its ``deadNodes``.
 
 Identity fields (``provider_id``, ``host``, ``rack``) are fetched once
 at connect time: they are immutable on the node, and the allocation
@@ -52,33 +54,75 @@ PROVIDER_SERVICE = "provider"
 DATANODE_SERVICE = "datanode"
 METADATA_SERVICE = "metadata"
 
-#: Seconds a datanode stub keeps a node marked down after a failed call
-#: before it offers the node to placement again.  The HDFS client expires
+#: Seconds a stub keeps a node marked down after a failed call before it
+#: offers the node to placement and reads again.  The HDFS client expires
 #: the datanodes it excluded from a write pipeline the same way.
 DOWN_MARK_EXPIRY_S = 10.0
 
 
 class _Stub:
-    """Shared forwarding machinery for both stub kinds."""
+    """Shared forwarding machinery and liveness view of every stub kind.
+
+    ``available`` asks no one: it is the stub's view of the node, built
+    from its own calls, so placement and replica ordering read liveness
+    without a round trip.  A call that raises
+    :class:`~repro.core.errors.ProviderUnavailableError` (the transport
+    gave up after its retries, or the node refused the call) marks the
+    node down, and so do :meth:`fail` and an unreachable ``has_page`` or
+    ``has_block`` probe.  The next successful call clears the mark (of a
+    probe, only a "yes"), as does a re-registration (which connects a
+    fresh stub);
+    otherwise the mark expires after :data:`DOWN_MARK_EXPIRY_S`, so a
+    node that came back without being called is offered again.
+    """
 
     def __init__(self, transport: Transport, service: str) -> None:
         self._transport = transport
         self._service = service
+        #: ``time.monotonic()`` of the last failure seen, ``None`` when up.
+        self._down_since: float | None = None
 
     def _call(self, method: str, *args: Any, **kwargs: Any) -> Any:
         try:
-            return self._transport.call(self._service, method, *args, **kwargs)
+            result = self._transport.call(self._service, method, *args, **kwargs)
         except NetError as exc:
+            self._down_since = time.monotonic()
             raise ProviderUnavailableError(
                 f"{self._transport.peer} unreachable: {exc!r}"
             ) from exc
+        except ProviderUnavailableError:
+            self._down_since = time.monotonic()
+            raise
+        self._down_since = None
+        return result
 
     def _probe(self, method: str, *args: Any) -> Any:
-        """A call whose failure means "no" rather than an error."""
+        """A call whose failure means "no" rather than an error.
+
+        A failure marks the node down like any call.  A "yes" clears the
+        mark, but a "no" leaves it: a failed node answers "no" too.
+        """
         try:
-            return self._transport.call(self._service, method, *args)
+            answer = self._transport.call(self._service, method, *args)
         except NetError:
+            self._down_since = time.monotonic()
             return None
+        if answer:
+            self._down_since = None
+        return answer
+
+    # -- availability -------------------------------------------------------------
+    @property
+    def available(self) -> bool:
+        down_since = self._down_since
+        return down_since is None or time.monotonic() - down_since >= DOWN_MARK_EXPIRY_S
+
+    def fail(self) -> None:
+        self._call("fail")
+        self._down_since = time.monotonic()
+
+    def recover(self) -> None:
+        self._call("recover")
 
     def close(self) -> None:
         """Close the underlying transport (the remote node keeps running)."""
@@ -119,18 +163,6 @@ class RemoteDataProvider(_Stub):
             rack=transport.call(service, "rack"),
             service=service,
         )
-
-    # -- availability -------------------------------------------------------------
-    @property
-    def available(self) -> bool:
-        value = self._probe("available")
-        return bool(value)
-
-    def fail(self) -> None:
-        self._call("fail")
-
-    def recover(self) -> None:
-        self._call("recover")
 
     # -- page operations ----------------------------------------------------------
     def put_page(self, key: PageKey, data: bytes) -> None:
@@ -206,17 +238,6 @@ class RemoteMetadataProvider(_Stub):
             service=service,
         )
 
-    # -- availability -------------------------------------------------------------
-    @property
-    def available(self) -> bool:
-        return bool(self._probe("available"))
-
-    def fail(self) -> None:
-        self._call("fail")
-
-    def recover(self) -> None:
-        self._call("recover")
-
     # -- key-value operations -----------------------------------------------------
     def put(self, key: str, value: Any) -> None:
         self._call("put", key, value)
@@ -255,18 +276,7 @@ class RemoteMetadataProvider(_Stub):
 
 
 class RemoteDataNode(_Stub):
-    """An HDFS :class:`~repro.hdfs.datanode.DataNode` in another process.
-
-    ``available`` asks no one: it is the stub's view of the node, built
-    from its own calls, the way the namenode places blocks from state it
-    already holds.  A call that raises
-    :class:`~repro.core.errors.ProviderUnavailableError` (a transport
-    failure or a node that refused it) marks the node down, and so does
-    :meth:`fail`.  The next successful call clears the mark, as does a
-    re-registration (which connects a fresh stub); otherwise the mark
-    expires after :data:`DOWN_MARK_EXPIRY_S`, so a node that came back
-    without being called is offered to placement again.
-    """
+    """An HDFS :class:`~repro.hdfs.datanode.DataNode` in another process."""
 
     def __init__(
         self,
@@ -281,8 +291,6 @@ class RemoteDataNode(_Stub):
         self.node_id = node_id
         self.host = host
         self.rack = rack
-        #: ``time.monotonic()`` of the last failure seen, ``None`` when up.
-        self._down_since: float | None = None
 
     @classmethod
     def connect(
@@ -296,28 +304,6 @@ class RemoteDataNode(_Stub):
             rack=transport.call(service, "rack"),
             service=service,
         )
-
-    def _call(self, method: str, *args: Any, **kwargs: Any) -> Any:
-        try:
-            result = super()._call(method, *args, **kwargs)
-        except ProviderUnavailableError:
-            self._down_since = time.monotonic()
-            raise
-        self._down_since = None
-        return result
-
-    # -- availability -------------------------------------------------------------
-    @property
-    def available(self) -> bool:
-        down_since = self._down_since
-        return down_since is None or time.monotonic() - down_since >= DOWN_MARK_EXPIRY_S
-
-    def fail(self) -> None:
-        self._call("fail")
-        self._down_since = time.monotonic()
-
-    def recover(self) -> None:
-        self._call("recover")
 
     # -- block I/O ----------------------------------------------------------------
     def write_block(self, block_id: int, data: bytes) -> None:

@@ -247,18 +247,16 @@ class VersionGC:
         from ..core.errors import ProviderUnavailableError
 
         dead_pages = list(plan.dead_pages)
-        manager = self._client.provider_manager
-        for provider in manager.providers if dead_pages else ():
+        # The freed space shows in the load view at each provider's next
+        # put reply.
+        for provider in self._client.provider_manager.providers if dead_pages else ():
             try:
                 freed = provider.remove_pages(dead_pages)
             except ProviderUnavailableError:
-                continue  # unreachable provider: skipped, as a probe would
+                continue  # unreachable provider: skipped
             except Exception:
                 report.errors += 1
                 continue
-            finally:
-                # The freed space shows at the next allocation's probe.
-                manager.forget(provider.provider_id)
             report.pages_reclaimed += sum(1 for size in freed if size)
             report.bytes_reclaimed += sum(freed)
         with self._totals.lock:

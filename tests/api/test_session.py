@@ -28,7 +28,6 @@ def make_bsfs() -> BSFS:
             num_providers=4,
             num_metadata_providers=2,
             replication=1,
-            rng_seed=7,
         ),
         default_block_size=TEST_BLOCK_SIZE,
     )

@@ -89,7 +89,6 @@ class TestStoreConfiguration:
                 num_providers=4,
                 num_metadata_providers=2,
                 replication=1,
-                rng_seed=3,
             ),
             default_block_size=16 * KB,
             shared_cache_blocks=2,

@@ -31,7 +31,6 @@ def config() -> BlobSeerConfig:
         num_providers=6,
         num_metadata_providers=3,
         replication=1,
-        rng_seed=1234,
     )
 
 
@@ -50,7 +49,6 @@ def replicated_blobseer() -> BlobSeer:
             num_providers=6,
             num_metadata_providers=3,
             replication=2,
-            rng_seed=99,
         )
     )
 
@@ -64,7 +62,6 @@ def bsfs() -> BSFS:
             num_providers=6,
             num_metadata_providers=3,
             replication=1,
-            rng_seed=7,
         ),
         default_block_size=TEST_BLOCK_SIZE,
     )
@@ -78,7 +75,6 @@ def hdfs() -> HDFS:
         racks=3,
         default_block_size=TEST_BLOCK_SIZE,
         default_replication=2,
-        seed=7,
     )
 
 

@@ -70,7 +70,6 @@ def make_blobseer(
         num_providers=providers,
         num_metadata_providers=1,
         replication=replication,
-        rng_seed=3,
         **options,
     )
     return BlobSeer(
@@ -259,7 +258,7 @@ class TestScrubAndHealProbes:
         assert total(providers, "available") == 0
         assert total(providers, "has_page") == 16
 
-    def test_heal_all_probes_each_provider_once_per_call(self):
+    def test_heal_places_and_writes_without_asking_for_load(self):
         bs = make_blobseer(providers=4, replication=2)
         blob = bs.create_blob()
         data = payload(8 * PAGE)
@@ -267,8 +266,11 @@ class TestScrubAndHealProbes:
         bs.provider_manager.get(0).fail()
         providers = reset(bs)
         bs.repair(blob)
-        assert total(providers, "available") == 0
-        assert [provider.calls["stats"] for provider in providers] == [1] * 4
+        # New homes come from the allocator's view and go out through
+        # bulk writes: no stats() probe, no single-page put.
+        assert total(providers, "stats") == 0
+        assert total(providers, "put_page") == 0
+        assert total(providers, "put_pages") > 0
         assert bs.scrub(blob).is_healthy
         assert bs.read_all(blob) == data
 
@@ -288,10 +290,12 @@ class TestFailover:
         write_pages(manager, [(key, b"page-%d" % key.index, (0, 1)) for key in keys])
         manager.get(0).remove_pages([keys[2]])
         descriptors = [PageDescriptor(key, (0, 1), size=6) for key in keys]
-        found = read_pages(manager, descriptors, policy="first")
+        found = read_pages(manager, descriptors)
         assert found == [b"page-0", b"page-1", b"page-2", b"page-3"]
-        # Only the missing key went to the second replica.
-        assert manager.get(1).stats().pages_read == 1
+        # One call per replica the keys were spread over, then one call
+        # carrying only the missing key: every key was served once.
+        assert total(manager.providers, "get_pages") == 3
+        assert sum(p.stats().pages_read for p in manager.providers) == 4
 
     def test_every_replica_gone_raises_page_not_found(self):
         manager = ProviderManager([DataProvider(i) for i in range(3)])
@@ -336,10 +340,18 @@ class TestFailover:
         bs = make_blobseer(providers=2, replication=2)
         blob = bs.create_blob()
         data = payload(PAGE + 500)
-        bs.append(blob, data)  # warms the load view with both providers
-        bs.provider_manager.get(1).fail()
-        # The extent the append adds to page 1 lands on provider 0 only.
+        bs.append(blob, data)
+        provider = bs.provider_manager.get(1)
+
+        def refuse(_items):
+            raise ProviderUnavailableError("connection lost mid-write")
+
+        # Provider 1 still looks up when the append is placed; its put
+        # fails, so the extent the append adds to page 1 lands on
+        # provider 0 only.
+        provider.put_pages = refuse
         bs.append(blob, b"tail")
+        del provider.put_pages
         info = bs.version_manager.version_info(blob)
         for manager in (bs.metadata_manager, MetadataManager(bs.dht)):
             assert manager.lookup(info.root, 1, 2)[1][-1].providers == (0,)
@@ -426,7 +438,7 @@ class TestBulkDelete:
         assert metadata.calls["get_many"] <= 5
         assert bs.stats()["pages_stored"] == 0
 
-    def test_page_removal_resets_the_load_view(self):
+    def test_page_removal_leaves_the_view_to_the_next_put_reply(self):
         bs = make_blobseer(max_versions_kept=1)
         blob = bs.create_blob()
         bs.write(blob, 0, payload(12 * PAGE))
@@ -435,11 +447,12 @@ class TestBulkDelete:
             drop()
             blob = bs.create_blob()
             providers = reset(bs)
-            bs.append(blob, payload(3 * PAGE))
-            # The freed space is probed once, then the view serves again.
-            assert [provider.calls["stats"] for provider in providers] == [1, 1, 1]
-            bs.append(blob, payload(3 * PAGE))
-            assert [provider.calls["stats"] for provider in providers] == [1, 1, 1]
+            for _ in range(2):
+                bs.append(blob, payload(3 * PAGE))
+            # No probe after the removal: each provider's entry waits for
+            # its next put reply, and the appends still stripe.
+            assert total(providers, "stats") == 0
+            assert [provider.calls["put_pages"] for provider in providers] == [2, 2, 2]
 
 
 class TestFragmentedPages:

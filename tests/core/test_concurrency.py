@@ -27,7 +27,6 @@ def service() -> BlobSeer:
             num_providers=8,
             num_metadata_providers=4,
             replication=1,
-            rng_seed=5,
         )
     )
 

@@ -32,7 +32,6 @@ class TestBlobSeerConfig:
             {"num_providers": 0},
             {"num_metadata_providers": 0},
             {"replication": 10, "num_providers": 5},
-            {"read_replica_policy": "bogus"},
             {"transfer_workers": 0},
             {"max_versions_kept": 0},
         ],

@@ -27,6 +27,7 @@ from repro.core.provider_manager import (
     LoadBalancedStrategy,
     ProviderManager,
 )
+from repro.core.replication import write_pages
 from repro.core.version_manager import VersionManager
 
 
@@ -167,11 +168,11 @@ class TestRangeAllocation:
     def test_heap_select_picks_least_loaded_replicas(self):
         providers = make_providers(4)
         pm = ProviderManager(providers, strategy=LoadBalancedStrategy())
-        # Preload two providers so the heap must avoid them.
+        # Preload two providers (their put replies feed the view) so the
+        # heap must avoid them.
         from repro.core.pages import PageKey
 
-        providers[0].put_page(PageKey(9, 1, 0), b"x")
-        providers[1].put_page(PageKey(9, 1, 1), b"x")
+        write_pages(pm, [(PageKey(9, 1, 0), b"x", (0,)), (PageKey(9, 1, 1), b"x", (1,))])
         chosen = pm.allocate(1, 2)[0]
         assert set(chosen) == {2, 3}
 

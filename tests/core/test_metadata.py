@@ -321,7 +321,7 @@ class TestLookupMatchesReferenceWalk:
     def test_level_order_lookup_equals_recursive_walk(self, history, data):
         with BlobSeer(
             BlobSeerConfig(
-                page_size=PAGE, num_providers=3, num_metadata_providers=2, rng_seed=5
+                page_size=PAGE, num_providers=3, num_metadata_providers=2
             )
         ) as service:
             self.check_history(service, history, data)

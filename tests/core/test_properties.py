@@ -38,7 +38,6 @@ def make_service() -> BlobSeer:
             num_providers=4,
             num_metadata_providers=2,
             replication=1,
-            rng_seed=42,
         )
     )
 

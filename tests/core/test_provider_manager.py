@@ -93,10 +93,11 @@ class TestAllocation:
 
     def test_allocation_accounts_for_existing_load(self):
         providers = make_providers(3)
-        # Pre-load provider 0 heavily.
+        # Pre-load provider 0 heavily, behind the manager's back.
         for i in range(50):
             providers[0].put_page(PageKey(1, 1, i), b"x")
         manager = ProviderManager(providers)
+        push(manager, [(0,), (1,), (2,)], version=2)  # the replies carry the load
         allocation = manager.allocate(20, replication=1)
         used = {replicas[0] for replicas in allocation}
         assert 0 not in used
@@ -161,12 +162,14 @@ def push(manager: ProviderManager, allocation, version: int = 1) -> None:
     )
 
 
-class TestAllocationProbes:
-    def test_allocation_probes_each_provider_once(self):
+class TestPlacementWithoutProbes:
+    """Placement reads ``available`` and the put-reply view, never ``stats()``."""
+
+    def test_allocation_asks_no_provider_its_load(self):
         providers = [ProbedProvider(i) for i in range(3)]
         manager = ProviderManager(providers)
         manager.allocate(6, 2)
-        assert [p.probes for p in providers] == [["stats"]] * 3
+        assert [p.probes for p in providers] == [["available"]] * 3
 
     def test_second_allocation_reads_the_view(self):
         providers = [ProbedProvider(i) for i in range(3)]
@@ -175,52 +178,38 @@ class TestAllocationProbes:
         for provider in providers:
             provider.probes.clear()
         second = manager.allocate(3, 1)
-        assert [p.probes for p in providers] == [[]] * 3
+        assert [p.probes for p in providers] == [["available"]] * 3
         # The put replies carried the load, so the next pages still stripe.
         assert sorted(ids for (ids,) in second) == [0, 1, 2]
-        assert {s.pages_stored for s in manager.available_stats()} == {2}
 
-    def test_provider_whose_put_raised_is_reprobed_until_it_recovers(self):
+    def test_unseen_provider_counts_as_empty_until_its_first_reply(self):
+        providers = make_providers(3)
+        for i in range(50):
+            providers[0].put_page(PageKey(1, 1, i), b"x")
+        manager = ProviderManager(providers)
+        # No reply has described provider 0 yet: it looks empty.
+        assert sorted(ids for (ids,) in manager.allocate(3, 1)) == [0, 1, 2]
+        push(manager, [(0,)], version=2)
+        assert all(ids != (0,) for ids in manager.allocate(20, 1))
+
+    def test_a_failed_provider_is_skipped_by_its_own_flag_until_it_recovers(self):
         providers = [ProbedProvider(i) for i in range(3)]
         manager = ProviderManager(providers)
-        manager.allocate(3, 1)
         providers[1].fail()
         push(manager, [(0,), (1,), (2,)])  # the page on 1 is placed again
-        for provider in providers:
-            provider.probes.clear()
         assert all(ids != (1,) for ids in manager.allocate(6, 1))
-        assert [p.probes for p in providers] == [[], ["stats"], []]
-        manager.allocate(1, 1)
-        assert providers[1].probes == ["stats"] * 2  # every allocation asks again
         providers[1].recover()
         assert (1,) in manager.allocate(6, 1)
-        assert providers[1].probes == ["stats"] * 3
+        assert all("stats" not in p.probes for p in providers)
 
-    def test_reregistration_and_monitoring_reset_the_view(self):
-        providers = [ProbedProvider(i) for i in range(2)]
+    def test_reregistration_resets_the_view(self):
+        providers = make_providers(2)
         manager = ProviderManager(providers)
-        manager.allocate(1, 1)
-        restarted = ProbedProvider(1)
-        manager.register(restarted, replace=True)
-        manager.allocate(1, 1)
-        assert restarted.probes == ["stats"] and providers[0].probes == ["stats"]
-        providers[0].fail()
-        assert [s.provider_id for s in manager.available_stats()] == [1]
-        assert {ids for ids in manager.allocate(4, 1)} == {(1,)}
-
-    def test_failed_and_unreachable_providers_are_skipped_by_their_answer(self):
-        providers = [
-            ProbedProvider(0),
-            ProbedProvider(1),
-            ProbedProvider(2, unreachable=True),
-        ]
-        providers[1].fail()
-        manager = ProviderManager(providers)
-        assert {ids for ids in manager.allocate(4, 1)} == {(0,)}
-        assert [s.provider_id for s in manager.available_stats()] == [0]
-        assert all("available" not in p.probes for p in providers)
-        with pytest.raises(AllocationError):
-            manager.allocate(1, 2)
+        push(manager, [(1,)] * 4)  # provider 1 replies with 4 pages stored
+        assert {ids for ids in manager.allocate(2, 1)} == {(0,)}
+        manager.register(DataProvider(1), replace=True)
+        # The restarted provider has no reply yet: it counts as empty.
+        assert sorted(manager.allocate(2, 1)) == [(0,), (1,)]
 
 
 class TestStrategies:
@@ -278,9 +267,9 @@ class TestMonitoring:
         assert distribution[2] == 0
         assert manager.imbalance() == pytest.approx(2 / 1.0)
 
-    def test_available_stats_excludes_failed(self):
-        providers = make_providers(3)
-        providers[2].fail()
+    def test_imbalance_leaves_out_failed_and_unreachable_providers(self):
+        providers = [ProbedProvider(0), ProbedProvider(1), ProbedProvider(2, unreachable=True)]
+        providers[0].put_page(PageKey(1, 1, 0), b"x")
+        providers[1].fail()
         manager = ProviderManager(providers)
-        stats = manager.available_stats()
-        assert {s.provider_id for s in stats} == {0, 1}
+        assert manager.imbalance() == 1.0  # provider 0 alone

@@ -49,26 +49,51 @@ class TestReadPage:
 
     def test_failover_to_second_replica(self, manager):
         write_pages(manager, [(KEY, b"payload", (1, 3))])
+        descriptor = PageDescriptor(KEY, (1, 3), size=7)
+
+        def refuse(_keys):
+            raise ProviderUnavailableError(1)
+
+        # Provider 1 still looks up, so it is tried first; its call fails.
+        manager.get(1).get_pages = refuse
+        assert read_pages(manager, [descriptor])[0] == b"payload"
+        assert manager.get(3).stats().pages_read == 1
+
+    def test_a_down_replica_is_tried_last(self, manager):
+        write_pages(manager, [(KEY, b"payload", (1, 3))])
         manager.get(1).fail()
         descriptor = PageDescriptor(KEY, (1, 3), size=7)
-        assert read_pages(manager, [descriptor], policy="first")[0] == b"payload"
+        get_pages = manager.get(1).get_pages
+        asked = []
+
+        def watched(keys):
+            asked.append(keys)
+            return get_pages(keys)
+
+        manager.get(1).get_pages = watched
+        assert read_pages(manager, [descriptor])[0] == b"payload"
+        assert asked == []
 
     def test_all_replicas_gone_raises(self, manager):
         descriptor = PageDescriptor(KEY, (0, 1), size=4)
         with pytest.raises(PageNotFoundError):
             read_pages(manager, [descriptor])
 
-    @pytest.mark.parametrize("policy", ["least_loaded", "random", "first"])
-    def test_policies_return_correct_data(self, manager, policy):
+    @pytest.mark.parametrize("serving", [0, 1, 2])
+    def test_every_replica_serves_the_page(self, manager, serving):
         write_pages(manager, [(KEY, b"abc", (0, 1, 2))])
+        for pid in (0, 1, 2):
+            if pid != serving:
+                manager.get(pid).fail()
         descriptor = PageDescriptor(KEY, (0, 1, 2), size=3)
-        assert read_pages(manager, [descriptor], policy=policy)[0] == b"abc"
+        assert read_pages(manager, [descriptor])[0] == b"abc"
+        assert manager.get(serving).stats().pages_read == 1
 
     def test_least_loaded_spreads_reads(self, manager):
         write_pages(manager, [(KEY, b"abc", (0, 1))])
         descriptor = PageDescriptor(KEY, (0, 1), size=3)
         for _ in range(10):
-            read_pages(manager, [descriptor], policy="least_loaded")
+            assert read_pages(manager, [descriptor])[0] == b"abc"
         reads_0 = manager.get(0).stats().pages_read
         reads_1 = manager.get(1).stats().pages_read
         assert abs(reads_0 - reads_1) <= 1
@@ -114,6 +139,28 @@ class TestReplicationManager:
         assert len(live) == 2
         for provider_id in live:
             assert manager.get(provider_id).get_page(KEY) == b"heal-me"
+
+    def test_heal_survives_a_replica_failing_its_read(self):
+        # Target 3 on a 3-provider pool: the read marks one live replica
+        # down, so only the other live replica and provider 2 can be placed on.
+        manager = ProviderManager([DataProvider(i) for i in range(3)])
+        write_pages(manager, [(KEY, b"heal-me", (0, 1))])
+        failed = []
+        for provider in (manager.get(0), manager.get(1)):
+
+            def get_pages(keys, provider=provider, inner=provider.get_pages):
+                if not failed:
+                    failed.append(provider.provider_id)
+                    provider.fail()
+                return inner(keys)
+
+            provider.get_pages = get_pages
+        healed = ReplicationManager(manager).heal_all(
+            [PageDescriptor(KEY, (0, 1), size=7)], target_replication=3
+        )
+        assert failed
+        assert 2 in healed[KEY].providers
+        assert manager.get(2).get_page(KEY) == b"heal-me"
 
     def test_heal_lost_page_raises(self, manager):
         replication = ReplicationManager(manager)

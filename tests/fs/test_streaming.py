@@ -300,7 +300,7 @@ class TestParallelTransfers:
         providers = [DataProvider(i, store=GatedStore()) for i in range(4)]
         client = BlobSeer(
             BlobSeerConfig(
-                page_size=PAGE, num_providers=4, transfer_workers=4, rng_seed=1
+                page_size=PAGE, num_providers=4, transfer_workers=4
             ),
             providers=providers,
         )
@@ -330,7 +330,6 @@ class TestParallelTransfers:
                 num_providers=3,
                 replication=3,
                 transfer_workers=4,
-                rng_seed=1,
             ),
             providers=providers,
         )
@@ -362,7 +361,6 @@ class TestClientStreaming:
                 num_providers=6,
                 num_metadata_providers=3,
                 replication=1,
-                rng_seed=17,
             )
         )
 
@@ -398,7 +396,7 @@ class TestClientStreaming:
     @settings(max_examples=60, deadline=None)
     def test_one_stream_equals_one_read(self, ops, data):
         with BlobSeer(
-            BlobSeerConfig(page_size=PAGE, num_providers=4, rng_seed=3)
+            BlobSeerConfig(page_size=PAGE, num_providers=4)
         ) as client:
             blob = client.create_blob()
             for op in ops:
@@ -437,7 +435,7 @@ class TestClientStreaming:
         # worker can be inside a window fetch at once, and the nested map
         # must still drain on its calling thread.
         client = BlobSeer(
-            BlobSeerConfig(page_size=PAGE, num_providers=6, transfer_workers=2, rng_seed=41)
+            BlobSeerConfig(page_size=PAGE, num_providers=6, transfer_workers=2)
         )
         blob = client.create_blob()
         data = _payload(40 * PAGE + 123, seed=43)
@@ -494,7 +492,7 @@ class TestClientStreaming:
         # Regression: one thread alternating between two open_read
         # streams (the k-way merge shape) must keep both progressing.
         client = BlobSeer(
-            BlobSeerConfig(page_size=PAGE, num_providers=4, rng_seed=31)
+            BlobSeerConfig(page_size=PAGE, num_providers=4)
         )
         blob = client.create_blob()
         data = _payload(6 * PAGE, seed=29)
@@ -515,7 +513,6 @@ class TestClientStreaming:
                 num_providers=4,
                 num_metadata_providers=2,
                 replication=2,
-                rng_seed=23,
             )
         )
         blob = client.create_blob()

@@ -144,20 +144,36 @@ class TestReads:
         assert loads == [] and len(reads) == 3
 
     def test_replicas_are_still_ordered_by_distance_then_load(self, hdfs: HDFS, monkeypatch):
+        # "Load" is the blocks this client read from each node: no node is
+        # asked, so the client's own first read is what makes one busy.
         hdfs.write_file("/pair.bin", b"p" * BLOCK, replication=2)
         meta = hdfs.namenode.file_blocks("/pair.bin")[0]
-        busy, idle = (hdfs.namenode.datanode(i) for i in meta.locations)
-        busy.read_block(meta.block_id)
         loads, reads = self.record_node_calls(hdfs, monkeypatch)
-        # Same distance from a host-less client: the less loaded goes first.
         hdfs.read_file("/pair.bin")
-        assert sorted(loads) == sorted([busy.node_id, idle.node_id])
-        assert reads == [idle.node_id]
+        (busy_id,) = reads
+        (idle_id,) = set(meta.locations) - {busy_id}
+        busy = hdfs.namenode.datanode(busy_id)
         # A client on the busier replica's host reads locally regardless.
         reads.clear()
         with hdfs.open("/pair.bin", client_host=busy.host) as stream:
             stream.read()
-        assert reads == [busy.node_id]
+        assert reads == [busy_id]
+        # Same distance from a host-less client: the less read goes first.
+        reads.clear()
+        hdfs.read_file("/pair.bin")
+        assert reads == [idle_id]
+        assert loads == []
+
+    def test_a_down_replica_is_tried_last_even_when_local(self, hdfs: HDFS, monkeypatch):
+        hdfs.write_file("/pair.bin", b"p" * BLOCK, replication=2)
+        meta = hdfs.namenode.file_blocks("/pair.bin")[0]
+        local, other = (hdfs.namenode.datanode(i) for i in meta.locations)
+        local.fail()
+        loads, reads = self.record_node_calls(hdfs, monkeypatch)
+        with hdfs.open("/pair.bin", client_host=local.host) as stream:
+            assert stream.read() == b"p" * BLOCK
+        assert reads == [other.node_id]
+        assert loads == []
 
     def test_open_read_fetches_at_most_read_ahead_chunks_ahead(
         self, hdfs: HDFS, monkeypatch

@@ -119,7 +119,6 @@ class TestFailureInjection:
                 num_providers=6,
                 num_metadata_providers=3,
                 replication=2,
-                rng_seed=3,
             ),
             default_block_size=16 * KB,
         )
@@ -142,7 +141,7 @@ class TestFailureInjection:
 
     def test_blobseer_repair_then_read_under_failures(self):
         service = BlobSeer(
-            BlobSeerConfig(page_size=4 * KB, num_providers=6, replication=2, rng_seed=1)
+            BlobSeerConfig(page_size=4 * KB, num_providers=6, replication=2)
         )
         blob = service.create_blob()
         payload = bytes(range(256)) * 400

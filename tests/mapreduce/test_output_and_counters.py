@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 
@@ -47,7 +48,7 @@ class TestOutputFormatsMatchLineEncoder:
         assert any_fs.read_file(path) == expected
 
     def test_shared_file(self, bsfs):
-        fmt = SingleFileOutputFormat(append_chunk_bytes=100)
+        fmt = SingleFileOutputFormat()
         fmt.prepare(bsfs, "/shared")
         path = fmt.write_batches(bsfs, "/shared", 0, fmt.encode(iter(MIXED_PAIRS * 50)))
         expected = b"".join(reference_line(k, v) for k, v in MIXED_PAIRS * 50)
@@ -101,18 +102,8 @@ class TestOutputBatches:
             consumed[0] += 1
             yield f"key-{i:06d}", "v" * (i % 100)
 
-    @pytest.mark.parametrize(
-        "fmt, limit",
-        [
-            (TextOutputFormat(), OUTPUT_BATCH_BYTES),
-            (
-                SingleFileOutputFormat(append_chunk_bytes=OUTPUT_BATCH_BYTES),
-                OUTPUT_BATCH_BYTES,
-            ),
-            (SingleFileOutputFormat(append_chunk_bytes=10 * KB), 10 * KB),
-        ],
-    )
-    def test_lazy_bounded_writes_at_line_boundaries(self, fmt, limit):
+    def test_lazy_bounded_writes_at_line_boundaries(self):
+        fmt = TextOutputFormat()
         consumed = [0]
         fs = _SpyFS(consumed)
         fmt.write_batches(fs, "/out", 0, fmt.encode(self.pairs(consumed)))
@@ -120,7 +111,7 @@ class TestOutputBatches:
             len(reference_line(f"key-{i:06d}", "v" * (i % 100))) for i in range(100)
         )
         assert len(fs.writes) >= 3
-        assert all(len(data) <= limit + longest for _c, data in fs.writes)
+        assert all(len(data) <= OUTPUT_BATCH_BYTES + longest for _c, data in fs.writes)
         assert all(data.endswith(b"\n") for _c, data in fs.writes)
         # The generator is consumed as the output is written, not up front.
         assert fs.writes[0][0] < self.TOTAL / 2
@@ -128,6 +119,21 @@ class TestOutputBatches:
             reference_line(f"key-{i:06d}", "v" * (i % 100)) for i in range(self.TOTAL)
         )
         assert b"".join(data for _c, data in fs.writes) == expected
+
+    def test_shared_output_goes_out_in_one_append(self):
+        # Over 4 MiB of encode batches, one concurrent_append: a failed
+        # attempt leaves nothing in the shared file for its retry to duplicate.
+        fmt = SingleFileOutputFormat()
+        consumed = [0]
+        fs = _SpyFS(consumed)
+        pairs = itertools.chain(self.pairs(consumed), self.pairs(consumed))
+        fmt.write_batches(fs, "/out", 0, fmt.encode(pairs))
+        assert len(fs.writes) == 1
+        expected = 2 * b"".join(
+            reference_line(f"key-{i:06d}", "v" * (i % 100)) for i in range(self.TOTAL)
+        )
+        assert len(expected) > 4 * 1024 * 1024
+        assert fs.writes[0][1] == expected
 
 
 # -- job counters ---------------------------------------------------------------------

@@ -47,7 +47,6 @@ def make_fs(kind: str, tmp_path, *, tag: str = "x"):
                 num_providers=4,
                 num_metadata_providers=2,
                 replication=1,
-                rng_seed=7,
             ),
             default_block_size=TEST_BLOCK_SIZE,
         )
@@ -57,7 +56,6 @@ def make_fs(kind: str, tmp_path, *, tag: str = "x"):
             racks=2,
             default_block_size=TEST_BLOCK_SIZE,
             default_replication=1,
-            seed=7,
         )
     return LocalFS(root=str(tmp_path / f"localfs-{tag}"), default_block_size=TEST_BLOCK_SIZE)
 

@@ -115,6 +115,14 @@ def encode_part_by_part(pairs, separator: bytes, batch_bytes: int) -> list[bytes
     return batches
 
 
+def text_format(separator: bytes, batch_bytes: int) -> TextOutputFormat:
+    """A text output format whose batches end at ``batch_bytes``, so the
+    batch cutting shows at sizes a test can afford."""
+    fmt = TextOutputFormat(separator=separator)
+    fmt._batch_bytes = batch_bytes
+    return fmt
+
+
 class Formatted(str):
     """A ``str`` that formats differently from its ``str()``."""
 
@@ -134,7 +142,7 @@ class TestLineEncoding:
         batch_bytes=st.integers(min_value=1, max_value=64),
     )
     def test_matches_encoding_part_by_part(self, pairs, separator, batch_bytes):
-        fmt = SingleFileOutputFormat(separator=separator, append_chunk_bytes=batch_bytes)
+        fmt = text_format(separator, batch_bytes)
         assert list(fmt.encode(pairs)) == encode_part_by_part(pairs, separator, batch_bytes)
 
     @pytest.mark.parametrize("separator", SEPARATORS)
@@ -151,7 +159,7 @@ class TestLineEncoding:
     )
     @pytest.mark.parametrize("batch_bytes", [1, 10, 1 << 20])
     def test_batches_match_encoding_part_by_part(self, pairs, separator, batch_bytes):
-        fmt = SingleFileOutputFormat(separator=separator, append_chunk_bytes=batch_bytes)
+        fmt = text_format(separator, batch_bytes)
         assert list(fmt.encode(pairs)) == encode_part_by_part(pairs, separator, batch_bytes)
 
 

@@ -151,7 +151,6 @@ class TestJobtrackerLeases:
                 num_providers=4,
                 num_metadata_providers=2,
                 replication=1,
-                rng_seed=13,
                 max_versions_kept=1,
             ),
             default_block_size=TEST_BLOCK_SIZE,

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import threading
-import time
 
 import pytest
 
@@ -136,28 +135,52 @@ class TestMonitor:
         assert deaths == ["n1"]
 
 
+class BeatCounter:
+    """A pump callback that runs ``action`` and sets ``reached`` once it
+    has been called ``target`` times, so a test waits on beats, not time."""
+
+    def __init__(self, target: int, action=None) -> None:
+        self.calls = 0
+        self.target = target
+        self.action = action
+        self.reached = threading.Event()
+
+    def __call__(self) -> None:
+        self.calls += 1
+        if self.calls >= self.target:
+            self.reached.set()
+        if self.action is not None:
+            self.action()
+
+
 class TestHeartbeatPump:
-    def test_pump_keeps_node_alive(self):
-        registry = LivenessRegistry(heartbeat_interval=0.02, max_missed=2)
+    def test_pump_keeps_node_alive(self, clock):
+        # Logical time: each beat moves the clock one interval on, so the
+        # six beats waited for span three times the death deadline.
+        registry = LivenessRegistry(heartbeat_interval=1.0, max_missed=2, clock=clock)
         registry.register("n1")
-        pump = HeartbeatPump(lambda: registry.heartbeat("n1"), interval=0.02)
+        registry.register("silent")
+
+        def tick() -> None:
+            clock.advance(1.0)
+            registry.heartbeat("n1")
+
+        beat = BeatCounter(6, tick)
+        pump = HeartbeatPump(beat, interval=0.01)
         with pump:
-            time.sleep(0.15)
-            assert registry.check() == []
+            assert beat.reached.wait(timeout=5.0)
+            assert registry.check() == ["silent"]  # the deadline has passed
             assert registry.is_alive("n1")
-        assert pump.beats_sent >= 3
+        assert pump.beats_sent >= 6
 
     def test_gated_pump_goes_silent(self):
         registry = LivenessRegistry(heartbeat_interval=0.02, max_missed=2)
         registry.register("n1")
         gate = {"open": True}
-        pump = HeartbeatPump(
-            lambda: registry.heartbeat("n1"),
-            interval=0.02,
-            should_beat=lambda: gate["open"],
-        )
+        beat = BeatCounter(3, lambda: registry.heartbeat("n1"))
+        pump = HeartbeatPump(beat, interval=0.02, should_beat=lambda: gate["open"])
         with pump:
-            time.sleep(0.1)
+            assert beat.reached.wait(timeout=5.0)
             assert registry.is_alive("n1")
             gate["open"] = False  # the "process" dies
             assert registry.await_death("n1", timeout=2.0)
@@ -165,29 +188,26 @@ class TestHeartbeatPump:
     def test_transport_errors_swallowed_and_counted(self):
         faults = NetworkFaultPlan()
         faults.kill("control")
-
-        def beat():
-            faults.on_message("n1", "control")
-
+        beat = BeatCounter(2, lambda: faults.on_message("n1", "control"))
         pump = HeartbeatPump(beat, interval=0.01)
         with pump:
-            time.sleep(0.08)
+            assert beat.reached.wait(timeout=5.0)
         assert pump.beats_failed >= 2
         assert pump.beats_sent == 0
 
     def test_block_report_every_nth_beat(self):
         beats, reports = [], []
+        report = BeatCounter(2, lambda: reports.append(1))
         pump = HeartbeatPump(
             lambda: beats.append(1),
             interval=0.01,
-            report=lambda: reports.append(1),
+            report=report,
             report_every=3,
         )
         with pump:
-            time.sleep(0.2)
-        assert reports, "no block report sent"
-        # Roughly one report per two plain beats (every 3rd cycle).
-        assert len(beats) >= len(reports)
+            assert report.reached.wait(timeout=5.0)
+        # One report per two plain beats (every 3rd cycle).
+        assert len(beats) >= 2 * len(reports) - 1
 
     def test_peer_unavailable_is_a_net_error(self):
         # The pump's swallow-clause covers the whole NetError hierarchy.

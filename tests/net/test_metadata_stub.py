@@ -74,10 +74,14 @@ class TestMetadataStub:
     def test_killed_peer_surfaces_as_provider_unavailable(self, faults):
         backend = MetadataProvider(0)
         stub = loopback_metadata_stub(backend, faults=faults)
+        served = stub.transport.calls_served
+        assert stub.available
+        assert stub.transport.calls_served == served  # available sent nothing
         faults.kill("metadata-0")
-        assert not stub.available
+        assert stub.available  # a view: no call has failed yet
         with pytest.raises(ProviderUnavailableError):
             stub.put("k", 1)
+        assert not stub.available
 
 
 class TestDhtOverStubs:
@@ -111,7 +115,6 @@ class TestBlobSeerOverRemoteMetadata:
             num_providers=4,
             num_metadata_providers=3,
             replication=1,
-            rng_seed=7,
         )
         _backends, stubs = make_stubs(config.num_metadata_providers, faults)
         bs = BlobSeer(config, metadata_providers=stubs)
@@ -126,7 +129,6 @@ class TestBlobSeerOverRemoteMetadata:
             num_providers=4,
             num_metadata_providers=3,
             replication=1,
-            rng_seed=7,
         )
         _backends, stubs = make_stubs(config.num_metadata_providers, faults)
         bs = BlobSeer(config, metadata_providers=stubs)
@@ -144,7 +146,7 @@ class TestTwoClientsOverOneMetadataProvider:
     @staticmethod
     def check(first_stub, second_stub, backend):
         config = BlobSeerConfig(
-            page_size=4 * KB, num_providers=3, num_metadata_providers=1, rng_seed=7
+            page_size=4 * KB, num_providers=3, num_metadata_providers=1
         )
         data_providers = [DataProvider(i) for i in range(config.num_providers)]
         first = BlobSeer(config, providers=data_providers, metadata_providers=[first_stub])

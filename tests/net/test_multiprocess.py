@@ -108,7 +108,6 @@ class TestMultiProcessCluster:
                     num_providers=3,
                     num_metadata_providers=3,
                     replication=2,
-                    rng_seed=7,
                 )
                 bs = BlobSeer(config, providers=stubs)
                 fs = BSFS(blobseer=bs, default_block_size=BLOCK)
@@ -144,7 +143,8 @@ class TestMultiProcessCluster:
     def test_reads_fail_over_per_key_before_the_death_is_declared(self):
         # No control plane: nothing declares the killed node dead, so the
         # read itself must route around it.  Its bulk call fails as a
-        # whole and every key of that call comes from its second replica.
+        # whole, every key of that call comes from its second replica,
+        # and the failure marks the node down for the next read.
         processes, stubs = [], []
         try:
             for node_id in range(3):
@@ -156,18 +156,11 @@ class TestMultiProcessCluster:
                 num_providers=3,
                 num_metadata_providers=1,
                 replication=2,
-                read_replica_policy="first",
-                rng_seed=11,
             )
             bs = BlobSeer(config, providers=stubs)
             blob = bs.create_blob()
             payload = bytes(range(251)) * 256  # ~63 KiB: 16 pages
             bs.append(blob, payload)
-            leaves = bs.metadata_manager.lookup(
-                bs.version_manager.version_info(blob).root, 0, 16
-            ).values()
-            failing_over = sum(extent.providers[0] == 1 for (extent,) in leaves)
-            assert failing_over > 0
 
             failed_calls: list[int] = []
             get_pages = stubs[1].get_pages
@@ -185,19 +178,26 @@ class TestMultiProcessCluster:
             processes[1].wait(timeout=10)
 
             assert bs.read(blob, 0, len(payload)) == payload
-            assert failed_calls == [failing_over]
+            assert len(failed_calls) == 1 and failed_calls[0] > 0
             served = sum(stubs[i].stats().pages_read for i in (0, 2)) - served_before
             assert served == 16  # each page exactly once, by a live replica
+            assert not stubs[1].available
+            assert bs.read(blob, 0, len(payload)) == payload
+            assert len(failed_calls) == 1  # the down replica went last
         finally:
             for stub in stubs:
                 stub.close()
             reap(processes)
 
-    def test_writes_place_around_a_killed_provider_the_load_view_still_lists(self):
+    def test_writes_place_around_a_killed_provider_the_load_view_still_lists(
+        self, monkeypatch
+    ):
         # No control plane, and the load view (warmed by a first write)
-        # still lists the killed node: the next write's put to it fails,
-        # its pages are placed again on the survivors, and every later
-        # allocation re-probes the dead node instead of trusting it.
+        # still lists the killed node: the next write's put to it fails
+        # and its pages are placed again on the survivors.  The failure
+        # marks the node down, so no RPC reaches it until the mark expires.
+        from repro.net import stubs as stubs_module
+
         processes, stubs = [], []
         try:
             for node_id in range(3):
@@ -210,22 +210,24 @@ class TestMultiProcessCluster:
                 num_providers=3,
                 num_metadata_providers=1,
                 replication=1,
-                rng_seed=13,
             )
             bs = BlobSeer(config, providers=stubs)
             bs.append(bs.create_blob(), bytes(6 * page))  # warms the view
 
+            sent: list[str] = []
             failed_puts: list[int] = []
-            put_pages = stubs[1].put_pages
+            call = stubs[1].transport.call
 
-            def watched(items):
+            def counted(service, method, *args, **kwargs):
+                sent.append(method)
                 try:
-                    return put_pages(items)
-                except ProviderUnavailableError:
-                    failed_puts.append(len(items))
+                    return call(service, method, *args, **kwargs)
+                except Exception:
+                    if method == "put_pages":
+                        failed_puts.append(len(args[0]))
                     raise
 
-            stubs[1].put_pages = watched
+            monkeypatch.setattr(stubs[1].transport, "call", counted)
             os.kill(processes[1].pid, signal.SIGKILL)
             processes[1].wait(timeout=10)
 
@@ -243,8 +245,18 @@ class TestMultiProcessCluster:
                     versions.append(bs.write(blob, offset, chunk))
                     expected[offset : offset + len(chunk)] = chunk
             assert versions == list(range(1, 11))
-            assert failed_puts  # the stale entry was used, and survived
             assert bs.read_all(blob) == bytes(expected)
+            # One put reached the dead node; nothing else did.
+            assert sent == ["put_pages"] and len(failed_puts) == 1
+            assert not stubs[1].available
+            # Once the mark expires the node is offered again, and the
+            # next failed put marks it down once more.
+            monkeypatch.setattr(stubs_module, "DOWN_MARK_EXPIRY_S", 1.0)
+            time.sleep(1.0)
+            assert stubs[1].available
+            bs.append(blob, bytes(3 * page))
+            assert len(failed_puts) == 2
+            assert not stubs[1].available
         finally:
             for stub in stubs:
                 stub.close()

@@ -77,7 +77,7 @@ class TestBulkCallBytes:
         backends = [DataProvider(i, host=f"node-{i}") for i in range(3)]
         stubs = [frame_limited_stub(p, 2 * MB) for p in backends]
         config = BlobSeerConfig(
-            page_size=256 * KB, num_providers=3, num_metadata_providers=1, rng_seed=5
+            page_size=256 * KB, num_providers=3, num_metadata_providers=1
         )
         bs = BlobSeer(config, providers=stubs)
         # A prime period, so a page served at the wrong offset cannot match.

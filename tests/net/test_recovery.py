@@ -56,7 +56,6 @@ class TestBlobSeerRecovery:
             num_providers=4,
             num_metadata_providers=3,
             replication=2,
-            rng_seed=7,
         )
         backends = [
             DataProvider(i, host=f"node-{i}", rack=f"rack-{i % 2}")
@@ -111,7 +110,6 @@ class TestBlobSeerRecovery:
             num_providers=3,
             num_metadata_providers=3,
             replication=1,
-            rng_seed=7,
         )
         backends = [DataProvider(i, host=f"node-{i}") for i in range(3)]
         stubs = [loopback_provider_stub(p, faults=faults) for p in backends]

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.core import KB, BlobSeer, BlobSeerConfig, DataProvider
 from repro.core.errors import ProviderUnavailableError
+from repro.core.pages import PageKey
 from repro.bsfs import BSFS
 from repro.hdfs import HDFS, DataNode
 from repro.net import (
@@ -29,7 +32,6 @@ def make_config(*, replication: int = 2) -> BlobSeerConfig:
         num_providers=4,
         num_metadata_providers=3,
         replication=replication,
-        rng_seed=7,
     )
 
 
@@ -57,14 +59,6 @@ class TestProviderStub:
         assert stub.get_page(key) == b"payload"
         assert stub.has_page(key)
         assert provider.has_page(key)  # it really landed on the backend
-
-    def test_killed_peer_surfaces_as_provider_unavailable(self, faults):
-        provider = DataProvider(0, host="node-0")
-        stub = loopback_provider_stub(provider, faults=faults)
-        faults.kill("node-0")
-        assert not stub.available
-        with pytest.raises(ProviderUnavailableError):
-            stub.page_keys()
 
 
 class TestBsfsOverStubs:
@@ -201,30 +195,6 @@ class TestHdfsPlacementWithoutProbes:
         assert all(victim.node_id not in b.locations for b in blocks)
         assert fs.read_file("/spare.bin") == payload
 
-    def test_down_mark_clears_on_success_and_on_expiry(self, faults, monkeypatch):
-        from repro.net import stubs as stubs_module
-
-        fs = self.make_hdfs(faults)
-        victim = self.stubs[0]
-        faults.kill(victim.host)
-        self.write_from(fs, victim.host, "/a.bin", bytes(BLOCK))
-        assert not victim.available
-        faults.revive(victim.host)
-        assert not victim.available  # no call has seen it since
-        # A successful call clears the mark, and blocks go local again.
-        assert victim.block_ids() == []
-        assert victim.available
-        self.write_from(fs, victim.host, "/b.bin", bytes(BLOCK))
-        assert fs.namenode.file_blocks("/b.bin")[0].locations == (victim.node_id,)
-        # fail() marks it down; the mark expires without any call.
-        victim.fail()
-        assert not victim.available
-        self.backends[0].recover()
-        monkeypatch.setattr(stubs_module, "DOWN_MARK_EXPIRY_S", 0.0)
-        assert victim.available
-        self.write_from(fs, victim.host, "/c.bin", bytes(BLOCK))
-        assert fs.namenode.file_blocks("/c.bin")[0].locations == (victim.node_id,)
-
     def test_spare_placement_is_tried_once(self, faults):
         fs = self.make_hdfs(faults)
         for stub in self.stubs:
@@ -263,6 +233,186 @@ class TestHdfsPlacementWithoutProbes:
         others = [report[stub.node_id] for stub in self.stubs[1:]]
         assert all(entry["reachable"] for entry in others)
         assert [entry["blocks"] for entry in others] == [1, 0]
+
+
+class ProviderCluster:
+    """Three provider stubs under one BlobSeer client."""
+
+    def __init__(self, faults) -> None:
+        self.backends = [DataProvider(i, host=f"node-{i}") for i in range(3)]
+        self.stubs = [
+            loopback_provider_stub(b, faults=faults, retry=RetryPolicy.no_retry())
+            for b in self.backends
+        ]
+        config = BlobSeerConfig(page_size=4 * KB, num_providers=3, num_metadata_providers=1)
+        self.client = BlobSeer(config, providers=self.stubs)
+
+    def call(self, stub):
+        return stub.page_keys()
+
+    def probe(self, stub) -> bool:
+        return stub.has_page(PageKey(9, 1, 0))
+
+    def hold(self, index) -> None:
+        """Store the probed page on backend ``index``."""
+        self.backends[index].put_page(PageKey(9, 1, 0), b"x")
+
+    def place_on(self, victim) -> bool:
+        """Write three pages; whether any landed on ``victim``."""
+        backend = self.backends[victim.provider_id]
+        before = len(backend.page_keys())
+        self.client.append(self.client.create_blob(), bytes(3 * 4 * KB))
+        return len(backend.page_keys()) > before
+
+
+class DataNodeCluster:
+    """Three datanode stubs under one HDFS client."""
+
+    def __init__(self, faults) -> None:
+        self.backends = [DataNode(i, host=f"node-{i}") for i in range(3)]
+        self.stubs = [
+            loopback_datanode_stub(d, faults=faults, retry=RetryPolicy.no_retry())
+            for d in self.backends
+        ]
+        self.client = HDFS(datanodes=self.stubs, default_block_size=BLOCK)
+        self.files = 0
+
+    def call(self, stub):
+        return stub.block_ids()
+
+    def probe(self, stub) -> bool:
+        return stub.has_block(999)
+
+    def hold(self, index) -> None:
+        """Store the probed block on backend ``index``."""
+        self.backends[index].write_block(999, b"x")
+
+    def place_on(self, victim) -> bool:
+        """Write one block from ``victim``'s host; whether it stayed local."""
+        self.files += 1
+        path = f"/placed-{self.files}.bin"
+        with self.client.create(path, replication=1, client_host=victim.host) as out:
+            out.write(bytes(BLOCK))
+        return self.client.namenode.file_blocks(path)[0].locations == (victim.node_id,)
+
+
+@pytest.fixture(params=[ProviderCluster, DataNodeCluster], ids=["provider", "datanode"])
+def cluster(request, faults):
+    return request.param(faults)
+
+
+class TestDownMark:
+    """Every stub kind's ``available`` is its own view of its calls."""
+
+    def test_killed_peer_surfaces_as_provider_unavailable(self, cluster, faults):
+        stub = cluster.stubs[0]
+        served = stub.transport.calls_served
+        assert stub.available
+        assert stub.transport.calls_served == served  # available sent nothing
+        faults.kill(stub.host)
+        assert stub.available  # a view: no call has failed yet
+        with pytest.raises(ProviderUnavailableError):
+            cluster.call(stub)
+        assert not stub.available
+
+    def test_down_mark_clears_on_success_and_on_expiry(self, cluster, faults, monkeypatch):
+        from repro.net import stubs as stubs_module
+
+        victim = cluster.stubs[0]
+        faults.kill(victim.host)
+        assert not cluster.place_on(victim)  # the failed call re-placed its data
+        assert not victim.available
+        faults.revive(victim.host)
+        assert not victim.available  # no call has seen it since
+        assert not cluster.place_on(victim)
+        # A successful call clears the mark, and data lands on it again.
+        cluster.call(victim)
+        assert victim.available
+        assert cluster.place_on(victim)
+        # fail() marks it down; the mark expires without any call.
+        victim.fail()
+        assert not victim.available
+        cluster.backends[0].recover()
+        monkeypatch.setattr(stubs_module, "DOWN_MARK_EXPIRY_S", 0.0)
+        assert victim.available
+        assert cluster.place_on(victim)
+
+
+    def test_probes_share_the_down_mark(self, cluster, faults):
+        stub = cluster.stubs[0]
+        faults.kill(stub.host)
+        assert not cluster.probe(stub)  # unreachable reads as "no" ...
+        assert not stub.available  # ... and marks the node down
+        faults.revive(stub.host)
+        assert not cluster.probe(stub)
+        assert not stub.available  # a failed node answers "no" too
+        cluster.hold(0)
+        assert cluster.probe(stub)
+        assert stub.available
+
+
+def count_rpcs(stubs, monkeypatch) -> Counter:
+    """Count every RPC the stubs send, by method name."""
+    sent: Counter = Counter()
+    for stub in stubs:
+
+        def call(service, method, *args, inner=stub.transport.call, **kwargs):
+            sent[method] += 1
+            return inner(service, method, *args, **kwargs)
+
+        monkeypatch.setattr(stub.transport, "call", call)
+    return sent
+
+
+class TestRpcCounts:
+    """Liveness and load come from replies: no data path sends ``stats``."""
+
+    PAGE = 4 * KB
+
+    def make_blobseer(self, faults, replication):
+        stubs = [
+            loopback_provider_stub(DataProvider(i, host=f"node-{i}"), faults=faults)
+            for i in range(4)
+        ]
+        config = BlobSeerConfig(
+            page_size=self.PAGE,
+            num_providers=4,
+            num_metadata_providers=1,
+            replication=replication,
+        )
+        return BlobSeer(config, providers=stubs), stubs
+
+    def test_replicated_bsfs_reads_send_no_stats(self, faults, monkeypatch):
+        bs, stubs = self.make_blobseer(faults, replication=3)
+        blob = bs.create_blob()
+        payload = bytes(range(256)) * (8 * self.PAGE // 256)
+        bs.append(blob, payload)
+        sent = count_rpcs(stubs, monkeypatch)
+        for _ in range(8):
+            assert bs.read(blob, 0, len(payload)) == payload
+        assert set(sent) == {"get_pages"}
+        assert sent["get_pages"] <= 8 * len(stubs)  # one call per provider and read
+
+    def test_appends_send_only_their_puts(self, faults, monkeypatch):
+        bs, stubs = self.make_blobseer(faults, replication=1)
+        blob = bs.create_blob()
+        sent = count_rpcs(stubs, monkeypatch)
+        for _ in range(8):
+            bs.append(blob, bytes(4 * self.PAGE))
+        # Each append stripes its 4 pages over the 4 providers.
+        assert sent == {"put_pages": 32}
+
+    def test_replicated_hdfs_read_sends_one_read_per_block(self, faults, monkeypatch):
+        stubs = [
+            loopback_datanode_stub(DataNode(i, host=f"node-{i}"), faults=faults)
+            for i in range(4)
+        ]
+        fs = HDFS(datanodes=stubs, default_block_size=BLOCK, default_replication=3)
+        payload = bytes(range(256)) * (8 * BLOCK // 256)
+        fs.write_file("/r3.bin", payload)
+        sent = count_rpcs(stubs, monkeypatch)
+        assert fs.read_file("/r3.bin") == payload
+        assert sent == {"read_block": 8}
 
 
 class TestTcpStubs:

@@ -150,6 +150,35 @@ class TestRetries:
             RetryPolicy(retries=-1)
 
 
+class TestNetworkFaultPlan:
+    def test_delay_injects_latency_until_cleared(self):
+        slept = []
+        faults = NetworkFaultPlan(sleep=slept.append)
+        faults.delay("node-2", 0.5)
+        faults.on_message("client", "node-2")
+        faults.on_message("node-2", "client")
+        assert slept == [0.5, 0.5]
+        assert faults.messages_delayed == 2
+        faults.clear_delay("node-2")
+        faults.on_message("client", "node-2")
+        assert slept == [0.5, 0.5]
+        with pytest.raises(ValueError, match="non-negative"):
+            faults.delay("node-2", -1.0)
+
+    def test_each_plan_spends_its_own_drop_budget(self):
+        first, second = (NetworkFaultPlan(sleep=lambda _s: None) for _ in range(2))
+        for faults in (first, second):
+            faults.drop(src="a", dst="b", count=1)
+        with pytest.raises(RpcTimeoutError):
+            first.on_message("a", "b")
+        first.on_message("a", "b")  # budget spent: delivered
+        # The second plan's identical rule still has its budget.
+        with pytest.raises(RpcTimeoutError):
+            second.on_message("a", "b")
+        second.on_message("a", "b")
+        assert (first.messages_dropped, second.messages_dropped) == (1, 1)
+
+
 class TestTcpSpecifics:
     def test_timeout_raises_rpc_timeout(self, registry):
         with RpcServer(registry) as server:

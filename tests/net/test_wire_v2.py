@@ -252,7 +252,6 @@ def make_blobseer(faults, wire, *, replication=2):
         num_providers=4,
         num_metadata_providers=3,
         replication=replication,
-        rng_seed=7,
     )
     backends = [
         DataProvider(i, host=f"node-{i}", rack=f"rack-{i % 2}")

@@ -30,7 +30,6 @@ def make_client(**config_kwargs) -> BlobSeer:
             num_providers=4,
             num_metadata_providers=2,
             replication=1,
-            rng_seed=11,
             **config_kwargs,
         )
     )

@@ -37,7 +37,6 @@ def make_client() -> BlobSeer:
             num_providers=4,
             num_metadata_providers=2,
             replication=1,
-            rng_seed=42,
             max_versions_kept=2,
         )
     )
