@@ -16,6 +16,9 @@ Examples:
     # 1 MiB bulk payloads over TCP
     python scripts/profile_rpc.py --payload 1048576 --calls 200
 
+    # metadata records: a put_many-shaped root-to-leaf path of tree nodes
+    python scripts/profile_rpc.py --payload tree --calls 2000
+
     # 8 concurrent callers sharing one TCP transport
     python scripts/profile_rpc.py --threads 8 --calls 2000
 
@@ -36,6 +39,8 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 )
 
+from repro.core.metadata import NodeKey, TreeNode  # noqa: E402
+from repro.core.pages import PageDescriptor, PageKey  # noqa: E402
 from repro.net.service import ServiceRegistry  # noqa: E402
 from repro.net.tcp import RpcServer, TcpTransport  # noqa: E402
 from repro.net.transport import LoopbackTransport, RetryPolicy  # noqa: E402
@@ -46,6 +51,43 @@ class EchoService:
 
     def echo(self, value):
         return value
+
+
+#: Depth of the ``--payload tree`` path: a tree of capacity 64 pages.
+TREE_DEPTH = 7
+#: Extents of the path's leaf: four appends shared its page.
+LEAF_EXTENTS = 4
+
+
+def tree_payload() -> list[tuple[str, TreeNode]]:
+    """What one append's ``put_many`` carries: ``(dht key, node)`` for each
+    node of a new root-to-leaf path, whose untouched siblings point at an
+    older version and whose leaf lists several extents."""
+    page, version = 256 * 1024, 9
+    keys = [NodeKey(1, version, 0, 1 << level) for level in reversed(range(TREE_DEPTH))]
+    nodes = []
+    for key, child in zip(keys, keys[1:]):
+        sibling = NodeKey(1, version - 1, child.hi, key.hi)
+        nodes.append(TreeNode(key, left=child, right=sibling))
+    step = page // LEAF_EXTENTS
+    extents = tuple(
+        PageDescriptor(PageKey(1, version - i, 0), (i % 3,), step, page - (i + 1) * step)
+        for i in reversed(range(LEAF_EXTENTS))
+    )
+    nodes.append(TreeNode(keys[-1], extents=extents))
+    return [(node.key.dht_key(), node) for node in nodes]
+
+
+def payload_arg(value: str) -> str | int:
+    """``--payload``: a byte count, or ``tree``."""
+    if value == "tree":
+        return value
+    try:
+        return int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a byte count or 'tree', got {value!r}"
+        ) from None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -61,9 +103,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--payload",
-        type=int,
+        type=payload_arg,
         default=0,
-        help="bytes payload per call (0 = a small tuple)",
+        help="bytes payload per call (0 = a small tuple), or 'tree' for a "
+        "put_many-shaped list of metadata tree nodes",
     )
     parser.add_argument(
         "--threads",
@@ -85,7 +128,10 @@ def main(argv: list[str] | None = None) -> int:
 
     registry = ServiceRegistry()
     registry.register("echo", EchoService())
-    payload = os.urandom(args.payload) if args.payload else ("ping", 42)
+    if args.payload == "tree":
+        payload = tree_payload()
+    else:
+        payload = os.urandom(args.payload) if args.payload else ("ping", 42)
 
     def calls(transport, count: int) -> None:
         for _ in range(count):
@@ -127,11 +173,12 @@ def main(argv: list[str] | None = None) -> int:
 
     stats = pstats.Stats(profiler)
     stats.strip_dirs().sort_stats(args.sort).print_stats(args.limit)
-    mb = args.calls * args.payload / 1e6
-    print(
-        f"# {args.transport} calls={args.calls} threads={args.threads} "
-        f"payload={args.payload}B (~{mb:.1f} MB total one-way)"
-    )
+    if args.payload == "tree":
+        shape = f"payload=tree ({len(payload)} nodes)"
+    else:
+        mb = args.calls * args.payload / 1e6
+        shape = f"payload={args.payload}B (~{mb:.1f} MB total one-way)"
+    print(f"# {args.transport} calls={args.calls} threads={args.threads} {shape}")
     return 0
 
 

@@ -194,11 +194,11 @@ class BSFS(FileSystem):
         record = self.namespace.record(norm)
         version = self.blobseer.append(record.blob_id, data)
         info = self.blobseer.version_manager.version_info(record.blob_id, version)
-        new_size = self.blobseer.get_size(record.blob_id)
-        # Two appenders may observe their post-append sizes in either order;
-        # the monotonic update makes the namespace size the max ever seen
-        # instead of the last write racing it backwards.
-        self.namespace.update_size_monotonic(norm, new_size)
+        # The append's own version carries its offset and the size it
+        # published.  Two appenders may report their sizes in either order;
+        # the monotonic update makes the namespace size the max ever
+        # reported instead of the last write racing it backwards.
+        self.namespace.update_size_monotonic(norm, info.size)
         return info.write_offset
 
     # ------------------------------------------------------------------- reading

@@ -28,10 +28,11 @@ Write protocol (mirrors the paper's description of BlobSeer):
    concurrent across writers.  A page the write covers only in part (the
    head or tail of an unaligned write) is stored as an *extent* holding
    just the write's bytes, so nothing is read back;
-3. wait for the base version to be published, list each partial page's
-   extent after the base version's extents of that page (compacting a
-   leaf that would exceed :data:`MAX_PAGE_EXTENTS`), and build the new
-   metadata tree, sharing every untouched subtree with the base version;
+3. wait for the base version to be published and build the new metadata
+   tree in one descent beside the base version's tree, sharing every
+   untouched subtree with it; each partial page's extent goes after the
+   base leaf's extents of that page, which that descent hands it
+   (compacting a leaf that would exceed :data:`MAX_PAGE_EXTENTS`);
 4. report the new root to the version manager, which publishes versions in
    ticket order.
 """
@@ -52,7 +53,7 @@ from .errors import (
     PageNotFoundError,
     ProviderUnavailableError,
 )
-from .metadata import MetadataManager, NodeKey, next_power_of_two
+from .metadata import Leaf, MetadataManager, NodeKey, next_power_of_two
 from .pages import PageDescriptor, PageKey, overlay, page_range_for_bytes
 from .persistence import LogStructuredStore, MemoryStore
 from .provider import DataProvider
@@ -381,25 +382,41 @@ class BlobSeer:
         extents: dict[int, PageDescriptor],
         base: VersionInfo,
         page_size: int,
-    ) -> dict[int, tuple[PageDescriptor, ...]]:
+    ) -> dict[int, Leaf]:
         """The new leaf of every page the write touched.
 
         An extent that fills its page is the whole leaf.  Any other goes
-        after the base leaf's extents, less those it hides entirely; a
-        leaf that would list more than :data:`MAX_PAGE_EXTENTS` is
-        compacted into one extent.
+        after the base leaf's extents, less those it hides entirely: its
+        leaf is a function of the base leaf, which the metadata build
+        calls with the base leaf from its own descent.
         """
-        leaves = {}
+        leaves: dict[int, Leaf] = {}
         for index, extent in extents.items():
-            leaf: tuple[PageDescriptor, ...] = (extent,)
             page_len = min(page_size, ticket.new_size - index * page_size)
             if extent.offset > 0 or extent.size < page_len:
-                below = self.metadata_manager.lookup(base.root, index, index + 1)
-                leaf = tuple(e for e in below.get(index, ()) if not extent.covers(e)) + leaf
-            if len(leaf) > MAX_PAGE_EXTENTS:
-                leaf = (self._compact(ticket, data, extent, base, page_size),)
-            leaves[index] = leaf
+                leaves[index] = partial(
+                    self._over_base_leaf, ticket, data, extent, base, page_size
+                )
+            else:
+                leaves[index] = (extent,)
         return leaves
+
+    def _over_base_leaf(
+        self,
+        ticket: WriteTicket,
+        data: bytes,
+        extent: PageDescriptor,
+        base: VersionInfo,
+        page_size: int,
+        below: tuple[PageDescriptor, ...],
+    ) -> tuple[PageDescriptor, ...]:
+        """``extent`` after the base leaf ``below``, less what it hides; a
+        leaf that would list more than :data:`MAX_PAGE_EXTENTS` is
+        compacted into one extent."""
+        leaf = tuple(e for e in below if not extent.covers(e)) + (extent,)
+        if len(leaf) > MAX_PAGE_EXTENTS:
+            leaf = (self._compact(ticket, data, extent, base, page_size),)
+        return leaf
 
     def _compact(
         self,
@@ -429,7 +446,7 @@ class BlobSeer:
         self,
         ticket: WriteTicket,
         base: VersionInfo,
-        leaves: dict[int, tuple[PageDescriptor, ...]],
+        leaves: dict[int, Leaf],
         page_size: int,
     ) -> NodeKey | None:
         """Derive the new metadata tree from the published base version."""

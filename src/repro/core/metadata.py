@@ -14,7 +14,7 @@ where ``[lo, hi)`` is the page-index range the node covers and ``version`` is
 the version whose write *created* the node (shared nodes keep the key of the
 version that created them).
 
-The public entry point is :class:`MetadataManager` with two operations:
+The public entry point is :class:`MetadataManager` with three operations:
 
 * :meth:`MetadataManager.build_version` — given the descriptors of the pages
   a write produced and the root of the version it was based on, create the
@@ -34,6 +34,15 @@ the rest with one :meth:`MetadataDHT.get_many` — and a build stores its new
 nodes with one :meth:`MetadataDHT.put_many`.  Because a node never changes
 once stored, the cache needs no invalidation: a re-walk costs no round trip
 at all.
+
+A build is one descent from the new root to the written leaves that
+carries the base version's node over the same range beside it: each
+base node on the way is resolved once, its children are the bases of
+the next level, and an untouched child is shared as it is.  A leaf the
+write covers only in part is handed the base leaf's extents from the
+same descent, so a single-page append to a tree of capacity ``2**k``
+resolves at most ``k + 1`` base nodes and stores its ``k + 1`` new nodes
+with one ``put_many``.
 """
 
 from __future__ import annotations
@@ -42,7 +51,7 @@ import bisect
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence, Union
 
 from .dht import MetadataDHT
 from .errors import MetadataCorruptionError
@@ -73,6 +82,9 @@ class NodeKey:
     lo: int
     hi: int
 
+    def __reduce__(self):
+        return (type(self), (self.blob_id, self.version, self.lo, self.hi))
+
     def dht_key(self) -> str:
         """String key under which the node is stored in the DHT."""
         return f"meta:{self.blob_id}:{self.version}:{self.lo}:{self.hi}"
@@ -102,6 +114,9 @@ class TreeNode:
     right: NodeKey | None = None
     extents: tuple[PageDescriptor, ...] = ()
 
+    def __reduce__(self):
+        return (type(self), (self.key, self.left, self.right, self.extents))
+
     @property
     def is_leaf(self) -> bool:
         """Whether this node is a leaf (covers exactly one page index)."""
@@ -128,6 +143,14 @@ class BlobLRU:
                     found[key] = value
         return found
 
+    def get(self, key: Any) -> Any:
+        """The cached value under ``key`` (LRU touch), or ``None``."""
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+        return value
+
     def put_many(self, items: Iterable[tuple[Any, Any]]) -> None:
         with self._lock:
             for key, value in items:
@@ -144,6 +167,85 @@ class BlobLRU:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
+
+
+#: A new leaf as :meth:`MetadataManager.build_version` takes it: the
+#: extents, or a function of the base leaf's extents returning them.
+Leaf = Union[
+    tuple[PageDescriptor, ...],
+    Callable[[tuple[PageDescriptor, ...]], tuple[PageDescriptor, ...]],
+]
+
+
+class _Build:
+    """One :meth:`MetadataManager.build_version`: a single descent of the new
+    tree that carries the matching node of the base tree beside it."""
+
+    def __init__(
+        self,
+        manager: "MetadataManager",
+        blob_id: int,
+        version: int,
+        written: Mapping[int, Leaf],
+        indices: list[int],
+        base_capacity: int,
+    ) -> None:
+        self._resolve = manager.resolve
+        self._cached = manager._cache.get
+        self._blob_id = blob_id
+        self._version = version
+        self._written = written
+        self._indices = indices
+        self._base_capacity = base_capacity
+        self.created: list[TreeNode] = []
+
+    def _node(self, key: NodeKey) -> TreeNode:
+        """The base node under ``key``: a cache hit without the batch
+        bookkeeping of :meth:`MetadataManager.resolve`, else fetched."""
+        node = self._cached(key)
+        return node if node is not None else self._resolve([key])[0]
+
+    def subtree(self, lo: int, hi: int, base: NodeKey | None) -> NodeKey | None:
+        """Build the subtree over ``[lo, hi)``; new nodes go to ``created``.
+
+        ``base`` is the base-version node over ``[lo, min(hi,
+        base_capacity))`` — ``None`` for a hole or a range past the base
+        capacity.  Only a range growing the tree past the base capacity
+        is wider than its base node: a prefix ``[0, hi)`` whose base is
+        the base root.  Each base node on the descent is resolved once,
+        when its children are needed.
+        """
+        pos = bisect.bisect_left(self._indices, lo)
+        touched = pos < len(self._indices) and self._indices[pos] < hi
+        within = hi <= self._base_capacity
+        if not touched and (within or base is None):
+            return base  # share the untouched subtree (or keep the hole)
+        if hi - lo == 1:
+            extents = self._written.get(lo, ())
+            if callable(extents):
+                below = self._node(base).extents if base is not None else ()
+                extents = extents(below)
+            if not extents:
+                return base
+            node = TreeNode(NodeKey(self._blob_id, self._version, lo, hi), extents=extents)
+        else:
+            mid = (lo + hi) // 2
+            if base is None:
+                left_base = right_base = None
+            elif within:
+                below = self._node(base)
+                left_base, right_base = below.left, below.right
+            else:
+                # Growing past the base capacity: the base root lies under
+                # the left half, and the right half is new.
+                left_base, right_base = base, None
+            left = self.subtree(lo, mid, left_base)
+            right = self.subtree(mid, hi, right_base)
+            node = TreeNode(
+                NodeKey(self._blob_id, self._version, lo, hi), left=left, right=right
+            )
+        self.created.append(node)
+        return node.key
 
 
 class MetadataManager:
@@ -199,7 +301,7 @@ class MetadataManager:
         self,
         blob_id: int,
         version: int,
-        written: Mapping[int, tuple[PageDescriptor, ...]],
+        written: Mapping[int, Leaf],
         total_pages: int,
         *,
         base_root: NodeKey | None,
@@ -213,7 +315,10 @@ class MetadataManager:
             Identity of the version being published.
         written:
             Page index -> the new leaf's extents, for every page the write
-            touched.
+            touched; or a function that takes the base version's extents
+            of that page (``()`` for a hole) and returns them, so a write
+            that covers a page only in part gets the base leaf from the
+            build's own descent.
         total_pages:
             Total number of pages of the blob *after* this write (determines
             the capacity of the new tree).
@@ -242,114 +347,15 @@ class MetadataManager:
                 f"written page indices {indices[0]}..{indices[-1]} fall outside "
                 f"capacity {capacity}"
             )
-        created: list[TreeNode] = []
-        root = self._build_range(
-            blob_id,
-            version,
-            0,
-            capacity,
-            written,
-            indices,
-            base_root,
-            base_capacity,
-            created,
-        )
+        build = _Build(self, blob_id, version, written, indices, base_capacity)
+        root = build.subtree(0, capacity, base_root)
         # One store per version, finished before the root is handed back:
         # whoever learns the root (through publication) can fetch every
         # node under it.  The cache is written through only afterwards, so
         # it never holds a node the DHT does not.
-        self._dht.put_many([(node.key.dht_key(), node) for node in created])
-        self._cache.put_many((node.key, node) for node in created)
+        self._dht.put_many([(node.key.dht_key(), node) for node in build.created])
+        self._cache.put_many((node.key, node) for node in build.created)
         return root
-
-    def _range_touched(self, indices: list[int], lo: int, hi: int) -> bool:
-        """Whether any written page index falls inside ``[lo, hi)``."""
-        pos = bisect.bisect_left(indices, lo)
-        return pos < len(indices) and indices[pos] < hi
-
-    def _find_base_node_key(
-        self,
-        base_root: NodeKey | None,
-        base_capacity: int,
-        lo: int,
-        hi: int,
-    ) -> NodeKey | None:
-        """Key of the base-version node covering exactly ``[lo, hi)``, if any.
-
-        Walks down from the base root (through the node cache: the spine is
-        shared by every call of one build, and free when the base version
-        was built or read by this manager); returns ``None`` when the range
-        is a hole in the base version (never written) or lies beyond its
-        capacity.
-        """
-        if base_root is None or lo >= base_capacity:
-            return None
-        if hi > base_capacity:
-            raise MetadataCorruptionError(
-                f"range [{lo}, {hi}) straddles the base capacity {base_capacity}"
-            )
-        current = base_root
-        cur_lo, cur_hi = 0, base_capacity
-        while (cur_lo, cur_hi) != (lo, hi):
-            (node,) = self.resolve([current])
-            mid = (cur_lo + cur_hi) // 2
-            if hi <= mid:
-                child = node.left
-                cur_hi = mid
-            elif lo >= mid:
-                child = node.right
-                cur_lo = mid
-            else:
-                raise MetadataCorruptionError(
-                    f"range [{lo}, {hi}) is not aligned with the base tree"
-                )
-            if child is None:
-                return None
-            current = child
-        return current
-
-    def _build_range(
-        self,
-        blob_id: int,
-        version: int,
-        lo: int,
-        hi: int,
-        written: Mapping[int, tuple[PageDescriptor, ...]],
-        indices: list[int],
-        base_root: NodeKey | None,
-        base_capacity: int,
-        created: list[TreeNode],
-    ) -> NodeKey | None:
-        """Build the subtree over ``[lo, hi)``; new nodes go to ``created``."""
-        touched = self._range_touched(indices, lo, hi)
-        if not touched:
-            if lo >= base_capacity or base_root is None:
-                return None  # hole
-            if hi <= base_capacity:
-                # Untouched range entirely inside the base tree: share it.
-                return self._find_base_node_key(base_root, base_capacity, lo, hi)
-            # Untouched range straddling the base capacity (only possible for
-            # prefixes of an expanded tree): recurse so the left part can be
-            # shared and the right part becomes a hole.
-        if hi - lo == 1:
-            extents = written.get(lo)
-            if not extents:
-                # Reached only if a touched ancestor narrowed to an untouched
-                # leaf inside the base capacity, which the sharing branch
-                # should have handled.
-                return self._find_base_node_key(base_root, base_capacity, lo, hi)
-            node = TreeNode(key=NodeKey(blob_id, version, lo, hi), extents=extents)
-        else:
-            mid = (lo + hi) // 2
-            left = self._build_range(
-                blob_id, version, lo, mid, written, indices, base_root, base_capacity, created
-            )
-            right = self._build_range(
-                blob_id, version, mid, hi, written, indices, base_root, base_capacity, created
-            )
-            node = TreeNode(key=NodeKey(blob_id, version, lo, hi), left=left, right=right)
-        created.append(node)
-        return node.key
 
     # -- lookups ------------------------------------------------------------------
     def lookup(

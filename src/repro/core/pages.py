@@ -49,6 +49,9 @@ class PageKey:
     version: int
     index: int
 
+    def __reduce__(self):
+        return (type(self), (self.blob_id, self.version, self.index))
+
     def to_bytes(self) -> bytes:
         """Serialise the key for use by persistent page stores."""
         return f"{self.blob_id}:{self.version}:{self.index}".encode("ascii")
@@ -75,6 +78,10 @@ class PageDescriptor:
             raise ValueError("page size and offset cannot be negative")
         if not self.providers:
             raise ValueError("a page descriptor needs at least one provider")
+
+    def __reduce__(self):
+        # Rebuilt through __init__, so a decoded descriptor is validated too.
+        return (type(self), (self.key, self.providers, self.size, self.offset))
 
     @property
     def index(self) -> int:

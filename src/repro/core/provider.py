@@ -37,6 +37,21 @@ class ProviderStats:
     bytes_read: int
     available: bool
 
+    def __reduce__(self):
+        return (
+            type(self),
+            (
+                self.provider_id,
+                self.pages_stored,
+                self.bytes_stored,
+                self.pages_written,
+                self.pages_read,
+                self.bytes_written,
+                self.bytes_read,
+                self.available,
+            ),
+        )
+
     @property
     def load_score(self) -> tuple[int, int]:
         """Ordering key used by the load-balanced allocation strategy.

@@ -20,7 +20,7 @@ import itertools
 import threading
 from functools import partial
 
-from ..core.errors import ProviderUnavailableError
+from ..core.errors import AllocationError, ProviderUnavailableError
 from ..core.transfer import ChunkBuffer, TransferEngine, pipelined
 from ..fs import path as fspath
 from ..fs.errors import NoSuchPathError, UnsupportedOperationError
@@ -216,8 +216,9 @@ class HDFS(FileSystem):
         push marks it down.  A block no target accepted is abandoned and
         placed once more if a datanode still looks up — one spare
         placement, never a loop — and otherwise the write raises
-        :class:`~repro.core.errors.ProviderUnavailableError`.  Either way
-        the file keeps no empty block.
+        :class:`~repro.core.errors.ProviderUnavailableError`, as it does
+        when every registered datanode is known down before placement.
+        Either way the file keeps no empty block.
         """
         placed = self._place_block(path, data, client_host)
         if not placed and any(d.available for d in self.datanodes):
@@ -228,7 +229,13 @@ class HDFS(FileSystem):
     def _place_block(self, path: str, data: bytes, client_host: str | None) -> bool:
         """One placement of a block: commit it where its pushes landed, or
         abandon it and return ``False`` when no target accepted it."""
-        meta, targets = self.namenode.add_block(path, writer_host=client_host)
+        try:
+            meta, targets = self.namenode.add_block(path, writer_host=client_host)
+        except AllocationError:
+            datanodes = self.datanodes
+            if datanodes and not any(d.available for d in datanodes):
+                raise ProviderUnavailableError("every datanode") from None
+            raise
 
         def push(datanode: DataNode) -> int | None:
             try:

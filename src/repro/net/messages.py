@@ -16,10 +16,21 @@ Two message kinds flow over the framed stream:
 Serialisation is pickle protocol 5 (the spill files of the shuffle
 already commit to pickle for on-storage data): a message encodes to a
 *head* plus the raw buffers of its bulk payloads, which travel as their
-own frame segments.  The framing layer above bounds message size, and
+own frame segments.  A message with no bytes-like in its top container
+levels — every metadata op — is pickled as it is, with no rebuilt copy
+of its arguments.  The framing layer above bounds message size, and
 decode failures surface as
 :class:`~repro.net.errors.MessageDecodeError` so a garbage frame cannot
 crash a server loop.
+
+Every record type that crosses the wire often — these two, and the
+metadata and page records they carry (``NodeKey``, ``TreeNode``,
+``PageKey``, ``PageDescriptor``, ``ProviderStats``) — defines
+``__reduce__`` as ``(cls, (field, ...))``: it pickles as its class and a
+tuple of its fields and is rebuilt through ``__init__``, so validation in
+``__post_init__`` runs on the receiver too.  A frozen slotted dataclass
+without it pickles through ``dataclasses``' generic state functions,
+which list the fields again for every object.
 """
 
 from __future__ import annotations
@@ -53,6 +64,9 @@ class Request:
     args: tuple = ()
     kwargs: dict = field(default_factory=dict)
 
+    def __reduce__(self):
+        return (type(self), (self.msg_id, self.service, self.method, self.args, self.kwargs))
+
 
 @dataclass(frozen=True, slots=True)
 class Response:
@@ -62,6 +76,37 @@ class Response:
     ok: bool
     value: Any = None
     error: BaseException | None = None
+
+    def __reduce__(self):
+        return (type(self), (self.msg_id, self.ok, self.value, self.error))
+
+
+#: Payload types that may leave the pickle stream as out-of-band buffers.
+_BULK = (bytes, bytearray, memoryview)
+#: Nesting levels of tuple/list/dict searched for them.
+_BULK_DEPTH = 3
+
+
+def _holds_bulk(obj: Any) -> bool:
+    """Whether ``obj`` is, or holds within :data:`_BULK_DEPTH` levels of
+    tuple/list/dict, a bytes-like.
+
+    One loop per level and no call per item: most messages — every
+    metadata op — hold none, and then encoding walks nothing else.
+    """
+    level = [obj]
+    for _ in range(_BULK_DEPTH + 1):
+        nested = []
+        for item in level:
+            if isinstance(item, _BULK):
+                return True
+            kind = type(item)
+            if kind is tuple or kind is list:
+                nested.extend(item)
+            elif kind is dict:
+                nested.extend(item.values())
+        level = nested
+    return False
 
 
 def _exportable(obj: Any, threshold: int, depth: int) -> Any:
@@ -129,20 +174,22 @@ def encode_message(
     connection dying on a serialisation failure the remote side could
     not anticipate.
     """
+    prepared: Request | Response = message
     if isinstance(message, Request):
-        prepared: Request | Response = Request(
-            msg_id=message.msg_id,
-            service=message.service,
-            method=message.method,
-            args=_exportable(message.args, oob_threshold, 3),
-            kwargs=_exportable(message.kwargs, oob_threshold, 3),
-        )
-    else:
+        if _holds_bulk(message.args) or _holds_bulk(message.kwargs):
+            prepared = Request(
+                message.msg_id,
+                message.service,
+                message.method,
+                _exportable(message.args, oob_threshold, _BULK_DEPTH),
+                _exportable(message.kwargs, oob_threshold, _BULK_DEPTH),
+            )
+    elif _holds_bulk(message.value):
         prepared = Response(
-            msg_id=message.msg_id,
-            ok=message.ok,
-            value=_exportable(message.value, oob_threshold, 3),
-            error=message.error,
+            message.msg_id,
+            message.ok,
+            _exportable(message.value, oob_threshold, _BULK_DEPTH),
+            message.error,
         )
     buffers: list[pickle.PickleBuffer] = []
     try:

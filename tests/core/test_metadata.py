@@ -311,6 +311,83 @@ history_strategy = st.lists(
 )
 
 
+class CountedBuilds:
+    """Counts what each build of one service's metadata manager does.
+
+    Per build: the distinct base nodes it resolved (every resolve asks the
+    node cache first, so the cache sees each one) and the size of every
+    DHT store.  A build runs on its writer's thread, so concurrent
+    appenders keep separate counts.  A build that compacted a leaf reads
+    the base page back through a lookup, so it is marked and left out of
+    the walk bound.
+    """
+
+    def __init__(self, service: BlobSeer) -> None:
+        self.builds: list[dict] = []
+        self._local = threading.local()
+        manager = service.metadata_manager
+        cache, dht = manager._cache, manager._dht
+        cache.get = self._counted(cache.get, lambda build, key: build["resolved"].add(key))
+        cache.get_many = self._counted(
+            cache.get_many, lambda build, keys: build["resolved"].update(keys)
+        )
+        dht.put_many = self._counted(
+            dht.put_many, lambda build, items: build["stores"].append(len(items))
+        )
+        service._compact = self._counted(
+            service._compact, lambda build, _ticket: build.update(compacted=True)
+        )
+        append, build_version = service.append, manager.build_version
+
+        def marked_append(*args, **kwargs):
+            self._local.append = True
+            try:
+                return append(*args, **kwargs)
+            finally:
+                self._local.append = False
+
+        def counted_build(blob_id, version, written, total_pages, **kwargs):
+            build = {
+                "pages": len(written),
+                "append": getattr(self._local, "append", False),
+                "resolved": set(),
+                "stores": [],
+                "compacted": False,
+            }
+            self._local.build = build
+            try:
+                root = build_version(blob_id, version, written, total_pages, **kwargs)
+            finally:
+                self._local.build = None
+            build["capacity"] = root.hi if root is not None else 0
+            self.builds.append(build)
+            return root
+
+        service.append = marked_append
+        manager.build_version = counted_build
+
+    def _counted(self, method, count):
+        def counted(first, *args, **kwargs):
+            build = getattr(self._local, "build", None)
+            if build is not None:
+                count(build, first)
+            return method(first, *args, **kwargs)
+
+        return counted
+
+    def check_walk_bound(self) -> None:
+        """Each build stores once; a single-page append to a tree of
+        capacity ``2**k`` resolves at most ``k + 1`` base nodes and stores
+        ``k + 1`` new ones."""
+        assert self.builds
+        for build in self.builds:
+            assert len(build["stores"]) == 1
+            if build["append"] and build["pages"] == 1 and not build["compacted"]:
+                depth = build["capacity"].bit_length()  # k + 1
+                assert len(build["resolved"]) <= depth
+                assert build["stores"] == [depth]
+
+
 class TestLookupMatchesReferenceWalk:
     @settings(
         max_examples=60,
@@ -324,13 +401,17 @@ class TestLookupMatchesReferenceWalk:
                 page_size=PAGE, num_providers=3, num_metadata_providers=2
             )
         ) as service:
+            counted = CountedBuilds(service)
             self.check_history(service, history, data)
+            counted.check_walk_bound()
 
     @staticmethod
     def check_history(service, history, data):
         blob = service.create_blob()
         published: list[tuple[int, NodeKey | None]] = []
         publish = service.version_manager.publish
+        #: The blob's bytes after every operation so far: a flat model.
+        model = bytearray()
 
         def visible(ticket, root):
             # Store-before-publish: when a root is about to become visible,
@@ -344,11 +425,25 @@ class TestLookupMatchesReferenceWalk:
 
         service.version_manager.publish = checked_publish
 
+        def check_new_versions_against_model(checked: int) -> int:
+            # A version of a concurrent group is a prefix of the group's
+            # result: every appender of a group writes the same byte.
+            versions = service.versions(blob)
+            for version in versions[checked:]:
+                size = service.version_manager.version_info(blob, version).size
+                assert service.read(blob, 0, size, version=version) == model[:size]
+            return len(versions)
+
+        checked = check_new_versions_against_model(0)
         for op in history:
             if op[0] == "append":
                 service.append(blob, b"a" * op[1])
+                model += b"a" * op[1]
             elif op[0] == "write":
-                service.write(blob, op[1] * PAGE, b"w" * op[2])
+                offset = op[1] * PAGE
+                service.write(blob, offset, b"w" * op[2])
+                model += bytes(max(0, offset - len(model)))
+                model[offset : offset + op[2]] = b"w" * op[2]
             else:
                 # Each appender waits for its predecessor's version before
                 # building its tree, so visible() must still see every
@@ -361,7 +456,10 @@ class TestLookupMatchesReferenceWalk:
 
                 with ThreadPoolExecutor(len(op[1])) as pool:
                     list(pool.map(append_after_start, op[1]))
+                model += b"b" * sum(op[1])
+            checked = check_new_versions_against_model(checked)
         assert [v for v, _ in published] == service.versions(blob)[1:]
+        assert service.get_size(blob) == len(model)
 
         warm, fresh = service.metadata_manager, cold(service.metadata_manager)
         # Which concurrent appender got which version depends on the thread

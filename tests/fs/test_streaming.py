@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import BlobSeer, BlobSeerConfig
-from repro.core.errors import AllocationError, ProviderUnavailableError
+from repro.core.errors import ProviderUnavailableError
 from repro.fs.errors import FileSystemError
 
 PAGE = 4 * 1024  # matches tests/conftest.TEST_PAGE_SIZE
@@ -235,7 +235,7 @@ class TestFailedBlockWrite:
         stream.write(bytes(PAGE))
         for node in hdfs.datanodes:
             node.fail()
-        with pytest.raises(AllocationError):
+        with pytest.raises(ProviderUnavailableError):
             stream.write(bytes(PAGE))
         stream.close()
         assert [block.length for block in hdfs.namenode.file_blocks("/f")] == [PAGE]

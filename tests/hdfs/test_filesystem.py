@@ -57,6 +57,16 @@ class TestBlockAllocationAndPipeline:
         assert len(meta.locations) >= 1
         assert hdfs.read_file("/tolerant.bin") == b"t" * BLOCK
 
+    def test_write_with_every_datanode_down_raises_unavailable(self):
+        # The all-known-down case raises what a write whose chosen nodes
+        # failed raises, so one handler covers both; the file gets no block.
+        hdfs = HDFS(num_datanodes=3)
+        for datanode in hdfs.datanodes:
+            datanode.fail()
+        with pytest.raises(ProviderUnavailableError):
+            hdfs.write_file("/down.bin", b"x" * BLOCK)
+        assert hdfs.namenode.file_blocks("/down.bin") == []
+
     def test_replica_pushes_run_concurrently(self):
         # The write pipeline must push one block's replicas to the chosen
         # datanodes in parallel: three barrier-gated datanodes can only all
