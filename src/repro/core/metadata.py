@@ -56,6 +56,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence, Union
 from .dht import MetadataDHT
 from .errors import MetadataCorruptionError
 from .pages import PageDescriptor, PageKey
+from .records import wire_record
 
 __all__ = ["NodeKey", "TreeNode", "MetadataManager", "next_power_of_two"]
 
@@ -73,6 +74,7 @@ def next_power_of_two(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
+@wire_record
 @dataclass(frozen=True, slots=True)
 class NodeKey:
     """Identity of a tree node in the metadata DHT."""
@@ -81,9 +83,6 @@ class NodeKey:
     version: int
     lo: int
     hi: int
-
-    def __reduce__(self):
-        return (type(self), (self.blob_id, self.version, self.lo, self.hi))
 
     def dht_key(self) -> str:
         """String key under which the node is stored in the DHT."""
@@ -100,6 +99,7 @@ class NodeKey:
         return self.span == 1
 
 
+@wire_record
 @dataclass(frozen=True, slots=True)
 class TreeNode:
     """Immutable segment-tree node.
@@ -113,9 +113,6 @@ class TreeNode:
     left: NodeKey | None = None
     right: NodeKey | None = None
     extents: tuple[PageDescriptor, ...] = ()
-
-    def __reduce__(self):
-        return (type(self), (self.key, self.left, self.right, self.extents))
 
     @property
     def is_leaf(self) -> bool:
@@ -142,14 +139,6 @@ class BlobLRU:
                     self._entries.move_to_end(key)
                     found[key] = value
         return found
-
-    def get(self, key: Any) -> Any:
-        """The cached value under ``key`` (LRU touch), or ``None``."""
-        with self._lock:
-            value = self._entries.get(key)
-            if value is not None:
-                self._entries.move_to_end(key)
-        return value
 
     def put_many(self, items: Iterable[tuple[Any, Any]]) -> None:
         with self._lock:
@@ -191,7 +180,6 @@ class _Build:
         base_capacity: int,
     ) -> None:
         self._resolve = manager.resolve
-        self._cached = manager._cache.get
         self._blob_id = blob_id
         self._version = version
         self._written = written
@@ -199,11 +187,19 @@ class _Build:
         self._base_capacity = base_capacity
         self.created: list[TreeNode] = []
 
-    def _node(self, key: NodeKey) -> TreeNode:
-        """The base node under ``key``: a cache hit without the batch
-        bookkeeping of :meth:`MetadataManager.resolve`, else fetched."""
-        node = self._cached(key)
-        return node if node is not None else self._resolve([key])[0]
+    def _base(self, key: NodeKey, lo: int, hi: int) -> TreeNode:
+        """The base node under ``key``, which must cover ``[lo, hi)`` and,
+        as a leaf, list a page: what :meth:`MetadataManager.lookup` checks
+        of the nodes it walks."""
+        node = self._resolve([key])[0]
+        if node.key != key or key.lo != lo or key.hi != hi:
+            raise MetadataCorruptionError(
+                f"base node {node.key!r} stored under {key!r} does not cover "
+                f"[{lo}, {hi})"
+            )
+        if node.is_leaf and not node.extents:
+            raise MetadataCorruptionError(f"leaf {key!r} carries no page")
+        return node
 
     def subtree(self, lo: int, hi: int, base: NodeKey | None) -> NodeKey | None:
         """Build the subtree over ``[lo, hi)``; new nodes go to ``created``.
@@ -223,7 +219,7 @@ class _Build:
         if hi - lo == 1:
             extents = self._written.get(lo, ())
             if callable(extents):
-                below = self._node(base).extents if base is not None else ()
+                below = self._base(base, lo, hi).extents if base is not None else ()
                 extents = extents(below)
             if not extents:
                 return base
@@ -233,7 +229,7 @@ class _Build:
             if base is None:
                 left_base = right_base = None
             elif within:
-                below = self._node(base)
+                below = self._base(base, lo, hi)
                 left_base, right_base = below.left, below.right
             else:
                 # Growing past the base capacity: the base root lies under

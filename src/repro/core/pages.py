@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from .records import wire_record
+
 __all__ = [
     "PageKey",
     "PageDescriptor",
@@ -31,6 +33,7 @@ __all__ = [
 ]
 
 
+@wire_record
 @dataclass(frozen=True, slots=True)
 class PageKey:
     """Globally unique identifier of a stored page.
@@ -49,9 +52,6 @@ class PageKey:
     version: int
     index: int
 
-    def __reduce__(self):
-        return (type(self), (self.blob_id, self.version, self.index))
-
     def to_bytes(self) -> bytes:
         """Serialise the key for use by persistent page stores."""
         return f"{self.blob_id}:{self.version}:{self.index}".encode("ascii")
@@ -63,6 +63,7 @@ class PageKey:
         return cls(int(blob_id), int(version), int(index))
 
 
+@wire_record
 @dataclass(frozen=True, slots=True)
 class PageDescriptor:
     """Placement record for an extent: where its replicas live, its size and
@@ -78,10 +79,6 @@ class PageDescriptor:
             raise ValueError("page size and offset cannot be negative")
         if not self.providers:
             raise ValueError("a page descriptor needs at least one provider")
-
-    def __reduce__(self):
-        # Rebuilt through __init__, so a decoded descriptor is validated too.
-        return (type(self), (self.key, self.providers, self.size, self.offset))
 
     @property
     def index(self) -> int:

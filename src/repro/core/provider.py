@@ -20,10 +20,12 @@ from .dht import MISSING
 from .errors import ProviderUnavailableError
 from .pages import PageKey
 from .persistence import MemoryStore, PageStore
+from .records import wire_record
 
 __all__ = ["ProviderStats", "DataProvider"]
 
 
+@wire_record
 @dataclass(frozen=True, slots=True)
 class ProviderStats:
     """Immutable snapshot of a provider's load counters."""
@@ -36,21 +38,6 @@ class ProviderStats:
     bytes_written: int
     bytes_read: int
     available: bool
-
-    def __reduce__(self):
-        return (
-            type(self),
-            (
-                self.provider_id,
-                self.pages_stored,
-                self.bytes_stored,
-                self.pages_written,
-                self.pages_read,
-                self.bytes_written,
-                self.bytes_read,
-                self.available,
-            ),
-        )
 
     @property
     def load_score(self) -> tuple[int, int]:

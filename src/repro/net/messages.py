@@ -25,12 +25,10 @@ crash a server loop.
 
 Every record type that crosses the wire often — these two, and the
 metadata and page records they carry (``NodeKey``, ``TreeNode``,
-``PageKey``, ``PageDescriptor``, ``ProviderStats``) — defines
-``__reduce__`` as ``(cls, (field, ...))``: it pickles as its class and a
+``PageKey``, ``PageDescriptor``, ``ProviderStats``) — is a
+:func:`~repro.core.records.wire_record`: it pickles as its class and a
 tuple of its fields and is rebuilt through ``__init__``, so validation in
-``__post_init__`` runs on the receiver too.  A frozen slotted dataclass
-without it pickles through ``dataclasses``' generic state functions,
-which list the fields again for every object.
+``__post_init__`` runs on the receiver too.
 """
 
 from __future__ import annotations
@@ -39,6 +37,7 @@ import pickle
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
+from ..core.records import wire_record
 from .errors import MessageDecodeError, RemoteCallError
 
 __all__ = [
@@ -54,6 +53,7 @@ __all__ = [
 DEFAULT_OOB_THRESHOLD = 16 * 1024
 
 
+@wire_record
 @dataclass(frozen=True, slots=True)
 class Request:
     """One method invocation on a named remote service."""
@@ -64,10 +64,8 @@ class Request:
     args: tuple = ()
     kwargs: dict = field(default_factory=dict)
 
-    def __reduce__(self):
-        return (type(self), (self.msg_id, self.service, self.method, self.args, self.kwargs))
 
-
+@wire_record
 @dataclass(frozen=True, slots=True)
 class Response:
     """The outcome of one request, correlated by ``msg_id``."""
@@ -77,22 +75,22 @@ class Response:
     value: Any = None
     error: BaseException | None = None
 
-    def __reduce__(self):
-        return (type(self), (self.msg_id, self.ok, self.value, self.error))
-
 
 #: Payload types that may leave the pickle stream as out-of-band buffers.
 _BULK = (bytes, bytearray, memoryview)
-#: Nesting levels of tuple/list/dict searched for them.
+#: The containers searched for them (a dict through its values), and
+#: how many levels deep.  Both walks below read these, so the check and
+#: the rewrite cannot disagree on what they reach.
+_WALKED = (tuple, list, dict)
 _BULK_DEPTH = 3
 
 
 def _holds_bulk(obj: Any) -> bool:
     """Whether ``obj`` is, or holds within :data:`_BULK_DEPTH` levels of
-    tuple/list/dict, a bytes-like.
+    :data:`_WALKED` containers, a bytes-like.
 
     One loop per level and no call per item: most messages — every
-    metadata op — hold none, and then encoding walks nothing else.
+    metadata op — hold none, and then :func:`_exportable` is not run.
     """
     level = [obj]
     for _ in range(_BULK_DEPTH + 1):
@@ -101,10 +99,10 @@ def _holds_bulk(obj: Any) -> bool:
             if isinstance(item, _BULK):
                 return True
             kind = type(item)
-            if kind is tuple or kind is list:
-                nested.extend(item)
-            elif kind is dict:
+            if kind is dict:
                 nested.extend(item.values())
+            elif kind in _WALKED:
+                nested.extend(item)
         level = nested
     return False
 
@@ -113,7 +111,7 @@ def _exportable(obj: Any, threshold: int, depth: int) -> Any:
     """Wrap bulk bytes-likes in :class:`pickle.PickleBuffer`, recursively.
 
     Only shallow containers are walked (``depth`` levels of
-    tuple/list/dict): the bulk payloads of this codebase — pages,
+    :data:`_WALKED`): the bulk payloads of this codebase — pages,
     blocks, shuffle chunks — all sit in the top couple of levels of a
     message's args/kwargs/value, and an unbounded walk would tax every
     tiny metadata op for the benefit of none.
@@ -141,16 +139,14 @@ def _exportable(obj: Any, threshold: int, depth: int) -> Any:
             )
         view = obj.cast("B") if obj.format != "B" else obj
         return pickle.PickleBuffer(view)
-    if depth > 0:
-        if type(obj) is tuple:
-            return tuple(_exportable(item, threshold, depth - 1) for item in obj)
-        if type(obj) is list:
-            return [_exportable(item, threshold, depth - 1) for item in obj]
-        if type(obj) is dict:
+    kind = type(obj)
+    if depth > 0 and kind in _WALKED:
+        if kind is dict:
             return {
                 key: _exportable(item, threshold, depth - 1)
                 for key, item in obj.items()
             }
+        return kind(_exportable(item, threshold, depth - 1) for item in obj)
     return obj
 
 

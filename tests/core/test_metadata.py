@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from repro.core import BlobSeer, BlobSeerConfig
 from repro.core.dht import MetadataDHT, MetadataProvider
 from repro.core.errors import MetadataCorruptionError
-from repro.core.metadata import MetadataManager, NodeKey, next_power_of_two
+from repro.core.metadata import MetadataManager, NodeKey, TreeNode, next_power_of_two
 from repro.core.pages import PageDescriptor, PageKey
 
 from .test_dht import CountingProvider
@@ -294,6 +294,41 @@ class TestNodeCache:
         # Ranges that avoid the broken leaf are unaffected.
         assert cold(writer).lookup(root, 0, 5) == {i: written[i] for i in range(5)}
 
+    @pytest.mark.parametrize(
+        "forged",
+        [
+            TreeNode(NodeKey(1, 1, 3, 4)),
+            TreeNode(NodeKey(1, 1, 2, 4), left=NodeKey(1, 1, 2, 3)),
+        ],
+        ids=["extent-less-leaf", "interior-node"],
+    )
+    def test_partial_leaf_over_a_corrupt_base_leaf_raises(self, forged):
+        writer, _ = counted_manager()
+        root = writer.build_version(
+            1, 1, descriptors_for(1, 1, range(4)), 4, base_root=None, base_capacity=1
+        )
+        writer._dht.put(NodeKey(1, 1, 3, 4).dht_key(), forged)
+        tail = PageDescriptor(PageKey(1, 2, 3), (0,), 10, 50)
+        with pytest.raises(MetadataCorruptionError):
+            cold(writer).build_version(
+                1, 2, {3: lambda below: below + (tail,)}, 4,
+                base_root=root, base_capacity=4,
+            )
+        assert writer.nodes_created_by(1, 2) == 0
+
+    def test_partial_append_over_an_extent_less_leaf_raises(self):
+        with BlobSeer(BlobSeerConfig(page_size=PAGE, num_providers=2)) as service:
+            blob = service.create_blob()
+            service.append(blob, b"x" * (PAGE + 10))
+            leaf = NodeKey(blob, 1, 1, 2)
+            assert leaf in service.metadata_manager.reachable(
+                [service.version_manager.version_info(blob).root]
+            )[0]
+            service.metadata_manager._dht.put(leaf.dht_key(), TreeNode(leaf))
+            service.metadata_manager.forget_blob(blob)
+            with pytest.raises(MetadataCorruptionError, match="carries no page"):
+                service.append(blob, b"y" * 10)
+
 
 PAGE = 64
 
@@ -327,7 +362,6 @@ class CountedBuilds:
         self._local = threading.local()
         manager = service.metadata_manager
         cache, dht = manager._cache, manager._dht
-        cache.get = self._counted(cache.get, lambda build, key: build["resolved"].add(key))
         cache.get_many = self._counted(
             cache.get_many, lambda build, keys: build["resolved"].update(keys)
         )

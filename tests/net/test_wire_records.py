@@ -1,17 +1,15 @@
 """Wire records round-trip as ``(cls, fields)`` tuples.
 
-Every record that crosses the wire often defines ``__reduce__`` as its
-class and a tuple of its fields, rebuilt through ``__init__``.  These
-tests pin that down per record: the tuple lists every field in order,
-the record comes back equal and hash-equal through the codec and over
-the loopback transport, ``MISSING`` keeps its identity in a metadata
-reply, an error response re-raises its exception, and a decoded page
-descriptor is validated like a constructed one.
+Every record that crosses the wire often is a
+:func:`~repro.core.records.wire_record`: it pickles as its class and a
+tuple of its fields and is rebuilt through ``__init__``.  These tests pin
+that down per record: it comes back equal and hash-equal through the
+codec and over the loopback transport, ``MISSING`` keeps its identity in
+a metadata reply, an error response re-raises its exception, and a
+decoded page descriptor is validated like a constructed one.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import pytest
 
@@ -46,10 +44,6 @@ RECORDS = {
 HASHABLE = pytest.mark.parametrize("record", RECORDS.values(), ids=RECORDS.keys())
 
 
-def fields_of(record) -> tuple:
-    return tuple(getattr(record, field.name) for field in dataclasses.fields(record))
-
-
 def round_trip(message):
     head, buffers = encode_message(message)
     return decode_message(head, buffers)
@@ -67,17 +61,6 @@ def echo():
     transport = LoopbackTransport(registry)
     yield lambda value: transport.call("echo", "echo", value)
     transport.close()
-
-
-@pytest.mark.parametrize(
-    "record",
-    [*RECORDS.values(), Request(4, "s", "m", (1,), {"k": 2}), Response(4, True, 5)],
-    ids=[*RECORDS.keys(), "request", "response"],
-)
-def test_reduce_lists_every_field_in_order(record):
-    cls, args = record.__reduce__()
-    assert cls is type(record)
-    assert args == fields_of(record)
 
 
 @HASHABLE

@@ -35,7 +35,7 @@ from repro.net import (
 )
 from repro.net.cluster import ClusterConfig
 from repro.net.framing import HEADER, MAGIC, encode_frame
-from repro.net.messages import Request, encode_message
+from repro.net.messages import Request, Response, decode_message, encode_message
 from repro.net.stubs import (
     DATANODE_SERVICE,
     METADATA_SERVICE,
@@ -149,6 +149,27 @@ class TestOutOfBandThreshold:
             Request(1, "s", "m", ([{"chunk": bulk}],), {}), oob_threshold=KB
         )
         assert len(buffers) == 1
+
+    @pytest.mark.parametrize("kind", [tuple, list, dict])
+    def test_bulk_leaves_the_stream_down_to_the_walked_depth(self, kind):
+        bulk = b"d" * (64 * KB)
+
+        def nested(levels):
+            value = bulk
+            for _ in range(levels):
+                value = {"k": value} if kind is dict else kind([value])
+            return (value,)
+
+        # The payload sits two levels below the args tuple (out of band),
+        # then three (in band, past the walked depth).
+        for levels, out_of_band in [(2, 1), (3, 0)]:
+            for message in (
+                Request(1, "s", "m", nested(levels), {}),
+                Response(1, True, nested(levels)),
+            ):
+                head, buffers = encode_message(message, oob_threshold=KB)
+                assert len(buffers) == out_of_band
+                assert decode_message(head, buffers) == message
 
 
 class TestNoHandshake:
